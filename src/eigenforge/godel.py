@@ -16,6 +16,11 @@ from .errors import DomainError
 
 _ENERGY_SLACK = 1e-12
 
+# Largest prime index (mode number) the codec handles; prime(100 000) is
+# 1 299 709. Above it nth_prime, encode and decode raise DomainError, so an
+# integer with a huge prime factor cannot make the sieve grow without bound.
+MAX_PRIME_INDEX = 100_000
+
 
 class _PrimeCache:
     """Growing sieve of Eratosthenes; indexable list of primes."""
@@ -31,12 +36,16 @@ class _PrimeCache:
         for i in range(2, int(math.isqrt(limit)) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        self._primes = [i for i, flag in enumerate(sieve) if flag]
+        self._primes = [i for i, flag in enumerate(sieve) if flag][:MAX_PRIME_INDEX]
         self._limit = limit
 
     def nth(self, m: int) -> int:
         """1-based: nth(1) == 2."""
         while m > len(self._primes):
+            if m > MAX_PRIME_INDEX:
+                raise DomainError(
+                    f"prime index {m} exceeds MAX_PRIME_INDEX = {MAX_PRIME_INDEX}"
+                )
             self._grow()
         return self._primes[m - 1]
 
@@ -81,7 +90,8 @@ def decode(value: int) -> tuple[int, ...]:
     """Exponent vector of the prime factorization, trailing zeros removed.
 
     Trial division continues through successive primes until the cofactor is
-    1, so every positive integer decodes completely.
+    1; an integer with a prime factor above prime(MAX_PRIME_INDEX) raises
+    DomainError.
     """
     if int(value) != value or value < 1:
         raise DomainError("only positive integers decode")

@@ -335,6 +335,10 @@ def split_monotone(a: Polynomial) -> list[MonotonePiece]:
     for t0, t1 in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (t0 + t1)
         slope = evaluate(d, mid)
+        if slope == 0.0:
+            # Odd inflection at the midpoint (x^3 on [-1, 1]): the endpoint
+            # values still tell the direction.
+            slope = evaluate(a, t1) - evaluate(a, t0)
         direction: Direction = "increasing" if slope > 0 else "decreasing"
         piece = MonotonePiece(a, (t0, t1), direction)
         _check_injective(piece)

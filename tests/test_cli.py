@@ -168,6 +168,11 @@ class TestCodecCommands:
         result = run_cli("decode", "--integer", "0")
         assert result.returncode == 2
 
+    def test_decode_huge_prime_factor_invalid(self):
+        result = run_cli("decode", "--integer", "1000000007")
+        assert result.returncode == 2
+        assert "MAX_PRIME_INDEX" in result.stderr
+
     def test_encode_non_canonical_invalid(self):
         result = run_cli("encode", "--occupation", "1,0")
         assert result.returncode == 2

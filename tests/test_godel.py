@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenforge import godel
 from eigenforge.action import total_energy
 from eigenforge.errors import DomainError
 from eigenforge.godel import (
+    MAX_PRIME_INDEX,
     EnumeratedState,
     count_vs_box,
     decode,
@@ -42,6 +44,11 @@ class TestPrimes:
 
     def test_demand_grows_cache(self):
         assert nth_prime(100) == 541
+
+    def test_index_limit(self):
+        assert nth_prime(MAX_PRIME_INDEX) == 1_299_709
+        with pytest.raises(DomainError):
+            nth_prime(MAX_PRIME_INDEX + 1)
 
 
 class TestEncode:
@@ -83,6 +90,22 @@ class TestDecode:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             decode(0)
+
+    def test_prime_factor_beyond_limit_rejected(self):
+        # 1_000_000_007 is prime, far beyond prime(MAX_PRIME_INDEX); the sieve
+        # must stop at the limit instead of growing to reach it.
+        with pytest.raises(DomainError):
+            decode(1_000_000_007)
+        assert len(godel._PRIMES._primes) <= MAX_PRIME_INDEX
+
+    def test_encode_beyond_limit_rejected(self):
+        with pytest.raises(DomainError):
+            encode((0,) * MAX_PRIME_INDEX + (1,))
+
+    def test_largest_allowed_index_round_trips(self):
+        occ = (0,) * (MAX_PRIME_INDEX - 1) + (1,)
+        assert encode(occ) == 1_299_709
+        assert decode(1_299_709) == occ
 
     def test_large_prime_factor_resolves(self):
         assert decode(2 * 9973) == decode(2 * 9973)

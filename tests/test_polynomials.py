@@ -201,6 +201,14 @@ class TestSplitMonotone:
         for left, right in zip(pieces[:-1], pieces[1:]):
             assert left.direction != right.direction
 
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 2.0]])
+    def test_odd_inflection_at_midpoint(self, coeffs):
+        # The slope vanishes at the midpoint of the single piece; the endpoint
+        # values still say increasing.
+        pieces = split_monotone(poly(coeffs, (-1.0, 1.0)))
+        assert [(p.sub_interval, p.direction) for p in pieces] == [
+            ((-1.0, 1.0), "increasing")]
+
     @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=7))
     @settings(max_examples=60)
     def test_pieces_tile_interval(self, int_coeffs):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.linalg
 
@@ -22,6 +23,7 @@ from eigenforge.sturm_liouville import (
     SLProblem,
     _assemble,
     _generalized_eigh,
+    _vector_to_polynomial,
     boundary_residuals,
     rayleigh_quotient,
     residual,
@@ -232,9 +234,53 @@ class TestReduction:
             _generalized_eigh(A, B)
 
 
+class TestConversion:
+    @pytest.mark.parametrize("interval,size", [((0.5, 2.0), 14), ((0.0, 1.0), 30)])
+    def test_monomial_coefficients_match_numpy(self, interval, size):
+        # Reference: numpy's Legendre-to-power conversion in t, composed with
+        # t = c0 + c1 x by Horner's rule, times the (x - a) boundary factor.
+        lo, hi = interval
+        y = np.random.default_rng(3).normal(size=size) * 0.8 ** np.arange(size)
+        u = _vector_to_polynomial(y, BoundaryCondition("value", "derivative"), interval)
+        ref = np.zeros(1)
+        for c in np.polynomial.legendre.leg2poly(y)[::-1]:
+            ref = npoly.polyadd(npoly.polymul(ref, [(-lo - hi) / (hi - lo), 2.0 / (hi - lo)]), [c])
+        ref = npoly.polymul(ref, [-lo, 1.0])
+        assert len(u.coeffs) == ref.size
+        assert np.abs(np.asarray(u.coeffs) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestEigensolveAccuracy:
+    # Plain LAPACK eigenvalues of the reduced pencil miss by up to 4e-12 here
+    # (absolute error ~ eps * lambda_max); the Rayleigh refinement must bring
+    # the low modes back to full relative accuracy.
+    @pytest.mark.parametrize("L", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("bc,ks", [(DIRICHLET, (1, 2, 3)), (NEUMANN, (0, 1, 2))],
+                             ids=["DD", "NN"])
+    def test_low_modes_to_full_relative_accuracy(self, bc, ks, L):
+        prob = unit_problem(bc, (0.0, L))
+        for degree in range(30, 41, 2):
+            vals, _ = _generalized_eigh(*_assemble(prob, degree))
+            for lam, k in zip(vals, ks):
+                exact = (k * math.pi / L) ** 2
+                assert abs(lam - exact) <= 1e-13 * (1.0 + exact), (degree, k)
+
+
 class TestErrors:
-    def test_nonconvergence_carries_trace(self):
+    def test_boundary_gate_message(self):
+        # Six Dirichlet modes converge in eigenvalue by degree 24, but their
+        # monomial forms miss u = 0 at the endpoints by more than 1e-9.
         with pytest.raises(NonConvergenceError) as exc:
+            solve(unit_problem(), num_modes=6, k_tol=1e-10, max_degree=40)
+        msg = str(exc.value)
+        assert "not converged" not in msg
+        assert "boundary gate" in msg
+        assert "converged to 1e-10 at degree 24" in msg
+        assert "> 1e-09" in msg
+        assert exc.value.trace.degrees[-1] == 40
+
+    def test_nonconvergence_carries_trace(self):
+        with pytest.raises(NonConvergenceError, match="eigenvalues not converged") as exc:
             solve(unit_problem(), num_modes=1, k_tol=1e-30, max_degree=10)
         assert exc.value.trace is not None
         assert exc.value.trace.degrees[0] == 2
