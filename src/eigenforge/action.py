@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +58,9 @@ def make_time_pair(omega: float, poly_degree: int = 12, orientation: str = FORWA
     """Chebyshev-fit cos/sin on [0, pi/2] in tau = omega*t units.
 
     omega fixes the physical length pi/(2*omega) of the piece in t but does
-    not enter the tau-domain polynomials themselves.
+    not enter the tau-domain polynomials themselves, so after the arguments
+    are validated the pair is memoised by ``(poly_degree, orientation)``:
+    every call with those two returns the same immutable ``TimePair``.
     """
     if not omega > 0:
         raise DomainError("omega must be positive")
@@ -65,6 +68,11 @@ def make_time_pair(omega: float, poly_degree: int = 12, orientation: str = FORWA
         raise DomainError("poly_degree must be at least 8")
     if orientation not in (FORWARD, BACKWARD):
         raise DomainError(f"orientation must be {FORWARD!r} or {BACKWARD!r}")
+    return _time_pair(poly_degree, orientation)
+
+
+@lru_cache(maxsize=8)
+def _time_pair(poly_degree: int, orientation: str) -> TimePair:
     domain = (0.0, QUARTER_PERIOD)
     u1 = chebyshev_fit(np.cos, poly_degree, domain)
     u2 = chebyshev_fit(np.sin, poly_degree, domain)

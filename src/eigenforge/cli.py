@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("qstar", help="classify a ratio-field expression")
-    p.add_argument("--expr", required=True, help="expression over integers, W, + - * / ( )")
+    p.add_argument("--expr", required=True, help="expression over integers, W, + - * / ^ ( )")
     p.set_defaults(func=_cmd_qstar)
 
     return parser

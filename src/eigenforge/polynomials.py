@@ -27,6 +27,9 @@ MAX_DEGREE = 64
 _ROOT_REFINE_WIDTH = 1e-12
 _ROOT_MERGE_WIDTH = 1e-9
 _ROOT_SCAN_GRID = 1024
+# Horner evaluation of sum d_k x^k errs by at most about 2n eps sum |d_k| |x|^k;
+# a derivative value within this many eps of that sum has no reliable sign.
+_HORNER_NOISE = 64 * np.finfo(float).eps
 
 Direction = Literal["increasing", "decreasing", "constant"]
 
@@ -217,9 +220,10 @@ def integrate_by_antiderivative(a: Polynomial) -> float:
 def integrate_product(*factors: Polynomial) -> float:
     """Exact integral of a product of polynomials over their shared interval.
 
-    Factors are evaluated separately at the Gauss-Legendre nodes and
-    multiplied pointwise, which avoids the coefficient blow-up (and the
-    attendant cancellation) of forming the product polynomial first.
+    Factors are evaluated at the Gauss-Legendre nodes in one Horner pass over
+    their zero-padded coefficient columns and multiplied pointwise in factor
+    order, which avoids the coefficient blow-up (and the attendant
+    cancellation) of forming the product polynomial first.
     """
     if not factors:
         raise DomainError("need at least one factor")
@@ -232,10 +236,10 @@ def integrate_product(*factors: Polynomial) -> float:
     x, w = _gauss_legendre(total_degree // 2 + 1)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    xs = mid + half * x
-    vals = np.ones_like(xs)
-    for f in factors:
-        vals = vals * npoly.polyval(xs, np.asarray(f.coeffs))
+    columns = np.zeros((max(f.degree for f in factors) + 1, len(factors)))
+    for j, f in enumerate(factors):
+        columns[: len(f.coeffs), j] = f.coeffs
+    vals = np.prod(npoly.polyval(mid + half * x, columns), axis=0)
     return float(half * np.dot(w, vals))
 
 
@@ -287,11 +291,11 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float, width: float
 
 
 def _derivative_roots(a: Polynomial) -> list[float]:
-    d = differentiate(a)
+    dc = np.asarray(differentiate(a).coeffs)
     lo, hi = a.interval
     xs = np.linspace(lo, hi, _ROOT_SCAN_GRID)
-    dv = npoly.polyval(xs, np.asarray(d.coeffs))
-    f = lambda x: float(npoly.polyval(x, np.asarray(d.coeffs)))
+    dv = npoly.polyval(xs, dc)
+    f = lambda x: float(npoly.polyval(x, dc))
     roots: list[float] = []
     for i in range(len(xs) - 1):
         v0, v1 = dv[i], dv[i + 1]
@@ -302,13 +306,22 @@ def _derivative_roots(a: Polynomial) -> list[float]:
     if dv[-1] == 0.0 and lo < xs[-1] < hi:
         roots.append(float(xs[-1]))
     roots = sorted(set(roots))
-    # Collapse near-coincident cut points: a sub-merge-width middle piece is
-    # numerical noise, and dropping the pair restores sign alternation.
+
+    def noise_between(x0: float, x1: float) -> bool:
+        # Is the derivative inside its Horner rounding bound across the gap?
+        probe = x0 + (x1 - x0) * np.array([0.25, 0.5, 0.75])
+        bound = _HORNER_NOISE * npoly.polyval(np.abs(probe), np.abs(dc))
+        return bool(np.all(np.abs(npoly.polyval(probe, dc)) <= bound))
+
+    # Collapse near-coincident cut points: a sub-merge-width middle piece, or
+    # one on which the derivative is rounding noise (a double root split in
+    # two), is numerical, and dropping the pair restores sign alternation.
     merged = True
     while merged and len(roots) >= 2:
         merged = False
         for i in range(len(roots) - 1):
-            if roots[i + 1] - roots[i] < _ROOT_MERGE_WIDTH:
+            if (roots[i + 1] - roots[i] < _ROOT_MERGE_WIDTH
+                    or noise_between(roots[i], roots[i + 1])):
                 del roots[i : i + 2]
                 merged = True
                 break
@@ -363,13 +376,35 @@ def _check_injective(piece: MonotonePiece, samples: int = 9) -> None:
         )
 
 
+def _basis_rows(size: int, interval: tuple[float, float],
+                step: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Row k < size: monomial coefficients of B_k(t(x)) for a three-term basis.
+
+    t(x) = (2x - lo - hi)/(hi - lo) maps the interval onto [-1, 1]; B_0 = 1,
+    B_1 = t and B_{k+1} = step(k, t*B_k, B_{k-1}).
+    """
+    lo, hi = interval
+    c0, c1 = (-lo - hi) / (hi - lo), 2.0 / (hi - lo)
+    rows = np.zeros((size, size))
+    rows[0, 0] = 1.0
+    if size > 1:
+        rows[1, :2] = c0, c1
+    for k in range(1, size - 1):
+        t_row = c0 * rows[k]
+        t_row[1:] += c1 * rows[k, :-1]
+        rows[k + 1] = step(k, t_row, rows[k - 1])
+    return rows
+
+
 def chebyshev_fit(fn: Callable[[np.ndarray], np.ndarray], degree: int,
                   interval: tuple[float, float], num_points: int | None = None) -> Polynomial:
     """Least-squares polynomial fit of a function on a Chebyshev grid.
 
     With ``num_points = degree + 1`` this is Chebyshev interpolation. The fit
     runs in the Chebyshev basis (well-conditioned) and is converted to
-    monomial coefficients by Horner composition with the affine map.
+    monomial coefficients in one product with the matrix whose row k holds
+    the coefficients of T_k(t(x)), built by the recurrence T_{k+1} = 2t T_k -
+    T_{k-1}.
     """
     lo, hi = interval
     n = num_points or degree + 1
@@ -379,10 +414,5 @@ def chebyshev_fit(fn: Callable[[np.ndarray], np.ndarray], degree: int,
     t = np.cos((2 * k + 1) * math.pi / (2 * n))
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
     cheb_coeffs = np.polynomial.chebyshev.chebfit(t, fn(xs), degree)
-    mono_t = np.polynomial.chebyshev.cheb2poly(cheb_coeffs)
-    # Compose with t(x) = (2x - lo - hi)/(hi - lo).
-    affine = Polynomial(((-lo - hi) / (hi - lo), 2.0 / (hi - lo)), (lo, hi))
-    acc = Polynomial((float(mono_t[-1]),), (lo, hi))
-    for c in mono_t[-2::-1]:
-        acc = acc * affine + float(c)
-    return acc
+    rows = _basis_rows(degree + 1, (lo, hi), lambda k, t_b, prev: 2.0 * t_b - prev)
+    return Polynomial(tuple(cheb_coeffs @ rows), (lo, hi))

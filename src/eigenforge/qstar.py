@@ -25,6 +25,11 @@ INFINITE = "infinite"
 
 IntPoly = tuple[int, ...]
 
+# Largest exponent ``parse`` accepts after ``^``. Powers are built by repeated
+# multiplication, so an unbounded exponent is unbounded work; at this limit
+# (W+1)^64/(W-1)^64 parses in well under a second.
+MAX_EXPONENT = 64
+
 
 def _trim(c: Sequence[int]) -> IntPoly:
     out = [int(v) for v in c] or [0]
@@ -345,7 +350,7 @@ def describe(a: QStarElement) -> str:
 
 
 class _Parser:
-    """Recursive-descent parser for integers, W, + - * / and parentheses."""
+    """Recursive-descent parser for integers, W, + - * / ^ and parentheses."""
 
     def __init__(self, text: str):
         self.tokens = self._lex(text)
@@ -420,8 +425,11 @@ class _Parser:
             exp_tok = self._take()
             if not exp_tok.isdigit():
                 raise DomainError("exponent must be a nonnegative integer")
+            exponent = int(exp_tok)
+            if exponent > MAX_EXPONENT:
+                raise DomainError(f"exponent {exponent} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
             result = element(1)
-            for _ in range(int(exp_tok)):
+            for _ in range(exponent):
                 result = result * base
             return result
         return base
@@ -441,4 +449,9 @@ class _Parser:
 
 
 def parse(text: str) -> QStarElement:
-    return _Parser(text).parse()
+    """Parse an expression; exponents above ``MAX_EXPONENT`` and nesting deeper
+    than the interpreter's recursion limit raise DomainError."""
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise DomainError("expression nests too deeply") from None

@@ -6,21 +6,25 @@ are the multi-dimensional ones averaged over every *other* dimension's current
 factor (the self-consistent freeze-the-rest reduction); a quadratic
 self-coupling enters through fourth-moment averages and a degree-capped
 projection of the frozen factor's square. The single time dimension is never
-solved: its harmonic pair is pinned each sweep so the effective time
-eigenvalue matches the summed effective space eigenvalues, which enforces the
-eigenvalue-balance (indicial) constraint and fixes the frequency; in the
-linear case omega = sqrt(sum lambda_space).
+solved: its harmonic pair is frequency-free, so its factors are built once
+per solve and stay fixed, and each sweep only re-pins the frequency so the
+effective time eigenvalue matches the summed effective space eigenvalues,
+which enforces the eigenvalue-balance (indicial) constraint; in the linear
+case omega = sqrt(sum lambda_space).
 
-Updates are damped by 0.5 and iterated until the largest factor change drops
-below tolerance. A factor's change is the sup norm of old minus new at 129
-Chebyshev points of its interval; the monomial coefficients themselves carry
-rounding noise near 1e-7 for higher modes, so a coefficient norm can stall.
+Updates are damped by 0.5 and iterated until the largest space-factor change
+drops below tolerance. A factor's change is the sup norm of old minus new at
+129 Chebyshev points of its interval; the monomial coefficients themselves
+carry rounding noise near 1e-7 for higher modes, so a coefficient norm can
+stall. Consecutive sweeps solve nearly the same eigenproblem, so each sweep's
+eigensolve starts its degree escalation just below the previous final degree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -180,12 +184,31 @@ def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
     return _sign_fixed(u * (1.0 / math.sqrt(nrm)))
 
 
+# Within a sweep the components share the space factors, and the time factors
+# stay fixed for a whole solve; these caches let each such factor be projected
+# and averaged once. Polynomials are immutable values, so they key the caches.
+_FACTOR_CACHE = 32
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
 def _project_square(u: Polynomial) -> Polynomial:
     sq = u * u
     if sq.degree <= PROJECTION_DEGREE_CAP:
         return sq
     return chebyshev_fit(sq.values, PROJECTION_DEGREE_CAP, sq.interval,
                          num_points=PROJECTION_GRID)
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
+def _weighted_average(f: Polynomial, u: Polynomial, r: Polynomial) -> float:
+    """int f u^2 r / int u^2 r."""
+    return integrate_product(f, u, u, r) / integrate_product(u, u, r)
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
+def _moment_ratio(u: Polynomial, r: Polynomial) -> float:
+    """int u^4 r / int u^2 r."""
+    return integrate_product(u, u, u, u, r) / integrate_product(u, u, r)
 
 
 def effective_coeffs(spec: SigmaModelSpec, state, dim_index: int,
@@ -209,38 +232,31 @@ def effective_coeffs(spec: SigmaModelSpec, state, dim_index: int,
             for d, f in enumerate(term):
                 if d == dim_index:
                     continue
-                u = state.factor_poly(component, d)
-                num = integrate_product(f, u, u, dims[d].r)
-                den = integrate_product(u, u, dims[d].r)
-                scale *= num / den
+                scale *= _weighted_average(f, state.factor_poly(component, d), dims[d].r)
             acc = acc + term[dim_index] * scale
         if coeff.coupling_g != 0.0:
             g = coeff.coupling_g * state.amplitude ** 2
             for d in range(len(dims)):
                 if d == dim_index:
                     continue
-                u = state.factor_poly(component, d)
-                m4 = integrate_product(u, u, u, u, dims[d].r)
-                m2 = integrate_product(u, u, dims[d].r)
-                g *= m4 / m2
+                g *= _moment_ratio(state.factor_poly(component, d), dims[d].r)
             acc = acc + _project_square(state.factor_poly(component, dim_index)) * g
         out.append(acc)
     return out[0], out[1]
 
 
-def _pin_time(spec: SigmaModelSpec, work: _Working, fit_degree: int) -> None:
-    """Rebuild the harmonic pair and solve for the frequency that equates the
-    effective time eigenvalue with the summed effective space eigenvalues.
+def _pin_time(spec: SigmaModelSpec, work: _Working) -> None:
+    """Solve for the frequency that equates the effective time eigenvalue
+    with the summed effective space eigenvalues.
 
-    The tau-domain pair polynomials are frequency-free; only the eigenvalue
-    bookkeeping carries omega. Solving (omega^2 * kinetic - potential) / mass
-    = lambda_sum accounts for the time dimension's own effective potential,
-    so the space/time balance survives a nonzero coupling.
+    The tau-domain pair polynomials are frequency-free and fixed for the
+    solve; only the eigenvalue bookkeeping carries omega. Solving
+    (omega^2 * kinetic - potential) / mass = lambda_sum accounts for the time
+    dimension's own effective potential, so the space/time balance survives a
+    nonzero coupling.
     """
     lam_sum = sum(work.space_lambdas)
-    pair = action_mod.make_time_pair(1.0, fit_degree)
     r_t = spec.time_dim.r
-    work.time_polys = [_normalized(pair.u1, r_t), _normalized(pair.u2, r_t)]
     per_component = []
     omega_sq = 0.0
     for ell in range(spec.components):
@@ -294,12 +310,17 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     """Alternating solve of one separable eigenstate.
 
     ``target_modes`` selects the 1-based eigenvalue branch tracked in each
-    space dimension. An undamped initialization pass seeds every factor from
-    the frozen-coefficient eigensolves; counted sweeps then apply damped
-    updates and re-pin the time frequency until the largest factor change is
+    space dimension. The time factors are the normalized harmonic pair of
+    degree ``time_fit_degree``, built once and fixed for the whole solve. An
+    undamped initialization pass seeds every space factor from cold
+    frozen-coefficient eigensolves; counted sweeps then apply damped updates
+    and re-pin the time frequency until the largest space-factor change is
     below ``tol``; a factor's change is the sup norm of old minus new at 129
-    Chebyshev points of its interval. Exceeding ``max_iter`` raises
-    NonConvergenceError with the report attached.
+    Chebyshev points of its interval. In counted sweeps each dimension's
+    eigensolve is warm-started at its previous final degree minus 2 (see
+    ``sturm_liouville.solve``), so a final degree can sit 2 above the cold
+    solve's. Exceeding ``max_iter`` raises NonConvergenceError with the
+    report attached.
     """
     n_space = len(spec.space_dims)
     targets = [int(t) for t in target_modes]
@@ -314,17 +335,15 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     work.space_polys = [
         _normalized(constant(1.0, dim.interval), dim.r) for dim in spec.space_dims
     ]
-    pair0 = action_mod.make_time_pair(1.0, time_fit_degree)
-    work.time_polys = [
-        _normalized(pair0.u1, spec.time_dim.r),
-        _normalized(pair0.u2, spec.time_dim.r),
-    ]
+    pair = action_mod.make_time_pair(1.0, time_fit_degree)
+    r_t = spec.time_dim.r
+    work.time_polys = [_normalized(pair.u1, r_t), _normalized(pair.u2, r_t)]
     degrees = [0] * n_space
 
-    def solve_dim(d: int) -> tuple[SLProblem, EigenPair]:
+    def solve_dim(d: int, start_degree: int = 0) -> tuple[SLProblem, EigenPair]:
         prob = _space_problem(spec, work, d)
         pairs, _ = sl_solve(prob, num_modes=targets[d], k_tol=sl_k_tol,
-                            max_degree=sl_max_degree)
+                            max_degree=sl_max_degree, start_degree=start_degree)
         return prob, pairs[targets[d] - 1]
 
     # Initialization: undamped installs from the placeholder factors.
@@ -333,14 +352,15 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         work.space_polys[d] = picked.u
         work.space_lambdas[d] = picked.lambda_
         degrees[d] = picked.degree_used
-    _pin_time(spec, work, time_fit_degree)
+    _pin_time(spec, work)
 
     report = IterationReport()
-    prev_time = list(work.time_polys)
     for sweep in range(1, max_iter + 1):
         worst = 0.0
         for d in range(n_space):
-            prob, picked = solve_dim(d)
+            # Warm start: the last final degree minus 2 keeps two visited
+            # degrees in every stopping test.
+            prob, picked = solve_dim(d, degrees[d] - 2)
             old = work.space_polys[d]
             blended = old + (picked.u - old) * DAMPING
             blended = _normalized(blended, spec.space_dims[d].r)
@@ -352,10 +372,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             work.space_lambdas[d] = num / den
             degrees[d] = picked.degree_used
             worst = max(worst, _sup_change(old, blended))
-        _pin_time(spec, work, time_fit_degree)
-        for old_t, new_t in zip(prev_time, work.time_polys):
-            worst = max(worst, _sup_change(old_t, new_t))
-        prev_time = list(work.time_polys)
+        _pin_time(spec, work)
         report.iterations = sweep
         report.factor_changes.append(worst)
         report.indicial_residuals.append(_working_indicial(work, spec.components))

@@ -208,6 +208,11 @@ def _weight_polynomial(bc: BoundaryCondition, interval) -> Polynomial:
     return w
 
 
+def _legendre_step(k: int, t_p: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """(k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}."""
+    return ((2 * k + 1) * t_p - k * prev) / (k + 1)
+
+
 def _vector_to_polynomial(y: np.ndarray, bc: BoundaryCondition, interval) -> Polynomial:
     """Convert a Legendre-basis coefficient vector to a monomial Polynomial.
 
@@ -218,17 +223,7 @@ def _vector_to_polynomial(y: np.ndarray, bc: BoundaryCondition, interval) -> Pol
     y = np.asarray(y, dtype=float)
     top = float(np.abs(y).max()) or 1.0
     y = np.where(np.abs(y) >= _COEFF_NOISE_CUT * top, y, 0.0)
-    lo, hi = interval
-    c0, c1 = (-lo - hi) / (hi - lo), 2.0 / (hi - lo)
-    # Row k: monomial coefficients of P_k(t(x)), t(x) = c0 + c1 x.
-    P = np.zeros((y.size, y.size))
-    P[0, 0] = 1.0
-    if y.size > 1:
-        P[1, :2] = c0, c1
-    for k in range(1, y.size - 1):
-        tP = c0 * P[k]
-        tP[1:] += c1 * P[k, :-1]
-        P[k + 1] = ((2 * k + 1) * tP - k * P[k - 1]) / (k + 1)
+    P = polynomials._basis_rows(y.size, interval, _legendre_step)
     return _weight_polynomial(bc, interval) * Polynomial(tuple(y @ P), interval)
 
 
@@ -267,14 +262,21 @@ def solve_at_degree(prob: SLProblem, degree: int, num_modes: int | None = None) 
 
 
 def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
-          max_degree: int = 40) -> tuple[list[EigenPair], RitzTrace]:
+          max_degree: int = 40, start_degree: int = 0) -> tuple[list[EigenPair], RitzTrace]:
     """Progressively minimize the Rayleigh quotient by degree escalation.
 
-    Starting from the smallest trial space the boundary factors admit, the
-    degree grows by 2 until the drop of every requested eigenvalue between
+    Starting from ``start_degree`` (clamped up to the smallest trial space
+    the boundary factors admit, and rounded down to that degree's parity; the
+    default 0 is therefore a cold start from the smallest space), the degree
+    grows by 2 until the drop of every requested eigenvalue between
     consecutive degrees is below ``k_tol`` (an absolute tolerance playing the
     reciprocal-k role in the stopping schema), or ``max_degree`` is hit, in
     which case a ``NonConvergenceError`` carrying the trace is raised.
+
+    A warm start visits a suffix of the cold degree ladder, and each stopping
+    test compares two visited degrees. Whenever the cold solve stops at a
+    degree D >= start + 2, the warm solve therefore returns bit-identical
+    pairs and a trace equal to the cold trace's suffix from the start degree.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -288,9 +290,10 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             f"max_degree {max_degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}"
         )
     na, nb = _vanish_counts(prob.bc)
-    start = na + nb
-    if max_degree < start:
+    lowest = na + nb
+    if max_degree < lowest:
         raise DomainError("max_degree admits no trial functions for these boundary conditions")
+    start = lowest + (max(start_degree, lowest) - lowest) // 2 * 2
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None
     gated: tuple[int, int, float] | None = None  # converged at, last rejected, worst

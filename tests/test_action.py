@@ -64,6 +64,24 @@ class TestMakeTimePair:
         with pytest.raises(DomainError):
             make_time_pair(0.0, 12)
 
+    def test_same_pair_for_every_frequency(self):
+        # The tau-domain pair is frequency-free: one shared immutable value.
+        for orientation in (FORWARD, BACKWARD):
+            first = make_time_pair(1.0, 16, orientation)
+            for omega in (1e-3, 0.5, 2.0, 7.25, 1e4):
+                assert make_time_pair(omega, 16, orientation) is first
+        assert make_time_pair(1.0, 16, BACKWARD) is not make_time_pair(1.0, 16, FORWARD)
+        assert make_time_pair(1.0, 14) is not make_time_pair(1.0, 16)
+
+    @pytest.mark.parametrize("omega,degree,orientation", [
+        (0.0, 16, FORWARD), (-1.0, 16, FORWARD), (1.0, 7, FORWARD), (1.0, 16, "sideways"),
+    ])
+    def test_validation_survives_a_cached_call(self, omega, degree, orientation):
+        make_time_pair(1.0, 16)
+        make_time_pair(1.0, 16, "forward")
+        with pytest.raises(DomainError):
+            make_time_pair(omega, degree, orientation)
+
 
 class TestActionIntegral:
     def test_unit_amplitude_gives_half_pi(self):

@@ -209,6 +209,15 @@ class TestQstarCommand:
         result = run_cli("qstar", "--expr", "(W")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("expr", ["W^100000", "(" * 5000 + "W" + ")" * 5000],
+                             ids=["huge-exponent", "deep-nesting"])
+    def test_unbounded_input_invalid(self, expr):
+        result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
+                                capture_output=True, text=True, timeout=30)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
 
 class TestDeterminism:
     def test_every_command_byte_identical_across_runs(self, problem_file, model_file,

@@ -1,8 +1,10 @@
 """Polynomial substrate tests: arithmetic, quadrature, monotone splitting."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from eigenforge.polynomials import (
     evaluate,
     integrate,
     integrate_by_antiderivative,
+    integrate_product,
     poly,
     split_monotone,
 )
@@ -209,6 +212,17 @@ class TestSplitMonotone:
         assert [(p.sub_interval, p.direction) for p in pieces] == [
             ((-1.0, 1.0), "increasing")]
 
+    def test_double_root_of_derivative(self):
+        # The derivative 3 + 14x + 3x^2 - 36x^3 has a double root at -1/3 (a
+        # stationary inflection) and a simple one at 3/4. Rounding splits the
+        # double root into two sign changes 1.9e-9 apart, across which the
+        # derivative is noise; they are not cut points.
+        pieces = split_monotone(poly([-6.0, 3.0, 7.0, 1.0, -9.0], (-1.0, 1.0)))
+        assert [p.direction for p in pieces] == ["increasing", "decreasing"]
+        assert pieces[0].sub_interval[0] == -1.0
+        assert pieces[0].sub_interval[1] == pytest.approx(0.75, abs=1e-9)
+        assert pieces[1].sub_interval == (pieces[0].sub_interval[1], 1.0)
+
     @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=7))
     @settings(max_examples=60)
     def test_pieces_tile_interval(self, int_coeffs):
@@ -244,3 +258,52 @@ class TestChebyshevFit:
         p = chebyshev_fit(np.sin, 14, (0.0, math.pi), num_points=65)
         xs = np.linspace(0.0, math.pi, 201)
         assert float(np.max(np.abs(p.values(xs) - np.sin(xs)))) < 1e-7
+
+    @pytest.mark.parametrize("fn,interval", [
+        (np.cos, (0.0, math.pi / 2)),
+        (np.sin, (0.0, math.pi / 2)),
+        (lambda x: np.sin(x) ** 2, (0.0, 2.348)),
+        (lambda x: np.cos(3.0 * x) ** 2, (0.0, 4.0)),
+    ], ids=["cos-quarter", "sin-quarter", "sin2-L", "cos2-L"])
+    def test_conversion_matches_exact_rational(self, fn, interval):
+        # Same Chebyshev coefficients, converted to monomials in exact
+        # rational arithmetic (T_k(t(x)) by the recurrence, t = c0 + c1 x).
+        degree = 16
+        lo, hi = interval
+        n = degree + 1
+        t = np.cos((2 * np.arange(n) + 1) * math.pi / (2 * n))
+        cheb = np.polynomial.chebyshev.chebfit(t, fn(0.5 * (lo + hi) + 0.5 * (hi - lo) * t),
+                                               degree)
+        c0 = Fraction(-lo - hi) / Fraction(hi - lo)
+        c1 = Fraction(2) / Fraction(hi - lo)
+        rows = [[Fraction(1)] + [Fraction(0)] * degree,
+                [c0, c1] + [Fraction(0)] * (degree - 1)]
+        for k in range(1, degree):
+            t_row = [c0 * rows[k][0]] + [c0 * rows[k][j] + c1 * rows[k][j - 1]
+                                         for j in range(1, n)]
+            rows.append([2 * a - b for a, b in zip(t_row, rows[k - 1])])
+        exact = [sum(Fraction(float(cheb[k])) * rows[k][j] for k in range(n)) for j in range(n)]
+        got = chebyshev_fit(fn, degree, interval).coeffs
+        top = max(abs(float(e)) for e in exact)
+        assert len(got) == n
+        assert max(abs(float(Fraction(g) - e)) for g, e in zip(got, exact)) <= 1e-13 * top
+
+
+class TestIntegrateProduct:
+    def test_bit_identical_to_per_factor_evaluation(self):
+        # Reference: one Horner evaluation per factor at the same nodes,
+        # multiplied pointwise in factor order.
+        from eigenforge.polynomials import _gauss_legendre
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            lo = float(rng.uniform(-3.0, 1.0))
+            hi = lo + float(rng.uniform(0.1, 4.0))
+            factors = [poly(rng.normal(size=rng.integers(1, 20)) * 10.0 ** rng.uniform(-3, 3),
+                            (lo, hi)) for _ in range(rng.integers(1, 6))]
+            x, w = _gauss_legendre(sum(f.degree for f in factors) // 2 + 1)
+            xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            vals = np.ones_like(xs)
+            for f in factors:
+                vals = vals * npoly.polyval(xs, np.asarray(f.coeffs))
+            assert integrate_product(*factors) == float(0.5 * (hi - lo) * np.dot(w, vals))

@@ -13,6 +13,7 @@ from eigenforge.qstar import (
     ONE,
     ZERO,
     ZERO_CLASS,
+    MAX_EXPONENT,
     QStarElement,
     arith,
     classify,
@@ -207,6 +208,20 @@ class TestParseAndDescribe:
             parse("(W")
         with pytest.raises(DomainError):
             parse("x+1")
+
+    def test_exponent_limit(self):
+        assert identical(parse(f"W^{MAX_EXPONENT}"), element((0,) * MAX_EXPONENT + (1,)))
+        assert classify(parse(f"(W+1)^{MAX_EXPONENT}/(W-1)^{MAX_EXPONENT}")) == FINITE
+        with pytest.raises(DomainError, match="MAX_EXPONENT"):
+            parse(f"W^{MAX_EXPONENT + 1}")
+        with pytest.raises(DomainError, match="MAX_EXPONENT"):
+            parse("W^100000")
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(DomainError, match="nests too deeply"):
+            parse("(" * 5000 + "W" + ")" * 5000)
+        with pytest.raises(DomainError, match="nests too deeply"):
+            parse("-" * 5000 + "W")
 
     def test_describe_near_one(self):
         assert describe(parse("(W+1)/W")) == "finite; equal to 1; not identical to 1"

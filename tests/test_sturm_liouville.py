@@ -266,6 +266,50 @@ class TestEigensolveAccuracy:
                 assert abs(lam - exact) <= 1e-13 * (1.0 + exact), (degree, k)
 
 
+class TestWarmStart:
+    @staticmethod
+    def _variable_problem(bc):
+        iv = (0.0, 2.0)
+        return SLProblem(poly([1.0, 0.3, 0.1], iv), poly([0.5, -0.2], iv),
+                         poly([1.0, 0.25], iv), bc)
+
+    @staticmethod
+    def _assert_same(cold, warm, start):
+        (cold_pairs, cold_trace), (warm_pairs, warm_trace) = cold, warm
+        for c, w in zip(cold_pairs, warm_pairs, strict=True):
+            assert w.lambda_ == c.lambda_
+            assert w.u.coeffs == c.u.coeffs
+            assert w.degree_used == c.degree_used
+        skip = cold_trace.degrees.index(start)
+        assert warm_trace.entries == cold_trace.entries[skip:]
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, BoundaryCondition("value", "derivative")],
+                             ids=["DD", "NN", "DN"])
+    def test_start_two_below_final_degree_is_bit_identical(self, bc):
+        prob = self._variable_problem(bc)
+        cold = solve(prob, num_modes=3, k_tol=1e-12)
+        final = cold[0][0].degree_used
+        assert final >= cold[1].degrees[0] + 4
+        self._assert_same(cold, solve(prob, num_modes=3, k_tol=1e-12,
+                                      start_degree=final - 2), final - 2)
+
+    def test_wrong_parity_start_rounds_down(self):
+        # Dirichlet visits even degrees; an odd start joins the ladder one below.
+        prob = self._variable_problem(DIRICHLET)
+        cold = solve(prob, num_modes=2, k_tol=1e-12)
+        final = cold[0][0].degree_used
+        warm = solve(prob, num_modes=2, k_tol=1e-12, start_degree=final - 1)
+        self._assert_same(cold, warm, final - 2)
+
+    @pytest.mark.parametrize("start", [-7, 0, 1])
+    def test_start_below_lowest_degree_is_cold(self, start):
+        prob = self._variable_problem(DIRICHLET)
+        cold = solve(prob, num_modes=2, k_tol=1e-12)
+        warm = solve(prob, num_modes=2, k_tol=1e-12, start_degree=start)
+        self._assert_same(cold, warm, 2)
+        assert warm[1].degrees[0] == 2
+
+
 class TestErrors:
     def test_boundary_gate_message(self):
         # Six Dirichlet modes converge in eigenvalue by degree 24, but their
