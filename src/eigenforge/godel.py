@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -111,7 +112,7 @@ def decode(value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumeratedState:
     occupations: tuple[int, ...]
     godel: int
@@ -130,36 +131,52 @@ def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
 
 
 def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list[EnumeratedState]:
-    """All occupation distributions with total energy <= e_max, by depth-first
-    bounded enumeration, sorted by their encoded integers.
+    """All occupation distributions with total energy <= e_max, sorted by their
+    encoded integers.
 
     The result is finite for any finite cutoff: each mode's occupation is
-    bounded by floor(e_max / (h omega_m / 2pi)).
+    bounded by floor(e_max / (h omega_m / 2pi)). A depth-first descent steps
+    only into modes that can still take a quantum and carries the encoded
+    integer and the energy down with it: each quantum of mode m multiplies
+    the integer by prime(m) and adds the mode energy, so no state is encoded
+    from scratch. A state is emitted where the descent enters it, with every
+    later mode empty, so the recursion depth is the number of occupied modes
+    plus one, however many modes there are. Energies are summed in mode
+    order.
     """
     if e_max < 0:
         raise DomainError("e_max must be nonnegative")
     energies = mode_energies(omegas, h)
     slack = _ENERGY_SLACK * (1.0 + abs(e_max))
+    # Modes that hold a quantum at zero energy used; no other mode is ever
+    # occupied, so only these need a prime.
+    occupiable = [(m, step, nth_prime(m + 1)) for m, step in enumerate(energies)
+                  if int((e_max + slack) // step) >= 1]
+    # lightest[k]: the smallest mode energy from occupiable[k] on; with less
+    # budget left than that, no later mode takes a quantum.
+    lightest = [math.inf] * (len(occupiable) + 1)
+    for k in range(len(occupiable) - 1, -1, -1):
+        lightest[k] = min(occupiable[k][1], lightest[k + 1])
     states: list[EnumeratedState] = []
     occ = [0] * len(energies)
 
-    def descend(mode: int, used: float) -> None:
-        if mode == len(energies):
-            trimmed = list(occ)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            dist = tuple(trimmed)
-            states.append(EnumeratedState(dist, encode(dist), used))
+    def descend(first: int, length: int, used: float, value: int) -> None:
+        states.append(EnumeratedState(tuple(occ[:length]), value, used))
+        budget = e_max - used + slack
+        if budget < lightest[first]:
             return
-        step = energies[mode]
-        bound = int((e_max - used + slack) // step)
-        for n in range(bound + 1):
-            occ[mode] = n
-            descend(mode + 1, used + n * step)
-        occ[mode] = 0
+        for k in range(first, len(occupiable)):
+            m, step, prime = occupiable[k]
+            bound = int(budget // step)
+            code = value
+            for n in range(1, bound + 1):
+                code *= prime
+                occ[m] = n
+                descend(k + 1, m + 1, used + n * step, code)
+            occ[m] = 0
 
-    descend(0, 0.0)
-    states.sort(key=lambda s: s.godel)
+    descend(0, 0, 0.0, 1)
+    states.sort(key=attrgetter("godel"))
     return states
 
 

@@ -30,6 +30,13 @@ IntPoly = tuple[int, ...]
 # (W+1)^64/(W-1)^64 parses in well under a second.
 MAX_EXPONENT = 64
 
+# Largest degree of a power ``parse`` builds: the base's numerator degree plus
+# its denominator degree, times the exponent. Without it nested powers such as
+# ((W+1)^64)^64 multiply the degree by 64 per level. At this degree the gcd
+# that puts a power of a small-coefficient base in canonical form takes about
+# 0.1 s, and it grows steeply with the degree.
+MAX_POWER_DEGREE = 128
+
 
 def _trim(c: Sequence[int]) -> IntPoly:
     out = [int(v) for v in c] or [0]
@@ -428,10 +435,15 @@ class _Parser:
             exponent = int(exp_tok)
             if exponent > MAX_EXPONENT:
                 raise DomainError(f"exponent {exponent} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-            result = element(1)
+            degree = (len(base.num) + len(base.den) - 2) * exponent
+            if degree > MAX_POWER_DEGREE:
+                raise DomainError(
+                    f"power of degree {degree} exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+            # The base is canonical, so num^e and den^e need one reduction, not e.
+            num, den = (1,), (1,)
             for _ in range(exponent):
-                result = result * base
-            return result
+                num, den = _mul(num, base.num), _mul(den, base.den)
+            return QStarElement(num, den)
         return base
 
     def _atom(self) -> QStarElement:
@@ -449,8 +461,9 @@ class _Parser:
 
 
 def parse(text: str) -> QStarElement:
-    """Parse an expression; exponents above ``MAX_EXPONENT`` and nesting deeper
-    than the interpreter's recursion limit raise DomainError."""
+    """Parse an expression; exponents above ``MAX_EXPONENT``, powers of degree
+    above ``MAX_POWER_DEGREE`` and nesting deeper than the interpreter's
+    recursion limit raise DomainError."""
     try:
         return _Parser(text).parse()
     except RecursionError:

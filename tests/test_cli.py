@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from conftest import make_string_spec, make_unit_problem
-from eigenforge import serialize
+from eigenforge import godel, serialize
+from eigenforge.errors import DomainError
+from eigenforge.godel import EnumeratedState
 from eigenforge.polynomials import Polynomial, poly
 
 
@@ -73,6 +75,41 @@ class TestSerialize:
         assert list(obj) == ["I", "h", "omegas", "occupations", "E_t"]
         assert obj["E_t"] == pytest.approx(4.0)
         assert json.loads(serialize.dumps(obj))["occupations"] == [2, 1]
+
+
+def reference_csv(states):
+    """Row-at-a-time formatter with the module's float formatting."""
+    lines = ["godel_integer,occupations,energy"]
+    for s in states:
+        occ = ";".join(str(n) for n in s.occupations)
+        lines.append(f"{s.godel},{occ},{serialize.format_float(s.energy)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestEnumerationCsv:
+    def test_two_mode_example_bytes(self):
+        states = godel.enumerate_definable([1.0, 2.0], 2.0 * math.pi, 2.0)
+        assert serialize.enumeration_csv(states) == (
+            "godel_integer,occupations,energy\n1,,0\n2,1,1\n3,0;1,2\n4,2,2\n")
+
+    def test_matches_reference_formatter(self):
+        states = godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3)
+        large = (0, 300, 7)
+        states.append(EnumeratedState(large, godel.encode(large), 300 * math.pi + 7e-3))
+        states.append(EnumeratedState((1000000,), 2, -0.0))
+        text = serialize.enumeration_csv(states)
+        assert text == reference_csv(states)
+        assert f"{godel.encode(large)},0;300;7," in text
+        assert text.endswith("\n2,1000000,-0\n")
+
+    def test_empty(self):
+        assert serialize.enumeration_csv([]) == "godel_integer,occupations,energy\n"
+
+    @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_energy_rejected(self, energy):
+        states = [EnumeratedState((), 1, 0.0), EnumeratedState((1,), 2, energy)]
+        with pytest.raises(DomainError, match="non-finite"):
+            serialize.enumeration_csv(states)
 
 
 class TestEigenCommand:
@@ -192,6 +229,15 @@ class TestEnumerateCommand:
         result = run_cli("enumerate", "--omegas", "0", "--quantum-I", "1.0", "--emax", "1")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("emax,rows", [("0", 1), ("1", 1201)])
+    def test_many_modes(self, emax, rows):
+        # 1 200 modes of energy 4 / 2pi each: the descent must not recurse
+        # once per mode.
+        result = run_cli("enumerate", "--omegas", ",".join(["1"] * 1200), "--quantum-I", "1",
+                         "--emax", emax)
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == rows + 1
+
 
 class TestQstarCommand:
     def test_finite_near_one(self):
@@ -209,8 +255,9 @@ class TestQstarCommand:
         result = run_cli("qstar", "--expr", "(W")
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("expr", ["W^100000", "(" * 5000 + "W" + ")" * 5000],
-                             ids=["huge-exponent", "deep-nesting"])
+    @pytest.mark.parametrize("expr", ["W^100000", "(" * 5000 + "W" + ")" * 5000,
+                                      "((W+1)^64)^64"],
+                             ids=["huge-exponent", "deep-nesting", "nested-power"])
     def test_unbounded_input_invalid(self, expr):
         result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
                                 capture_output=True, text=True, timeout=30)

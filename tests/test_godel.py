@@ -174,6 +174,79 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_definable([0.0], TWO_PI, 1.0)
 
+    def test_many_modes_stay_shallow(self):
+        # Mode energy 4 / 2pi: one quantum fits below 1, two do not. The
+        # descent recurses once per occupied mode, not once per mode.
+        omegas = [1.0] * 1200
+        assert len(enumerate_definable(omegas, 4.0, 0.0)) == 1
+        states = enumerate_definable(omegas, 4.0, 1.0)
+        assert len(states) == 1201
+        assert states[-1].occupations == (0,) * 1199 + (1,)
+        assert states[-1].godel == nth_prime(1200)
+
+
+def brute_force_definable(omegas, h, e_max):
+    """Every distribution of at most `most` quanta, where `most` quanta of the
+    lightest mode fill the cutoff; each is encoded from scratch and its energy
+    summed in mode order, then kept when it lies below the cutoff."""
+    steps = godel.mode_energies(omegas, h)
+    limit = e_max + godel._ENERGY_SLACK * (1.0 + abs(e_max))
+    most = int(limit // min(steps))
+    found = []
+    for total in range(most + 1):
+        for modes in combinations_with_replacement(range(len(steps)), total):
+            occ = [0] * len(steps)
+            for m in modes:
+                occ[m] += 1
+            e = 0.0
+            for n, step in zip(occ, steps):
+                e += n * step
+            if e <= limit:
+                while occ and occ[-1] == 0:
+                    occ.pop()
+                found.append((tuple(occ), encode(occ), e))
+    return sorted(found, key=lambda row: row[1])
+
+
+def _exact_sum(omegas, h, occupations):
+    e = 0.0
+    for n, step in zip(occupations, godel.mode_energies(omegas, h)):
+        e += n * step
+    return e
+
+
+class TestEnumerateOracle:
+    """The descent against an independent scan: same states, same integers and
+    bit-identical energies."""
+
+    @staticmethod
+    def check(omegas, h, e_max):
+        got = [(s.occupations, s.godel, s.energy) for s in enumerate_definable(omegas, h, e_max)]
+        assert got == brute_force_definable(omegas, h, e_max)
+        return got
+
+    def test_unsorted_frequencies(self):
+        got = self.check([3.0, 1.0, 2.5, 0.7, 1.9], TWO_PI, 6.3)
+        assert len(got) > 100
+
+    def test_zero_cutoff(self):
+        assert self.check([0.4, 1.3, 2.2], 1.7, 0.0) == [((), 1, 0.0)]
+
+    def test_single_mode(self):
+        got = self.check([0.37], 2.9, 4.1)
+        assert [occ for occ, _, _ in got] == [()] + [(n,) for n in range(1, len(got))]
+
+    def test_cutoff_on_a_state_energy(self):
+        omegas, h = [0.1, 0.2, 0.7], TWO_PI
+        e_max = _exact_sum(omegas, h, (3, 2, 1))
+        got = self.check(omegas, h, e_max)
+        assert ((3, 2, 1), encode((3, 2, 1)), e_max) in got
+
+    def test_twelve_mode_lattice(self):
+        weights = [5, 4, 6, 4, 6, 5, 4, 6, 5, 4, 5, 6]
+        got = self.check([0.37 * w for w in weights], TWO_PI, 0.37 * 30)
+        assert len(got) >= 10_000
+
 
 class TestCountVsBox:
     def test_zero_budget(self):

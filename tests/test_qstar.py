@@ -14,6 +14,7 @@ from eigenforge.qstar import (
     ZERO,
     ZERO_CLASS,
     MAX_EXPONENT,
+    MAX_POWER_DEGREE,
     QStarElement,
     arith,
     classify,
@@ -216,6 +217,31 @@ class TestParseAndDescribe:
             parse(f"W^{MAX_EXPONENT + 1}")
         with pytest.raises(DomainError, match="MAX_EXPONENT"):
             parse("W^100000")
+
+    def test_power_degree_limit(self):
+        # Nested powers: each exponent is allowed, the result's degree is not.
+        with pytest.raises(DomainError, match="MAX_POWER_DEGREE"):
+            parse("((W+1)^64)^64")
+        # The degree counts numerator and denominator: 3 * 43 > 128 >= 3 * 42.
+        with pytest.raises(DomainError, match="MAX_POWER_DEGREE"):
+            parse("((W+1)/W^2)^43")
+        ratio = parse("((W+1)/W^2)^42")
+        assert (len(ratio.num) - 1, len(ratio.den) - 1) == (42, 84)
+        half = parse(f"(W+1)^{MAX_POWER_DEGREE // 2}")
+        at_limit = parse(f"((W+1)^2)^{MAX_POWER_DEGREE // 2}")
+        assert identical(at_limit, half * half)
+        assert len(at_limit.num) - 1 == MAX_POWER_DEGREE
+
+    def test_power_equals_repeated_product(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            base = random_element(rng, max_degree=3)
+            exponent = rng.randint(0, 6)
+            product = ONE
+            for _ in range(exponent):
+                product = product * base
+            powered = parse(f"({base})^{exponent}")
+            assert identical(powered, product), (str(base), exponent)
 
     def test_deep_nesting_rejected(self):
         with pytest.raises(DomainError, match="nests too deeply"):
