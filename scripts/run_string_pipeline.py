@@ -59,8 +59,8 @@ def main() -> int:
         print(f"{mode.label:>6} {state.omega:>18.12f} {state.indicial_residual():>12.2e} "
               f"{balance:>12.2e} {report.iterations:>7d}")
 
-    spectrum = action.fit_spectrum(labels, alphas, tol=1e-9)
-    closed = action.closure_check(alphas, spectrum.quantum, tol=1e-9)
+    spectrum = action.fit_spectrum(labels, alphas)
+    closed = action.closure_check(alphas, spectrum.quantum)
     solution = {"modes": mode_objs,
                 "action_spectrum": serialize.spectrum_to_obj(spectrum, closed)}
     (out / "string_solution.json").write_text(serialize.dumps(solution))

@@ -24,8 +24,16 @@ QUARTER_PERIOD = math.pi / 2.0
 FORWARD = "forward"
 BACKWARD = "backward"
 
+# The field solve pins its frequency on the time pair of this degree, and the
+# action integral (also when refit from a stored solution) reads the quantum
+# off the same pair.
+TIME_PAIR_DEGREE = 16
+LATTICE_TOL = 1e-9  # default of the lattice fit and its closure check
+NORM_TOL = 1e-8  # largest |norm - 1| of a space factor an action integral accepts
+
 _PAIR_INVARIANT_TOL = 1e-6
 _LATTICE_FLOOR_FACTOR = 10.0
+_CLOSURE_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,8 @@ def _pair_defects(u1: Polynomial, u2: Polynomial, sign: float) -> tuple[float, f
     return e_d1, e_d2, e_norm
 
 
-def make_time_pair(omega: float, poly_degree: int = 12, orientation: str = FORWARD) -> TimePair:
+def make_time_pair(omega: float, poly_degree: int = TIME_PAIR_DEGREE,
+                   orientation: str = FORWARD) -> TimePair:
     """Chebyshev-fit cos/sin on [0, pi/2] in tau = omega*t units.
 
     omega fixes the physical length pi/(2*omega) of the piece in t but does
@@ -104,17 +113,17 @@ def action_integral(state, pair: TimePair) -> float:
     pair's kinetic integral, i.e. A^2 * pi/2 for the exact harmonic pair.
     """
     for norm in state.space_norms:
-        if abs(norm - 1.0) > 1e-8:
-            raise PreconditionError(f"space factor norm {norm} is not 1 within 1e-8")
+        if abs(norm - 1.0) > NORM_TOL:
+            raise PreconditionError(f"space factor norm {norm} is not 1 within {NORM_TOL}")
     amp = float(state.amplitude)
     if amp == 0.0:
         return 0.0
     return amp * amp * pair_action(pair)
 
 
-def action_for_state(state, poly_degree: int = 16) -> float:
+def action_for_state(state) -> float:
     """Convenience wrapper: build the pair for the state's frequency first."""
-    return action_integral(state, make_time_pair(state.omega, poly_degree))
+    return action_integral(state, make_time_pair(state.omega))
 
 
 def _real_gcd(x: float, y: float, tol: float) -> float:
@@ -124,7 +133,7 @@ def _real_gcd(x: float, y: float, tol: float) -> float:
     return a
 
 
-def fit_lattice(alphas: Sequence[float], tol: float = 1e-9) -> tuple[float, list[int]]:
+def fit_lattice(alphas: Sequence[float], tol: float = LATTICE_TOL) -> tuple[float, list[int]]:
     """Approximate-real-gcd fit of action values to a lattice alpha = n * I.
 
     Euclidean reduction with termination threshold tol. The fit is rejected
@@ -154,9 +163,8 @@ def fit_lattice(alphas: Sequence[float], tol: float = 1e-9) -> tuple[float, list
     return quantum, multipliers
 
 
-def closure_check(alphas: Sequence[float], quantum: float, tol: float = 1e-9,
-                  depth: int = 3) -> bool:
-    """Closure of the set under sums and absolute differences, to a depth.
+def closure_check(alphas: Sequence[float], quantum: float, tol: float = LATTICE_TOL) -> bool:
+    """Closure of the set under sums and absolute differences, three levels deep.
 
     Every generated value (zeros excluded) must sit within tol of an integer
     multiple of the quantum.
@@ -164,7 +172,7 @@ def closure_check(alphas: Sequence[float], quantum: float, tol: float = 1e-9,
     if not quantum > 0:
         raise DomainError("quantum must be positive")
     current = {round(float(a), 12) for a in alphas if abs(a) > tol}
-    for _ in range(depth):
+    for _ in range(_CLOSURE_DEPTH):
         generated = set(current)
         items = sorted(current)
         for i, x in enumerate(items):
@@ -196,7 +204,8 @@ class ActionSpectrum:
         return 4.0 * self.quantum
 
 
-def fit_spectrum(labels: Sequence[str], alphas: Sequence[float], tol: float = 1e-9) -> ActionSpectrum:
+def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
+                 tol: float = LATTICE_TOL) -> ActionSpectrum:
     quantum, multipliers = fit_lattice(alphas, tol)
     residuals = tuple(abs(a - n * quantum) for a, n in zip(alphas, multipliers))
     return ActionSpectrum(tuple(labels), tuple(float(a) for a in alphas),

@@ -27,8 +27,6 @@ from .errors import (
     NonConvergenceError,
 )
 
-_SIGMA_LATTICE_TOL = 1e-9
-
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
@@ -88,8 +86,8 @@ def _cmd_sigma(args) -> int:
         mode_objs.append(serialize.state_to_obj(state, report, null_res, alpha, mode.targets))
         labels.append(mode.label)
         alphas.append(alpha)
-    spectrum = action_mod.fit_spectrum(labels, alphas, tol=_SIGMA_LATTICE_TOL)
-    closure = action_mod.closure_check(alphas, spectrum.quantum, tol=_SIGMA_LATTICE_TOL)
+    spectrum = action_mod.fit_spectrum(labels, alphas)
+    closure = action_mod.closure_check(alphas, spectrum.quantum)
     out = {"modes": mode_objs, "action_spectrum": serialize.spectrum_to_obj(spectrum, closure)}
     _write(serialize.dumps(out), args.out)
     return EXIT_OK
@@ -110,13 +108,13 @@ def _cmd_action(args) -> int:
         )
         for factor in mode.get("space_factors", []):
             norm = factor.get("norm")
-            if norm is not None and abs(float(norm) - 1.0) > 1e-8:
+            if norm is not None and abs(float(norm) - 1.0) > action_mod.NORM_TOL:
                 raise DomainError(
                     f"solution.modes[{i}] has an unnormalized space factor (norm {norm})"
                 )
         omega = float(mode["omega"])
         amplitude = float(mode["amplitude"])
-        pair = action_mod.make_time_pair(omega, 16)
+        pair = action_mod.make_time_pair(omega)
         labels.append(str(mode["label"]))
         alphas.append(amplitude * amplitude * action_mod.pair_action(pair))
     spectrum = action_mod.fit_spectrum(labels, alphas, tol=args.lattice_tol)
@@ -163,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Variational eigensolving, separable field states, action "
                     "lattices, and the prime-power codec.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized fixtures; outputs are seed-independent")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eigen", help="solve a Sturm-Liouville problem from JSON")
@@ -184,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("action", help="fit the action lattice of a stored solution")
     p.add_argument("--solution", required=True, help="sigma solution JSON path")
-    p.add_argument("--lattice-tol", type=float, default=1e-9)
+    p.add_argument("--lattice-tol", type=float, default=action_mod.LATTICE_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_action)
 

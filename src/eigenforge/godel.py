@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -49,12 +49,6 @@ class _PrimeCache:
                 )
             self._grow()
         return self._primes[m - 1]
-
-    def iter(self) -> Iterator[int]:
-        m = 1
-        while True:
-            yield self.nth(m)
-            m += 1
 
 
 _PRIMES = _PrimeCache()
@@ -144,8 +138,8 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     plus one, however many modes there are. Energies are summed in mode
     order.
     """
-    if e_max < 0:
-        raise DomainError("e_max must be nonnegative")
+    if not (math.isfinite(e_max) and e_max >= 0):
+        raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
     energies = mode_energies(omegas, h)
     slack = _ENERGY_SLACK * (1.0 + abs(e_max))
     # Modes that hold a quantum at zero energy used; no other mode is ever

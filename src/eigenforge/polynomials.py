@@ -196,17 +196,11 @@ def _gauss_legendre(n: int):
 def integrate(a: Polynomial) -> float:
     """Definite integral over the polynomial's interval.
 
-    Gauss-Legendre quadrature with ceil((deg+1)/2) nodes, which integrates
-    polynomials of this degree exactly; antiderivative evaluation is the
-    independent cross-check (see tests).
+    The one-factor case of ``integrate_product``: Gauss-Legendre quadrature
+    with deg // 2 + 1 nodes, exact at this degree; antiderivative evaluation
+    is the independent cross-check (see tests).
     """
-    lo, hi = a.interval
-    nodes = a.degree // 2 + 1
-    x, w = _gauss_legendre(nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    vals = npoly.polyval(mid + half * x, np.asarray(a.coeffs))
-    return float(half * np.dot(w, vals))
+    return integrate_product(a)
 
 
 def integrate_by_antiderivative(a: Polynomial) -> float:

@@ -39,12 +39,15 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Render with fixed key order and 17-significant-digit floats."""
+_INDENT = 2
+
+
+def dumps(obj: Any) -> str:
+    """Render with fixed key order, two-space indents and 17-significant-digit floats."""
 
     def render(node, level):
-        pad = " " * (indent * level)
-        inner = " " * (indent * (level + 1))
+        pad = " " * (_INDENT * level)
+        inner = " " * (_INDENT * (level + 1))
         if node is None:
             return "null"
         if isinstance(node, bool):

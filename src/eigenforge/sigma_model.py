@@ -44,7 +44,7 @@ from .sturm_liouville import (
     EigenPair,
     SLProblem,
     _chebyshev_points,
-    _sign_fixed,
+    _normalized,
     solve as sl_solve,
 )
 
@@ -52,6 +52,9 @@ PROJECTION_DEGREE_CAP = 16
 PROJECTION_GRID = 65
 CHANGE_POINTS = 129
 DAMPING = 0.5
+# Eigenvalue stopping tolerance and degree cap of each space-factor eigensolve.
+SL_K_TOL = 1e-12
+SL_MAX_DEGREE = 40
 
 
 @dataclass(frozen=True)
@@ -179,11 +182,6 @@ class _Working:
         return self.time_polys[component % 2]
 
 
-def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
-    nrm = integrate_product(r, u, u)
-    return _sign_fixed(u * (1.0 / math.sqrt(nrm)))
-
-
 # Within a sweep the components share the space factors, and the time factors
 # stay fixed for a whole solve; these caches let each such factor be projected
 # and averaged once. Polynomials are immutable values, so they key the caches.
@@ -304,14 +302,14 @@ def _space_problem(spec: SigmaModelSpec, work: _Working, d: int) -> SLProblem:
 
 
 def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
-                tol: float = 1e-10, max_iter: int = 100, amplitude: float = 1.0,
-                sl_k_tol: float = 1e-12, sl_max_degree: int = 40,
-                time_fit_degree: int = 16) -> tuple[SeparableEigenstate, IterationReport]:
+                tol: float = 1e-10, max_iter: int = 100,
+                amplitude: float = 1.0) -> tuple[SeparableEigenstate, IterationReport]:
     """Alternating solve of one separable eigenstate.
 
     ``target_modes`` selects the 1-based eigenvalue branch tracked in each
     space dimension. The time factors are the normalized harmonic pair of
-    degree ``time_fit_degree``, built once and fixed for the whole solve. An
+    degree ``action.TIME_PAIR_DEGREE``, built once and fixed for the whole
+    solve; the action integral reads the quantum off the same pair. An
     undamped initialization pass seeds every space factor from cold
     frozen-coefficient eigensolves; counted sweeps then apply damped updates
     and re-pin the time frequency until the largest space-factor change is
@@ -335,15 +333,15 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     work.space_polys = [
         _normalized(constant(1.0, dim.interval), dim.r) for dim in spec.space_dims
     ]
-    pair = action_mod.make_time_pair(1.0, time_fit_degree)
+    pair = action_mod.make_time_pair(1.0)
     r_t = spec.time_dim.r
     work.time_polys = [_normalized(pair.u1, r_t), _normalized(pair.u2, r_t)]
     degrees = [0] * n_space
 
     def solve_dim(d: int, start_degree: int = 0) -> tuple[SLProblem, EigenPair]:
         prob = _space_problem(spec, work, d)
-        pairs, _ = sl_solve(prob, num_modes=targets[d], k_tol=sl_k_tol,
-                            max_degree=sl_max_degree, start_degree=start_degree)
+        pairs, _ = sl_solve(prob, num_modes=targets[d], k_tol=SL_K_TOL,
+                            max_degree=SL_MAX_DEGREE, start_degree=start_degree)
         return prob, pairs[targets[d] - 1]
 
     # Initialization: undamped installs from the placeholder factors.
@@ -389,7 +387,8 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         for d in range(n_space)
     )
     time_factors = tuple(
-        EigenPair(work.time_lambdas[ell], work.time_polys[ell % 2], 0, time_fit_degree)
+        EigenPair(work.time_lambdas[ell], work.time_polys[ell % 2], 0,
+                  action_mod.TIME_PAIR_DEGREE)
         for ell in range(spec.components)
     )
     norms = tuple(
@@ -413,57 +412,33 @@ def _bracket_value(spec: SigmaModelSpec, state: SeparableEigenstate,
     """One bracket of the balance functional: the diff_dim term of one component.
 
     Independent of the effective-coefficient machinery: every separable term
-    (and the coupling) is integrated dimension by dimension, with the time
-    dimension carrying the tau = omega*t measure (1/omega per plain integral,
-    an extra omega^2 when differentiated).
+    is integrated dimension by dimension, with the time dimension carrying
+    the tau = omega*t measure (1/omega per plain integral, an extra omega^2
+    when differentiated). The coupling is one more term, weighted by
+    g * amplitude^2, whose factor in each dimension is that dimension's u^2.
     """
     dims = spec.dimensions
-    time_index = spec.time_index
     omega = state.omega
     amp2 = state.amplitude ** 2
+    us = [state.factor_poly(component, d) for d in range(len(dims))]
     total = 0.0
     for coeff, is_p in ((spec.P, True), (spec.Q, False)):
-        sign = 1.0 if is_p else -1.0
-        for term in coeff.terms:
-            prod = amp2
-            for d, f in enumerate(term):
-                u = state.factor_poly(component, d)
-                if d == diff_dim:
-                    if is_p:
-                        du = differentiate(u)
-                        val = integrate_product(f, du, du)
-                        if d == time_index:
-                            val *= omega
-                    else:
-                        val = integrate_product(f, u, u)
-                        if d == time_index:
-                            val /= omega
-                else:
-                    val = integrate_product(f, u, u, dims[d].r)
-                    if d == time_index:
-                        val /= omega
-                prod *= val
-            total += sign * prod
+        terms = [(amp2, [(f,) for f in term]) for term in coeff.terms]
         if coeff.coupling_g != 0.0:
-            prod = coeff.coupling_g * amp2 * amp2
-            for d in range(len(dims)):
-                u = state.factor_poly(component, d)
-                if d == diff_dim:
-                    if is_p:
-                        du = differentiate(u)
-                        val = integrate_product(u, u, du, du)
-                        if d == time_index:
-                            val *= omega
-                    else:
-                        val = integrate_product(u, u, u, u)
-                        if d == time_index:
-                            val /= omega
+            terms.append((coeff.coupling_g * amp2 * amp2, [(u, u) for u in us]))
+        for prod, factors in terms:
+            for d, (u, fs) in enumerate(zip(us, factors)):
+                if d != diff_dim:
+                    val = integrate_product(*fs, u, u, dims[d].r)
+                elif is_p:
+                    du = differentiate(u)
+                    val = integrate_product(*fs, du, du)
                 else:
-                    val = integrate_product(u, u, u, u, dims[d].r)
-                    if d == time_index:
-                        val /= omega
+                    val = integrate_product(*fs, u, u)
+                if d == spec.time_index:
+                    val = val * omega if is_p and d == diff_dim else val / omega
                 prod *= val
-            total += sign * prod
+            total += prod if is_p else -prod
     return total
 
 

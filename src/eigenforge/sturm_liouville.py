@@ -44,6 +44,7 @@ _POSITIVITY_MARGIN = 1e-12
 _BOUNDARY_TOL = 1e-9
 _NORM_FLOOR = 1e-14
 _COEFF_NOISE_CUT = 1e-14
+_RESIDUAL_SAMPLES = 101
 
 
 @dataclass(frozen=True)
@@ -237,15 +238,19 @@ def _sign_fixed(u: Polynomial) -> Polynomial:
     return u
 
 
+def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
+    """u scaled to unit r-weighted norm and sign-fixed; a collapsed u is refused."""
+    nrm = integrate_product(r, u, u)
+    if nrm < _NORM_FLOOR:
+        raise ConditioningError(f"factor collapsed to weighted norm {nrm:.3e} < {_NORM_FLOOR}")
+    return _sign_fixed(u * (1.0 / math.sqrt(nrm)))
+
+
 def _build_pairs(prob: SLProblem, theta, Y, degree: int, count: int) -> list[EigenPair]:
     pairs = []
     for m in range(count):
         u = _vector_to_polynomial(Y[:, m], prob.bc, prob.interval)
-        nrm = integrate_product(prob.r, u, u)
-        if nrm < _NORM_FLOOR:
-            raise ConditioningError(f"mode {m} collapsed to zero norm at degree {degree}")
-        u = _sign_fixed(u * (1.0 / math.sqrt(nrm)))
-        pairs.append(EigenPair(float(theta[m]), u, m, degree))
+        pairs.append(EigenPair(float(theta[m]), _normalized(u, prob.r), m, degree))
     return pairs
 
 
@@ -296,7 +301,9 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     start = lowest + (max(start_degree, lowest) - lowest) // 2 * 2
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None
-    gated: tuple[int, int, float] | None = None  # converged at, last rejected, worst
+    # Gate rejections since the eigenvalues converged: the degree at which they
+    # converged, and the degree and value of the smallest worst-mode residual.
+    gated: tuple[int, int, float] | None = None
     for degree in range(start, max_degree + 1, 2):
         A, B = _assemble(prob, degree)
         theta, Y = _generalized_eigh(A, B)
@@ -312,7 +319,8 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
                 worst = max(max(boundary_residuals(prob, pr.u)) for pr in pairs)
                 if worst <= _BOUNDARY_TOL:
                     return pairs, RitzTrace(tuple(trace_entries))
-                gated = (gated[0] if gated else degree, degree, worst)
+                if gated is None or worst < gated[2]:
+                    gated = (gated[0] if gated else degree, degree, worst)
             else:
                 gated = None
             prev_vals = cur_vals
@@ -320,8 +328,8 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     if gated is not None:
         raise NonConvergenceError(
             f"eigenvalues converged to {k_tol} at degree {gated[0]}, but the boundary "
-            f"gate rejected every degree up to {gated[1]}: worst boundary residual "
-            f"{gated[2]:.3e} > {_BOUNDARY_TOL}",
+            f"gate rejected every degree up to {trace.degrees[-1]}: worst boundary residual "
+            f"at best {gated[2]:.3e} (degree {gated[1]}) > {_BOUNDARY_TOL}",
             trace=trace,
         )
     raise NonConvergenceError(
@@ -359,12 +367,13 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
     return num / denom
 
 
-def residual(prob: SLProblem, pair: EigenPair, samples: int = 101) -> float:
-    """Strong-form defect max |-(p u')' - q u - lam r u| / (1 + |lam|)."""
+def residual(prob: SLProblem, pair: EigenPair) -> float:
+    """Strong-form defect max |-(p u')' - q u - lam r u| / (1 + |lam|) at 101
+    evenly spaced points."""
     u = pair.u
     flux = differentiate(prob.p * differentiate(u))
     defect = flux + prob.q * u + prob.r * u * pair.lambda_
     lo, hi = prob.interval
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, _RESIDUAL_SAMPLES)
     worst = float(np.abs(defect.values(xs)).max())
     return worst / (1.0 + abs(pair.lambda_))

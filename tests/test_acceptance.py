@@ -133,7 +133,7 @@ def test_criterion_5_quantization_lattice(string_states):
               for m in (1, 2, 3)]
     quantum, multipliers = fit_lattice(alphas, tol=1e-8)
     assert all(abs(a - n * quantum) <= 1e-8 for a, n in zip(alphas, multipliers))
-    assert closure_check(alphas, quantum, tol=1e-8, depth=3)
+    assert closure_check(alphas, quantum, tol=1e-8)
     with pytest.raises(NoLatticeError):
         fit_lattice([1.0, math.sqrt(2.0)], tol=1e-9)
 
@@ -146,7 +146,7 @@ def test_criterion_6_nonlinear_regime():
     assert report.iterations <= 200
 
     linear = make_string_spec(coupling_g=0.0)
-    state0, _ = solve_state(linear, "m1", (1,), sl_k_tol=1e-12, sl_max_degree=40)
+    state0, _ = solve_state(linear, "m1", (1,))
     iv = (0.0, PI)
     prob = SLProblem(poly([1.0], iv), poly([0.0], iv), poly([1.0], iv), DIRICHLET)
     pairs, _ = sl_solve(prob, num_modes=1, k_tol=1e-12, max_degree=40)

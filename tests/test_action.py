@@ -142,7 +142,7 @@ class TestFitLattice:
         alphas = [n * quantum for n in multipliers]
         fitted, ns = fit_lattice(alphas, tol=1e-9)
         assert all(abs(a - n * fitted) <= 1e-9 for a, n in zip(alphas, ns))
-        assert closure_check(alphas, fitted, tol=1e-9, depth=3)
+        assert closure_check(alphas, fitted, tol=1e-9)
 
 
 class TestClosureCheck:

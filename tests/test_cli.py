@@ -164,6 +164,17 @@ class TestActionCommand:
         assert data["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert data["h"] == pytest.approx(2 * math.pi, abs=4e-7)
 
+    def test_refit_matches_stored_spectrum(self, solution_file):
+        # The refit uses the time-pair degree and lattice tolerance of the
+        # field solve, so it reproduces the stored spectrum exactly.
+        stored = json.loads(open(solution_file).read())
+        result = run_cli("action", "--solution", solution_file)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == serialize.dumps(stored["action_spectrum"])
+        refit = json.loads(result.stdout)
+        assert [a["alpha"] for a in refit["alphas"]] == [
+            m["action_alpha"] for m in stored["modes"]]
+
     def test_no_lattice_exit_code(self, tmp_path):
         # amplitudes 1 and 2^(1/4) give actions pi/2 and sqrt(2) pi/2
         obj = {"modes": [
@@ -228,6 +239,13 @@ class TestEnumerateCommand:
     def test_bad_omega_rejected(self):
         result = run_cli("enumerate", "--omegas", "0", "--quantum-I", "1.0", "--emax", "1")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("emax", ["inf", "nan"])
+    def test_nonfinite_cutoff_invalid(self, emax):
+        result = run_cli("enumerate", "--omegas", "1,2", "--quantum-I", "1", "--emax", emax)
+        assert result.returncode == 2
+        assert "e_max" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("emax,rows", [("0", 1), ("1", 1201)])
     def test_many_modes(self, emax, rows):

@@ -174,6 +174,11 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_definable([0.0], TWO_PI, 1.0)
 
+    @pytest.mark.parametrize("e_max", [math.inf, math.nan, -1.0])
+    def test_cutoff_must_be_finite_and_nonnegative(self, e_max):
+        with pytest.raises(DomainError, match="e_max"):
+            enumerate_definable([1.0], TWO_PI, e_max)
+
     def test_many_modes_stay_shallow(self):
         # Mode energy 4 / 2pi: one quantum fits below 1, two do not. The
         # descent recurses once per occupied mode, not once per mode.

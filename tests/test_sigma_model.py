@@ -1,12 +1,14 @@
 """Separable field solver tests: string benchmark, coupling, balance residual."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_string_spec
-from eigenforge.errors import DomainError, NonConvergenceError
+from eigenforge import sigma_model
+from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
 from eigenforge.polynomials import constant, integrate_product, poly
 from eigenforge.sigma_model import (
     CoeffField,
@@ -109,7 +111,7 @@ class TestEffectiveCoeffs:
 
 class TestLinearTensorProduct:
     def test_matches_independent_eigensolve(self, string_spec):
-        state, _ = solve_state(string_spec, "m2", (2,), sl_k_tol=1e-12, sl_max_degree=40)
+        state, _ = solve_state(string_spec, "m2", (2,))
         iv = (0.0, math.pi)
         prob = SLProblem(poly([1.0], iv), poly([0.0], iv), poly([1.0], iv), DIRICHLET)
         pairs, _ = sl_solve(prob, num_modes=2, k_tol=1e-12, max_degree=40)
@@ -236,3 +238,18 @@ class TestValidation:
             solve_state(spec, "m1", (1,), tol=1e-14, max_iter=2)
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
+
+    def test_collapsed_blended_factor_is_conditioning_error(self, string_spec, monkeypatch):
+        # An eigensolve whose sign flips each call makes the damped blend of
+        # the first sweep exactly zero; it is refused like a collapsed eigenpair.
+        calls = []
+
+        def flipping_solve(prob, **kwargs):
+            pairs, trace = sl_solve(prob, **kwargs)
+            calls.append(prob)
+            sign = -1.0 if len(calls) % 2 == 0 else 1.0
+            return [replace(p, u=p.u * sign) for p in pairs], trace
+
+        monkeypatch.setattr(sigma_model, "sl_solve", flipping_solve)
+        with pytest.raises(ConditioningError):
+            solve_state(string_spec, "m1", (1,))

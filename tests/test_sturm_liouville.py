@@ -323,6 +323,21 @@ class TestErrors:
         assert "> 1e-09" in msg
         assert exc.value.trace.degrees[-1] == 40
 
+    def test_boundary_gate_reports_best_degree(self):
+        # The gate error names the smallest worst-mode residual of the gated
+        # run (the eigenvalues converge at degree 24) and the degree giving it.
+        prob = unit_problem()
+        with pytest.raises(NonConvergenceError) as exc:
+            solve(prob, num_modes=6, k_tol=1e-10, max_degree=40)
+        ladder = {
+            degree: max(max(boundary_residuals(prob, pr.u))
+                        for pr in solve_at_degree(prob, degree, 6))
+            for degree in range(24, 41, 2)
+        }
+        best = min(ladder, key=ladder.get)
+        assert best < 40
+        assert f"at best {ladder[best]:.3e} (degree {best}) > 1e-09" in str(exc.value)
+
     def test_nonconvergence_carries_trace(self):
         with pytest.raises(NonConvergenceError, match="eigenvalues not converged") as exc:
             solve(unit_problem(), num_modes=1, k_tol=1e-30, max_degree=10)
