@@ -4,7 +4,7 @@ lattices, and a prime-power codec between energy distributions and integers.
 """
 
 from . import action, godel, polynomials, qstar, serialize, sigma_model, sturm_liouville
-from .polynomials import MonotonePiece, Polynomial
+from .polynomials import LegendreSeries, Polynomial
 from .sturm_liouville import BoundaryCondition, EigenPair, RitzTrace, SLProblem
 
 __all__ = [
@@ -16,7 +16,7 @@ __all__ = [
     "sigma_model",
     "sturm_liouville",
     "Polynomial",
-    "MonotonePiece",
+    "LegendreSeries",
     "BoundaryCondition",
     "SLProblem",
     "EigenPair",

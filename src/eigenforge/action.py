@@ -38,7 +38,7 @@ _CLOSURE_DEPTH = 3
 
 @dataclass(frozen=True)
 class TimePair:
-    """Polynomial cos/sin approximants on one quarter period in tau units.
+    """Legendre-series cos/sin approximants on one quarter period in tau units.
 
     Forward orientation satisfies u1' = -u2 and u2' = u1; backward flips both
     signs. Pointwise u1^2 + u2^2 = 1 holds to 1e-6 across the piece.

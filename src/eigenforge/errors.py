@@ -17,10 +17,6 @@ class IntervalMismatchError(EigenforgeError, ValueError):
     """Operands live on different intervals."""
 
 
-class DegenerateInputError(EigenforgeError, ValueError):
-    """Structurally degenerate input, e.g. the zero polynomial."""
-
-
 class DegenerateTrialError(EigenforgeError, ValueError):
     """Trial function with a vanishing weighted norm."""
 

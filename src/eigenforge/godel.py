@@ -22,6 +22,12 @@ _ENERGY_SLACK = 1e-12
 # integer with a huge prime factor cannot make the sieve grow without bound.
 MAX_PRIME_INDEX = 100_000
 
+# Largest number of states ``enumerate_definable`` lists. The count grows as
+# C(K + n, n) in the number of modes n, so a short command line can ask for
+# 10^15 states; the descent stops with DomainError at the first state past
+# this limit, before memory grows further.
+MAX_STATES = 1_000_000
+
 
 class _PrimeCache:
     """Growing sieve of Eratosthenes; indexable list of primes."""
@@ -136,7 +142,7 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     from scratch. A state is emitted where the descent enters it, with every
     later mode empty, so the recursion depth is the number of occupied modes
     plus one, however many modes there are. Energies are summed in mode
-    order.
+    order. More than ``MAX_STATES`` states raise DomainError.
     """
     if not (math.isfinite(e_max) and e_max >= 0):
         raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
@@ -155,6 +161,9 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     occ = [0] * len(energies)
 
     def descend(first: int, length: int, used: float, value: int) -> None:
+        if len(states) == MAX_STATES:
+            raise DomainError(
+                f"more than MAX_STATES = {MAX_STATES} states below e_max = {e_max!r}")
         states.append(EnumeratedState(tuple(occ[:length]), value, used))
         budget = e_max - used + slack
         if budget < lightest[first]:

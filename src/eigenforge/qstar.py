@@ -30,11 +30,14 @@ IntPoly = tuple[int, ...]
 # (W+1)^64/(W-1)^64 parses in well under a second.
 MAX_EXPONENT = 64
 
-# Largest degree of a power ``parse`` builds: the base's numerator degree plus
-# its denominator degree, times the exponent. Without it nested powers such as
-# ((W+1)^64)^64 multiply the degree by 64 per level. At this degree the gcd
-# that puts a power of a small-coefficient base in canonical form takes about
-# 0.1 s, and it grows steeply with the degree.
+# Largest degree of a power, product, quotient, sum or difference ``parse``
+# builds, counted as numerator degree plus denominator degree: the base's
+# times the exponent for a power, the sum of the two operands' for the other
+# operations. Without it nested powers such as ((W+1)^64)^64 multiply the
+# degree by 64 per level, and a product written out factor by factor grows
+# with the text. At this degree the gcd that puts a power of a
+# small-coefficient base in canonical form takes about 0.1 s, and it grows
+# steeply with the degree.
 MAX_POWER_DEGREE = 128
 
 
@@ -403,11 +406,19 @@ class _Parser:
             raise DomainError(f"trailing input at {self._peek()!r}")
         return value
 
+    @staticmethod
+    def _check_degree(lhs: QStarElement, rhs: QStarElement) -> None:
+        degree = sum(len(e.num) + len(e.den) - 2 for e in (lhs, rhs))
+        if degree > MAX_POWER_DEGREE:
+            raise DomainError(
+                f"operands of total degree {degree} exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+
     def _expr(self) -> QStarElement:
         value = self._term()
         while self._peek() in ("+", "-"):
             op = self._take()
             rhs = self._term()
+            self._check_degree(value, rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -416,6 +427,7 @@ class _Parser:
         while self._peek() in ("*", "/"):
             op = self._take()
             rhs = self._unary()
+            self._check_degree(value, rhs)
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -461,9 +473,9 @@ class _Parser:
 
 
 def parse(text: str) -> QStarElement:
-    """Parse an expression; exponents above ``MAX_EXPONENT``, powers of degree
-    above ``MAX_POWER_DEGREE`` and nesting deeper than the interpreter's
-    recursion limit raise DomainError."""
+    """Parse an expression; exponents above ``MAX_EXPONENT``, powers and
+    operations of degree above ``MAX_POWER_DEGREE`` and nesting deeper than
+    the interpreter's recursion limit raise DomainError."""
     try:
         return _Parser(text).parse()
     except RecursionError:

@@ -142,7 +142,7 @@ def problem_to_obj(prob: SLProblem) -> dict:
 def solution_to_obj(pairs: Sequence[EigenPair], trace: RitzTrace) -> dict:
     return {
         "modes": [
-            {"lambda": p.lambda_, "coeffs": list(p.u.coeffs), "degree": p.degree_used}
+            {"lambda": p.lambda_, "legendre": list(p.u.coeffs), "degree": p.degree_used}
             for p in pairs
         ],
         "trace": [[n, lam] for n, lam in trace.entries],
@@ -213,7 +213,7 @@ def model_to_obj(spec: SigmaModelSpec) -> dict:
 def _factor_to_obj(pair: EigenPair, norm: float | None = None) -> dict:
     out = {
         "lambda": pair.lambda_,
-        "coeffs": list(pair.u.coeffs),
+        "legendre": list(pair.u.coeffs),
         "interval": list(pair.u.interval),
         "degree": pair.degree_used,
     }

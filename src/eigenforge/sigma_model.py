@@ -13,10 +13,10 @@ which enforces the eigenvalue-balance (indicial) constraint; in the linear
 case omega = sqrt(sum lambda_space).
 
 Updates are damped by 0.5 and iterated until the largest space-factor change
-drops below tolerance. A factor's change is the sup norm of old minus new at
-129 Chebyshev points of its interval; the monomial coefficients themselves
-carry rounding noise near 1e-7 for higher modes, so a coefficient norm can
-stall. Consecutive sweeps solve nearly the same eigenproblem, so each sweep's
+drops below tolerance. Factors are Legendre series, and a factor's change is
+the sup norm of old minus new at 129 Chebyshev points of its interval: a
+measure of the function, not of the coefficients that represent it.
+Consecutive sweeps solve nearly the same eigenproblem, so each sweep's
 eigensolve starts its degree escalation just below the previous final degree.
 """
 
@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import action as action_mod
 from .errors import DomainError, NonConvergenceError
@@ -190,10 +189,8 @@ _FACTOR_CACHE = 32
 
 @lru_cache(maxsize=_FACTOR_CACHE)
 def _project_square(u: Polynomial) -> Polynomial:
-    sq = u * u
-    if sq.degree <= PROJECTION_DEGREE_CAP:
-        return sq
-    return chebyshev_fit(sq.values, PROJECTION_DEGREE_CAP, sq.interval,
+    """u^2 fitted from u's values by a series of degree PROJECTION_DEGREE_CAP."""
+    return chebyshev_fit(lambda xs: u.values(xs) ** 2, PROJECTION_DEGREE_CAP, u.interval,
                          num_points=PROJECTION_GRID)
 
 
@@ -279,7 +276,7 @@ def _pin_time(spec: SigmaModelSpec, work: _Working) -> None:
 
 def _sup_change(old: Polynomial, new: Polynomial) -> float:
     xs = _chebyshev_points(*old.interval, CHANGE_POINTS)
-    return float(np.abs(npoly.polyval(xs, np.asarray((old - new).coeffs))).max())
+    return float(np.abs((old - new).values(xs)).max())
 
 
 def _working_indicial(work: _Working, components: int) -> float:

@@ -2,10 +2,10 @@
 
 ``solve`` escalates the trial-space degree two at a time. At each degree the
 boundary-respecting basis (shifted Legendre polynomials, premultiplied by
-``(x-a)`` / ``(b-x)`` factors wherever the value must vanish) is evaluated by
-recurrence at Gauss-Legendre nodes, so assembly never touches ill-conditioned
-monomial forms. The generalized symmetric-definite eigenproblem is reduced by
-a Cholesky factorization of the mass matrix and diagonalized by LAPACK
+``(x-a)`` / ``(b-x)`` factors wherever the value must vanish) is evaluated at
+Gauss-Legendre nodes from the cached table that quadrature also uses. The
+generalized symmetric-definite eigenproblem is reduced by a Cholesky
+factorization of the mass matrix and diagonalized by LAPACK
 (``numpy.linalg.eigh``). LAPACK's eigenvalues carry an absolute error of
 about machine epsilon times the largest eigenvalue of the reduced matrix,
 which at degree 40 is a relative error of up to 4e-12 on the low modes; each
@@ -13,8 +13,10 @@ eigenvalue is therefore recomputed as the Rayleigh quotient of its vector on
 the unreduced pencil, which restores full relative accuracy (the error of a
 Rayleigh quotient is quadratic in the vector's error). Escalation stops once
 every requested eigenvalue improves by less than ``k_tol`` between
-consecutive degrees and the eigenfunctions pass the boundary-residual gate;
-the returned eigenfunctions are converted back to plain monomial polynomials.
+consecutive degrees and the eigenfunctions pass the boundary-residual gate.
+An eigenfunction is its eigenvector times the boundary weight, a
+``LegendreSeries`` on the problem interval: with h the half-length,
+(x - a) = h (1 + t) and (b - x) = h (1 - t) in the reference variable t.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
+import numpy.polynomial.legendre as leg
 
 from . import polynomials
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from .polynomials import Polynomial, differentiate, evaluate, integrate_product
+from .polynomials import LegendreSeries, Polynomial, differentiate, evaluate, integrate_product
 
 VANISH_VALUE = "value"
 VANISH_DERIVATIVE = "derivative"
@@ -43,7 +45,6 @@ _POSITIVITY_SAMPLES = 257
 _POSITIVITY_MARGIN = 1e-12
 _BOUNDARY_TOL = 1e-9
 _NORM_FLOOR = 1e-14
-_COEFF_NOISE_CUT = 1e-14
 _RESIDUAL_SAMPLES = 101
 
 
@@ -126,30 +127,23 @@ def _vanish_counts(bc: BoundaryCondition) -> tuple[int, int]:
     return (1 if bc.at_a == VANISH_VALUE else 0, 1 if bc.at_b == VANISH_VALUE else 0)
 
 
-def _basis_arrays(bc: BoundaryCondition, interval, degree: int, x: np.ndarray):
-    """Values and x-derivatives of the boundary-respecting basis at points x.
+def _basis_arrays(bc: BoundaryCondition, interval, degree: int, n_nodes: int):
+    """Values and x-derivatives of the boundary-respecting basis at the
+    n_nodes Gauss-Legendre nodes mapped onto the interval.
 
-    phi_k = w(x) * P_k(t(x)) with t the affine map onto [-1, 1]; w carries one
-    (x-a) / (b-x) factor per vanishing-value endpoint. Legendre values and
-    derivatives come from the three-term recurrences.
+    phi_k = w(x) * P_k(t(x)) with t the affine map onto [-1, 1], where the
+    nodes are t itself; w carries one (x-a) / (b-x) factor per
+    vanishing-value endpoint.
     """
     lo, hi = interval
     na, nb = _vanish_counts(bc)
     count = degree - (na + nb) + 1
     if count < 1:
         raise DomainError(f"no trial functions of degree <= {degree} for these boundary conditions")
-    t = (2.0 * x - lo - hi) / (hi - lo)
-    dt = 2.0 / (hi - lo)
-    P = np.empty((count, x.size))
-    D = np.empty((count, x.size))
-    P[0] = 1.0
-    D[0] = 0.0
-    if count > 1:
-        P[1] = t
-        D[1] = 1.0
-    for k in range(1, count - 1):
-        P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
-        D[k + 1] = ((2 * k + 1) * (P[k] + t * D[k]) - k * D[k - 1]) / (k + 1)
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[0]
+    table = polynomials._legendre_table(n_nodes, count)
+    P = table.T
+    D = (table @ polynomials._legendre_derivative(count)).T * (2.0 / (hi - lo))
     w = np.ones_like(x)
     dw = np.zeros_like(x)
     if na:
@@ -159,7 +153,7 @@ def _basis_arrays(bc: BoundaryCondition, interval, degree: int, x: np.ndarray):
         dw = dw * (hi - x) - w
         w = w * (hi - x)
     phi = w * P
-    dphi = dw * P + w * D * dt
+    dphi = dw * P + w * D
     return phi, dphi
 
 
@@ -171,10 +165,8 @@ def _assemble(prob: SLProblem, degree: int):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = mid + half * xg
     w = half * wg
-    pv = npoly.polyval(x, np.asarray(prob.p.coeffs))
-    qv = npoly.polyval(x, np.asarray(prob.q.coeffs))
-    rv = npoly.polyval(x, np.asarray(prob.r.coeffs))
-    phi, dphi = _basis_arrays(prob.bc, prob.interval, degree, x)
+    pv, qv, rv = (f.values(x) for f in (prob.p, prob.q, prob.r))
+    phi, dphi = _basis_arrays(prob.bc, prob.interval, degree, n_nodes)
     A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
     B = (phi * (w * rv)) @ phi.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
@@ -198,44 +190,13 @@ def _generalized_eigh(A: np.ndarray, B: np.ndarray):
     return theta[order], Y[:, order]
 
 
-def _weight_polynomial(bc: BoundaryCondition, interval) -> Polynomial:
-    lo, hi = interval
-    na, nb = _vanish_counts(bc)
-    w = Polynomial((1.0,), interval)
-    if na:
-        w = w * Polynomial((-lo, 1.0), interval)
-    if nb:
-        w = w * Polynomial((hi, -1.0), interval)
-    return w
-
-
-def _legendre_step(k: int, t_p: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """(k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}."""
-    return ((2 * k + 1) * t_p - k * prev) / (k + 1)
-
-
-def _vector_to_polynomial(y: np.ndarray, bc: BoundaryCondition, interval) -> Polynomial:
-    """Convert a Legendre-basis coefficient vector to a monomial Polynomial.
-
-    Coefficients below the spectral noise floor are dropped first: the
-    monomial coefficients of high-order Legendre polynomials are huge, and
-    noise-level weights on them would wreck the conversion.
-    """
-    y = np.asarray(y, dtype=float)
-    top = float(np.abs(y).max()) or 1.0
-    y = np.where(np.abs(y) >= _COEFF_NOISE_CUT * top, y, 0.0)
-    P = polynomials._basis_rows(y.size, interval, _legendre_step)
-    return _weight_polynomial(bc, interval) * Polynomial(tuple(y @ P), interval)
-
-
 def _sign_fixed(u: Polynomial) -> Polynomial:
-    top = max(abs(c) for c in u.coeffs)
-    if top == 0.0:
-        return u
-    for c in u.coeffs:
-        if abs(c) > 1e-12 * top:
-            return u if c > 0 else -u
-    return u
+    """u with u(a) > 0, or u'(a) > 0 where u(a) vanishes to the boundary tolerance."""
+    lo = u.interval[0]
+    s = evaluate(u, lo)
+    if abs(s) <= _BOUNDARY_TOL:
+        s = evaluate(differentiate(u), lo)
+    return -u if s < 0 else u
 
 
 def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
@@ -247,9 +208,17 @@ def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
 
 
 def _build_pairs(prob: SLProblem, theta, Y, degree: int, count: int) -> list[EigenPair]:
+    lo, hi = prob.interval
+    half = 0.5 * (hi - lo)
+    na, nb = _vanish_counts(prob.bc)
     pairs = []
     for m in range(count):
-        u = _vector_to_polynomial(Y[:, m], prob.bc, prob.interval)
+        y = Y[:, m]
+        if na:  # (x - a) = h (1 + t)
+            y = half * (np.append(y, 0.0) + leg.legmulx(y))
+        if nb:  # (b - x) = h (1 - t)
+            y = half * (np.append(y, 0.0) - leg.legmulx(y))
+        u = LegendreSeries(tuple(y), prob.interval)
         pairs.append(EigenPair(float(theta[m]), _normalized(u, prob.r), m, degree))
     return pairs
 
@@ -313,9 +282,8 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             if prev_vals is not None and bool(np.all(prev_vals - cur_vals < k_tol)):
                 pairs = _build_pairs(prob, theta, Y, degree, num_modes)
                 # Natural (derivative) endpoint conditions are only met in the
-                # limit, and the monomial form of a high mode can miss a
-                # vanishing value by rounding; keep escalating until the built
-                # pairs satisfy the boundary-residual bound.
+                # limit; keep escalating until the built pairs satisfy the
+                # boundary-residual bound.
                 worst = max(max(boundary_residuals(prob, pr.u)) for pr in pairs)
                 if worst <= _BOUNDARY_TOL:
                     return pairs, RitzTrace(tuple(trace_entries))
@@ -370,10 +338,12 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
 def residual(prob: SLProblem, pair: EigenPair) -> float:
     """Strong-form defect max |-(p u')' - q u - lam r u| / (1 + |lam|) at 101
     evenly spaced points."""
-    u = pair.u
-    flux = differentiate(prob.p * differentiate(u))
-    defect = flux + prob.q * u + prob.r * u * pair.lambda_
     lo, hi = prob.interval
     xs = np.linspace(lo, hi, _RESIDUAL_SAMPLES)
-    worst = float(np.abs(defect.values(xs)).max())
+    u = pair.u
+    du = differentiate(u)
+    flux = (differentiate(prob.p).values(xs) * du.values(xs)
+            + prob.p.values(xs) * differentiate(du).values(xs))
+    defect = flux + (prob.q.values(xs) + pair.lambda_ * prob.r.values(xs)) * u.values(xs)
+    worst = float(np.abs(defect).max())
     return worst / (1.0 + abs(pair.lambda_))

@@ -5,10 +5,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from conftest import make_string_spec, make_unit_problem
-from eigenforge import godel, serialize
+from eigenforge import godel, serialize, sigma_model
+from eigenforge import sturm_liouville as sl
 from eigenforge.errors import DomainError
 from eigenforge.godel import EnumeratedState
 from eigenforge.polynomials import Polynomial, poly
@@ -121,6 +124,18 @@ class TestEigenCommand:
         assert data["trace"][0][0] == 2
         assert data["trace"][0][1] == pytest.approx(10.0, abs=1e-12)
 
+    def test_modes_are_legendre_series(self, problem_file):
+        # "legendre" holds the coefficients of P_k(t), t = (2x - a - b)/(b - a);
+        # a reader that expects monomials finds no "coeffs" key.
+        result = run_cli("eigen", "--problem", problem_file, "--modes", "3")
+        assert result.returncode == 0, result.stderr
+        pairs, _ = sl.solve(make_unit_problem(), num_modes=3)
+        xs = np.linspace(0.0, 1.0, 41)
+        for mode, pair in zip(json.loads(result.stdout)["modes"], pairs, strict=True):
+            assert "coeffs" not in mode
+            assert np.abs(legval(2.0 * xs - 1.0, mode["legendre"])
+                          - pair.u.values(xs)).max() <= 1e-12
+
     def test_unknown_key_rejected(self, tmp_path):
         obj = serialize.problem_to_obj(make_unit_problem())
         obj["surprise"] = 1
@@ -153,6 +168,18 @@ class TestSigmaCommand:
         spectrum = data["action_spectrum"]
         assert spectrum["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert spectrum["closure"] is True
+
+    def test_factors_are_legendre_series(self, solution_file):
+        data = json.loads(open(solution_file).read())
+        state, _ = sigma_model.solve_state(make_string_spec(num_modes=2), "m2", (2,),
+                                           tol=1e-10, max_iter=200)
+        for stored, pair in ((data["modes"][1]["space_factors"][0], state.space_factors[0]),
+                             (data["modes"][1]["time_factors"][1], state.time_factors[1])):
+            a, b = stored["interval"]
+            xs = np.linspace(a, b, 41)
+            assert "coeffs" not in stored
+            assert np.abs(legval((2.0 * xs - a - b) / (b - a), stored["legendre"])
+                          - pair.u.values(xs)).max() <= 1e-12
 
 
 class TestActionCommand:
@@ -189,7 +216,7 @@ class TestActionCommand:
     def test_unnormalized_solution_rejected(self, tmp_path):
         obj = {"modes": [{
             "label": "a", "omega": 1.0, "amplitude": 1.0,
-            "space_factors": [{"lambda": 1.0, "coeffs": [1.0], "interval": [0.0, 1.0],
+            "space_factors": [{"lambda": 1.0, "legendre": [1.0], "interval": [0.0, 1.0],
                                "degree": 2, "norm": 0.5}],
         }]}
         path = tmp_path / "unnormalized.json"
@@ -247,6 +274,22 @@ class TestEnumerateCommand:
         assert "e_max" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("limit,code", [(5984, 0), (5983, 2)], ids=["at-limit", "past-limit"])
+    def test_state_limit(self, limit, code):
+        # Three modes of energy 4 / 2pi below 20 have C(31 + 3, 3) = 5 984
+        # states; the command runs with godel.MAX_STATES lowered to the limit.
+        program = ("import sys; from eigenforge import cli, godel; "
+                   f"godel.MAX_STATES = {limit}; sys.exit(cli.main(sys.argv[1:]))")
+        result = subprocess.run(
+            [sys.executable, "-c", program, "enumerate", "--omegas", "1,1,1",
+             "--quantum-I", "1", "--emax", "20"], capture_output=True, text=True)
+        assert result.returncode == code
+        if code:
+            assert result.stderr == (
+                f"error: more than MAX_STATES = {limit} states below e_max = 20.0\n")
+        else:
+            assert len(result.stdout.splitlines()) == limit + 1
+
     @pytest.mark.parametrize("emax,rows", [("0", 1), ("1", 1201)])
     def test_many_modes(self, emax, rows):
         # 1 200 modes of energy 4 / 2pi each: the descent must not recurse
@@ -274,8 +317,8 @@ class TestQstarCommand:
         assert result.returncode == 2
 
     @pytest.mark.parametrize("expr", ["W^100000", "(" * 5000 + "W" + ")" * 5000,
-                                      "((W+1)^64)^64"],
-                             ids=["huge-exponent", "deep-nesting", "nested-power"])
+                                      "((W+1)^64)^64", "*".join(["(W^3+3*W+1)/(W^2-7)"] * 50)],
+                             ids=["huge-exponent", "deep-nesting", "nested-power", "long-product"])
     def test_unbounded_input_invalid(self, expr):
         result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
                                 capture_output=True, text=True, timeout=30)

@@ -179,6 +179,14 @@ class TestEnumerate:
         with pytest.raises(DomainError, match="e_max"):
             enumerate_definable([1.0], TWO_PI, e_max)
 
+    def test_state_limit(self, monkeypatch):
+        # One mode of unit energy has n + 1 states below e_max = n: the limit
+        # itself is listed, the first state past it raises.
+        monkeypatch.setattr(godel, "MAX_STATES", 5)
+        assert [s.godel for s in enumerate_definable([1.0], TWO_PI, 4.0)] == [1, 2, 4, 8, 16]
+        with pytest.raises(DomainError, match="MAX_STATES = 5"):
+            enumerate_definable([1.0], TWO_PI, 5.0)
+
     def test_many_modes_stay_shallow(self):
         # Mode energy 4 / 2pi: one quantum fits below 1, two do not. The
         # descent recurses once per occupied mode, not once per mode.

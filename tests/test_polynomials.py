@@ -1,17 +1,17 @@
-"""Polynomial substrate tests: arithmetic, quadrature, monotone splitting."""
+"""Polynomial substrate tests: arithmetic, quadrature, Legendre series."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 import numpy.polynomial.polynomial as npoly
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from eigenforge.errors import DegenerateInputError, DomainError, IntervalMismatchError
+from eigenforge.errors import DomainError, IntervalMismatchError
 from eigenforge.polynomials import (
-    MonotonePiece,
+    LegendreSeries,
     Polynomial,
     antiderivative,
     arith,
@@ -22,7 +22,6 @@ from eigenforge.polynomials import (
     integrate_by_antiderivative,
     integrate_product,
     poly,
-    split_monotone,
 )
 
 UNIT = (0.0, 1.0)
@@ -166,86 +165,67 @@ class TestEvaluate:
         assert np.allclose(p.values(xs), [evaluate(p, x) for x in xs])
 
 
-class TestSplitMonotone:
-    def test_monotone_input_single_piece(self):
-        pieces = split_monotone(poly([0.0, 1.0], UNIT))
-        assert len(pieces) == 1
-        assert pieces[0].sub_interval == (0.0, 1.0)
-        assert pieces[0].direction == "increasing"
+class TestLegendreSeries:
+    IV = (-1.0, 2.0)
 
-    def test_bubble_splits_at_half(self):
-        pieces = split_monotone(poly([0.0, 1.0, -1.0], UNIT))
-        assert len(pieces) == 2
-        assert pieces[0].sub_interval[1] == pytest.approx(0.5, abs=1e-9)
-        assert pieces[0].direction == "increasing"
-        assert pieces[1].direction == "decreasing"
+    def series(self, seed=5, size=12):
+        rng = np.random.default_rng(seed)
+        return LegendreSeries(tuple(rng.normal(size=size)), self.IV)
 
-    def test_cubic_splits_at_pm_inv_sqrt3(self):
-        pieces = split_monotone(poly([0.0, -1.0, 0.0, 1.0], (-2.0, 2.0)))
-        assert len(pieces) == 3
-        c = 1.0 / math.sqrt(3.0)
-        assert pieces[0].sub_interval[1] == pytest.approx(-c, abs=1e-9)
-        assert pieces[1].sub_interval[1] == pytest.approx(c, abs=1e-9)
-        dirs = [p.direction for p in pieces]
-        assert dirs == ["increasing", "decreasing", "increasing"]
+    def t(self, xs):
+        return (2.0 * xs - self.IV[0] - self.IV[1]) / (self.IV[1] - self.IV[0])
 
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            split_monotone(poly([0.0], UNIT))
+    def test_values_and_derivative_match_numpy(self):
+        u = self.series()
+        xs = np.linspace(*self.IV, 33)
+        assert np.allclose(u.values(xs), leg.legval(self.t(xs), u.coeffs), rtol=0, atol=1e-13)
+        d = leg.legder(u.coeffs) * 2.0 / (self.IV[1] - self.IV[0])
+        assert np.allclose(differentiate(u).values(xs), leg.legval(self.t(xs), d),
+                           rtol=0, atol=1e-12)
+        assert u(2.0) == pytest.approx(float(sum(u.coeffs)), abs=1e-13)
 
-    def test_constant_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            split_monotone(poly([3.0], UNIT))
+    def test_monomial_operand_is_converted(self):
+        u = self.series()
+        p = poly([0.5, -1.0, 0.25, 2.0], self.IV)
+        xs = np.linspace(*self.IV, 33)
+        for got, want in ((u + p, u.values(xs) + p.values(xs)),
+                          (p + u, p.values(xs) + u.values(xs)),
+                          (u - p, u.values(xs) - p.values(xs)),
+                          (p - u, p.values(xs) - u.values(xs))):
+            assert type(got) is LegendreSeries
+            assert np.allclose(got.values(xs), want, rtol=0, atol=1e-12)
+        assert type(2.0 * u) is type(u / 4) is type(-u) is LegendreSeries
+        assert (u + 1.0).coeffs[0] == u.coeffs[0] + 1.0
 
-    def test_adjacent_pieces_alternate(self):
-        # quartic with three interior extrema
-        a = poly([0.0, 1.0, 0.0, -2.0, 0.5], (-2.0, 2.5))
-        pieces = split_monotone(a)
-        for left, right in zip(pieces[:-1], pieces[1:]):
-            assert left.direction != right.direction
+    def test_no_product_of_functions(self):
+        u = self.series()
+        with pytest.raises(TypeError):
+            u * u
+        with pytest.raises(TypeError):
+            u * poly([1.0, 1.0], self.IV)
+        with pytest.raises(IntervalMismatchError):
+            u + poly([1.0], (0.0, 1.0))
 
-    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 2.0]])
-    def test_odd_inflection_at_midpoint(self, coeffs):
-        # The slope vanishes at the midpoint of the single piece; the endpoint
-        # values still say increasing.
-        pieces = split_monotone(poly(coeffs, (-1.0, 1.0)))
-        assert [(p.sub_interval, p.direction) for p in pieces] == [
-            ((-1.0, 1.0), "increasing")]
+    def test_equality_tells_the_bases_apart(self):
+        assert LegendreSeries((1.0, 2.0), UNIT) != poly([1.0, 2.0], UNIT)
+        assert LegendreSeries((3.0,), UNIT) == LegendreSeries((3.0, 0.0), UNIT)
 
-    def test_double_root_of_derivative(self):
-        # The derivative 3 + 14x + 3x^2 - 36x^3 has a double root at -1/3 (a
-        # stationary inflection) and a simple one at 3/4. Rounding splits the
-        # double root into two sign changes 1.9e-9 apart, across which the
-        # derivative is noise; they are not cut points.
-        pieces = split_monotone(poly([-6.0, 3.0, 7.0, 1.0, -9.0], (-1.0, 1.0)))
-        assert [p.direction for p in pieces] == ["increasing", "decreasing"]
-        assert pieces[0].sub_interval[0] == -1.0
-        assert pieces[0].sub_interval[1] == pytest.approx(0.75, abs=1e-9)
-        assert pieces[1].sub_interval == (pieces[0].sub_interval[1], 1.0)
-
-    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=7))
-    @settings(max_examples=60)
-    def test_pieces_tile_interval(self, int_coeffs):
-        if all(c == 0 for c in int_coeffs[1:]):
-            return
-        a = poly([float(c) for c in int_coeffs], (-1.0, 1.0))
-        if a.degree == 0:
-            return
-        pieces = split_monotone(a)
-        assert pieces[0].sub_interval[0] == -1.0
-        assert pieces[-1].sub_interval[1] == 1.0
-        for left, right in zip(pieces[:-1], pieces[1:]):
-            assert left.sub_interval[1] == right.sub_interval[0]
-
-    def test_piece_ranges_cover_function_range(self):
-        a = poly([0.0, -1.0, 0.0, 1.0], (-2.0, 2.0))
-        pieces = split_monotone(a)
-        los = min(p.value_range[0] for p in pieces)
-        his = max(p.value_range[1] for p in pieces)
-        xs = np.linspace(-2.0, 2.0, 4001)
-        vals = a.values(xs)
-        assert los == pytest.approx(float(vals.min()), abs=1e-6)
-        assert his == pytest.approx(float(vals.max()), abs=1e-6)
+    def test_mixed_quadrature_is_exact(self):
+        # int_{-1}^{2} u (x^2) dx against the same integral of the monomial
+        # form of u, built from numpy's Legendre-to-power conversion.
+        u = self.series(size=8)
+        power_t = leg.leg2poly(u.coeffs)
+        c0, c1 = -(self.IV[0] + self.IV[1]) / 3.0, 2.0 / 3.0
+        mono = np.zeros(1)
+        for c in power_t[::-1]:
+            mono = npoly.polyadd(npoly.polymul(mono, [c0, c1]), [c])
+        x2 = poly([0.0, 0.0, 1.0], self.IV)
+        want = integrate_by_antiderivative(poly(npoly.polymul(mono, [0.0, 0.0, 1.0]), self.IV))
+        assert integrate_product(u, x2) == pytest.approx(want, rel=1e-12)
+        assert integrate_product(x2, u, u) == pytest.approx(
+            integrate_by_antiderivative(poly(npoly.polymul(npoly.polymul(mono, mono),
+                                                           [0.0, 0.0, 1.0]), self.IV)),
+            rel=1e-12)
 
 
 class TestChebyshevFit:
@@ -258,35 +238,6 @@ class TestChebyshevFit:
         p = chebyshev_fit(np.sin, 14, (0.0, math.pi), num_points=65)
         xs = np.linspace(0.0, math.pi, 201)
         assert float(np.max(np.abs(p.values(xs) - np.sin(xs)))) < 1e-7
-
-    @pytest.mark.parametrize("fn,interval", [
-        (np.cos, (0.0, math.pi / 2)),
-        (np.sin, (0.0, math.pi / 2)),
-        (lambda x: np.sin(x) ** 2, (0.0, 2.348)),
-        (lambda x: np.cos(3.0 * x) ** 2, (0.0, 4.0)),
-    ], ids=["cos-quarter", "sin-quarter", "sin2-L", "cos2-L"])
-    def test_conversion_matches_exact_rational(self, fn, interval):
-        # Same Chebyshev coefficients, converted to monomials in exact
-        # rational arithmetic (T_k(t(x)) by the recurrence, t = c0 + c1 x).
-        degree = 16
-        lo, hi = interval
-        n = degree + 1
-        t = np.cos((2 * np.arange(n) + 1) * math.pi / (2 * n))
-        cheb = np.polynomial.chebyshev.chebfit(t, fn(0.5 * (lo + hi) + 0.5 * (hi - lo) * t),
-                                               degree)
-        c0 = Fraction(-lo - hi) / Fraction(hi - lo)
-        c1 = Fraction(2) / Fraction(hi - lo)
-        rows = [[Fraction(1)] + [Fraction(0)] * degree,
-                [c0, c1] + [Fraction(0)] * (degree - 1)]
-        for k in range(1, degree):
-            t_row = [c0 * rows[k][0]] + [c0 * rows[k][j] + c1 * rows[k][j - 1]
-                                         for j in range(1, n)]
-            rows.append([2 * a - b for a, b in zip(t_row, rows[k - 1])])
-        exact = [sum(Fraction(float(cheb[k])) * rows[k][j] for k in range(n)) for j in range(n)]
-        got = chebyshev_fit(fn, degree, interval).coeffs
-        top = max(abs(float(e)) for e in exact)
-        assert len(got) == n
-        assert max(abs(float(Fraction(g) - e)) for g, e in zip(got, exact)) <= 1e-13 * top
 
 
 class TestIntegrateProduct:

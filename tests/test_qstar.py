@@ -232,6 +232,21 @@ class TestParseAndDescribe:
         assert identical(at_limit, half * half)
         assert len(at_limit.num) - 1 == MAX_POWER_DEGREE
 
+    def test_operation_degree_limit(self):
+        # Written out factor by factor, 25 factors of degree 3 + 2 make 125;
+        # the 26th would make 130.
+        factor = "(W^3+3*W+1)/(W^2-7)"
+        product = parse("*".join([factor] * 25))
+        assert (len(product.num) - 1, len(product.den) - 1) == (75, 50)
+        with pytest.raises(DomainError, match="MAX_POWER_DEGREE"):
+            parse("*".join([factor] * 50))
+        # Operands of total degree 128 combine; one more degree does not.
+        ratio = f"(W+1)^{MAX_POWER_DEGREE // 2}/(W-1)^{MAX_POWER_DEGREE // 2}"
+        assert len(parse(ratio).num) + len(parse(ratio).den) - 2 == MAX_POWER_DEGREE
+        for op in "*/+-":
+            with pytest.raises(DomainError, match="total degree 129"):
+                parse(f"{ratio}{op}W")
+
     def test_power_equals_repeated_product(self):
         rng = random.Random(11)
         for _ in range(40):

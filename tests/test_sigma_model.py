@@ -192,10 +192,19 @@ class TestNonlinearCoupling:
         assert null_postulate_residual(spec, state) <= 1e-6
 
 
+def coupled_spec(L, bc, g):
+    """One coupled space dimension (0, L) with unit coefficients."""
+    iv, time_iv = (0.0, L), (0.0, math.pi / 2)
+    space = DimensionSpec(iv, poly([1.0], iv), bc)
+    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+    p_field = CoeffField(terms=((poly([1.0], iv), poly([1.0], time_iv)),))
+    return SigmaModelSpec((space,), time, p_field, CoeffField(terms=(), coupling_g=g))
+
+
 class TestCoupledConvergence:
     # The string's second mode converges only under a function-space change
-    # measure (its monomial coefficients carry noise near 1e-7); the overtone
-    # sits in a length band where an iteration-capped eigensolve gave up.
+    # measure; the overtone sits in a length band where an iteration-capped
+    # eigensolve gave up.
     def test_string_second_mode(self):
         spec = make_string_spec(coupling_g=0.01)
         state, report = solve_state(spec, "m2", (2,), tol=1e-10, max_iter=200)
@@ -203,13 +212,26 @@ class TestCoupledConvergence:
         assert null_postulate_residual(spec, state) <= 1e-6
 
     def test_neumann_overtone_strong_coupling(self):
-        L = 2.348
-        iv, time_iv = (0.0, L), (0.0, math.pi / 2)
-        space = DimensionSpec(iv, poly([1.0], iv), NEUMANN)
-        time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
-        p_field = CoeffField(terms=((poly([1.0], iv), poly([1.0], time_iv)),))
-        spec = SigmaModelSpec((space,), time, p_field, CoeffField(terms=(), coupling_g=0.05))
+        spec = coupled_spec(2.348, NEUMANN, 0.05)
         state, report = solve_state(spec, "m1", (2,), tol=1e-10, max_iter=200)
+        assert report.converged
+        assert null_postulate_residual(spec, state) <= 1e-6
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_string_first_three_modes(self, mode):
+        # The third mode's eigensolve once failed the boundary gate in every
+        # sweep: squaring a monomial factor of degree 30 lost every digit.
+        spec = make_string_spec(coupling_g=0.01)
+        state, report = solve_state(spec, f"m{mode}", (mode,), tol=1e-10, max_iter=200)
+        assert report.converged
+        assert null_postulate_residual(spec, state) <= 1e-6
+
+    @pytest.mark.parametrize("g", [0.01, 0.05])
+    @pytest.mark.parametrize("target", [3, 4])
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["DD", "NN"])
+    def test_higher_modes_converge(self, bc, target, g):
+        spec = coupled_spec(2.1, bc, g)
+        state, report = solve_state(spec, "m", (target,), tol=1e-10, max_iter=200)
         assert report.converged
         assert null_postulate_residual(spec, state) <= 1e-6
 

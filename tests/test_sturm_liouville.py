@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 import pytest
 import scipy.linalg
 
@@ -23,7 +22,6 @@ from eigenforge.sturm_liouville import (
     SLProblem,
     _assemble,
     _generalized_eigh,
-    _vector_to_polynomial,
     boundary_residuals,
     rayleigh_quotient,
     residual,
@@ -109,14 +107,18 @@ class TestDirichletBenchmark:
         assert float(np.abs(pairs[0].u.values(xs) - exact).max()) < 1e-8
 
     def test_normalization_and_sign(self):
-        prob = unit_problem()
-        pairs, _ = solve(prob, num_modes=3, k_tol=1e-10, max_degree=40)
-        for pair in pairs:
-            nrm = integrate_product(prob.r, pair.u, pair.u)
-            assert abs(nrm - 1.0) <= 1e-10
-            top = max(abs(c) for c in pair.u.coeffs)
-            lead = next(c for c in pair.u.coeffs if abs(c) > 1e-12 * top)
-            assert lead > 0
+        # The sign makes u(a) positive, or u'(a) where the value vanishes; on
+        # (1, 3) that is not the sign of the monomial extrapolation to x = 0.
+        for bc in (DIRICHLET, NEUMANN):
+            for interval in ((0.0, 1.0), (1.0, 3.0)):
+                prob = unit_problem(bc, interval)
+                pairs, _ = solve(prob, num_modes=3, k_tol=1e-10, max_degree=40)
+                for pair in pairs:
+                    nrm = integrate_product(prob.r, pair.u, pair.u)
+                    assert abs(nrm - 1.0) <= 1e-10
+                    lo = interval[0]
+                    lead = pair.u(lo) if bc is NEUMANN else pair.u.derivative()(lo)
+                    assert lead > 1e-3
 
     def test_orthonormality(self):
         prob = unit_problem()
@@ -150,6 +152,35 @@ class TestNeumann:
         for pair in pairs:
             res_a, res_b = boundary_residuals(prob, pair.u)
             assert res_a <= 1e-9 and res_b <= 1e-9
+
+
+CONDITIONS = {"DD": DIRICHLET, "NN": NEUMANN,
+              "DN": BoundaryCondition("value", "derivative"),
+              "ND": BoundaryCondition("derivative", "value")}
+
+
+def closed_form(kind, L, count):
+    """Eigenvalues of -u'' = lam u on (0, L) under the named end conditions."""
+    if kind == "DD":
+        ks = [k + 1.0 for k in range(count)]
+    elif kind == "NN":
+        ks = [float(k) for k in range(count)]
+    else:
+        ks = [k + 0.5 for k in range(count)]
+    return [(k * math.pi / L) ** 2 for k in ks]
+
+
+class TestSixModes:
+    # Six modes put degree-24 to -27 eigenfunctions through the boundary gate;
+    # their monomial forms missed the end conditions by up to 1e-3.
+    @pytest.mark.parametrize("L", [1.0, 3.0])
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_unit_coefficients_converge(self, kind, L):
+        prob = unit_problem(CONDITIONS[kind], (0.0, L))
+        pairs, _ = solve(prob, num_modes=6, k_tol=1e-10, max_degree=40)
+        for pair, exact in zip(pairs, closed_form(kind, L, 6), strict=True):
+            assert abs(pair.lambda_ - exact) <= 1e-9 * (1.0 + exact)
+            assert max(boundary_residuals(prob, pair.u)) <= 1e-9
 
 
 class TestMixedBoundary:
@@ -234,22 +265,6 @@ class TestReduction:
             _generalized_eigh(A, B)
 
 
-class TestConversion:
-    @pytest.mark.parametrize("interval,size", [((0.5, 2.0), 14), ((0.0, 1.0), 30)])
-    def test_monomial_coefficients_match_numpy(self, interval, size):
-        # Reference: numpy's Legendre-to-power conversion in t, composed with
-        # t = c0 + c1 x by Horner's rule, times the (x - a) boundary factor.
-        lo, hi = interval
-        y = np.random.default_rng(3).normal(size=size) * 0.8 ** np.arange(size)
-        u = _vector_to_polynomial(y, BoundaryCondition("value", "derivative"), interval)
-        ref = np.zeros(1)
-        for c in np.polynomial.legendre.leg2poly(y)[::-1]:
-            ref = npoly.polyadd(npoly.polymul(ref, [(-lo - hi) / (hi - lo), 2.0 / (hi - lo)]), [c])
-        ref = npoly.polymul(ref, [-lo, 1.0])
-        assert len(u.coeffs) == ref.size
-        assert np.abs(np.asarray(u.coeffs) - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
 class TestEigensolveAccuracy:
     # Plain LAPACK eigenvalues of the reduced pencil miss by up to 4e-12 here
     # (absolute error ~ eps * lambda_max); the Rayleigh refinement must bring
@@ -311,31 +326,33 @@ class TestWarmStart:
 
 
 class TestErrors:
+    # A loose eigenvalue tolerance with a low degree cap: three Neumann modes
+    # converge in eigenvalue at degree 10, while the natural end conditions
+    # are still missed by about 1e-5 at degrees 10 and 12.
+    GATED = dict(num_modes=3, k_tol=1e-4, max_degree=12)
+
     def test_boundary_gate_message(self):
-        # Six Dirichlet modes converge in eigenvalue by degree 24, but their
-        # monomial forms miss u = 0 at the endpoints by more than 1e-9.
         with pytest.raises(NonConvergenceError) as exc:
-            solve(unit_problem(), num_modes=6, k_tol=1e-10, max_degree=40)
+            solve(TestWarmStart._variable_problem(NEUMANN), **self.GATED)
         msg = str(exc.value)
         assert "not converged" not in msg
         assert "boundary gate" in msg
-        assert "converged to 1e-10 at degree 24" in msg
+        assert "converged to 0.0001 at degree 10" in msg
         assert "> 1e-09" in msg
-        assert exc.value.trace.degrees[-1] == 40
+        assert exc.value.trace.degrees[-1] == 12
 
     def test_boundary_gate_reports_best_degree(self):
         # The gate error names the smallest worst-mode residual of the gated
-        # run (the eigenvalues converge at degree 24) and the degree giving it.
-        prob = unit_problem()
+        # run and the degree giving it.
+        prob = TestWarmStart._variable_problem(NEUMANN)
         with pytest.raises(NonConvergenceError) as exc:
-            solve(prob, num_modes=6, k_tol=1e-10, max_degree=40)
+            solve(prob, **self.GATED)
         ladder = {
             degree: max(max(boundary_residuals(prob, pr.u))
-                        for pr in solve_at_degree(prob, degree, 6))
-            for degree in range(24, 41, 2)
+                        for pr in solve_at_degree(prob, degree, 3))
+            for degree in (10, 12)
         }
         best = min(ladder, key=ladder.get)
-        assert best < 40
         assert f"at best {ladder[best]:.3e} (degree {best}) > 1e-09" in str(exc.value)
 
     def test_nonconvergence_carries_trace(self):
