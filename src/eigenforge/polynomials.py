@@ -183,12 +183,10 @@ class LegendreSeries(Polynomial):
         return super()._coerce(other)
 
 
-@lru_cache(maxsize=256)
 def _legendre_coeffs(coeffs: tuple[float, ...], interval: tuple[float, float]) -> tuple:
     """Legendre coefficients in t of a monomial polynomial in x = mid + half t.
 
-    Horner's rule in x, with t S applied to a series S by ``legmulx``. Input
-    polynomials recur every sweep of a field solve, hence the cache.
+    Horner's rule in x, with t S applied to a series S by ``legmulx``.
     """
     lo, hi = interval
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -127,12 +127,12 @@ def _vanish_counts(bc: BoundaryCondition) -> tuple[int, int]:
     return (1 if bc.at_a == VANISH_VALUE else 0, 1 if bc.at_b == VANISH_VALUE else 0)
 
 
-def _basis_arrays(bc: BoundaryCondition, interval, degree: int, n_nodes: int):
-    """Values and x-derivatives of the boundary-respecting basis at the
-    n_nodes Gauss-Legendre nodes mapped onto the interval.
+def _basis_arrays(bc: BoundaryCondition, interval, degree: int, x: np.ndarray):
+    """Values and x-derivatives of the boundary-respecting basis at x, the
+    x.size Gauss-Legendre nodes mapped onto the interval.
 
-    phi_k = w(x) * P_k(t(x)) with t the affine map onto [-1, 1], where the
-    nodes are t itself; w carries one (x-a) / (b-x) factor per
+    phi_k = w(x) * P_k(t(x)) with t the affine map onto [-1, 1], which takes
+    x back to the nodes; w carries one (x-a) / (b-x) factor per
     vanishing-value endpoint.
     """
     lo, hi = interval
@@ -140,8 +140,7 @@ def _basis_arrays(bc: BoundaryCondition, interval, degree: int, n_nodes: int):
     count = degree - (na + nb) + 1
     if count < 1:
         raise DomainError(f"no trial functions of degree <= {degree} for these boundary conditions")
-    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[0]
-    table = polynomials._legendre_table(n_nodes, count)
+    table = polynomials._legendre_table(x.size, count)
     P = table.T
     D = (table @ polynomials._legendre_derivative(count)).T * (2.0 / (hi - lo))
     w = np.ones_like(x)
@@ -166,7 +165,7 @@ def _assemble(prob: SLProblem, degree: int):
     x = mid + half * xg
     w = half * wg
     pv, qv, rv = (f.values(x) for f in (prob.p, prob.q, prob.r))
-    phi, dphi = _basis_arrays(prob.bc, prob.interval, degree, n_nodes)
+    phi, dphi = _basis_arrays(prob.bc, prob.interval, degree, x)
     A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
     B = (phi * (w * rv)) @ phi.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T)

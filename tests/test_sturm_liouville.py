@@ -343,16 +343,22 @@ class TestErrors:
 
     def test_boundary_gate_reports_best_degree(self):
         # The gate error names the smallest worst-mode residual of the gated
-        # run and the degree giving it.
-        prob = TestWarmStart._variable_problem(NEUMANN)
+        # run and the degree giving it. On this mixed problem two modes
+        # converge to 1e-4 at degree 11 and the residual is smallest at 17,
+        # not at the last degree 19.
+        iv = (0.0, 5.0)
+        prob = SLProblem(poly([1.0, 0.1, 0.4], iv), poly([0.7], iv), poly([1.0], iv),
+                         BoundaryCondition("value", "derivative"))
         with pytest.raises(NonConvergenceError) as exc:
-            solve(prob, **self.GATED)
+            solve(prob, num_modes=2, k_tol=1e-4, max_degree=19)
+        assert "converged to 0.0001 at degree 11" in str(exc.value)
         ladder = {
             degree: max(max(boundary_residuals(prob, pr.u))
-                        for pr in solve_at_degree(prob, degree, 3))
-            for degree in (10, 12)
+                        for pr in solve_at_degree(prob, degree, 2))
+            for degree in exc.value.trace.degrees if degree >= 11
         }
         best = min(ladder, key=ladder.get)
+        assert best < exc.value.trace.degrees[-1] == 19
         assert f"at best {ladder[best]:.3e} (degree {best}) > 1e-09" in str(exc.value)
 
     def test_nonconvergence_carries_trace(self):
