@@ -28,6 +28,14 @@ MAX_PRIME_INDEX = 100_000
 # this limit, before memory grows further.
 MAX_STATES = 1_000_000
 
+# Largest size, in bits, of a Godel integer ``enumerate_definable`` may list.
+# MAX_STATES bounds the count of states, not their size: one mode below a
+# cutoff of 10^6 quanta lists the integers 2, 4, ..., 2^(10^6). The largest
+# integer below the cutoff has at most (e_max + slack) max_m(log2 prime(m) /
+# step_m) bits, within log2 prime(m) of that bound; past this limit the
+# enumeration raises DomainError before it starts.
+MAX_GODEL_BITS = 4096
+
 
 class _PrimeCache:
     """Growing sieve of Eratosthenes; indexable list of primes."""
@@ -142,7 +150,8 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     from scratch. A state is emitted where the descent enters it, with every
     later mode empty, so the recursion depth is the number of occupied modes
     plus one, however many modes there are. Energies are summed in mode
-    order. More than ``MAX_STATES`` states raise DomainError.
+    order. More than ``MAX_STATES`` states, or a cutoff that admits an
+    integer of more than ``MAX_GODEL_BITS`` bits, raise DomainError.
     """
     if not (math.isfinite(e_max) and e_max >= 0):
         raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
@@ -152,6 +161,12 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     # occupied, so only these need a prime.
     occupiable = [(m, step, nth_prime(m + 1)) for m, step in enumerate(energies)
                   if int((e_max + slack) // step) >= 1]
+    bits = (e_max + slack) * max((math.log2(prime) / step for _, step, prime in occupiable),
+                                 default=0.0)
+    if bits > MAX_GODEL_BITS:
+        raise DomainError(
+            f"e_max = {e_max!r} admits Godel integers of up to {bits:.0f} bits, "
+            f"more than MAX_GODEL_BITS = {MAX_GODEL_BITS}")
     # lightest[k]: the smallest mode energy from occupiable[k] on; with less
     # budget left than that, no later mode takes a quantum.
     lightest = [math.inf] * (len(occupiable) + 1)

@@ -4,10 +4,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legval
+from numpy.polynomial.legendre import legder, legval
 
 from conftest import make_string_spec, make_unit_problem
 from eigenforge import godel, serialize, sigma_model
@@ -136,6 +137,26 @@ class TestEigenCommand:
             assert np.abs(legval(2.0 * xs - 1.0, mode["legendre"])
                           - pair.u.values(xs)).max() <= 1e-12
 
+    @pytest.mark.parametrize("bc,shift", [(sl.NEUMANN, 0.0),
+                                          (sl.BoundaryCondition("value", "derivative"), 0.5)],
+                             ids=["NN", "DN"])
+    def test_derivative_conditions(self, tmp_path, bc, shift):
+        # -u'' = lam u on (0, L): lam = (k pi / L)^2 under NN, ((k + 1/2) pi / L)^2
+        # under DN; the stored series must meet both end conditions itself.
+        L = 2.0
+        path = tmp_path / "problem.json"
+        path.write_text(serialize.dumps(serialize.problem_to_obj(make_unit_problem((0.0, L), bc))))
+        result = run_cli("eigen", "--problem", str(path), "--modes", "3")
+        assert result.returncode == 0, result.stderr
+        for k, mode in enumerate(json.loads(result.stdout)["modes"]):
+            exact = ((k + shift) * math.pi / L) ** 2
+            assert abs(mode["lambda"] - exact) <= 1e-9 * (1.0 + exact)
+            for t, condition in ((-1.0, bc.at_a), (1.0, bc.at_b)):
+                coeffs = mode["legendre"]
+                if condition == sl.VANISH_DERIVATIVE:
+                    coeffs = legder(coeffs) * (2.0 / L)
+                assert abs(legval(t, coeffs)) <= 1e-12
+
     def test_unknown_key_rejected(self, tmp_path):
         obj = serialize.problem_to_obj(make_unit_problem())
         obj["surprise"] = 1
@@ -157,7 +178,7 @@ class TestEigenCommand:
 
 class TestSigmaCommand:
     def test_solution_contents(self, solution_file):
-        data = json.loads(open(solution_file).read())
+        data = json.loads(Path(solution_file).read_text())
         modes = {m["label"]: m for m in data["modes"]}
         assert modes["m1"]["omega"] == pytest.approx(1.0, abs=1e-8)
         assert modes["m2"]["omega"] == pytest.approx(2.0, abs=1e-8)
@@ -170,7 +191,7 @@ class TestSigmaCommand:
         assert spectrum["closure"] is True
 
     def test_factors_are_legendre_series(self, solution_file):
-        data = json.loads(open(solution_file).read())
+        data = json.loads(Path(solution_file).read_text())
         state, _ = sigma_model.solve_state(make_string_spec(num_modes=2), "m2", (2,),
                                            tol=1e-10, max_iter=200)
         for stored, pair in ((data["modes"][1]["space_factors"][0], state.space_factors[0]),
@@ -194,7 +215,7 @@ class TestActionCommand:
     def test_refit_matches_stored_spectrum(self, solution_file):
         # The refit uses the time-pair degree and lattice tolerance of the
         # field solve, so it reproduces the stored spectrum exactly.
-        stored = json.loads(open(solution_file).read())
+        stored = json.loads(Path(solution_file).read_text())
         result = run_cli("action", "--solution", solution_file)
         assert result.returncode == 0, result.stderr
         assert result.stdout == serialize.dumps(stored["action_spectrum"])
@@ -289,6 +310,17 @@ class TestEnumerateCommand:
                 f"error: more than MAX_STATES = {limit} states below e_max = 20.0\n")
         else:
             assert len(result.stdout.splitlines()) == limit + 1
+
+    def test_integer_size_limit(self):
+        # One mode with 999 999 quanta below the cutoff: few enough states,
+        # but the last Godel integer is 2^999999.
+        result = subprocess.run(
+            [sys.executable, "-m", "eigenforge", "enumerate", "--omegas", "1",
+             "--quantum-I", repr(math.pi / 2), "--emax", "999999"],
+            capture_output=True, text=True, timeout=30)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "MAX_GODEL_BITS = 4096" in result.stderr
 
     @pytest.mark.parametrize("emax,rows", [("0", 1), ("1", 1201)])
     def test_many_modes(self, emax, rows):

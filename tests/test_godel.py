@@ -187,6 +187,21 @@ class TestEnumerate:
         with pytest.raises(DomainError, match="MAX_STATES = 5"):
             enumerate_definable([1.0], TWO_PI, 5.0)
 
+    def test_size_limit(self, monkeypatch):
+        # The largest integer below e_max holds all quanta in the mode of the
+        # largest log2 prime(m) / step_m: 2^n for one unit mode, 5^n for three.
+        monkeypatch.setattr(godel, "MAX_GODEL_BITS", 10)
+        assert enumerate_definable([1.0], TWO_PI, 9.0)[-1].godel == 2 ** 9
+        assert enumerate_definable([1.0, 1.0, 1.0], TWO_PI, 4.0)[-1].godel == 5 ** 4
+        for omegas, e_max in (([1.0], 11.0), ([1.0, 1.0, 1.0], 5.0)):
+            with pytest.raises(DomainError, match="MAX_GODEL_BITS = 10"):
+                enumerate_definable(omegas, TWO_PI, e_max)
+
+    def test_size_limit_checked_before_descent(self):
+        # 10^6 states fit MAX_STATES, but the last of them is 2^999999.
+        with pytest.raises(DomainError, match="999999 bits"):
+            enumerate_definable([1.0], TWO_PI, 999_999.0)
+
     def test_many_modes_stay_shallow(self):
         # Mode energy 4 / 2pi: one quantum fits below 1, two do not. The
         # descent recurses once per occupied mode, not once per mode.
