@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """End-to-end run of the string benchmark.
 
-Solves the first few modes of the unit-coefficient string on (0, pi), checks
-the space/time balance, fits the action lattice, and enumerates the definable
-occupation states below an energy cutoff. Writes the model, the solution, the
-spectrum, and the enumeration CSV into --out-dir.
+Writes the model of the first few modes of the unit-coefficient string on
+(0, pi), solves it with ``eigenforge sigma`` (field solve, space/time balance,
+action lattice), and enumerates the definable occupation states below an
+energy cutoff from the stored solution. Writes the model, the solution, and
+the enumeration CSV into --out-dir.
 """
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eigenforge import action, godel, serialize, sigma_model
+from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge.polynomials import poly
-from eigenforge.sturm_liouville import DIRICHLET, BoundaryCondition
+from eigenforge.sturm_liouville import DIRICHLET
 
 
 def build_model(num_modes: int, coupling_g: float) -> sigma_model.SigmaModelSpec:
@@ -41,33 +43,26 @@ def main() -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    model_path = out / "string_model.json"
+    solution_path = out / "string_solution.json"
     spec = build_model(args.modes, args.coupling)
-    (out / "string_model.json").write_text(serialize.dumps(serialize.model_to_obj(spec)))
+    model_path.write_text(serialize.dumps(serialize.model_to_obj(spec)))
+    code = cli.main(["sigma", "--model", str(model_path), "--out", str(solution_path),
+                     "--tol", "1e-10", "--max-iter", "200"])
+    if code != cli.EXIT_OK:
+        return code
+    solution = json.loads(solution_path.read_text())
 
-    mode_objs = []
-    labels, alphas, omegas = [], [], []
     print(f"{'mode':>6} {'omega':>18} {'indicial':>12} {'balance':>12} {'sweeps':>7}")
-    for mode in spec.modes:
-        state, report = sigma_model.solve_state(spec, mode.label, mode.targets,
-                                                tol=1e-10, max_iter=200)
-        balance = sigma_model.null_postulate_residual(spec, state)
-        alpha = action.action_for_state(state)
-        mode_objs.append(serialize.state_to_obj(state, report, balance, alpha, mode.targets))
-        labels.append(mode.label)
-        alphas.append(alpha)
-        omegas.append(state.omega)
-        print(f"{mode.label:>6} {state.omega:>18.12f} {state.indicial_residual():>12.2e} "
-              f"{balance:>12.2e} {report.iterations:>7d}")
+    for mode in solution["modes"]:
+        print(f"{mode['label']:>6} {mode['omega']:>18.12f} {mode['indicial_residual']:>12.2e} "
+              f"{mode['null_residual']:>12.2e} {mode['report']['iterations']:>7d}")
+    spectrum = solution["action_spectrum"]
+    print(f"\naction quantum I = {spectrum['I']:.12f} (pi/2 = {math.pi/2:.12f}), "
+          f"h = {spectrum['h']:.12f}, closure: {spectrum['closure']}")
 
-    spectrum = action.fit_spectrum(labels, alphas)
-    closed = action.closure_check(alphas, spectrum.quantum)
-    solution = {"modes": mode_objs,
-                "action_spectrum": serialize.spectrum_to_obj(spectrum, closed)}
-    (out / "string_solution.json").write_text(serialize.dumps(solution))
-    print(f"\naction quantum I = {spectrum.quantum:.12f} (pi/2 = {math.pi/2:.12f}), "
-          f"h = {spectrum.h:.12f}, closure: {closed}")
-
-    states = godel.enumerate_definable(omegas, spectrum.h, args.emax)
+    omegas = [mode["omega"] for mode in solution["modes"]]
+    states = godel.enumerate_definable(omegas, spectrum["h"], args.emax)
     (out / "definable_states.csv").write_text(serialize.enumeration_csv(states))
     print(f"definable states with E_t <= {args.emax}: {len(states)} "
           f"(integers {[s.godel for s in states[:8]]}{'...' if len(states) > 8 else ''})")

@@ -216,20 +216,6 @@ def constant(value: float, interval) -> Polynomial:
     return Polynomial((float(value),), tuple(interval))
 
 
-def arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact coefficient-level add / sub / mul of two polynomials.
-
-    Both operands must share the same interval.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unknown op {op!r}; expected add, sub or mul")
-
-
 def differentiate(a: Polynomial) -> Polynomial:
     """Formal derivative on the same interval, in the operand's basis."""
     return a.derivative()

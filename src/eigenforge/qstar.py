@@ -291,18 +291,6 @@ ONE = element(1)
 OMEGA = element((0, 1))
 
 
-def arith(a: QStarElement, b: QStarElement, op: str) -> QStarElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown op {op!r}")
-
-
 def classify(a: QStarElement) -> str:
     """Degree comparison realizes the bounded/unbounded quantifiers: W beats
     every finite threshold, so deg num < deg den means smaller than any 1/k."""

@@ -94,13 +94,16 @@ def poly_to_obj(p: Polynomial) -> dict:
     return {"coeffs": list(p.coeffs), "interval": list(p.interval)}
 
 
+def _interval_from_obj(value, context: str) -> tuple[float, float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise DomainError(f"{context} must be a two-element array")
+    return float(value[0]), float(value[1])
+
+
 def poly_from_obj(obj, context: str = "polynomial") -> Polynomial:
     check_keys(obj, ["coeffs", "interval"], context=context)
-    interval = obj["interval"]
-    if not (isinstance(interval, Sequence) and len(interval) == 2):
-        raise DomainError(f"{context}: interval must be a two-element array")
     return Polynomial(tuple(float(c) for c in obj["coeffs"]),
-                      (float(interval[0]), float(interval[1])))
+                      _interval_from_obj(obj["interval"], f"{context}.interval"))
 
 
 # -- eigenproblems -----------------------------------------------------------
@@ -153,7 +156,7 @@ def solution_to_obj(pairs: Sequence[EigenPair], trace: RitzTrace) -> dict:
 
 def _dimension_from_obj(obj, context: str) -> DimensionSpec:
     check_keys(obj, ["interval", "r", "bc"], context=context)
-    interval = (float(obj["interval"][0]), float(obj["interval"][1]))
+    interval = _interval_from_obj(obj["interval"], f"{context}.interval")
     return DimensionSpec(interval, poly_from_obj(obj["r"], f"{context}.r"),
                          bc_from_obj(obj["bc"], f"{context}.bc"))
 

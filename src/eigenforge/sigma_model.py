@@ -44,6 +44,7 @@ from .sturm_liouville import (
     SLProblem,
     _chebyshev_points,
     _normalized,
+    rayleigh_quotient,
     solve as sl_solve,
 )
 
@@ -121,13 +122,14 @@ class SigmaModelSpec:
 
 @dataclass(frozen=True)
 class SeparableEigenstate:
-    """Converged factors of one mode.
+    """Factors of one mode, while it is solved and once it has converged.
 
     The harmonic pair construction shares the space factors across the field
     components; component ``ell`` couples to time factor ``ell % 2`` (cos-like,
-    sin-like). ``space_norms`` records the weighted norm of each space factor
-    at build time so downstream consumers can check normalization without the
-    model spec.
+    sin-like). ``solve_state`` iterates on this type, replacing factors with
+    ``dataclasses.replace``; while it iterates, ``space_norms`` is empty, and
+    the returned state records there the weighted norm of each space factor,
+    so downstream consumers can check normalization without the model spec.
     """
 
     label: str
@@ -138,13 +140,10 @@ class SeparableEigenstate:
     space_norms: tuple[float, ...]
     components: int
 
-    def factor(self, component: int, dim_index: int) -> EigenPair:
-        if dim_index < len(self.space_factors):
-            return self.space_factors[dim_index]
-        return self.time_factors[component]
-
     def factor_poly(self, component: int, dim_index: int) -> Polynomial:
-        return self.factor(component, dim_index).u
+        if dim_index < len(self.space_factors):
+            return self.space_factors[dim_index].u
+        return self.time_factors[component].u
 
     def lambda_space_sum(self) -> float:
         return sum(p.lambda_ for p in self.space_factors)
@@ -161,24 +160,6 @@ class IterationReport:
     indicial_residuals: list[float] = field(default_factory=list)
     factor_changes: list[float] = field(default_factory=list)
     converged: bool = False
-
-
-class _Working:
-    """Mutable factor table used while iterating; duck-types the state API."""
-
-    def __init__(self, spec: SigmaModelSpec, amplitude: float):
-        self.spec = spec
-        self.amplitude = amplitude
-        self.omega = 1.0
-        self.space_polys: list[Polynomial] = []
-        self.space_lambdas: list[float] = [0.0] * len(spec.space_dims)
-        self.time_polys: list[Polynomial] = []
-        self.time_lambdas: list[float] = [0.0] * spec.components
-
-    def factor_poly(self, component: int, dim_index: int) -> Polynomial:
-        if dim_index < len(self.space_polys):
-            return self.space_polys[dim_index]
-        return self.time_polys[component % 2]
 
 
 # Within a sweep the components share the space factors, and the time factors
@@ -206,7 +187,7 @@ def _moment_ratio(u: Polynomial, r: Polynomial) -> float:
     return integrate_product(u, u, u, u, r) / integrate_product(u, u, r)
 
 
-def effective_coeffs(spec: SigmaModelSpec, state, dim_index: int,
+def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index: int,
                      component: int) -> tuple[Polynomial, Polynomial]:
     """Reduce the multi-dimensional coefficient fields onto one dimension.
 
@@ -240,8 +221,8 @@ def effective_coeffs(spec: SigmaModelSpec, state, dim_index: int,
     return out[0], out[1]
 
 
-def _pin_time(spec: SigmaModelSpec, work: _Working) -> None:
-    """Solve for the frequency that equates the effective time eigenvalue
+def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEigenstate:
+    """The state with the frequency that equates the effective time eigenvalue
     with the summed effective space eigenvalues.
 
     The tau-domain pair polynomials are frequency-free and fixed for the
@@ -250,13 +231,13 @@ def _pin_time(spec: SigmaModelSpec, work: _Working) -> None:
     dimension's own effective potential, so the space/time balance survives a
     nonzero coupling.
     """
-    lam_sum = sum(work.space_lambdas)
+    lam_sum = state.lambda_space_sum()
     r_t = spec.time_dim.r
     per_component = []
     omega_sq = 0.0
     for ell in range(spec.components):
-        u = work.time_polys[ell % 2]
-        p_eff, q_eff = effective_coeffs(spec, work, spec.time_index, ell)
+        u = state.time_factors[ell].u
+        p_eff, q_eff = effective_coeffs(spec, state, spec.time_index, ell)
         du = differentiate(u)
         kinetic = integrate_product(p_eff, du, du)
         potential = integrate_product(q_eff, u, u)
@@ -269,9 +250,11 @@ def _pin_time(spec: SigmaModelSpec, work: _Working) -> None:
             f"pinned frequency squared {omega_sq} must be positive; "
             "the space eigenvalue sum is too low"
         )
-    work.omega = math.sqrt(omega_sq)
-    for ell, (kinetic, potential, mass) in enumerate(per_component):
-        work.time_lambdas[ell] = (omega_sq * kinetic - potential) / mass
+    time_factors = tuple(
+        replace(pair, lambda_=(omega_sq * kinetic - potential) / mass)
+        for pair, (kinetic, potential, mass) in zip(state.time_factors, per_component)
+    )
+    return replace(state, omega=math.sqrt(omega_sq), time_factors=time_factors)
 
 
 def _sup_change(old: Polynomial, new: Polynomial) -> float:
@@ -279,23 +262,24 @@ def _sup_change(old: Polynomial, new: Polynomial) -> float:
     return float(np.abs((old - new).values(xs)).max())
 
 
-def _working_indicial(work: _Working, components: int) -> float:
-    space = components * sum(work.space_lambdas)
-    return abs(space - sum(work.time_lambdas))
-
-
-def _space_problem(spec: SigmaModelSpec, work: _Working, d: int) -> SLProblem:
+def _space_problem(spec: SigmaModelSpec, state: SeparableEigenstate, d: int) -> SLProblem:
     # Components share the space factors, so their effective coefficients are
     # averaged; for time-independent fields the per-component results agree.
     dims = spec.dimensions
     p_acc = constant(0.0, dims[d].interval)
     q_acc = constant(0.0, dims[d].interval)
     for ell in range(spec.components):
-        p_eff, q_eff = effective_coeffs(spec, work, d, ell)
+        p_eff, q_eff = effective_coeffs(spec, state, d, ell)
         p_acc = p_acc + p_eff
         q_acc = q_acc + q_eff
     inv = 1.0 / spec.components
     return SLProblem(p_acc * inv, q_acc * inv, dims[d].r, dims[d].bc)
+
+
+def _with_space_factor(state: SeparableEigenstate, d: int,
+                       pair: EigenPair) -> SeparableEigenstate:
+    factors = state.space_factors
+    return replace(state, space_factors=factors[:d] + (pair,) + factors[d + 1:])
 
 
 def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
@@ -304,17 +288,20 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     """Alternating solve of one separable eigenstate.
 
     ``target_modes`` selects the 1-based eigenvalue branch tracked in each
-    space dimension. The time factors are the normalized harmonic pair of
-    degree ``action.TIME_PAIR_DEGREE``, built once and fixed for the whole
+    space dimension. One immutable ``SeparableEigenstate`` is iterated, each
+    update a ``dataclasses.replace``. Its time factors are the normalized
+    harmonic pair of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole
     solve; the action integral reads the quantum off the same pair. An
-    undamped initialization pass seeds every space factor from cold
-    frozen-coefficient eigensolves; counted sweeps then apply damped updates
+    undamped initialization pass replaces the constant placeholder space
+    factors by cold frozen-coefficient eigensolves; counted sweeps then
+    install damped updates, each with its Rayleigh quotient as eigenvalue,
     and re-pin the time frequency until the largest space-factor change is
     below ``tol``; a factor's change is the sup norm of old minus new at 129
-    Chebyshev points of its interval. In counted sweeps each dimension's
-    eigensolve is warm-started at its previous final degree minus 2 (see
+    Chebyshev points of its interval. In counted sweeps each eigensolve is
+    warm-started at its factor's ``degree_used`` minus 2 (see
     ``sturm_liouville.solve``), so a final degree can sit 2 above the cold
-    solve's. Exceeding ``max_iter`` raises NonConvergenceError with the
+    solve's. The returned state is the last iterate with ``space_norms``
+    filled in. Exceeding ``max_iter`` raises NonConvergenceError with the
     report attached.
     """
     n_space = len(spec.space_dims)
@@ -326,28 +313,27 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     if not tol > 0:
         raise DomainError("tol must be positive")
 
-    work = _Working(spec, float(amplitude))
-    work.space_polys = [
-        _normalized(constant(1.0, dim.interval), dim.r) for dim in spec.space_dims
-    ]
     pair = action_mod.make_time_pair(1.0)
     r_t = spec.time_dim.r
-    work.time_polys = [_normalized(pair.u1, r_t), _normalized(pair.u2, r_t)]
-    degrees = [0] * n_space
+    time_polys = (_normalized(pair.u1, r_t), _normalized(pair.u2, r_t))
+    state = SeparableEigenstate(
+        label=label,
+        space_factors=tuple(EigenPair(0.0, _normalized(constant(1.0, dim.interval), dim.r), 0)
+                            for dim in spec.space_dims),
+        time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], action_mod.TIME_PAIR_DEGREE)
+                           for ell in range(spec.components)),
+        omega=1.0, amplitude=float(amplitude), space_norms=(), components=spec.components)
 
     def solve_dim(d: int, start_degree: int = 0) -> tuple[SLProblem, EigenPair]:
-        prob = _space_problem(spec, work, d)
+        prob = _space_problem(spec, state, d)
         pairs, _ = sl_solve(prob, num_modes=targets[d], k_tol=SL_K_TOL,
                             max_degree=SL_MAX_DEGREE, start_degree=start_degree)
         return prob, pairs[targets[d] - 1]
 
     # Initialization: undamped installs from the placeholder factors.
     for d in range(n_space):
-        prob, picked = solve_dim(d)
-        work.space_polys[d] = picked.u
-        work.space_lambdas[d] = picked.lambda_
-        degrees[d] = picked.degree_used
-    _pin_time(spec, work)
+        state = _with_space_factor(state, d, solve_dim(d)[1])
+    state = _pin_time(spec, state)
 
     report = IterationReport()
     for sweep in range(1, max_iter + 1):
@@ -355,22 +341,17 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         for d in range(n_space):
             # Warm start: the last final degree minus 2 keeps two visited
             # degrees in every stopping test.
-            prob, picked = solve_dim(d, degrees[d] - 2)
-            old = work.space_polys[d]
-            blended = old + (picked.u - old) * DAMPING
+            old = state.space_factors[d]
+            prob, picked = solve_dim(d, old.degree_used - 2)
+            blended = old.u + (picked.u - old.u) * DAMPING
             blended = _normalized(blended, spec.space_dims[d].r)
-            du = differentiate(blended)
-            num = (integrate_product(prob.p, du, du)
-                   - integrate_product(prob.q, blended, blended))
-            den = integrate_product(prob.r, blended, blended)
-            work.space_polys[d] = blended
-            work.space_lambdas[d] = num / den
-            degrees[d] = picked.degree_used
-            worst = max(worst, _sup_change(old, blended))
-        _pin_time(spec, work)
+            state = _with_space_factor(state, d, EigenPair(rayleigh_quotient(prob, blended),
+                                                           blended, picked.degree_used))
+            worst = max(worst, _sup_change(old.u, blended))
+        state = _pin_time(spec, state)
         report.iterations = sweep
         report.factor_changes.append(worst)
-        report.indicial_residuals.append(_working_indicial(work, spec.components))
+        report.indicial_residuals.append(state.indicial_residual())
         if worst < tol:
             report.converged = True
             break
@@ -379,29 +360,11 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             f"state {label!r} not converged in {max_iter} sweeps", report=report
         )
 
-    space_factors = tuple(
-        EigenPair(work.space_lambdas[d], work.space_polys[d], targets[d] - 1, degrees[d])
-        for d in range(n_space)
-    )
-    time_factors = tuple(
-        EigenPair(work.time_lambdas[ell], work.time_polys[ell % 2], 0,
-                  action_mod.TIME_PAIR_DEGREE)
-        for ell in range(spec.components)
-    )
     norms = tuple(
-        integrate_product(spec.space_dims[d].r, work.space_polys[d], work.space_polys[d])
-        for d in range(n_space)
+        integrate_product(dim.r, f.u, f.u)
+        for dim, f in zip(spec.space_dims, state.space_factors)
     )
-    state = SeparableEigenstate(
-        label=label,
-        space_factors=space_factors,
-        time_factors=time_factors,
-        omega=work.omega,
-        amplitude=float(amplitude),
-        space_norms=norms,
-        components=spec.components,
-    )
-    return state, report
+    return replace(state, space_norms=norms), report
 
 
 def _bracket_value(spec: SigmaModelSpec, state: SeparableEigenstate,

@@ -106,7 +106,6 @@ class SLProblem:
 class EigenPair:
     lambda_: float
     u: Polynomial
-    mode_index: int
     degree_used: int
 
 
@@ -212,7 +211,7 @@ def _build_pairs(prob: SLProblem, theta, Y, degree: int, count: int) -> list[Eig
     S = _recombination(prob.bc, degree)
     return [EigenPair(float(theta[m]),
                       _normalized(LegendreSeries(tuple(S @ Y[:, m]), prob.interval), prob.r),
-                      m, degree)
+                      degree)
             for m in range(count)]
 
 

@@ -177,6 +177,16 @@ class TestEigenCommand:
 
 
 class TestSigmaCommand:
+    @pytest.mark.parametrize("interval", [[0.0, math.pi, 99], 5], ids=["three-elements", "number"])
+    def test_bad_dimension_interval_invalid(self, tmp_path, interval):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        obj["space_dims"][0]["interval"] = interval
+        path = tmp_path / "model.json"
+        path.write_text(serialize.dumps(obj))
+        result = run_cli("sigma", "--model", str(path))
+        assert result.returncode == 2
+        assert "model.space_dims[0].interval must be a two-element array" in result.stderr
+
     def test_solution_contents(self, solution_file):
         data = json.loads(Path(solution_file).read_text())
         modes = {m["label"]: m for m in data["modes"]}

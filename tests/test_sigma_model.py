@@ -192,13 +192,13 @@ class TestNonlinearCoupling:
         assert null_postulate_residual(spec, state) <= 1e-6
 
 
-def coupled_spec(L, bc, g):
-    """One coupled space dimension (0, L) with unit coefficients."""
-    iv, time_iv = (0.0, L), (0.0, math.pi / 2)
-    space = DimensionSpec(iv, poly([1.0], iv), bc)
+def coupled_spec(lengths, bcs, g):
+    """Coupled space dimensions (0, L) x ... with unit coefficients."""
+    ivs, time_iv = [(0.0, L) for L in lengths], (0.0, math.pi / 2)
+    space = tuple(DimensionSpec(iv, poly([1.0], iv), bc) for iv, bc in zip(ivs, bcs))
     time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
-    p_field = CoeffField(terms=((poly([1.0], iv), poly([1.0], time_iv)),))
-    return SigmaModelSpec((space,), time, p_field, CoeffField(terms=(), coupling_g=g))
+    p_field = CoeffField(terms=(tuple(poly([1.0], iv) for iv in ivs) + (poly([1.0], time_iv),),))
+    return SigmaModelSpec(space, time, p_field, CoeffField(terms=(), coupling_g=g))
 
 
 class TestCoupledConvergence:
@@ -212,7 +212,7 @@ class TestCoupledConvergence:
         assert null_postulate_residual(spec, state) <= 1e-6
 
     def test_neumann_overtone_strong_coupling(self):
-        spec = coupled_spec(2.348, NEUMANN, 0.05)
+        spec = coupled_spec((2.348,), (NEUMANN,), 0.05)
         state, report = solve_state(spec, "m1", (2,), tol=1e-10, max_iter=200)
         assert report.converged
         assert null_postulate_residual(spec, state) <= 1e-6
@@ -230,10 +230,30 @@ class TestCoupledConvergence:
     @pytest.mark.parametrize("target", [3, 4])
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["DD", "NN"])
     def test_higher_modes_converge(self, bc, target, g):
-        spec = coupled_spec(2.1, bc, g)
+        spec = coupled_spec((2.1,), (bc,), g)
         state, report = solve_state(spec, "m", (target,), tol=1e-10, max_iter=200)
         assert report.converged
         assert null_postulate_residual(spec, state) <= 1e-6
+
+    @pytest.mark.parametrize("g", [0.01, 0.05])
+    @pytest.mark.parametrize("bcs,targets", [
+        ((DIRICHLET, DIRICHLET), (1, 2)),
+        ((DIRICHLET, DIRICHLET), (2, 1)),
+        ((NEUMANN, DIRICHLET), (2, 1)),
+    ], ids=["DDxDD-1-2", "DDxDD-2-1", "NNxDD-2-1"])
+    def test_two_dimensions_converge(self, bcs, targets, g):
+        spec = coupled_spec((1.3, 2.1), bcs, g)
+        state, report = solve_state(spec, "m", targets, tol=1e-10, max_iter=200)
+        assert report.converged
+        assert null_postulate_residual(spec, state) <= 1e-6
+
+    def test_report_describes_returned_state(self):
+        # The state returned is the one iterated: the last recorded indicial
+        # residual is the returned state's own, and one sweep is one entry.
+        spec = coupled_spec((1.3, 2.1), (NEUMANN, DIRICHLET), 0.05)
+        state, report = solve_state(spec, "m", (2, 1), tol=1e-10, max_iter=200)
+        assert report.indicial_residuals[-1] == state.indicial_residual()
+        assert len(report.factor_changes) == report.iterations
 
 
 class TestValidation:
