@@ -94,15 +94,35 @@ def poly_to_obj(p: Polynomial) -> dict:
     return {"coeffs": list(p.coeffs), "interval": list(p.interval)}
 
 
+def _array(value, context: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{context} must be an array")
+    return value
+
+
+def _number(value, context: str) -> float:
+    """A finite JSON number; a bool or a numeric string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"{context} must be a finite number")
+    return float(value)
+
+
+def _integer(value, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{context} must be an integer")
+    return value
+
+
 def _interval_from_obj(value, context: str) -> tuple[float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise DomainError(f"{context} must be a two-element array")
-    return float(value[0]), float(value[1])
+    return _number(value[0], f"{context}[0]"), _number(value[1], f"{context}[1]")
 
 
 def poly_from_obj(obj, context: str = "polynomial") -> Polynomial:
     check_keys(obj, ["coeffs", "interval"], context=context)
-    return Polynomial(tuple(float(c) for c in obj["coeffs"]),
+    coeffs = _array(obj["coeffs"], f"{context}.coeffs")
+    return Polynomial(tuple(_number(c, f"{context}.coeffs[{i}]") for i, c in enumerate(coeffs)),
                       _interval_from_obj(obj["interval"], f"{context}.interval"))
 
 
@@ -171,7 +191,8 @@ def _coeff_field_from_obj(obj, context: str) -> CoeffField:
         tuple(poly_from_obj(f, f"{context}.terms[{i}][{j}]") for j, f in enumerate(term))
         for i, term in enumerate(obj["terms"])
     )
-    return CoeffField(terms=terms, coupling_g=float(obj.get("coupling_g", 0.0)))
+    return CoeffField(terms=terms,
+                      coupling_g=_number(obj.get("coupling_g", 0.0), f"{context}.coupling_g"))
 
 
 def _coeff_field_to_obj(field: CoeffField) -> dict:
@@ -190,14 +211,19 @@ def model_from_obj(obj) -> SigmaModelSpec:
     time = _dimension_from_obj(obj["time_dim"], "model.time_dim")
     modes = []
     for i, m in enumerate(obj["modes"]):
-        check_keys(m, ["label", "targets"], context=f"model.modes[{i}]")
-        modes.append(ModeSpec(str(m["label"]), tuple(int(t) for t in m["targets"])))
+        context = f"model.modes[{i}]"
+        check_keys(m, ["label", "targets"], context=context)
+        if not isinstance(m["label"], str):
+            raise DomainError(f"{context}.label must be a string")
+        targets = _array(m["targets"], f"{context}.targets")
+        modes.append(ModeSpec(m["label"], tuple(_integer(t, f"{context}.targets[{j}]")
+                                                for j, t in enumerate(targets))))
     return SigmaModelSpec(
         space_dims=space,
         time_dim=time,
         P=_coeff_field_from_obj(obj["P"], "model.P"),
         Q=_coeff_field_from_obj(obj["Q"], "model.Q"),
-        components=int(obj.get("components", 2)),
+        components=_integer(obj.get("components", 2), "model.components"),
         modes=tuple(modes),
     )
 

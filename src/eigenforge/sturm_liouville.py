@@ -6,19 +6,23 @@ end conditions. Its basis is Shen's Legendre-Galerkin recombination
 P_k + alpha_k P_{k+1} + beta_k P_{k+2} in the reference variable t, with
 alpha_k and beta_k chosen so that the column meets both conditions exactly,
 whether they fix the value or the derivative. The basis is evaluated at
-Gauss-Legendre nodes from the cached table that quadrature also uses. The
-generalized symmetric-definite eigenproblem is reduced by a Cholesky
-factorization of the mass matrix and diagonalized by LAPACK
-(``numpy.linalg.eigh``). LAPACK's eigenvalues carry an absolute error of
-about machine epsilon times the largest eigenvalue of the reduced matrix,
-which at degree 40 is a relative error of up to 4e-12 on the low modes; each
-eigenvalue is therefore recomputed as the Rayleigh quotient of its vector on
-the unreduced pencil, which restores full relative accuracy (the error of a
-Rayleigh quotient is quadratic in the vector's error). ``solve`` escalates
-the degree two at a time from 2 and stops once every requested eigenvalue
-improves by less than ``k_tol`` between consecutive degrees. An
-eigenfunction is the recombination matrix times its eigenvector, a
-``LegendreSeries`` on the problem interval.
+Gauss-Legendre nodes from the cached table that quadrature also uses.
+
+The basis is hierarchical (column k does not depend on the degree), so the
+stiffness and mass matrices of degree n are the leading (n - 1) x (n - 1)
+blocks of those of any higher degree. ``solve`` therefore assembles the pencil
+once, at the highest degree it may visit, reduces it once by a Cholesky
+factorization of the mass matrix, and diagonalizes the leading block of the
+reduced matrix for each visited degree with LAPACK (``numpy.linalg.eigh``).
+LAPACK's eigenvalues carry an absolute error of about machine epsilon times
+the largest eigenvalue of the reduced matrix, which at degree 40 is a
+relative error of up to 4e-12 on the low modes; each eigenvalue is therefore
+recomputed as the Rayleigh quotient of its vector on the unreduced pencil,
+which restores full relative accuracy (the error of a Rayleigh quotient is
+quadratic in the vector's error). ``solve`` escalates the degree two at a
+time from 2 and stops once every requested eigenvalue improves by less than
+``k_tol`` between consecutive degrees. An eigenfunction is the recombination
+matrix times its eigenvector, a ``LegendreSeries`` on the problem interval.
 """
 
 from __future__ import annotations
@@ -172,22 +176,30 @@ def _assemble(prob: SLProblem, degree: int):
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
-def _generalized_eigh(A: np.ndarray, B: np.ndarray):
-    """Symmetric-definite pencil (A, B) -> ascending eigenvalues, B-orthonormal vectors.
-
-    LAPACK diagonalizes the Cholesky-reduced matrix; each eigenvalue is then
-    recomputed as the Rayleigh quotient of its vector on the unreduced pencil.
+def _reduce(A: np.ndarray, B: np.ndarray):
+    """Cholesky-reduce the symmetric-definite pencil (A, B) once: B = L L^T,
+    C = L^-1 A L^-T. Returns ``leading_eigh(k)``, the ascending eigenvalues and
+    B-orthonormal vectors of the leading k x k block pencil: its Cholesky
+    factor is the leading block of L, so its reduced matrix is the leading
+    block of C. Each eigenvalue is the Rayleigh quotient of its vector on the
+    unreduced block pencil.
     """
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError("mass matrix is numerically indefinite") from exc
-    X = np.linalg.solve(L, A)
-    C = np.linalg.solve(L, X.T).T
-    Y = np.linalg.solve(L.T, np.linalg.eigh(0.5 * (C + C.T))[1])
-    theta = np.einsum("ij,ij->j", Y, A @ Y) / np.einsum("ij,ij->j", Y, B @ Y)
-    order = np.argsort(theta, kind="stable")
-    return theta[order], Y[:, order]
+    L_inv = np.tril(np.linalg.inv(L))
+    C = L_inv @ A @ L_inv.T
+    C = 0.5 * (C + C.T)
+
+    def leading_eigh(k: int):
+        Y = L_inv[:k, :k].T @ np.linalg.eigh(C[:k, :k])[1]
+        Ak, Bk = A[:k, :k], B[:k, :k]
+        theta = np.einsum("ij,ij->j", Y, Ak @ Y) / np.einsum("ij,ij->j", Y, Bk @ Y)
+        order = np.argsort(theta, kind="stable")
+        return theta[order], Y[:, order]
+
+    return leading_eigh
 
 
 def _sign_fixed(u: Polynomial) -> Polynomial:
@@ -217,8 +229,7 @@ def _build_pairs(prob: SLProblem, theta, Y, degree: int, count: int) -> list[Eig
 
 def solve_at_degree(prob: SLProblem, degree: int, num_modes: int | None = None) -> list[EigenPair]:
     """Ritz eigenpairs of the fixed-degree trial space, ascending by eigenvalue."""
-    A, B = _assemble(prob, degree)
-    theta, Y = _generalized_eigh(A, B)
+    theta, Y = _reduce(*_assemble(prob, degree))(degree - 1)
     available = theta.size
     count = available if num_modes is None else min(num_modes, available)
     return _build_pairs(prob, theta, Y, degree, count)
@@ -237,10 +248,13 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     the trace is raised. The eigenvalue drop is the only stop test: every
     trial function meets the end conditions by construction.
 
-    A warm start visits a suffix of the cold degree ladder, and each stopping
+    The pencil is assembled and reduced once, at ``max_degree`` rounded down
+    to even, and each visited degree is its leading block; ``start_degree``
+    only chooses the first block read. A warm start therefore visits a suffix
+    of the cold degree ladder on the same reduced pencil, and each stopping
     test compares two visited degrees. Whenever the cold solve stops at a
-    degree D >= start + 2, the warm solve therefore returns bit-identical
-    pairs and a trace equal to the cold trace's suffix from the start degree.
+    degree D >= start + 2, the warm solve returns bit-identical pairs and a
+    trace equal to the cold trace's suffix from the start degree.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -255,10 +269,12 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
         )
     if max_degree < 2:
         raise DomainError("max_degree must be >= 2, the least degree with a trial function")
+    top = max_degree // 2 * 2
+    leading_eigh = _reduce(*_assemble(prob, top))
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None
-    for degree in range(max(start_degree, 2) // 2 * 2, max_degree + 1, 2):
-        theta, Y = _generalized_eigh(*_assemble(prob, degree))
+    for degree in range(max(start_degree, 2) // 2 * 2, top + 1, 2):
+        theta, Y = leading_eigh(degree - 1)
         trace_entries.append((degree, float(theta[0])))
         if theta.size < num_modes:
             continue

@@ -166,6 +166,16 @@ class TestEigenCommand:
         assert result.returncode == 2
         assert "unknown keys" in result.stderr
 
+    @pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "string", "null"])
+    def test_wrong_coefficient_type_invalid(self, tmp_path, value):
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["p"]["coeffs"][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path))
+        assert result.returncode == 2
+        assert "problem.p.coeffs[0] must be a finite number" in result.stderr
+
     def test_nonconvergence_exit_code(self, problem_file):
         result = run_cli("eigen", "--problem", problem_file, "--tol", "1e-30",
                          "--max-degree", "10")
@@ -186,6 +196,42 @@ class TestSigmaCommand:
         result = run_cli("sigma", "--model", str(path))
         assert result.returncode == 2
         assert "model.space_dims[0].interval must be a two-element array" in result.stderr
+
+    # Each edit of the string model names the field it breaks; the readers
+    # coerced every one of them with int(), float() or str() before.
+    @pytest.mark.parametrize("path,value,message", [
+        (("modes", 0, "targets"), "2", "model.modes[0].targets must be an array"),
+        (("modes", 0, "targets", 0), 1.9, "model.modes[0].targets[0] must be an integer"),
+        (("modes", 0, "targets", 0), True, "model.modes[0].targets[0] must be an integer"),
+        (("modes", 0, "targets", 0), "1", "model.modes[0].targets[0] must be an integer"),
+        (("modes", 0, "label"), 1, "model.modes[0].label must be a string"),
+        (("components",), 2.7, "model.components must be an integer"),
+        (("components",), True, "model.components must be an integer"),
+        (("space_dims", 0, "r", "coeffs"), "1", "model.space_dims[0].r.coeffs must be an array"),
+        (("P", "terms", 0, 1, "coeffs", 0), "1",
+         "model.P.terms[0][1].coeffs[0] must be a finite number"),
+        (("P", "terms", 0, 0, "coeffs", 0), math.nan,
+         "model.P.terms[0][0].coeffs[0] must be a finite number"),
+        (("Q", "coupling_g"), True, "model.Q.coupling_g must be a finite number"),
+        (("Q", "coupling_g"), "0.01", "model.Q.coupling_g must be a finite number"),
+        (("space_dims", 0, "interval", 1), "3.14",
+         "model.space_dims[0].interval[1] must be a finite number"),
+        (("time_dim", "r", "interval", 0), False,
+         "model.time_dim.r.interval[0] must be a finite number"),
+    ], ids=["targets-string", "target-float", "target-bool", "target-string", "label-number",
+            "components-float", "components-bool", "coeffs-string", "coeff-string", "coeff-nan",
+            "coupling-bool", "coupling-string", "interval-string", "interval-bool"])
+    def test_wrong_json_type_invalid(self, tmp_path, path, value, message):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert message in result.stderr
 
     def test_solution_contents(self, solution_file):
         data = json.loads(Path(solution_file).read_text())

@@ -15,6 +15,7 @@ from eigenforge.errors import (
     NonConvergenceError,
     PreconditionError,
 )
+from eigenforge import sturm_liouville
 from eigenforge.polynomials import Polynomial, integrate_product, poly
 from eigenforge.sturm_liouville import (
     DIRICHLET,
@@ -22,8 +23,8 @@ from eigenforge.sturm_liouville import (
     BoundaryCondition,
     SLProblem,
     _assemble,
-    _generalized_eigh,
     _recombination,
+    _reduce,
     boundary_residuals,
     rayleigh_quotient,
     residual,
@@ -247,13 +248,13 @@ class TestVariableCoefficients:
 
 
 class TestReduction:
-    def test_jacobi_matches_scipy_on_random_pencil(self):
+    def test_matches_scipy_on_random_pencil(self):
         rng = np.random.default_rng(7)
         M = rng.normal(size=(12, 12))
         A = 0.5 * (M + M.T)
         N = rng.normal(size=(12, 12))
         B = N @ N.T + 12 * np.eye(12)
-        vals, vecs = _generalized_eigh(A, B)
+        vals, vecs = _reduce(A, B)(12)
         ref = scipy.linalg.eigh(A, B, eigvals_only=True)
         assert np.allclose(vals, ref, rtol=1e-11, atol=1e-11)
         # B-orthonormality of returned vectors
@@ -264,7 +265,7 @@ class TestReduction:
         A = np.eye(3)
         B = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(ConditioningError):
-            _generalized_eigh(A, B)
+            _reduce(A, B)
 
 
 class TestEigensolveAccuracy:
@@ -277,7 +278,7 @@ class TestEigensolveAccuracy:
     def test_low_modes_to_full_relative_accuracy(self, bc, ks, L):
         prob = unit_problem(bc, (0.0, L))
         for degree in range(30, 41, 2):
-            vals, _ = _generalized_eigh(*_assemble(prob, degree))
+            vals, _ = _reduce(*_assemble(prob, degree))(degree - 1)
             for lam, k in zip(vals, ks):
                 exact = (k * math.pi / L) ** 2
                 assert abs(lam - exact) <= 1e-13 * (1.0 + exact), (degree, k)
@@ -364,6 +365,42 @@ class TestWarmStart:
         warm = solve(prob, num_modes=2, k_tol=1e-12, start_degree=start)
         self._assert_same(cold, warm, 2)
         assert warm[1].degrees[0] == 2
+
+
+class TestLeadingBlocks:
+    # The trial basis is hierarchical, so solve assembles and reduces the pencil
+    # once, at its degree cap, and reads each visited degree off a leading block.
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_each_degree_is_a_leading_block(self, kind):
+        prob = TestWarmStart._variable_problem(CONDITIONS[kind])
+        A40, B40 = _assemble(prob, 40)
+        for n in range(2, 39):
+            for M, M40 in zip(_assemble(prob, n), (A40, B40), strict=True):
+                assert M.shape == (n - 1, n - 1)
+                assert np.abs(M - M40[:n - 1, :n - 1]).max() <= 1e-13 * np.abs(M40).max()
+
+    def test_one_assembly_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(prob, degree):
+            calls.append(degree)
+            return _assemble(prob, degree)
+
+        monkeypatch.setattr(sturm_liouville, "_assemble", counted)
+        prob = TestWarmStart._variable_problem(DIRICHLET)
+        pairs, trace = solve(prob, num_modes=3, k_tol=1e-12)
+        assert calls == [40] and len(trace.entries) > 2
+        calls.clear()
+        solve(prob, num_modes=3, k_tol=1e-12, start_degree=pairs[0].degree_used - 2)
+        assert calls == [40]
+
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_trace_matches_scipy_at_every_degree(self, kind):
+        prob = TestWarmStart._variable_problem(CONDITIONS[kind])
+        _, trace = solve(prob, num_modes=3, k_tol=1e-12)
+        for n, lam in trace.entries:
+            ref = scipy.linalg.eigh(*_assemble(prob, n), eigvals_only=True)[0]
+            assert abs(lam - ref) <= 1e-13 * (1.0 + abs(lam)), n
 
 
 class TestErrors:
