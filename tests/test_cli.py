@@ -197,8 +197,8 @@ class TestSigmaCommand:
         assert result.returncode == 2
         assert "model.space_dims[0].interval must be a two-element array" in result.stderr
 
-    # Each edit of the string model names the field it breaks; the readers
-    # coerced every one of them with int(), float() or str() before.
+    # Each edit puts a value of the wrong JSON type into one field of the
+    # string model; the message must name that field's path.
     @pytest.mark.parametrize("path,value,message", [
         (("modes", 0, "targets"), "2", "model.modes[0].targets must be an array"),
         (("modes", 0, "targets", 0), 1.9, "model.modes[0].targets[0] must be an integer"),

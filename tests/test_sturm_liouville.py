@@ -7,6 +7,7 @@ import numpy.polynomial.legendre as leg
 import pytest
 import scipy.linalg
 
+from eigenforge import sturm_liouville
 from eigenforge.errors import (
     ConditioningError,
     ConstraintError,
@@ -15,7 +16,6 @@ from eigenforge.errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from eigenforge import sturm_liouville
 from eigenforge.polynomials import Polynomial, integrate_product, poly
 from eigenforge.sturm_liouville import (
     DIRICHLET,
