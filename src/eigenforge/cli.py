@@ -98,24 +98,33 @@ def _cmd_action(args) -> int:
     serialize.check_keys(data, ["modes"], optional=["action_spectrum"], context="solution")
     labels = []
     alphas = []
-    for i, mode in enumerate(data["modes"]):
+    for i, mode in enumerate(serialize._array(data["modes"], "solution.modes")):
+        context = f"solution.modes[{i}]"
         serialize.check_keys(
             mode,
             ["label", "omega", "amplitude"],
             optional=["targets", "components", "space_factors", "time_factors",
                       "indicial_residual", "null_residual", "action_alpha", "report"],
-            context=f"solution.modes[{i}]",
+            context=context,
         )
-        for factor in mode.get("space_factors", []):
-            norm = factor.get("norm")
-            if norm is not None and abs(float(norm) - 1.0) > action_mod.NORM_TOL:
+        factors = serialize._array(mode.get("space_factors", []), f"{context}.space_factors")
+        for j, factor in enumerate(factors):
+            factor_context = f"{context}.space_factors[{j}]"
+            serialize.check_keys(factor, [], optional=["lambda", "legendre", "interval",
+                                                       "degree", "norm"], context=factor_context)
+            if "norm" not in factor:
+                continue
+            norm = serialize._number(factor["norm"], f"{factor_context}.norm")
+            if abs(norm - 1.0) > action_mod.NORM_TOL:
                 raise DomainError(
                     f"solution.modes[{i}] has an unnormalized space factor (norm {norm})"
                 )
-        omega = float(mode["omega"])
-        amplitude = float(mode["amplitude"])
+        if not isinstance(mode["label"], str):
+            raise DomainError(f"{context}.label must be a string")
+        omega = serialize._number(mode["omega"], f"{context}.omega")
+        amplitude = serialize._number(mode["amplitude"], f"{context}.amplitude")
         pair = action_mod.make_time_pair(omega)
-        labels.append(str(mode["label"]))
+        labels.append(mode["label"])
         alphas.append(amplitude * amplitude * action_mod.pair_action(pair))
     spectrum = action_mod.fit_spectrum(labels, alphas, tol=args.lattice_tol)
     closure = action_mod.closure_check(alphas, spectrum.quantum, tol=args.lattice_tol)

@@ -303,18 +303,31 @@ def evaluate(a: Polynomial, x: float) -> float:
     return float(a._at(x))
 
 
+@lru_cache(maxsize=None)
+def _fit_operator(degree: int, num_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points of the first kind in t, and the least-squares operator
+    taking values there to Legendre coefficients of the given degree: the
+    pseudo-inverse of their Legendre Vandermonde matrix. Both are read-only."""
+    k = np.arange(num_points)
+    t = np.cos((2 * k + 1) * math.pi / (2 * num_points))
+    op = np.linalg.pinv(leg.legvander(t, degree))
+    t.setflags(write=False)
+    op.setflags(write=False)
+    return t, op
+
+
 def chebyshev_fit(fn: Callable[[np.ndarray], np.ndarray], degree: int,
                   interval: tuple[float, float], num_points: int | None = None) -> LegendreSeries:
     """Least-squares Legendre series fit of a function on a Chebyshev grid.
 
     With ``num_points = degree + 1`` this is interpolation at the Chebyshev
-    points of the first kind.
+    points of the first kind. The grid and its fit operator depend only on
+    the degree and the number of points, so each pair is built once.
     """
     lo, hi = interval
     n = num_points or degree + 1
     if n < degree + 1:
         raise DomainError("need at least degree+1 sample points")
-    k = np.arange(n)
-    t = np.cos((2 * k + 1) * math.pi / (2 * n))
+    t, op = _fit_operator(degree, n)
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-    return LegendreSeries(tuple(leg.legfit(t, fn(xs), degree)), (lo, hi))
+    return LegendreSeries(tuple(op @ fn(xs)), (lo, hi))

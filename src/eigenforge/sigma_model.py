@@ -6,11 +6,13 @@ are the multi-dimensional ones averaged over every *other* dimension's current
 factor (the self-consistent freeze-the-rest reduction); a quadratic
 self-coupling enters through fourth-moment averages and a degree-capped
 projection of the frozen factor's square. The single time dimension is never
-solved: its harmonic pair is frequency-free, so its factors are built once
-per solve and stay fixed, and each sweep only re-pins the frequency so the
-effective time eigenvalue matches the summed effective space eigenvalues,
-which enforces the eigenvalue-balance (indicial) constraint; in the linear
-case omega = sqrt(sum lambda_space).
+solved: its harmonic pair is frequency-free, so its factors, and their
+integrals against every coefficient term's time factor, are computed once per
+solve. After each sweep the frequency is set so the effective time eigenvalue
+matches the summed effective space eigenvalues, which enforces the
+eigenvalue-balance (indicial) constraint; that takes only the scalar term
+weights read off the new space factors. In the linear case
+omega = sqrt(sum lambda_space).
 
 Updates are damped by 0.5 and iterated until the largest space-factor change
 drops below tolerance. Factors are Legendre series, and a factor's change is
@@ -163,8 +165,9 @@ class IterationReport:
 
 
 # Within a sweep the components share the space factors, and the time factors
-# stay fixed for a whole solve; these caches let each such factor be projected
-# and averaged once. Polynomials are immutable values, so they key the caches.
+# stay fixed for a whole solve; these caches let each such factor's square,
+# averages and moments be computed once per factor rather than once per
+# component. Polynomials are immutable values, so they key the caches.
 _FACTOR_CACHE = 32
 
 
@@ -187,64 +190,122 @@ def _moment_ratio(u: Polynomial, r: Polynomial) -> float:
     return integrate_product(u, u, u, u, r) / integrate_product(u, u, r)
 
 
+def _term_weights(spec: SigmaModelSpec, coeff: CoeffField, state: SeparableEigenstate,
+                  dim_index: int, component: int) -> tuple[float, ...]:
+    """Scalar weight of each of ``coeff``'s terms on one dimension, then of its coupling.
+
+    A term's weight is the product of its other factors' weighted averages
+    over their dimensions' current eigenfunctions (ratios, so unnormalized
+    factors are harmless). The coupling, present only for a nonzero
+    constant, weighs coupling_g * amplitude^2 times the other dimensions'
+    fourth-to-second moment ratios. ``_dimension_factors`` lists the
+    polynomials these weights multiply.
+    """
+    dims = spec.dimensions
+    others = [d for d in range(len(dims)) if d != dim_index]
+    weights = []
+    for term in coeff.terms:
+        scale = 1.0
+        for d in others:
+            scale *= _weighted_average(term[d], state.factor_poly(component, d), dims[d].r)
+        weights.append(scale)
+    if coeff.coupling_g != 0.0:
+        g = coeff.coupling_g * state.amplitude ** 2
+        for d in others:
+            g *= _moment_ratio(state.factor_poly(component, d), dims[d].r)
+        weights.append(g)
+    return tuple(weights)
+
+
+def _dimension_factors(coeff: CoeffField, dim_index: int,
+                       u: Polynomial) -> tuple[Polynomial, ...]:
+    """Each term's factor on one dimension, then the degree-capped square of
+    that dimension's eigenfunction u if ``coeff`` couples."""
+    factors = tuple(term[dim_index] for term in coeff.terms)
+    if coeff.coupling_g != 0.0:
+        factors += (_project_square(u),)
+    return factors
+
+
+def _weighted_sum(factors: Sequence[Polynomial], weights: Sequence[float],
+                  interval: tuple[float, float]) -> Polynomial:
+    acc = constant(0.0, interval)
+    for f, w in zip(factors, weights, strict=True):
+        acc = acc + f * w
+    return acc
+
+
 def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index: int,
                      component: int) -> tuple[Polynomial, Polynomial]:
     """Reduce the multi-dimensional coefficient fields onto one dimension.
 
     For each separable term, the factor on the target dimension stays a
     polynomial and every other factor collapses to its weighted average over
-    that dimension's current eigenfunction (a ratio, so unnormalized factors
-    are harmless). The quadratic coupling contributes the coupling constant
-    times the other dimensions' fourth-to-second moment ratios times the
-    degree-capped square of the target factor.
+    that dimension's current eigenfunction. The quadratic coupling
+    contributes the coupling constant times the other dimensions'
+    fourth-to-second moment ratios times the degree-capped square of the
+    target factor. Both are ``_term_weights`` times ``_dimension_factors``.
     """
-    dims = spec.dimensions
-    target = dims[dim_index]
-    out = []
-    for coeff in (spec.P, spec.Q):
-        acc = constant(0.0, target.interval)
-        for term in coeff.terms:
-            scale = 1.0
-            for d, f in enumerate(term):
-                if d == dim_index:
-                    continue
-                scale *= _weighted_average(f, state.factor_poly(component, d), dims[d].r)
-            acc = acc + term[dim_index] * scale
-        if coeff.coupling_g != 0.0:
-            g = coeff.coupling_g * state.amplitude ** 2
-            for d in range(len(dims)):
-                if d == dim_index:
-                    continue
-                g *= _moment_ratio(state.factor_poly(component, d), dims[d].r)
-            acc = acc + _project_square(state.factor_poly(component, dim_index)) * g
-        out.append(acc)
-    return out[0], out[1]
+    interval = spec.dimensions[dim_index].interval
+    u = state.factor_poly(component, dim_index)
+    return tuple(
+        _weighted_sum(_dimension_factors(coeff, dim_index, u),
+                      _term_weights(spec, coeff, state, dim_index, component), interval)
+        for coeff in (spec.P, spec.Q)
+    )
 
 
-def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEigenstate:
+@dataclass(frozen=True)
+class _TimeIntegrals:
+    """One component's time-side integrals, fixed while its time factor u is.
+
+    ``kinetic`` holds int f u'u' and ``potential`` int f u u for each of
+    ``_dimension_factors`` of P and of Q on the time dimension; ``mass`` is
+    int r_t u u. The effective kinetic and potential integrals are these
+    dotted with the ``_term_weights``.
+    """
+
+    kinetic: tuple[float, ...]
+    potential: tuple[float, ...]
+    mass: float
+
+
+def _time_integrals(spec: SigmaModelSpec, u: Polynomial) -> _TimeIntegrals:
+    t = spec.time_index
+    du = differentiate(u)
+    return _TimeIntegrals(
+        kinetic=tuple(integrate_product(f, du, du) for f in _dimension_factors(spec.P, t, u)),
+        potential=tuple(integrate_product(f, u, u) for f in _dimension_factors(spec.Q, t, u)),
+        mass=integrate_product(spec.time_dim.r, u, u),
+    )
+
+
+def _dot(weights: Sequence[float], integrals: Sequence[float]) -> float:
+    return sum((w * i for w, i in zip(weights, integrals, strict=True)), 0.0)
+
+
+def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate,
+              time_side: Sequence[_TimeIntegrals]) -> SeparableEigenstate:
     """The state with the frequency that equates the effective time eigenvalue
     with the summed effective space eigenvalues.
 
     The tau-domain pair polynomials are frequency-free and fixed for the
-    solve; only the eigenvalue bookkeeping carries omega. Solving
-    (omega^2 * kinetic - potential) / mass = lambda_sum accounts for the time
-    dimension's own effective potential, so the space/time balance survives a
-    nonzero coupling.
+    solve, and so are their integrals ``time_side`` (one per component); only
+    the term weights, which read the space factors, change between calls.
+    Solving (omega^2 * kinetic - potential) / mass = lambda_sum accounts for
+    the time dimension's own effective potential, so the space/time balance
+    survives a nonzero coupling.
     """
     lam_sum = state.lambda_space_sum()
-    r_t = spec.time_dim.r
-    per_component = []
-    omega_sq = 0.0
-    for ell in range(spec.components):
-        u = state.time_factors[ell].u
-        p_eff, q_eff = effective_coeffs(spec, state, spec.time_index, ell)
-        du = differentiate(u)
-        kinetic = integrate_product(p_eff, du, du)
-        potential = integrate_product(q_eff, u, u)
-        mass = integrate_product(r_t, u, u)
-        per_component.append((kinetic, potential, mass))
-        omega_sq += (lam_sum * mass + potential) / kinetic
-    omega_sq /= spec.components
+    t = spec.time_index
+    # Every dimension but time is a space dimension, whose factors the
+    # components share, so one set of weights serves every component.
+    w_p = _term_weights(spec, spec.P, state, t, 0)
+    w_q = _term_weights(spec, spec.Q, state, t, 0)
+    per_component = [(_dot(w_p, side.kinetic), _dot(w_q, side.potential), side.mass)
+                     for side in time_side]
+    omega_sq = sum((lam_sum * mass + potential) / kinetic
+                   for kinetic, potential, mass in per_component) / spec.components
     if not omega_sq > 0:
         raise DomainError(
             f"pinned frequency squared {omega_sq} must be positive; "
@@ -263,17 +324,17 @@ def _sup_change(old: Polynomial, new: Polynomial) -> float:
 
 
 def _space_problem(spec: SigmaModelSpec, state: SeparableEigenstate, d: int) -> SLProblem:
-    # Components share the space factors, so their effective coefficients are
-    # averaged; for time-independent fields the per-component results agree.
-    dims = spec.dimensions
-    p_acc = constant(0.0, dims[d].interval)
-    q_acc = constant(0.0, dims[d].interval)
-    for ell in range(spec.components):
-        p_eff, q_eff = effective_coeffs(spec, state, d, ell)
-        p_acc = p_acc + p_eff
-        q_acc = q_acc + q_eff
-    inv = 1.0 / spec.components
-    return SLProblem(p_acc * inv, q_acc * inv, dims[d].r, dims[d].bc)
+    # Components share the space factors, so their term weights are averaged;
+    # for time-independent fields the per-component weights agree.
+    dim = spec.dimensions[d]
+    u = state.space_factors[d].u
+    coeffs = []
+    for coeff in (spec.P, spec.Q):
+        per_component = [_term_weights(spec, coeff, state, d, ell)
+                         for ell in range(spec.components)]
+        weights = [sum(ws) / spec.components for ws in zip(*per_component)]
+        coeffs.append(_weighted_sum(_dimension_factors(coeff, d, u), weights, dim.interval))
+    return SLProblem(coeffs[0], coeffs[1], dim.r, dim.bc)
 
 
 def _with_space_factor(state: SeparableEigenstate, d: int,
@@ -291,11 +352,14 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     space dimension. One immutable ``SeparableEigenstate`` is iterated, each
     update a ``dataclasses.replace``. Its time factors are the normalized
     harmonic pair of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole
-    solve; the action integral reads the quantum off the same pair. An
-    undamped initialization pass replaces the constant placeholder space
-    factors by cold frozen-coefficient eigensolves; counted sweeps then
-    install damped updates, each with its Rayleigh quotient as eigenvalue,
-    and re-pin the time frequency until the largest space-factor change is
+    solve; the action integral reads the quantum off the same pair. Their
+    kinetic, potential and mass integrals against each term's time factor
+    are computed once, right after the pair is built. An undamped
+    initialization pass replaces the constant placeholder space factors by
+    cold frozen-coefficient eigensolves; counted sweeps then install damped
+    updates, each with its Rayleigh quotient as eigenvalue, and pin the time
+    frequency from those fixed integrals and the new space factors' term
+    weights, until the largest space-factor change is
     below ``tol``; a factor's change is the sup norm of old minus new at 129
     Chebyshev points of its interval. In counted sweeps each eigensolve is
     warm-started at its factor's ``degree_used`` minus 2 (see
@@ -323,6 +387,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], action_mod.TIME_PAIR_DEGREE)
                            for ell in range(spec.components)),
         omega=1.0, amplitude=float(amplitude), space_norms=(), components=spec.components)
+    time_side = tuple(_time_integrals(spec, f.u) for f in state.time_factors)
 
     def solve_dim(d: int, start_degree: int = 0) -> tuple[SLProblem, EigenPair]:
         prob = _space_problem(spec, state, d)
@@ -333,7 +398,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     # Initialization: undamped installs from the placeholder factors.
     for d in range(n_space):
         state = _with_space_factor(state, d, solve_dim(d)[1])
-    state = _pin_time(spec, state)
+    state = _pin_time(spec, state, time_side)
 
     report = IterationReport()
     for sweep in range(1, max_iter + 1):
@@ -348,7 +413,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             state = _with_space_factor(state, d, EigenPair(rayleigh_quotient(prob, blended),
                                                            blended, picked.degree_used))
             worst = max(worst, _sup_change(old.u, blended))
-        state = _pin_time(spec, state)
+        state = _pin_time(spec, state, time_side)
         report.iterations = sweep
         report.factor_changes.append(worst)
         report.indicial_residuals.append(state.indicial_residual())

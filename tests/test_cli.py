@@ -302,6 +302,37 @@ class TestActionCommand:
         assert result.returncode == 2
 
 
+    # Each edit puts a value of the wrong JSON type into one field of a stored
+    # solution; before, omega and amplitude went through float() and the
+    # label through str(), so most of these fitted a spectrum and exited 0.
+    @pytest.mark.parametrize("path,value,message", [
+        (("modes",), "m1", "solution.modes must be an array"),
+        (("modes",), {}, "solution.modes must be an array"),
+        (("modes", 0, "omega"), True, "solution.modes[0].omega must be a finite number"),
+        (("modes", 0, "omega"), "1", "solution.modes[0].omega must be a finite number"),
+        (("modes", 1, "amplitude"), "1", "solution.modes[1].amplitude must be a finite number"),
+        (("modes", 0, "amplitude"), None, "solution.modes[0].amplitude must be a finite number"),
+        (("modes", 0, "label"), 7, "solution.modes[0].label must be a string"),
+        (("modes", 0, "space_factors"), {}, "solution.modes[0].space_factors must be an array"),
+        (("modes", 0, "space_factors", 0), 1.0,
+         "solution.modes[0].space_factors[0] must be a JSON object"),
+        (("modes", 0, "space_factors", 0, "norm"), "1",
+         "solution.modes[0].space_factors[0].norm must be a finite number"),
+    ], ids=["modes-string", "modes-object", "omega-bool", "omega-string", "amplitude-string",
+            "amplitude-null", "label-number", "factors-object", "factor-number", "norm-string"])
+    def test_wrong_json_type_invalid(self, tmp_path, solution_file, path, value, message):
+        obj = json.loads(Path(solution_file).read_text())
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(obj))
+        result = run_cli("action", "--solution", str(solution))
+        assert result.returncode == 2
+        assert message in result.stderr
+
+
 class TestCodecCommands:
     def test_encode(self):
         result = run_cli("encode", "--occupation", "2,1")

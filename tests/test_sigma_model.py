@@ -8,18 +8,20 @@ import pytest
 
 from conftest import make_string_spec
 from eigenforge import sigma_model
+from eigenforge.action import make_time_pair
 from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
-from eigenforge.polynomials import constant, integrate_product, poly
+from eigenforge.polynomials import chebyshev_fit, constant, differentiate, integrate_product, poly
 from eigenforge.sigma_model import (
     CoeffField,
     DimensionSpec,
+    SeparableEigenstate,
     SigmaModelSpec,
     detuned,
     effective_coeffs,
     null_postulate_residual,
     solve_state,
 )
-from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, SLProblem
+from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, EigenPair, SLProblem, _normalized
 from eigenforge.sturm_liouville import solve as sl_solve
 
 
@@ -254,6 +256,131 @@ class TestCoupledConvergence:
         state, report = solve_state(spec, "m", (2, 1), tol=1e-10, max_iter=200)
         assert report.indicial_residuals[-1] == state.indicial_residual()
         assert len(report.factor_changes) == report.iterations
+
+
+def time_term_spec(lengths, bcs, p_coupling, components=2):
+    """Terms with time factors: P = 1 (1 + tau) + (1 + x/5) 1, Q = (x/2) (0.3 + tau^2/5)
+    with a Q coupling of 0.05 and the given P coupling."""
+    ivs, time_iv = [(0.0, L) for L in lengths], (0.0, math.pi / 2)
+    space = tuple(DimensionSpec(iv, poly([1.0], iv), bc) for iv, bc in zip(ivs, bcs))
+    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+    p_terms = (tuple(poly([1.0], iv) for iv in ivs) + (poly([1.0, 1.0], time_iv),),
+               tuple(poly([1.0, 0.2], iv) for iv in ivs) + (poly([1.0], time_iv),))
+    q_terms = ((poly([0.0, 0.5], ivs[0]),) + tuple(poly([1.0], iv) for iv in ivs[1:])
+               + (poly([0.3, 0.0, 0.2], time_iv),),)
+    return SigmaModelSpec(space, time, CoeffField(p_terms, coupling_g=p_coupling),
+                          CoeffField(q_terms, coupling_g=0.05), components=components)
+
+
+def given_state(spec, amplitude=1.3):
+    """A state away from convergence: each space factor a normalized mix of
+    two sines and a constant with eigenvalue 2 + d, and the solve's time pair."""
+    factors = []
+    for d, dim in enumerate(spec.space_dims):
+        L = dim.interval[1]
+        u = chebyshev_fit(lambda xs: np.sin(math.pi * xs / L) + 0.3 * np.sin(2 * math.pi * xs / L)
+                          + 0.1, 24, dim.interval)
+        factors.append(EigenPair(2.0 + d, _normalized(u, dim.r), 24))
+    pair = make_time_pair(1.0)
+    r_t = spec.time_dim.r
+    time_polys = (_normalized(pair.u1, r_t), _normalized(pair.u2, r_t))
+    return SeparableEigenstate(
+        label="given", space_factors=tuple(factors),
+        time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], 16)
+                           for ell in range(spec.components)),
+        omega=1.0, amplitude=amplitude, space_norms=(), components=spec.components)
+
+
+PIN_MODELS = {
+    "1d-coupled": lambda: coupled_spec((2.1,), (DIRICHLET,), 0.05),
+    "2d-coupled": lambda: coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05),
+    "1d-time-terms": lambda: time_term_spec((2.1,), (DIRICHLET,), 0.0),
+    "1d-p-coupling": lambda: time_term_spec((2.1,), (NEUMANN,), 0.02),
+    "2d-p-coupling-3-components": lambda: time_term_spec((1.3, 2.1), (DIRICHLET, DIRICHLET),
+                                                         0.02, components=3),
+}
+
+
+class TestPinTime:
+    # The time factors are fixed for a solve, so the pin reads their integrals
+    # against each term's time factor, computed once, and only weighs them
+    # anew. It must equal the direct quadrature of the effective coefficients.
+    @pytest.mark.parametrize("model", list(PIN_MODELS))
+    def test_matches_direct_quadrature(self, model):
+        spec = PIN_MODELS[model]()
+        state = given_state(spec)
+        time_side = tuple(sigma_model._time_integrals(spec, f.u) for f in state.time_factors)
+        pinned = sigma_model._pin_time(spec, state, time_side)
+
+        lam_sum = state.lambda_space_sum()
+        r_t = spec.time_dim.r
+        per_component = []
+        for ell, factor in enumerate(state.time_factors):
+            u, du = factor.u, differentiate(factor.u)
+            p_eff, q_eff = effective_coeffs(spec, state, spec.time_index, ell)
+            per_component.append((integrate_product(p_eff, du, du),
+                                  integrate_product(q_eff, u, u), integrate_product(r_t, u, u)))
+        omega_sq = sum((lam_sum * m + v) / k for k, v, m in per_component) / spec.components
+        assert pinned.omega == pytest.approx(math.sqrt(omega_sq), rel=1e-12)
+        for factor, (k, v, m) in zip(pinned.time_factors, per_component, strict=True):
+            assert factor.lambda_ == pytest.approx((omega_sq * k - v) / m, rel=1e-12)
+
+    @pytest.mark.parametrize("model", list(PIN_MODELS))
+    def test_space_problem_is_component_average(self, model):
+        spec = PIN_MODELS[model]()
+        state = given_state(spec)
+        for d, dim in enumerate(spec.space_dims):
+            prob = sigma_model._space_problem(spec, state, d)
+            per_component = [effective_coeffs(spec, state, d, ell)
+                             for ell in range(spec.components)]
+            xs = np.linspace(*dim.interval, 33)
+            for got, effs in zip((prob.p, prob.q), zip(*per_component), strict=True):
+                expected = sum(f.values(xs) for f in effs) / spec.components
+                err = float(np.abs(got.values(xs) - expected).max())
+                assert err <= 1e-12 * float(np.abs(expected).max())
+
+    @pytest.mark.parametrize("field", ["P", "Q"])
+    def test_coupling_enters_time_coefficient(self, field):
+        # By hand on the time dimension of a coupled 1-D model: each term's
+        # time factor times its space factor's average, plus g A^2 times the
+        # space factor's fourth moment ratio times the projected u_t^2.
+        spec = time_term_spec((2.1,), (DIRICHLET,), 0.02)
+        state = given_state(spec)
+        x = spec.space_dims[0]
+        u_x = state.space_factors[0].u
+        norm = integrate_product(u_x, u_x, x.r)
+        coeff = spec.P if field == "P" else spec.Q
+        for ell, factor in enumerate(state.time_factors):
+            ts = np.linspace(*spec.time_dim.interval, 33)
+            expected = sum(term[1].values(ts) * integrate_product(term[0], u_x, u_x, x.r) / norm
+                           for term in coeff.terms)
+            m4 = integrate_product(u_x, u_x, u_x, u_x, x.r) / norm
+            expected = expected + (coeff.coupling_g * state.amplitude ** 2 * m4
+                                   * sigma_model._project_square(factor.u).values(ts))
+            got = effective_coeffs(spec, state, spec.time_index, ell)[0 if field == "P" else 1]
+            assert float(np.abs(got.values(ts) - expected).max()) <= 1e-12 * float(
+                np.abs(expected).max())
+
+    def test_time_side_work_does_not_grow_with_sweeps(self, monkeypatch):
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, DIRICHLET), 0.05)
+        time_iv = spec.time_dim.interval
+        counts = []
+
+        def counted(*factors):
+            if factors[0].interval == time_iv:
+                counts[-1] += 1
+            return integrate_product(*factors)
+
+        monkeypatch.setattr(sigma_model, "integrate_product", counted)
+        sweeps = []
+        for tol in (1e-5, 1e-10):
+            for cache in (sigma_model._weighted_average, sigma_model._moment_ratio):
+                cache.cache_clear()
+            counts.append(0)
+            _, report = solve_state(spec, "m", (1, 2), tol=tol, max_iter=200)
+            sweeps.append(report.iterations)
+        assert sweeps[0] < sweeps[1]
+        assert counts[0] == counts[1] > 0
 
 
 class TestValidation:
