@@ -304,12 +304,13 @@ def evaluate(a: Polynomial, x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _fit_operator(degree: int, num_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev points of the first kind in t, and the least-squares operator
-    taking values there to Legendre coefficients of the given degree: the
-    pseudo-inverse of their Legendre Vandermonde matrix. Both are read-only."""
-    k = np.arange(num_points)
-    t = np.cos((2 * k + 1) * math.pi / (2 * num_points))
+def _fit_operator(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree + 1 Chebyshev points of the first kind in t, and the
+    operator taking values there to Legendre coefficients of the given
+    degree: the inverse of their Legendre Vandermonde matrix. Both are
+    read-only."""
+    k = np.arange(degree + 1)
+    t = np.cos((2 * k + 1) * math.pi / (2 * (degree + 1)))
     op = np.linalg.pinv(leg.legvander(t, degree))
     t.setflags(write=False)
     op.setflags(write=False)
@@ -317,17 +318,14 @@ def _fit_operator(degree: int, num_points: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def chebyshev_fit(fn: Callable[[np.ndarray], np.ndarray], degree: int,
-                  interval: tuple[float, float], num_points: int | None = None) -> LegendreSeries:
-    """Least-squares Legendre series fit of a function on a Chebyshev grid.
+                  interval: tuple[float, float]) -> LegendreSeries:
+    """Legendre series of the given degree interpolating a function at the
+    Chebyshev points of the first kind.
 
-    With ``num_points = degree + 1`` this is interpolation at the Chebyshev
-    points of the first kind. The grid and its fit operator depend only on
-    the degree and the number of points, so each pair is built once.
+    The points and their fit operator depend only on the degree, so each is
+    built once.
     """
     lo, hi = interval
-    n = num_points or degree + 1
-    if n < degree + 1:
-        raise DomainError("need at least degree+1 sample points")
-    t, op = _fit_operator(degree, n)
+    t, op = _fit_operator(degree)
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
     return LegendreSeries(tuple(op @ fn(xs)), (lo, hi))

@@ -4,9 +4,9 @@ A field eigenstate factorizes into one eigenfunction per dimension. Each
 space factor is obtained from a one-dimensional eigensolve whose coefficients
 are the multi-dimensional ones averaged over every *other* dimension's current
 factor (the self-consistent freeze-the-rest reduction); a quadratic
-self-coupling enters through fourth-moment averages and a degree-capped
-projection of the frozen factor's square. The single time dimension is never
-solved: its harmonic pair is frequency-free, so its factors, and their
+self-coupling enters through fourth-moment averages and the frozen factor's
+square, interpolated exactly. The single time dimension is never solved: its
+harmonic pair is frequency-free, so its factors, and their
 integrals against every coefficient term's time factor, are computed once per
 solve. After each sweep the frequency is set so the effective time eigenvalue
 matches the summed effective space eigenvalues, which enforces the
@@ -14,10 +14,11 @@ eigenvalue-balance (indicial) constraint; that takes only the scalar term
 weights read off the new space factors. In the linear case
 omega = sqrt(sum lambda_space).
 
-Updates are damped by 0.5 and iterated until the largest space-factor change
-drops below tolerance. Factors are Legendre series, and a factor's change is
-the sup norm of old minus new at 129 Chebyshev points of its interval: a
-measure of the function, not of the coefficients that represent it.
+Each sweep installs the eigenpairs as solved, undamped, and sweeps repeat
+until the largest space-factor change drops below tolerance. Factors are
+Legendre series, and a factor's change is the sup norm of old minus new at
+129 Chebyshev points of its interval: a measure of the function, not of the
+coefficients that represent it.
 Consecutive sweeps solve nearly the same eigenproblem, so each sweep's
 eigensolve starts its degree escalation just below the previous final degree.
 """
@@ -46,14 +47,10 @@ from .sturm_liouville import (
     SLProblem,
     _chebyshev_points,
     _normalized,
-    rayleigh_quotient,
     solve as sl_solve,
 )
 
-PROJECTION_DEGREE_CAP = 16
-PROJECTION_GRID = 65
 CHANGE_POINTS = 129
-DAMPING = 0.5
 # Eigenvalue stopping tolerance and degree cap of each space-factor eigensolve.
 SL_K_TOL = 1e-12
 SL_MAX_DEGREE = 40
@@ -173,9 +170,8 @@ _FACTOR_CACHE = 32
 
 @lru_cache(maxsize=_FACTOR_CACHE)
 def _project_square(u: Polynomial) -> Polynomial:
-    """u^2 fitted from u's values by a series of degree PROJECTION_DEGREE_CAP."""
-    return chebyshev_fit(lambda xs: u.values(xs) ** 2, PROJECTION_DEGREE_CAP, u.interval,
-                         num_points=PROJECTION_GRID)
+    """u^2 interpolated from u's values at twice u's degree, so exact up to rounding."""
+    return chebyshev_fit(lambda xs: u.values(xs) ** 2, 2 * u.degree, u.interval)
 
 
 @lru_cache(maxsize=_FACTOR_CACHE)
@@ -219,8 +215,8 @@ def _term_weights(spec: SigmaModelSpec, coeff: CoeffField, state: SeparableEigen
 
 def _dimension_factors(coeff: CoeffField, dim_index: int,
                        u: Polynomial) -> tuple[Polynomial, ...]:
-    """Each term's factor on one dimension, then the degree-capped square of
-    that dimension's eigenfunction u if ``coeff`` couples."""
+    """Each term's factor on one dimension, then the square of that
+    dimension's eigenfunction u if ``coeff`` couples."""
     factors = tuple(term[dim_index] for term in coeff.terms)
     if coeff.coupling_g != 0.0:
         factors += (_project_square(u),)
@@ -243,8 +239,8 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
     polynomial and every other factor collapses to its weighted average over
     that dimension's current eigenfunction. The quadratic coupling
     contributes the coupling constant times the other dimensions'
-    fourth-to-second moment ratios times the degree-capped square of the
-    target factor. Both are ``_term_weights`` times ``_dimension_factors``.
+    fourth-to-second moment ratios times the square of the target factor.
+    Both are ``_term_weights`` times ``_dimension_factors``.
     """
     interval = spec.dimensions[dim_index].interval
     u = state.factor_poly(component, dim_index)
@@ -354,19 +350,19 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     harmonic pair of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole
     solve; the action integral reads the quantum off the same pair. Their
     kinetic, potential and mass integrals against each term's time factor
-    are computed once, right after the pair is built. An undamped
-    initialization pass replaces the constant placeholder space factors by
-    cold frozen-coefficient eigensolves; counted sweeps then install damped
-    updates, each with its Rayleigh quotient as eigenvalue, and pin the time
-    frequency from those fixed integrals and the new space factors' term
-    weights, until the largest space-factor change is
-    below ``tol``; a factor's change is the sup norm of old minus new at 129
-    Chebyshev points of its interval. In counted sweeps each eigensolve is
+    are computed once, right after the pair is built. Each sweep installs
+    every space dimension's frozen-coefficient eigenpair as solved, then
+    pins the time frequency from those fixed integrals and the new space
+    factors' term weights. Sweeps repeat until the largest space-factor
+    change is below ``tol``; a factor's change is the sup norm of old minus
+    new at 129 Chebyshev points of its interval. Each eigensolve is
     warm-started at its factor's ``degree_used`` minus 2 (see
     ``sturm_liouville.solve``), so a final degree can sit 2 above the cold
-    solve's. The returned state is the last iterate with ``space_norms``
-    filled in. Exceeding ``max_iter`` raises NonConvergenceError with the
-    report attached.
+    solve's. Sweep 0 replaces the constant placeholder factors, whose
+    ``degree_used`` of 0 makes its eigensolves cold, and is not counted.
+    The returned state is the last iterate with ``space_norms`` filled in.
+    Exceeding ``max_iter`` raises NonConvergenceError with the report
+    attached.
     """
     n_space = len(spec.space_dims)
     targets = [int(t) for t in target_modes]
@@ -389,31 +385,22 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         omega=1.0, amplitude=float(amplitude), space_norms=(), components=spec.components)
     time_side = tuple(_time_integrals(spec, f.u) for f in state.time_factors)
 
-    def solve_dim(d: int, start_degree: int = 0) -> tuple[SLProblem, EigenPair]:
-        prob = _space_problem(spec, state, d)
-        pairs, _ = sl_solve(prob, num_modes=targets[d], k_tol=SL_K_TOL,
-                            max_degree=SL_MAX_DEGREE, start_degree=start_degree)
-        return prob, pairs[targets[d] - 1]
-
-    # Initialization: undamped installs from the placeholder factors.
-    for d in range(n_space):
-        state = _with_space_factor(state, d, solve_dim(d)[1])
-    state = _pin_time(spec, state, time_side)
-
     report = IterationReport()
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(max_iter + 1):
         worst = 0.0
         for d in range(n_space):
             # Warm start: the last final degree minus 2 keeps two visited
             # degrees in every stopping test.
             old = state.space_factors[d]
-            prob, picked = solve_dim(d, old.degree_used - 2)
-            blended = old.u + (picked.u - old.u) * DAMPING
-            blended = _normalized(blended, spec.space_dims[d].r)
-            state = _with_space_factor(state, d, EigenPair(rayleigh_quotient(prob, blended),
-                                                           blended, picked.degree_used))
-            worst = max(worst, _sup_change(old.u, blended))
+            pairs, _ = sl_solve(_space_problem(spec, state, d), num_modes=targets[d],
+                                k_tol=SL_K_TOL, max_degree=SL_MAX_DEGREE,
+                                start_degree=old.degree_used - 2)
+            new = pairs[targets[d] - 1]
+            state = _with_space_factor(state, d, new)
+            worst = max(worst, _sup_change(old.u, new.u))
         state = _pin_time(spec, state, time_side)
+        if sweep == 0:
+            continue
         report.iterations = sweep
         report.factor_changes.append(worst)
         report.indicial_residuals.append(state.indicial_residual())

@@ -229,24 +229,17 @@ class TestChebyshevFit:
         xs = np.linspace(0.0, math.pi / 2, 201)
         assert float(np.max(np.abs(p.values(xs) - np.cos(xs)))) < 1e-8
 
-    def test_least_squares_on_denser_grid(self):
-        p = chebyshev_fit(np.sin, 14, (0.0, math.pi), num_points=65)
-        xs = np.linspace(0.0, math.pi, 201)
-        assert float(np.max(np.abs(p.values(xs) - np.sin(xs)))) < 1e-7
-
-
     # Values near 30, like the projected square of a large field factor.
-    @pytest.mark.parametrize("degree,num_points", [(12, 13), (16, 17), (16, 65)],
-                             ids=["interpolate-12", "interpolate-16", "least-squares-65"])
-    def test_matches_legfit(self, degree, num_points):
+    @pytest.mark.parametrize("degree", [12, 16], ids=["interpolate-12", "interpolate-16"])
+    def test_matches_legfit(self, degree):
         iv = (0.0, 2.1)
 
         def fn(xs):
             return 30.0 * np.sin(1.7 * xs) ** 2 + 0.5 * xs
 
-        p = chebyshev_fit(fn, degree, iv, num_points=num_points)
-        k = np.arange(num_points)
-        t = np.cos((2 * k + 1) * math.pi / (2 * num_points))
+        p = chebyshev_fit(fn, degree, iv)
+        k = np.arange(degree + 1)
+        t = np.cos((2 * k + 1) * math.pi / (2 * (degree + 1)))
         ref = leg.legfit(t, fn(1.05 + 1.05 * t), degree)
         ts = np.linspace(-1.0, 1.0, 201)
         expected = leg.legval(ts, ref)
@@ -254,8 +247,8 @@ class TestChebyshevFit:
         assert float(np.abs(got - expected).max()) <= 1e-13 * float(np.abs(expected).max())
 
     def test_fit_operator_is_read_only(self):
-        chebyshev_fit(np.cos, 16, (0.0, 1.0), num_points=65)
-        for array in _fit_operator(16, 65):
+        chebyshev_fit(np.cos, 16, (0.0, 1.0))
+        for array in _fit_operator(16):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 

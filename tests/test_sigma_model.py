@@ -1,7 +1,6 @@
 """Separable field solver tests: string benchmark, coupling, balance residual."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from conftest import make_string_spec
 from eigenforge import sigma_model
 from eigenforge.action import make_time_pair
-from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
+from eigenforge.errors import DomainError, NonConvergenceError
 from eigenforge.polynomials import chebyshev_fit, constant, differentiate, integrate_product, poly
 from eigenforge.sigma_model import (
     CoeffField,
@@ -181,7 +180,7 @@ class TestNonlinearCoupling:
         # the balance pinning cancels the first-order frequency shift
         assert abs(state.omega - 1.0) < g
 
-    def test_damped_changes_eventually_monotone(self):
+    def test_changes_eventually_monotone(self):
         spec = make_string_spec(coupling_g=0.01)
         _, report = solve_state(spec, "m1", (1,), tol=1e-10, max_iter=200)
         changes = report.factor_changes
@@ -211,12 +210,14 @@ class TestCoupledConvergence:
         spec = make_string_spec(coupling_g=0.01)
         state, report = solve_state(spec, "m2", (2,), tol=1e-10, max_iter=200)
         assert report.converged
+        assert report.iterations <= 6
         assert null_postulate_residual(spec, state) <= 1e-6
 
     def test_neumann_overtone_strong_coupling(self):
         spec = coupled_spec((2.348,), (NEUMANN,), 0.05)
         state, report = solve_state(spec, "m1", (2,), tol=1e-10, max_iter=200)
         assert report.converged
+        assert report.iterations <= 6
         assert null_postulate_residual(spec, state) <= 1e-6
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
@@ -233,6 +234,15 @@ class TestCoupledConvergence:
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["DD", "NN"])
     def test_higher_modes_converge(self, bc, target, g):
         spec = coupled_spec((2.1,), (bc,), g)
+        state, report = solve_state(spec, "m", (target,), tol=1e-10, max_iter=200)
+        assert report.converged
+        assert null_postulate_residual(spec, state) <= 1e-6
+
+    # Strong couplings drive the factors past degree 8; the balance holds only
+    # if the solve couples through the same exact u u the residual integrates.
+    @pytest.mark.parametrize("target,g", [(4, 1.0), (3, 5.0)], ids=["DD-4-g1", "DD-3-g5"])
+    def test_strong_coupling_balances(self, target, g):
+        spec = coupled_spec((2.1,), (DIRICHLET,), g)
         state, report = solve_state(spec, "m", (target,), tol=1e-10, max_iter=200)
         assert report.converged
         assert null_postulate_residual(spec, state) <= 1e-6
@@ -407,18 +417,3 @@ class TestValidation:
             solve_state(spec, "m1", (1,), tol=1e-14, max_iter=2)
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
-
-    def test_collapsed_blended_factor_is_conditioning_error(self, string_spec, monkeypatch):
-        # An eigensolve whose sign flips each call makes the damped blend of
-        # the first sweep exactly zero; it is refused like a collapsed eigenpair.
-        calls = []
-
-        def flipping_solve(prob, **kwargs):
-            pairs, trace = sl_solve(prob, **kwargs)
-            calls.append(prob)
-            sign = -1.0 if len(calls) % 2 == 0 else 1.0
-            return [replace(p, u=p.u * sign) for p in pairs], trace
-
-        monkeypatch.setattr(sigma_model, "sl_solve", flipping_solve)
-        with pytest.raises(ConditioningError):
-            solve_state(string_spec, "m1", (1,))
