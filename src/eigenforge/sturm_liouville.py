@@ -22,7 +22,10 @@ which restores full relative accuracy (the error of a Rayleigh quotient is
 quadratic in the vector's error). ``solve`` escalates the degree two at a
 time from 2 and stops once every requested eigenvalue improves by less than
 ``k_tol`` between consecutive degrees. An eigenfunction is the recombination
-matrix times its eigenvector, a ``LegendreSeries`` on the problem interval.
+matrix times its eigenvector, a ``LegendreSeries`` on the problem interval,
+scaled by the square root of its Rayleigh denominator y^T B y (the exact
+r-weighted norm, B being assembled by exact quadrature) and signed by the
+endpoint rows at a: u(a) > 0, or u'(a) > 0 where u(a) vanishes.
 """
 
 from __future__ import annotations
@@ -129,6 +132,16 @@ class RitzTrace:
 
 
 @lru_cache(maxsize=None)
+def _endpoint_row(kind: str, sign: float, degree: int) -> np.ndarray:
+    """P_j(sign) = sign^j for a value row, P_j'(sign) = sign^(j+1) j (j+1) / 2
+    (a derivative in t) for a derivative row, j = 0..degree."""
+    j = np.arange(degree + 1.0)
+    row = sign ** j if kind == VANISH_VALUE else sign ** (j + 1) * j * (j + 1) / 2
+    row.flags.writeable = False  # shared by every caller through the cache
+    return row
+
+
+@lru_cache(maxsize=None)
 def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
     """Legendre coefficients of the trial basis of degree <= ``degree``: a
     (degree + 1) x (degree - 1) matrix S.
@@ -139,8 +152,7 @@ def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
     """
     if degree < 2:
         raise DomainError(f"no trial functions of degree <= {degree}: the least degree is 2")
-    j = np.arange(degree + 1.0)
-    rows = np.array([sign ** j if kind == VANISH_VALUE else sign ** (j + 1) * j * (j + 1) / 2
+    rows = np.array([_endpoint_row(kind, sign, degree)
                      for kind, sign in ((bc.at_a, -1.0), (bc.at_b, 1.0))])
     S = np.zeros((degree + 1, degree - 1))
     for k in range(degree - 1):
@@ -178,11 +190,11 @@ def _assemble(prob: SLProblem, degree: int):
 
 def _reduce(A: np.ndarray, B: np.ndarray):
     """Cholesky-reduce the symmetric-definite pencil (A, B) once: B = L L^T,
-    C = L^-1 A L^-T. Returns ``leading_eigh(k)``, the ascending eigenvalues and
-    B-orthonormal vectors of the leading k x k block pencil: its Cholesky
-    factor is the leading block of L, so its reduced matrix is the leading
-    block of C. Each eigenvalue is the Rayleigh quotient of its vector on the
-    unreduced block pencil.
+    C = L^-1 A L^-T. Returns ``leading_eigh(k)``, the ascending eigenvalues,
+    B-orthonormal vectors and their B-norms y^T B y of the leading k x k block
+    pencil: its Cholesky factor is the leading block of L, so its reduced
+    matrix is the leading block of C. Each eigenvalue is the Rayleigh quotient
+    of its vector on the unreduced block pencil, whose denominator is the norm.
     """
     try:
         L = np.linalg.cholesky(B)
@@ -195,9 +207,10 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     def leading_eigh(k: int):
         Y = L_inv[:k, :k].T @ np.linalg.eigh(C[:k, :k])[1]
         Ak, Bk = A[:k, :k], B[:k, :k]
-        theta = np.einsum("ij,ij->j", Y, Ak @ Y) / np.einsum("ij,ij->j", Y, Bk @ Y)
+        norms = np.einsum("ij,ij->j", Y, Bk @ Y)
+        theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
         order = np.argsort(theta, kind="stable")
-        return theta[order], Y[:, order]
+        return theta[order], Y[:, order], norms[order]
 
     return leading_eigh
 
@@ -212,27 +225,45 @@ def _sign_fixed(u: Polynomial) -> Polynomial:
 
 
 def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
-    """u scaled to unit r-weighted norm and sign-fixed; a collapsed u is refused."""
+    """u scaled to unit r-weighted norm and sign-fixed; a collapsed u is refused.
+
+    Only the field's time pair and its placeholder factors take this path;
+    ``_build_pairs`` scales and signs eigenpairs off the reduced pencil.
+    """
     nrm = integrate_product(r, u, u)
     if nrm < _NORM_FLOOR:
         raise ConditioningError(f"factor collapsed to weighted norm {nrm:.3e} < {_NORM_FLOOR}")
     return _sign_fixed(u * (1.0 / math.sqrt(nrm)))
 
 
-def _build_pairs(prob: SLProblem, theta, Y, degree: int, count: int) -> list[EigenPair]:
-    S = _recombination(prob.bc, degree)
-    return [EigenPair(float(theta[m]),
-                      _normalized(LegendreSeries(tuple(S @ Y[:, m]), prob.interval), prob.r),
-                      degree)
-            for m in range(count)]
+def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:
+    """The first ``count`` Ritz pairs as Legendre series of unit r-weighted norm.
+
+    Each vector is scaled by its B-norm, which is the exact r-weighted norm of
+    its function, and its Legendre column is negated where the value at a is
+    negative, or the derivative at a where that value vanishes to the boundary
+    tolerance (the rule of ``_sign_fixed``; a derivative in t has the sign of
+    the one in x).
+    """
+    norms = norms[:count]
+    nrm = norms.min()
+    if nrm < _NORM_FLOOR:
+        raise ConditioningError(f"factor collapsed to weighted norm {nrm:.3e} < {_NORM_FLOOR}")
+    C = _recombination(prob.bc, degree) @ (Y[:, :count] / np.sqrt(norms))
+    at_a = _endpoint_row(VANISH_VALUE, -1.0, degree) @ C
+    slope_a = _endpoint_row(VANISH_DERIVATIVE, -1.0, degree) @ C
+    lead = np.where(np.abs(at_a) <= _BOUNDARY_TOL, slope_a, at_a)
+    C[:, lead < 0] *= -1.0
+    return [EigenPair(lam, LegendreSeries(tuple(c), prob.interval), degree)
+            for lam, c in zip(theta[:count].tolist(), C.T.tolist())]
 
 
 def solve_at_degree(prob: SLProblem, degree: int, num_modes: int | None = None) -> list[EigenPair]:
     """Ritz eigenpairs of the fixed-degree trial space, ascending by eigenvalue."""
-    theta, Y = _reduce(*_assemble(prob, degree))(degree - 1)
+    theta, Y, norms = _reduce(*_assemble(prob, degree))(degree - 1)
     available = theta.size
     count = available if num_modes is None else min(num_modes, available)
-    return _build_pairs(prob, theta, Y, degree, count)
+    return _build_pairs(prob, theta, Y, norms, degree, count)
 
 
 def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
@@ -274,13 +305,14 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None
     for degree in range(max(start_degree, 2) // 2 * 2, top + 1, 2):
-        theta, Y = leading_eigh(degree - 1)
+        theta, Y, norms = leading_eigh(degree - 1)
         trace_entries.append((degree, float(theta[0])))
         if theta.size < num_modes:
             continue
         cur_vals = theta[:num_modes]
         if prev_vals is not None and bool(np.all(prev_vals - cur_vals < k_tol)):
-            return _build_pairs(prob, theta, Y, degree, num_modes), RitzTrace(tuple(trace_entries))
+            return (_build_pairs(prob, theta, Y, norms, degree, num_modes),
+                    RitzTrace(tuple(trace_entries)))
         prev_vals = cur_vals
     raise NonConvergenceError(
         f"eigenvalues not converged to {k_tol} within degree {max_degree}",

@@ -16,13 +16,15 @@ from eigenforge.errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from eigenforge.polynomials import Polynomial, integrate_product, poly
+from eigenforge.polynomials import LegendreSeries, Polynomial, integrate_product, poly
 from eigenforge.sturm_liouville import (
     DIRICHLET,
     NEUMANN,
     BoundaryCondition,
     SLProblem,
     _assemble,
+    _build_pairs,
+    _normalized,
     _recombination,
     _reduce,
     boundary_residuals,
@@ -39,6 +41,11 @@ def unit_problem(bc=DIRICHLET, interval=(0.0, 1.0)):
     one = poly([1.0], interval)
     zero = poly([0.0], interval)
     return SLProblem(one, zero, one, bc)
+
+
+CONDITIONS = {"DD": DIRICHLET, "NN": NEUMANN,
+              "DN": BoundaryCondition("value", "derivative"),
+              "ND": BoundaryCondition("derivative", "value")}
 
 
 class TestProblemValidation:
@@ -112,15 +119,15 @@ class TestDirichletBenchmark:
     def test_normalization_and_sign(self):
         # The sign makes u(a) positive, or u'(a) where the value vanishes; on
         # (1, 3) that is not the sign of the monomial extrapolation to x = 0.
-        for bc in (DIRICHLET, NEUMANN):
+        for bc in CONDITIONS.values():
             for interval in ((0.0, 1.0), (1.0, 3.0)):
                 prob = unit_problem(bc, interval)
                 pairs, _ = solve(prob, num_modes=3, k_tol=1e-10, max_degree=40)
                 for pair in pairs:
                     nrm = integrate_product(prob.r, pair.u, pair.u)
-                    assert abs(nrm - 1.0) <= 1e-10
+                    assert abs(nrm - 1.0) <= 1e-13
                     lo = interval[0]
-                    lead = pair.u(lo) if bc is NEUMANN else pair.u.derivative()(lo)
+                    lead = pair.u(lo) if bc.at_a == "derivative" else pair.u.derivative()(lo)
                     assert lead > 1e-3
 
     def test_orthonormality(self):
@@ -155,11 +162,6 @@ class TestNeumann:
         for pair in pairs:
             res_a, res_b = boundary_residuals(prob, pair.u)
             assert res_a <= 1e-12 and res_b <= 1e-12
-
-
-CONDITIONS = {"DD": DIRICHLET, "NN": NEUMANN,
-              "DN": BoundaryCondition("value", "derivative"),
-              "ND": BoundaryCondition("derivative", "value")}
 
 
 def closed_form(kind, L, count):
@@ -254,7 +256,7 @@ class TestReduction:
         A = 0.5 * (M + M.T)
         N = rng.normal(size=(12, 12))
         B = N @ N.T + 12 * np.eye(12)
-        vals, vecs = _reduce(A, B)(12)
+        vals, vecs, _ = _reduce(A, B)(12)
         ref = scipy.linalg.eigh(A, B, eigvals_only=True)
         assert np.allclose(vals, ref, rtol=1e-11, atol=1e-11)
         # B-orthonormality of returned vectors
@@ -278,7 +280,7 @@ class TestEigensolveAccuracy:
     def test_low_modes_to_full_relative_accuracy(self, bc, ks, L):
         prob = unit_problem(bc, (0.0, L))
         for degree in range(30, 41, 2):
-            vals, _ = _reduce(*_assemble(prob, degree))(degree - 1)
+            vals, _, _ = _reduce(*_assemble(prob, degree))(degree - 1)
             for lam, k in zip(vals, ks):
                 exact = (k * math.pi / L) ** 2
                 assert abs(lam - exact) <= 1e-13 * (1.0 + exact), (degree, k)
@@ -320,6 +322,38 @@ class TestTrialBasis:
     def test_no_trial_function_below_degree_two(self):
         with pytest.raises(DomainError):
             solve_at_degree(unit_problem(NEUMANN), 1)
+
+
+class TestPairBuilding:
+    # Pairs are scaled by the Rayleigh denominators y^T B y and signed by the
+    # endpoint rows at a, in one array pass; these tests hold them to the
+    # per-mode route through exact integration and point evaluation.
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_matches_normalized_ritz_vectors(self, kind):
+        prob = TestWarmStart._variable_problem(CONDITIONS[kind])
+        pairs, _ = solve(prob, num_modes=4, k_tol=1e-12)
+        degree = pairs[0].degree_used
+        theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
+        S = _recombination(prob.bc, degree)
+        for m, pair in enumerate(pairs):
+            ref = np.array(_normalized(LegendreSeries(tuple(S @ Y[:, m]), prob.interval),
+                                       prob.r).coeffs)
+            got = np.array(pair.u.coeffs)
+            assert pair.lambda_ == theta[m]
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), m
+            assert np.dot(got, ref) > 0
+
+    def test_collapsed_mode_is_conditioning_error(self):
+        prob = TestWarmStart._variable_problem(DIRICHLET)
+        A, B = _assemble(prob, 10)
+        theta, Y, _ = _reduce(A, B)(9)
+        Y[:, 1] *= 1e-8
+        norms = np.einsum("ij,ij->j", Y, B @ Y)
+        with pytest.raises(ConditioningError, match="collapsed"):
+            _build_pairs(prob, theta, Y, norms, 10, 3)
+        # Only the returned modes are checked.
+        assert len(_build_pairs(prob, theta, Y, norms, 10, 1)) == 1
 
 
 class TestWarmStart:
