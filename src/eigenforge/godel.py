@@ -193,7 +193,13 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
                 descend(k + 1, m + 1, used + n * step, code)
             occ[m] = 0
 
-    descend(0, 0, 0.0, 1)
+    try:
+        descend(0, 0, 0.0, 1)
+    finally:
+        # descend refers to itself through its closure cell; dropping the
+        # name breaks that cycle, so ``states`` is freed with the result
+        # rather than at the next full collection.
+        del descend
     states.sort(key=attrgetter("godel"))
     return states
 

@@ -21,6 +21,8 @@ Legendre series, and a factor's change is the sup norm of old minus new at
 coefficients that represent it.
 Consecutive sweeps solve nearly the same eigenproblem, so each sweep's
 eigensolve starts its degree escalation just below the previous final degree.
+A sweep whose problem in a dimension is unchanged does not solve it again:
+from that warm start the eigensolve would return the same factor.
 """
 
 from __future__ import annotations
@@ -358,8 +360,16 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     new at 129 Chebyshev points of its interval. Each eigensolve is
     warm-started at its factor's ``degree_used`` minus 2 (see
     ``sturm_liouville.solve``), so a final degree can sit 2 above the cold
-    solve's. Sweep 0 replaces the constant placeholder factors, whose
-    ``degree_used`` of 0 makes its eigensolves cold, and is not counted.
+    solve's. A dimension whose space problem equals the one its factor was
+    solved from keeps that factor, with a change of 0, and is not solved
+    again. This is exact: the factor stopped at some degree D, and the
+    re-solve would start at D - 2 on the same reduced pencil, where the
+    warm-start guarantee returns bit-identical pairs. So a linear model
+    whose frozen problems no sweep moves (one space dimension, or unit
+    coefficient terms) makes one eigensolve per space dimension. Sweep 0
+    replaces the constant placeholder factors, whose ``degree_used`` of 0
+    makes its eigensolves cold, and is not counted, so its change is not
+    computed.
     The returned state is the last iterate with ``space_norms`` filled in.
     Exceeding ``max_iter`` raises NonConvergenceError with the report
     attached.
@@ -386,18 +396,24 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     time_side = tuple(_time_integrals(spec, f.u) for f in state.time_factors)
 
     report = IterationReport()
+    # The problem each dimension's current factor was solved from.
+    solved: list[SLProblem | None] = [None] * n_space
     for sweep in range(max_iter + 1):
         worst = 0.0
         for d in range(n_space):
+            problem = _space_problem(spec, state, d)
+            if problem == solved[d]:
+                continue  # solving it again would return the same factor
             # Warm start: the last final degree minus 2 keeps two visited
             # degrees in every stopping test.
             old = state.space_factors[d]
-            pairs, _ = sl_solve(_space_problem(spec, state, d), num_modes=targets[d],
-                                k_tol=SL_K_TOL, max_degree=SL_MAX_DEGREE,
-                                start_degree=old.degree_used - 2)
+            pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=SL_K_TOL,
+                                max_degree=SL_MAX_DEGREE, start_degree=old.degree_used - 2)
             new = pairs[targets[d] - 1]
             state = _with_space_factor(state, d, new)
-            worst = max(worst, _sup_change(old.u, new.u))
+            solved[d] = problem
+            if sweep > 0:
+                worst = max(worst, _sup_change(old.u, new.u))
         state = _pin_time(spec, state, time_side)
         if sweep == 0:
             continue

@@ -1,5 +1,6 @@
 """Codec tests: exhaustive round trips, enumeration, box counts."""
 
+import gc
 import math
 from itertools import combinations_with_replacement
 
@@ -186,6 +187,23 @@ class TestEnumerate:
         assert [s.godel for s in enumerate_definable([1.0], TWO_PI, 4.0)] == [1, 2, 4, 8, 16]
         with pytest.raises(DomainError, match="MAX_STATES = 5"):
             enumerate_definable([1.0], TWO_PI, 5.0)
+
+    def test_leaves_no_reference_cycle(self, monkeypatch):
+        # The result, and on the error path the partial list, must be freed
+        # when the caller drops it, not left to the cycle collector.
+        monkeypatch.setattr(godel, "MAX_STATES", 50)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert len(enumerate_definable([1.0, 1.3, 2.2], TWO_PI, 3.0)) == 8
+            assert gc.collect() == 0
+            with pytest.raises(DomainError, match="MAX_STATES = 50"):
+                enumerate_definable([1.0, 1.3, 2.2], TWO_PI, 9.0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_size_limit(self, monkeypatch):
         # The largest integer below e_max holds all quanta in the mode of the

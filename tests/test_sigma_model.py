@@ -110,6 +110,17 @@ class TestEffectiveCoeffs:
         assert q1.coeffs == pytest.approx(q2.coeffs)
 
 
+def box_spec():
+    """Linear box (0, 1) x (0, 2) with unit coefficients."""
+    iv1, iv2 = (0.0, 1.0), (0.0, 2.0)
+    time_iv = (0.0, math.pi / 2)
+    d1 = DimensionSpec(iv1, poly([1.0], iv1), DIRICHLET)
+    d2 = DimensionSpec(iv2, poly([1.0], iv2), DIRICHLET)
+    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+    p_field = CoeffField(terms=((poly([1.0], iv1), poly([1.0], iv2), poly([1.0], time_iv)),))
+    return SigmaModelSpec((d1, d2), time, p_field, CoeffField(terms=()))
+
+
 class TestLinearTensorProduct:
     def test_matches_independent_eigensolve(self, string_spec):
         state, _ = solve_state(string_spec, "m2", (2,))
@@ -125,13 +136,7 @@ class TestLinearTensorProduct:
 
     def test_two_space_dimensions_factorize(self):
         iv1, iv2 = (0.0, 1.0), (0.0, 2.0)
-        time_iv = (0.0, math.pi / 2)
-        d1 = DimensionSpec(iv1, poly([1.0], iv1), DIRICHLET)
-        d2 = DimensionSpec(iv2, poly([1.0], iv2), DIRICHLET)
-        time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
-        p_field = CoeffField(terms=((poly([1.0], iv1), poly([1.0], iv2), poly([1.0], time_iv)),))
-        spec = SigmaModelSpec((d1, d2), time, p_field, CoeffField(terms=()))
-        state, report = solve_state(spec, "m11", (1, 2))
+        state, report = solve_state(box_spec(), "m11", (1, 2))
         assert report.converged
         for d, (iv, target) in enumerate([(iv1, 1), (iv2, 2)]):
             prob = SLProblem(poly([1.0], iv), poly([0.0], iv), poly([1.0], iv), DIRICHLET)
@@ -391,6 +396,51 @@ class TestPinTime:
             sweeps.append(report.iterations)
         assert sweeps[0] < sweeps[1]
         assert counts[0] == counts[1] > 0
+
+
+def count_eigensolves(monkeypatch):
+    calls = []
+
+    def counted(problem, **kwargs):
+        calls.append(problem)
+        return sl_solve(problem, **kwargs)
+
+    monkeypatch.setattr(sigma_model, "sl_solve", counted)
+    return calls
+
+
+class TestUnchangedProblemSkip:
+    # These linear models' frozen problems do not move once sweep 0 has
+    # solved them, so sweep 1 finds every problem unchanged and solves none.
+    @pytest.mark.parametrize("model,targets", [
+        ("string", (1,)), ("string", (3,)), ("box", (1, 2)), ("box", (2, 1)),
+    ])
+    def test_linear_model_solves_each_dimension_once(self, monkeypatch, string_spec,
+                                                     model, targets):
+        spec = string_spec if model == "string" else box_spec()
+        calls = count_eigensolves(monkeypatch)
+        _, report = solve_state(spec, "m", targets)
+        assert len(calls) == len(spec.space_dims)
+        assert report.iterations == 1
+        assert report.factor_changes == [0.0]
+        assert report.converged
+
+    def test_coupled_model_solves_every_sweep(self, monkeypatch):
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        calls = count_eigensolves(monkeypatch)
+        _, report = solve_state(spec, "m", (1, 2), tol=1e-10, max_iter=200)
+        assert report.converged and report.iterations > 1
+        assert len(calls) == len(spec.space_dims) * (report.iterations + 1)
+
+    def test_kept_factor_matches_a_fresh_solve(self, string_spec):
+        # The skip is exact: solving the unchanged problem again from the
+        # kept factor's warm start returns that factor bit for bit.
+        state, _ = solve_state(string_spec, "m2", (2,))
+        kept = state.space_factors[0]
+        pairs, _ = sl_solve(sigma_model._space_problem(string_spec, state, 0), num_modes=2,
+                            k_tol=sigma_model.SL_K_TOL, max_degree=sigma_model.SL_MAX_DEGREE,
+                            start_degree=kept.degree_used - 2)
+        assert pairs[1] == kept
 
 
 class TestValidation:
