@@ -47,8 +47,7 @@ def main() -> int:
     solution_path = out / "string_solution.json"
     spec = build_model(args.modes, args.coupling)
     model_path.write_text(serialize.dumps(serialize.model_to_obj(spec)))
-    code = cli.main(["sigma", "--model", str(model_path), "--out", str(solution_path),
-                     "--tol", "1e-10", "--max-iter", "200"])
+    code = cli.main(["sigma", "--model", str(model_path), "--out", str(solution_path)])
     if code != cli.EXIT_OK:
         return code
     solution = json.loads(solution_path.read_text())

@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="solve all declared modes of a field model")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=int, default=sigma_model.MAX_SWEEPS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sigma)
 

@@ -269,7 +269,6 @@ def state_to_obj(state: SeparableEigenstate, report: IterationReport,
         "report": {
             "iterations": report.iterations,
             "converged": report.converged,
-            "indicial_residuals": list(report.indicial_residuals),
             "factor_changes": list(report.factor_changes),
         },
     }

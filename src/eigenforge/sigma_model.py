@@ -6,13 +6,11 @@ are the multi-dimensional ones averaged over every *other* dimension's current
 factor (the self-consistent freeze-the-rest reduction); a quadratic
 self-coupling enters through fourth-moment averages and the frozen factor's
 square, interpolated exactly. The single time dimension is never solved: its
-harmonic pair is frequency-free, so its factors, and their
-integrals against every coefficient term's time factor, are computed once per
-solve. After each sweep the frequency is set so the effective time eigenvalue
-matches the summed effective space eigenvalues, which enforces the
-eigenvalue-balance (indicial) constraint; that takes only the scalar term
-weights read off the new space factors. In the linear case
-omega = sqrt(sum lambda_space).
+harmonic pair is frequency-free, so its factors are fixed for the whole solve
+and no sweep reads the frequency. Once the space factors have converged, the
+frequency is set, once, so the effective time eigenvalue matches the summed
+effective space eigenvalues, which enforces the eigenvalue-balance (indicial)
+constraint. In the linear case omega = sqrt(sum lambda_space).
 
 Each sweep installs the eigenpairs as solved, undamped, and sweeps repeat
 until the largest space-factor change drops below tolerance. Factors are
@@ -53,6 +51,8 @@ from .sturm_liouville import (
 )
 
 CHANGE_POINTS = 129
+# Default sweep cap of a field solve, shared with ``eigenforge sigma``.
+MAX_SWEEPS = 200
 # Eigenvalue stopping tolerance and degree cap of each space-factor eigensolve.
 SL_K_TOL = 1e-12
 SL_MAX_DEGREE = 40
@@ -131,6 +131,8 @@ class SeparableEigenstate:
     ``dataclasses.replace``; while it iterates, ``space_norms`` is empty, and
     the returned state records there the weighted norm of each space factor,
     so downstream consumers can check normalization without the model spec.
+    ``omega`` and the time factors' eigenvalues are placeholders until the
+    solve returns; it pins them once, on the converged space factors.
     """
 
     label: str
@@ -158,7 +160,6 @@ class SeparableEigenstate:
 @dataclass
 class IterationReport:
     iterations: int = 0
-    indicial_residuals: list[float] = field(default_factory=list)
     factor_changes: list[float] = field(default_factory=list)
     converged: bool = False
 
@@ -253,55 +254,24 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
     )
 
 
-@dataclass(frozen=True)
-class _TimeIntegrals:
-    """One component's time-side integrals, fixed while its time factor u is.
-
-    ``kinetic`` holds int f u'u' and ``potential`` int f u u for each of
-    ``_dimension_factors`` of P and of Q on the time dimension; ``mass`` is
-    int r_t u u. The effective kinetic and potential integrals are these
-    dotted with the ``_term_weights``.
-    """
-
-    kinetic: tuple[float, ...]
-    potential: tuple[float, ...]
-    mass: float
-
-
-def _time_integrals(spec: SigmaModelSpec, u: Polynomial) -> _TimeIntegrals:
-    t = spec.time_index
-    du = differentiate(u)
-    return _TimeIntegrals(
-        kinetic=tuple(integrate_product(f, du, du) for f in _dimension_factors(spec.P, t, u)),
-        potential=tuple(integrate_product(f, u, u) for f in _dimension_factors(spec.Q, t, u)),
-        mass=integrate_product(spec.time_dim.r, u, u),
-    )
-
-
-def _dot(weights: Sequence[float], integrals: Sequence[float]) -> float:
-    return sum((w * i for w, i in zip(weights, integrals, strict=True)), 0.0)
-
-
-def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate,
-              time_side: Sequence[_TimeIntegrals]) -> SeparableEigenstate:
+def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEigenstate:
     """The state with the frequency that equates the effective time eigenvalue
     with the summed effective space eigenvalues.
 
-    The tau-domain pair polynomials are frequency-free and fixed for the
-    solve, and so are their integrals ``time_side`` (one per component); only
-    the term weights, which read the space factors, change between calls.
-    Solving (omega^2 * kinetic - potential) / mass = lambda_sum accounts for
-    the time dimension's own effective potential, so the space/time balance
-    survives a nonzero coupling.
+    Per component, the time factor u gives int p_eff u'u', int q_eff u u and
+    int r_t u u, with ``effective_coeffs`` on the time dimension. Solving
+    (omega^2 * kinetic - potential) / mass = lambda_sum accounts for the time
+    dimension's own effective potential, so the space/time balance survives
+    a nonzero coupling.
     """
     lam_sum = state.lambda_space_sum()
     t = spec.time_index
-    # Every dimension but time is a space dimension, whose factors the
-    # components share, so one set of weights serves every component.
-    w_p = _term_weights(spec, spec.P, state, t, 0)
-    w_q = _term_weights(spec, spec.Q, state, t, 0)
-    per_component = [(_dot(w_p, side.kinetic), _dot(w_q, side.potential), side.mass)
-                     for side in time_side]
+    per_component = []
+    for ell, factor in enumerate(state.time_factors):
+        u, du = factor.u, differentiate(factor.u)
+        p_eff, q_eff = effective_coeffs(spec, state, t, ell)
+        per_component.append((integrate_product(p_eff, du, du), integrate_product(q_eff, u, u),
+                              integrate_product(spec.time_dim.r, u, u)))
     omega_sq = sum((lam_sum * mass + potential) / kinetic
                    for kinetic, potential, mass in per_component) / spec.components
     if not omega_sq > 0:
@@ -342,7 +312,7 @@ def _with_space_factor(state: SeparableEigenstate, d: int,
 
 
 def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
-                tol: float = 1e-10, max_iter: int = 100,
+                tol: float = 1e-10, max_iter: int = MAX_SWEEPS,
                 amplitude: float = 1.0) -> tuple[SeparableEigenstate, IterationReport]:
     """Alternating solve of one separable eigenstate.
 
@@ -350,15 +320,12 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     space dimension. One immutable ``SeparableEigenstate`` is iterated, each
     update a ``dataclasses.replace``. Its time factors are the normalized
     harmonic pair of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole
-    solve; the action integral reads the quantum off the same pair. Their
-    kinetic, potential and mass integrals against each term's time factor
-    are computed once, right after the pair is built. Each sweep installs
-    every space dimension's frozen-coefficient eigenpair as solved, then
-    pins the time frequency from those fixed integrals and the new space
-    factors' term weights. Sweeps repeat until the largest space-factor
-    change is below ``tol``; a factor's change is the sup norm of old minus
-    new at 129 Chebyshev points of its interval. Each eigensolve is
-    warm-started at its factor's ``degree_used`` minus 2 (see
+    solve; the action integral reads the quantum off the same pair. Each
+    sweep installs every space dimension's frozen-coefficient eigenpair as
+    solved. Sweeps repeat until the largest space-factor change is below
+    ``tol``; a factor's change is the sup norm of old minus new at 129
+    Chebyshev points of its interval. Each eigensolve is warm-started at
+    its factor's ``degree_used`` minus 2 (see
     ``sturm_liouville.solve``), so a final degree can sit 2 above the cold
     solve's. A dimension whose space problem equals the one its factor was
     solved from keeps that factor, with a change of 0, and is not solved
@@ -370,9 +337,11 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     replaces the constant placeholder factors, whose ``degree_used`` of 0
     makes its eigensolves cold, and is not counted, so its change is not
     computed.
-    The returned state is the last iterate with ``space_norms`` filled in.
-    Exceeding ``max_iter`` raises NonConvergenceError with the report
-    attached.
+    No sweep reads the frequency, so it is pinned once, on the converged
+    factors (``_pin_time``). The returned state is the last iterate with its
+    frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
+    must be at least 1; exceeding it raises NonConvergenceError with the
+    report attached.
     """
     n_space = len(spec.space_dims)
     targets = [int(t) for t in target_modes]
@@ -382,6 +351,8 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         raise DomainError("target modes are 1-based and must be >= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
 
     pair = action_mod.make_time_pair(1.0)
     r_t = spec.time_dim.r
@@ -393,7 +364,6 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], action_mod.TIME_PAIR_DEGREE)
                            for ell in range(spec.components)),
         omega=1.0, amplitude=float(amplitude), space_norms=(), components=spec.components)
-    time_side = tuple(_time_integrals(spec, f.u) for f in state.time_factors)
 
     report = IterationReport()
     # The problem each dimension's current factor was solved from.
@@ -414,12 +384,10 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             solved[d] = problem
             if sweep > 0:
                 worst = max(worst, _sup_change(old.u, new.u))
-        state = _pin_time(spec, state, time_side)
         if sweep == 0:
             continue
         report.iterations = sweep
         report.factor_changes.append(worst)
-        report.indicial_residuals.append(state.indicial_residual())
         if worst < tol:
             report.converged = True
             break
@@ -428,6 +396,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             f"state {label!r} not converged in {max_iter} sweeps", report=report
         )
 
+    state = _pin_time(spec, state)
     norms = tuple(
         integrate_product(dim.r, f.u, f.u)
         for dim, f in zip(spec.space_dims, state.space_factors)

@@ -246,6 +246,18 @@ class TestSigmaCommand:
         assert spectrum["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert spectrum["closure"] is True
 
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_sweep_cap_must_be_positive(self, model_file, max_iter):
+        result = run_cli("sigma", "--model", model_file, "--max-iter", max_iter)
+        assert result.returncode == 2
+        assert "max_iter must be at least 1" in result.stderr
+        assert result.stdout == ""
+
+    def test_report_keys(self, solution_file):
+        data = json.loads(Path(solution_file).read_text())
+        for m in data["modes"]:
+            assert sorted(m["report"]) == ["converged", "factor_changes", "iterations"]
+
     def test_factors_are_legendre_series(self, solution_file):
         data = json.loads(Path(solution_file).read_text())
         state, _ = sigma_model.solve_state(make_string_spec(num_modes=2), "m2", (2,),
@@ -278,6 +290,17 @@ class TestActionCommand:
         refit = json.loads(result.stdout)
         assert [a["alpha"] for a in refit["alphas"]] == [
             m["action_alpha"] for m in stored["modes"]]
+
+    def test_refit_accepts_per_sweep_residual_history(self, tmp_path, solution_file):
+        # Older solutions carried report.indicial_residuals; they still load.
+        stored = json.loads(Path(solution_file).read_text())
+        for m in stored["modes"]:
+            m["report"]["indicial_residuals"] = [m["indicial_residual"]]
+        path = tmp_path / "old_solution.json"
+        path.write_text(serialize.dumps(stored))
+        result = run_cli("action", "--solution", str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == serialize.dumps(stored["action_spectrum"])
 
     def test_no_lattice_exit_code(self, tmp_path):
         # amplitudes 1 and 2^(1/4) give actions pi/2 and sqrt(2) pi/2

@@ -265,11 +265,11 @@ class TestCoupledConvergence:
         assert null_postulate_residual(spec, state) <= 1e-6
 
     def test_report_describes_returned_state(self):
-        # The state returned is the one iterated: the last recorded indicial
-        # residual is the returned state's own, and one sweep is one entry.
+        # The state returned is pinned on its own factors: pinning it again
+        # changes nothing. One sweep is one recorded change.
         spec = coupled_spec((1.3, 2.1), (NEUMANN, DIRICHLET), 0.05)
         state, report = solve_state(spec, "m", (2, 1), tol=1e-10, max_iter=200)
-        assert report.indicial_residuals[-1] == state.indicial_residual()
+        assert sigma_model._pin_time(spec, state) == state
         assert len(report.factor_changes) == report.iterations
 
 
@@ -316,16 +316,27 @@ PIN_MODELS = {
 }
 
 
+def count_pins(monkeypatch):
+    calls = []
+
+    def counted(spec, state):
+        calls.append(state)
+        return pin_time(spec, state)
+
+    pin_time = sigma_model._pin_time
+    monkeypatch.setattr(sigma_model, "_pin_time", counted)
+    return calls
+
+
 class TestPinTime:
-    # The time factors are fixed for a solve, so the pin reads their integrals
-    # against each term's time factor, computed once, and only weighs them
-    # anew. It must equal the direct quadrature of the effective coefficients.
+    # The pin solves the space/time balance for the frequency from the
+    # quadrature of the time dimension's effective coefficients; this checks
+    # that algebra on a state away from convergence.
     @pytest.mark.parametrize("model", list(PIN_MODELS))
     def test_matches_direct_quadrature(self, model):
         spec = PIN_MODELS[model]()
         state = given_state(spec)
-        time_side = tuple(sigma_model._time_integrals(spec, f.u) for f in state.time_factors)
-        pinned = sigma_model._pin_time(spec, state, time_side)
+        pinned = sigma_model._pin_time(spec, state)
 
         lam_sum = state.lambda_space_sum()
         r_t = spec.time_dim.r
@@ -339,6 +350,16 @@ class TestPinTime:
         assert pinned.omega == pytest.approx(math.sqrt(omega_sq), rel=1e-12)
         for factor, (k, v, m) in zip(pinned.time_factors, per_component, strict=True):
             assert factor.lambda_ == pytest.approx((omega_sq * k - v) / m, rel=1e-12)
+
+    def test_converged_solve_pins_once(self, monkeypatch):
+        # No sweep reads the frequency, so a solve pins it once, on the
+        # converged factors.
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        pins = count_pins(monkeypatch)
+        state, report = solve_state(spec, "m", (1, 2), tol=1e-10, max_iter=200)
+        assert report.converged and report.iterations > 1
+        assert len(pins) == 1
+        assert pins[0].space_factors == state.space_factors
 
     @pytest.mark.parametrize("model", list(PIN_MODELS))
     def test_space_problem_is_component_average(self, model):
@@ -461,9 +482,18 @@ class TestValidation:
             SigmaModelSpec((space,), time, CoeffField(terms=((poly([1.0], iv),),)),
                            CoeffField(terms=()))
 
-    def test_max_iter_exhaustion_carries_report(self, string_spec):
+    def test_max_iter_exhaustion_carries_report(self, string_spec, monkeypatch):
         spec = make_string_spec(coupling_g=0.05)
+        pins = count_pins(monkeypatch)
         with pytest.raises(NonConvergenceError) as exc:
             solve_state(spec, "m1", (1,), tol=1e-14, max_iter=2)
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
+        assert pins == []  # a solve that gives up pins nothing
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_sweep_cap_must_be_positive(self, string_spec, monkeypatch, max_iter):
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(DomainError, match="max_iter must be at least 1"):
+            solve_state(string_spec, "m1", (1,), max_iter=max_iter)
+        assert calls == []
