@@ -8,9 +8,13 @@ self-coupling enters through fourth-moment averages and the frozen factor's
 square, interpolated exactly. The single time dimension is never solved: its
 harmonic pair is frequency-free, so its factors are fixed for the whole solve
 and no sweep reads the frequency. Once the space factors have converged, the
-frequency is set, once, so the effective time eigenvalue matches the summed
-effective space eigenvalues, which enforces the eigenvalue-balance (indicial)
-constraint. In the linear case omega = sqrt(sum lambda_space).
+frequency is set, once, so the effective time eigenvalues of the components
+add up to their summed effective space eigenvalues, which enforces the
+eigenvalue-balance (indicial) constraint. In the linear case
+omega = sqrt(sum lambda_space). One reduction, ``effective_coeffs``, gives
+both the space problems of every sweep (averaged over the components, which
+share the space factors) and the time coefficients of the pin (one
+component at a time).
 
 Each sweep installs the eigenpairs as solved, undamped, and sweeps repeat
 until the largest space-factor change drops below tolerance. Factors are
@@ -53,6 +57,8 @@ from .sturm_liouville import (
 CHANGE_POINTS = 129
 # Default sweep cap of a field solve, shared with ``eigenforge sigma``.
 MAX_SWEEPS = 200
+# Bound on a model's field components; a solve's work grows linearly with them.
+MAX_COMPONENTS = 256
 # Eigenvalue stopping tolerance and degree cap of each space-factor eigensolve.
 SL_K_TOL = 1e-12
 SL_MAX_DEGREE = 40
@@ -102,15 +108,30 @@ class SigmaModelSpec:
     def __post_init__(self):
         if not self.space_dims:
             raise DomainError("need at least one space dimension")
-        if self.components < 1:
-            raise DomainError("need at least one field component")
-        n_dims = len(self.space_dims) + 1
+        if not 1 <= self.components <= MAX_COMPONENTS:
+            raise DomainError(
+                f"components must be between 1 and {MAX_COMPONENTS}, got {self.components}"
+            )
+        quarter = (0.0, action_mod.QUARTER_PERIOD)
+        if tuple(float(v) for v in self.time_dim.interval) != quarter:
+            raise DomainError(
+                f"time_dim interval must be {quarter}, the quarter period the harmonic "
+                f"pair lives on, got {self.time_dim.interval}"
+            )
+        dims = self.dimensions
         for name, coeff in (("P", self.P), ("Q", self.Q)):
-            for term in coeff.terms:
-                if len(term) != n_dims:
+            for i, term in enumerate(coeff.terms):
+                if len(term) != len(dims):
                     raise DomainError(
-                        f"every {name} term needs one factor per dimension ({n_dims})"
+                        f"every {name} term needs one factor per dimension ({len(dims)})"
                     )
+                for d, (factor, dim) in enumerate(zip(term, dims)):
+                    if factor.interval != tuple(float(v) for v in dim.interval):
+                        where = "time_dim" if d == self.time_index else f"space_dims[{d}]"
+                        raise DomainError(
+                            f"{name} term {i} factor {d} lives on {factor.interval}, "
+                            f"not on the interval {dim.interval} of {where}"
+                        )
 
     @property
     def dimensions(self) -> tuple[DimensionSpec, ...]:
@@ -189,99 +210,73 @@ def _moment_ratio(u: Polynomial, r: Polynomial) -> float:
     return integrate_product(u, u, u, u, r) / integrate_product(u, u, r)
 
 
-def _term_weights(spec: SigmaModelSpec, coeff: CoeffField, state: SeparableEigenstate,
-                  dim_index: int, component: int) -> tuple[float, ...]:
-    """Scalar weight of each of ``coeff``'s terms on one dimension, then of its coupling.
-
-    A term's weight is the product of its other factors' weighted averages
-    over their dimensions' current eigenfunctions (ratios, so unnormalized
-    factors are harmless). The coupling, present only for a nonzero
-    constant, weighs coupling_g * amplitude^2 times the other dimensions'
-    fourth-to-second moment ratios. ``_dimension_factors`` lists the
-    polynomials these weights multiply.
-    """
-    dims = spec.dimensions
-    others = [d for d in range(len(dims)) if d != dim_index]
-    weights = []
-    for term in coeff.terms:
-        scale = 1.0
-        for d in others:
-            scale *= _weighted_average(term[d], state.factor_poly(component, d), dims[d].r)
-        weights.append(scale)
-    if coeff.coupling_g != 0.0:
-        g = coeff.coupling_g * state.amplitude ** 2
-        for d in others:
-            g *= _moment_ratio(state.factor_poly(component, d), dims[d].r)
-        weights.append(g)
-    return tuple(weights)
-
-
-def _dimension_factors(coeff: CoeffField, dim_index: int,
-                       u: Polynomial) -> tuple[Polynomial, ...]:
-    """Each term's factor on one dimension, then the square of that
-    dimension's eigenfunction u if ``coeff`` couples."""
-    factors = tuple(term[dim_index] for term in coeff.terms)
-    if coeff.coupling_g != 0.0:
-        factors += (_project_square(u),)
-    return factors
-
-
-def _weighted_sum(factors: Sequence[Polynomial], weights: Sequence[float],
-                  interval: tuple[float, float]) -> Polynomial:
-    acc = constant(0.0, interval)
-    for f, w in zip(factors, weights, strict=True):
-        acc = acc + f * w
-    return acc
-
-
 def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index: int,
-                     component: int) -> tuple[Polynomial, Polynomial]:
+                     components: Sequence[int]) -> tuple[Polynomial, Polynomial]:
     """Reduce the multi-dimensional coefficient fields onto one dimension.
 
     For each separable term, the factor on the target dimension stays a
-    polynomial and every other factor collapses to its weighted average over
-    that dimension's current eigenfunction. The quadratic coupling
-    contributes the coupling constant times the other dimensions'
-    fourth-to-second moment ratios times the square of the target factor.
-    Both are ``_term_weights`` times ``_dimension_factors``.
+    polynomial, weighted by the product of its other factors' weighted
+    averages over their dimensions' current eigenfunctions (ratios, so
+    unnormalized factors are harmless). The quadratic coupling, present only
+    for a nonzero constant, contributes coupling_g * amplitude^2 times the
+    other dimensions' fourth-to-second moment ratios times the square of the
+    target factor. Each weight is averaged over ``components``, which must
+    share the target dimension's factor: every component for a space
+    dimension, one component for the time dimension.
     """
-    interval = spec.dimensions[dim_index].interval
-    u = state.factor_poly(component, dim_index)
-    return tuple(
-        _weighted_sum(_dimension_factors(coeff, dim_index, u),
-                      _term_weights(spec, coeff, state, dim_index, component), interval)
-        for coeff in (spec.P, spec.Q)
-    )
+    dims = spec.dimensions
+    others = [d for d in range(len(dims)) if d != dim_index]
+    u = state.factor_poly(components[0], dim_index)
+    coeffs = []
+    for coeff in (spec.P, spec.Q):
+        acc = constant(0.0, dims[dim_index].interval)
+        for term in coeff.terms:
+            weight = sum(math.prod(_weighted_average(term[d], state.factor_poly(ell, d), dims[d].r)
+                                   for d in others) for ell in components) / len(components)
+            acc = acc + term[dim_index] * weight
+        if coeff.coupling_g != 0.0:
+            g = coeff.coupling_g * state.amplitude ** 2
+            weight = sum(math.prod((_moment_ratio(state.factor_poly(ell, d), dims[d].r)
+                                    for d in others), start=g)
+                         for ell in components) / len(components)
+            acc = acc + _project_square(u) * weight
+        coeffs.append(acc)
+    return coeffs[0], coeffs[1]
 
 
 def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEigenstate:
-    """The state with the frequency that equates the effective time eigenvalue
+    """The state with the frequency that equates the effective time eigenvalues
     with the summed effective space eigenvalues.
 
-    Per component, the time factor u gives int p_eff u'u', int q_eff u u and
-    int r_t u u, with ``effective_coeffs`` on the time dimension. Solving
-    (omega^2 * kinetic - potential) / mass = lambda_sum accounts for the time
-    dimension's own effective potential, so the space/time balance survives
-    a nonzero coupling.
+    Component ell's time factor u gives kinetic K_ell = int p_eff u'u',
+    potential V_ell = int q_eff u u and mass M_ell = int r_t u u, with
+    ``effective_coeffs`` on the time dimension for that component alone.
+    The balance is one equation over all components, so it is solved on the
+    sums: omega^2 = (lambda_sum * sum M + sum V) / sum K. Each time
+    eigenvalue is then (omega^2 K_ell - V_ell) / M_ell; with normalized time
+    factors they add up to components * lambda_sum, so the indicial residual
+    vanishes even when the components' time coefficients differ (terms that
+    depend on time). The time dimension's own effective potential is
+    included, so the balance survives a nonzero coupling.
     """
     lam_sum = state.lambda_space_sum()
     t = spec.time_index
     per_component = []
     for ell, factor in enumerate(state.time_factors):
         u, du = factor.u, differentiate(factor.u)
-        p_eff, q_eff = effective_coeffs(spec, state, t, ell)
+        p_eff, q_eff = effective_coeffs(spec, state, t, (ell,))
         per_component.append((integrate_product(p_eff, du, du), integrate_product(q_eff, u, u),
                               integrate_product(spec.time_dim.r, u, u)))
-    omega_sq = sum((lam_sum * mass + potential) / kinetic
-                   for kinetic, potential, mass in per_component) / spec.components
+    kinetic, potential, mass = (sum(column) for column in zip(*per_component))
+    omega_sq = (lam_sum * mass + potential) / kinetic
     if not omega_sq > 0:
         raise DomainError(
             f"pinned frequency squared {omega_sq} must be positive; "
             "the space eigenvalue sum is too low"
         )
     time_factors = tuple(
-        replace(pair, lambda_=(omega_sq * kinetic - potential) / mass)
-        for pair, (kinetic, potential, mass) in zip(state.time_factors, per_component)
+        replace(pair, lambda_=(omega_sq * k - v) / m)
+        for pair, (k, v, m) in zip(state.time_factors, per_component)
     )
     return replace(state, omega=math.sqrt(omega_sq), time_factors=time_factors)
 
@@ -289,20 +284,6 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
 def _sup_change(old: Polynomial, new: Polynomial) -> float:
     xs = _chebyshev_points(*old.interval, CHANGE_POINTS)
     return float(np.abs((old - new).values(xs)).max())
-
-
-def _space_problem(spec: SigmaModelSpec, state: SeparableEigenstate, d: int) -> SLProblem:
-    # Components share the space factors, so their term weights are averaged;
-    # for time-independent fields the per-component weights agree.
-    dim = spec.dimensions[d]
-    u = state.space_factors[d].u
-    coeffs = []
-    for coeff in (spec.P, spec.Q):
-        per_component = [_term_weights(spec, coeff, state, d, ell)
-                         for ell in range(spec.components)]
-        weights = [sum(ws) / spec.components for ws in zip(*per_component)]
-        coeffs.append(_weighted_sum(_dimension_factors(coeff, d, u), weights, dim.interval))
-    return SLProblem(coeffs[0], coeffs[1], dim.r, dim.bc)
 
 
 def _with_space_factor(state: SeparableEigenstate, d: int,
@@ -371,7 +352,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     for sweep in range(max_iter + 1):
         worst = 0.0
         for d in range(n_space):
-            problem = _space_problem(spec, state, d)
+            dim = spec.space_dims[d]
+            problem = SLProblem(*effective_coeffs(spec, state, d, range(spec.components)),
+                                dim.r, dim.bc)
             if problem == solved[d]:
                 continue  # solving it again would return the same factor
             # Warm start: the last final degree minus 2 keeps two visited

@@ -277,7 +277,11 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     tolerance playing the reciprocal-k role in the stopping schema), or
     ``max_degree`` is hit, in which case a ``NonConvergenceError`` carrying
     the trace is raised. The eigenvalue drop is the only stop test: every
-    trial function meets the end conditions by construction.
+    trial function meets the end conditions by construction. Degree n holds
+    n - 1 trial functions and the test compares two visited degrees, each
+    holding ``num_modes`` of them, so a request with ``num_modes`` above
+    ``max_degree // 2 * 2 - 3`` could never stop and is refused with
+    ``DomainError``.
 
     The pencil is assembled and reduced once, at ``max_degree`` rounded down
     to even, and each visited degree is its leading block; ``start_degree``
@@ -298,9 +302,12 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
         raise PreconditionError(
             f"max_degree {max_degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}"
         )
-    if max_degree < 2:
-        raise DomainError("max_degree must be >= 2, the least degree with a trial function")
     top = max_degree // 2 * 2
+    if num_modes > top - 3:
+        raise DomainError(
+            f"{num_modes} modes need max_degree >= {(num_modes + 4) // 2 * 2}: the stop test "
+            f"compares two visited degrees, each holding at least {num_modes} trial functions"
+        )
     leading_eigh = _reduce(*_assemble(prob, top))
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None

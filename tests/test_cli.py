@@ -185,6 +185,13 @@ class TestEigenCommand:
         result = run_cli("eigen", "--problem", "/nonexistent.json")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("flags", [("--modes", "38"), ("--max-degree", "3")],
+                             ids=["modes-38", "max-degree-3"])
+    def test_request_the_stop_test_cannot_meet_invalid(self, problem_file, flags):
+        result = run_cli("eigen", "--problem", problem_file, *flags)
+        assert result.returncode == 2
+        assert "need max_degree >=" in result.stderr
+
 
 class TestSigmaCommand:
     @pytest.mark.parametrize("interval", [[0.0, math.pi, 99], 5], ids=["three-elements", "number"])
@@ -227,6 +234,27 @@ class TestSigmaCommand:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert message in result.stderr
+
+    # Checks made when the model is built, before any solve. Each edit sets
+    # the values at the given paths of the string model.
+    @pytest.mark.parametrize("edits,message", [
+        ({("P", "terms", 0, 0, "interval"): [0.0, 3.0]}, "P term 0 factor 0 lives on (0.0, 3.0)"),
+        ({("time_dim", "interval"): [0.0, 1.5], ("time_dim", "r", "interval"): [0.0, 1.5],
+          ("P", "terms", 0, 1, "interval"): [0.0, 1.5]}, "time_dim interval must be"),
+        ({("components",): 10**9}, "components must be between 1 and 256"),
+    ], ids=["term-interval", "time-interval", "components"])
+    def test_model_checked_when_built(self, tmp_path, edits, message):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        for path, value in edits.items():
+            node = obj
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
         model = tmp_path / "model.json"
         model.write_text(json.dumps(obj))
         result = run_cli("sigma", "--model", str(model))

@@ -1,6 +1,7 @@
 """Separable field solver tests: string benchmark, coupling, balance residual."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestNullPostulateResidual:
 class TestEffectiveCoeffs:
     def test_constant_field_passes_through(self, string_spec):
         state, _ = solve_state(string_spec, "m1", (1,))
-        p_eff, q_eff = effective_coeffs(string_spec, state, 0, 0)
+        p_eff, q_eff = effective_coeffs(string_spec, state, 0, (0,))
         assert p_eff.coeffs == pytest.approx((1.0,), abs=1e-14)
         assert q_eff.is_zero or max(abs(c) for c in q_eff.coeffs) < 1e-14
 
@@ -94,7 +95,7 @@ class TestEffectiveCoeffs:
         q_field = CoeffField(terms=())
         spec = SigmaModelSpec((space,), time, p_field, q_field)
         state, _ = solve_state(spec, "m1", (1,))
-        p_eff, _ = effective_coeffs(spec, state, 0, 0)
+        p_eff, _ = effective_coeffs(spec, state, 0, (0,))
         u_t = state.time_factors[0].u
         f = poly([1.0, 1.0], time_iv)
         expected = integrate_product(f, u_t, u_t) / integrate_product(u_t, u_t)
@@ -104,8 +105,8 @@ class TestEffectiveCoeffs:
     def test_linear_case_amplitude_independent(self, string_spec):
         s1, _ = solve_state(string_spec, "m1", (1,), amplitude=1.0)
         s2, _ = solve_state(string_spec, "m1", (1,), amplitude=3.0)
-        p1, q1 = effective_coeffs(string_spec, s1, 0, 0)
-        p2, q2 = effective_coeffs(string_spec, s2, 0, 0)
+        p1, q1 = effective_coeffs(string_spec, s1, 0, (0,))
+        p2, q2 = effective_coeffs(string_spec, s2, 0, (0,))
         assert p1.coeffs == pytest.approx(p2.coeffs)
         assert q1.coeffs == pytest.approx(q2.coeffs)
 
@@ -343,13 +344,26 @@ class TestPinTime:
         per_component = []
         for ell, factor in enumerate(state.time_factors):
             u, du = factor.u, differentiate(factor.u)
-            p_eff, q_eff = effective_coeffs(spec, state, spec.time_index, ell)
+            p_eff, q_eff = effective_coeffs(spec, state, spec.time_index, (ell,))
             per_component.append((integrate_product(p_eff, du, du),
                                   integrate_product(q_eff, u, u), integrate_product(r_t, u, u)))
-        omega_sq = sum((lam_sum * m + v) / k for k, v, m in per_component) / spec.components
+        kinetic, potential, mass = (sum(column) for column in zip(*per_component))
+        omega_sq = (lam_sum * mass + potential) / kinetic
         assert pinned.omega == pytest.approx(math.sqrt(omega_sq), rel=1e-12)
         for factor, (k, v, m) in zip(pinned.time_factors, per_component, strict=True):
             assert factor.lambda_ == pytest.approx((omega_sq * k - v) / m, rel=1e-12)
+
+    # Terms that depend on time give each component its own time coefficients;
+    # the balance holds only if the pin solves it on the components' sums.
+    @pytest.mark.parametrize("model", ["1d-time-terms", "1d-p-coupling",
+                                       "2d-p-coupling-3-components"])
+    def test_time_dependent_terms_balance(self, model):
+        spec = PIN_MODELS[model]()
+        targets = (1,) * len(spec.space_dims)
+        state, report = solve_state(spec, "m", targets, tol=1e-10, max_iter=200)
+        assert report.converged
+        assert null_postulate_residual(spec, state) <= 1e-6
+        assert state.indicial_residual() <= 1e-12
 
     def test_converged_solve_pins_once(self, monkeypatch):
         # No sweep reads the frequency, so a solve pins it once, on the
@@ -366,11 +380,11 @@ class TestPinTime:
         spec = PIN_MODELS[model]()
         state = given_state(spec)
         for d, dim in enumerate(spec.space_dims):
-            prob = sigma_model._space_problem(spec, state, d)
-            per_component = [effective_coeffs(spec, state, d, ell)
+            averaged = effective_coeffs(spec, state, d, range(spec.components))
+            per_component = [effective_coeffs(spec, state, d, (ell,))
                              for ell in range(spec.components)]
             xs = np.linspace(*dim.interval, 33)
-            for got, effs in zip((prob.p, prob.q), zip(*per_component), strict=True):
+            for got, effs in zip(averaged, zip(*per_component), strict=True):
                 expected = sum(f.values(xs) for f in effs) / spec.components
                 err = float(np.abs(got.values(xs) - expected).max())
                 assert err <= 1e-12 * float(np.abs(expected).max())
@@ -393,7 +407,7 @@ class TestPinTime:
             m4 = integrate_product(u_x, u_x, u_x, u_x, x.r) / norm
             expected = expected + (coeff.coupling_g * state.amplitude ** 2 * m4
                                    * sigma_model._project_square(factor.u).values(ts))
-            got = effective_coeffs(spec, state, spec.time_index, ell)[0 if field == "P" else 1]
+            got = effective_coeffs(spec, state, spec.time_index, (ell,))[0 if field == "P" else 1]
             assert float(np.abs(got.values(ts) - expected).max()) <= 1e-12 * float(
                 np.abs(expected).max())
 
@@ -458,7 +472,10 @@ class TestUnchangedProblemSkip:
         # kept factor's warm start returns that factor bit for bit.
         state, _ = solve_state(string_spec, "m2", (2,))
         kept = state.space_factors[0]
-        pairs, _ = sl_solve(sigma_model._space_problem(string_spec, state, 0), num_modes=2,
+        dim = string_spec.space_dims[0]
+        problem = SLProblem(*effective_coeffs(string_spec, state, 0, range(state.components)),
+                            dim.r, dim.bc)
+        pairs, _ = sl_solve(problem, num_modes=2,
                             k_tol=sigma_model.SL_K_TOL, max_degree=sigma_model.SL_MAX_DEGREE,
                             start_degree=kept.degree_used - 2)
         assert pairs[1] == kept
@@ -481,6 +498,27 @@ class TestValidation:
         with pytest.raises(DomainError):
             SigmaModelSpec((space,), time, CoeffField(terms=((poly([1.0], iv),),)),
                            CoeffField(terms=()))
+
+    def test_term_factor_lives_on_its_dimension(self):
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, DIRICHLET), 0.0)
+        p_field = CoeffField(terms=((poly([1.0], (0.0, 1.3)), poly([1.0], (0.0, 1.3)),
+                                     poly([1.0], spec.time_dim.interval)),))
+        with pytest.raises(DomainError, match=r"P term 0 factor 1 .* of space_dims\[1\]"):
+            replace(spec, P=p_field)
+
+    def test_time_interval_is_quarter_period(self):
+        time_iv = (0.0, 1.5)
+        time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+        spec = make_string_spec()
+        p_field = CoeffField(terms=((spec.P.terms[0][0], poly([1.0], time_iv)),))
+        with pytest.raises(DomainError, match="time_dim interval must be"):
+            replace(spec, time_dim=time, P=p_field)
+
+    @pytest.mark.parametrize("components", [0, sigma_model.MAX_COMPONENTS + 1, 10**9])
+    def test_component_count_bounded(self, string_spec, components):
+        replace(string_spec, components=sigma_model.MAX_COMPONENTS)  # the bound is accepted
+        with pytest.raises(DomainError, match="components must be between 1 and"):
+            replace(string_spec, components=components)
 
     def test_max_iter_exhaustion_carries_report(self, string_spec, monkeypatch):
         spec = make_string_spec(coupling_g=0.05)

@@ -466,3 +466,18 @@ class TestErrors:
     def test_bad_num_modes(self):
         with pytest.raises(DomainError):
             solve(unit_problem(), num_modes=0)
+
+    # The stop test compares two visited degrees, each holding num_modes of
+    # the n - 1 trial functions of degree n: max_degree // 2 * 2 - 3 modes at
+    # most. Any drop meets a tolerance of 1e300, so a feasible request stops.
+    @pytest.mark.parametrize("num_modes,max_degree", [(1, 4), (1, 5), (3, 6), (37, 40)])
+    def test_feasible_request_converges(self, num_modes, max_degree):
+        pairs, _ = solve(unit_problem(), num_modes=num_modes, k_tol=1e300, max_degree=max_degree)
+        assert len(pairs) == num_modes
+
+    @pytest.mark.parametrize("num_modes,max_degree,least", [
+        (1, 3, 4), (2, 4, 6), (2, 5, 6), (38, 40, 42), (1, -1, 4),
+    ])
+    def test_infeasible_request_refused(self, num_modes, max_degree, least):
+        with pytest.raises(DomainError, match=f"{num_modes} modes need max_degree >= {least}"):
+            solve(unit_problem(), num_modes=num_modes, k_tol=1e300, max_degree=max_degree)
