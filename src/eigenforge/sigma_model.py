@@ -20,11 +20,9 @@ Each sweep installs the eigenpairs as solved, undamped, and sweeps repeat
 until the largest space-factor change drops below tolerance. Factors are
 Legendre series, and a factor's change is the sup norm of old minus new at
 129 Chebyshev points of its interval: a measure of the function, not of the
-coefficients that represent it.
-Consecutive sweeps solve nearly the same eigenproblem, so each sweep's
-eigensolve starts its degree escalation just below the previous final degree.
-A sweep whose problem in a dimension is unchanged does not solve it again:
-from that warm start the eigensolve would return the same factor.
+coefficients that represent it. An eigensolve is a function of its problem
+alone, so a sweep whose problem in a dimension is unchanged does not solve it
+again: the eigensolve would return the same factor.
 """
 
 from __future__ import annotations
@@ -118,6 +116,14 @@ class SigmaModelSpec:
                 f"time_dim interval must be {quarter}, the quarter period the harmonic "
                 f"pair lives on, got {self.time_dim.interval}"
             )
+        most = SL_MAX_DEGREE // 2 * 2 - 3  # the most modes a capped eigensolve stops on
+        for i, mode in enumerate(self.modes):
+            for j, target in enumerate(mode.targets):
+                if target > most:
+                    raise DomainError(
+                        f"modes[{i}].targets[{j}] is {target}; a space factor's eigensolve "
+                        f"(degree cap {SL_MAX_DEGREE}) can track at most mode {most}"
+                    )
         dims = self.dimensions
         for name, coeff in (("P", self.P), ("Q", self.Q)):
             for i, term in enumerate(coeff.terms):
@@ -305,19 +311,15 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     sweep installs every space dimension's frozen-coefficient eigenpair as
     solved. Sweeps repeat until the largest space-factor change is below
     ``tol``; a factor's change is the sup norm of old minus new at 129
-    Chebyshev points of its interval. Each eigensolve is warm-started at
-    its factor's ``degree_used`` minus 2 (see
-    ``sturm_liouville.solve``), so a final degree can sit 2 above the cold
-    solve's. A dimension whose space problem equals the one its factor was
-    solved from keeps that factor, with a change of 0, and is not solved
-    again. This is exact: the factor stopped at some degree D, and the
-    re-solve would start at D - 2 on the same reduced pencil, where the
-    warm-start guarantee returns bit-identical pairs. So a linear model
+    Chebyshev points of its interval. Every eigensolve escalates from
+    degree 2, so its factor depends on its frozen problem alone. A
+    dimension whose space problem equals the one its factor was solved from
+    therefore keeps that factor, with a change of 0, and is not solved
+    again: the eigensolve would return it bit for bit. So a linear model
     whose frozen problems no sweep moves (one space dimension, or unit
     coefficient terms) makes one eigensolve per space dimension. Sweep 0
-    replaces the constant placeholder factors, whose ``degree_used`` of 0
-    makes its eigensolves cold, and is not counted, so its change is not
-    computed.
+    replaces the constant placeholder factors and is not counted, so its
+    change is not computed.
     No sweep reads the frequency, so it is pinned once, on the converged
     factors (``_pin_time``). The returned state is the last iterate with its
     frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
@@ -357,11 +359,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
                                 dim.r, dim.bc)
             if problem == solved[d]:
                 continue  # solving it again would return the same factor
-            # Warm start: the last final degree minus 2 keeps two visited
-            # degrees in every stopping test.
             old = state.space_factors[d]
             pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=SL_K_TOL,
-                                max_degree=SL_MAX_DEGREE, start_degree=old.degree_used - 2)
+                                max_degree=SL_MAX_DEGREE)
             new = pairs[targets[d] - 1]
             state = _with_space_factor(state, d, new)
             solved[d] = problem

@@ -77,8 +77,13 @@ NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 
 
 def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """n Chebyshev points of [lo, hi], from hi down to lo. The affine map can
+    round an endpoint an ulp off, even outside the interval, so both ends are
+    set exactly."""
     k = np.arange(n)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(k * math.pi / (n - 1))
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(k * math.pi / (n - 1))
+    xs[0], xs[-1] = hi, lo
+    return xs
 
 
 @dataclass(frozen=True)
@@ -243,13 +248,10 @@ def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> l
     its function, and its Legendre column is negated where the value at a is
     negative, or the derivative at a where that value vanishes to the boundary
     tolerance (the rule of ``_sign_fixed``; a derivative in t has the sign of
-    the one in x).
+    the one in x). The vectors come B-orthonormal from the reduction, so every
+    norm is 1 to rounding and none can collapse.
     """
-    norms = norms[:count]
-    nrm = norms.min()
-    if nrm < _NORM_FLOOR:
-        raise ConditioningError(f"factor collapsed to weighted norm {nrm:.3e} < {_NORM_FLOOR}")
-    C = _recombination(prob.bc, degree) @ (Y[:, :count] / np.sqrt(norms))
+    C = _recombination(prob.bc, degree) @ (Y[:, :count] / np.sqrt(norms[:count]))
     at_a = _endpoint_row(VANISH_VALUE, -1.0, degree) @ C
     slope_a = _endpoint_row(VANISH_DERIVATIVE, -1.0, degree) @ C
     lead = np.where(np.abs(at_a) <= _BOUNDARY_TOL, slope_a, at_a)
@@ -267,29 +269,24 @@ def solve_at_degree(prob: SLProblem, degree: int, num_modes: int | None = None) 
 
 
 def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
-          max_degree: int = 40, start_degree: int = 0) -> tuple[list[EigenPair], RitzTrace]:
+          max_degree: int = 40) -> tuple[list[EigenPair], RitzTrace]:
     """Progressively minimize the Rayleigh quotient by degree escalation.
 
-    Starting from ``start_degree`` (clamped up to 2, the least degree with a
-    trial function, and rounded down to even; the default 0 is therefore a
-    cold start), the degree grows by 2 until the drop of every requested
-    eigenvalue between consecutive degrees is below ``k_tol`` (an absolute
-    tolerance playing the reciprocal-k role in the stopping schema), or
-    ``max_degree`` is hit, in which case a ``NonConvergenceError`` carrying
-    the trace is raised. The eigenvalue drop is the only stop test: every
-    trial function meets the end conditions by construction. Degree n holds
-    n - 1 trial functions and the test compares two visited degrees, each
-    holding ``num_modes`` of them, so a request with ``num_modes`` above
-    ``max_degree // 2 * 2 - 3`` could never stop and is refused with
-    ``DomainError``.
+    The degree starts at 2, the least degree with a trial function, and grows
+    by 2 until the drop of every requested eigenvalue between consecutive
+    visited degrees is below ``k_tol`` (an absolute tolerance playing the
+    reciprocal-k role in the stopping schema), or ``max_degree`` is hit, in
+    which case a ``NonConvergenceError`` carrying the trace is raised. The
+    eigenvalue drop is the only stop test: every trial function meets the end
+    conditions by construction. Degree n holds n - 1 trial functions and the
+    test compares two visited degrees, each holding ``num_modes`` of them, so
+    a request with ``num_modes`` above ``max_degree // 2 * 2 - 3`` could never
+    stop and is refused with ``DomainError``.
 
     The pencil is assembled and reduced once, at ``max_degree`` rounded down
-    to even, and each visited degree is its leading block; ``start_degree``
-    only chooses the first block read. A warm start therefore visits a suffix
-    of the cold degree ladder on the same reduced pencil, and each stopping
-    test compares two visited degrees. Whenever the cold solve stops at a
-    degree D >= start + 2, the warm solve returns bit-identical pairs and a
-    trace equal to the cold trace's suffix from the start degree.
+    to even, and each visited degree is its leading block. The result is a
+    function of the problem, ``num_modes``, ``k_tol`` and ``max_degree``
+    alone.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -311,7 +308,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     leading_eigh = _reduce(*_assemble(prob, top))
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None
-    for degree in range(max(start_degree, 2) // 2 * 2, top + 1, 2):
+    for degree in range(2, top + 1, 2):
         theta, Y, norms = leading_eigh(degree - 1)
         trace_entries.append((degree, float(theta[0])))
         if theta.size < num_modes:

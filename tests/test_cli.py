@@ -192,6 +192,20 @@ class TestEigenCommand:
         assert result.returncode == 2
         assert "need max_degree >=" in result.stderr
 
+    def test_interval_off_zero(self, tmp_path):
+        # The affine map of the Chebyshev points rounds an end of the
+        # positivity samples an ulp outside this interval.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        for name in ("p", "q", "r"):
+            obj[name]["interval"] = [-2.0, -1.8]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path), "--modes", "2")
+        assert result.returncode == 0, result.stderr
+        for k, mode in enumerate(json.loads(result.stdout)["modes"], start=1):
+            exact = (k * math.pi / 0.2) ** 2
+            assert abs(mode["lambda"] - exact) <= 1e-12 * exact
+
 
 class TestSigmaCommand:
     @pytest.mark.parametrize("interval", [[0.0, math.pi, 99], 5], ids=["three-elements", "number"])
@@ -260,6 +274,38 @@ class TestSigmaCommand:
         result = run_cli("sigma", "--model", str(model))
         assert result.returncode == 2
         assert message in result.stderr
+
+    @pytest.mark.parametrize("targets,where", [([1, 38], "modes[0].targets[1] is 38"),
+                                               ([38, 1], "modes[0].targets[0] is 38")],
+                             ids=["second", "first"])
+    def test_target_above_the_degree_cap_invalid(self, tmp_path, targets, where):
+        # A 2-D string model; its eigensolves are capped at degree 40, which
+        # can track mode 37 at most.
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        obj["space_dims"].append(obj["space_dims"][0])
+        obj["P"]["terms"][0].insert(0, obj["P"]["terms"][0][0])
+        obj["modes"] = [{"label": "m", "targets": targets}]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert where in result.stderr
+        assert "max_degree" not in result.stderr
+
+    def test_interval_off_zero(self, tmp_path):
+        # The affine map of the Chebyshev points rounds an end of the
+        # positivity samples an ulp outside this interval.
+        obj = serialize.model_to_obj(make_string_spec(num_modes=2))
+        obj["space_dims"][0]["interval"] = [1.0, 3.1]
+        obj["space_dims"][0]["r"]["interval"] = [1.0, 3.1]
+        obj["P"]["terms"][0][0]["interval"] = [1.0, 3.1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 0, result.stderr
+        for k, mode in enumerate(json.loads(result.stdout)["modes"], start=1):
+            exact = k * math.pi / 2.1
+            assert abs(mode["omega"] - exact) <= 1e-12 * exact
 
     def test_solution_contents(self, solution_file):
         data = json.loads(Path(solution_file).read_text())

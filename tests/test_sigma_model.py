@@ -1,6 +1,7 @@
 """Separable field solver tests: string benchmark, coupling, balance residual."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from eigenforge.polynomials import chebyshev_fit, constant, differentiate, integ
 from eigenforge.sigma_model import (
     CoeffField,
     DimensionSpec,
+    ModeSpec,
     SeparableEigenstate,
     SigmaModelSpec,
     detuned,
@@ -199,9 +201,9 @@ class TestNonlinearCoupling:
         assert null_postulate_residual(spec, state) <= 1e-6
 
 
-def coupled_spec(lengths, bcs, g):
-    """Coupled space dimensions (0, L) x ... with unit coefficients."""
-    ivs, time_iv = [(0.0, L) for L in lengths], (0.0, math.pi / 2)
+def coupled_spec(lengths, bcs, g, origin=0.0):
+    """Coupled space dimensions (origin, origin + L) x ... with unit coefficients."""
+    ivs, time_iv = [(origin, origin + L) for L in lengths], (0.0, math.pi / 2)
     space = tuple(DimensionSpec(iv, poly([1.0], iv), bc) for iv, bc in zip(ivs, bcs))
     time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
     p_field = CoeffField(terms=(tuple(poly([1.0], iv) for iv in ivs) + (poly([1.0], time_iv),),))
@@ -272,6 +274,25 @@ class TestCoupledConvergence:
         state, report = solve_state(spec, "m", (2, 1), tol=1e-10, max_iter=200)
         assert sigma_model._pin_time(spec, state) == state
         assert len(report.factor_changes) == report.iterations
+
+
+class TestIntervalsOffZero:
+    # An interval that does not start at 0: the affine map of the Chebyshev
+    # points rounds an end of the positivity samples and of the factor-change
+    # points just outside it.
+    def test_linear_string_frequency(self):
+        spec = coupled_spec((2.1,), (DIRICHLET,), 0.0, origin=1.0)
+        assert spec.space_dims[0].interval == (1.0, 3.1)
+        state, _ = solve_state(spec, "m1", (1,))
+        assert abs(state.omega - math.pi / 2.1) <= 1e-12 * state.omega
+
+    @pytest.mark.parametrize("bc,target", [(DIRICHLET, 1), (NEUMANN, 2)], ids=["DD1", "NN2"])
+    def test_coupled_string_matches_the_one_at_zero(self, bc, target):
+        # Sweeps compare factors at Chebyshev points; a shifted string is the
+        # same problem, so it must converge to the same frequency.
+        shifted, _ = solve_state(coupled_spec((2.1,), (bc,), 1.0, origin=1.0), "m", (target,))
+        at_zero, _ = solve_state(coupled_spec((2.1,), (bc,), 1.0), "m", (target,))
+        assert abs(shifted.omega - at_zero.omega) <= 1e-9 * at_zero.omega
 
 
 def time_term_spec(lengths, bcs, p_coupling, components=2):
@@ -468,16 +489,15 @@ class TestUnchangedProblemSkip:
         assert len(calls) == len(spec.space_dims) * (report.iterations + 1)
 
     def test_kept_factor_matches_a_fresh_solve(self, string_spec):
-        # The skip is exact: solving the unchanged problem again from the
-        # kept factor's warm start returns that factor bit for bit.
+        # The skip is exact: the eigensolve is a function of its problem, so
+        # solving the unchanged problem again returns the kept factor bit for bit.
         state, _ = solve_state(string_spec, "m2", (2,))
         kept = state.space_factors[0]
         dim = string_spec.space_dims[0]
         problem = SLProblem(*effective_coeffs(string_spec, state, 0, range(state.components)),
                             dim.r, dim.bc)
         pairs, _ = sl_solve(problem, num_modes=2,
-                            k_tol=sigma_model.SL_K_TOL, max_degree=sigma_model.SL_MAX_DEGREE,
-                            start_degree=kept.degree_used - 2)
+                            k_tol=sigma_model.SL_K_TOL, max_degree=sigma_model.SL_MAX_DEGREE)
         assert pairs[1] == kept
 
 
@@ -519,6 +539,16 @@ class TestValidation:
         replace(string_spec, components=sigma_model.MAX_COMPONENTS)  # the bound is accepted
         with pytest.raises(DomainError, match="components must be between 1 and"):
             replace(string_spec, components=components)
+
+    @pytest.mark.parametrize("targets,where", [((1, 38), "modes[0].targets[1] is 38"),
+                                               ((39, 1), "modes[0].targets[0] is 39")],
+                             ids=["second", "first"])
+    def test_target_within_the_degree_cap(self, targets, where):
+        # An eigensolve capped at degree 40 can stop on at most 37 modes.
+        spec = box_spec()
+        replace(spec, modes=(ModeSpec("m", (37, 1)),))  # the bound is accepted
+        with pytest.raises(DomainError, match=re.escape(where)):
+            replace(spec, modes=(ModeSpec("m", targets),))
 
     def test_max_iter_exhaustion_carries_report(self, string_spec, monkeypatch):
         spec = make_string_spec(coupling_g=0.05)

@@ -23,7 +23,7 @@ from eigenforge.sturm_liouville import (
     BoundaryCondition,
     SLProblem,
     _assemble,
-    _build_pairs,
+    _chebyshev_points,
     _normalized,
     _recombination,
     _reduce,
@@ -41,6 +41,12 @@ def unit_problem(bc=DIRICHLET, interval=(0.0, 1.0)):
     one = poly([1.0], interval)
     zero = poly([0.0], interval)
     return SLProblem(one, zero, one, bc)
+
+
+def variable_problem(bc):
+    iv = (0.0, 2.0)
+    return SLProblem(poly([1.0, 0.3, 0.1], iv), poly([0.5, -0.2], iv),
+                     poly([1.0, 0.25], iv), bc)
 
 
 CONDITIONS = {"DD": DIRICHLET, "NN": NEUMANN,
@@ -144,6 +150,27 @@ class TestDirichletBenchmark:
         for pair in pairs:
             res_a, res_b = boundary_residuals(prob, pair.u)
             assert res_a <= 1e-12 and res_b <= 1e-12
+
+
+class TestIntervalsOffZero:
+    # The affine map of the Chebyshev points rounds one end of each of these
+    # intervals to a point just outside it.
+    INTERVALS = [(-2.0, -1.8), (1.0, 3.1), (3.82420082752499, 5.6689653938836235)]
+
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_chebyshev_points_end_on_the_interval(self, interval):
+        lo, hi = interval
+        for n in (2, 129, 257):
+            xs = _chebyshev_points(lo, hi, n)
+            assert xs[0] == hi and xs[-1] == lo
+            assert lo <= xs.min() and xs.max() <= hi
+
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_dirichlet_ground_mode(self, interval):
+        lo, hi = interval
+        pairs, _ = solve(unit_problem(DIRICHLET, interval), num_modes=1, k_tol=1e-12)
+        exact = (math.pi / (hi - lo)) ** 2
+        assert abs(pairs[0].lambda_ - exact) <= 1e-12 * exact
 
 
 class TestNeumann:
@@ -289,7 +316,7 @@ class TestEigensolveAccuracy:
 class TestEigenfunctionAccuracy:
     # The stop test watches eigenvalues only; this pins how far the returned
     # eigenfunctions may sit from the degree-40 Ritz eigenfunctions on the
-    # variable-coefficient problems of TestWarmStart and TestErrors, under
+    # variable-coefficient problems of variable_problem and TestErrors, under
     # every boundary pair.
     @pytest.mark.parametrize("coeffs", [
         ((0.0, 2.0), [1.0, 0.3, 0.1], [0.5, -0.2], [1.0, 0.25]),
@@ -330,7 +357,7 @@ class TestPairBuilding:
     # per-mode route through exact integration and point evaluation.
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_matches_normalized_ritz_vectors(self, kind):
-        prob = TestWarmStart._variable_problem(CONDITIONS[kind])
+        prob = variable_problem(CONDITIONS[kind])
         pairs, _ = solve(prob, num_modes=4, k_tol=1e-12)
         degree = pairs[0].degree_used
         theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
@@ -344,69 +371,13 @@ class TestPairBuilding:
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), m
             assert np.dot(got, ref) > 0
 
-    def test_collapsed_mode_is_conditioning_error(self):
-        prob = TestWarmStart._variable_problem(DIRICHLET)
-        A, B = _assemble(prob, 10)
-        theta, Y, _ = _reduce(A, B)(9)
-        Y[:, 1] *= 1e-8
-        norms = np.einsum("ij,ij->j", Y, B @ Y)
-        with pytest.raises(ConditioningError, match="collapsed"):
-            _build_pairs(prob, theta, Y, norms, 10, 3)
-        # Only the returned modes are checked.
-        assert len(_build_pairs(prob, theta, Y, norms, 10, 1)) == 1
-
-
-class TestWarmStart:
-    @staticmethod
-    def _variable_problem(bc):
-        iv = (0.0, 2.0)
-        return SLProblem(poly([1.0, 0.3, 0.1], iv), poly([0.5, -0.2], iv),
-                         poly([1.0, 0.25], iv), bc)
-
-    @staticmethod
-    def _assert_same(cold, warm, start):
-        (cold_pairs, cold_trace), (warm_pairs, warm_trace) = cold, warm
-        for c, w in zip(cold_pairs, warm_pairs, strict=True):
-            assert w.lambda_ == c.lambda_
-            assert w.u.coeffs == c.u.coeffs
-            assert w.degree_used == c.degree_used
-        skip = cold_trace.degrees.index(start)
-        assert warm_trace.entries == cold_trace.entries[skip:]
-
-    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, BoundaryCondition("value", "derivative")],
-                             ids=["DD", "NN", "DN"])
-    def test_start_two_below_final_degree_is_bit_identical(self, bc):
-        prob = self._variable_problem(bc)
-        cold = solve(prob, num_modes=3, k_tol=1e-12)
-        final = cold[0][0].degree_used
-        assert final >= cold[1].degrees[0] + 4
-        self._assert_same(cold, solve(prob, num_modes=3, k_tol=1e-12,
-                                      start_degree=final - 2), final - 2)
-
-    def test_wrong_parity_start_rounds_down(self):
-        # Every boundary pair visits even degrees; an odd start joins the ladder
-        # one below.
-        prob = self._variable_problem(DIRICHLET)
-        cold = solve(prob, num_modes=2, k_tol=1e-12)
-        final = cold[0][0].degree_used
-        warm = solve(prob, num_modes=2, k_tol=1e-12, start_degree=final - 1)
-        self._assert_same(cold, warm, final - 2)
-
-    @pytest.mark.parametrize("start", [-7, 0, 1])
-    def test_start_below_lowest_degree_is_cold(self, start):
-        prob = self._variable_problem(DIRICHLET)
-        cold = solve(prob, num_modes=2, k_tol=1e-12)
-        warm = solve(prob, num_modes=2, k_tol=1e-12, start_degree=start)
-        self._assert_same(cold, warm, 2)
-        assert warm[1].degrees[0] == 2
-
 
 class TestLeadingBlocks:
     # The trial basis is hierarchical, so solve assembles and reduces the pencil
     # once, at its degree cap, and reads each visited degree off a leading block.
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_each_degree_is_a_leading_block(self, kind):
-        prob = TestWarmStart._variable_problem(CONDITIONS[kind])
+        prob = variable_problem(CONDITIONS[kind])
         A40, B40 = _assemble(prob, 40)
         for n in range(2, 39):
             for M, M40 in zip(_assemble(prob, n), (A40, B40), strict=True):
@@ -421,16 +392,13 @@ class TestLeadingBlocks:
             return _assemble(prob, degree)
 
         monkeypatch.setattr(sturm_liouville, "_assemble", counted)
-        prob = TestWarmStart._variable_problem(DIRICHLET)
-        pairs, trace = solve(prob, num_modes=3, k_tol=1e-12)
+        prob = variable_problem(DIRICHLET)
+        _, trace = solve(prob, num_modes=3, k_tol=1e-12)
         assert calls == [40] and len(trace.entries) > 2
-        calls.clear()
-        solve(prob, num_modes=3, k_tol=1e-12, start_degree=pairs[0].degree_used - 2)
-        assert calls == [40]
 
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_trace_matches_scipy_at_every_degree(self, kind):
-        prob = TestWarmStart._variable_problem(CONDITIONS[kind])
+        prob = variable_problem(CONDITIONS[kind])
         _, trace = solve(prob, num_modes=3, k_tol=1e-12)
         for n, lam in trace.entries:
             ref = scipy.linalg.eigh(*_assemble(prob, n), eigvals_only=True)[0]
@@ -446,7 +414,7 @@ class TestErrors:
     def test_derivative_conditions_hold_at_every_stop(self):
         mixed = SLProblem(poly([1.0, 0.1, 0.4], (0.0, 5.0)), poly([0.7], (0.0, 5.0)),
                           poly([1.0], (0.0, 5.0)), BoundaryCondition("value", "derivative"))
-        for prob, kwargs in ((TestWarmStart._variable_problem(NEUMANN), self.GATED),
+        for prob, kwargs in ((variable_problem(NEUMANN), self.GATED),
                              (mixed, dict(num_modes=2, k_tol=1e-4, max_degree=19))):
             pairs, _ = solve(prob, **kwargs)
             assert len(pairs) == kwargs["num_modes"]
