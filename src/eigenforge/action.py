@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NoLatticeError, PreconditionError
+from .errors import DomainError, NoLatticeError, PreconditionError
 from .polynomials import Polynomial, chebyshev_fit, differentiate, integrate_product
 
 QUARTER_PERIOD = math.pi / 2.0
@@ -31,7 +31,6 @@ TIME_PAIR_DEGREE = 16
 LATTICE_TOL = 1e-9  # default of the lattice fit and its closure check
 NORM_TOL = 1e-8  # largest |norm - 1| of a space factor an action integral accepts
 
-_PAIR_INVARIANT_TOL = 1e-6
 _LATTICE_FLOOR_FACTOR = 10.0
 _CLOSURE_DEPTH = 3
 
@@ -41,7 +40,8 @@ class TimePair:
     """Legendre-series cos/sin approximants on one quarter period in tau units.
 
     Forward orientation satisfies u1' = -u2 and u2' = u1; backward flips both
-    signs. Pointwise u1^2 + u2^2 = 1 holds to 1e-6 across the piece.
+    signs. Pointwise, both derivative relations and u1^2 + u2^2 = 1 hold to
+    1e-12 across the piece.
     """
 
     u1: Polynomial
@@ -50,51 +50,26 @@ class TimePair:
     orientation: str
 
 
-def _pair_defects(u1: Polynomial, u2: Polynomial, sign: float) -> tuple[float, float, float]:
-    xs = np.linspace(0.0, QUARTER_PERIOD, 101)
-    d1 = differentiate(u1).values(xs)
-    d2 = differentiate(u2).values(xs)
-    v1 = u1.values(xs)
-    v2 = u2.values(xs)
-    e_d1 = float(np.abs(d1 + sign * v2).max())
-    e_d2 = float(np.abs(d2 - sign * v1).max())
-    e_norm = float(np.abs(v1 * v1 + v2 * v2 - 1.0).max())
-    return e_d1, e_d2, e_norm
-
-
-def make_time_pair(omega: float, poly_degree: int = TIME_PAIR_DEGREE,
-                   orientation: str = FORWARD) -> TimePair:
+def make_time_pair(orientation: str = FORWARD) -> TimePair:
     """Chebyshev-fit cos/sin on [0, pi/2] in tau = omega*t units.
 
-    omega fixes the physical length pi/(2*omega) of the piece in t but does
-    not enter the tau-domain polynomials themselves, so after the arguments
-    are validated the pair is memoised by ``(poly_degree, orientation)``:
-    every call with those two returns the same immutable ``TimePair``.
+    The frequency fixes the physical length pi/(2*omega) of the piece in t
+    but does not enter the tau-domain polynomials, so there is one pair of
+    degree ``TIME_PAIR_DEGREE`` per orientation: every call with the same
+    orientation returns the same immutable ``TimePair``.
     """
-    if not omega > 0:
-        raise DomainError("omega must be positive")
-    if poly_degree < 8:
-        raise DomainError("poly_degree must be at least 8")
     if orientation not in (FORWARD, BACKWARD):
         raise DomainError(f"orientation must be {FORWARD!r} or {BACKWARD!r}")
-    return _time_pair(poly_degree, orientation)
+    return _time_pair(orientation)
 
 
-@lru_cache(maxsize=8)
-def _time_pair(poly_degree: int, orientation: str) -> TimePair:
+@lru_cache(maxsize=2)
+def _time_pair(orientation: str) -> TimePair:
     domain = (0.0, QUARTER_PERIOD)
-    u1 = chebyshev_fit(np.cos, poly_degree, domain)
-    u2 = chebyshev_fit(np.sin, poly_degree, domain)
-    sign = 1.0
+    u1 = chebyshev_fit(np.cos, TIME_PAIR_DEGREE, domain)
+    u2 = chebyshev_fit(np.sin, TIME_PAIR_DEGREE, domain)
     if orientation == BACKWARD:
         u2 = -u2
-        sign = -1.0
-    e_d1, e_d2, e_norm = _pair_defects(u1, u2, sign)
-    if max(e_d1, e_d2, e_norm) > _PAIR_INVARIANT_TOL:
-        raise AccuracyError(
-            f"degree {poly_degree} cannot meet the pair invariants "
-            f"(defects {e_d1:.2e}, {e_d2:.2e}, {e_norm:.2e})"
-        )
     return TimePair(u1, u2, QUARTER_PERIOD, orientation)
 
 
@@ -122,8 +97,8 @@ def action_integral(state, pair: TimePair) -> float:
 
 
 def action_for_state(state) -> float:
-    """Convenience wrapper: build the pair for the state's frequency first."""
-    return action_integral(state, make_time_pair(state.omega))
+    """Convenience wrapper: the action of a state on the forward time pair."""
+    return action_integral(state, make_time_pair())
 
 
 def _real_gcd(x: float, y: float, tol: float) -> float:

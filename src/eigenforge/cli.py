@@ -96,6 +96,7 @@ def _cmd_sigma(args) -> int:
 def _cmd_action(args) -> int:
     data = _load_json(args.solution)
     serialize.check_keys(data, ["modes"], optional=["action_spectrum"], context="solution")
+    pair = action_mod.make_time_pair()
     labels = []
     alphas = []
     for i, mode in enumerate(serialize._array(data["modes"], "solution.modes")):
@@ -122,8 +123,9 @@ def _cmd_action(args) -> int:
         if not isinstance(mode["label"], str):
             raise DomainError(f"{context}.label must be a string")
         omega = serialize._number(mode["omega"], f"{context}.omega")
+        if not omega > 0:
+            raise DomainError(f"{context}.omega must be positive, got {omega}")
         amplitude = serialize._number(mode["amplitude"], f"{context}.amplitude")
-        pair = action_mod.make_time_pair(omega)
         labels.append(mode["label"])
         alphas.append(amplitude * amplitude * action_mod.pair_action(pair))
     spectrum = action_mod.fit_spectrum(labels, alphas, tol=args.lattice_tol)

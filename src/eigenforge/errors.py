@@ -29,10 +29,6 @@ class PreconditionError(EigenforgeError, ValueError):
     """Caller-visible precondition not met."""
 
 
-class AccuracyError(EigenforgeError, RuntimeError):
-    """Requested accuracy unattainable at the given resolution."""
-
-
 class ConditioningError(EigenforgeError, RuntimeError):
     """Matrix factorization failed or definiteness was lost numerically."""
 

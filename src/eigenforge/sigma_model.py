@@ -49,6 +49,7 @@ from .sturm_liouville import (
     SLProblem,
     _chebyshev_points,
     _normalized,
+    max_modes,
     solve as sl_solve,
 )
 
@@ -94,6 +95,24 @@ class ModeSpec:
     targets: tuple[int, ...]
 
 
+def _check_targets(targets: Sequence[int], n_space: int, where: str) -> None:
+    """Refuse targets unless there is one per space dimension, each between 1
+    and the most modes a space factor's capped eigensolve can stop on."""
+    if len(targets) != n_space:
+        raise DomainError(f"{where}: need one target mode per space dimension ({n_space})")
+    most = max_modes(SL_MAX_DEGREE)
+    for j, target in enumerate(targets):
+        if target < 1:
+            raise DomainError(
+                f"{where}[{j}] is {target}; target modes are 1-based and must be >= 1"
+            )
+        if target > most:
+            raise DomainError(
+                f"{where}[{j}] is {target}; a space factor's eigensolve "
+                f"(degree cap {SL_MAX_DEGREE}) can track at most mode {most}"
+            )
+
+
 @dataclass(frozen=True)
 class SigmaModelSpec:
     space_dims: tuple[DimensionSpec, ...]
@@ -116,14 +135,8 @@ class SigmaModelSpec:
                 f"time_dim interval must be {quarter}, the quarter period the harmonic "
                 f"pair lives on, got {self.time_dim.interval}"
             )
-        most = SL_MAX_DEGREE // 2 * 2 - 3  # the most modes a capped eigensolve stops on
         for i, mode in enumerate(self.modes):
-            for j, target in enumerate(mode.targets):
-                if target > most:
-                    raise DomainError(
-                        f"modes[{i}].targets[{j}] is {target}; a space factor's eigensolve "
-                        f"(degree cap {SL_MAX_DEGREE}) can track at most mode {most}"
-                    )
+            _check_targets(mode.targets, len(self.space_dims), f"modes[{i}].targets")
         dims = self.dimensions
         for name, coeff in (("P", self.P), ("Q", self.Q)):
             for i, term in enumerate(coeff.terms):
@@ -328,16 +341,13 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     """
     n_space = len(spec.space_dims)
     targets = [int(t) for t in target_modes]
-    if len(targets) != n_space:
-        raise DomainError(f"need one target mode per space dimension ({n_space})")
-    if any(t < 1 for t in targets):
-        raise DomainError("target modes are 1-based and must be >= 1")
+    _check_targets(targets, n_space, "target_modes")
     if not tol > 0:
         raise DomainError("tol must be positive")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
 
-    pair = action_mod.make_time_pair(1.0)
+    pair = action_mod.make_time_pair()
     r_t = spec.time_dim.r
     time_polys = (_normalized(pair.u1, r_t), _normalized(pair.u2, r_t))
     state = SeparableEigenstate(

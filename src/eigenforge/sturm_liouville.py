@@ -245,17 +245,16 @@ def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> l
     """The first ``count`` Ritz pairs as Legendre series of unit r-weighted norm.
 
     Each vector is scaled by its B-norm, which is the exact r-weighted norm of
-    its function, and its Legendre column is negated where the value at a is
-    negative, or the derivative at a where that value vanishes to the boundary
-    tolerance (the rule of ``_sign_fixed``; a derivative in t has the sign of
-    the one in x). The vectors come B-orthonormal from the reduction, so every
-    norm is 1 to rounding and none can collapse.
+    its function, and its Legendre column is negated where the quantity the
+    condition at a leaves free is negative: the derivative at a under a value
+    condition, the value at a under a derivative condition, where it cannot
+    vanish since u(a) = u'(a) = 0 would make u vanish (a derivative in t has
+    the sign of the one in x). The vectors come B-orthonormal from the
+    reduction, so every norm is 1 to rounding and none can collapse.
     """
     C = _recombination(prob.bc, degree) @ (Y[:, :count] / np.sqrt(norms[:count]))
-    at_a = _endpoint_row(VANISH_VALUE, -1.0, degree) @ C
-    slope_a = _endpoint_row(VANISH_DERIVATIVE, -1.0, degree) @ C
-    lead = np.where(np.abs(at_a) <= _BOUNDARY_TOL, slope_a, at_a)
-    C[:, lead < 0] *= -1.0
+    free = VANISH_DERIVATIVE if prob.bc.at_a == VANISH_VALUE else VANISH_VALUE
+    C[:, _endpoint_row(free, -1.0, degree) @ C < 0] *= -1.0
     return [EigenPair(lam, LegendreSeries(tuple(c), prob.interval), degree)
             for lam, c in zip(theta[:count].tolist(), C.T.tolist())]
 
@@ -266,6 +265,11 @@ def solve_at_degree(prob: SLProblem, degree: int, num_modes: int | None = None) 
     available = theta.size
     count = available if num_modes is None else min(num_modes, available)
     return _build_pairs(prob, theta, Y, norms, degree, count)
+
+
+def max_modes(max_degree: int) -> int:
+    """The most modes ``solve`` can stop on with degrees up to ``max_degree``."""
+    return max_degree // 2 * 2 - 3
 
 
 def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
@@ -280,7 +284,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     eigenvalue drop is the only stop test: every trial function meets the end
     conditions by construction. Degree n holds n - 1 trial functions and the
     test compares two visited degrees, each holding ``num_modes`` of them, so
-    a request with ``num_modes`` above ``max_degree // 2 * 2 - 3`` could never
+    a request with ``num_modes`` above ``max_modes(max_degree)`` could never
     stop and is refused with ``DomainError``.
 
     The pencil is assembled and reduced once, at ``max_degree`` rounded down
@@ -299,12 +303,12 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
         raise PreconditionError(
             f"max_degree {max_degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}"
         )
-    top = max_degree // 2 * 2
-    if num_modes > top - 3:
+    if num_modes > max_modes(max_degree):
         raise DomainError(
             f"{num_modes} modes need max_degree >= {(num_modes + 4) // 2 * 2}: the stop test "
             f"compares two visited degrees, each holding at least {num_modes} trial functions"
         )
+    top = max_degree // 2 * 2
     leading_eigh = _reduce(*_assemble(prob, top))
     trace_entries: list[tuple[int, float]] = []
     prev_vals: np.ndarray | None = None

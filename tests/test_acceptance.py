@@ -111,7 +111,7 @@ def test_criterion_3_quarter_period_action():
             self.amplitude = amplitude
             self.space_norms = (1.0,)
 
-    pair = make_time_pair(1.0, 16)
+    pair = make_time_pair()
     assert abs(action_integral(_State(1.0), pair) - PI / 2) <= 1e-7
     assert abs(action_integral(_State(2.0), pair) - 2 * PI) <= 4e-7
 
@@ -129,8 +129,7 @@ def test_criterion_4_string_sigma_model(string_states):
 @criterion(5, "quantization lattice")
 def test_criterion_5_quantization_lattice(string_states):
     _, states, _ = string_states
-    alphas = [action_integral(states[m], make_time_pair(states[m].omega, 16))
-              for m in (1, 2, 3)]
+    alphas = [action_integral(states[m], make_time_pair()) for m in (1, 2, 3)]
     quantum, multipliers = fit_lattice(alphas, tol=1e-8)
     assert all(abs(a - n * quantum) <= 1e-8 for a, n in zip(alphas, multipliers))
     assert closure_check(alphas, quantum, tol=1e-8)

@@ -17,7 +17,6 @@ from eigenforge.action import (
     fit_lattice,
     fit_spectrum,
     make_time_pair,
-    pair_action,
     schrodinger_time_density,
     total_energy,
 )
@@ -35,7 +34,7 @@ class _FakeState:
 
 class TestMakeTimePair:
     def test_endpoint_values(self):
-        pair = make_time_pair(1.0, 12)
+        pair = make_time_pair()
         assert pair.u1(0.0) == pytest.approx(1.0, abs=1e-8)
         assert pair.u2(0.0) == pytest.approx(0.0, abs=1e-8)
         assert abs(pair.u1(HALF_PI)) <= 1e-8
@@ -43,75 +42,68 @@ class TestMakeTimePair:
         assert pair.quarter_period == HALF_PI
 
     def test_pythagorean_identity_midpiece(self):
-        pair = make_time_pair(1.0, 12)
+        pair = make_time_pair()
         v = pair.u1(1.0) ** 2 + pair.u2(1.0) ** 2
         assert v == pytest.approx(1.0, abs=1e-6)
 
     def test_backward_orientation_flips_derivatives(self):
-        fwd = make_time_pair(2.0, 12)
-        bwd = make_time_pair(2.0, 12, orientation=BACKWARD)
+        fwd = make_time_pair()
+        bwd = make_time_pair(orientation=BACKWARD)
         xs = np.linspace(0.0, HALF_PI, 31)
         d1 = fwd.u1.derivative().values(xs)
         assert np.allclose(d1, -fwd.u2.values(xs), atol=1e-6)
         d1b = bwd.u1.derivative().values(xs)
         assert np.allclose(d1b, bwd.u2.values(xs), atol=1e-6)
 
-    def test_degree_floor(self):
-        with pytest.raises(DomainError):
-            make_time_pair(1.0, 6)
-
-    def test_omega_must_be_positive(self):
-        with pytest.raises(DomainError):
-            make_time_pair(0.0, 12)
+    @pytest.mark.parametrize("orientation,sign", [(FORWARD, 1.0), (BACKWARD, -1.0)],
+                             ids=[FORWARD, BACKWARD])
+    def test_pair_invariants(self, orientation, sign):
+        # Forward: u1' = -u2, u2' = u1; backward flips both; u1^2 + u2^2 = 1.
+        pair = make_time_pair(orientation)
+        xs = np.linspace(0.0, HALF_PI, 101)
+        v1, v2 = pair.u1.values(xs), pair.u2.values(xs)
+        assert np.abs(pair.u1.derivative().values(xs) + sign * v2).max() <= 1e-12
+        assert np.abs(pair.u2.derivative().values(xs) - sign * v1).max() <= 1e-12
+        assert np.abs(v1 * v1 + v2 * v2 - 1.0).max() <= 1e-12
 
     def test_same_pair_for_every_frequency(self):
-        # The tau-domain pair is frequency-free: one shared immutable value.
-        for orientation in (FORWARD, BACKWARD):
-            first = make_time_pair(1.0, 16, orientation)
-            for omega in (1e-3, 0.5, 2.0, 7.25, 1e4):
-                assert make_time_pair(omega, 16, orientation) is first
-        assert make_time_pair(1.0, 16, BACKWARD) is not make_time_pair(1.0, 16, FORWARD)
-        assert make_time_pair(1.0, 14) is not make_time_pair(1.0, 16)
+        # The tau-domain pair is frequency-free: one shared immutable value
+        # per orientation, however the orientation is passed.
+        assert make_time_pair() is make_time_pair(FORWARD) is make_time_pair(orientation=FORWARD)
+        assert make_time_pair(BACKWARD) is make_time_pair(orientation=BACKWARD)
+        assert make_time_pair(BACKWARD) is not make_time_pair(FORWARD)
 
-    @pytest.mark.parametrize("omega,degree,orientation", [
-        (0.0, 16, FORWARD), (-1.0, 16, FORWARD), (1.0, 7, FORWARD), (1.0, 16, "sideways"),
-    ])
-    def test_validation_survives_a_cached_call(self, omega, degree, orientation):
-        make_time_pair(1.0, 16)
-        make_time_pair(1.0, 16, "forward")
+    def test_validation_survives_a_cached_call(self):
+        make_time_pair()
+        make_time_pair("forward")
         with pytest.raises(DomainError):
-            make_time_pair(omega, degree, orientation)
+            make_time_pair("sideways")
 
 
 class TestActionIntegral:
     def test_unit_amplitude_gives_half_pi(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         state = _FakeState(1.0)
         assert action_integral(state, pair) == pytest.approx(HALF_PI, abs=1e-7)
 
     def test_amplitude_two_gives_two_pi(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         assert action_integral(_FakeState(2.0), pair) == pytest.approx(2 * math.pi, abs=4e-7)
 
     def test_zero_amplitude_gives_zero(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         assert action_integral(_FakeState(0.0), pair) == 0.0
 
     def test_quadratic_amplitude_scaling(self):
-        pair = make_time_pair(3.0, 14)
+        pair = make_time_pair()
         one = action_integral(_FakeState(1.0), pair)
         two = action_integral(_FakeState(2.0), pair)
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
     def test_unnormalized_space_factors_rejected(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         with pytest.raises(PreconditionError):
             action_integral(_FakeState(1.0, norms=(0.5,)), pair)
-
-    def test_action_independent_of_omega(self):
-        a1 = pair_action(make_time_pair(1.0, 14))
-        a5 = pair_action(make_time_pair(5.0, 14))
-        assert a1 == pytest.approx(a5, rel=1e-12)
 
 
 class TestFitLattice:
@@ -158,27 +150,27 @@ class TestClosureCheck:
 
 class TestSchrodingerDensity:
     def test_exact_pair_both_forms_unity(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         a, b = schrodinger_time_density(pair, 1.0, 2 * math.pi, samples=11)
         assert all(abs(v - 1.0) <= 1e-6 for v in a)
         assert all(abs(v - 1.0) <= 1e-6 for v in b)
 
     def test_zero_amplitude_all_zero(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         a, b = schrodinger_time_density(pair, 0.0, 2 * math.pi, samples=7)
         assert all(v == 0.0 for v in a)
         assert all(v == 0.0 for v in b)
 
     def test_backward_flips_current_sign(self):
-        fwd = make_time_pair(1.0, 14)
-        bwd = make_time_pair(1.0, 14, orientation=BACKWARD)
+        fwd = make_time_pair()
+        bwd = make_time_pair(orientation=BACKWARD)
         _, b_f = schrodinger_time_density(fwd, 1.5, 2 * math.pi, samples=9)
         a_b, b_b = schrodinger_time_density(bwd, 1.5, 2 * math.pi, samples=9)
         assert all(vf == pytest.approx(-vb, abs=1e-6) for vf, vb in zip(b_f, b_b))
         assert all(abs(abs(vb) - 1.5**2) <= 1e-5 for vb in b_b)
 
     def test_density_independent_of_h(self):
-        pair = make_time_pair(1.0, 14)
+        pair = make_time_pair()
         _, b1 = schrodinger_time_density(pair, 1.0, 1.0, samples=5)
         _, b2 = schrodinger_time_density(pair, 1.0, 7.0, samples=5)
         assert b1 == pytest.approx(b2, rel=1e-12)

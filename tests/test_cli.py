@@ -292,6 +292,22 @@ class TestSigmaCommand:
         assert where in result.stderr
         assert "max_degree" not in result.stderr
 
+    # A bad second mode is refused before the first one is solved, and the
+    # message names it.
+    @pytest.mark.parametrize("targets,where", [
+        ([1, 2], "modes[1].targets: need one target mode per space dimension (1)"),
+        ([0], "modes[1].targets[0] is 0; target modes are 1-based"),
+        ([-3], "modes[1].targets[0] is -3; target modes are 1-based"),
+    ], ids=["count", "zero", "negative"])
+    def test_bad_target_of_a_later_mode_invalid(self, tmp_path, targets, where):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        obj["modes"].append({"label": "bad", "targets": targets})
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert where in result.stderr
+
     def test_interval_off_zero(self, tmp_path):
         # The affine map of the Chebyshev points rounds an end of the
         # positivity samples an ulp outside this interval.
@@ -386,6 +402,14 @@ class TestActionCommand:
         path.write_text(serialize.dumps(obj))
         result = run_cli("action", "--solution", str(path))
         assert result.returncode == 4
+
+    def test_nonpositive_omega_invalid(self, tmp_path):
+        obj = {"modes": [{"label": "a", "omega": 0.0, "amplitude": 1.0}]}
+        path = tmp_path / "zero_omega.json"
+        path.write_text(serialize.dumps(obj))
+        result = run_cli("action", "--solution", str(path))
+        assert result.returncode == 2
+        assert "solution.modes[0].omega must be positive" in result.stderr
 
     def test_unnormalized_solution_rejected(self, tmp_path):
         obj = {"modes": [{

@@ -318,7 +318,7 @@ def given_state(spec, amplitude=1.3):
         u = chebyshev_fit(lambda xs: np.sin(math.pi * xs / L) + 0.3 * np.sin(2 * math.pi * xs / L)
                           + 0.1, 24, dim.interval)
         factors.append(EigenPair(2.0 + d, _normalized(u, dim.r), 24))
-    pair = make_time_pair(1.0)
+    pair = make_time_pair()
     r_t = spec.time_dim.r
     time_polys = (_normalized(pair.u1, r_t), _normalized(pair.u2, r_t))
     return SeparableEigenstate(
@@ -549,6 +549,22 @@ class TestValidation:
         replace(spec, modes=(ModeSpec("m", (37, 1)),))  # the bound is accepted
         with pytest.raises(DomainError, match=re.escape(where)):
             replace(spec, modes=(ModeSpec("m", targets),))
+
+    @pytest.mark.parametrize("targets,where", [
+        ((1, 2), "modes[1].targets: need one target mode per space dimension (1)"),
+        ((0,), "modes[1].targets[0] is 0; target modes are 1-based"),
+        ((-3,), "modes[1].targets[0] is -3; target modes are 1-based"),
+    ], ids=["count", "zero", "negative"])
+    def test_bad_later_mode_refused_before_any_solve(self, string_spec, monkeypatch,
+                                                     targets, where):
+        # Solving a model's modes in turn, as ``eigenforge sigma`` does: a bad
+        # second mode is refused when the model is built, before mode 0 is solved.
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(DomainError, match=re.escape(where)):
+            spec = replace(string_spec, modes=(ModeSpec("m1", (1,)), ModeSpec("bad", targets)))
+            for mode in spec.modes:
+                solve_state(spec, mode.label, mode.targets)
+        assert calls == []
 
     def test_max_iter_exhaustion_carries_report(self, string_spec, monkeypatch):
         spec = make_string_spec(coupling_g=0.05)

@@ -28,6 +28,7 @@ from eigenforge.sturm_liouville import (
     _recombination,
     _reduce,
     boundary_residuals,
+    max_modes,
     rayleigh_quotient,
     residual,
     solve,
@@ -123,7 +124,8 @@ class TestDirichletBenchmark:
         assert float(np.abs(pairs[0].u.values(xs) - exact).max()) < 1e-8
 
     def test_normalization_and_sign(self):
-        # The sign makes u(a) positive, or u'(a) where the value vanishes; on
+        # The sign makes positive what the condition at a leaves free: u'(a)
+        # under a value condition, u(a) under a derivative condition. On
         # (1, 3) that is not the sign of the monomial extrapolation to x = 0.
         for bc in CONDITIONS.values():
             for interval in ((0.0, 1.0), (1.0, 3.0)):
@@ -353,8 +355,9 @@ class TestTrialBasis:
 
 class TestPairBuilding:
     # Pairs are scaled by the Rayleigh denominators y^T B y and signed by the
-    # endpoint rows at a, in one array pass; these tests hold them to the
-    # per-mode route through exact integration and point evaluation.
+    # endpoint row at a that the condition leaves free, in one array pass;
+    # these tests hold them to the per-mode route through exact integration
+    # and point evaluation.
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_matches_normalized_ritz_vectors(self, kind):
         prob = variable_problem(CONDITIONS[kind])
@@ -436,10 +439,12 @@ class TestErrors:
             solve(unit_problem(), num_modes=0)
 
     # The stop test compares two visited degrees, each holding num_modes of
-    # the n - 1 trial functions of degree n: max_degree // 2 * 2 - 3 modes at
-    # most. Any drop meets a tolerance of 1e300, so a feasible request stops.
+    # the n - 1 trial functions of degree n: max_modes(max_degree) =
+    # max_degree // 2 * 2 - 3 modes at most. Any drop meets a tolerance of
+    # 1e300, so a feasible request stops; each case asks for the most.
     @pytest.mark.parametrize("num_modes,max_degree", [(1, 4), (1, 5), (3, 6), (37, 40)])
     def test_feasible_request_converges(self, num_modes, max_degree):
+        assert max_modes(max_degree) == num_modes
         pairs, _ = solve(unit_problem(), num_modes=num_modes, k_tol=1e300, max_degree=max_degree)
         assert len(pairs) == num_modes
 
