@@ -12,6 +12,7 @@ coefficient positive, so identity is plain tuple equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -137,6 +138,18 @@ def _div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
+def _dominance(test):
+    """The order comparison ``test`` in the dominance order. a - b has the sign
+    of its unreduced numerator's leading coefficient, since both denominators,
+    and so their product, have positive leading coefficients."""
+    def compare(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return test(_difference_numerator(self, other)[-1], 0)
+    return compare
+
+
 @dataclass(frozen=True)
 class QStarElement:
     """Canonical ratio num/den of integer polynomials in W."""
@@ -229,21 +242,10 @@ class QStarElement:
             return 0
         return 1 if self.num[-1] > 0 else -1
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        return (self - other).sign() >= 0
+    __lt__ = _dominance(operator.lt)
+    __le__ = _dominance(operator.le)
+    __gt__ = _dominance(operator.gt)
+    __ge__ = _dominance(operator.ge)
 
     def __str__(self):
         num = _format_poly(self.num)
@@ -304,6 +306,11 @@ def classify(a: QStarElement) -> str:
     return INFINITE
 
 
+def _difference_numerator(a: QStarElement, b: QStarElement) -> IntPoly:
+    """Numerator of a - b over the denominator a.den * b.den, not reduced."""
+    return _add(_mul(a.num, b.den), _neg(_mul(b.num, a.den)))
+
+
 def equal(a: QStarElement, b: QStarElement) -> bool:
     """True when the difference is zero or infinitesimal.
 
@@ -311,7 +318,7 @@ def equal(a: QStarElement, b: QStarElement) -> bool:
     numerator and denominator degrees by the same amount, so the degree gap
     that decides the class needs no gcd reduction.
     """
-    diff_num = _add(_mul(a.num, b.den), _neg(_mul(b.num, a.den)))
+    diff_num = _difference_numerator(a, b)
     if _is_zero(diff_num):
         return True
     diff_den_degree = (len(a.den) - 1) + (len(b.den) - 1)

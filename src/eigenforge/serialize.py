@@ -61,10 +61,10 @@ def dumps(obj: Any) -> str:
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
-            items = [render(v, level + 1) for v in node]
             if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
-                return "[" + ", ".join(items) + "]"
-            return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+                return "[" + ", ".join([format_float(v) if isinstance(v, float) else str(v)
+                                        for v in node]) + "]"
+            return "[\n" + ",\n".join(inner + render(v, level + 1) for v in node) + f"\n{pad}]"
         if isinstance(node, dict):
             if not node:
                 return "{}"

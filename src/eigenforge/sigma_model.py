@@ -48,8 +48,8 @@ from .sturm_liouville import (
     EigenPair,
     SLProblem,
     _chebyshev_points,
-    _normalized,
     max_modes,
+    require_positive,
     solve as sl_solve,
 )
 
@@ -65,7 +65,8 @@ SL_MAX_DEGREE = 40
 
 @dataclass(frozen=True)
 class DimensionSpec:
-    """One coordinate: its interval, weight polynomial, and endpoint conditions."""
+    """One coordinate: its interval, weight polynomial, and endpoint conditions.
+    Factors are normalized under r; ``SigmaModelSpec`` refuses an r not positive."""
 
     interval: tuple[float, float]
     r: Polynomial
@@ -135,9 +136,12 @@ class SigmaModelSpec:
                 f"time_dim interval must be {quarter}, the quarter period the harmonic "
                 f"pair lives on, got {self.time_dim.interval}"
             )
+        dims = self.dimensions
+        wheres = [f"space_dims[{d}]" for d in range(self.time_index)] + ["time_dim"]
+        for dim, where in zip(dims, wheres):
+            require_positive(dim.r, f"{where}.r")
         for i, mode in enumerate(self.modes):
             _check_targets(mode.targets, len(self.space_dims), f"modes[{i}].targets")
-        dims = self.dimensions
         for name, coeff in (("P", self.P), ("Q", self.Q)):
             for i, term in enumerate(coeff.terms):
                 if len(term) != len(dims):
@@ -146,10 +150,9 @@ class SigmaModelSpec:
                     )
                 for d, (factor, dim) in enumerate(zip(term, dims)):
                     if factor.interval != tuple(float(v) for v in dim.interval):
-                        where = "time_dim" if d == self.time_index else f"space_dims[{d}]"
                         raise DomainError(
                             f"{name} term {i} factor {d} lives on {factor.interval}, "
-                            f"not on the interval {dim.interval} of {where}"
+                            f"not on the interval {dim.interval} of {wheres[d]}"
                         )
 
     @property
@@ -305,10 +308,9 @@ def _sup_change(old: Polynomial, new: Polynomial) -> float:
     return float(np.abs((old - new).values(xs)).max())
 
 
-def _with_space_factor(state: SeparableEigenstate, d: int,
-                       pair: EigenPair) -> SeparableEigenstate:
-    factors = state.space_factors
-    return replace(state, space_factors=factors[:d] + (pair,) + factors[d + 1:])
+def _unit_norm(u: Polynomial, r: Polynomial) -> Polynomial:
+    """u scaled to unit r-weighted norm, its sign kept."""
+    return u * (1.0 / math.sqrt(integrate_product(r, u, u)))
 
 
 def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
@@ -318,9 +320,11 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
 
     ``target_modes`` selects the 1-based eigenvalue branch tracked in each
     space dimension. One immutable ``SeparableEigenstate`` is iterated, each
-    update a ``dataclasses.replace``. Its time factors are the normalized
-    harmonic pair of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole
-    solve; the action integral reads the quantum off the same pair. Each
+    update a ``dataclasses.replace``. Its time factors are the harmonic pair
+    of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole solve; the
+    action integral reads the quantum off the same pair. They and the
+    constant starting space factors are only scaled to unit weighted norm:
+    their signs already meet the eigensolve's, the library's one sign rule. Each
     sweep installs every space dimension's frozen-coefficient eigenpair as
     solved. Sweeps repeat until the largest space-factor change is below
     ``tol``; a factor's change is the sup norm of old minus new at 129
@@ -331,7 +335,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     again: the eigensolve would return it bit for bit. So a linear model
     whose frozen problems no sweep moves (one space dimension, or unit
     coefficient terms) makes one eigensolve per space dimension. Sweep 0
-    replaces the constant placeholder factors and is not counted, so its
+    replaces the constant starting factors and is not counted, so its
     change is not computed.
     No sweep reads the frequency, so it is pinned once, on the converged
     factors (``_pin_time``). The returned state is the last iterate with its
@@ -349,10 +353,10 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
 
     pair = action_mod.make_time_pair()
     r_t = spec.time_dim.r
-    time_polys = (_normalized(pair.u1, r_t), _normalized(pair.u2, r_t))
+    time_polys = (_unit_norm(pair.u1, r_t), _unit_norm(pair.u2, r_t))
     state = SeparableEigenstate(
         label=label,
-        space_factors=tuple(EigenPair(0.0, _normalized(constant(1.0, dim.interval), dim.r), 0)
+        space_factors=tuple(EigenPair(0.0, _unit_norm(constant(1.0, dim.interval), dim.r), 0)
                             for dim in spec.space_dims),
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], action_mod.TIME_PAIR_DEGREE)
                            for ell in range(spec.components)),
@@ -373,7 +377,8 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=SL_K_TOL,
                                 max_degree=SL_MAX_DEGREE)
             new = pairs[targets[d] - 1]
-            state = _with_space_factor(state, d, new)
+            factors = state.space_factors
+            state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])
             solved[d] = problem
             if sweep > 0:
                 worst = max(worst, _sup_change(old.u, new.u))

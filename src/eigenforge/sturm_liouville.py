@@ -25,7 +25,10 @@ time from 2 and stops once every requested eigenvalue improves by less than
 matrix times its eigenvector, a ``LegendreSeries`` on the problem interval,
 scaled by the square root of its Rayleigh denominator y^T B y (the exact
 r-weighted norm, B being assembled by exact quadrature) and signed by the
-endpoint rows at a: u(a) > 0, or u'(a) > 0 where u(a) vanishes.
+endpoint rows at a: u(a) > 0, or u'(a) > 0 where u(a) vanishes: the library's
+one sign rule. The field solve's time pair and starting factors, which no
+eigensolve returns, are only scaled to unit norm, u / sqrt(int r u^2), under
+weights that ``require_positive`` has accepted.
 """
 
 from __future__ import annotations
@@ -86,12 +89,19 @@ def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
     return xs
 
 
+def require_positive(f: Polynomial, name: str) -> None:
+    """Refuse f, by name, unless it exceeds the margin at Chebyshev samples."""
+    lo, hi = f.interval
+    xs = _chebyshev_points(lo, hi, _POSITIVITY_SAMPLES)
+    if float(f.values(xs).min()) <= _POSITIVITY_MARGIN:
+        raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class SLProblem:
     """Coefficients p, q, r on a shared interval plus endpoint conditions.
 
-    p and r must be strictly positive on the closed interval; this is checked
-    by sampling at Chebyshev points with a small margin.
+    p and r must be positive on the closed interval (``require_positive``).
     """
 
     p: Polynomial
@@ -103,11 +113,8 @@ class SLProblem:
         iv = self.p.interval
         if self.q.interval != iv or self.r.interval != iv:
             raise DomainError("p, q, r must share one interval")
-        lo, hi = iv
-        xs = _chebyshev_points(lo, hi, _POSITIVITY_SAMPLES)
-        for name, f in (("p", self.p), ("r", self.r)):
-            if float(f.values(xs).min()) <= _POSITIVITY_MARGIN:
-                raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
+        require_positive(self.p, "p")
+        require_positive(self.r, "r")
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -218,27 +225,6 @@ def _reduce(A: np.ndarray, B: np.ndarray):
         return theta[order], Y[:, order], norms[order]
 
     return leading_eigh
-
-
-def _sign_fixed(u: Polynomial) -> Polynomial:
-    """u with u(a) > 0, or u'(a) > 0 where u(a) vanishes to the boundary tolerance."""
-    lo = u.interval[0]
-    s = evaluate(u, lo)
-    if abs(s) <= _BOUNDARY_TOL:
-        s = evaluate(differentiate(u), lo)
-    return -u if s < 0 else u
-
-
-def _normalized(u: Polynomial, r: Polynomial) -> Polynomial:
-    """u scaled to unit r-weighted norm and sign-fixed; a collapsed u is refused.
-
-    Only the field's time pair and its placeholder factors take this path;
-    ``_build_pairs`` scales and signs eigenpairs off the reduced pencil.
-    """
-    nrm = integrate_product(r, u, u)
-    if nrm < _NORM_FLOOR:
-        raise ConditioningError(f"factor collapsed to weighted norm {nrm:.3e} < {_NORM_FLOOR}")
-    return _sign_fixed(u * (1.0 / math.sqrt(nrm)))
 
 
 def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:

@@ -58,6 +58,33 @@ class TestSerialize:
         obj = {"a": [1.5, 2, True], "b": {"c": None, "d": "x"}, "e": []}
         assert json.loads(serialize.dumps(obj)) == obj
 
+    def test_dumps_exact_text(self):
+        # Number lists go on one line; a bool among numbers forces one item
+        # per line; empty containers stay inline.
+        obj = {"inline": [2**70, -3, 0.1, 1e-300], "mixed": [1.5, True, None],
+               "empty_list": [], "empty_dict": {}, "nested": [[1, 2.5], {"k": "v"}]}
+        assert serialize.dumps(obj) == (
+            '{\n'
+            '  "inline": [1180591620717411303424, -3, 0.10000000000000001, 1e-300],\n'
+            '  "mixed": [\n'
+            '    1.5,\n'
+            '    true,\n'
+            '    null\n'
+            '  ],\n'
+            '  "empty_list": [],\n'
+            '  "empty_dict": {},\n'
+            '  "nested": [\n'
+            '    [1, 2.5],\n'
+            '    {\n'
+            '      "k": "v"\n'
+            '    }\n'
+            '  ]\n'
+            '}\n'
+        )
+        for bad in ([1.0, math.inf], [math.nan], {"a": [True, -math.inf]}):
+            with pytest.raises(DomainError, match="non-finite"):
+                serialize.dumps(bad)
+
     def test_poly_round_trip(self):
         p = poly([0.1, -2.5, 3.75], (-1.0, 2.0))
         obj = serialize.poly_to_obj(p)
@@ -274,6 +301,25 @@ class TestSigmaCommand:
         result = run_cli("sigma", "--model", str(model))
         assert result.returncode == 2
         assert message in result.stderr
+
+    # A dimension weight that is not positive on its interval is refused when
+    # the model is read, naming the field; [1.0, -0.9] is positive at 0 only.
+    @pytest.mark.parametrize("weight", [[-1.0], [0.0], [1.0, -0.9]],
+                             ids=["negative", "zero", "turns-negative"])
+    @pytest.mark.parametrize("dim,where", [(("space_dims", 0), "space_dims[0].r"),
+                                           (("time_dim",), "time_dim.r")], ids=["space", "time"])
+    def test_weight_not_positive_invalid(self, tmp_path, dim, where, weight):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        node = obj
+        for key in dim:
+            node = node[key]
+        node["r"]["coeffs"] = weight
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model), "--out", str(tmp_path / "out.json"))
+        assert result.returncode == 2
+        assert f"{where} must be positive" in result.stderr
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("targets,where", [([1, 38], "modes[0].targets[1] is 38"),
                                                ([38, 1], "modes[0].targets[0] is 38")],

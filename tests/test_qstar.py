@@ -184,6 +184,23 @@ class TestOrderingAndStandardPart:
         assert ONE / OMEGA < ONE
         assert OMEGA > element(10**9)
         assert element(2, 3) < ONE
+        # int operands on either side
+        assert OMEGA > 10**9 and 10**9 < OMEGA and 10**9 <= OMEGA
+        assert ONE / OMEGA < 1 and 0 < ONE / OMEGA and 1 >= ONE / OMEGA
+        assert -OMEGA < -(10**9) and -(10**9) > -OMEGA
+        # equal elements: written differently, and against an equal int
+        half, also_half = element((1, 1), (2, 2)), element(1, 2)
+        assert half <= also_half and half >= also_half
+        assert not (half < also_half or half > also_half)
+        assert element(6, 3) <= 2 and 2 <= element(6, 3) and element(6, 3) >= 2
+        assert not (element(6, 3) < 2 or 2 > element(6, 3))
+        # a denominator with a negative leading coefficient is normalized
+        assert element(1, (0, -1)) < 0 < element(1, (0, 1))
+        for bad in (1.5, "1", None):
+            with pytest.raises(TypeError):
+                ONE < bad
+            with pytest.raises(TypeError):
+                bad >= ONE
 
     def test_standard_parts(self):
         assert standard_part((OMEGA + 1) / OMEGA) == 1

@@ -23,7 +23,7 @@ from eigenforge.sigma_model import (
     null_postulate_residual,
     solve_state,
 )
-from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, EigenPair, SLProblem, _normalized
+from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, EigenPair, SLProblem
 from eigenforge.sturm_liouville import solve as sl_solve
 
 
@@ -294,6 +294,14 @@ class TestIntervalsOffZero:
         at_zero, _ = solve_state(coupled_spec((2.1,), (bc,), 1.0), "m", (target,))
         assert abs(shifted.omega - at_zero.omega) <= 1e-9 * at_zero.omega
 
+    def test_tiny_string_frequency(self):
+        # The starting factor's weighted norm is 1e-15 here; scaling it to 1
+        # needs no floor, and the string solves like any other.
+        L = 1e-15
+        state, report = solve_state(coupled_spec((L,), (DIRICHLET,), 0.0), "m1", (1,))
+        assert report.converged
+        assert abs(state.omega - math.pi / L) <= 1e-12 * (math.pi / L)
+
 
 def time_term_spec(lengths, bcs, p_coupling, components=2):
     """Terms with time factors: P = 1 (1 + tau) + (1 + x/5) 1, Q = (x/2) (0.3 + tau^2/5)
@@ -309,6 +317,11 @@ def time_term_spec(lengths, bcs, p_coupling, components=2):
                           CoeffField(q_terms, coupling_g=0.05), components=components)
 
 
+def unit_norm(u, r):
+    """u scaled to unit r-weighted norm, as the solve scales its starting factors."""
+    return u * (1.0 / math.sqrt(integrate_product(r, u, u)))
+
+
 def given_state(spec, amplitude=1.3):
     """A state away from convergence: each space factor a normalized mix of
     two sines and a constant with eigenvalue 2 + d, and the solve's time pair."""
@@ -317,10 +330,10 @@ def given_state(spec, amplitude=1.3):
         L = dim.interval[1]
         u = chebyshev_fit(lambda xs: np.sin(math.pi * xs / L) + 0.3 * np.sin(2 * math.pi * xs / L)
                           + 0.1, 24, dim.interval)
-        factors.append(EigenPair(2.0 + d, _normalized(u, dim.r), 24))
+        factors.append(EigenPair(2.0 + d, unit_norm(u, dim.r), 24))
     pair = make_time_pair()
     r_t = spec.time_dim.r
-    time_polys = (_normalized(pair.u1, r_t), _normalized(pair.u2, r_t))
+    time_polys = (unit_norm(pair.u1, r_t), unit_norm(pair.u2, r_t))
     return SeparableEigenstate(
         label="given", space_factors=tuple(factors),
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], 16)
@@ -562,6 +575,26 @@ class TestValidation:
         calls = count_eigensolves(monkeypatch)
         with pytest.raises(DomainError, match=re.escape(where)):
             spec = replace(string_spec, modes=(ModeSpec("m1", (1,)), ModeSpec("bad", targets)))
+            for mode in spec.modes:
+                solve_state(spec, mode.label, mode.targets)
+        assert calls == []
+
+    @pytest.mark.parametrize("weight", [[-1.0], [0.0], [1.0, -0.9]],
+                             ids=["negative", "zero", "turns-negative"])
+    @pytest.mark.parametrize("where", ["space_dims[0]", "time_dim"])
+    def test_weight_must_be_positive(self, string_spec, monkeypatch, where, weight):
+        # A weight that is not positive on its interval gives no norm to
+        # normalize a factor under; it is refused when the model is built,
+        # before any mode is solved. [1.0, -0.9] is positive at 0 only.
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(DomainError, match=re.escape(f"{where}.r must be positive")):
+            if where == "time_dim":
+                dim = string_spec.time_dim
+                spec = replace(string_spec, time_dim=replace(dim, r=poly(weight, dim.interval)))
+            else:
+                dim = string_spec.space_dims[0]
+                spec = replace(string_spec,
+                               space_dims=(replace(dim, r=poly(weight, dim.interval)),))
             for mode in spec.modes:
                 solve_state(spec, mode.label, mode.targets)
         assert calls == []

@@ -16,7 +16,14 @@ from eigenforge.errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from eigenforge.polynomials import LegendreSeries, Polynomial, integrate_product, poly
+from eigenforge.polynomials import (
+    LegendreSeries,
+    Polynomial,
+    differentiate,
+    evaluate,
+    integrate_product,
+    poly,
+)
 from eigenforge.sturm_liouville import (
     DIRICHLET,
     NEUMANN,
@@ -24,7 +31,6 @@ from eigenforge.sturm_liouville import (
     SLProblem,
     _assemble,
     _chebyshev_points,
-    _normalized,
     _recombination,
     _reduce,
     boundary_residuals,
@@ -356,8 +362,9 @@ class TestTrialBasis:
 class TestPairBuilding:
     # Pairs are scaled by the Rayleigh denominators y^T B y and signed by the
     # endpoint row at a that the condition leaves free, in one array pass;
-    # these tests hold them to the per-mode route through exact integration
-    # and point evaluation.
+    # these tests hold them to a per-mode reference: the norm by exact
+    # integration, the sign by evaluating u (derivative condition at a) or u'
+    # (value condition at a) at a.
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_matches_normalized_ritz_vectors(self, kind):
         prob = variable_problem(CONDITIONS[kind])
@@ -366,8 +373,12 @@ class TestPairBuilding:
         theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
         S = _recombination(prob.bc, degree)
         for m, pair in enumerate(pairs):
-            ref = np.array(_normalized(LegendreSeries(tuple(S @ Y[:, m]), prob.interval),
-                                       prob.r).coeffs)
+            u = LegendreSeries(tuple(S @ Y[:, m]), prob.interval)
+            u = u * (1.0 / math.sqrt(integrate_product(prob.r, u, u)))
+            free = u if prob.bc.at_a == "derivative" else differentiate(u)
+            if evaluate(free, prob.interval[0]) < 0:
+                u = -u
+            ref = np.array(u.coeffs)
             got = np.array(pair.u.coeffs)
             assert pair.lambda_ == theta[m]
             assert got.shape == ref.shape
