@@ -6,9 +6,10 @@ them. Every function the library computes (eigenfunctions, field factors, the
 fitted time pair, projected squares) is a ``LegendreSeries``, whose
 coefficients multiply the Legendre polynomials P_k(t) in the interval's
 reference variable t = (2x - a - b)/(b - a): the power form's condition number
-grows exponentially with the degree, the Legendre form's does not. Every value
-carries the finite interval it lives on, and all operations are pure functions
-of immutable values.
+grows exponentially with the degree, the Legendre form's does not. Monomials
+are inputs only: a monomial operand or integrand factor is converted to
+Legendre coefficients first. Every value carries the finite interval it lives
+on, and all operations are pure functions of immutable values.
 """
 
 from __future__ import annotations
@@ -238,39 +239,25 @@ def _legendre_table(n: int, size: int) -> np.ndarray:
     return leg.legvander(_gauss_legendre(n)[0], size - 1)
 
 
-def integrate(a: Polynomial) -> float:
-    """Definite integral over the polynomial's interval.
-
-    The one-factor case of ``integrate_product``: Gauss-Legendre quadrature
-    with deg // 2 + 1 nodes, exact at this degree; antiderivative evaluation
-    is the independent cross-check (see tests).
-    """
-    return integrate_product(a)
-
-
 def integrate_by_antiderivative(a: Polynomial) -> float:
-    """Same integral of a monomial polynomial via its antiderivative."""
+    """Integral of a monomial polynomial over its interval via its
+    antiderivative: the independent reference for the quadrature (see tests)."""
     anti = antiderivative(a)
     lo, hi = a.interval
     c = np.asarray(anti.coeffs)
     return float(npoly.polyval(hi, c) - npoly.polyval(lo, c))
 
 
-def _columns(polys: list[Polynomial]) -> np.ndarray:
-    columns = np.zeros((max(len(f.coeffs) for f in polys), len(polys)))
-    for j, f in enumerate(polys):
-        columns[: len(f.coeffs), j] = f.coeffs
-    return columns
-
-
 def integrate_product(*factors: Polynomial) -> float:
     """Exact integral of a product of polynomials over their shared interval.
 
-    Each factor is evaluated at the Gauss-Legendre nodes, and the values are
-    multiplied pointwise in factor order, which avoids forming the product.
-    Monomial factors take one Horner pass over their zero-padded coefficient
-    columns, Legendre series one product with the cached table of P_k at the
-    nodes, where t is the node itself.
+    Gauss-Legendre quadrature with sum(degree) // 2 + 1 nodes, exact at the
+    product's degree, without forming the product: every factor is read at
+    the nodes from the one cached table of P_k there (where t is the node
+    itself), as its Legendre coefficients, a monomial factor's converted by
+    ``_legendre_coeffs`` first. One product of the table with the
+    zero-padded coefficient columns gives every factor's values, multiplied
+    pointwise in factor order.
     """
     if not factors:
         raise DomainError("need at least one factor")
@@ -278,20 +265,14 @@ def integrate_product(*factors: Polynomial) -> float:
     for f in factors[1:]:
         if f.interval != iv:
             raise IntervalMismatchError("factors live on different intervals")
-    lo, hi = iv
     n = sum(f.degree for f in factors) // 2 + 1
-    x, w = _gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    monomial = [j for j, f in enumerate(factors) if type(f) is Polynomial]
-    series = [j for j, f in enumerate(factors) if type(f) is not Polynomial]
-    vals = np.empty((len(factors), n))
-    if monomial:
-        vals[monomial] = npoly.polyval(0.5 * (lo + hi) + half * x,
-                                       _columns([factors[j] for j in monomial]))
-    if series:
-        columns = _columns([factors[j] for j in series])
-        vals[series] = (_legendre_table(n, columns.shape[0]) @ columns).T
-    return float(half * np.dot(w, np.prod(vals, axis=0)))
+    columns = np.zeros((max(f.degree for f in factors) + 1, len(factors)))
+    for j, f in enumerate(factors):
+        c = _legendre_coeffs(f.coeffs, iv) if type(f) is Polynomial else f.coeffs
+        columns[: len(c), j] = c
+    vals = (_legendre_table(n, columns.shape[0]) @ columns).T
+    lo, hi = iv
+    return float(0.5 * (hi - lo) * np.dot(_gauss_legendre(n)[1], np.prod(vals, axis=0)))
 
 
 def evaluate(a: Polynomial, x: float) -> float:

@@ -134,7 +134,7 @@ _BC_NAMES = {VANISH_VALUE, VANISH_DERIVATIVE}
 def bc_from_obj(obj, context: str = "bc") -> BoundaryCondition:
     check_keys(obj, ["a", "b"], context=context)
     for side in ("a", "b"):
-        if obj[side] not in _BC_NAMES:
+        if not isinstance(obj[side], str) or obj[side] not in _BC_NAMES:
             raise DomainError(f"{context}.{side} must be one of {sorted(_BC_NAMES)}")
     return BoundaryCondition(obj["a"], obj["b"])
 
@@ -188,8 +188,9 @@ def _dimension_to_obj(dim: DimensionSpec) -> dict:
 def _coeff_field_from_obj(obj, context: str) -> CoeffField:
     check_keys(obj, ["terms"], optional=["coupling_g"], context=context)
     terms = tuple(
-        tuple(poly_from_obj(f, f"{context}.terms[{i}][{j}]") for j, f in enumerate(term))
-        for i, term in enumerate(obj["terms"])
+        tuple(poly_from_obj(f, f"{context}.terms[{i}][{j}]")
+              for j, f in enumerate(_array(term, f"{context}.terms[{i}]")))
+        for i, term in enumerate(_array(obj["terms"], f"{context}.terms"))
     )
     return CoeffField(terms=terms,
                       coupling_g=_number(obj.get("coupling_g", 0.0), f"{context}.coupling_g"))
@@ -206,11 +207,12 @@ def model_from_obj(obj) -> SigmaModelSpec:
     check_keys(obj, ["space_dims", "time_dim", "P", "Q", "modes"],
                optional=["components"], context="model")
     space = tuple(
-        _dimension_from_obj(d, f"model.space_dims[{i}]") for i, d in enumerate(obj["space_dims"])
+        _dimension_from_obj(d, f"model.space_dims[{i}]")
+        for i, d in enumerate(_array(obj["space_dims"], "model.space_dims"))
     )
     time = _dimension_from_obj(obj["time_dim"], "model.time_dim")
     modes = []
-    for i, m in enumerate(obj["modes"]):
+    for i, m in enumerate(_array(obj["modes"], "model.modes")):
         context = f"model.modes[{i}]"
         check_keys(m, ["label", "targets"], context=context)
         if not isinstance(m["label"], str):

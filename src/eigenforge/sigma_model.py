@@ -37,9 +37,9 @@ import numpy as np
 from . import action as action_mod
 from .errors import DomainError, NonConvergenceError
 from .polynomials import (
+    LegendreSeries,
     Polynomial,
     chebyshev_fit,
-    constant,
     differentiate,
     integrate_product,
 )
@@ -195,9 +195,13 @@ class SeparableEigenstate:
         return sum(p.lambda_ for p in self.space_factors)
 
     def indicial_residual(self) -> float:
+        """Gap between components * lambda_sum and the summed time eigenvalues,
+        relative to the larger side, so it reads the same on every scale; 0
+        when both sides vanish."""
         space = self.components * self.lambda_space_sum()
         time = sum(p.lambda_ for p in self.time_factors)
-        return abs(space - time)
+        scale = max(abs(space), abs(time))
+        return abs(space - time) / scale if scale else 0.0
 
 
 @dataclass
@@ -236,22 +240,24 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
                      components: Sequence[int]) -> tuple[Polynomial, Polynomial]:
     """Reduce the multi-dimensional coefficient fields onto one dimension.
 
-    For each separable term, the factor on the target dimension stays a
-    polynomial, weighted by the product of its other factors' weighted
-    averages over their dimensions' current eigenfunctions (ratios, so
-    unnormalized factors are harmless). The quadratic coupling, present only
-    for a nonzero constant, contributes coupling_g * amplitude^2 times the
-    other dimensions' fourth-to-second moment ratios times the square of the
+    For each separable term, the factor on the target dimension is kept,
+    weighted by the product of its other factors' weighted averages over
+    their dimensions' current eigenfunctions (ratios, so unnormalized factors
+    are harmless). The quadratic coupling, present only for a nonzero
+    constant, contributes coupling_g * amplitude^2 times the other
+    dimensions' fourth-to-second moment ratios times the square of the
     target factor. Each weight is averaged over ``components``, which must
     share the target dimension's factor: every component for a space
-    dimension, one component for the time dimension.
+    dimension, one component for the time dimension. Both coefficients are
+    Legendre series, whatever the terms: the sum starts from the zero
+    series, and each monomial term factor is converted as it is added.
     """
     dims = spec.dimensions
     others = [d for d in range(len(dims)) if d != dim_index]
     u = state.factor_poly(components[0], dim_index)
     coeffs = []
     for coeff in (spec.P, spec.Q):
-        acc = constant(0.0, dims[dim_index].interval)
+        acc = LegendreSeries((0.0,), dims[dim_index].interval)
         for term in coeff.terms:
             weight = sum(math.prod(_weighted_average(term[d], state.factor_poly(ell, d), dims[d].r)
                                    for d in others) for ell in components) / len(components)
@@ -323,12 +329,12 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     update a ``dataclasses.replace``. Its time factors are the harmonic pair
     of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole solve; the
     action integral reads the quantum off the same pair. They and the
-    constant starting space factors are only scaled to unit weighted norm:
-    their signs already meet the eigensolve's, the library's one sign rule. Each
-    sweep installs every space dimension's frozen-coefficient eigenpair as
-    solved. Sweeps repeat until the largest space-factor change is below
-    ``tol``; a factor's change is the sup norm of old minus new at 129
-    Chebyshev points of its interval. Every eigensolve escalates from
+    constant Legendre series the space factors start from are only scaled
+    to unit weighted norm: their signs already meet the eigensolve's, the
+    library's one sign rule. Each sweep installs every space dimension's
+    frozen-coefficient eigenpair as solved. Sweeps repeat until the largest
+    space-factor change is below ``tol``; a factor's change is the sup norm
+    of old minus new at 129 Chebyshev points of its interval. Every eigensolve escalates from
     degree 2, so its factor depends on its frozen problem alone. A
     dimension whose space problem equals the one its factor was solved from
     therefore keeps that factor, with a change of 0, and is not solved
@@ -356,8 +362,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     time_polys = (_unit_norm(pair.u1, r_t), _unit_norm(pair.u2, r_t))
     state = SeparableEigenstate(
         label=label,
-        space_factors=tuple(EigenPair(0.0, _unit_norm(constant(1.0, dim.interval), dim.r), 0)
-                            for dim in spec.space_dims),
+        space_factors=tuple(
+            EigenPair(0.0, _unit_norm(LegendreSeries((1.0,), dim.interval), dim.r), 0)
+            for dim in spec.space_dims),
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], action_mod.TIME_PAIR_DEGREE)
                            for ell in range(spec.components)),
         omega=1.0, amplitude=float(amplitude), space_norms=(), components=spec.components)

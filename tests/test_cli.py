@@ -266,9 +266,17 @@ class TestSigmaCommand:
          "model.space_dims[0].interval[1] must be a finite number"),
         (("time_dim", "r", "interval", 0), False,
          "model.time_dim.r.interval[0] must be a finite number"),
+        (("P", "terms"), 5, "model.P.terms must be an array"),
+        (("P", "terms"), "ab", "model.P.terms must be an array"),
+        (("Q", "terms"), [5], "model.Q.terms[0] must be an array"),
+        (("space_dims",), 5, "model.space_dims must be an array"),
+        (("modes",), 5, "model.modes must be an array"),
+        (("space_dims", 0, "bc", "a"), ["value"], "model.space_dims[0].bc.a must be one of"),
     ], ids=["targets-string", "target-float", "target-bool", "target-string", "label-number",
             "components-float", "components-bool", "coeffs-string", "coeff-string", "coeff-nan",
-            "coupling-bool", "coupling-string", "interval-string", "interval-bool"])
+            "coupling-bool", "coupling-string", "interval-string", "interval-bool",
+            "terms-number", "terms-string", "term-number", "space-dims-number", "modes-number",
+            "bc-array"])
     def test_wrong_json_type_invalid(self, tmp_path, path, value, message):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))
         node = obj

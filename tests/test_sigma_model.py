@@ -11,7 +11,14 @@ from conftest import make_string_spec
 from eigenforge import sigma_model
 from eigenforge.action import make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
-from eigenforge.polynomials import chebyshev_fit, constant, differentiate, integrate_product, poly
+from eigenforge.polynomials import (
+    LegendreSeries,
+    chebyshev_fit,
+    constant,
+    differentiate,
+    integrate_product,
+    poly,
+)
 from eigenforge.sigma_model import (
     CoeffField,
     DimensionSpec,
@@ -83,6 +90,8 @@ class TestEffectiveCoeffs:
     def test_constant_field_passes_through(self, string_spec):
         state, _ = solve_state(string_spec, "m1", (1,))
         p_eff, q_eff = effective_coeffs(string_spec, state, 0, (0,))
+        # Computed coefficients are Legendre series, in a linear model too.
+        assert type(p_eff) is type(q_eff) is LegendreSeries
         assert p_eff.coeffs == pytest.approx((1.0,), abs=1e-14)
         assert q_eff.is_zero or max(abs(c) for c in q_eff.coeffs) < 1e-14
 
@@ -301,6 +310,13 @@ class TestIntervalsOffZero:
         state, report = solve_state(coupled_spec((L,), (DIRICHLET,), 0.0), "m1", (1,))
         assert report.converged
         assert abs(state.omega - math.pi / L) <= 1e-12 * (math.pi / L)
+
+    @pytest.mark.parametrize("L", [1e-15, math.pi], ids=["1e-15", "pi"])
+    def test_indicial_residual_is_relative(self, L):
+        # The eigenvalues scale as L^-2, about 1e31 at L = 1e-15; the residual
+        # is relative to them, so both strings read rounding.
+        state, _ = solve_state(coupled_spec((L,), (DIRICHLET,), 0.0), "m1", (1,))
+        assert state.indicial_residual() <= 1e-14
 
 
 def time_term_spec(lengths, bcs, p_coupling, components=2):
