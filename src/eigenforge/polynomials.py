@@ -7,9 +7,10 @@ fitted time pair, projected squares) is a ``LegendreSeries``, whose
 coefficients multiply the Legendre polynomials P_k(t) in the interval's
 reference variable t = (2x - a - b)/(b - a): the power form's condition number
 grows exponentially with the degree, the Legendre form's does not. Monomials
-are inputs only: a monomial operand or integrand factor is converted to
-Legendre coefficients first. Every value carries the finite interval it lives
-on, and all operations are pure functions of immutable values.
+are inputs only: ``as_series`` is their one route to a series, keeping what it
+converts, and a series and a monomial neither add nor subtract. Every value
+carries the finite interval it lives on, and all operations are pure functions
+of immutable values.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Polynomial:
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0), self.interval)
 
     def _coerce(self, other):
-        """Other operand in this value's basis; None where only the other side can convert."""
+        """A scalar or a same-basis operand as this value's type; None otherwise."""
         if isinstance(other, (int, float)):
             return type(self)((float(other),), self.interval)
         if not isinstance(other, Polynomial) or type(other) is not type(self):
@@ -163,8 +164,8 @@ class Polynomial:
 class LegendreSeries(Polynomial):
     """A computed function: ``coeffs`` multiply P_0(t), P_1(t), ... in t(x).
 
-    Sums, differences, negation and scalar multiples are coefficient-wise, as
-    for ``Polynomial``; a monomial operand is converted to this basis first.
+    Sums and differences of series, negation and scalar multiples are
+    coefficient-wise, as for ``Polynomial``; a monomial operand is refused.
     There is no product of two functions: integrals of products go through
     ``integrate_product`` and squares are fitted from values.
     """
@@ -177,11 +178,6 @@ class LegendreSeries(Polynomial):
         coeffs = np.asarray(self.coeffs)
         d = _legendre_derivative(coeffs.size) @ coeffs * (2.0 / (hi - lo))
         return LegendreSeries(tuple(d), self.interval)
-
-    def _coerce(self, other):
-        if type(other) is Polynomial:
-            other = LegendreSeries(_legendre_coeffs(other.coeffs, other.interval), other.interval)
-        return super()._coerce(other)
 
 
 def _legendre_coeffs(coeffs: tuple[float, ...], interval: tuple[float, float]) -> tuple:
@@ -200,6 +196,17 @@ def _legendre_coeffs(coeffs: tuple[float, ...], interval: tuple[float, float]) -
     return tuple(acc)
 
 
+def as_series(f: Polynomial) -> LegendreSeries:
+    """f as a Legendre series: a series as it is, a monomial converted and kept
+    (inputs recur across sweeps and solves; the 256 latest are kept)."""
+    return f if type(f) is LegendreSeries else _converted(f)
+
+
+@lru_cache(maxsize=256)
+def _converted(f: Polynomial) -> LegendreSeries:
+    return LegendreSeries(_legendre_coeffs(f.coeffs, f.interval), f.interval)
+
+
 @lru_cache(maxsize=None)
 def _legendre_derivative(size: int) -> np.ndarray:
     """Square matrix taking size Legendre coefficients to those of d/dt."""
@@ -211,10 +218,6 @@ def _legendre_derivative(size: int) -> np.ndarray:
 def poly(coeffs, interval=(0.0, 1.0)) -> Polynomial:
     """Shorthand constructor."""
     return Polynomial(tuple(coeffs), tuple(interval))
-
-
-def constant(value: float, interval) -> Polynomial:
-    return Polynomial((float(value),), tuple(interval))
 
 
 def differentiate(a: Polynomial) -> Polynomial:
@@ -248,30 +251,31 @@ def integrate_by_antiderivative(a: Polynomial) -> float:
     return float(npoly.polyval(hi, c) - npoly.polyval(lo, c))
 
 
+def node_values(n: int, *factors: Polynomial) -> np.ndarray:
+    """The factors' values at the n Gauss-Legendre nodes of their shared
+    interval, one row per factor: one product of the cached table of P_k at
+    the nodes with their series' zero-padded coefficient columns, in order."""
+    if any(f.interval != factors[0].interval for f in factors):
+        raise IntervalMismatchError("factors live on different intervals")
+    series = [as_series(f).coeffs for f in factors]
+    columns = np.zeros((max(len(c) for c in series), len(series)))
+    for j, c in enumerate(series):
+        columns[: len(c), j] = c
+    return (_legendre_table(n, columns.shape[0]) @ columns).T
+
+
 def integrate_product(*factors: Polynomial) -> float:
     """Exact integral of a product of polynomials over their shared interval.
 
     Gauss-Legendre quadrature with sum(degree) // 2 + 1 nodes, exact at the
-    product's degree, without forming the product: every factor is read at
-    the nodes from the one cached table of P_k there (where t is the node
-    itself), as its Legendre coefficients, a monomial factor's converted by
-    ``_legendre_coeffs`` first. One product of the table with the
-    zero-padded coefficient columns gives every factor's values, multiplied
-    pointwise in factor order.
+    product's degree, without forming the product: the factors' values at
+    the nodes (``node_values``) are multiplied pointwise in factor order.
     """
     if not factors:
         raise DomainError("need at least one factor")
-    iv = factors[0].interval
-    for f in factors[1:]:
-        if f.interval != iv:
-            raise IntervalMismatchError("factors live on different intervals")
     n = sum(f.degree for f in factors) // 2 + 1
-    columns = np.zeros((max(f.degree for f in factors) + 1, len(factors)))
-    for j, f in enumerate(factors):
-        c = _legendre_coeffs(f.coeffs, iv) if type(f) is Polynomial else f.coeffs
-        columns[: len(c), j] = c
-    vals = (_legendre_table(n, columns.shape[0]) @ columns).T
-    lo, hi = iv
+    vals = node_values(n, *factors)
+    lo, hi = factors[0].interval
     return float(0.5 * (hi - lo) * np.dot(_gauss_legendre(n)[1], np.prod(vals, axis=0)))
 
 

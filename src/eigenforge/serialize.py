@@ -122,6 +122,8 @@ def _interval_from_obj(value, context: str) -> tuple[float, float]:
 def poly_from_obj(obj, context: str = "polynomial") -> Polynomial:
     check_keys(obj, ["coeffs", "interval"], context=context)
     coeffs = _array(obj["coeffs"], f"{context}.coeffs")
+    if not coeffs:
+        raise DomainError(f"{context}.coeffs must be a non-empty array")
     return Polynomial(tuple(_number(c, f"{context}.coeffs[{i}]") for i, c in enumerate(coeffs)),
                       _interval_from_obj(obj["interval"], f"{context}.interval"))
 

@@ -39,6 +39,7 @@ from .errors import DomainError, NonConvergenceError
 from .polynomials import (
     LegendreSeries,
     Polynomial,
+    as_series,
     chebyshev_fit,
     differentiate,
     integrate_product,
@@ -250,7 +251,7 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
     share the target dimension's factor: every component for a space
     dimension, one component for the time dimension. Both coefficients are
     Legendre series, whatever the terms: the sum starts from the zero
-    series, and each monomial term factor is converted as it is added.
+    series, and each term factor is added as its ``as_series``.
     """
     dims = spec.dimensions
     others = [d for d in range(len(dims)) if d != dim_index]
@@ -261,7 +262,7 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
         for term in coeff.terms:
             weight = sum(math.prod(_weighted_average(term[d], state.factor_poly(ell, d), dims[d].r)
                                    for d in others) for ell in components) / len(components)
-            acc = acc + term[dim_index] * weight
+            acc = acc + as_series(term[dim_index]) * weight
         if coeff.coupling_g != 0.0:
             g = coeff.coupling_g * state.amplitude ** 2
             weight = sum(math.prod((_moment_ratio(state.factor_poly(ell, d), dims[d].r)

@@ -5,8 +5,8 @@ end conditions. Its basis is Shen's Legendre-Galerkin recombination
 (J. Shen, SIAM J. Sci. Comput. 15 (1994)): column k is
 P_k + alpha_k P_{k+1} + beta_k P_{k+2} in the reference variable t, with
 alpha_k and beta_k chosen so that the column meets both conditions exactly,
-whether they fix the value or the derivative. The basis is evaluated at
-Gauss-Legendre nodes from the cached table that quadrature also uses.
+whether they fix the value or the derivative. The basis and the coefficients
+p, q, r are read at Gauss-Legendre nodes off the table that quadrature uses.
 
 The basis is hierarchical (column k does not depend on the degree), so the
 stiffness and mass matrices of degree n are the leading (n - 1) x (n - 1)
@@ -56,7 +56,6 @@ VANISH_DERIVATIVE = "derivative"
 _POSITIVITY_SAMPLES = 257
 _POSITIVITY_MARGIN = 1e-12
 _BOUNDARY_TOL = 1e-9
-_NORM_FLOOR = 1e-14
 _RESIDUAL_SAMPLES = 101
 
 
@@ -174,27 +173,18 @@ def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
     return S
 
 
-def _basis_arrays(bc: BoundaryCondition, interval, degree: int, n_nodes: int):
-    """Values and x-derivatives of the trial basis at the n_nodes Gauss-Legendre
-    nodes mapped onto the interval: one row per basis function."""
-    lo, hi = interval
-    S = _recombination(bc, degree)
+def _assemble(prob: SLProblem, degree: int):
+    """The pencil (A, B) of the given degree, by quadrature exact at the largest
+    integrand: the trial basis, its derivative and p, q, r are all read at the
+    Gauss-Legendre nodes off the one cached table of P_k there."""
+    lo, hi = prob.interval
+    n_nodes = (max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree) // 2 + 1
+    w = 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[1]
+    pv, qv, rv = polynomials.node_values(n_nodes, prob.p, prob.q, prob.r)
+    S = _recombination(prob.bc, degree)
     table = polynomials._legendre_table(n_nodes, degree + 1)
     phi = (table @ S).T
     dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T * (2.0 / (hi - lo))
-    return phi, dphi
-
-
-def _assemble(prob: SLProblem, degree: int):
-    lo, hi = prob.interval
-    max_integrand = max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree
-    n_nodes = max_integrand // 2 + 1
-    xg, wg = polynomials._gauss_legendre(n_nodes)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = mid + half * xg
-    w = half * wg
-    pv, qv, rv = (f.values(x) for f in (prob.p, prob.q, prob.r))
-    phi, dphi = _basis_arrays(prob.bc, prob.interval, degree, n_nodes)
     A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
     B = (phi * (w * rv)) @ phi.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
@@ -327,7 +317,8 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
     """(int p u'^2 - q u^2) / (int r u^2), all integrals exact.
 
     The trial function must be nonzero and satisfy the boundary conditions to
-    1e-9; a weighted norm below 1e-14 is rejected as degenerate.
+    1e-9; a weighted norm that is not positive is rejected as degenerate (the
+    quotient is scale-free, so no absolute floor applies).
     """
     if u.is_zero:
         raise DegenerateTrialError("trial function is identically zero")
@@ -337,8 +328,8 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
             f"trial violates boundary conditions: residuals ({res_a:.3e}, {res_b:.3e})"
         )
     denom = integrate_product(prob.r, u, u)
-    if denom < _NORM_FLOOR:
-        raise DegenerateTrialError(f"weighted norm {denom:.3e} below {_NORM_FLOOR}")
+    if not denom > 0:
+        raise DegenerateTrialError(f"weighted norm {denom:.3e} is not positive")
     du = differentiate(u)
     num = integrate_product(prob.p, du, du) - integrate_product(prob.q, u, u)
     return num / denom

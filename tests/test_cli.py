@@ -203,6 +203,17 @@ class TestEigenCommand:
         assert result.returncode == 2
         assert "problem.p.coeffs[0] must be a finite number" in result.stderr
 
+    def test_empty_coefficients_invalid(self, tmp_path):
+        # An empty array is no polynomial; it must not read as zero.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["q"]["coeffs"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path), "--out", str(tmp_path / "out.json"))
+        assert result.returncode == 2
+        assert "problem.q.coeffs must be a non-empty array" in result.stderr
+        assert not (tmp_path / "out.json").exists()
+
     def test_nonconvergence_exit_code(self, problem_file):
         result = run_cli("eigen", "--problem", problem_file, "--tol", "1e-30",
                          "--max-degree", "10")
@@ -272,11 +283,14 @@ class TestSigmaCommand:
         (("space_dims",), 5, "model.space_dims must be an array"),
         (("modes",), 5, "model.modes must be an array"),
         (("space_dims", 0, "bc", "a"), ["value"], "model.space_dims[0].bc.a must be one of"),
+        (("Q", "terms"), [[{"coeffs": [], "interval": [0.0, math.pi]},
+                           {"coeffs": [1.0], "interval": [0.0, math.pi / 2]}]],
+         "model.Q.terms[0][0].coeffs must be a non-empty array"),
     ], ids=["targets-string", "target-float", "target-bool", "target-string", "label-number",
             "components-float", "components-bool", "coeffs-string", "coeff-string", "coeff-nan",
             "coupling-bool", "coupling-string", "interval-string", "interval-bool",
             "terms-number", "terms-string", "term-number", "space-dims-number", "modes-number",
-            "bc-array"])
+            "bc-array", "coeffs-empty"])
     def test_wrong_json_type_invalid(self, tmp_path, path, value, message):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))
         node = obj

@@ -19,6 +19,7 @@ from eigenforge.polynomials import (
     _legendre_coeffs,
     _legendre_table,
     antiderivative,
+    as_series,
     chebyshev_fit,
     differentiate,
     evaluate,
@@ -182,16 +183,19 @@ class TestLegendreSeries:
                            rtol=0, atol=1e-12)
         assert u(2.0) == pytest.approx(float(sum(u.coeffs)), abs=1e-13)
 
-    def test_monomial_operand_is_converted(self):
+    def test_monomial_operand_is_refused(self):
+        # Sums stay in one basis: a monomial reaches a series only through
+        # as_series, never inside + or -. Scalars are constants in any basis.
         u = self.series()
         p = poly([0.5, -1.0, 0.25, 2.0], self.IV)
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            for a, b in ((u, p), (p, u)):
+                with pytest.raises(TypeError):
+                    op(a, b)
         xs = np.linspace(*self.IV, 33)
-        for got, want in ((u + p, u.values(xs) + p.values(xs)),
-                          (p + u, p.values(xs) + u.values(xs)),
-                          (u - p, u.values(xs) - p.values(xs)),
-                          (p - u, p.values(xs) - u.values(xs))):
-            assert type(got) is LegendreSeries
-            assert np.allclose(got.values(xs), want, rtol=0, atol=1e-12)
+        assert as_series(u) is u
+        assert np.allclose((u + as_series(p)).values(xs), u.values(xs) + p.values(xs),
+                           rtol=0, atol=1e-12)
         assert type(2.0 * u) is type(u / 4) is type(-u) is LegendreSeries
         assert (u + 1.0).coeffs[0] == u.coeffs[0] + 1.0
 
@@ -202,7 +206,7 @@ class TestLegendreSeries:
         with pytest.raises(TypeError):
             u * poly([1.0, 1.0], self.IV)
         with pytest.raises(IntervalMismatchError):
-            u + poly([1.0], (0.0, 1.0))
+            u + LegendreSeries((1.0,), (0.0, 1.0))
 
     def test_equality_tells_the_bases_apart(self):
         assert LegendreSeries((1.0, 2.0), UNIT) != poly([1.0, 2.0], UNIT)

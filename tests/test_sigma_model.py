@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import make_string_spec
-from eigenforge import sigma_model
+from eigenforge import polynomials, sigma_model
 from eigenforge.action import make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
 from eigenforge.polynomials import (
     LegendreSeries,
     chebyshev_fit,
-    constant,
     differentiate,
     integrate_product,
     poly,
@@ -120,6 +119,23 @@ class TestEffectiveCoeffs:
         p2, q2 = effective_coeffs(string_spec, s2, 0, (0,))
         assert p1.coeffs == pytest.approx(p2.coeffs)
         assert q1.coeffs == pytest.approx(q2.coeffs)
+
+    def test_each_monomial_converted_once(self, monkeypatch):
+        # Term factors and weights are read in every sweep and every
+        # quadrature; each distinct one is converted to a series once.
+        calls = []
+        convert = polynomials._legendre_coeffs
+
+        def counted(coeffs, interval):
+            calls.append((coeffs, interval))
+            return convert(coeffs, interval)
+
+        polynomials._converted.cache_clear()
+        monkeypatch.setattr(polynomials, "_legendre_coeffs", counted)
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        _, report = solve_state(spec, "m11", (1, 1))
+        assert report.iterations > 1
+        assert calls and len(calls) == len(set(calls))
 
 
 def box_spec():

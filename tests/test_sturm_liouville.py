@@ -82,9 +82,13 @@ class TestProblemValidation:
 
 class TestRayleighQuotient:
     def test_bubble_is_exactly_ten(self):
-        prob = unit_problem()
-        u = poly([0.0, 1.0, -1.0], (0.0, 1.0))
-        assert rayleigh_quotient(prob, u) == pytest.approx(10.0, abs=1e-12)
+        # x (L - x) gives 10 / L^2 on every scale: its weighted norm L^5 / 30
+        # is 3.3e-17 on the short interval, yet the quotient is exact. The
+        # bound is 1e-12 absolute at L = 1.
+        for L in (1.0, 1e-3):
+            prob = unit_problem(interval=(0.0, L))
+            u = poly([0.0, L, -1.0], (0.0, L))
+            assert rayleigh_quotient(prob, u) == pytest.approx(10.0 / L**2, rel=1e-13)
 
     def test_matches_solver_eigenvalue(self):
         prob = unit_problem()
@@ -282,6 +286,25 @@ class TestVariableCoefficients:
         for pair in pairs:
             assert rayleigh_quotient(prob, pair.u) == pytest.approx(
                 pair.lambda_, rel=1e-10)
+
+
+class TestAssembly:
+    def test_entries_are_the_integrals(self):
+        # B_ij = int r phi_i phi_j and the q-part of A, int q phi_i phi_j, with
+        # a monomial r and a degree-30 Legendre q read at the nodes as series.
+        # The q-part is A at q = 0 minus A; a small p keeps the p-part from
+        # cancelling in that difference.
+        iv, degree = (0.0, 2.0), 12
+        rng = np.random.default_rng(3)
+        p, r = poly([1e-6], iv), poly([1.0, 0.25], iv)
+        q = LegendreSeries(tuple(rng.normal(size=31)), iv)
+        A, B = _assemble(SLProblem(p, q, r, DIRICHLET), degree)
+        A0, _ = _assemble(SLProblem(p, LegendreSeries((0.0,), iv), r, DIRICHLET), degree)
+        S = _recombination(DIRICHLET, degree)
+        phi = [LegendreSeries(tuple(S[:, i]), iv) for i in range(degree - 1)]
+        for got, f in ((B, r), (A0 - A, q)):
+            want = np.array([[integrate_product(f, a, b) for b in phi] for a in phi])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(B).max()
 
 
 class TestReduction:
