@@ -41,13 +41,15 @@ class TimePair:
 
     Forward orientation satisfies u1' = -u2 and u2' = u1; backward flips both
     signs. Pointwise, both derivative relations and u1^2 + u2^2 = 1 hold to
-    1e-12 across the piece.
+    1e-12 across the piece. ``action``, computed once with the pair, is the
+    action of one piece at unit amplitude: int u1'^2 + int u2'^2 (pi/2 for cos, sin).
     """
 
     u1: Polynomial
     u2: Polynomial
     quarter_period: float
     orientation: str
+    action: float
 
 
 def make_time_pair(orientation: str = FORWARD) -> TimePair:
@@ -70,14 +72,9 @@ def _time_pair(orientation: str) -> TimePair:
     u2 = chebyshev_fit(np.sin, TIME_PAIR_DEGREE, domain)
     if orientation == BACKWARD:
         u2 = -u2
-    return TimePair(u1, u2, QUARTER_PERIOD, orientation)
-
-
-def pair_action(pair: TimePair) -> float:
-    """Integral of u1'^2 + u2'^2 over the quarter piece (pi/2 for exact fits)."""
-    d1 = differentiate(pair.u1)
-    d2 = differentiate(pair.u2)
-    return integrate_product(d1, d1) + integrate_product(d2, d2)
+    d1, d2 = differentiate(u1), differentiate(u2)
+    action = integrate_product(d1, d1) + integrate_product(d2, d2)
+    return TimePair(u1, u2, QUARTER_PERIOD, orientation, action)
 
 
 def action_integral(state, pair: TimePair) -> float:
@@ -85,20 +82,24 @@ def action_integral(state, pair: TimePair) -> float:
 
     Requires the state's space factors to be unit-normalized so the spatial
     integral contributes exactly 1; the result is amplitude^2 times the
-    pair's kinetic integral, i.e. A^2 * pi/2 for the exact harmonic pair.
+    pair's stored ``action``, i.e. A^2 * pi/2 for the exact harmonic pair.
+    No integral is computed here.
     """
     for norm in state.space_norms:
         if abs(norm - 1.0) > NORM_TOL:
             raise PreconditionError(f"space factor norm {norm} is not 1 within {NORM_TOL}")
     amp = float(state.amplitude)
-    if amp == 0.0:
-        return 0.0
-    return amp * amp * pair_action(pair)
+    return amp * amp * pair.action
 
 
 def action_for_state(state) -> float:
     """Convenience wrapper: the action of a state on the forward time pair."""
     return action_integral(state, make_time_pair())
+
+
+def h_from_quantum(quantum_I: float) -> float:
+    """The alias h = 4 * I of an action quantum I."""
+    return 4.0 * quantum_I
 
 
 def _real_gcd(x: float, y: float, tol: float) -> float:
@@ -176,7 +177,7 @@ class ActionSpectrum:
 
     @property
     def h(self) -> float:
-        return 4.0 * self.quantum
+        return h_from_quantum(self.quantum)
 
 
 def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
@@ -236,6 +237,6 @@ def total_energy(quantum_I: float, omegas: Sequence[float], occupations: Sequenc
         occ.append(int(n))
     if len(occ) != len(omegas):
         raise DomainError("occupations and frequencies must align")
-    h = 4.0 * quantum_I
+    h = h_from_quantum(quantum_I)
     total = sum(n * h * w / (2.0 * math.pi) for n, w in zip(occ, omegas))
     return EnergyLedger(quantum_I, h, omegas, tuple(occ), total)

@@ -127,7 +127,7 @@ def _cmd_action(args) -> int:
             raise DomainError(f"{context}.omega must be positive, got {omega}")
         amplitude = serialize._number(mode["amplitude"], f"{context}.amplitude")
         labels.append(mode["label"])
-        alphas.append(amplitude * amplitude * action_mod.pair_action(pair))
+        alphas.append(amplitude * amplitude * pair.action)
     spectrum = action_mod.fit_spectrum(labels, alphas, tol=args.lattice_tol)
     closure = action_mod.closure_check(alphas, spectrum.quantum, tol=args.lattice_tol)
     _write(serialize.dumps(serialize.spectrum_to_obj(spectrum, closure)), args.out)
@@ -154,7 +154,7 @@ def _cmd_enumerate(args) -> int:
     omegas = _parse_floats(args.omegas, "--omegas")
     if not omegas:
         raise DomainError("--omegas must list at least one frequency")
-    h = 4.0 * args.quantum_I
+    h = action_mod.h_from_quantum(args.quantum_I)
     states = godel.enumerate_definable(omegas, h, args.emax)
     _write(serialize.enumeration_csv(states), args.out)
     return EXIT_OK

@@ -299,6 +299,10 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
     kinetic, potential, mass = (sum(column) for column in zip(*per_component))
     omega_sq = (lam_sum * mass + potential) / kinetic
     if not omega_sq > 0:
+        scale = (abs(lam_sum * mass) + abs(potential)) / abs(kinetic)
+        if abs(omega_sq) <= 16 * np.finfo(float).eps * scale:  # zero to rounding
+            raise DomainError(f"pinned frequency squared {omega_sq} vanishes to rounding "
+                              f"(scale {scale:.3g}): a zero-frequency state")
         raise DomainError(
             f"pinned frequency squared {omega_sq} must be positive; "
             "the space eigenvalue sum is too low"
@@ -315,6 +319,7 @@ def _sup_change(old: Polynomial, new: Polynomial) -> float:
     return float(np.abs((old - new).values(xs)).max())
 
 
+@lru_cache(maxsize=_FACTOR_CACHE)
 def _unit_norm(u: Polynomial, r: Polynomial) -> Polynomial:
     """u scaled to unit r-weighted norm, its sign kept."""
     return u * (1.0 / math.sqrt(integrate_product(r, u, u)))
@@ -331,11 +336,12 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole solve; the
     action integral reads the quantum off the same pair. They and the
     constant Legendre series the space factors start from are only scaled
-    to unit weighted norm: their signs already meet the eigensolve's, the
-    library's one sign rule. Each sweep installs every space dimension's
-    frozen-coefficient eigenpair as solved. Sweeps repeat until the largest
-    space-factor change is below ``tol``; a factor's change is the sup norm
-    of old minus new at 129 Chebyshev points of its interval. Every eigensolve escalates from
+    to unit weighted norm, once per (factor, weight) for every solve: their
+    signs already meet the eigensolve's, the library's one sign rule. Each
+    sweep installs every space dimension's frozen-coefficient eigenpair as
+    solved. Sweeps repeat until the largest space-factor change is below
+    ``tol``; a factor's change is the sup norm of old minus new at 129
+    Chebyshev points of its interval. Every eigensolve escalates from
     degree 2, so its factor depends on its frozen problem alone. A
     dimension whose space problem equals the one its factor was solved from
     therefore keeps that factor, with a change of 0, and is not solved
@@ -410,55 +416,46 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     return replace(state, space_norms=norms), report
 
 
-def _bracket_value(spec: SigmaModelSpec, state: SeparableEigenstate,
-                   component: int, diff_dim: int) -> float:
-    """One bracket of the balance functional: the diff_dim term of one component.
-
-    Independent of the effective-coefficient machinery: every separable term
-    is integrated dimension by dimension, with the time dimension carrying
-    the tau = omega*t measure (1/omega per plain integral, an extra omega^2
-    when differentiated). The coupling is one more term, weighted by
-    g * amplitude^2, whose factor in each dimension is that dimension's u^2.
-    """
-    dims = spec.dimensions
-    omega = state.omega
-    amp2 = state.amplitude ** 2
-    us = [state.factor_poly(component, d) for d in range(len(dims))]
-    total = 0.0
-    for coeff, is_p in ((spec.P, True), (spec.Q, False)):
-        terms = [(amp2, [(f,) for f in term]) for term in coeff.terms]
-        if coeff.coupling_g != 0.0:
-            terms.append((coeff.coupling_g * amp2 * amp2, [(u, u) for u in us]))
-        for prod, factors in terms:
-            for d, (u, fs) in enumerate(zip(us, factors)):
-                if d != diff_dim:
-                    val = integrate_product(*fs, u, u, dims[d].r)
-                elif is_p:
-                    du = differentiate(u)
-                    val = integrate_product(*fs, du, du)
-                else:
-                    val = integrate_product(*fs, u, u)
-                if d == spec.time_index:
-                    val = val * omega if is_p and d == diff_dim else val / omega
-                prod *= val
-            total += prod if is_p else -prod
-    return total
-
-
 def null_postulate_residual(spec: SigmaModelSpec, state: SeparableEigenstate) -> float:
     """Relative gap between the space-side and time-side integrals.
 
     Both sides are evaluated over one irreducible time piece by direct
-    separable quadrature, so this is an independent check on the pinned
-    frequency, not a restatement of it. A vanished field gives 0 (degenerate:
-    both sides are zero).
+    separable quadrature, apart from ``effective_coeffs``, so this is an
+    independent check on the pinned frequency. For each component and term
+    (the coupling is one more term, weighted by g * amplitude^2, whose factor
+    in each dimension is u^2), every dimension is integrated twice: weighted,
+    int f u u r, and plain, int f u'u' for P or int f u u for Q. Bracket k
+    takes the plain value on dimension k and the weighted one elsewhere; the
+    time dimension carries the tau = omega*t measure (1/omega per integral,
+    omega instead when differentiated). A vanished field gives 0.
     """
+    dims = spec.dimensions
+    t = spec.time_index
+    omega = state.omega
+    amp2 = state.amplitude ** 2
     space_term = 0.0
     time_term = 0.0
     for ell in range(state.components):
-        for d in range(len(spec.space_dims)):
-            space_term += _bracket_value(spec, state, ell, d)
-        time_term += _bracket_value(spec, state, ell, spec.time_index)
+        us = [state.factor_poly(ell, d) for d in range(len(dims))]
+        brackets = [0.0] * len(dims)
+        for coeff, is_p in ((spec.P, True), (spec.Q, False)):
+            vs = [differentiate(u) for u in us] if is_p else us
+            terms = [(amp2, [(f,) for f in term]) for term in coeff.terms]
+            if coeff.coupling_g != 0.0:
+                terms.append((coeff.coupling_g * amp2 * amp2, [(u, u) for u in us]))
+            for prefactor, factors in terms:
+                weighted = [integrate_product(*fs, u, u, dim.r)
+                            for fs, u, dim in zip(factors, us, dims)]
+                own = [integrate_product(*fs, v, v) for fs, v in zip(factors, vs)]
+                weighted[t] /= omega
+                own[t] = own[t] * omega if is_p else own[t] / omega
+                for k in range(len(dims)):
+                    prod = math.prod(weighted[:k] + own[k:k + 1] + weighted[k + 1:],
+                                     start=prefactor)
+                    brackets[k] += prod if is_p else -prod
+        for k in range(t):
+            space_term += brackets[k]
+        time_term += brackets[t]
     return abs(space_term - time_term) / (abs(space_term) + 1e-30)
 
 

@@ -16,11 +16,14 @@ from eigenforge.action import (
     closure_check,
     fit_lattice,
     fit_spectrum,
+    h_from_quantum,
     make_time_pair,
     schrodinger_time_density,
     total_energy,
 )
+from eigenforge import action, polynomials
 from eigenforge.errors import DomainError, NoLatticeError, PreconditionError
+from eigenforge.polynomials import integrate_product
 
 HALF_PI = math.pi / 2
 
@@ -73,6 +76,14 @@ class TestMakeTimePair:
         assert make_time_pair(BACKWARD) is make_time_pair(orientation=BACKWARD)
         assert make_time_pair(BACKWARD) is not make_time_pair(FORWARD)
 
+    @pytest.mark.parametrize("orientation", [FORWARD, BACKWARD])
+    def test_action_is_the_kinetic_integral(self, orientation):
+        # The pair carries int u1'^2 + int u2'^2, summed in that order.
+        pair = make_time_pair(orientation)
+        d1, d2 = pair.u1.derivative(), pair.u2.derivative()
+        assert pair.action == integrate_product(d1, d1) + integrate_product(d2, d2)
+        assert abs(pair.action - HALF_PI) <= 1e-12
+
     def test_validation_survives_a_cached_call(self):
         make_time_pair()
         make_time_pair("forward")
@@ -99,6 +110,15 @@ class TestActionIntegral:
         one = action_integral(_FakeState(1.0), pair)
         two = action_integral(_FakeState(2.0), pair)
         assert two == pytest.approx(4.0 * one, rel=1e-12)
+
+    def test_reads_the_stored_action(self, monkeypatch):
+        def refuse(*factors):
+            raise AssertionError("an action integral computed an integral")
+
+        make_time_pair()
+        monkeypatch.setattr(polynomials, "integrate_product", refuse)
+        monkeypatch.setattr(action, "integrate_product", refuse)
+        assert action.action_for_state(_FakeState(1.0)) == make_time_pair().action
 
     def test_unnormalized_space_factors_rejected(self):
         pair = make_time_pair()
@@ -207,3 +227,10 @@ class TestSpectrum:
         assert spec.multipliers == (1, 2, 3)
         assert all(r <= 1e-9 for r in spec.residuals)
         assert spec.h == pytest.approx(6.0)
+
+    def test_one_rule_for_h(self):
+        # The spectrum, the energy ledger and `eigenforge enumerate` take h
+        # from the one rule h = 4 I.
+        spec = fit_spectrum(["m1"], [0.7])
+        assert h_from_quantum(0.7) == 2.8
+        assert spec.h == total_energy(0.7, [1.0], [1]).h == h_from_quantum(0.7)

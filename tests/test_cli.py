@@ -246,6 +246,18 @@ class TestEigenCommand:
 
 
 class TestSigmaCommand:
+    def test_zero_frequency_state_invalid(self, tmp_path):
+        # The Neumann ground state of the coupled string has omega^2 = 0 to
+        # rounding: refused as invalid input, and said so.
+        obj = serialize.model_to_obj(make_string_spec(coupling_g=0.05, num_modes=1))
+        obj["space_dims"][0]["bc"] = {"a": "derivative", "b": "derivative"}
+        path = tmp_path / "model.json"
+        path.write_text(serialize.dumps(obj))
+        result = run_cli("sigma", "--model", str(path))
+        assert result.returncode == 2
+        assert "vanishes to rounding" in result.stderr
+        assert "a zero-frequency state" in result.stderr
+
     @pytest.mark.parametrize("interval", [[0.0, math.pi, 99], 5], ids=["three-elements", "number"])
     def test_bad_dimension_interval_invalid(self, tmp_path, interval):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))

@@ -490,7 +490,8 @@ class TestPinTime:
         monkeypatch.setattr(sigma_model, "integrate_product", counted)
         sweeps = []
         for tol in (1e-5, 1e-10):
-            for cache in (sigma_model._weighted_average, sigma_model._moment_ratio):
+            for cache in (sigma_model._weighted_average, sigma_model._moment_ratio,
+                          sigma_model._unit_norm):
                 cache.cache_clear()
             counts.append(0)
             _, report = solve_state(spec, "m", (1, 2), tol=tol, max_iter=200)
@@ -646,3 +647,129 @@ class TestValidation:
         with pytest.raises(DomainError, match="max_iter must be at least 1"):
             solve_state(string_spec, "m1", (1,), max_iter=max_iter)
         assert calls == []
+
+
+def timedep_spec():
+    """The three-component model of the CI's CLI check: a P term that depends
+    on time (1 + tau), a P coupling of 0.02 and a Q coupling of 0.05, over
+    Dirichlet intervals of lengths 1.3 and 2.1."""
+    ivs, time_iv = [(0.0, 1.3), (0.0, 2.1)], (0.0, math.pi / 2)
+    space = tuple(DimensionSpec(iv, poly([1.0], iv), DIRICHLET) for iv in ivs)
+    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+    p_field = CoeffField(terms=(tuple(poly([1.0], iv) for iv in ivs)
+                                + (poly([1.0, 1.0], time_iv),),), coupling_g=0.02)
+    return SigmaModelSpec(space, time, p_field, CoeffField(terms=(), coupling_g=0.05),
+                          components=3)
+
+
+def per_bracket_null_residual(spec, state):
+    """The null check written bracket by bracket: every bracket integrates
+    every dimension of every term again."""
+    dims = spec.dimensions
+
+    def bracket(component, diff_dim):
+        omega = state.omega
+        amp2 = state.amplitude ** 2
+        us = [state.factor_poly(component, d) for d in range(len(dims))]
+        total = 0.0
+        for coeff, is_p in ((spec.P, True), (spec.Q, False)):
+            terms = [(amp2, [(f,) for f in term]) for term in coeff.terms]
+            if coeff.coupling_g != 0.0:
+                terms.append((coeff.coupling_g * amp2 * amp2, [(u, u) for u in us]))
+            for prod, factors in terms:
+                for d, (u, fs) in enumerate(zip(us, factors)):
+                    if d != diff_dim:
+                        val = integrate_product(*fs, u, u, dims[d].r)
+                    elif is_p:
+                        du = differentiate(u)
+                        val = integrate_product(*fs, du, du)
+                    else:
+                        val = integrate_product(*fs, u, u)
+                    if d == spec.time_index:
+                        val = val * omega if is_p and d == diff_dim else val / omega
+                    prod *= val
+                total += prod if is_p else -prod
+        return total
+
+    space_term = 0.0
+    time_term = 0.0
+    for ell in range(state.components):
+        for d in range(len(spec.space_dims)):
+            space_term += bracket(ell, d)
+        time_term += bracket(ell, spec.time_index)
+    return abs(space_term - time_term) / (abs(space_term) + 1e-30)
+
+
+NULL_CASES = {
+    "string-m2-coupled": lambda: (make_string_spec(coupling_g=0.01), (2,)),
+    "2d-coupled": lambda: (coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05), (1, 1)),
+    "timedep-m12": lambda: (timedep_spec(), (1, 2)),
+    "1d-time-terms": lambda: (time_term_spec((2.1,), (NEUMANN,), 0.02), (1,)),
+}
+
+
+class TestNullCheckIntegrals:
+    # Each dimension is integrated twice per term and component, and every
+    # bracket is formed from those values; the sums keep the per-bracket order,
+    # so the residual is the per-bracket loop's to the last bit.
+    @pytest.mark.parametrize("case", list(NULL_CASES))
+    def test_equals_per_bracket_loop(self, case):
+        spec, targets = NULL_CASES[case]()
+        state, _ = solve_state(spec, "m", targets, tol=1e-10, max_iter=200)
+        assert null_postulate_residual(spec, state) == per_bracket_null_residual(spec, state)
+
+    # Two P terms, a Q term and both couplings: the residual of a detuned
+    # state here changes when the terms are summed in another order.
+    @pytest.mark.parametrize("case", ["timedep-m12", "1d-time-terms"])
+    @pytest.mark.parametrize("factor", [0.97, 1.1])
+    def test_detuned_state_equals_per_bracket_loop(self, case, factor):
+        spec, targets = NULL_CASES[case]()
+        state, _ = solve_state(spec, "m", targets, tol=1e-10, max_iter=200)
+        bad = detuned(state, factor)
+        got = null_postulate_residual(spec, bad)
+        assert got == per_bracket_null_residual(spec, bad)
+        assert got > 1e-4  # detuning breaks the balance
+
+    def test_two_integrals_per_dimension_term_and_component(self, monkeypatch):
+        spec = timedep_spec()
+        state, _ = solve_state(spec, "m12", (1, 2), tol=1e-10, max_iter=200)
+        calls = []
+
+        def counted(*factors):
+            calls.append(factors)
+            return integrate_product(*factors)
+
+        monkeypatch.setattr(sigma_model, "integrate_product", counted)
+        null_postulate_residual(spec, state)
+        terms = len(spec.P.terms) + len(spec.Q.terms) + 2  # both couplings are terms
+        assert terms == 3
+        assert len(calls) == spec.components * terms * 2 * len(spec.dimensions) == 54
+
+
+class TestUnitFactors:
+    def test_time_factors_shared_across_solves(self):
+        # The time pair's unit factors are computed once per (factor, weight).
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        first, _ = solve_state(spec, "a", (1, 1))
+        second, _ = solve_state(spec, "b", (1, 2))
+        assert len(first.time_factors) == len(second.time_factors) == spec.components
+        for a, b in zip(first.time_factors, second.time_factors):
+            assert a.u is b.u
+
+
+class TestZeroFrequency:
+    # The Neumann ground state is the constant factor: its pinned omega^2 is
+    # zero up to a couple of ulps of the balance's scale, of either sign.
+    @pytest.mark.parametrize("g", [0.05, 10.0])
+    def test_neumann_ground_state_vanishes_to_rounding(self, g):
+        spec = coupled_spec((2.1,), (NEUMANN,), g)
+        with pytest.raises(DomainError, match="vanishes to rounding.*a zero-frequency state"):
+            solve_state(spec, "m1", (1,))
+
+    def test_negative_frequency_squared_keeps_its_message(self):
+        spec = coupled_spec((2.1,), (DIRICHLET,), 0.05)
+        state = given_state(spec)
+        state = replace(state, space_factors=tuple(replace(f, lambda_=-5.0)
+                                                   for f in state.space_factors))
+        with pytest.raises(DomainError, match="the space eigenvalue sum is too low"):
+            sigma_model._pin_time(spec, state)
