@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NoLatticeError, PreconditionError
-from .polynomials import Polynomial, chebyshev_fit, differentiate, integrate_product
+from .polynomials import Polynomial, chebyshev_fit, integrate_product
 
 QUARTER_PERIOD = math.pi / 2.0
 
@@ -72,29 +72,25 @@ def _time_pair(orientation: str) -> TimePair:
     u2 = chebyshev_fit(np.sin, TIME_PAIR_DEGREE, domain)
     if orientation == BACKWARD:
         u2 = -u2
-    d1, d2 = differentiate(u1), differentiate(u2)
+    d1, d2 = u1.derivative(), u2.derivative()
     action = integrate_product(d1, d1) + integrate_product(d2, d2)
     return TimePair(u1, u2, QUARTER_PERIOD, orientation, action)
 
 
-def action_integral(state, pair: TimePair) -> float:
+def action_for_state(state) -> float:
     """Action carried by one irreducible time piece of a separable state.
 
     Requires the state's space factors to be unit-normalized so the spatial
-    integral contributes exactly 1; the result is amplitude^2 times the
+    integral contributes exactly 1; the result is amplitude^2 times the time
     pair's stored ``action``, i.e. A^2 * pi/2 for the exact harmonic pair.
-    No integral is computed here.
+    Both orientations store the same action, so the forward pair is read. No
+    integral is computed here.
     """
     for norm in state.space_norms:
         if abs(norm - 1.0) > NORM_TOL:
             raise PreconditionError(f"space factor norm {norm} is not 1 within {NORM_TOL}")
     amp = float(state.amplitude)
-    return amp * amp * pair.action
-
-
-def action_for_state(state) -> float:
-    """Convenience wrapper: the action of a state on the forward time pair."""
-    return action_integral(state, make_time_pair())
+    return amp * amp * make_time_pair().action
 
 
 def h_from_quantum(quantum_I: float) -> float:
@@ -203,8 +199,8 @@ def schrodinger_time_density(pair: TimePair, amplitude: float, h: float,
         raise DomainError("need at least two sample points")
     amp2 = float(amplitude) ** 2
     xs = np.linspace(0.0, pair.quarter_period, samples)
-    d1 = differentiate(pair.u1).values(xs)
-    d2 = differentiate(pair.u2).values(xs)
+    d1 = pair.u1.derivative().values(xs)
+    d2 = pair.u2.derivative().values(xs)
     v1 = pair.u1.values(xs)
     v2 = pair.u2.values(xs)
     form_a = amp2 * (d1 * d1 + d2 * d2)
@@ -213,18 +209,8 @@ def schrodinger_time_density(pair: TimePair, amplitude: float, h: float,
     return [float(v) for v in form_a], [float(v) for v in form_b]
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Occupied-mode energy bookkeeping: E_t = sum n_m h omega_m / 2pi."""
-
-    quantum_I: float
-    h: float
-    omegas: tuple[float, ...]
-    occupations: tuple[int, ...]
-    total: float
-
-
-def total_energy(quantum_I: float, omegas: Sequence[float], occupations: Sequence[int]) -> EnergyLedger:
+def total_energy(quantum_I: float, omegas: Sequence[float], occupations: Sequence[int]) -> float:
+    """Occupied-mode energy E_t = sum n_m h omega_m / 2pi, with h = 4 I."""
     if not quantum_I > 0:
         raise DomainError("quantum must be positive")
     omegas = tuple(float(w) for w in omegas)
@@ -238,5 +224,4 @@ def total_energy(quantum_I: float, omegas: Sequence[float], occupations: Sequenc
     if len(occ) != len(omegas):
         raise DomainError("occupations and frequencies must align")
     h = h_from_quantum(quantum_I)
-    total = sum(n * h * w / (2.0 * math.pi) for n, w in zip(occ, omegas))
-    return EnergyLedger(quantum_I, h, omegas, tuple(occ), total)
+    return sum((n * h * w / (2.0 * math.pi) for n, w in zip(occ, omegas)), 0.0)

@@ -8,7 +8,9 @@ coefficients multiply the Legendre polynomials P_k(t) in the interval's
 reference variable t = (2x - a - b)/(b - a): the power form's condition number
 grows exponentially with the degree, the Legendre form's does not. Monomials
 are inputs only: ``as_series`` is their one route to a series, keeping what it
-converts, and a series and a monomial neither add nor subtract. Every value
+converts, and a series and a monomial neither add nor subtract. No two
+functions multiply, in either basis: a product is integrated
+(``integrate_product``) or fitted from values, never formed. Every value
 carries the finite interval it lives on, and all operations are pure functions
 of immutable values.
 """
@@ -75,11 +77,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
 
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
-
     def values(self, xs) -> np.ndarray:
-        """Vectorized evaluation; all sample points must lie in the interval."""
+        """Values at a point or an array of points, all inside the interval:
+        the one evaluation."""
         xs = np.asarray(xs, dtype=float)
         a, b = self.interval
         if xs.size and (float(xs.min()) < a or float(xs.max()) > b):
@@ -133,22 +133,10 @@ class Polynomial:
         return type(self)(tuple(-c for c in self.coeffs), self.interval)
 
     def __mul__(self, other):
+        # Scalar multiples only: no two functions multiply, monomials included.
         if isinstance(other, (int, float)):
             return type(self)(tuple(float(other) * c for c in self.coeffs), self.interval)
-        other = self._coerce(other)
-        # The coefficient convolution below is the monomial product; a
-        # Legendre series has no product with another function.
-        if other is None or type(self) is not Polynomial:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial((0.0,), self.interval)
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0.0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Polynomial(tuple(out), self.interval)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -166,8 +154,6 @@ class LegendreSeries(Polynomial):
 
     Sums and differences of series, negation and scalar multiples are
     coefficient-wise, as for ``Polynomial``; a monomial operand is refused.
-    There is no product of two functions: integrals of products go through
-    ``integrate_product`` and squares are fitted from values.
     """
 
     def _at(self, xs):
@@ -218,11 +204,6 @@ def _legendre_derivative(size: int) -> np.ndarray:
 def poly(coeffs, interval=(0.0, 1.0)) -> Polynomial:
     """Shorthand constructor."""
     return Polynomial(tuple(coeffs), tuple(interval))
-
-
-def differentiate(a: Polynomial) -> Polynomial:
-    """Formal derivative on the same interval, in the operand's basis."""
-    return a.derivative()
 
 
 def antiderivative(a: Polynomial) -> Polynomial:
@@ -277,15 +258,6 @@ def integrate_product(*factors: Polynomial) -> float:
     vals = node_values(n, *factors)
     lo, hi = factors[0].interval
     return float(0.5 * (hi - lo) * np.dot(_gauss_legendre(n)[1], np.prod(vals, axis=0)))
-
-
-def evaluate(a: Polynomial, x: float) -> float:
-    """Value at a point inside the interval."""
-    x = float(x)
-    lo, hi = a.interval
-    if not (lo <= x <= hi):
-        raise DomainError(f"x={x} outside interval ({lo}, {hi})")
-    return float(a._at(x))
 
 
 @lru_cache(maxsize=None)

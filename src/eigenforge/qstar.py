@@ -236,12 +236,6 @@ class QStarElement:
             raise DomainError("the zero element has no reciprocal")
         return QStarElement(self.den, self.num)
 
-    def sign(self) -> int:
-        """Sign in the dominance order (the leading behavior as W grows)."""
-        if self.is_zero:
-            return 0
-        return 1 if self.num[-1] > 0 else -1
-
     __lt__ = _dominance(operator.lt)
     __le__ = _dominance(operator.le)
     __gt__ = _dominance(operator.gt)

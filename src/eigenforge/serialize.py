@@ -11,7 +11,7 @@ import json
 import math
 from typing import Any, Mapping, Sequence
 
-from .action import ActionSpectrum, EnergyLedger
+from .action import ActionSpectrum
 from .errors import DomainError
 from .godel import EnumeratedState
 from .polynomials import Polynomial
@@ -292,16 +292,6 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool | None = None) ->
     if closure_ok is not None:
         out["closure"] = closure_ok
     return out
-
-
-def ledger_to_obj(ledger: EnergyLedger) -> dict:
-    return {
-        "I": ledger.quantum_I,
-        "h": ledger.h,
-        "omegas": list(ledger.omegas),
-        "occupations": list(ledger.occupations),
-        "E_t": ledger.total,
-    }
 
 
 # -- CSV ---------------------------------------------------------------------

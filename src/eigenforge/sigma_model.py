@@ -41,7 +41,6 @@ from .polynomials import (
     Polynomial,
     as_series,
     chebyshev_fit,
-    differentiate,
     integrate_product,
 )
 from .sturm_liouville import (
@@ -292,17 +291,17 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
     t = spec.time_index
     per_component = []
     for ell, factor in enumerate(state.time_factors):
-        u, du = factor.u, differentiate(factor.u)
+        u, du = factor.u, factor.u.derivative()
         p_eff, q_eff = effective_coeffs(spec, state, t, (ell,))
         per_component.append((integrate_product(p_eff, du, du), integrate_product(q_eff, u, u),
                               integrate_product(spec.time_dim.r, u, u)))
     kinetic, potential, mass = (sum(column) for column in zip(*per_component))
     omega_sq = (lam_sum * mass + potential) / kinetic
+    scale = (abs(lam_sum * mass) + abs(potential)) / abs(kinetic)
+    if abs(omega_sq) <= 16 * np.finfo(float).eps * scale:  # zero to rounding, either sign
+        raise DomainError(f"pinned frequency squared {omega_sq} vanishes to rounding "
+                          f"(scale {scale:.3g}): a zero-frequency state")
     if not omega_sq > 0:
-        scale = (abs(lam_sum * mass) + abs(potential)) / abs(kinetic)
-        if abs(omega_sq) <= 16 * np.finfo(float).eps * scale:  # zero to rounding
-            raise DomainError(f"pinned frequency squared {omega_sq} vanishes to rounding "
-                              f"(scale {scale:.3g}): a zero-frequency state")
         raise DomainError(
             f"pinned frequency squared {omega_sq} must be positive; "
             "the space eigenvalue sum is too low"
@@ -333,9 +332,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     ``target_modes`` selects the 1-based eigenvalue branch tracked in each
     space dimension. One immutable ``SeparableEigenstate`` is iterated, each
     update a ``dataclasses.replace``. Its time factors are the harmonic pair
-    of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole solve; the
-    action integral reads the quantum off the same pair. They and the
-    constant Legendre series the space factors start from are only scaled
+    of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole solve;
+    ``action.action_for_state`` reads the quantum off the same pair. They and
+    the constant Legendre series the space factors start from are only scaled
     to unit weighted norm, once per (factor, weight) for every solve: their
     signs already meet the eigensolve's, the library's one sign rule. Each
     sweep installs every space dimension's frozen-coefficient eigenpair as
@@ -439,7 +438,7 @@ def null_postulate_residual(spec: SigmaModelSpec, state: SeparableEigenstate) ->
         us = [state.factor_poly(ell, d) for d in range(len(dims))]
         brackets = [0.0] * len(dims)
         for coeff, is_p in ((spec.P, True), (spec.Q, False)):
-            vs = [differentiate(u) for u in us] if is_p else us
+            vs = [u.derivative() for u in us] if is_p else us
             terms = [(amp2, [(f,) for f in term]) for term in coeff.terms]
             if coeff.coupling_g != 0.0:
                 terms.append((coeff.coupling_g * amp2 * amp2, [(u, u) for u in us]))
@@ -457,8 +456,3 @@ def null_postulate_residual(spec: SigmaModelSpec, state: SeparableEigenstate) ->
             space_term += brackets[k]
         time_term += brackets[t]
     return abs(space_term - time_term) / (abs(space_term) + 1e-30)
-
-
-def detuned(state: SeparableEigenstate, factor: float) -> SeparableEigenstate:
-    """Copy of the state with its frequency scaled; used to probe the balance."""
-    return replace(state, omega=state.omega * factor)

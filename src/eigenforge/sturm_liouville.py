@@ -48,13 +48,13 @@ from .errors import (
     NonConvergenceError,
     PreconditionError,
 )
-from .polynomials import LegendreSeries, Polynomial, differentiate, evaluate, integrate_product
+from .polynomials import LegendreSeries, Polynomial, integrate_product
 
 VANISH_VALUE = "value"
 VANISH_DERIVATIVE = "derivative"
 
 _POSITIVITY_SAMPLES = 257
-_POSITIVITY_MARGIN = 1e-12
+_POSITIVITY_MARGIN = 1e-12  # relative to the largest |f| at the samples
 _BOUNDARY_TOL = 1e-9
 _RESIDUAL_SAMPLES = 101
 
@@ -89,10 +89,11 @@ def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def require_positive(f: Polynomial, name: str) -> None:
-    """Refuse f, by name, unless it exceeds the margin at Chebyshev samples."""
+    """Refuse f, by name, unless it exceeds 1e-12 times its largest absolute
+    value at 257 Chebyshev samples: a rule free of f's scale."""
     lo, hi = f.interval
-    xs = _chebyshev_points(lo, hi, _POSITIVITY_SAMPLES)
-    if float(f.values(xs).min()) <= _POSITIVITY_MARGIN:
+    vals = f.values(_chebyshev_points(lo, hi, _POSITIVITY_SAMPLES))
+    if float(vals.min()) <= _POSITIVITY_MARGIN * float(np.abs(vals).max()):
         raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
 
 
@@ -307,9 +308,9 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
 def boundary_residuals(prob: SLProblem, u: Polynomial) -> tuple[float, float]:
     """|u| or |du/dx| at each endpoint, whichever the condition constrains."""
     lo, hi = prob.interval
-    du = differentiate(u)
-    res_a = abs(evaluate(u if prob.bc.at_a == VANISH_VALUE else du, lo))
-    res_b = abs(evaluate(u if prob.bc.at_b == VANISH_VALUE else du, hi))
+    du = u.derivative()
+    res_a = abs(float((u if prob.bc.at_a == VANISH_VALUE else du).values(lo)))
+    res_b = abs(float((u if prob.bc.at_b == VANISH_VALUE else du).values(hi)))
     return res_a, res_b
 
 
@@ -330,7 +331,7 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
     denom = integrate_product(prob.r, u, u)
     if not denom > 0:
         raise DegenerateTrialError(f"weighted norm {denom:.3e} is not positive")
-    du = differentiate(u)
+    du = u.derivative()
     num = integrate_product(prob.p, du, du) - integrate_product(prob.q, u, u)
     return num / denom
 
@@ -341,9 +342,9 @@ def residual(prob: SLProblem, pair: EigenPair) -> float:
     lo, hi = prob.interval
     xs = np.linspace(lo, hi, _RESIDUAL_SAMPLES)
     u = pair.u
-    du = differentiate(u)
-    flux = (differentiate(prob.p).values(xs) * du.values(xs)
-            + prob.p.values(xs) * differentiate(du).values(xs))
+    du = u.derivative()
+    flux = (prob.p.derivative().values(xs) * du.values(xs)
+            + prob.p.values(xs) * du.derivative().values(xs))
     defect = flux + (prob.q.values(xs) + pair.lambda_ * prob.r.values(xs)) * u.values(xs)
     worst = float(np.abs(defect).max())
     return worst / (1.0 + abs(pair.lambda_))

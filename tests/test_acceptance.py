@@ -16,12 +16,7 @@ import pytest
 
 from conftest import make_string_spec, make_unit_problem
 from eigenforge import serialize
-from eigenforge.action import (
-    action_integral,
-    closure_check,
-    fit_lattice,
-    make_time_pair,
-)
+from eigenforge.action import action_for_state, closure_check, fit_lattice
 from eigenforge.errors import NoLatticeError
 from eigenforge.godel import count_vs_box, decode, encode, enumerate_definable
 from eigenforge.polynomials import poly
@@ -111,9 +106,8 @@ def test_criterion_3_quarter_period_action():
             self.amplitude = amplitude
             self.space_norms = (1.0,)
 
-    pair = make_time_pair()
-    assert abs(action_integral(_State(1.0), pair) - PI / 2) <= 1e-7
-    assert abs(action_integral(_State(2.0), pair) - 2 * PI) <= 4e-7
+    assert abs(action_for_state(_State(1.0)) - PI / 2) <= 1e-7
+    assert abs(action_for_state(_State(2.0)) - 2 * PI) <= 4e-7
 
 
 @criterion(4, "string sigma model")
@@ -129,7 +123,7 @@ def test_criterion_4_string_sigma_model(string_states):
 @criterion(5, "quantization lattice")
 def test_criterion_5_quantization_lattice(string_states):
     _, states, _ = string_states
-    alphas = [action_integral(states[m], make_time_pair()) for m in (1, 2, 3)]
+    alphas = [action_for_state(states[m]) for m in (1, 2, 3)]
     quantum, multipliers = fit_lattice(alphas, tol=1e-8)
     assert all(abs(a - n * quantum) <= 1e-8 for a, n in zip(alphas, multipliers))
     assert closure_check(alphas, quantum, tol=1e-8)

@@ -1,4 +1,4 @@
-"""Action-per-piece, lattice fitting, and energy ledger tests."""
+"""Action-per-piece, lattice fitting, and occupied-mode energy tests."""
 
 import math
 
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from eigenforge.action import (
     BACKWARD,
     FORWARD,
-    EnergyLedger,
     TimePair,
-    action_integral,
+    action_for_state,
     closure_check,
     fit_lattice,
     fit_spectrum,
@@ -38,15 +37,15 @@ class _FakeState:
 class TestMakeTimePair:
     def test_endpoint_values(self):
         pair = make_time_pair()
-        assert pair.u1(0.0) == pytest.approx(1.0, abs=1e-8)
-        assert pair.u2(0.0) == pytest.approx(0.0, abs=1e-8)
-        assert abs(pair.u1(HALF_PI)) <= 1e-8
-        assert pair.u2(HALF_PI) == pytest.approx(1.0, abs=1e-8)
+        assert float(pair.u1.values(0.0)) == pytest.approx(1.0, abs=1e-8)
+        assert float(pair.u2.values(0.0)) == pytest.approx(0.0, abs=1e-8)
+        assert abs(float(pair.u1.values(HALF_PI))) <= 1e-8
+        assert float(pair.u2.values(HALF_PI)) == pytest.approx(1.0, abs=1e-8)
         assert pair.quarter_period == HALF_PI
 
     def test_pythagorean_identity_midpiece(self):
         pair = make_time_pair()
-        v = pair.u1(1.0) ** 2 + pair.u2(1.0) ** 2
+        v = float(pair.u1.values(1.0)) ** 2 + float(pair.u2.values(1.0)) ** 2
         assert v == pytest.approx(1.0, abs=1e-6)
 
     def test_backward_orientation_flips_derivatives(self):
@@ -93,22 +92,17 @@ class TestMakeTimePair:
 
 class TestActionIntegral:
     def test_unit_amplitude_gives_half_pi(self):
-        pair = make_time_pair()
-        state = _FakeState(1.0)
-        assert action_integral(state, pair) == pytest.approx(HALF_PI, abs=1e-7)
+        assert action_for_state(_FakeState(1.0)) == pytest.approx(HALF_PI, abs=1e-7)
 
     def test_amplitude_two_gives_two_pi(self):
-        pair = make_time_pair()
-        assert action_integral(_FakeState(2.0), pair) == pytest.approx(2 * math.pi, abs=4e-7)
+        assert action_for_state(_FakeState(2.0)) == pytest.approx(2 * math.pi, abs=4e-7)
 
     def test_zero_amplitude_gives_zero(self):
-        pair = make_time_pair()
-        assert action_integral(_FakeState(0.0), pair) == 0.0
+        assert action_for_state(_FakeState(0.0)) == 0.0
 
     def test_quadratic_amplitude_scaling(self):
-        pair = make_time_pair()
-        one = action_integral(_FakeState(1.0), pair)
-        two = action_integral(_FakeState(2.0), pair)
+        one = action_for_state(_FakeState(1.0))
+        two = action_for_state(_FakeState(2.0))
         assert two == pytest.approx(4.0 * one, rel=1e-12)
 
     def test_reads_the_stored_action(self, monkeypatch):
@@ -121,9 +115,8 @@ class TestActionIntegral:
         assert action.action_for_state(_FakeState(1.0)) == make_time_pair().action
 
     def test_unnormalized_space_factors_rejected(self):
-        pair = make_time_pair()
         with pytest.raises(PreconditionError):
-            action_integral(_FakeState(1.0, norms=(0.5,)), pair)
+            action_for_state(_FakeState(1.0, norms=(0.5,)))
 
 
 class TestFitLattice:
@@ -198,16 +191,14 @@ class TestSchrodingerDensity:
 
 class TestTotalEnergy:
     def test_single_quantum(self):
-        ledger = total_energy(HALF_PI, [1.0, 2.0], [1, 0])
-        assert ledger.h == pytest.approx(2 * math.pi)
-        assert ledger.total == pytest.approx(1.0, rel=1e-14)
+        assert h_from_quantum(HALF_PI) == pytest.approx(2 * math.pi)
+        assert total_energy(HALF_PI, [1.0, 2.0], [1, 0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_vacuum(self):
-        assert total_energy(HALF_PI, [1.0, 2.0], [0, 0]).total == 0.0
+        assert total_energy(HALF_PI, [1.0, 2.0], [0, 0]) == 0.0
 
     def test_two_and_one(self):
-        ledger = total_energy(HALF_PI, [1.0, 2.0], [2, 1])
-        assert ledger.total == pytest.approx(4.0, rel=1e-14)
+        assert total_energy(HALF_PI, [1.0, 2.0], [2, 1]) == pytest.approx(4.0, rel=1e-14)
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(DomainError):
@@ -217,7 +208,7 @@ class TestTotalEnergy:
         a = total_energy(0.7, [1.0, 3.0], [2, 5])
         b = total_energy(0.7, [1.0, 3.0], [1, 4])
         merged = total_energy(0.7, [1.0, 3.0], [3, 9])
-        assert merged.total == pytest.approx(a.total + b.total, rel=1e-14)
+        assert merged == pytest.approx(a + b, rel=1e-14)
 
 
 class TestSpectrum:
@@ -229,8 +220,9 @@ class TestSpectrum:
         assert spec.h == pytest.approx(6.0)
 
     def test_one_rule_for_h(self):
-        # The spectrum, the energy ledger and `eigenforge enumerate` take h
-        # from the one rule h = 4 I.
+        # The spectrum, the occupied-mode energy and `eigenforge enumerate`
+        # take h from the one rule h = 4 I.
         spec = fit_spectrum(["m1"], [0.7])
         assert h_from_quantum(0.7) == 2.8
-        assert spec.h == total_energy(0.7, [1.0], [1]).h == h_from_quantum(0.7)
+        assert spec.h == h_from_quantum(0.7)
+        assert total_energy(0.7, [1.0], [1]) == h_from_quantum(0.7) / (2.0 * math.pi)

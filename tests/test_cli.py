@@ -98,15 +98,6 @@ class TestSerialize:
         with pytest.raises(Exception):
             serialize.format_float(float("inf"))
 
-    def test_ledger_object_shape(self):
-        from eigenforge.action import total_energy
-
-        ledger = total_energy(math.pi / 2, [1.0, 2.0], [2, 1])
-        obj = serialize.ledger_to_obj(ledger)
-        assert list(obj) == ["I", "h", "omegas", "occupations", "E_t"]
-        assert obj["E_t"] == pytest.approx(4.0)
-        assert json.loads(serialize.dumps(obj))["occupations"] == [2, 1]
-
 
 def reference_csv(states):
     """Row-at-a-time formatter with the module's float formatting."""

@@ -163,13 +163,13 @@ class TestEnumerate:
             assert s.energy <= e_max + 1e-9
 
     def test_cross_checks_with_ledger_energy(self):
-        # same arithmetic as the occupied-mode ledger, cross-module
+        # same arithmetic as the occupied-mode energy, cross-module
         omegas = [1.0, 2.0]
         for s in enumerate_definable(omegas, TWO_PI, 4.0):
             occ = list(s.occupations) + [0] * (len(omegas) - len(s.occupations))
-            ledger = total_energy(TWO_PI / 4.0, omegas, occ)
-            assert ledger.total == pytest.approx(s.energy, abs=1e-12)
-            assert ledger.total <= 4.0 + 1e-9
+            energy = total_energy(TWO_PI / 4.0, omegas, occ)
+            assert energy == pytest.approx(s.energy, abs=1e-12)
+            assert energy <= 4.0 + 1e-9
 
     def test_bad_frequency_rejected(self):
         with pytest.raises(DomainError):

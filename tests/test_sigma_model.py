@@ -14,7 +14,6 @@ from eigenforge.errors import DomainError, NonConvergenceError
 from eigenforge.polynomials import (
     LegendreSeries,
     chebyshev_fit,
-    differentiate,
     integrate_product,
     poly,
 )
@@ -24,7 +23,6 @@ from eigenforge.sigma_model import (
     ModeSpec,
     SeparableEigenstate,
     SigmaModelSpec,
-    detuned,
     effective_coeffs,
     null_postulate_residual,
     solve_state,
@@ -77,7 +75,7 @@ class TestNullPostulateResidual:
 
     def test_detuned_frequency_breaks_balance(self, string_spec):
         state, _ = solve_state(string_spec, "m1", (1,))
-        bad = detuned(state, 1.1)
+        bad = replace(state, omega=state.omega * 1.1)
         assert null_postulate_residual(string_spec, bad) > 1e-2
 
     def test_zero_field_degenerate_zero(self, string_spec):
@@ -409,7 +407,7 @@ class TestPinTime:
         r_t = spec.time_dim.r
         per_component = []
         for ell, factor in enumerate(state.time_factors):
-            u, du = factor.u, differentiate(factor.u)
+            u, du = factor.u, factor.u.derivative()
             p_eff, q_eff = effective_coeffs(spec, state, spec.time_index, (ell,))
             per_component.append((integrate_product(p_eff, du, du),
                                   integrate_product(q_eff, u, u), integrate_product(r_t, u, u)))
@@ -681,7 +679,7 @@ def per_bracket_null_residual(spec, state):
                     if d != diff_dim:
                         val = integrate_product(*fs, u, u, dims[d].r)
                     elif is_p:
-                        du = differentiate(u)
+                        du = u.derivative()
                         val = integrate_product(*fs, du, du)
                     else:
                         val = integrate_product(*fs, u, u)
@@ -725,7 +723,7 @@ class TestNullCheckIntegrals:
     def test_detuned_state_equals_per_bracket_loop(self, case, factor):
         spec, targets = NULL_CASES[case]()
         state, _ = solve_state(spec, "m", targets, tol=1e-10, max_iter=200)
-        bad = detuned(state, factor)
+        bad = replace(state, omega=state.omega * factor)
         got = null_postulate_residual(spec, bad)
         assert got == per_bracket_null_residual(spec, bad)
         assert got > 1e-4  # detuning breaks the balance
@@ -763,6 +761,15 @@ class TestZeroFrequency:
     @pytest.mark.parametrize("g", [0.05, 10.0])
     def test_neumann_ground_state_vanishes_to_rounding(self, g):
         spec = coupled_spec((2.1,), (NEUMANN,), g)
+        with pytest.raises(DomainError, match="vanishes to rounding.*a zero-frequency state"):
+            solve_state(spec, "m1", (1,))
+
+    # On the Neumann string over (0, pi) the coupling's sign decides the sign
+    # of the rounding: omega^2 reads +1.7e-16 at g = -0.5 and -1.7e-16 at
+    # g = +0.5, at scale 0.304. Both are the same zero, and both are refused.
+    @pytest.mark.parametrize("g", [-0.5, 0.5])
+    def test_refused_whatever_the_sign(self, g):
+        spec = coupled_spec((math.pi,), (NEUMANN,), g)
         with pytest.raises(DomainError, match="vanishes to rounding.*a zero-frequency state"):
             solve_state(spec, "m1", (1,))
 

@@ -19,8 +19,6 @@ from eigenforge.errors import (
 from eigenforge.polynomials import (
     LegendreSeries,
     Polynomial,
-    differentiate,
-    evaluate,
     integrate_product,
     poly,
 )
@@ -72,8 +70,20 @@ class TestProblemValidation:
             SLProblem(poly([-0.5, 1.0], (0, 1)), poly([0.0], (0, 1)), poly([1.0], (0, 1)), DIRICHLET)
 
     def test_r_must_be_positive(self):
-        with pytest.raises(DomainError):
-            SLProblem(poly([1.0], (0, 1)), poly([0.0], (0, 1)), poly([0.0], (0, 1)), DIRICHLET)
+        # The margin is relative, so a weight of tiny scale that reaches 0
+        # (at x = 1 here) is refused as one of unit scale is.
+        for r in ([0.0], [1e-13, -1e-13]):
+            with pytest.raises(DomainError):
+                SLProblem(poly([1.0], (0, 1)), poly([0.0], (0, 1)), poly(r, (0, 1)), DIRICHLET)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-300])
+    def test_positivity_is_free_of_scale(self, scale):
+        # p = r = scale has lambda_1 = pi^2 whatever the scale: the margin is
+        # relative to the largest |f| at the samples, not absolute.
+        iv = (0.0, 1.0)
+        prob = SLProblem(poly([scale], iv), poly([0.0], iv), poly([scale], iv), DIRICHLET)
+        pairs, _ = solve(prob, num_modes=1, k_tol=1e-12)
+        assert abs(pairs[0].lambda_ - PI2) <= 1e-12 * PI2
 
     def test_bad_bc_label(self):
         with pytest.raises(DomainError):
@@ -145,7 +155,8 @@ class TestDirichletBenchmark:
                     nrm = integrate_product(prob.r, pair.u, pair.u)
                     assert abs(nrm - 1.0) <= 1e-13
                     lo = interval[0]
-                    lead = pair.u(lo) if bc.at_a == "derivative" else pair.u.derivative()(lo)
+                    free = pair.u if bc.at_a == "derivative" else pair.u.derivative()
+                    lead = float(free.values(lo))
                     assert lead > 1e-3
 
     def test_orthonormality(self):
@@ -398,8 +409,8 @@ class TestPairBuilding:
         for m, pair in enumerate(pairs):
             u = LegendreSeries(tuple(S @ Y[:, m]), prob.interval)
             u = u * (1.0 / math.sqrt(integrate_product(prob.r, u, u)))
-            free = u if prob.bc.at_a == "derivative" else differentiate(u)
-            if evaluate(free, prob.interval[0]) < 0:
+            free = u if prob.bc.at_a == "derivative" else u.derivative()
+            if float(free.values(prob.interval[0])) < 0:
                 u = -u
             ref = np.array(u.coeffs)
             got = np.array(pair.u.coeffs)
