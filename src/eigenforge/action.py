@@ -21,9 +21,6 @@ from .polynomials import Polynomial, chebyshev_fit, integrate_product
 
 QUARTER_PERIOD = math.pi / 2.0
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 # The field solve pins its frequency on the time pair of this degree, and the
 # action integral (also when refit from a stored solution) reads the quantum
 # off the same pair.
@@ -39,42 +36,31 @@ _CLOSURE_DEPTH = 3
 class TimePair:
     """Legendre-series cos/sin approximants on one quarter period in tau units.
 
-    Forward orientation satisfies u1' = -u2 and u2' = u1; backward flips both
-    signs. Pointwise, both derivative relations and u1^2 + u2^2 = 1 hold to
-    1e-12 across the piece. ``action``, computed once with the pair, is the
-    action of one piece at unit amplitude: int u1'^2 + int u2'^2 (pi/2 for cos, sin).
+    Pointwise, u1' = -u2, u2' = u1 and u1^2 + u2^2 = 1 hold to 1e-12 across
+    the piece. ``action``, computed once with the pair, is the action of one
+    piece at unit amplitude: int u1'^2 + int u2'^2 (pi/2 for cos, sin).
     """
 
     u1: Polynomial
     u2: Polynomial
-    quarter_period: float
-    orientation: str
     action: float
 
 
-def make_time_pair(orientation: str = FORWARD) -> TimePair:
+@lru_cache(maxsize=1)
+def make_time_pair() -> TimePair:
     """Chebyshev-fit cos/sin on [0, pi/2] in tau = omega*t units.
 
     The frequency fixes the physical length pi/(2*omega) of the piece in t
-    but does not enter the tau-domain polynomials, so there is one pair of
-    degree ``TIME_PAIR_DEGREE`` per orientation: every call with the same
-    orientation returns the same immutable ``TimePair``.
+    but does not enter the tau-domain polynomials, so there is one pair, of
+    degree ``TIME_PAIR_DEGREE``: every call returns the same immutable
+    ``TimePair``.
     """
-    if orientation not in (FORWARD, BACKWARD):
-        raise DomainError(f"orientation must be {FORWARD!r} or {BACKWARD!r}")
-    return _time_pair(orientation)
-
-
-@lru_cache(maxsize=2)
-def _time_pair(orientation: str) -> TimePair:
     domain = (0.0, QUARTER_PERIOD)
     u1 = chebyshev_fit(np.cos, TIME_PAIR_DEGREE, domain)
     u2 = chebyshev_fit(np.sin, TIME_PAIR_DEGREE, domain)
-    if orientation == BACKWARD:
-        u2 = -u2
     d1, d2 = u1.derivative(), u2.derivative()
     action = integrate_product(d1, d1) + integrate_product(d2, d2)
-    return TimePair(u1, u2, QUARTER_PERIOD, orientation, action)
+    return TimePair(u1, u2, action)
 
 
 def action_for_state(state) -> float:
@@ -82,8 +68,7 @@ def action_for_state(state) -> float:
 
     Requires the state's space factors to be unit-normalized so the spatial
     integral contributes exactly 1; the result is amplitude^2 times the time
-    pair's stored ``action``, i.e. A^2 * pi/2 for the exact harmonic pair.
-    Both orientations store the same action, so the forward pair is read. No
+    pair's stored ``action``, i.e. A^2 * pi/2 for the exact harmonic pair. No
     integral is computed here.
     """
     for norm in state.space_norms:
@@ -103,36 +88,6 @@ def _real_gcd(x: float, y: float, tol: float) -> float:
     while b > tol:
         a, b = b, math.fmod(a, b)
     return a
-
-
-def fit_lattice(alphas: Sequence[float], tol: float = LATTICE_TOL) -> tuple[float, list[int]]:
-    """Approximate-real-gcd fit of action values to a lattice alpha = n * I.
-
-    Euclidean reduction with termination threshold tol. The fit is rejected
-    (NoLatticeError) when any value misses the lattice by more than tol, or
-    when the surviving candidate sits within a decade of tol itself, which is
-    the signature of incommensurable inputs being ground down to noise.
-    """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise DomainError("need at least one action value")
-    if any(a <= tol for a in alphas):
-        raise DomainError("all action values must exceed the tolerance")
-    quantum = alphas[0]
-    for a in alphas[1:]:
-        quantum = _real_gcd(quantum, a, tol)
-    if quantum < _LATTICE_FLOOR_FACTOR * tol:
-        raise NoLatticeError(
-            f"candidate quantum {quantum:.3e} is indistinguishable from the threshold {tol:.1e}"
-        )
-    multipliers = [round(a / quantum) for a in alphas]
-    residuals = [abs(a - n * quantum) for a, n in zip(alphas, multipliers)]
-    worst = max(residuals)
-    if worst > tol:
-        raise NoLatticeError(f"worst lattice residual {worst:.3e} exceeds {tol:.1e}")
-    return quantum, multipliers
 
 
 def closure_check(alphas: Sequence[float], quantum: float, tol: float = LATTICE_TOL) -> bool:
@@ -178,10 +133,33 @@ class ActionSpectrum:
 
 def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
                  tol: float = LATTICE_TOL) -> ActionSpectrum:
-    quantum, multipliers = fit_lattice(alphas, tol)
+    """Approximate-real-gcd fit of action values to a lattice alpha = n * I.
+
+    Euclidean reduction with termination threshold tol. The fit is rejected
+    (NoLatticeError) when any value misses the lattice by more than tol, or
+    when the surviving candidate sits within a decade of tol itself, which is
+    the signature of incommensurable inputs being ground down to noise.
+    """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise DomainError("need at least one action value")
+    if any(a <= tol for a in alphas):
+        raise DomainError("all action values must exceed the tolerance")
+    quantum = alphas[0]
+    for a in alphas[1:]:
+        quantum = _real_gcd(quantum, a, tol)
+    if quantum < _LATTICE_FLOOR_FACTOR * tol:
+        raise NoLatticeError(
+            f"candidate quantum {quantum:.3e} is indistinguishable from the threshold {tol:.1e}"
+        )
+    multipliers = tuple(round(a / quantum) for a in alphas)
     residuals = tuple(abs(a - n * quantum) for a, n in zip(alphas, multipliers))
-    return ActionSpectrum(tuple(labels), tuple(float(a) for a in alphas),
-                          quantum, tuple(multipliers), residuals)
+    worst = max(residuals)
+    if worst > tol:
+        raise NoLatticeError(f"worst lattice residual {worst:.3e} exceeds {tol:.1e}")
+    return ActionSpectrum(tuple(labels), alphas, quantum, multipliers, residuals)
 
 
 def schrodinger_time_density(pair: TimePair, amplitude: float, h: float,
@@ -190,15 +168,15 @@ def schrodinger_time_density(pair: TimePair, amplitude: float, h: float,
 
     Form (a) is A^2 (u1'^2 + u2'^2); form (b) is the h-prefactored current
     (h/4pi) * 2 A^2 (u1 u2' - u2 u1') reduced back to tau units, where the h
-    factor cancels. Both are the constant A^2 for the exact forward pair;
-    the backward pair flips the sign of (b).
+    factor cancels. Both are the constant A^2 for the exact pair; reversing
+    time (negating u2) flips the sign of (b).
     """
     if not h > 0:
         raise DomainError("h must be positive")
     if samples < 2:
         raise DomainError("need at least two sample points")
     amp2 = float(amplitude) ** 2
-    xs = np.linspace(0.0, pair.quarter_period, samples)
+    xs = np.linspace(0.0, QUARTER_PERIOD, samples)
     d1 = pair.u1.derivative().values(xs)
     d2 = pair.u2.derivative().values(xs)
     v1 = pair.u1.values(xs)

@@ -169,14 +169,21 @@ class LegendreSeries(Polynomial):
 def _legendre_coeffs(coeffs: tuple[float, ...], interval: tuple[float, float]) -> tuple:
     """Legendre coefficients in t of a monomial polynomial in x = mid + half t.
 
-    Horner's rule in x, with t S applied to a series S by ``legmulx``.
+    Horner's rule in x. t S, for the series S so far, is numpy's ``legmulx``
+    loop on a list, with its products and quotients in its order:
+    t P_i = ((i + 1) P_{i+1} + i P_{i-1}) / (2i + 1).
     """
     lo, hi = interval
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    acc = np.array(coeffs[-1:])
+    acc = [coeffs[-1]]
     for c in reversed(coeffs[:-1]):
-        nxt = half * leg.legmulx(acc)
-        nxt[: acc.size] += mid * acc
+        prd = [acc[0] * 0, acc[0]] + [0.0] * (len(acc) - 1)
+        for i in range(1, len(acc)):
+            prd[i + 1] = (acc[i] * (i + 1)) / (2 * i + 1)
+            prd[i - 1] += (acc[i] * i) / (2 * i + 1)
+        nxt = [half * p for p in prd]
+        for i, a in enumerate(acc):
+            nxt[i] += mid * a
         nxt[0] += c
         acc = nxt
     return tuple(acc)

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import DomainError
@@ -54,8 +56,7 @@ def _is_zero(c: IntPoly) -> bool:
 
 
 def _add(a: IntPoly, b: IntPoly) -> IntPoly:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _neg(a: IntPoly) -> IntPoly:
@@ -74,10 +75,7 @@ def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _content(a: IntPoly) -> int:
-    g = 0
-    for v in a:
-        g = math.gcd(g, abs(v))
-    return g or 1
+    return math.gcd(*a) or 1
 
 
 def _primitive(a: IntPoly) -> IntPoly:
@@ -89,16 +87,14 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Fraction-free remainder of a by b (deg a >= deg b, b nonzero)."""
     a = list(a)
     lead_b = b[-1]
-    while len(a) >= len(b) and not _is_zero(_trim(a)):
+    while len(a) >= len(b) and a != [0]:
         shift = len(a) - len(b)
         lead_a = a[-1]
         a = [v * lead_b for v in a]
         for i, v in enumerate(b):
             a[shift + i] -= lead_a * v
         a = list(_trim(a))
-        if a == [0]:
-            break
-    return _trim(a)
+    return tuple(a)
 
 
 def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -357,26 +353,11 @@ class _Parser:
 
     @staticmethod
     def _lex(text: str) -> list[str]:
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            elif ch in "Ww":
-                tokens.append("W")
-                i += 1
-            elif ch in "+-*/()^":
-                tokens.append(ch)
-                i += 1
-            else:
-                raise DomainError(f"unexpected character {ch!r} in expression")
+        """Runs of decimal digits and single non-space characters, w read as W."""
+        tokens = re.findall(r"\d+|\S", text.replace("w", "W"))
+        for tok in tokens:
+            if not (tok.isdecimal() or tok in "W+-*/()^"):
+                raise DomainError(f"unexpected character {tok!r} in expression")
         return tokens
 
     def _peek(self):

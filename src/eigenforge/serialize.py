@@ -278,8 +278,8 @@ def state_to_obj(state: SeparableEigenstate, report: IterationReport,
     }
 
 
-def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool | None = None) -> dict:
-    out = {
+def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
+    return {
         "alphas": [
             {"mode": label, "alpha": alpha}
             for label, alpha in zip(spectrum.labels, spectrum.alphas)
@@ -288,10 +288,8 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool | None = None) ->
         "multipliers": list(spectrum.multipliers),
         "residuals": list(spectrum.residuals),
         "h": spectrum.h,
+        "closure": closure_ok,
     }
-    if closure_ok is not None:
-        out["closure"] = closure_ok
-    return out
 
 
 # -- CSV ---------------------------------------------------------------------

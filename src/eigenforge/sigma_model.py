@@ -164,6 +164,13 @@ class SigmaModelSpec:
         return len(self.space_dims)
 
 
+def _relative_gap(space: float, time: float) -> float:
+    """|space - time| over the larger side, so it reads the same on every
+    scale; 0 when both sides vanish."""
+    scale = max(abs(space), abs(time))
+    return abs(space - time) / scale if scale else 0.0
+
+
 @dataclass(frozen=True)
 class SeparableEigenstate:
     """Factors of one mode, while it is solved and once it has converged.
@@ -196,12 +203,9 @@ class SeparableEigenstate:
 
     def indicial_residual(self) -> float:
         """Gap between components * lambda_sum and the summed time eigenvalues,
-        relative to the larger side, so it reads the same on every scale; 0
-        when both sides vanish."""
+        relative to the larger side (``_relative_gap``)."""
         space = self.components * self.lambda_space_sum()
-        time = sum(p.lambda_ for p in self.time_factors)
-        scale = max(abs(space), abs(time))
-        return abs(space - time) / scale if scale else 0.0
+        return _relative_gap(space, sum(p.lambda_ for p in self.time_factors))
 
 
 @dataclass
@@ -426,7 +430,8 @@ def null_postulate_residual(spec: SigmaModelSpec, state: SeparableEigenstate) ->
     int f u u r, and plain, int f u'u' for P or int f u u for Q. Bracket k
     takes the plain value on dimension k and the weighted one elsewhere; the
     time dimension carries the tau = omega*t measure (1/omega per integral,
-    omega instead when differentiated). A vanished field gives 0.
+    omega instead when differentiated). The gap is relative to the larger
+    side (``_relative_gap``), so a vanished field gives 0.
     """
     dims = spec.dimensions
     t = spec.time_index
@@ -455,4 +460,4 @@ def null_postulate_residual(spec: SigmaModelSpec, state: SeparableEigenstate) ->
         for k in range(t):
             space_term += brackets[k]
         time_term += brackets[t]
-    return abs(space_term - time_term) / (abs(space_term) + 1e-30)
+    return _relative_gap(space_term, time_term)

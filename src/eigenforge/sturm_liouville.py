@@ -138,10 +138,6 @@ class RitzTrace:
     def degrees(self):
         return tuple(n for n, _ in self.entries)
 
-    @property
-    def lambdas(self):
-        return tuple(lam for _, lam in self.entries)
-
 
 @lru_cache(maxsize=None)
 def _endpoint_row(kind: str, sign: float, degree: int) -> np.ndarray:
@@ -317,21 +313,25 @@ def boundary_residuals(prob: SLProblem, u: Polynomial) -> tuple[float, float]:
 def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
     """(int p u'^2 - q u^2) / (int r u^2), all integrals exact.
 
-    The trial function must be nonzero and satisfy the boundary conditions to
-    1e-9; a weighted norm that is not positive is rejected as degenerate (the
-    quotient is scale-free, so no absolute floor applies).
+    The trial function must be nonzero and satisfy each boundary condition to
+    1e-9 times the sum of |Legendre coefficients| of the function it
+    constrains (u or u'), a bound on that function's sup; a weighted norm that
+    is not positive is rejected as degenerate. Both rules, like the quotient,
+    are free of the scale of u and of the interval.
     """
     if u.is_zero:
         raise DegenerateTrialError("trial function is identically zero")
+    du = u.derivative()
+    constrained = [u if kind == VANISH_VALUE else du for kind in (prob.bc.at_a, prob.bc.at_b)]
+    sup_a, sup_b = (float(np.abs(polynomials.as_series(f).coeffs).sum()) for f in constrained)
     res_a, res_b = boundary_residuals(prob, u)
-    if res_a > _BOUNDARY_TOL or res_b > _BOUNDARY_TOL:
+    if res_a > _BOUNDARY_TOL * sup_a or res_b > _BOUNDARY_TOL * sup_b:
         raise ConstraintError(
             f"trial violates boundary conditions: residuals ({res_a:.3e}, {res_b:.3e})"
         )
     denom = integrate_product(prob.r, u, u)
     if not denom > 0:
         raise DegenerateTrialError(f"weighted norm {denom:.3e} is not positive")
-    du = u.derivative()
     num = integrate_product(prob.p, du, du) - integrate_product(prob.q, u, u)
     return num / denom
 

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_string_spec, make_unit_problem
 from eigenforge import serialize
-from eigenforge.action import action_for_state, closure_check, fit_lattice
+from eigenforge.action import action_for_state, closure_check, fit_spectrum
 from eigenforge.errors import NoLatticeError
 from eigenforge.godel import count_vs_box, decode, encode, enumerate_definable
 from eigenforge.polynomials import poly
@@ -79,7 +79,7 @@ def test_criterion_1_dirichlet_benchmark():
     assert pairs[0].degree_used <= 16
     assert trace.entries[0][0] == 2
     assert abs(trace.entries[0][1] - 10.0) <= 1e-12
-    lams = trace.lambdas
+    lams = [lam for _, lam in trace.entries]
     assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(lams[:-1], lams[1:]))
     assert elapsed < 1.0
 
@@ -124,11 +124,13 @@ def test_criterion_4_string_sigma_model(string_states):
 def test_criterion_5_quantization_lattice(string_states):
     _, states, _ = string_states
     alphas = [action_for_state(states[m]) for m in (1, 2, 3)]
-    quantum, multipliers = fit_lattice(alphas, tol=1e-8)
-    assert all(abs(a - n * quantum) <= 1e-8 for a, n in zip(alphas, multipliers))
-    assert closure_check(alphas, quantum, tol=1e-8)
+    spectrum = fit_spectrum(["m1", "m2", "m3"], alphas, tol=1e-8)
+    assert spectrum.residuals == tuple(abs(a - n * spectrum.quantum)
+                                       for a, n in zip(alphas, spectrum.multipliers))
+    assert all(r <= 1e-8 for r in spectrum.residuals)
+    assert closure_check(alphas, spectrum.quantum, tol=1e-8)
     with pytest.raises(NoLatticeError):
-        fit_lattice([1.0, math.sqrt(2.0)], tol=1e-9)
+        fit_spectrum(["a", "b"], [1.0, math.sqrt(2.0)], tol=1e-9)
 
 
 @criterion(6, "nonlinear regime")

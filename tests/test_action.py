@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenforge.action import (
-    BACKWARD,
-    FORWARD,
     TimePair,
     action_for_state,
     closure_check,
-    fit_lattice,
     fit_spectrum,
     h_from_quantum,
     make_time_pair,
@@ -41,53 +38,40 @@ class TestMakeTimePair:
         assert float(pair.u2.values(0.0)) == pytest.approx(0.0, abs=1e-8)
         assert abs(float(pair.u1.values(HALF_PI))) <= 1e-8
         assert float(pair.u2.values(HALF_PI)) == pytest.approx(1.0, abs=1e-8)
-        assert pair.quarter_period == HALF_PI
+        assert pair.u1.interval == pair.u2.interval == (0.0, HALF_PI)
 
     def test_pythagorean_identity_midpiece(self):
         pair = make_time_pair()
         v = float(pair.u1.values(1.0)) ** 2 + float(pair.u2.values(1.0)) ** 2
         assert v == pytest.approx(1.0, abs=1e-6)
 
-    def test_backward_orientation_flips_derivatives(self):
-        fwd = make_time_pair()
-        bwd = make_time_pair(orientation=BACKWARD)
-        xs = np.linspace(0.0, HALF_PI, 31)
-        d1 = fwd.u1.derivative().values(xs)
-        assert np.allclose(d1, -fwd.u2.values(xs), atol=1e-6)
-        d1b = bwd.u1.derivative().values(xs)
-        assert np.allclose(d1b, bwd.u2.values(xs), atol=1e-6)
-
-    @pytest.mark.parametrize("orientation,sign", [(FORWARD, 1.0), (BACKWARD, -1.0)],
-                             ids=[FORWARD, BACKWARD])
-    def test_pair_invariants(self, orientation, sign):
-        # Forward: u1' = -u2, u2' = u1; backward flips both; u1^2 + u2^2 = 1.
-        pair = make_time_pair(orientation)
+    def test_pair_invariants(self):
+        # u1' = -u2, u2' = u1 and u1^2 + u2^2 = 1.
+        pair = make_time_pair()
         xs = np.linspace(0.0, HALF_PI, 101)
         v1, v2 = pair.u1.values(xs), pair.u2.values(xs)
-        assert np.abs(pair.u1.derivative().values(xs) + sign * v2).max() <= 1e-12
-        assert np.abs(pair.u2.derivative().values(xs) - sign * v1).max() <= 1e-12
+        assert np.abs(pair.u1.derivative().values(xs) + v2).max() <= 1e-12
+        assert np.abs(pair.u2.derivative().values(xs) - v1).max() <= 1e-12
         assert np.abs(v1 * v1 + v2 * v2 - 1.0).max() <= 1e-12
 
     def test_same_pair_for_every_frequency(self):
-        # The tau-domain pair is frequency-free: one shared immutable value
-        # per orientation, however the orientation is passed.
-        assert make_time_pair() is make_time_pair(FORWARD) is make_time_pair(orientation=FORWARD)
-        assert make_time_pair(BACKWARD) is make_time_pair(orientation=BACKWARD)
-        assert make_time_pair(BACKWARD) is not make_time_pair(FORWARD)
+        # The tau-domain pair is frequency-free: one shared immutable value.
+        assert make_time_pair() is make_time_pair()
+        assert set(vars(make_time_pair())) == {"u1", "u2", "action"}
 
-    @pytest.mark.parametrize("orientation", [FORWARD, BACKWARD])
-    def test_action_is_the_kinetic_integral(self, orientation):
+    def test_action_is_the_kinetic_integral(self):
         # The pair carries int u1'^2 + int u2'^2, summed in that order.
-        pair = make_time_pair(orientation)
+        pair = make_time_pair()
         d1, d2 = pair.u1.derivative(), pair.u2.derivative()
         assert pair.action == integrate_product(d1, d1) + integrate_product(d2, d2)
         assert abs(pair.action - HALF_PI) <= 1e-12
 
     def test_validation_survives_a_cached_call(self):
+        # The pair takes no orientation: an argument is refused, also once
+        # the one pair is cached.
         make_time_pair()
-        make_time_pair("forward")
-        with pytest.raises(DomainError):
-            make_time_pair("sideways")
+        with pytest.raises(TypeError):
+            make_time_pair("forward")
 
 
 class TestActionIntegral:
@@ -119,24 +103,28 @@ class TestActionIntegral:
             action_for_state(_FakeState(1.0, norms=(0.5,)))
 
 
+def _labels(alphas):
+    return [f"m{i}" for i in range(len(alphas))]
+
+
 class TestFitLattice:
     def test_integer_multiples(self):
-        quantum, mult = fit_lattice([3.0, 6.0, 9.0], tol=1e-9)
-        assert quantum == pytest.approx(3.0, abs=1e-12)
-        assert mult == [1, 2, 3]
+        spec = fit_spectrum(_labels([3.0, 6.0, 9.0]), [3.0, 6.0, 9.0], tol=1e-9)
+        assert spec.quantum == pytest.approx(3.0, abs=1e-12)
+        assert spec.multipliers == (1, 2, 3)
 
     def test_single_value(self):
-        quantum, mult = fit_lattice([HALF_PI], tol=1e-9)
-        assert quantum == pytest.approx(HALF_PI)
-        assert mult == [1]
+        spec = fit_spectrum(["m"], [HALF_PI], tol=1e-9)
+        assert spec.quantum == pytest.approx(HALF_PI)
+        assert spec.multipliers == (1,)
 
     def test_incommensurable_pair_rejected(self):
         with pytest.raises(NoLatticeError):
-            fit_lattice([1.0, math.sqrt(2.0)], tol=1e-9)
+            fit_spectrum(["a", "b"], [1.0, math.sqrt(2.0)], tol=1e-9)
 
     def test_values_below_tolerance_rejected(self):
         with pytest.raises(DomainError):
-            fit_lattice([1e-12], tol=1e-9)
+            fit_spectrum(["a"], [1e-12], tol=1e-9)
 
     @given(
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
@@ -145,9 +133,11 @@ class TestFitLattice:
     @settings(max_examples=80)
     def test_exact_multiples_always_fit_and_close(self, quantum, multipliers):
         alphas = [n * quantum for n in multipliers]
-        fitted, ns = fit_lattice(alphas, tol=1e-9)
-        assert all(abs(a - n * fitted) <= 1e-9 for a, n in zip(alphas, ns))
-        assert closure_check(alphas, fitted, tol=1e-9)
+        spec = fit_spectrum(_labels(alphas), alphas, tol=1e-9)
+        assert spec.residuals == tuple(abs(a - n * spec.quantum)
+                                       for a, n in zip(alphas, spec.multipliers))
+        assert all(r <= 1e-9 for r in spec.residuals)
+        assert closure_check(alphas, spec.quantum, tol=1e-9)
 
 
 class TestClosureCheck:
@@ -175,8 +165,9 @@ class TestSchrodingerDensity:
         assert all(v == 0.0 for v in b)
 
     def test_backward_flips_current_sign(self):
+        # Time reversal keeps u1 and negates u2.
         fwd = make_time_pair()
-        bwd = make_time_pair(orientation=BACKWARD)
+        bwd = TimePair(fwd.u1, -fwd.u2, fwd.action)
         _, b_f = schrodinger_time_density(fwd, 1.5, 2 * math.pi, samples=9)
         a_b, b_b = schrodinger_time_density(bwd, 1.5, 2 * math.pi, samples=9)
         assert all(vf == pytest.approx(-vb, abs=1e-6) for vf, vb in zip(b_f, b_b))
@@ -213,9 +204,12 @@ class TestTotalEnergy:
 
 class TestSpectrum:
     def test_fit_spectrum_residuals(self):
-        spec = fit_spectrum(["m1", "m2", "m3"], [1.5, 3.0, 4.5], tol=1e-9)
+        alphas = [1.5, 3.0, 4.5]
+        spec = fit_spectrum(["m1", "m2", "m3"], alphas, tol=1e-9)
         assert spec.quantum == pytest.approx(1.5)
         assert spec.multipliers == (1, 2, 3)
+        assert spec.residuals == tuple(abs(a - n * spec.quantum)
+                                       for a, n in zip(alphas, spec.multipliers))
         assert all(r <= 1e-9 for r in spec.residuals)
         assert spec.h == pytest.approx(6.0)
 

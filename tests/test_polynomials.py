@@ -208,6 +208,28 @@ class TestLegendreSeries:
         with pytest.raises(IntervalMismatchError):
             u + LegendreSeries((1.0,), (0.0, 1.0))
 
+    def test_conversion_bit_identical_to_legmulx_horner(self):
+        # Horner's rule in x = mid + half t with t S formed by numpy's legmulx:
+        # the conversion runs legmulx's loop on a list, in its order.
+        def reference(coeffs, interval):
+            lo, hi = interval
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            acc = np.array(coeffs[-1:])
+            for c in reversed(coeffs[:-1]):
+                nxt = half * leg.legmulx(acc)
+                nxt[: acc.size] += mid * acc
+                nxt[0] += c
+                acc = nxt
+            return tuple(float(v) for v in acc)
+
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            lo = float(rng.uniform(-50.0, 50.0))
+            hi = lo + float(10.0 ** rng.uniform(-6, 3))
+            p = poly(rng.normal(size=rng.integers(1, 25)) * 10.0 ** rng.uniform(-5, 5), (lo, hi))
+            got = _legendre_coeffs(p.coeffs, p.interval)
+            assert [v.hex() for v in got] == [v.hex() for v in reference(p.coeffs, p.interval)]
+
     def test_equality_tells_the_bases_apart(self):
         assert LegendreSeries((1.0, 2.0), UNIT) != poly([1.0, 2.0], UNIT)
         assert LegendreSeries((3.0,), UNIT) == LegendreSeries((3.0, 0.0), UNIT)

@@ -1,6 +1,7 @@
 """Ratio-field tests: canonical forms, the class trichotomy, both samenesses."""
 
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from eigenforge.qstar import (
     element,
     equal,
     identical,
+    _Parser,
     parse,
     standard_part,
 )
@@ -207,6 +209,39 @@ class TestOrderingAndStandardPart:
         assert str(standard_part(element((1, 2), (0, 3)))) == "2/3"
         assert standard_part(ONE / OMEGA) == 0
         assert standard_part(OMEGA) is None
+
+
+class TestLexer:
+    def test_every_token_class(self):
+        # Digit runs, W in either case, the six operators and both parentheses.
+        assert _Parser._lex("12+w-W*(3)/4^2") == [
+            "12", "+", "W", "-", "W", "*", "(", "3", ")", "/", "4", "^", "2"]
+        assert _Parser._lex("") == []
+
+    @pytest.mark.parametrize("text", ["( W\t+ 1 )/W", "\n(W\r\n+1)\t/\vW\f",
+                                      "(W\u00a0+\u20031)\u3000/W\u2028"])
+    def test_any_whitespace_separates(self, text):
+        assert identical(parse(text), (OMEGA + 1) / OMEGA)
+
+    def test_whitespace_splits_a_number(self):
+        assert _Parser._lex("1 2") == ["1", "2"]
+        with pytest.raises(DomainError, match="trailing input at '2'"):
+            parse("1 2")
+
+    @pytest.mark.parametrize("text,bad", [("xW+1", "x"), ("W+x+1", "x"), ("W+1x", "x"),
+                                          ("W\u00b72", "\u00b7"), ("W+\u00b2", "\u00b2"),
+                                          ("W+1.5", "."), ("W\u00a0+\u00a0=", "=")])
+    def test_bad_character_is_named(self, text, bad):
+        with pytest.raises(DomainError, match=re.escape(f"unexpected character {bad!r}")):
+            parse(text)
+
+    def test_first_bad_character_is_named(self):
+        with pytest.raises(DomainError, match="unexpected character 'x'"):
+            parse("W+x+y")
+
+    def test_double_star_is_not_a_power(self):
+        with pytest.raises(DomainError, match=re.escape("unexpected token '*'")):
+            parse("W**2")
 
 
 class TestParseAndDescribe:

@@ -82,6 +82,19 @@ class TestNullPostulateResidual:
         state, _ = solve_state(string_spec, "m1", (1,), amplitude=0.0)
         assert null_postulate_residual(string_spec, state) == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-40, 1e-60])
+    def test_reads_the_same_at_every_scale(self, string_spec, scale):
+        # The unit string with its P space factor scaled: the gap is relative
+        # to the larger side, so a 10 % detuning reads 1 - 1/1.1^2 = 0.174 on
+        # every scale and the converged state stays at rounding.
+        space_iv, time_iv = string_spec.space_dims[0].interval, string_spec.time_dim.interval
+        spec = replace(string_spec, P=CoeffField(
+            terms=((poly([scale], space_iv), poly([1.0], time_iv)),)))
+        state, _ = solve_state(spec, "m1", (1,))
+        assert null_postulate_residual(spec, state) <= 1e-13
+        bad = replace(state, omega=state.omega * 1.1)
+        assert null_postulate_residual(spec, bad) == pytest.approx(1.0 - 1.0 / 1.21, rel=1e-12)
+
 
 class TestEffectiveCoeffs:
     def test_constant_field_passes_through(self, string_spec):
@@ -695,7 +708,8 @@ def per_bracket_null_residual(spec, state):
         for d in range(len(spec.space_dims)):
             space_term += bracket(ell, d)
         time_term += bracket(ell, spec.time_index)
-    return abs(space_term - time_term) / (abs(space_term) + 1e-30)
+    scale = max(abs(space_term), abs(time_term))
+    return abs(space_term - time_term) / scale if scale else 0.0
 
 
 NULL_CASES = {

@@ -119,6 +119,24 @@ class TestRayleighQuotient:
         with pytest.raises(ConstraintError):
             rayleigh_quotient(unit_problem(), poly([1.0], (0.0, 1.0)))
 
+    @pytest.mark.parametrize("L", [1e-9, 1e-6, 1e3])
+    @pytest.mark.parametrize("name", sorted(CONDITIONS))
+    def test_solver_modes_accepted_on_every_scale(self, name, L):
+        # End residuals are compared with 1e-9 times a bound on the sup of u
+        # or u', not with 1e-9 absolute: on [0, 1e-9] the Neumann modes'
+        # |u'(L)| reads up to 0.31 while their u' reaches 4e14.
+        prob = unit_problem(CONDITIONS[name], (0.0, L))
+        pairs, _ = solve(prob, num_modes=4, k_tol=1e-10)
+        for pair in pairs:
+            gap = abs(rayleigh_quotient(prob, pair.u) - pair.lambda_)
+            assert gap <= 1e-12 * (math.pi / L) ** 2
+
+    @pytest.mark.parametrize("L", [1e-9, 1.0, 1e3])
+    def test_offset_trial_rejected_on_every_scale(self, L):
+        # x + 0.1 L misses u(0) = 0 by 0.1 L, 0.091 of its sup, at every L.
+        with pytest.raises(ConstraintError):
+            rayleigh_quotient(unit_problem(interval=(0.0, L)), poly([0.1 * L, 1.0], (0.0, L)))
+
 
 class TestDirichletBenchmark:
     def test_first_two_eigenvalues(self):
@@ -132,7 +150,7 @@ class TestDirichletBenchmark:
         _, trace = solve(prob, num_modes=2, k_tol=1e-10, max_degree=40)
         assert trace.entries[0][0] == 2
         assert trace.entries[0][1] == pytest.approx(10.0, abs=1e-12)
-        lams = trace.lambdas
+        lams = [lam for _, lam in trace.entries]
         for prev, cur in zip(lams[:-1], lams[1:]):
             assert cur <= prev + 1e-12 * (1.0 + abs(prev))
 
