@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoLatticeError, PreconditionError
+from . import godel
+from .errors import DomainError, NoLatticeError
 from .polynomials import Polynomial, chebyshev_fit, integrate_product
 
 QUARTER_PERIOD = math.pi / 2.0
@@ -73,7 +74,7 @@ def action_for_state(state) -> float:
     """
     for norm in state.space_norms:
         if abs(norm - 1.0) > NORM_TOL:
-            raise PreconditionError(f"space factor norm {norm} is not 1 within {NORM_TOL}")
+            raise DomainError(f"space factor norm {norm} is not 1 within {NORM_TOL}")
     amp = float(state.amplitude)
     return amp * amp * make_time_pair().action
 
@@ -188,18 +189,11 @@ def schrodinger_time_density(pair: TimePair, amplitude: float, h: float,
 
 
 def total_energy(quantum_I: float, omegas: Sequence[float], occupations: Sequence[int]) -> float:
-    """Occupied-mode energy E_t = sum n_m h omega_m / 2pi, with h = 4 I."""
-    if not quantum_I > 0:
-        raise DomainError("quantum must be positive")
-    omegas = tuple(float(w) for w in omegas)
-    if any(not w > 0 for w in omegas):
-        raise DomainError("all frequencies must be positive")
-    occ = []
-    for n in occupations:
-        if int(n) != n or n < 0:
-            raise DomainError(f"occupation {n!r} must be a nonnegative integer")
-        occ.append(int(n))
-    if len(occ) != len(omegas):
+    """Occupied-mode energy E_t = sum n_m h omega_m / 2pi, with h = 4 I: the
+    codec's occupation and mode-energy rules (``godel.occupation_counts``,
+    ``godel.mode_energies``), summed in mode order."""
+    occ = godel.occupation_counts(occupations)
+    energies = godel.mode_energies(omegas, h_from_quantum(quantum_I))
+    if len(occ) != len(energies):
         raise DomainError("occupations and frequencies must align")
-    h = h_from_quantum(quantum_I)
-    return sum((n * h * w / (2.0 * math.pi) for n, w in zip(occ, omegas)), 0.0)
+    return sum((n * e for n, e in zip(occ, energies)), 0.0)

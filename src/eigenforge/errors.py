@@ -10,27 +10,12 @@ class EigenforgeError(Exception):
 
 
 class DomainError(EigenforgeError, ValueError):
-    """Input outside an operation's documented domain."""
-
-
-class IntervalMismatchError(EigenforgeError, ValueError):
-    """Operands live on different intervals."""
-
-
-class DegenerateTrialError(EigenforgeError, ValueError):
-    """Trial function with a vanishing weighted norm."""
-
-
-class ConstraintError(EigenforgeError, ValueError):
-    """Boundary or normalization constraint violated beyond tolerance."""
-
-
-class PreconditionError(EigenforgeError, ValueError):
-    """Caller-visible precondition not met."""
+    """Input outside an operation's documented domain: the one class of invalid
+    input, whichever rule refused it."""
 
 
 class ConditioningError(EigenforgeError, RuntimeError):
-    """Matrix factorization failed or definiteness was lost numerically."""
+    """A LAPACK factorization or eigensolve of the assembled pencil failed."""
 
 
 class NonConvergenceError(EigenforgeError, RuntimeError):

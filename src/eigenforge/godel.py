@@ -28,7 +28,7 @@ MAX_PRIME_INDEX = 100_000
 # this limit, before memory grows further.
 MAX_STATES = 1_000_000
 
-# Largest size, in bits, of a Godel integer ``enumerate_definable`` may list.
+# Largest size, in bits, of a Godel integer: the codec refuses a larger one.
 # MAX_STATES bounds the count of states, not their size: one mode below a
 # cutoff of 10^6 quanta lists the integers 2, 4, ..., 2^(10^6). The largest
 # integer below the cutoff has at most (e_max + slack) max_m(log2 prime(m) /
@@ -36,75 +36,71 @@ MAX_STATES = 1_000_000
 # enumeration raises DomainError before it starts.
 MAX_GODEL_BITS = 4096
 
-
-class _PrimeCache:
-    """Growing sieve of Eratosthenes; indexable list of primes."""
-
-    def __init__(self):
-        self._primes = [2, 3, 5, 7, 11, 13]
-        self._limit = 14
-
-    def _grow(self):
-        limit = self._limit * 2
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(math.isqrt(limit)) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        self._primes = [i for i, flag in enumerate(sieve) if flag][:MAX_PRIME_INDEX]
-        self._limit = limit
-
-    def nth(self, m: int) -> int:
-        """1-based: nth(1) == 2."""
-        while m > len(self._primes):
-            if m > MAX_PRIME_INDEX:
-                raise DomainError(
-                    f"prime index {m} exceeds MAX_PRIME_INDEX = {MAX_PRIME_INDEX}"
-                )
-            self._grow()
-        return self._primes[m - 1]
-
-
-_PRIMES = _PrimeCache()
+# The primes found so far, at most MAX_PRIME_INDEX; ``nth_prime`` sieves to
+# twice the largest, which holds a new one (Bertrand's postulate).
+_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def nth_prime(m: int) -> int:
+    """1-based: nth_prime(1) == 2."""
     if m < 1:
         raise DomainError("prime index is 1-based")
-    return _PRIMES.nth(m)
+    if m > MAX_PRIME_INDEX:
+        raise DomainError(f"prime index {m} exceeds MAX_PRIME_INDEX = {MAX_PRIME_INDEX}")
+    while m > len(_PRIMES):
+        limit = 2 * _PRIMES[-1]
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0] = sieve[1] = 0
+        for i in range(2, math.isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        _PRIMES[:] = [i for i, flag in enumerate(sieve) if flag][:MAX_PRIME_INDEX]
+    return _PRIMES[m - 1]
 
 
-def _validated(occupations: Sequence[int]) -> tuple[int, ...]:
+def occupation_counts(occupations: Sequence[int]) -> tuple[int, ...]:
+    """The occupations as ints; each must be a nonnegative integer."""
     out = []
     for n in occupations:
         if int(n) != n or n < 0:
             raise DomainError(f"occupation {n!r} must be a nonnegative integer")
         out.append(int(n))
-    if out and out[-1] == 0:
-        raise DomainError("occupation sequence must be canonical (no trailing zeros)")
     return tuple(out)
 
 
 def encode(occupations: Sequence[int]) -> int:
-    """prod_m nth_prime(m) ** n_m; the empty (vacuum) sequence encodes to 1."""
-    occ = _validated(occupations)
+    """prod_m nth_prime(m) ** n_m; the empty (vacuum) sequence encodes to 1.
+    Once the sum of n_m log2 prime(m) passes ``MAX_GODEL_BITS``, the
+    occupation is refused before that power is computed."""
+    occ = occupation_counts(occupations)
+    if occ and occ[-1] == 0:
+        raise DomainError("occupation sequence must be canonical (no trailing zeros)")
     value = 1
+    bits = 0.0
     for m, n in enumerate(occ, start=1):
         if n:
-            value *= nth_prime(m) ** n
+            prime = nth_prime(m)
+            if n > (MAX_GODEL_BITS - bits) / math.log2(prime):  # n may exceed every float
+                raise DomainError(f"occupation {n} of mode {m} takes the integer past "
+                                  f"MAX_GODEL_BITS = {MAX_GODEL_BITS} bits")
+            bits += n * math.log2(prime)
+            value *= prime ** n
     return value
 
 
 def decode(value: int) -> tuple[int, ...]:
-    """Exponent vector of the prime factorization, trailing zeros removed.
+    """Exponent vector of the prime factorization, without trailing zeros.
 
     Trial division continues through successive primes until the cofactor is
-    1; an integer with a prime factor above prime(MAX_PRIME_INDEX) raises
-    DomainError.
+    1, so the last exponent found is at least 1. An integer above
+    2^MAX_GODEL_BITS, or with a prime factor above prime(MAX_PRIME_INDEX),
+    raises DomainError.
     """
     if int(value) != value or value < 1:
         raise DomainError("only positive integers decode")
     value = int(value)
+    if value > 1 << MAX_GODEL_BITS:
+        raise DomainError(f"{value.bit_length()}-bit integer exceeds 2^MAX_GODEL_BITS")
     out: list[int] = []
     m = 1
     while value > 1:
@@ -115,8 +111,6 @@ def decode(value: int) -> tuple[int, ...]:
             count += 1
         out.append(count)
         m += 1
-    while out and out[-1] == 0:
-        out.pop()
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 import numpy.polynomial.polynomial as npoly
 
-from .errors import DomainError, IntervalMismatchError
+from .errors import DomainError
 
 # Trial-space degree cap for the solvers: it bounds the size of the assembled
 # pencil. Products of functions under an integral may legitimately exceed it.
@@ -101,7 +101,7 @@ class Polynomial:
         if not isinstance(other, Polynomial) or type(other) is not type(self):
             return None
         if other.interval != self.interval:
-            raise IntervalMismatchError(
+            raise DomainError(
                 f"operands on different intervals: {self.interval} vs {other.interval}"
             )
         return other
@@ -244,7 +244,7 @@ def node_values(n: int, *factors: Polynomial) -> np.ndarray:
     interval, one row per factor: one product of the cached table of P_k at
     the nodes with their series' zero-padded coefficient columns, in order."""
     if any(f.interval != factors[0].interval for f in factors):
-        raise IntervalMismatchError("factors live on different intervals")
+        raise DomainError("factors live on different intervals")
     series = [as_series(f).coeffs for f in factors]
     columns = np.zeros((max(len(c) for c in series), len(series)))
     for j, c in enumerate(series):

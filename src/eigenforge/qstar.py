@@ -43,6 +43,12 @@ MAX_EXPONENT = 64
 # steeply with the degree.
 MAX_POWER_DEGREE = 128
 
+# Largest size, in bits, of an integer ``parse`` reads or raises to a power,
+# judged before it is built: d log2(10) for a literal of d digits, and for
+# base^e, e log2(s), s the larger sum of |coefficient| of the base's numerator
+# and denominator, which bounds every coefficient of the power. (2^64)^64 is inside.
+MAX_COEFF_BITS = 8192
+
 
 def _trim(c: Sequence[int]) -> IntPoly:
     out = [int(v) for v in c] or [0]
@@ -98,11 +104,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd of two nonzero polynomials, leading coefficient positive."""
     a, b = _primitive(a), _primitive(b)
-    if _is_zero(a):
-        return b if not _is_zero(b) else (1,)
-    if _is_zero(b):
-        return a
     if len(a) == 1 or len(b) == 1:
         return (1,)
     while not _is_zero(b):
@@ -117,9 +120,7 @@ def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact polynomial division; a must be a polynomial multiple of b."""
-    if _is_zero(a):
-        return (0,)
+    """Exact polynomial division; a must be a nonzero polynomial multiple of b."""
     out = [0] * (len(a) - len(b) + 1)
     rem = list(a)
     for k in range(len(out) - 1, -1, -1):
@@ -414,13 +415,16 @@ class _Parser:
             exp_tok = self._take()
             if not exp_tok.isdigit():
                 raise DomainError("exponent must be a nonnegative integer")
-            exponent = int(exp_tok)
+            exponent = self._literal(exp_tok)
             if exponent > MAX_EXPONENT:
                 raise DomainError(f"exponent {exponent} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
             degree = (len(base.num) + len(base.den) - 2) * exponent
             if degree > MAX_POWER_DEGREE:
                 raise DomainError(
                     f"power of degree {degree} exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+            bits = exponent * math.log2(max(sum(map(abs, base.num)), sum(map(abs, base.den))))
+            if bits > MAX_COEFF_BITS:
+                raise DomainError(f"power of {bits:.0f} bits exceeds MAX_COEFF_BITS")
             # The base is canonical, so num^e and den^e need one reduction, not e.
             num, den = (1,), (1,)
             for _ in range(exponent):
@@ -438,14 +442,21 @@ class _Parser:
         if tok == "W":
             return OMEGA
         if tok.isdigit():
-            return element(int(tok))
+            return element(self._literal(tok))
         raise DomainError(f"unexpected token {tok!r}")
+
+    @staticmethod
+    def _literal(tok: str) -> int:
+        if len(tok) * math.log2(10) > MAX_COEFF_BITS:
+            raise DomainError(f"literal of {len(tok)} digits exceeds MAX_COEFF_BITS")
+        return int(tok)
 
 
 def parse(text: str) -> QStarElement:
     """Parse an expression; exponents above ``MAX_EXPONENT``, powers and
-    operations of degree above ``MAX_POWER_DEGREE`` and nesting deeper than
-    the interpreter's recursion limit raise DomainError."""
+    operations of degree above ``MAX_POWER_DEGREE``, literals and powers of
+    more than ``MAX_COEFF_BITS`` bits and nesting deeper than the
+    interpreter's recursion limit raise DomainError."""
     try:
         return _Parser(text).parse()
     except RecursionError:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any, Mapping, Sequence
 
 from .action import ActionSpectrum
@@ -101,8 +102,10 @@ def _array(value, context: str) -> Sequence:
 
 
 def _number(value, context: str) -> float:
-    """A finite JSON number; a bool or a numeric string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A finite JSON number; a bool, a numeric string or an int beyond the
+    largest float (compared exactly, not converted) is refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise DomainError(f"{context} must be a finite number")
     return float(value)
 

@@ -47,7 +47,6 @@ from .sturm_liouville import (
     BoundaryCondition,
     EigenPair,
     SLProblem,
-    _chebyshev_points,
     max_modes,
     require_positive,
     solve as sl_solve,
@@ -73,7 +72,8 @@ class DimensionSpec:
     bc: BoundaryCondition
 
     def __post_init__(self):
-        if self.r.interval != tuple(float(v) for v in self.interval):
+        object.__setattr__(self, "interval", tuple(float(v) for v in self.interval))
+        if self.r.interval != self.interval:
             raise DomainError("weight polynomial must live on the dimension's interval")
 
 
@@ -131,7 +131,7 @@ class SigmaModelSpec:
                 f"components must be between 1 and {MAX_COMPONENTS}, got {self.components}"
             )
         quarter = (0.0, action_mod.QUARTER_PERIOD)
-        if tuple(float(v) for v in self.time_dim.interval) != quarter:
+        if self.time_dim.interval != quarter:
             raise DomainError(
                 f"time_dim interval must be {quarter}, the quarter period the harmonic "
                 f"pair lives on, got {self.time_dim.interval}"
@@ -149,7 +149,7 @@ class SigmaModelSpec:
                         f"every {name} term needs one factor per dimension ({len(dims)})"
                     )
                 for d, (factor, dim) in enumerate(zip(term, dims)):
-                    if factor.interval != tuple(float(v) for v in dim.interval):
+                    if factor.interval != dim.interval:
                         raise DomainError(
                             f"{name} term {i} factor {d} lives on {factor.interval}, "
                             f"not on the interval {dim.interval} of {wheres[d]}"
@@ -191,7 +191,11 @@ class SeparableEigenstate:
     omega: float
     amplitude: float
     space_norms: tuple[float, ...]
-    components: int
+
+    @property
+    def components(self) -> int:
+        """The field components: one time factor each."""
+        return len(self.time_factors)
 
     def factor_poly(self, component: int, dim_index: int) -> Polynomial:
         if dim_index < len(self.space_factors):
@@ -210,9 +214,13 @@ class SeparableEigenstate:
 
 @dataclass
 class IterationReport:
-    iterations: int = 0
     factor_changes: list[float] = field(default_factory=list)
     converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        """The counted sweeps: each records one factor change."""
+        return len(self.factor_changes)
 
 
 # Within a sweep the components share the space factors, and the time factors
@@ -317,6 +325,16 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
     return replace(state, omega=math.sqrt(omega_sq), time_factors=time_factors)
 
 
+def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """n Chebyshev points of [lo, hi], from hi down to lo. The affine map can
+    round an endpoint an ulp off, even outside the interval, so both ends are
+    set exactly."""
+    k = np.arange(n)
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(k * math.pi / (n - 1))
+    xs[0], xs[-1] = hi, lo
+    return xs
+
+
 def _sup_change(old: Polynomial, new: Polynomial) -> float:
     xs = _chebyshev_points(*old.interval, CHANGE_POINTS)
     return float(np.abs((old - new).values(xs)).max())
@@ -377,7 +395,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             for dim in spec.space_dims),
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], action_mod.TIME_PAIR_DEGREE)
                            for ell in range(spec.components)),
-        omega=1.0, amplitude=float(amplitude), space_norms=(), components=spec.components)
+        omega=1.0, amplitude=float(amplitude), space_norms=())
 
     report = IterationReport()
     # The problem each dimension's current factor was solved from.
@@ -401,7 +419,6 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
                 worst = max(worst, _sup_change(old.u, new.u))
         if sweep == 0:
             continue
-        report.iterations = sweep
         report.factor_changes.append(worst)
         if worst < tol:
             report.converged = True

@@ -33,28 +33,20 @@ weights that ``require_positive`` has accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 
 from . import polynomials
-from .errors import (
-    ConditioningError,
-    ConstraintError,
-    DegenerateTrialError,
-    DomainError,
-    NonConvergenceError,
-    PreconditionError,
-)
+from .errors import ConditioningError, DomainError, NonConvergenceError
 from .polynomials import LegendreSeries, Polynomial, integrate_product
 
 VANISH_VALUE = "value"
 VANISH_DERIVATIVE = "derivative"
 
-_POSITIVITY_SAMPLES = 257
-_POSITIVITY_MARGIN = 1e-12  # relative to the largest |f| at the samples
+_POSITIVITY_MARGIN = 1e-12  # relative to the largest |f| on the interval
 _BOUNDARY_TOL = 1e-9
 _RESIDUAL_SAMPLES = 101
 
@@ -78,22 +70,18 @@ DIRICHLET = BoundaryCondition(VANISH_VALUE, VANISH_VALUE)
 NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 
 
-def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
-    """n Chebyshev points of [lo, hi], from hi down to lo. The affine map can
-    round an endpoint an ulp off, even outside the interval, so both ends are
-    set exactly."""
-    k = np.arange(n)
-    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(k * math.pi / (n - 1))
-    xs[0], xs[-1] = hi, lo
-    return xs
-
-
 def require_positive(f: Polynomial, name: str) -> None:
     """Refuse f, by name, unless it exceeds 1e-12 times its largest absolute
-    value at 257 Chebyshev samples: a rule free of f's scale."""
-    lo, hi = f.interval
-    vals = f.values(_chebyshev_points(lo, hi, _POSITIVITY_SAMPLES))
-    if float(vals.min()) <= _POSITIVITY_MARGIN * float(np.abs(vals).max()):
+    value on the closed interval: a rule free of f's scale. f's extremes lie
+    at the ends or where f' vanishes, so f is read, as its Legendre series in
+    the reference variable t, at t = -1 and 1 and at the real part of every
+    root of f' with -1 <= t <= 1 (the real part, so that a double root that
+    rounding splits into a complex pair is still read)."""
+    coeffs = np.asarray(polynomials.as_series(f).coeffs)
+    roots = leg.legroots(polynomials._legendre_derivative(coeffs.size) @ coeffs).real.tolist()
+    vals = leg.legval([-1.0, 1.0] + [t for t in roots if abs(t) <= 1.0], coeffs).tolist()
+    if min(vals) <= _POSITIVITY_MARGIN * max(map(abs, vals)):
+        lo, hi = f.interval
         raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
 
 
@@ -194,6 +182,8 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     pencil: its Cholesky factor is the leading block of L, so its reduced
     matrix is the leading block of C. Each eigenvalue is the Rayleigh quotient
     of its vector on the unreduced block pencil, whose denominator is the norm.
+    A LAPACK failure in either the factorization or an eigensolve raises
+    ``ConditioningError``.
     """
     try:
         L = np.linalg.cholesky(B)
@@ -204,7 +194,11 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     C = 0.5 * (C + C.T)
 
     def leading_eigh(k: int):
-        Y = L_inv[:k, :k].T @ np.linalg.eigh(C[:k, :k])[1]
+        try:
+            vectors = np.linalg.eigh(C[:k, :k])[1]
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError(f"reduced eigenproblem of size {k}: {exc}") from exc
+        Y = L_inv[:k, :k].T @ vectors
         Ak, Bk = A[:k, :k], B[:k, :k]
         norms = np.einsum("ij,ij->j", Y, Bk @ Y)
         theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
@@ -273,7 +267,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     if not k_tol > 0:
         raise DomainError("k_tol must be positive")
     if max_degree > polynomials.MAX_DEGREE:
-        raise PreconditionError(
+        raise DomainError(
             f"max_degree {max_degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}"
         )
     if num_modes > max_modes(max_degree):
@@ -320,18 +314,18 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
     are free of the scale of u and of the interval.
     """
     if u.is_zero:
-        raise DegenerateTrialError("trial function is identically zero")
+        raise DomainError("trial function is identically zero")
     du = u.derivative()
     constrained = [u if kind == VANISH_VALUE else du for kind in (prob.bc.at_a, prob.bc.at_b)]
     sup_a, sup_b = (float(np.abs(polynomials.as_series(f).coeffs).sum()) for f in constrained)
     res_a, res_b = boundary_residuals(prob, u)
     if res_a > _BOUNDARY_TOL * sup_a or res_b > _BOUNDARY_TOL * sup_b:
-        raise ConstraintError(
+        raise DomainError(
             f"trial violates boundary conditions: residuals ({res_a:.3e}, {res_b:.3e})"
         )
     denom = integrate_product(prob.r, u, u)
     if not denom > 0:
-        raise DegenerateTrialError(f"weighted norm {denom:.3e} is not positive")
+        raise DomainError(f"weighted norm {denom:.3e} is not positive")
     num = integrate_product(prob.p, du, du) - integrate_product(prob.q, u, u)
     return num / denom
 

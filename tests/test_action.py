@@ -17,8 +17,8 @@ from eigenforge.action import (
     schrodinger_time_density,
     total_energy,
 )
-from eigenforge import action, polynomials
-from eigenforge.errors import DomainError, NoLatticeError, PreconditionError
+from eigenforge import action, godel, polynomials
+from eigenforge.errors import DomainError, NoLatticeError
 from eigenforge.polynomials import integrate_product
 
 HALF_PI = math.pi / 2
@@ -99,7 +99,7 @@ class TestActionIntegral:
         assert action.action_for_state(_FakeState(1.0)) == make_time_pair().action
 
     def test_unnormalized_space_factors_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             action_for_state(_FakeState(1.0, norms=(0.5,)))
 
 
@@ -194,6 +194,24 @@ class TestTotalEnergy:
     def test_negative_occupation_rejected(self):
         with pytest.raises(DomainError):
             total_energy(HALF_PI, [1.0], [-1])
+
+    @pytest.mark.parametrize("quantum,omegas,occupations,message", [
+        (HALF_PI, [1.0], [-1], "occupation -1 must be a nonnegative integer"),
+        (HALF_PI, [1.0], [1.5], "occupation 1.5 must be a nonnegative integer"),
+        (0.0, [1.0], [1], "h must be positive"),
+        (HALF_PI, [1.0, 0.0], [1, 1], "frequency 0.0 must be positive"),
+    ])
+    def test_refusals_are_the_codecs(self, quantum, omegas, occupations, message):
+        # The occupation and mode-energy rules have one home, in godel.
+        with pytest.raises(DomainError, match=message) as exc:
+            total_energy(quantum, omegas, occupations)
+        assert exc.traceback[-1].path.name == "godel.py"
+
+    def test_same_energy_as_the_enumeration(self):
+        omegas = [1.0, 2.3, 3.7]
+        for state in godel.enumerate_definable(omegas, h_from_quantum(0.7), 9.0):
+            occ = state.occupations + (0,) * (len(omegas) - len(state.occupations))
+            assert total_energy(0.7, omegas, occ) == state.energy
 
     def test_additive_under_merge(self):
         a = total_energy(0.7, [1.0, 3.0], [2, 5])

@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial.legendre import legder, legval
 
 from conftest import make_string_spec, make_unit_problem
-from eigenforge import godel, serialize, sigma_model
+from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
 from eigenforge.errors import DomainError
 from eigenforge.godel import EnumeratedState
@@ -184,7 +184,8 @@ class TestEigenCommand:
         assert result.returncode == 2
         assert "unknown keys" in result.stderr
 
-    @pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "string", "null"])
+    @pytest.mark.parametrize("value", [True, "1", None, 10**400],
+                             ids=["bool", "string", "null", "400-digit-integer"])
     def test_wrong_coefficient_type_invalid(self, tmp_path, value):
         obj = serialize.problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"][0] = value
@@ -213,6 +214,37 @@ class TestEigenCommand:
     def test_missing_file(self):
         result = run_cli("eigen", "--problem", "/nonexistent.json")
         assert result.returncode == 2
+
+    def test_weight_dipping_between_samples_invalid(self, tmp_path):
+        # r = (x - 0.3001)^2 - 1e-8 is negative only near x = 0.3001.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["r"]["coeffs"] = [0.3001 ** 2 - 1e-8, -0.6002, 1.0]
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path))
+        assert result.returncode == 2
+        assert "r must be positive on [0.0, 1.0]" in result.stderr
+
+    def test_failed_eigensolve_exit_code(self, tmp_path):
+        # On [0, 1e-300] the pencil overflows and LAPACK's eigh fails: a
+        # numerical failure (exit 3), not invalid input.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        for name in ("p", "q", "r"):
+            obj[name]["interval"] = [0.0, 1e-300]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path))
+        assert result.returncode == 3
+        assert "error: reduced eigenproblem" in result.stderr
+
+    def test_library_defect_is_not_invalid_input(self, monkeypatch):
+        # Only the library's own errors, ValueError and OSError are invalid
+        # input; anything else is a defect and propagates with its traceback.
+        def broken(args):
+            raise KeyError("bug")
+        monkeypatch.setattr(cli, "_cmd_encode", broken)
+        with pytest.raises(KeyError):
+            cli.main(["encode", "--occupation", "1"])
 
     @pytest.mark.parametrize("flags", [("--modes", "38"), ("--max-degree", "3")],
                              ids=["modes-38", "max-degree-3"])
@@ -552,6 +584,21 @@ class TestCodecCommands:
         result = run_cli("encode", "--occupation", "1,0")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("occupation", ["0,0,100000000", "1000000", "4097"])
+    def test_encode_past_the_integer_bound_invalid(self, occupation):
+        result = subprocess.run([sys.executable, "-m", "eigenforge", "encode",
+                                 "--occupation", occupation],
+                                capture_output=True, text=True, timeout=30)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: occupation ")
+        assert "MAX_GODEL_BITS = 4096" in result.stderr
+
+    def test_decode_at_and_past_the_integer_bound(self):
+        assert run_cli("decode", "--integer", str(2**4096)).stdout == "4096\n"
+        result = run_cli("decode", "--integer", str(2**4096 + 1))
+        assert result.returncode == 2
+        assert "MAX_GODEL_BITS" in result.stderr
+
 
 class TestEnumerateCommand:
     def test_two_mode_example_csv(self):
@@ -627,15 +674,24 @@ class TestQstarCommand:
         result = run_cli("qstar", "--expr", "(W")
         assert result.returncode == 2
 
+    def test_largest_integer_power(self):
+        result = run_cli("qstar", "--expr", "(2^64)^64")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == str(2**4096)
+
     @pytest.mark.parametrize("expr", ["W^100000", "(" * 5000 + "W" + ")" * 5000,
-                                      "((W+1)^64)^64", "*".join(["(W^3+3*W+1)/(W^2-7)"] * 50)],
-                             ids=["huge-exponent", "deep-nesting", "nested-power", "long-product"])
+                                      "((W+1)^64)^64", "*".join(["(W^3+3*W+1)/(W^2-7)"] * 50),
+                                      "((((2^64)^64)^64)^64)^64", "1" * 3000],
+                             ids=["huge-exponent", "deep-nesting", "nested-power", "long-product",
+                                  "nested-integer-power", "long-literal"])
     def test_unbounded_input_invalid(self, expr):
         result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
                                 capture_output=True, text=True, timeout=30)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+        # Refused by a named bound, not by the interpreter's digit limit.
+        assert "set_int_max_str_digits" not in result.stderr
 
 
 class TestDeterminism:

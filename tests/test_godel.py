@@ -3,6 +3,7 @@
 import gc
 import math
 from itertools import combinations_with_replacement
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from eigenforge import godel
 from eigenforge.action import total_energy
 from eigenforge.errors import DomainError
 from eigenforge.godel import (
+    MAX_GODEL_BITS,
     MAX_PRIME_INDEX,
     EnumeratedState,
     count_vs_box,
@@ -78,6 +80,37 @@ class TestEncode:
         assert encode((0, 0, 0, 0, 8)) == 11**8
 
 
+class TestIntegerBound:
+    # The codec's integers have at most MAX_GODEL_BITS bits: 2^MAX_GODEL_BITS
+    # is inside, and a refusal comes before the power past the bound is built.
+    def test_encode_at_and_past_the_bound(self):
+        start = perf_counter()
+        assert encode((MAX_GODEL_BITS,)) == 1 << MAX_GODEL_BITS
+        assert encode((2048, 1292)) == 2**2048 * 3**1292  # 4095.8 bits
+        for occ in [(MAX_GODEL_BITS + 1,), (MAX_GODEL_BITS, 1), (2048, 1293), (0, 0, 100_000_000),
+                    (1_000_000,), (10**400,)]:
+            with pytest.raises(DomainError, match="MAX_GODEL_BITS"):
+                encode(occ)
+        assert perf_counter() - start < 1.0
+
+    def test_decode_at_and_past_the_bound(self):
+        start = perf_counter()
+        assert decode(1 << MAX_GODEL_BITS) == (MAX_GODEL_BITS,)
+        for value in [(1 << MAX_GODEL_BITS) + 1, 3 ** MAX_GODEL_BITS]:
+            with pytest.raises(DomainError, match="MAX_GODEL_BITS"):
+                decode(value)
+        assert perf_counter() - start < 1.0
+
+    def test_enumerated_integers_are_inside_the_bound(self):
+        # One mode of unit energy: the cutoff 4095 lists 2^0 .. 2^4095, and
+        # the codec reads the largest back.
+        states = enumerate_definable([1.0], TWO_PI, MAX_GODEL_BITS - 1.0)
+        largest = states[-1]
+        assert largest.godel == 1 << (MAX_GODEL_BITS - 1)
+        assert decode(largest.godel) == largest.occupations
+        assert encode(largest.occupations) == largest.godel
+
+
 class TestDecode:
     def test_360(self):
         assert decode(360) == (3, 2, 1)
@@ -97,7 +130,7 @@ class TestDecode:
         # must stop at the limit instead of growing to reach it.
         with pytest.raises(DomainError):
             decode(1_000_000_007)
-        assert len(godel._PRIMES._primes) <= MAX_PRIME_INDEX
+        assert len(godel._PRIMES) <= MAX_PRIME_INDEX
 
     def test_encode_beyond_limit_rejected(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import random
 import re
+from time import perf_counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from eigenforge.qstar import (
     ONE,
     ZERO,
     ZERO_CLASS,
+    MAX_COEFF_BITS,
     MAX_EXPONENT,
     MAX_POWER_DEGREE,
     QStarElement,
@@ -297,6 +299,27 @@ class TestParseAndDescribe:
         for op in "*/+-":
             with pytest.raises(DomainError, match="total degree 129"):
                 parse(f"{ratio}{op}W")
+
+    def test_coefficient_size_limit(self):
+        # MAX_POWER_DEGREE does not see integer bases; each level of this
+        # nesting is refused before it is built, so the whole takes well
+        # under a second.
+        start = perf_counter()
+        assert parse("(2^64)^64") == element(2**4096)
+        assert parse("(2^64/3)^64") == element(2**4096, 3**64)
+        for expr in ["((2^64)^64)^64", "((((2^64)^64)^64)^64)^64", "(2^64*2^64*2)^64",
+                     "(W/(3^41*3^41))^64"]:
+            with pytest.raises(DomainError, match="MAX_COEFF_BITS"):
+                parse(expr)
+        assert perf_counter() - start < 1.0
+
+    def test_literal_size_limit(self):
+        # d digits count d log2(10) bits: 2466 digits are inside 8192 bits, 2467 are not.
+        assert MAX_COEFF_BITS == 8192
+        assert parse("9" * 2466) == element(10**2466 - 1)
+        for expr in ["9" * 2467, "W^" + "0" * 2467 + "1", "1" * 5000]:
+            with pytest.raises(DomainError, match=r"literal of \d+ digits exceeds MAX_COEFF_BITS"):
+                parse(expr)
 
     def test_power_equals_repeated_product(self):
         rng = random.Random(11)

@@ -20,6 +20,7 @@ from eigenforge.polynomials import (
 from eigenforge.sigma_model import (
     CoeffField,
     DimensionSpec,
+    IterationReport,
     ModeSpec,
     SeparableEigenstate,
     SigmaModelSpec,
@@ -381,7 +382,7 @@ def given_state(spec, amplitude=1.3):
         label="given", space_factors=tuple(factors),
         time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], 16)
                            for ell in range(spec.components)),
-        omega=1.0, amplitude=amplitude, space_norms=(), components=spec.components)
+        omega=1.0, amplitude=amplitude, space_norms=())
 
 
 PIN_MODELS = {
@@ -556,6 +557,27 @@ class TestUnchangedProblemSkip:
         pairs, _ = sl_solve(problem, num_modes=2,
                             k_tol=sigma_model.SL_K_TOL, max_degree=sigma_model.SL_MAX_DEGREE)
         assert pairs[1] == kept
+
+
+class TestDerivedFields:
+    # A count that restates another field cannot be set apart from it.
+    def test_iterations_count_factor_changes(self):
+        assert IterationReport().iterations == 0
+        assert IterationReport([0.5, 0.25, 0.0], converged=True).iterations == 3
+        with pytest.raises(TypeError):
+            IterationReport(iterations=3)
+
+    def test_components_count_time_factors(self, string_spec):
+        state = given_state(replace(string_spec, components=3), 1.0)
+        assert state.components == 3
+        assert replace(state, time_factors=state.time_factors[:1]).components == 1
+        with pytest.raises(TypeError):
+            replace(state, components=2)
+
+    def test_dimension_interval_stored_as_floats(self):
+        dim = DimensionSpec((0, 2), poly([1.0], (0.0, 2.0)), DIRICHLET)
+        assert dim.interval == (0.0, 2.0)
+        assert all(type(v) is float for v in dim.interval)
 
 
 class TestValidation:

@@ -8,14 +8,7 @@ import pytest
 import scipy.linalg
 
 from eigenforge import sturm_liouville
-from eigenforge.errors import (
-    ConditioningError,
-    ConstraintError,
-    DegenerateTrialError,
-    DomainError,
-    NonConvergenceError,
-    PreconditionError,
-)
+from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
 from eigenforge.polynomials import (
     LegendreSeries,
     Polynomial,
@@ -28,7 +21,6 @@ from eigenforge.sturm_liouville import (
     BoundaryCondition,
     SLProblem,
     _assemble,
-    _chebyshev_points,
     _recombination,
     _reduce,
     boundary_residuals,
@@ -38,6 +30,7 @@ from eigenforge.sturm_liouville import (
     solve,
     solve_at_degree,
 )
+from eigenforge.sigma_model import _chebyshev_points
 
 PI2 = math.pi * math.pi
 
@@ -76,6 +69,16 @@ class TestProblemValidation:
             with pytest.raises(DomainError):
                 SLProblem(poly([1.0], (0, 1)), poly([0.0], (0, 1)), poly(r, (0, 1)), DIRICHLET)
 
+    @pytest.mark.parametrize("scale,L", [(1.0, 1.0), (1e-13, 1.0), (1.0, 1e-3), (1e-13, 1e-3)])
+    def test_weight_dipping_between_samples_refused(self, scale, L):
+        # (x - 0.3001 L)^2 - 1e-8 L^2 is negative only on a stretch 2e-4 L
+        # wide, which a sampling of a few hundred points can miss; its
+        # minimum sits where r' vanishes, which the rule reads.
+        c, d = 0.3001 * L, 1e-8 * L * L
+        r = poly([scale * (c * c - d), -2.0 * scale * c, scale], (0.0, L))
+        with pytest.raises(DomainError, match="r must be positive"):
+            SLProblem(poly([1.0], (0.0, L)), poly([0.0], (0.0, L)), r, DIRICHLET)
+
     @pytest.mark.parametrize("scale", [1e-13, 1e-300])
     def test_positivity_is_free_of_scale(self, scale):
         # p = r = scale has lambda_1 = pi^2 whatever the scale: the margin is
@@ -111,12 +114,12 @@ class TestRayleighQuotient:
         assert rayleigh_quotient(prob, poly([1.0], (0.0, 1.0))) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_trial_rejected(self):
-        with pytest.raises(DegenerateTrialError):
+        with pytest.raises(DomainError):
             rayleigh_quotient(unit_problem(), poly([0.0], (0.0, 1.0)))
 
     def test_boundary_violation_rejected(self):
         # u = 1 violates Dirichlet at both ends
-        with pytest.raises(ConstraintError):
+        with pytest.raises(DomainError):
             rayleigh_quotient(unit_problem(), poly([1.0], (0.0, 1.0)))
 
     @pytest.mark.parametrize("L", [1e-9, 1e-6, 1e3])
@@ -134,7 +137,7 @@ class TestRayleighQuotient:
     @pytest.mark.parametrize("L", [1e-9, 1.0, 1e3])
     def test_offset_trial_rejected_on_every_scale(self, L):
         # x + 0.1 L misses u(0) = 0 by 0.1 L, 0.091 of its sup, at every L.
-        with pytest.raises(ConstraintError):
+        with pytest.raises(DomainError):
             rayleigh_quotient(unit_problem(interval=(0.0, L)), poly([0.1 * L, 1.0], (0.0, L)))
 
 
@@ -356,6 +359,16 @@ class TestReduction:
         with pytest.raises(ConditioningError):
             _reduce(A, B)
 
+    def test_failed_eigensolve_raises(self):
+        with pytest.raises(ConditioningError, match="reduced eigenproblem of size 3"):
+            _reduce(np.full((3, 3), np.nan), np.eye(3))(3)
+
+    def test_overflowing_pencil_is_conditioning_error(self):
+        # On [0, 1e-300] the stiffness entries overflow and LAPACK's eigh
+        # fails: a numerical failure, not invalid input.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
+            solve(unit_problem(DIRICHLET, (0.0, 1e-300)))
+
 
 class TestEigensolveAccuracy:
     # Plain LAPACK eigenvalues of the reduced pencil miss by up to 4e-12 here
@@ -494,7 +507,7 @@ class TestErrors:
         assert exc.value.trace.degrees[0] == 2
 
     def test_max_degree_cap_enforced(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError):
             solve(unit_problem(), num_modes=1, k_tol=1e-10, max_degree=80)
 
     def test_bad_num_modes(self):
