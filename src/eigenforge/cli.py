@@ -141,6 +141,12 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    # Past 4 300 digits int() refuses with its own message; any integer of
+    # more digits than 2^MAX_GODEL_BITS is refused by its digit count.
+    digits = args.integer.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and len(digits) > len(str(1 << godel.MAX_GODEL_BITS)):
+        raise DomainError(f"--integer of {len(digits)} digits exceeds 2^MAX_GODEL_BITS "
+                          f"(MAX_GODEL_BITS = {godel.MAX_GODEL_BITS})")
     try:
         value = int(args.integer)
     except ValueError as exc:

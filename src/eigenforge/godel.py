@@ -9,8 +9,7 @@ set below an energy cutoff is produced by exhaustive bounded enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import DomainError
@@ -62,9 +61,13 @@ def occupation_counts(occupations: Sequence[int]) -> tuple[int, ...]:
     """The occupations as ints; each must be a nonnegative integer."""
     out = []
     for n in occupations:
-        if int(n) != n or n < 0:
+        try:
+            count = int(n)
+        except (OverflowError, ValueError):  # infinity, NaN
+            count = None
+        if count != n or n < 0:
             raise DomainError(f"occupation {n!r} must be a nonnegative integer")
-        out.append(int(n))
+        out.append(count)
     return tuple(out)
 
 
@@ -114,11 +117,19 @@ def decode(value: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class EnumeratedState:
-    occupations: tuple[int, ...]
-    godel: int
-    energy: float
+class EnumeratedState(tuple):
+    """A definable state as the tuple (godel, occupation_text, energy), in CSV
+    column order; the text is ``n1;n2;...`` without trailing zeros, empty for
+    the vacuum, and ``occupations`` parses it on each read."""
+
+    __slots__ = ()
+    godel = property(itemgetter(0))
+    occupation_text = property(itemgetter(1))
+    energy = property(itemgetter(2))
+
+    @property
+    def occupations(self) -> tuple[int, ...]:
+        return tuple(map(int, self[1].split(";"))) if self[1] else ()
 
 
 def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
@@ -139,13 +150,15 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     The result is finite for any finite cutoff: each mode's occupation is
     bounded by floor(e_max / (h omega_m / 2pi)). A depth-first descent steps
     only into modes that can still take a quantum and carries the encoded
-    integer and the energy down with it: each quantum of mode m multiplies
-    the integer by prime(m) and adds the mode energy, so no state is encoded
-    from scratch. A state is emitted where the descent enters it, with every
-    later mode empty, so the recursion depth is the number of occupied modes
-    plus one, however many modes there are. Energies are summed in mode
-    order. More than ``MAX_STATES`` states, or a cutoff that admits an
-    integer of more than ``MAX_GODEL_BITS`` bits, raise DomainError.
+    integer, the energy and the occupation text down: a quantum of mode m
+    multiplies the integer by prime(m) and adds the mode energy, and a count
+    follows the parent's text and ``0;`` up to mode m, so no state is encoded
+    or formatted from scratch. Each state is one ``EnumeratedState``, stored
+    when its parent's loop reaches it, with every later mode empty; a work
+    stack, not recursion, holds the states whose budget admits another
+    quantum. Energies are summed in mode order. More than ``MAX_STATES``
+    states, or a cutoff that admits an integer of more than
+    ``MAX_GODEL_BITS`` bits, raise DomainError.
     """
     if not (math.isfinite(e_max) and e_max >= 0):
         raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
@@ -161,40 +174,35 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
         raise DomainError(
             f"e_max = {e_max!r} admits Godel integers of up to {bits:.0f} bits, "
             f"more than MAX_GODEL_BITS = {MAX_GODEL_BITS}")
-    # lightest[k]: the smallest mode energy from occupiable[k] on; with less
+    # Each occupiable mode with the smallest mode energy after it: with less
     # budget left than that, no later mode takes a quantum.
-    lightest = [math.inf] * (len(occupiable) + 1)
+    modes, lightest = [], math.inf
     for k in range(len(occupiable) - 1, -1, -1):
-        lightest[k] = min(occupiable[k][1], lightest[k + 1])
-    states: list[EnumeratedState] = []
-    occ = [0] * len(energies)
-
-    def descend(first: int, length: int, used: float, value: int) -> None:
-        if len(states) == MAX_STATES:
-            raise DomainError(
-                f"more than MAX_STATES = {MAX_STATES} states below e_max = {e_max!r}")
-        states.append(EnumeratedState(tuple(occ[:length]), value, used))
-        budget = e_max - used + slack
-        if budget < lightest[first]:
-            return
-        for k in range(first, len(occupiable)):
-            m, step, prime = occupiable[k]
-            bound = int(budget // step)
+        modes.append((k, *occupiable[k], lightest))
+        lightest = min(occupiable[k][1], lightest)
+    modes.reverse()
+    new, state = tuple.__new__, EnumeratedState
+    states = [new(state, (1, "", 0.0))]
+    # Parents to descend into: (first index into modes, modes in text, energy, code, text, budget)
+    stack = [(0, 0, 0.0, 1, "", e_max + slack)] if e_max + slack >= lightest else []
+    while stack:
+        first, length, used, value, text, budget = stack.pop()
+        base = text + ";" if text else ""
+        for k, m, step, prime, lighter in modes[first:]:
+            head = base + "0;" * (m - length)
             code = value
-            for n in range(1, bound + 1):
+            for n in range(1, int(budget // step) + 1):
                 code *= prime
-                occ[m] = n
-                descend(k + 1, m + 1, used + n * step, code)
-            occ[m] = 0
-
-    try:
-        descend(0, 0, 0.0, 1)
-    finally:
-        # descend refers to itself through its closure cell; dropping the
-        # name breaks that cycle, so ``states`` is freed with the result
-        # rather than at the next full collection.
-        del descend
-    states.sort(key=attrgetter("godel"))
+                energy = used + n * step
+                if len(states) == MAX_STATES:
+                    raise DomainError(
+                        f"more than MAX_STATES = {MAX_STATES} states below e_max = {e_max!r}")
+                occupation = head + str(n)
+                states.append(new(state, (code, occupation, energy)))
+                rest = e_max - energy + slack
+                if rest >= lighter:
+                    stack.append((k + 1, m + 1, energy, code, occupation, rest))
+    states.sort(key=itemgetter(0))
     return states
 
 

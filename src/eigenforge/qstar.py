@@ -43,10 +43,12 @@ MAX_EXPONENT = 64
 # steeply with the degree.
 MAX_POWER_DEGREE = 128
 
-# Largest size, in bits, of an integer ``parse`` reads or raises to a power,
-# judged before it is built: d log2(10) for a literal of d digits, and for
-# base^e, e log2(s), s the larger sum of |coefficient| of the base's numerator
-# and denominator, which bounds every coefficient of the power. (2^64)^64 is inside.
+# Largest size, in bits, of an integer ``parse`` reads or builds, judged
+# before it is built: d log2(10) for a literal of d digits; for base^e,
+# e log2(s), s the larger sum of |coefficient| of the base's numerator and
+# denominator, which bounds every coefficient of the power; and for + - * /,
+# a bound on the coefficients of the unreduced result (see ``_Parser._apply``).
+# (2^64)^64 is inside, (2^64)^64*(2^64)^64 is not.
 MAX_COEFF_BITS = 8192
 
 
@@ -345,6 +347,13 @@ def describe(a: QStarElement) -> str:
     return f"{cls}; equal to {s}; {relation} to {s}"
 
 
+def _coeff_bits(c: IntPoly) -> int:
+    return max(map(abs, c)).bit_length()
+
+
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
     """Recursive-descent parser for integers, W, + - * / ^ and parentheses."""
 
@@ -378,28 +387,40 @@ class _Parser:
         return value
 
     @staticmethod
-    def _check_degree(lhs: QStarElement, rhs: QStarElement) -> None:
+    def _apply(lhs: QStarElement, op: str, rhs: QStarElement) -> QStarElement:
+        """lhs op rhs, refused when the result's degree could pass
+        MAX_POWER_DEGREE or a coefficient could pass MAX_COEFF_BITS. Both are
+        judged before the operation: a coefficient of a product of polynomials
+        has at most the bits of the two factors' largest coefficients plus
+        log2 of the shorter one's coefficient count, and a sum one bit more."""
         degree = sum(len(e.num) + len(e.den) - 2 for e in (lhs, rhs))
         if degree > MAX_POWER_DEGREE:
             raise DomainError(
                 f"operands of total degree {degree} exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+        if op == "*":
+            products = ((lhs.num, rhs.num), (lhs.den, rhs.den))
+        elif op == "/":
+            products = ((lhs.num, rhs.den), (lhs.den, rhs.num))
+        else:
+            products = ((lhs.num, rhs.den), (rhs.num, lhs.den), (lhs.den, rhs.den))
+        bits = max(_coeff_bits(a) + _coeff_bits(b) + math.log2(min(len(a), len(b)))
+                   for a, b in products) + (op in "+-")
+        if bits > MAX_COEFF_BITS:
+            raise DomainError(f"{op!r} result of {bits:.0f} bits exceeds MAX_COEFF_BITS")
+        return _OPERATIONS[op](lhs, rhs)
 
     def _expr(self) -> QStarElement:
         value = self._term()
         while self._peek() in ("+", "-"):
             op = self._take()
-            rhs = self._term()
-            self._check_degree(value, rhs)
-            value = value + rhs if op == "+" else value - rhs
+            value = self._apply(value, op, self._term())
         return value
 
     def _term(self) -> QStarElement:
         value = self._unary()
         while self._peek() in ("*", "/"):
             op = self._take()
-            rhs = self._unary()
-            self._check_degree(value, rhs)
-            value = value * rhs if op == "*" else value / rhs
+            value = self._apply(value, op, self._unary())
         return value
 
     def _unary(self) -> QStarElement:
@@ -454,7 +475,8 @@ class _Parser:
 
 def parse(text: str) -> QStarElement:
     """Parse an expression; exponents above ``MAX_EXPONENT``, powers and
-    operations of degree above ``MAX_POWER_DEGREE``, literals and powers of
+    operations of degree above ``MAX_POWER_DEGREE``, literals, powers, sums,
+    differences, products and quotients that could hold a coefficient of
     more than ``MAX_COEFF_BITS`` bits and nesting deeper than the
     interpreter's recursion limit raise DomainError."""
     try:

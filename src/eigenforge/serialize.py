@@ -297,22 +297,13 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
 
 # -- CSV ---------------------------------------------------------------------
 
-# Text of the occupations that occur in practice; larger ones fall back to str.
-_SMALL_OCCUPATIONS = 256
-_OCCUPATION_TEXT = tuple(str(n) for n in range(_SMALL_OCCUPATIONS))
-
-
 def enumeration_csv(states: Sequence[EnumeratedState]) -> str:
     """Header plus one ``godel,n1;n2;...,energy`` row per state, LF-terminated,
-    energies with 17 significant digits as ``format_float`` writes them."""
-    nonfinite = [s.energy for s in states if not math.isfinite(s.energy)]
-    if nonfinite:
-        raise DomainError(f"cannot serialize non-finite number {nonfinite[0]!r}")
-    text, small = _OCCUPATION_TEXT, _SMALL_OCCUPATIONS
-    rows = [
-        f"{s.godel},"
-        f"{';'.join([text[n] if 0 <= n < small else str(n) for n in s.occupations])},"
-        f"{s.energy:.17g}\n"
-        for s in states
-    ]
-    return "godel_integer,occupations,energy\n" + "".join(rows)
+    energies with 17 significant digits: ``%.17g`` writes the bytes of
+    ``format_float``, ``-0`` included. A non-finite energy raises DomainError."""
+    rows = "".join(map("%d,%s,%.17g\n".__mod__, states))
+    if "n" in rows:  # no finite row holds an n; "inf" and "nan" do
+        nonfinite = [s.energy for s in states if not math.isfinite(s.energy)]
+        if nonfinite:
+            raise DomainError(f"cannot serialize non-finite number {nonfinite[0]!r}")
+    return "godel_integer,occupations,energy\n" + rows

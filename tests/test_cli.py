@@ -117,19 +117,31 @@ class TestEnumerationCsv:
     def test_matches_reference_formatter(self):
         states = godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3)
         large = (0, 300, 7)
-        states.append(EnumeratedState(large, godel.encode(large), 300 * math.pi + 7e-3))
-        states.append(EnumeratedState((1000000,), 2, -0.0))
+        states.append(EnumeratedState((godel.encode(large), "0;300;7", 300 * math.pi + 7e-3)))
+        states.append(EnumeratedState((2, "1000000", -0.0)))
         text = serialize.enumeration_csv(states)
         assert text == reference_csv(states)
         assert f"{godel.encode(large)},0;300;7," in text
         assert text.endswith("\n2,1000000,-0\n")
+
+    @pytest.mark.parametrize("omegas, e_max", [([0.3, 1.1, 0.7, 2.9], 3.3), ([1.0], 300.0)])
+    def test_descent_text_matches_reference(self, omegas, e_max):
+        # The occupation text is built in the descent; the reference formats
+        # each row from the parsed occupations.
+        states = godel.enumerate_definable(omegas, 2.0 * math.pi, e_max)
+        assert serialize.enumeration_csv(states) == reference_csv(states)
+        assert all(godel.encode(s.occupations) == s.godel for s in states)
+        if len(omegas) == 1:
+            assert states[-1].occupation_text == "300"
+        else:  # interior zeros and two-digit counts
+            assert {"0;0;1", "1;0;0;1", "11"} <= {s.occupation_text for s in states}
 
     def test_empty(self):
         assert serialize.enumeration_csv([]) == "godel_integer,occupations,energy\n"
 
     @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
     def test_nonfinite_energy_rejected(self, energy):
-        states = [EnumeratedState((), 1, 0.0), EnumeratedState((1,), 2, energy)]
+        states = [EnumeratedState((1, "", 0.0)), EnumeratedState((2, "1", energy))]
         with pytest.raises(DomainError, match="non-finite"):
             serialize.enumeration_csv(states)
 
@@ -598,6 +610,17 @@ class TestCodecCommands:
         result = run_cli("decode", "--integer", str(2**4096 + 1))
         assert result.returncode == 2
         assert "MAX_GODEL_BITS" in result.stderr
+
+    def test_decode_refuses_a_huge_integer_by_its_digits(self):
+        result = run_cli("decode", "--integer", "1" * 5000)
+        assert result.returncode == 2
+        assert "MAX_GODEL_BITS" in result.stderr
+        assert len(result.stderr) < 200
+
+    def test_qstar_product_past_the_coefficient_bound_invalid(self):
+        result = run_cli("qstar", "--expr", "(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64")
+        assert result.returncode == 2
+        assert "MAX_COEFF_BITS" in result.stderr
 
 
 class TestEnumerateCommand:

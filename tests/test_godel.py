@@ -75,6 +75,11 @@ class TestEncode:
         with pytest.raises(DomainError):
             encode((-1,))
 
+    @pytest.mark.parametrize("occupation", [math.inf, math.nan])
+    def test_non_finite_rejected(self, occupation):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            encode((occupation,))
+
     def test_large_values_stay_exact(self):
         # sum 8 in the 5th mode: 11^8 exceeds 32-bit range; exactness matters
         assert encode((0, 0, 0, 0, 8)) == 11**8

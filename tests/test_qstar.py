@@ -313,6 +313,17 @@ class TestParseAndDescribe:
                 parse(expr)
         assert perf_counter() - start < 1.0
 
+    def test_operation_result_size_limit(self):
+        # A product, quotient, sum or difference of in-bound powers is refused
+        # before a coefficient past MAX_COEFF_BITS is built.
+        assert parse("(2^64)^64*(2^64)^63") == element(2**8128)
+        for expr in ["(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64",
+                     "(2^64)^64/(1/(2^64)^64)",
+                     "(2^64)^64/3+1/(2^64)^64",
+                     "(2^64)^64/3-1/(2^64)^64"]:
+            with pytest.raises(DomainError, match="MAX_COEFF_BITS"):
+                parse(expr)
+
     def test_literal_size_limit(self):
         # d digits count d log2(10) bits: 2466 digits are inside 8192 bits, 2467 are not.
         assert MAX_COEFF_BITS == 8192
