@@ -46,11 +46,24 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+# Longest command-line value an error message echoes whole.
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    """The value's repr; a longer value than ``_ECHO_CHARS`` is cut to that
+    prefix and followed by its length, so a malformed list of thousands of
+    entries gives one short line of stderr."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise DomainError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        raise DomainError(f"{flag} expects comma-separated numbers, got {_echo(text)}") from exc
 
 
 def _parse_occupation(text: str) -> tuple[int, ...]:
@@ -59,7 +72,8 @@ def _parse_occupation(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise DomainError(f"--occupation expects comma-separated integers, got {text!r}") from exc
+        raise DomainError(
+            f"--occupation expects comma-separated integers, got {_echo(text)}") from exc
 
 
 def _cmd_eigen(args) -> int:
@@ -150,7 +164,7 @@ def _cmd_decode(args) -> int:
     try:
         value = int(args.integer)
     except ValueError as exc:
-        raise DomainError(f"--integer expects an integer, got {args.integer!r}") from exc
+        raise DomainError(f"--integer expects an integer, got {_echo(args.integer)}") from exc
     occ = godel.decode(value)
     _write(",".join(str(n) for n in occ) + "\n", None)
     return EXIT_OK

@@ -118,18 +118,24 @@ def decode(value: int) -> tuple[int, ...]:
 
 
 class EnumeratedState(tuple):
-    """A definable state as the tuple (godel, occupation_text, energy), in CSV
-    column order; the text is ``n1;n2;...`` without trailing zeros, empty for
-    the vacuum, and ``occupations`` parses it on each read."""
+    """A definable state as the tuple (godel, occupation_text, energy_text),
+    its three CSV fields in column order. The occupation text is
+    ``n1;n2;...`` without trailing zeros, empty for the vacuum; the energy
+    text is the energy in ``%.17g``, which round-trips binary64. The
+    ``occupations`` and ``energy`` properties parse their text on each read."""
 
     __slots__ = ()
     godel = property(itemgetter(0))
     occupation_text = property(itemgetter(1))
-    energy = property(itemgetter(2))
+    energy_text = property(itemgetter(2))
 
     @property
     def occupations(self) -> tuple[int, ...]:
         return tuple(map(int, self[1].split(";"))) if self[1] else ()
+
+    @property
+    def energy(self) -> float:
+        return float(self[2])
 
 
 def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
@@ -153,10 +159,14 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     integer, the energy and the occupation text down: a quantum of mode m
     multiplies the integer by prime(m) and adds the mode energy, and a count
     follows the parent's text and ``0;`` up to mode m, so no state is encoded
-    or formatted from scratch. Each state is one ``EnumeratedState``, stored
-    when its parent's loop reaches it, with every later mode empty; a work
-    stack, not recursion, holds the states whose budget admits another
-    quantum. Energies are summed in mode order. More than ``MAX_STATES``
+    from scratch. Each distinct energy is formatted once, in a call-local
+    table from energy to ``%.17g`` text, and the states that share an energy
+    share its text; the spectrum of a string or a box, whose frequencies are
+    multiples of one, has few distinct energies. Each state is one
+    ``EnumeratedState``, stored when its parent's loop reaches it, with every
+    later mode empty; a work stack, not recursion, holds the states whose
+    budget admits another quantum. Energies are summed in mode order. A
+    cutoff that overflows when padded by its slack, more than ``MAX_STATES``
     states, or a cutoff that admits an integer of more than
     ``MAX_GODEL_BITS`` bits, raise DomainError.
     """
@@ -164,15 +174,19 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
         raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
     energies = mode_energies(omegas, h)
     slack = _ENERGY_SLACK * (1.0 + abs(e_max))
+    cutoff = e_max + slack
+    if not math.isfinite(cutoff):
+        raise DomainError(f"e_max = {e_max!r} overflows when padded by its relative "
+                          f"slack {_ENERGY_SLACK!r}")
     # Modes that hold a quantum at zero energy used; no other mode is ever
     # occupied, so only these need a prime.
     occupiable = [(m, step, nth_prime(m + 1)) for m, step in enumerate(energies)
-                  if int((e_max + slack) // step) >= 1]
-    bits = (e_max + slack) * max((math.log2(prime) / step for _, step, prime in occupiable),
-                                 default=0.0)
+                  if cutoff >= step]
+    bits = cutoff * max((math.log2(prime) / step for _, step, prime in occupiable),
+                        default=0.0)
     if bits > MAX_GODEL_BITS:
         raise DomainError(
-            f"e_max = {e_max!r} admits Godel integers of up to {bits:.0f} bits, "
+            f"e_max = {e_max!r} admits Godel integers of up to {bits:.6g} bits, "
             f"more than MAX_GODEL_BITS = {MAX_GODEL_BITS}")
     # Each occupiable mode with the smallest mode energy after it: with less
     # budget left than that, no later mode takes a quantum.
@@ -182,9 +196,10 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
         lightest = min(occupiable[k][1], lightest)
     modes.reverse()
     new, state = tuple.__new__, EnumeratedState
-    states = [new(state, (1, "", 0.0))]
+    states = [new(state, (1, "", "0"))]
+    texts: dict[float, str] = {}
     # Parents to descend into: (first index into modes, modes in text, energy, code, text, budget)
-    stack = [(0, 0, 0.0, 1, "", e_max + slack)] if e_max + slack >= lightest else []
+    stack = [(0, 0, 0.0, 1, "", cutoff)] if cutoff >= lightest else []
     while stack:
         first, length, used, value, text, budget = stack.pop()
         base = text + ";" if text else ""
@@ -197,8 +212,11 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
                 if len(states) == MAX_STATES:
                     raise DomainError(
                         f"more than MAX_STATES = {MAX_STATES} states below e_max = {e_max!r}")
+                energy_text = texts.get(energy)
+                if energy_text is None:
+                    energy_text = texts[energy] = "%.17g" % energy
                 occupation = head + str(n)
-                states.append(new(state, (code, occupation, energy)))
+                states.append(new(state, (code, occupation, energy_text)))
                 rest = e_max - energy + slack
                 if rest >= lighter:
                     stack.append((k + 1, m + 1, energy, code, occupation, rest))

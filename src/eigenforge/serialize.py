@@ -299,9 +299,10 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
 
 def enumeration_csv(states: Sequence[EnumeratedState]) -> str:
     """Header plus one ``godel,n1;n2;...,energy`` row per state, LF-terminated,
-    energies with 17 significant digits: ``%.17g`` writes the bytes of
+    written as ``%d,%s,%s`` straight from the state's stored fields: the
+    energy text is the ``%.17g`` the enumeration stored, the bytes of
     ``format_float``, ``-0`` included. A non-finite energy raises DomainError."""
-    rows = "".join(map("%d,%s,%.17g\n".__mod__, states))
+    rows = "".join(map("%d,%s,%s\n".__mod__, states))
     if "n" in rows:  # no finite row holds an n; "inf" and "nan" do
         nonfinite = [s.energy for s in states if not math.isfinite(s.energy)]
         if nonfinite:

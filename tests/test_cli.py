@@ -1,5 +1,6 @@
 """CLI contract tests: outputs, exit codes, strict parsing, byte determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -117,8 +118,9 @@ class TestEnumerationCsv:
     def test_matches_reference_formatter(self):
         states = godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3)
         large = (0, 300, 7)
-        states.append(EnumeratedState((godel.encode(large), "0;300;7", 300 * math.pi + 7e-3)))
-        states.append(EnumeratedState((2, "1000000", -0.0)))
+        states.append(EnumeratedState((godel.encode(large), "0;300;7",
+                                       serialize.format_float(300 * math.pi + 7e-3))))
+        states.append(EnumeratedState((2, "1000000", serialize.format_float(-0.0))))
         text = serialize.enumeration_csv(states)
         assert text == reference_csv(states)
         assert f"{godel.encode(large)},0;300;7," in text
@@ -136,12 +138,39 @@ class TestEnumerationCsv:
         else:  # interior zeros and two-digit counts
             assert {"0;0;1", "1;0;0;1", "11"} <= {s.occupation_text for s in states}
 
+    def test_degenerate_spectrum_shares_energy_texts(self):
+        # Box modes m pi / L: every energy is a multiple of one quantum, so
+        # many states share an energy, and those states share one text object.
+        omegas = [m * math.pi / 4.0 for m in range(1, 7)]
+        states = godel.enumerate_definable(omegas, 2.0 * math.pi, 12.0)
+        by_energy = {}
+        for s in states:
+            by_energy.setdefault(s.energy, []).append(s.energy_text)
+        assert len(by_energy) < len(states) // 10
+        for texts in by_energy.values():
+            assert all(text is texts[0] for text in texts)
+        assert states[0].energy_text == "0"
+        assert serialize.enumeration_csv(states) == reference_csv(states)
+
+    def test_non_degenerate_spectrum_round_trips(self):
+        omegas, h, e_max = [1.0, math.sqrt(2.0), math.sqrt(3.0), math.pi / 2.0], 2.0, 9.0
+        states = godel.enumerate_definable(omegas, h, e_max)
+        assert len({s.energy_text for s in states}) == len(states) > 100
+        assert serialize.enumeration_csv(states) == reference_csv(states)
+        steps = godel.mode_energies(omegas, h)
+        for s in states:
+            energy = 0.0  # the descent's sum, in mode order
+            for n, step in zip(s.occupations, steps):
+                energy += n * step
+            assert s.energy == energy
+            assert s.energy_text == serialize.format_float(energy)
+
     def test_empty(self):
         assert serialize.enumeration_csv([]) == "godel_integer,occupations,energy\n"
 
     @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
     def test_nonfinite_energy_rejected(self, energy):
-        states = [EnumeratedState((1, "", 0.0)), EnumeratedState((2, "1", energy))]
+        states = [EnumeratedState((1, "", "0")), EnumeratedState((2, "1", "%.17g" % energy))]
         with pytest.raises(DomainError, match="non-finite"):
             serialize.enumeration_csv(states)
 
@@ -617,6 +646,24 @@ class TestCodecCommands:
         assert "MAX_GODEL_BITS" in result.stderr
         assert len(result.stderr) < 200
 
+    @pytest.mark.parametrize("command,flag,text,fragment", [
+        ("encode", "--occupation", "1,x", "comma-separated integers"),
+        ("decode", "--integer", "12x", "an integer"),
+        ("enumerate", "--omegas", "1,x", "comma-separated numbers"),
+    ], ids=["encode", "decode", "enumerate"])
+    def test_malformed_input_echo(self, capsys, command, flag, text, fragment):
+        # A short input is echoed whole; a long one by a prefix and its
+        # length, so 3 000 entries give one short line.
+        extra = ["--quantum-I", "1", "--emax", "1"] if command == "enumerate" else []
+        assert cli.main([command, flag, text, *extra]) == 2
+        assert capsys.readouterr().err == f"error: {flag} expects {fragment}, got {text!r}\n"
+        long_text = ",".join(["1"] * 3000) + ",x" if "," in text else "1" * 3000 + "x"
+        assert cli.main([command, flag, long_text, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} expects {fragment}, got '1")
+        assert f"({len(long_text)} characters)" in err
+        assert len(err) < 200
+
     def test_qstar_product_past_the_coefficient_bound_invalid(self):
         result = run_cli("qstar", "--expr", "(2^64)^64*(2^64)^64*(2^64)^64*(2^64)^64")
         assert result.returncode == 2
@@ -625,24 +672,48 @@ class TestCodecCommands:
 
 class TestEnumerateCommand:
     def test_two_mode_example_csv(self):
-        result = run_cli("enumerate", "--omegas", "1,2", "--quantum-I",
-                         repr(math.pi / 2), "--emax", "2")
+        # The README example prints exactly its five lines.
+        result = subprocess.run(
+            [sys.executable, "-m", "eigenforge", "enumerate", "--omegas", "1,2",
+             "--quantum-I", "1.5707963267948966", "--emax", "2"], capture_output=True)
         assert result.returncode == 0, result.stderr
-        lines = result.stdout.splitlines()
-        assert lines[0] == "godel_integer,occupations,energy"
-        godels = [int(line.split(",")[0]) for line in lines[1:]]
-        assert godels == [1, 2, 3, 4]
+        assert result.stdout == (
+            b"godel_integer,occupations,energy\n1,,0\n2,1,1\n3,0;1,2\n4,2,2\n")
 
     def test_bad_omega_rejected(self):
         result = run_cli("enumerate", "--omegas", "0", "--quantum-I", "1.0", "--emax", "1")
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("emax", ["inf", "nan"])
+    def test_five_mode_digest(self):
+        # Interior zeros and two-digit occupations (557 states) keep a
+        # pinned sha256 of the CSV bytes.
+        result = subprocess.run(
+            [sys.executable, "-m", "eigenforge", "enumerate", "--omegas", "0.3,1.1,0.7,2.9,1.7",
+             "--quantum-I", "1.5707963267948966", "--emax", "6.3"], capture_output=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count(b"\n") == 558
+        assert hashlib.sha256(result.stdout).hexdigest() == (
+            "35a105a56a6275cf83bbe33f777f00c4ca52a961c28dab40796de30621e6ceb6")
+
+    @pytest.mark.parametrize("emax", ["inf", "nan", "1.7976931348623157e308"])
     def test_nonfinite_cutoff_invalid(self, emax):
+        # The largest float is finite, but padding it by its slack is not.
         result = run_cli("enumerate", "--omegas", "1,2", "--quantum-I", "1", "--emax", emax)
         assert result.returncode == 2
         assert "e_max" in result.stderr
         assert "Traceback" not in result.stderr
+        assert "convert" not in result.stderr
+
+    @pytest.mark.parametrize("omegas", ["1", "1e-10"])
+    def test_huge_cutoff_message_is_short(self, omegas):
+        # 2^(10^308) is far past the integer bound; the message gives the
+        # bit count in a few digits, and a mode energy far below the cutoff
+        # is refused the same way, not by a float-to-int overflow.
+        result = run_cli("enumerate", "--omegas", omegas, "--quantum-I", "1", "--emax", "1e308")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: e_max = 1e+308 admits Godel integers")
+        assert "MAX_GODEL_BITS = 4096" in result.stderr
+        assert len(result.stderr) < 150
 
     @pytest.mark.parametrize("limit,code", [(5984, 0), (5983, 2)], ids=["at-limit", "past-limit"])
     def test_state_limit(self, limit, code):

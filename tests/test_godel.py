@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 from itertools import combinations_with_replacement
 from time import perf_counter
 
@@ -213,8 +214,9 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_definable([0.0], TWO_PI, 1.0)
 
-    @pytest.mark.parametrize("e_max", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("e_max", [math.inf, math.nan, -1.0, sys.float_info.max])
     def test_cutoff_must_be_finite_and_nonnegative(self, e_max):
+        # The largest float is finite, but padding it by its slack is not.
         with pytest.raises(DomainError, match="e_max"):
             enumerate_definable([1.0], TWO_PI, e_max)
 
