@@ -6,8 +6,8 @@ action (lattice fit of a stored solution), encode/decode (prime-power codec),
 enumerate (definable states below an energy cutoff, CSV), qstar (ratio-field
 expression classification). Outputs are byte-stable across runs.
 
-Exit codes: 0 success, 2 invalid input, 3 non-convergence or a failed LAPACK
-step (``ConditioningError``), 4 no lattice.
+Exit codes: 0 success, 2 invalid input, 3 non-convergence or a failed
+numerical step (``ConditioningError``), 4 no lattice.
 """
 
 from __future__ import annotations

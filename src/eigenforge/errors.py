@@ -15,7 +15,8 @@ class DomainError(EigenforgeError, ValueError):
 
 
 class ConditioningError(EigenforgeError, RuntimeError):
-    """A LAPACK factorization or eigensolve of the assembled pencil failed."""
+    """A LAPACK factorization or eigensolve of the assembled pencil failed, or
+    the reduced matrix it needed overflowed."""
 
 
 class NonConvergenceError(EigenforgeError, RuntimeError):

@@ -185,9 +185,9 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     bits = cutoff * max((math.log2(prime) / step for _, step, prime in occupiable),
                         default=0.0)
     if bits > MAX_GODEL_BITS:
-        raise DomainError(
-            f"e_max = {e_max!r} admits Godel integers of up to {bits:.6g} bits, "
-            f"more than MAX_GODEL_BITS = {MAX_GODEL_BITS}")
+        size = f"up to {bits:.6g} bits, more" if math.isfinite(bits) else "more"
+        raise DomainError(f"e_max = {e_max!r} admits Godel integers of {size} than "
+                          f"MAX_GODEL_BITS = {MAX_GODEL_BITS} bits")
     # Each occupiable mode with the smallest mode energy after it: with less
     # budget left than that, no later mode takes a quantum.
     modes, lightest = [], math.inf

@@ -14,6 +14,10 @@ blocks of those of any higher degree. ``solve`` therefore assembles the pencil
 once, at the highest degree it may visit, reduces it once by a Cholesky
 factorization of the mass matrix, and diagonalizes the leading block of the
 reduced matrix for each visited degree with LAPACK (``numpy.linalg.eigh``).
+The reduction and every diagonalized block are kept with the problem, for the
+latest few problems, so a repeat of a problem (the modes of one field model
+share their frozen problems) reads them instead of recomputing them; results
+are a function of the problem alone, whether kept or computed afresh.
 LAPACK's eigenvalues carry an absolute error of about machine epsilon times
 the largest eigenvalue of the reduced matrix, which at degree 40 is a
 relative error of up to 4e-12 on the low modes; each eigenvalue is therefore
@@ -49,6 +53,15 @@ VANISH_DERIVATIVE = "derivative"
 _POSITIVITY_MARGIN = 1e-12  # relative to the largest |f| on the interval
 _BOUNDARY_TOL = 1e-9
 _RESIDUAL_SAMPLES = 101
+# Solves memoize their work by problem (``_ritz_sequence``). The modes of one
+# field model usually take their space factors from the same frozen problem,
+# and a request interleaves few distinct problems: on the field benchmark's
+# block 0 at seeds 101-103, the latest 5 pencils keep all 110 repeats within
+# a request (2 keep 108, 4 keep 109). Each field sweep rebuilds its problems
+# on the same weights; the latest 32 verdicts cut the positivity checks that
+# find roots there from 1 046 to at most 220.
+_PENCIL_CACHE = 5
+_POSITIVITY_CACHE = 32
 
 
 @dataclass(frozen=True)
@@ -72,17 +85,23 @@ NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 
 def require_positive(f: Polynomial, name: str) -> None:
     """Refuse f, by name, unless it exceeds 1e-12 times its largest absolute
-    value on the closed interval: a rule free of f's scale. f's extremes lie
-    at the ends or where f' vanishes, so f is read, as its Legendre series in
-    the reference variable t, at t = -1 and 1 and at the real part of every
-    root of f' with -1 <= t <= 1 (the real part, so that a double root that
-    rounding splits into a complex pair is still read)."""
+    value on the closed interval: a rule free of f's scale (``_is_positive``)."""
+    if not _is_positive(f):
+        lo, hi = f.interval
+        raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
+
+
+@lru_cache(maxsize=_POSITIVITY_CACHE)
+def _is_positive(f: Polynomial) -> bool:
+    """Whether f exceeds 1e-12 times its largest |f| on the closed interval.
+    f's extremes lie at the ends or where f' vanishes, so f is read, as its
+    Legendre series in the reference variable t, at t = -1 and 1 and at the
+    real part of every root of f' with -1 <= t <= 1 (the real part, so that a
+    double root that rounding splits into a complex pair is still read)."""
     coeffs = np.asarray(polynomials.as_series(f).coeffs)
     roots = leg.legroots(polynomials._legendre_derivative(coeffs.size) @ coeffs).real.tolist()
     vals = leg.legval([-1.0, 1.0] + [t for t in roots if abs(t) <= 1.0], coeffs).tolist()
-    if min(vals) <= _POSITIVITY_MARGIN * max(map(abs, vals)):
-        lo, hi = f.interval
-        raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
+    return min(vals) > _POSITIVITY_MARGIN * max(map(abs, vals))
 
 
 @dataclass(frozen=True)
@@ -182,18 +201,35 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     pencil: its Cholesky factor is the leading block of L, so its reduced
     matrix is the leading block of C. Each eigenvalue is the Rayleigh quotient
     of its vector on the unreduced block pencil, whose denominator is the norm.
-    A LAPACK failure in either the factorization or an eigensolve raises
-    ``ConditioningError``.
+    Each block size is solved once and kept, as read-only arrays.
+
+    A LAPACK failure in the factorization or an eigensolve raises
+    ``ConditioningError``, and so does a block of C that is not finite: the
+    product forming C can overflow, and then carries NaN into the leading
+    entries. C is formed with numpy's overflow warnings off, and its largest
+    finite leading block is recorded, so a block past it is refused by size
+    with no warning. Failures are raised again on every request, never kept.
     """
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError("mass matrix is numerically indefinite") from exc
     L_inv = np.tril(np.linalg.inv(L))
-    C = L_inv @ A @ L_inv.T
-    C = 0.5 * (C + C.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = L_inv @ A @ L_inv.T
+        C = 0.5 * (C + C.T)
+    entries_finite = np.isfinite(C)
+    finite = (C.shape[0] if entries_finite.all()
+              else int(np.maximum(*np.nonzero(~entries_finite)).min()))
+    memo: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * (C.shape[0] + 1)
 
     def leading_eigh(k: int):
+        ritz = memo[k]
+        if ritz is not None:
+            return ritz
+        if k > finite:
+            raise ConditioningError(
+                f"reduced eigenproblem of size {k} is not finite: its reduction overflows")
         try:
             vectors = np.linalg.eigh(C[:k, :k])[1]
         except np.linalg.LinAlgError as exc:
@@ -203,9 +239,21 @@ def _reduce(A: np.ndarray, B: np.ndarray):
         norms = np.einsum("ij,ij->j", Y, Bk @ Y)
         theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
         order = np.argsort(theta, kind="stable")
-        return theta[order], Y[:, order], norms[order]
+        ritz = memo[k] = theta[order], Y[:, order], norms[order]
+        for array in ritz:
+            array.setflags(write=False)  # shared by every repeat of the problem
+        return ritz
 
     return leading_eigh
+
+
+@lru_cache(maxsize=_PENCIL_CACHE)
+def _ritz_sequence(prob: SLProblem, top: int):
+    """``leading_eigh`` of the problem's pencil of degree ``top``, assembled and
+    reduced on the first request and kept with every block size it has
+    solved. Keys are equal when the problems are (``SLProblem`` equality), so
+    a repeat reads what the first solve computed, bit for bit."""
+    return _reduce(*_assemble(prob, top))
 
 
 def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:
@@ -224,14 +272,6 @@ def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> l
     C[:, _endpoint_row(free, -1.0, degree) @ C < 0] *= -1.0
     return [EigenPair(lam, LegendreSeries(tuple(c), prob.interval), degree)
             for lam, c in zip(theta[:count].tolist(), C.T.tolist())]
-
-
-def solve_at_degree(prob: SLProblem, degree: int, num_modes: int | None = None) -> list[EigenPair]:
-    """Ritz eigenpairs of the fixed-degree trial space, ascending by eigenvalue."""
-    theta, Y, norms = _reduce(*_assemble(prob, degree))(degree - 1)
-    available = theta.size
-    count = available if num_modes is None else min(num_modes, available)
-    return _build_pairs(prob, theta, Y, norms, degree, count)
 
 
 def max_modes(max_degree: int) -> int:
@@ -255,9 +295,12 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     stop and is refused with ``DomainError``.
 
     The pencil is assembled and reduced once, at ``max_degree`` rounded down
-    to even, and each visited degree is its leading block. The result is a
-    function of the problem, ``num_modes``, ``k_tol`` and ``max_degree``
-    alone.
+    to even, and each visited degree is its leading block. The reduction and
+    each visited degree's Ritz values and vectors are kept for the latest
+    ``_PENCIL_CACHE`` (problem, degree) pairs, so a repeat of a problem, with
+    any ``num_modes``, solves only the degrees no earlier request visited.
+    The result is a function of the problem, ``num_modes``, ``k_tol`` and
+    ``max_degree`` alone, bit for bit, whether or not the pencil was kept.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -276,16 +319,18 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             f"compares two visited degrees, each holding at least {num_modes} trial functions"
         )
     top = max_degree // 2 * 2
-    leading_eigh = _reduce(*_assemble(prob, top))
+    leading_eigh = _ritz_sequence(prob, top)
     trace_entries: list[tuple[int, float]] = []
-    prev_vals: np.ndarray | None = None
+    prev_vals: list[float] | None = None
     for degree in range(2, top + 1, 2):
         theta, Y, norms = leading_eigh(degree - 1)
         trace_entries.append((degree, float(theta[0])))
         if theta.size < num_modes:
             continue
-        cur_vals = theta[:num_modes]
-        if prev_vals is not None and bool(np.all(prev_vals - cur_vals < k_tol)):
+        # Compared as Python floats: the same IEEE test as on arrays, without
+        # numpy's per-call cost at every degree of a solve that misses the memo.
+        cur_vals = theta[:num_modes].tolist()
+        if prev_vals is not None and all(p - c < k_tol for p, c in zip(prev_vals, cur_vals)):
             return (_build_pairs(prob, theta, Y, norms, degree, num_modes),
                     RitzTrace(tuple(trace_entries)))
         prev_vals = cur_vals

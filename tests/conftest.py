@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import settings
 
+from eigenforge import sturm_liouville
 from eigenforge.polynomials import poly
 from eigenforge.sigma_model import CoeffField, DimensionSpec, ModeSpec, SigmaModelSpec
 from eigenforge.sturm_liouville import DIRICHLET, SLProblem
@@ -31,6 +32,19 @@ def make_string_spec(coupling_g: float = 0.0, num_modes: int = 3) -> SigmaModelS
     q_field = CoeffField(terms=(), coupling_g=coupling_g)
     modes = tuple(ModeSpec(f"m{m}", (m,)) for m in range(1, num_modes + 1))
     return SigmaModelSpec((space,), time, p_field, q_field, modes=modes)
+
+
+def count_assemblies(monkeypatch):
+    """The degrees of every pencil assembly from now on, with no pencil kept."""
+    calls, assemble = [], sturm_liouville._assemble
+
+    def counted(prob, degree):
+        calls.append(degree)
+        return assemble(prob, degree)
+
+    sturm_liouville._ritz_sequence.cache_clear()
+    monkeypatch.setattr(sturm_liouville, "_assemble", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_string_spec
+from conftest import count_assemblies, make_string_spec
 from eigenforge import polynomials, sigma_model
 from eigenforge.action import make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
@@ -545,6 +545,17 @@ class TestUnchangedProblemSkip:
         _, report = solve_state(spec, "m", (1, 2), tol=1e-10, max_iter=200)
         assert report.converged and report.iterations > 1
         assert len(calls) == len(spec.space_dims) * (report.iterations + 1)
+
+    def test_modes_of_a_linear_model_share_one_assembly(self, monkeypatch):
+        # The string's three modes solve one frozen problem, for 1, 2 and 3
+        # modes: the eigensolve assembles and reduces its pencil once.
+        spec = make_string_spec(num_modes=3)
+        assemblies = count_assemblies(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
+        for mode in spec.modes:
+            solve_state(spec, mode.label, mode.targets)
+        assert len(calls) == 3 and len(set(calls)) == 1
+        assert assemblies == [sigma_model.SL_MAX_DEGREE]
 
     def test_kept_factor_matches_a_fresh_solve(self, string_spec):
         # The skip is exact: the eigensolve is a function of its problem, so

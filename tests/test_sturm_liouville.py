@@ -7,6 +7,7 @@ import numpy.polynomial.legendre as leg
 import pytest
 import scipy.linalg
 
+from conftest import count_assemblies
 from eigenforge import sturm_liouville
 from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
 from eigenforge.polynomials import (
@@ -21,18 +22,28 @@ from eigenforge.sturm_liouville import (
     BoundaryCondition,
     SLProblem,
     _assemble,
+    _build_pairs,
     _recombination,
     _reduce,
+    _ritz_sequence,
     boundary_residuals,
     max_modes,
     rayleigh_quotient,
     residual,
     solve,
-    solve_at_degree,
 )
 from eigenforge.sigma_model import _chebyshev_points
 
 PI2 = math.pi * math.pi
+
+
+def solve_at_degree(prob, degree, num_modes=None):
+    """Ritz eigenpairs of the fixed-degree trial space, ascending by eigenvalue:
+    a fresh assembly and reduction, apart from solve's escalation and memo."""
+    theta, Y, norms = _reduce(*_assemble(prob, degree))(degree - 1)
+    available = theta.size
+    count = available if num_modes is None else min(num_modes, available)
+    return _build_pairs(prob, theta, Y, norms, degree, count)
 
 
 def unit_problem(bc=DIRICHLET, interval=(0.0, 1.0)):
@@ -364,9 +375,10 @@ class TestReduction:
             _reduce(np.full((3, 3), np.nan), np.eye(3))(3)
 
     def test_overflowing_pencil_is_conditioning_error(self):
-        # On [0, 1e-300] the stiffness entries overflow and LAPACK's eigh
-        # fails: a numerical failure, not invalid input.
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
+        # On [0, 1e-300] the reduction overflows and C[0, 0] is NaN: a
+        # numerical failure, not invalid input, refused by block size with no
+        # numpy warning (the suite turns warnings into errors).
+        with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
             solve(unit_problem(DIRICHLET, (0.0, 1e-300)))
 
 
@@ -464,16 +476,14 @@ class TestLeadingBlocks:
                 assert np.abs(M - M40[:n - 1, :n - 1]).max() <= 1e-13 * np.abs(M40).max()
 
     def test_one_assembly_per_solve(self, monkeypatch):
-        calls = []
-
-        def counted(prob, degree):
-            calls.append(degree)
-            return _assemble(prob, degree)
-
-        monkeypatch.setattr(sturm_liouville, "_assemble", counted)
+        calls = count_assemblies(monkeypatch)
         prob = variable_problem(DIRICHLET)
         _, trace = solve(prob, num_modes=3, k_tol=1e-12)
         assert calls == [40] and len(trace.entries) > 2
+        # A repeat of the problem, with any num_modes, reads the kept pencil.
+        for num_modes in (1, 2, 4):
+            solve(prob, num_modes=num_modes, k_tol=1e-12)
+        assert calls == [40]
 
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_trace_matches_scipy_at_every_degree(self, kind):
@@ -482,6 +492,62 @@ class TestLeadingBlocks:
         for n, lam in trace.entries:
             ref = scipy.linalg.eigh(*_assemble(prob, n), eigvals_only=True)[0]
             assert abs(lam - ref) <= 1e-13 * (1.0 + abs(lam)), n
+
+
+class TestMemo:
+    # solve keeps each problem's reduction and Ritz sequence; what it returns
+    # must not depend on whether they were kept.
+    # (num_modes, max_degree) requests; the degree cap is part of the key, as
+    # the pencil of a lower cap is assembled with fewer quadrature nodes.
+    REQUESTS = ((1, 40), (4, 40), (2, 24))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fewer-first", "more-first"])
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_warm_results_equal_cold(self, kind, reverse):
+        prob = variable_problem(CONDITIONS[kind])
+        order = self.REQUESTS[::-1] if reverse else self.REQUESTS
+        cold = {}
+        for num_modes, max_degree in order:
+            _ritz_sequence.cache_clear()
+            cold[num_modes] = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
+        _ritz_sequence.cache_clear()
+        for num_modes, max_degree in order:
+            pairs, trace = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
+            ref_pairs, ref_trace = cold[num_modes]
+            assert trace == ref_trace
+            for pair, ref in zip(pairs, ref_pairs, strict=True):
+                assert pair.lambda_ == ref.lambda_ and pair.degree_used == ref.degree_used
+                assert pair.u.coeffs == ref.u.coeffs
+
+    def test_kept_arrays_are_read_only(self):
+        prob = variable_problem(NEUMANN)
+        solve(prob, num_modes=2, k_tol=1e-12)
+        for array in _ritz_sequence(prob, 40)(3):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_conditioning_error_raised_on_every_repeat(self, monkeypatch):
+        calls = count_assemblies(monkeypatch)
+        prob = unit_problem(DIRICHLET, (0.0, 1e-300))
+        for _ in range(2):
+            with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
+                solve(prob)
+        assert calls == [40]
+
+    def test_positivity_verdict_kept(self, monkeypatch):
+        # Each SLProblem rebuilt on the same weight reuses that weight's
+        # verdict; the refusal message is unchanged.
+        r = poly([1.0, 0.5, 0.25], (0.0, 1.0))
+        sturm_liouville._is_positive.cache_clear()
+        for _ in range(3):
+            SLProblem(r, poly([0.0], (0.0, 1.0)), r, DIRICHLET)
+        info = sturm_liouville._is_positive.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        bad = poly([-0.5, 1.0], (0.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^p must be positive on \[0.0, 1.0\]$"):
+                SLProblem(bad, bad, r, DIRICHLET)
 
 
 class TestErrors:
