@@ -10,7 +10,9 @@ grows exponentially with the degree, the Legendre form's does not. Monomials
 are inputs only: ``as_series`` is their one route to a series, keeping what it
 converts, and a series and a monomial neither add nor subtract. No two
 functions multiply, in either basis: a product is integrated
-(``integrate_product``) or fitted from values, never formed. Every value
+(``integrate_product``, which keeps the latest integrals by their factors,
+so an integral is a function of its factors alone, kept or computed afresh)
+or fitted from values, never formed. Every value
 carries the finite interval it lives on, and all operations are pure functions
 of immutable values.
 """
@@ -29,17 +31,18 @@ import numpy.polynomial.polynomial as npoly
 from .errors import DomainError
 
 # Trial-space degree cap for the solvers: it bounds the size of the assembled
-# pencil. Products of functions under an integral may legitimately exceed it.
+# pencil, and the degree of every polynomial an input file gives (the
+# positivity check's root-finding overflows from about degree 600). Products
+# of functions under an integral may legitimately exceed it.
 MAX_DEGREE = 64
 
 
 def _trimmed(values: Iterable[float]) -> tuple[float, ...]:
-    out = [float(v) for v in values]
-    if not out:
-        out = [0.0]
-    while len(out) > 1 and out[-1] == 0.0:
-        out.pop()
-    return tuple(out)
+    out = tuple(map(float, values))
+    n = len(out)
+    while n > 1 and out[n - 1] == 0.0:
+        n -= 1
+    return out[:n] if out else (0.0,)
 
 
 def _reference(xs, interval):
@@ -61,7 +64,7 @@ class Polynomial:
 
     def __post_init__(self) -> None:
         coeffs = _trimmed(self.coeffs)
-        if any(not math.isfinite(c) for c in coeffs):
+        if not all(map(math.isfinite, coeffs)):
             raise DomainError("coefficients must be finite")
         a, b = float(self.interval[0]), float(self.interval[1])
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -148,6 +151,15 @@ class Polynomial:
         return NotImplemented
 
 
+# Derivatives kept by ``LegendreSeries.derivative``: the time pin and the null
+# check differentiate the same fixed time pair for every state, and the null
+# check each space factor once per component, only to look up integrals of
+# the derivatives. A benchmark field block takes about 950 derivatives of
+# about 150 distinct series; the 16 latest find 749-762 of the 794-796
+# repeats an unbounded memo would.
+_DERIVATIVE_CACHE = 16
+
+
 @dataclass(frozen=True)
 class LegendreSeries(Polynomial):
     """A computed function: ``coeffs`` multiply P_0(t), P_1(t), ... in t(x).
@@ -159,11 +171,13 @@ class LegendreSeries(Polynomial):
     def _at(self, xs):
         return leg.legval(_reference(xs, self.interval), np.asarray(self.coeffs))
 
+    @lru_cache(maxsize=_DERIVATIVE_CACHE)
     def derivative(self) -> "LegendreSeries":
+        """d/dx, a function of the series alone: the latest are kept."""
         lo, hi = self.interval
         coeffs = np.asarray(self.coeffs)
         d = _legendre_derivative(coeffs.size) @ coeffs * (2.0 / (hi - lo))
-        return LegendreSeries(tuple(d), self.interval)
+        return LegendreSeries(d.tolist(), self.interval)
 
 
 def _legendre_coeffs(coeffs: tuple[float, ...], interval: tuple[float, float]) -> tuple:
@@ -213,11 +227,6 @@ def poly(coeffs, interval=(0.0, 1.0)) -> Polynomial:
     return Polynomial(tuple(coeffs), tuple(interval))
 
 
-def antiderivative(a: Polynomial) -> Polynomial:
-    """Antiderivative of a monomial polynomial, with zero constant term."""
-    return Polynomial((0.0,) + tuple(c / (k + 1) for k, c in enumerate(a.coeffs)), a.interval)
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -228,15 +237,6 @@ def _gauss_legendre(n: int):
 def _legendre_table(n: int, size: int) -> np.ndarray:
     """P_k at the n Gauss-Legendre nodes, k < size: an (n, size) array."""
     return leg.legvander(_gauss_legendre(n)[0], size - 1)
-
-
-def integrate_by_antiderivative(a: Polynomial) -> float:
-    """Integral of a monomial polynomial over its interval via its
-    antiderivative: the independent reference for the quadrature (see tests)."""
-    anti = antiderivative(a)
-    lo, hi = a.interval
-    c = np.asarray(anti.coeffs)
-    return float(npoly.polyval(hi, c) - npoly.polyval(lo, c))
 
 
 def node_values(n: int, *factors: Polynomial) -> np.ndarray:
@@ -252,12 +252,26 @@ def node_values(n: int, *factors: Polynomial) -> np.ndarray:
     return (_legendre_table(n, columns.shape[0]) @ columns).T
 
 
+# Integrals kept by ``integrate_product``: a field model re-integrates the
+# same products (the null check's terms, the time pin's harmonic pair, the
+# norms) in every state. A benchmark field block asks for about 3 050
+# integrals of about 800 distinct products; the 128 latest find 2 090-2 112
+# of the 2 216-2 249 repeats an unbounded memo would (32 find 1 988-2 013).
+_INTEGRAL_CACHE = 128
+
+
+@lru_cache(maxsize=_INTEGRAL_CACHE)
 def integrate_product(*factors: Polynomial) -> float:
     """Exact integral of a product of polynomials over their shared interval.
 
     Gauss-Legendre quadrature with sum(degree) // 2 + 1 nodes, exact at the
     product's degree, without forming the product: the factors' values at
     the nodes (``node_values``) are multiplied pointwise in factor order.
+
+    The integral is a function of its factors alone, in order: the
+    ``_INTEGRAL_CACHE`` latest are kept, keyed by the factors' equality (same
+    type, interval and coefficient tuple), and a kept value holds the bits a
+    fresh quadrature computes. A refusal is raised afresh on every call.
     """
     if not factors:
         raise DomainError("need at least one factor")
@@ -292,4 +306,4 @@ def chebyshev_fit(fn: Callable[[np.ndarray], np.ndarray], degree: int,
     lo, hi = interval
     t, op = _fit_operator(degree)
     xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-    return LegendreSeries(tuple(op @ fn(xs)), (lo, hi))
+    return LegendreSeries((op @ fn(xs)).tolist(), (lo, hi))

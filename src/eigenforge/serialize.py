@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 from .action import ActionSpectrum
 from .errors import DomainError
 from .godel import EnumeratedState
-from .polynomials import Polynomial
+from .polynomials import MAX_DEGREE, Polynomial
 from .sigma_model import (
     CoeffField,
     DimensionSpec,
@@ -127,8 +127,11 @@ def poly_from_obj(obj, context: str = "polynomial") -> Polynomial:
     coeffs = _array(obj["coeffs"], f"{context}.coeffs")
     if not coeffs:
         raise DomainError(f"{context}.coeffs must be a non-empty array")
-    return Polynomial(tuple(_number(c, f"{context}.coeffs[{i}]") for i, c in enumerate(coeffs)),
-                      _interval_from_obj(obj["interval"], f"{context}.interval"))
+    p = Polynomial(tuple(_number(c, f"{context}.coeffs[{i}]") for i, c in enumerate(coeffs)),
+                   _interval_from_obj(obj["interval"], f"{context}.interval"))
+    if p.degree > MAX_DEGREE:
+        raise DomainError(f"{context}.coeffs has degree {p.degree}, above the cap {MAX_DEGREE}")
+    return p
 
 
 # -- eigenproblems -----------------------------------------------------------

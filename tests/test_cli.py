@@ -95,6 +95,15 @@ class TestSerialize:
         with pytest.raises(Exception):
             serialize.poly_from_obj({"coeffs": [1.0], "interval": [0, 1], "extra": 1})
 
+    def test_degree_cap_counts_trimmed_coefficients(self):
+        # Degree 64 is read; degree 65 is refused by its field, and trailing
+        # zeros do not count.
+        ones = [1.0] * 65
+        kept = serialize.poly_from_obj({"coeffs": ones + [0.0] * 10, "interval": [0, 1]})
+        assert kept.degree == 64
+        with pytest.raises(DomainError, match=r"^p\.coeffs has degree 65, above the cap 64$"):
+            serialize.poly_from_obj({"coeffs": ones + [1.0], "interval": [0, 1]}, "p")
+
     def test_nonfinite_rejected(self):
         with pytest.raises(Exception):
             serialize.format_float(float("inf"))
@@ -246,6 +255,18 @@ class TestEigenCommand:
         assert result.returncode == 2
         assert "problem.q.coeffs must be a non-empty array" in result.stderr
         assert not (tmp_path / "out.json").exists()
+
+    def test_degree_above_the_cap_invalid(self, tmp_path):
+        # p = 1 + x^1000 used to reach the positivity check, whose root-finding
+        # overflowed with numpy warnings and no field named.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["p"]["coeffs"] = [1.0] + [0.0] * 999 + [1.0]
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path))
+        assert result.returncode == 2
+        assert "problem.p.coeffs has degree 1000" in result.stderr
+        assert "Warning" not in result.stderr
 
     def test_nonconvergence_exit_code(self, problem_file):
         result = run_cli("eigen", "--problem", problem_file, "--tol", "1e-30",
@@ -419,6 +440,16 @@ class TestSigmaCommand:
         assert result.returncode == 2
         assert f"{where} must be positive" in result.stderr
         assert not (tmp_path / "out.json").exists()
+
+    def test_weight_above_the_degree_cap_invalid(self, tmp_path):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        obj["space_dims"][0]["r"]["coeffs"] = [1.0] * 71
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert "model.space_dims[0].r.coeffs has degree 70" in result.stderr
+        assert "Warning" not in result.stderr
 
     @pytest.mark.parametrize("targets,where", [([1, 38], "modes[0].targets[1] is 38"),
                                                ([38, 1], "modes[0].targets[0] is 38")],
@@ -817,6 +848,27 @@ BOX_MODEL = """{
   "modes": [{"label": "m12", "targets": [1, 2]}]
 }
 """
+# Three components and a P term that depends on time: the frequency pin must
+# balance the components' summed time integrals.
+TIMEDEP_MODEL = """{
+  "space_dims": [
+    {"interval": [0.0, 1.3], "r": {"coeffs": [1.0], "interval": [0.0, 1.3]},
+     "bc": {"a": "value", "b": "value"}},
+    {"interval": [0.0, 2.1], "r": {"coeffs": [1.0], "interval": [0.0, 2.1]},
+     "bc": {"a": "value", "b": "value"}}
+  ],
+  "time_dim": {"interval": [0.0, 1.5707963267948966],
+               "r": {"coeffs": [1.0], "interval": [0.0, 1.5707963267948966]},
+               "bc": {"a": "value", "b": "value"}},
+  "components": 3,
+  "P": {"terms": [[{"coeffs": [1.0], "interval": [0.0, 1.3]},
+                   {"coeffs": [1.0], "interval": [0.0, 2.1]},
+                   {"coeffs": [1.0, 1.0], "interval": [0.0, 1.5707963267948966]}]],
+        "coupling_g": 0.02},
+  "Q": {"terms": [], "coupling_g": 0.05},
+  "modes": [{"label": "m11", "targets": [1, 1]}, {"label": "m12", "targets": [1, 2]}]
+}
+"""
 
 
 def same_bytes_cold_and_warm(tmp_path, argv):
@@ -872,6 +924,19 @@ class TestDeterminism:
         model = tmp_path / "box.json"
         model.write_text(BOX_MODEL)
         same_bytes_cold_and_warm(tmp_path, ("sigma", "--model", str(model)))
+
+    def test_time_dependent_three_component_byte_identical(self, tmp_path):
+        # The warm passes reuse the integrals kept from earlier modes and runs.
+        model = tmp_path / "timedep.json"
+        model.write_text(TIMEDEP_MODEL)
+        out = same_bytes_cold_and_warm(tmp_path, ("sigma", "--model", str(model)))
+        stored = json.loads(out.read_text())
+        assert all(m["null_residual"] <= 1e-6 for m in stored["modes"]), stored["modes"]
+        # The refit of a stored solution reads the same time pair's action as
+        # the solve, so it must reproduce the stored action spectrum.
+        result = run_cli("action", "--solution", str(out))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == stored["action_spectrum"]
 
     def test_box_mode_missing_a_target_invalid(self, tmp_path):
         # A second mode with one target for two space dimensions is refused,

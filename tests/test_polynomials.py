@@ -10,21 +10,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_string_spec
 from eigenforge.errors import DomainError
 from eigenforge.polynomials import (
+    _DERIVATIVE_CACHE,
+    _INTEGRAL_CACHE,
     LegendreSeries,
     Polynomial,
     _fit_operator,
     _gauss_legendre,
     _legendre_coeffs,
     _legendre_table,
-    antiderivative,
     as_series,
     chebyshev_fit,
-    integrate_by_antiderivative,
     integrate_product,
     poly,
 )
+from eigenforge.sigma_model import null_postulate_residual, solve_state
 
 UNIT = (0.0, 1.0)
 
@@ -95,6 +97,20 @@ class TestDifferentiate:
     def test_hand_derivative(self):
         # d/dx [x - x^2] = 1 - 2x
         assert poly([0.0, 1.0, -1.0], UNIT).derivative().coeffs == (1.0, -2.0)
+
+
+def antiderivative(a: Polynomial) -> Polynomial:
+    """Antiderivative of a monomial polynomial, with zero constant term."""
+    return Polynomial((0.0,) + tuple(c / (k + 1) for k, c in enumerate(a.coeffs)), a.interval)
+
+
+def integrate_by_antiderivative(a: Polynomial) -> float:
+    """Integral of a monomial polynomial over its interval via its
+    antiderivative: the independent reference for the quadrature."""
+    anti = antiderivative(a)
+    lo, hi = a.interval
+    c = np.asarray(anti.coeffs)
+    return float(npoly.polyval(hi, c) - npoly.polyval(lo, c))
 
 
 class TestIntegrate:
@@ -340,3 +356,109 @@ class TestIntegrateProduct:
             scale = 0.5 * (hi - lo) * float(np.dot(w, np.abs(vals)))
             got = integrate_product(*factors)
             assert abs(Fraction(got) - _exact_integral(factors)) <= 1e-12 * scale
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+class TestIntegralMemo:
+    # integrate_product keeps the latest integrals by their factors: a kept
+    # value must be the bits a fresh quadrature computes, whatever was
+    # computed before it.
+    @staticmethod
+    def _products():
+        """Seeded products of 2-5 factors, monomials and series mixed. Every
+        tenth is followed by the same coefficients on a longer interval and
+        by the same coefficients in the other basis: other functions, with
+        other integrals."""
+        rng = np.random.default_rng(23)
+        other = {Polynomial: LegendreSeries, LegendreSeries: Polynomial}
+        for i, factors in enumerate(_random_products(300)):
+            if len(factors) == 1:
+                factors = factors + [poly(rng.normal(size=3), factors[0].interval)]
+            factors = [as_series(f) if rng.integers(2) else f for f in factors]
+            yield factors
+            if i % 10 == 0:
+                lo, hi = factors[0].interval
+                yield [type(f)(f.coeffs, (lo, hi + 1.0)) for f in factors]
+                yield [other[type(f)](f.coeffs, f.interval) for f in factors]
+
+    def test_warm_and_cold_bit_identical(self):
+        products = list(self._products())
+        assert {len(fs) for fs in products} == {2, 3, 4, 5}
+        assert {type(f) for fs in products for f in fs} == {Polynomial, LegendreSeries}
+        cold = []
+        for factors in products:
+            integrate_product.cache_clear()
+            cold.append(_bits(integrate_product(*factors)))
+        warm = [_bits(integrate_product(*factors)) for factors in products]
+        # Equal but distinct objects find the kept value.
+        copies = [[type(f)(f.coeffs, f.interval) for f in fs] for fs in products]
+        hits = integrate_product.cache_info().hits
+        again = [_bits(integrate_product(*factors)) for factors in copies[-8:]]
+        assert integrate_product.cache_info().hits == hits + 8
+        assert warm == cold and again == cold[-8:]
+
+    def test_signed_zero_series_share_a_key(self):
+        minus, plus = LegendreSeries((-0.0,), UNIT), LegendreSeries((0.0,), UNIT)
+        u = poly([0.0, 1.0, -1.0], UNIT)
+        for factors in ((minus,), (plus,), (minus, u), (u, plus, u)):
+            integrate_product.cache_clear()
+            cold = _bits(integrate_product(*factors))
+            swapped = tuple(plus if f is minus else minus if f is plus else f
+                            for f in factors)
+            assert _bits(integrate_product(*swapped)) == cold
+            integrate_product.cache_clear()
+            assert _bits(integrate_product(*swapped)) == cold
+
+    def test_refusals_raised_every_time_and_never_kept(self):
+        integrate_product.cache_clear()
+        a, b = poly([1.0], UNIT), poly([1.0], (0.0, 2.0))
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                integrate_product()
+            with pytest.raises(DomainError):
+                integrate_product(a, b)
+        assert integrate_product.cache_info().currsize == 0
+
+    def test_bounded_by_the_module_constants(self):
+        assert integrate_product.cache_info().maxsize == _INTEGRAL_CACHE
+        assert LegendreSeries.derivative.cache_info().maxsize == _DERIVATIVE_CACHE
+
+    def test_kept_derivatives_bit_identical(self):
+        # Series with signed zeros among their coefficients share a key; the
+        # same coefficients on another interval are another function.
+        rng = np.random.default_rng(29)
+        series = []
+        for n in range(1, 30):
+            coeffs = tuple(rng.normal(size=n).tolist())
+            series += [LegendreSeries(coeffs, (-1.0, 2.5)), LegendreSeries(coeffs, UNIT)]
+        series += [LegendreSeries(c, UNIT) for c in
+                   [(-0.0,), (0.0,), (1.0, -0.0, 2.0), (1.0, 0.0, 2.0), (-0.0, -0.0, 1.0),
+                    (0.0, 0.0, 1.0)]]
+        cold = []
+        for f in series:
+            LegendreSeries.derivative.cache_clear()
+            cold.append([_bits(c) for c in f.derivative().coeffs])
+        warm = [[_bits(c) for c in f.derivative().coeffs] for f in series]
+        assert warm == cold
+        assert cold[-6] == cold[-5] and cold[-4] == cold[-3] and cold[-2] == cold[-1]
+
+    def test_coupled_modes_bit_identical_cleared_and_warm(self):
+        spec = make_string_spec(coupling_g=0.05, num_modes=2)
+
+        def solve_modes(clear):
+            out = []
+            for mode in spec.modes:
+                if clear:
+                    integrate_product.cache_clear()
+                    LegendreSeries.derivative.cache_clear()
+                state, _ = solve_state(spec, mode.label, mode.targets)
+                out.append(repr((state, null_postulate_residual(spec, state))))
+            return out
+
+        cleared = solve_modes(clear=True)
+        hits = integrate_product.cache_info().hits
+        assert solve_modes(clear=False) == cleared
+        assert integrate_product.cache_info().hits > hits
