@@ -16,14 +16,14 @@ from eigenforge.godel import count_vs_box
 from eigenforge.serialize import format_float
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lengths", default="0.5,1,2,4,8",
                         help="comma-separated ascending box lengths")
     parser.add_argument("--emax", type=float, default=3.0)
     parser.add_argument("--modes", type=int, default=6)
     parser.add_argument("--out", default=None, help="optional CSV path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     lengths = [float(v) for v in args.lengths.split(",")]
     counts = count_vs_box(lengths, args.emax, args.modes)

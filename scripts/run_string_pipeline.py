@@ -33,13 +33,13 @@ def build_model(num_modes: int, coupling_g: float) -> sigma_model.SigmaModelSpec
     return sigma_model.SigmaModelSpec((space,), time, p_field, q_field, modes=modes)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--modes", type=int, default=3)
     parser.add_argument("--coupling", type=float, default=0.0)
     parser.add_argument("--emax", type=float, default=4.0)
     parser.add_argument("--out-dir", default="out")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -31,8 +31,9 @@ import numpy.polynomial.polynomial as npoly
 from .errors import DomainError
 
 # Trial-space degree cap for the solvers: it bounds the size of the assembled
-# pencil, and the degree of every polynomial an input file gives (the
-# positivity check's root-finding overflows from about degree 600). Products
+# pencil, the degree of every polynomial an input file gives, and that of
+# every monomial ``as_series`` converts, whether read from a file or built in
+# code (a monomial's Legendre form overflows from about degree 600). Products
 # of functions under an integral may legitimately exceed it.
 MAX_DEGREE = 64
 
@@ -211,6 +212,8 @@ def as_series(f: Polynomial) -> LegendreSeries:
 
 @lru_cache(maxsize=256)
 def _converted(f: Polynomial) -> LegendreSeries:
+    if f.degree > MAX_DEGREE:
+        raise DomainError(f"a monomial of degree {f.degree} is above the cap {MAX_DEGREE}")
     return LegendreSeries(_legendre_coeffs(f.coeffs, f.interval), f.interval)
 
 

@@ -19,10 +19,10 @@ from eigenforge.godel import EnumeratedState
 from eigenforge.polynomials import Polynomial, poly
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "eigenforge", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, timeout=timeout,
     )
 
 
@@ -46,6 +46,19 @@ def model_file(tmp_path_factory):
 def solution_file(tmp_path_factory, model_file):
     path = tmp_path_factory.mktemp("cli") / "solution.json"
     result = run_cli("sigma", "--model", model_file, "--out", str(path))
+    assert result.returncode == 0, result.stderr
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def coupled_solution_file(tmp_path_factory):
+    """The three-mode string under quadratic coupling g = 0.01, the model
+    ``scripts/run_string_pipeline.py --coupling 0.01`` writes."""
+    directory = tmp_path_factory.mktemp("cli")
+    model = directory / "coupled.json"
+    model.write_text(serialize.dumps(serialize.model_to_obj(make_string_spec(coupling_g=0.01))))
+    path = directory / "coupled_solution.json"
+    result = run_cli("sigma", "--model", str(model), "--out", str(path))
     assert result.returncode == 0, result.stderr
     return str(path)
 
@@ -241,7 +254,7 @@ class TestEigenCommand:
         obj["p"]["coeffs"][0] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path))
+        result = run_cli("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 2
         assert "problem.p.coeffs[0] must be a finite number" in result.stderr
 
@@ -283,7 +296,7 @@ class TestEigenCommand:
         obj["r"]["coeffs"] = [0.3001 ** 2 - 1e-8, -0.6002, 1.0]
         path = tmp_path / "dip.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path))
+        result = run_cli("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 2
         assert "r must be positive on [0.0, 1.0]" in result.stderr
 
@@ -295,7 +308,7 @@ class TestEigenCommand:
             obj[name]["interval"] = [0.0, 1e-300]
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path))
+        result = run_cli("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 3
         [line] = result.stderr.splitlines()
         assert line.startswith("error: reduced eigenproblem")
@@ -324,25 +337,39 @@ class TestEigenCommand:
             obj[name]["interval"] = [-2.0, -1.8]
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path), "--modes", "2")
-        assert result.returncode == 0, result.stderr
-        for k, mode in enumerate(json.loads(result.stdout)["modes"], start=1):
-            exact = (k * math.pi / 0.2) ** 2
-            assert abs(mode["lambda"] - exact) <= 1e-12 * exact
+        for modes in ("1", "2"):
+            result = run_cli("eigen", "--problem", str(path), "--modes", modes)
+            assert result.returncode == 0, result.stderr
+            for k, mode in enumerate(json.loads(result.stdout)["modes"], start=1):
+                exact = (k * math.pi / 0.2) ** 2
+                assert abs(mode["lambda"] - exact) <= 1e-12 * exact, (modes, k)
+
+    def test_positivity_is_free_of_scale(self, tmp_path, capsys):
+        # p = r = 1e-13 on [0, 1] has lambda_1 = pi^2, as at unit scale: the
+        # positivity margin is relative to the largest |f|.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["p"]["coeffs"] = obj["r"]["coeffs"] = [1e-13]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["eigen", "--problem", str(path)]) == 0
+        lam = json.loads(capsys.readouterr().out)["modes"][0]["lambda"]
+        assert abs(lam - math.pi ** 2) <= 1e-12 * math.pi ** 2
 
 
 class TestSigmaCommand:
     def test_zero_frequency_state_invalid(self, tmp_path):
         # The Neumann ground state of the coupled string has omega^2 = 0 to
-        # rounding: refused as invalid input, and said so.
-        obj = serialize.model_to_obj(make_string_spec(coupling_g=0.05, num_modes=1))
-        obj["space_dims"][0]["bc"] = {"a": "derivative", "b": "derivative"}
-        path = tmp_path / "model.json"
-        path.write_text(serialize.dumps(obj))
-        result = run_cli("sigma", "--model", str(path))
-        assert result.returncode == 2
-        assert "vanishes to rounding" in result.stderr
-        assert "a zero-frequency state" in result.stderr
+        # rounding: refused as invalid input, and said so, whichever way it
+        # rounds (down at g = 0.05, up to +1.7e-16 at g = -0.5).
+        for coupling_g in (0.05, -0.5):
+            obj = serialize.model_to_obj(make_string_spec(coupling_g=coupling_g, num_modes=1))
+            obj["space_dims"][0]["bc"] = {"a": "derivative", "b": "derivative"}
+            path = tmp_path / "model.json"
+            path.write_text(serialize.dumps(obj))
+            result = run_cli("sigma", "--model", str(path))
+            assert result.returncode == 2, coupling_g
+            assert "vanishes to rounding" in result.stderr
+            assert "a zero-frequency state" in result.stderr
 
     @pytest.mark.parametrize("interval", [[0.0, math.pi, 99], 5], ids=["three-elements", "number"])
     def test_bad_dimension_interval_invalid(self, tmp_path, interval):
@@ -546,16 +573,18 @@ class TestActionCommand:
         assert data["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert data["h"] == pytest.approx(2 * math.pi, abs=4e-7)
 
-    def test_refit_matches_stored_spectrum(self, solution_file):
+    def test_refit_matches_stored_spectrum(self, solution_file, coupled_solution_file):
         # The refit uses the time-pair degree and lattice tolerance of the
-        # field solve, so it reproduces the stored spectrum exactly.
-        stored = json.loads(Path(solution_file).read_text())
-        result = run_cli("action", "--solution", solution_file)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == serialize.dumps(stored["action_spectrum"])
-        refit = json.loads(result.stdout)
-        assert [a["alpha"] for a in refit["alphas"]] == [
-            m["action_alpha"] for m in stored["modes"]]
+        # field solve, so it reproduces the stored spectrum exactly, for the
+        # linear and the coupled string alike.
+        for path in (solution_file, coupled_solution_file):
+            stored = json.loads(Path(path).read_text())
+            result = run_cli("action", "--solution", path)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == serialize.dumps(stored["action_spectrum"])
+            refit = json.loads(result.stdout)
+            assert [a["alpha"] for a in refit["alphas"]] == [
+                m["action_alpha"] for m in stored["modes"]]
 
     def test_refit_accepts_per_sweep_residual_history(self, tmp_path, solution_file):
         # Older solutions carried report.indicial_residuals; they still load.
@@ -661,7 +690,7 @@ class TestCodecCommands:
     def test_encode_past_the_integer_bound_invalid(self, occupation):
         result = subprocess.run([sys.executable, "-m", "eigenforge", "encode",
                                  "--occupation", occupation],
-                                capture_output=True, text=True, timeout=30)
+                                capture_output=True, text=True, timeout=10)
         assert result.returncode == 2
         assert result.stderr.startswith("error: occupation ")
         assert "MAX_GODEL_BITS = 4096" in result.stderr
@@ -788,11 +817,13 @@ class TestEnumerateCommand:
 
 class TestQstarCommand:
     def test_finite_near_one(self):
-        result = run_cli("qstar", "--expr", "(W+1)/W")
-        assert result.returncode == 0
-        lines = result.stdout.splitlines()
-        assert lines[0] == "(W+1)/W"
-        assert lines[1] == "finite; equal to 1; not identical to 1"
+        # Any whitespace, a tab included, separates tokens: both spellings
+        # print the same bytes.
+        for expr in ("(W+1)/W", "( W\t+ 1 )/W"):
+            result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
+                                    capture_output=True)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == b"(W+1)/W\nfinite; equal to 1; not identical to 1\n"
 
     def test_reduction_shown(self):
         result = run_cli("qstar", "--expr", "(W*W-1)/(W-1)")
@@ -801,22 +832,30 @@ class TestQstarCommand:
     def test_bad_expression(self):
         result = run_cli("qstar", "--expr", "(W")
         assert result.returncode == 2
+        result = run_cli("qstar", "--expr", "W + x")
+        assert result.returncode == 2
+        assert "unexpected character 'x'" in result.stderr
 
     def test_largest_integer_power(self):
         result = run_cli("qstar", "--expr", "(2^64)^64")
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[0] == str(2**4096)
 
-    @pytest.mark.parametrize("expr", ["W^100000", "(" * 5000 + "W" + ")" * 5000,
-                                      "((W+1)^64)^64", "*".join(["(W^3+3*W+1)/(W^2-7)"] * 50),
-                                      "((((2^64)^64)^64)^64)^64", "1" * 3000],
-                             ids=["huge-exponent", "deep-nesting", "nested-power", "long-product",
-                                  "nested-integer-power", "long-literal"])
-    def test_unbounded_input_invalid(self, expr):
+    @pytest.mark.parametrize("expr,bound", [
+        ("W^100000", "MAX_EXPONENT"),
+        ("(" * 5000 + "W" + ")" * 5000, "nests too deeply"),
+        ("((W+1)^64)^64", "MAX_POWER_DEGREE"),
+        ("*".join(["(W^3+3*W+1)/(W^2-7)"] * 50), "MAX_POWER_DEGREE"),
+        ("((((2^64)^64)^64)^64)^64", "MAX_COEFF_BITS"),
+        ("1" * 3000, "MAX_COEFF_BITS"),
+    ], ids=["huge-exponent", "deep-nesting", "nested-power", "long-product",
+            "nested-integer-power", "long-literal"])
+    def test_unbounded_input_invalid(self, expr, bound):
         result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
-                                capture_output=True, text=True, timeout=30)
+                                capture_output=True, text=True, timeout=10)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
+        assert bound in result.stderr
         assert "Traceback" not in result.stderr
         # Refused by a named bound, not by the interpreter's digit limit.
         assert "set_int_max_str_digits" not in result.stderr

@@ -80,6 +80,15 @@ class TestProblemValidation:
             with pytest.raises(DomainError):
                 SLProblem(poly([1.0], (0, 1)), poly([0.0], (0, 1)), poly(r, (0, 1)), DIRICHLET)
 
+    def test_monomial_above_the_degree_cap_refused(self):
+        # Built in code, so no parser's degree cap reads it: the conversion to
+        # a Legendre series refuses it, before that form overflows with numpy
+        # warnings (errors under this suite's filter) and a LinAlgError. The
+        # cap's own degree is accepted.
+        with pytest.raises(DomainError, match="degree 1000 is above the cap 64"):
+            SLProblem(poly([1.0] + [0.0] * 999 + [1.0]), poly([0.0]), poly([1.0]), DIRICHLET)
+        SLProblem(poly([1.0] + [0.0] * 63 + [1.0]), poly([0.0]), poly([1.0]), DIRICHLET)
+
     @pytest.mark.parametrize("scale,L", [(1.0, 1.0), (1e-13, 1.0), (1.0, 1e-3), (1e-13, 1e-3)])
     def test_weight_dipping_between_samples_refused(self, scale, L):
         # (x - 0.3001 L)^2 - 1e-8 L^2 is negative only on a stretch 2e-4 L
