@@ -2,7 +2,12 @@
 
 Floats are written with 17 significant digits (round-trip exact for binary64),
 dict keys keep insertion order, lines end with LF: identical inputs produce
-byte-identical files. Parsing is strict: unknown keys are rejected.
+byte-identical files. An array whose elements are all exactly ``float`` and
+whose sum is finite is rendered in one pass, ``"%.17g"`` mapped over it, the
+same bytes as ``format_float`` element by element; any other array takes the
+per-element path, which names the first non-finite value it refuses. Strings
+and keys are quoted as ``json.dumps`` quotes them. Parsing is strict: unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ def format_float(x: float) -> str:
 
 
 _INDENT = 2
+_FLOAT_ONLY = frozenset((float,))
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, byte for byte
 
 
 def dumps(obj: Any) -> str:
@@ -58,10 +65,15 @@ def dumps(obj: Any) -> str:
         if isinstance(node, float):
             return format_float(node)
         if isinstance(node, str):
-            return json.dumps(node)
+            return _quote(node)
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
+            # Only exact floats (no bool, int or numpy scalar), and a finite
+            # sum means every one is finite: "%.17g" is then format_float's
+            # text, with no check per element.
+            if _FLOAT_ONLY.issuperset(map(type, node)) and math.isfinite(sum(node)):
+                return "[" + ", ".join(map("%.17g".__mod__, node)) + "]"
             if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
                 return "[" + ", ".join([format_float(v) if isinstance(v, float) else str(v)
                                         for v in node]) + "]"
@@ -69,7 +81,7 @@ def dumps(obj: Any) -> str:
         if isinstance(node, dict):
             if not node:
                 return "{}"
-            items = [f"{json.dumps(str(k))}: {render(v, level + 1)}" for k, v in node.items()]
+            items = [f"{_quote(str(k))}: {render(v, level + 1)}" for k, v in node.items()]
             return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
         raise DomainError(f"cannot serialize {type(node).__name__}")
 

@@ -9,15 +9,20 @@ whether they fix the value or the derivative. The basis and the coefficients
 p, q, r are read at Gauss-Legendre nodes off the table that quadrature uses.
 
 The basis is hierarchical (column k does not depend on the degree), so the
-stiffness and mass matrices of degree n are the leading (n - 1) x (n - 1)
-blocks of those of any higher degree. ``solve`` therefore assembles the pencil
-once, at the highest degree it may visit, reduces it once by a Cholesky
-factorization of the mass matrix, and diagonalizes the leading block of the
-reduced matrix for each visited degree with LAPACK (``numpy.linalg.eigh``).
-The reduction and every diagonalized block are kept with the problem, for the
-latest few problems, so a repeat of a problem (the modes of one field model
-share their frozen problems) reads them instead of recomputing them; results
-are a function of the problem alone, whether kept or computed afresh.
+recombination is built once per boundary pair, at ``polynomials.MAX_DEGREE``,
+and the basis of degree n is its leading (n + 1) x (n - 1) block. The basis
+and its derivative at the nodes depend on the boundary pair, the degree and
+the node count alone and are kept for the latest ``_BASIS_CACHE`` of them.
+Likewise the stiffness and mass matrices of degree n are the leading
+(n - 1) x (n - 1) blocks of those of any higher degree. ``solve`` therefore
+assembles the pencil once, at the highest degree it may visit, reduces it
+once by a Cholesky factorization of the mass matrix, and diagonalizes the
+leading block of the reduced matrix for each visited degree with LAPACK
+(``numpy.linalg.eigh``). The reduction and every diagonalized block are kept
+with the problem, for the latest few problems, so a repeat of a problem (the
+modes of one field model share their frozen problems) reads them instead of
+recomputing them; results are a function of the problem alone, whether kept
+or computed afresh.
 LAPACK's eigenvalues carry an absolute error of about machine epsilon times
 the largest eigenvalue of the reduced matrix, which at degree 40 is a
 relative error of up to 4e-12 on the low modes; each eigenvalue is therefore
@@ -62,6 +67,11 @@ _RESIDUAL_SAMPLES = 101
 # find roots there from 1 046 to at most 220.
 _PENCIL_CACHE = 5
 _POSITIVITY_CACHE = 32
+# The basis at the quadrature nodes (``_basis_at_nodes``) is keyed by the
+# conditions, the degree and the node count. On the benchmark's blocks 0-2 at
+# seed 101 and block 0 at seeds 102-103, an eigen block reads 8 keys (4
+# boundary pairs x 2 node counts at degree 40) and a field block 9.
+_BASIS_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -147,27 +157,29 @@ class RitzTrace:
 
 
 @lru_cache(maxsize=None)
-def _endpoint_row(kind: str, sign: float, degree: int) -> np.ndarray:
+def _endpoint_row(kind: str, sign: float) -> np.ndarray:
     """P_j(sign) = sign^j for a value row, P_j'(sign) = sign^(j+1) j (j+1) / 2
-    (a derivative in t) for a derivative row, j = 0..degree."""
-    j = np.arange(degree + 1.0)
+    (a derivative in t) for a derivative row, j = 0..MAX_DEGREE; the row of a
+    lower degree is its leading entries."""
+    j = np.arange(polynomials.MAX_DEGREE + 1.0)
     row = sign ** j if kind == VANISH_VALUE else sign ** (j + 1) * j * (j + 1) / 2
     row.flags.writeable = False  # shared by every caller through the cache
     return row
 
 
 @lru_cache(maxsize=None)
-def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
-    """Legendre coefficients of the trial basis of degree <= ``degree``: a
-    (degree + 1) x (degree - 1) matrix S.
+def _shen_recombination(bc: BoundaryCondition) -> np.ndarray:
+    """Legendre coefficients of the trial basis of degree <= MAX_DEGREE: a
+    (MAX_DEGREE + 1) x (MAX_DEGREE - 1) matrix, built once per boundary pair.
 
     Column k is P_k + alpha_k P_{k+1} + beta_k P_{k+2}; the 2x2 solve makes it
     vanish on both endpoint rows, P_j(+-1) = (+-1)^j for a value condition and
-    P_j'(+-1) = (+-1)^(j+1) j (j+1) / 2 for a derivative condition.
+    P_j'(+-1) = (+-1)^(j+1) j (j+1) / 2 for a derivative condition. Column k
+    reads only rows k..k+2, so the basis of degree n is the leading
+    (n + 1) x (n - 1) block, entry for entry.
     """
-    if degree < 2:
-        raise DomainError(f"no trial functions of degree <= {degree}: the least degree is 2")
-    rows = np.array([_endpoint_row(kind, sign, degree)
+    degree = polynomials.MAX_DEGREE
+    rows = np.array([_endpoint_row(kind, sign)
                      for kind, sign in ((bc.at_a, -1.0), (bc.at_b, 1.0))])
     S = np.zeros((degree + 1, degree - 1))
     for k in range(degree - 1):
@@ -177,18 +189,42 @@ def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
     return S
 
 
+def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
+    """The trial basis of degree <= ``degree`` as Legendre coefficients: the
+    leading (degree + 1) x (degree - 1) block of ``_shen_recombination``,
+    copied to the C-contiguous layout that every product with the basis reads."""
+    if degree < 2:
+        raise DomainError(f"no trial functions of degree <= {degree}: the least degree is 2")
+    if degree > polynomials.MAX_DEGREE:
+        raise DomainError(
+            f"degree {degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}")
+    return _shen_recombination(bc)[:degree + 1, :degree - 1].copy()
+
+
+@lru_cache(maxsize=_BASIS_CACHE)
+def _basis_at_nodes(bc: BoundaryCondition, degree: int, n_nodes: int):
+    """The trial basis of the given degree and its derivative in t at the
+    ``n_nodes`` Gauss-Legendre nodes, one row per basis function: all that
+    ``_assemble`` reads of the basis, a function of these three alone."""
+    S = _recombination(bc, degree)
+    table = polynomials._legendre_table(n_nodes, degree + 1)
+    phi = (table @ S).T
+    dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T
+    phi.flags.writeable = dphi.flags.writeable = False  # shared through the cache
+    return phi, dphi
+
+
 def _assemble(prob: SLProblem, degree: int):
     """The pencil (A, B) of the given degree, by quadrature exact at the largest
     integrand: the trial basis, its derivative and p, q, r are all read at the
-    Gauss-Legendre nodes off the one cached table of P_k there."""
+    Gauss-Legendre nodes off the one cached table of P_k there; only the
+    derivative's scale 2 / (b - a) and the coefficients depend on the problem."""
     lo, hi = prob.interval
     n_nodes = (max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree) // 2 + 1
     w = 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[1]
     pv, qv, rv = polynomials.node_values(n_nodes, prob.p, prob.q, prob.r)
-    S = _recombination(prob.bc, degree)
-    table = polynomials._legendre_table(n_nodes, degree + 1)
-    phi = (table @ S).T
-    dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T * (2.0 / (hi - lo))
+    phi, dphi = _basis_at_nodes(prob.bc, degree, n_nodes)
+    dphi = dphi * (2.0 / (hi - lo))
     A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
     B = (phi * (w * rv)) @ phi.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
@@ -196,12 +232,16 @@ def _assemble(prob: SLProblem, degree: int):
 
 def _reduce(A: np.ndarray, B: np.ndarray):
     """Cholesky-reduce the symmetric-definite pencil (A, B) once: B = L L^T,
-    C = L^-1 A L^-T. Returns ``leading_eigh(k)``, the ascending eigenvalues,
-    B-orthonormal vectors and their B-norms y^T B y of the leading k x k block
-    pencil: its Cholesky factor is the leading block of L, so its reduced
-    matrix is the leading block of C. Each eigenvalue is the Rayleigh quotient
-    of its vector on the unreduced block pencil, whose denominator is the norm.
-    Each block size is solved once and kept, as read-only arrays.
+    C = L^-1 A L^-T. Returns ``leading_eigh(k)``, the Ritz pairs of the leading
+    k x k block pencil, whose Cholesky factor is the leading block of L, so its
+    reduced matrix is the leading block of C. ``leading_eigh(k)`` is a tuple
+    (ascending, theta, Y, norms): Y holds B-orthonormal vectors in LAPACK's
+    order, norms their B-norms y^T B y, theta their Rayleigh quotients on the
+    unreduced block pencil (whose denominator is the norm), and ascending is
+    theta sorted (stable), the one ordered array a visited degree needs; the
+    caller that builds pairs orders the vectors it returns
+    (``_build_pairs``). Each block size is solved once and kept, as read-only
+    arrays.
 
     A LAPACK failure in the factorization or an eigensolve raises
     ``ConditioningError``, and so does a block of C that is not finite: the
@@ -221,7 +261,7 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     entries_finite = np.isfinite(C)
     finite = (C.shape[0] if entries_finite.all()
               else int(np.maximum(*np.nonzero(~entries_finite)).min()))
-    memo: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * (C.shape[0] + 1)
+    memo: list[tuple[np.ndarray, ...] | None] = [None] * (C.shape[0] + 1)
 
     def leading_eigh(k: int):
         ritz = memo[k]
@@ -238,8 +278,7 @@ def _reduce(A: np.ndarray, B: np.ndarray):
         Ak, Bk = A[:k, :k], B[:k, :k]
         norms = np.einsum("ij,ij->j", Y, Bk @ Y)
         theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
-        order = np.argsort(theta, kind="stable")
-        ritz = memo[k] = theta[order], Y[:, order], norms[order]
+        ritz = memo[k] = np.sort(theta, kind="stable"), theta, Y, norms
         for array in ritz:
             array.setflags(write=False)  # shared by every repeat of the problem
         return ritz
@@ -257,8 +296,11 @@ def _ritz_sequence(prob: SLProblem, top: int):
 
 
 def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:
-    """The first ``count`` Ritz pairs as Legendre series of unit r-weighted norm.
+    """The ``count`` lowest Ritz pairs as Legendre series of unit r-weighted
+    norm, ascending by eigenvalue.
 
+    theta, Y and norms come unsorted from ``leading_eigh``; the modes are the
+    first ``count`` of a stable argsort of theta, each with its own vector.
     Each vector is scaled by its B-norm, which is the exact r-weighted norm of
     its function, and its Legendre column is negated where the quantity the
     condition at a leaves free is negative: the derivative at a under a value
@@ -267,11 +309,12 @@ def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> l
     the sign of the one in x). The vectors come B-orthonormal from the
     reduction, so every norm is 1 to rounding and none can collapse.
     """
-    C = _recombination(prob.bc, degree) @ (Y[:, :count] / np.sqrt(norms[:count]))
+    modes = np.argsort(theta, kind="stable")[:count]
+    C = _recombination(prob.bc, degree) @ (Y[:, modes] / np.sqrt(norms[modes]))
     free = VANISH_DERIVATIVE if prob.bc.at_a == VANISH_VALUE else VANISH_VALUE
-    C[:, _endpoint_row(free, -1.0, degree) @ C < 0] *= -1.0
+    C[:, _endpoint_row(free, -1.0)[:degree + 1] @ C < 0] *= -1.0
     return [EigenPair(lam, LegendreSeries(tuple(c), prob.interval), degree)
-            for lam, c in zip(theta[:count].tolist(), C.T.tolist())]
+            for lam, c in zip(theta[modes].tolist(), C.T.tolist())]
 
 
 def max_modes(max_degree: int) -> int:
@@ -295,10 +338,13 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     stop and is refused with ``DomainError``.
 
     The pencil is assembled and reduced once, at ``max_degree`` rounded down
-    to even, and each visited degree is its leading block. The reduction and
-    each visited degree's Ritz values and vectors are kept for the latest
-    ``_PENCIL_CACHE`` (problem, degree) pairs, so a repeat of a problem, with
-    any ``num_modes``, solves only the degrees no earlier request visited.
+    to even, and each visited degree is its leading block. Each visited degree
+    reads its trace entry and stop-test values from one ``tolist`` of its
+    sorted Ritz values; only the degree that returns orders its vectors. The
+    reduction and each visited degree's Ritz values, vectors and norms are
+    kept for the latest ``_PENCIL_CACHE`` (problem, degree) pairs, so a repeat
+    of a problem, with any ``num_modes``, solves only the degrees no earlier
+    request visited.
     The result is a function of the problem, ``num_modes``, ``k_tol`` and
     ``max_degree`` alone, bit for bit, whether or not the pencil was kept.
 
@@ -323,13 +369,13 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     trace_entries: list[tuple[int, float]] = []
     prev_vals: list[float] | None = None
     for degree in range(2, top + 1, 2):
-        theta, Y, norms = leading_eigh(degree - 1)
-        trace_entries.append((degree, float(theta[0])))
-        if theta.size < num_modes:
-            continue
-        # Compared as Python floats: the same IEEE test as on arrays, without
+        ascending, theta, Y, norms = leading_eigh(degree - 1)
+        # Read as Python floats: the same IEEE test as on arrays, without
         # numpy's per-call cost at every degree of a solve that misses the memo.
-        cur_vals = theta[:num_modes].tolist()
+        cur_vals = ascending[:num_modes].tolist()
+        trace_entries.append((degree, cur_vals[0]))
+        if len(cur_vals) < num_modes:
+            continue
         if prev_vals is not None and all(p - c < k_tol for p, c in zip(prev_vals, cur_vals)):
             return (_build_pairs(prob, theta, Y, norms, degree, num_modes),
                     RitzTrace(tuple(trace_entries)))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,41 @@ class TestSerialize:
         for bad in ([1.0, math.inf], [math.nan], {"a": [True, -math.inf]}):
             with pytest.raises(DomainError, match="non-finite"):
                 serialize.dumps(bad)
+
+    # An array of exact floats whose sum is finite is rendered in one pass;
+    # [1e308, 1e308] overflows the sum and takes the per-element path. Both
+    # must give format(x, ".17g") for every element.
+    @pytest.mark.parametrize("values", [[-0.0], [5e-324], [0.1], [1e17],
+                                        [-0.0, 5e-324, 0.1, 1e17], [1e308, 1e308]],
+                             ids=["minus-zero", "subnormal", "tenth", "1e17", "all", "overflow"])
+    def test_float_array_bytes(self, values):
+        want = "[" + ", ".join(format(x, ".17g") for x in values) + "]\n"
+        assert serialize.dumps(values) == want
+        assert serialize.dumps(tuple(values)) == want
+
+    @pytest.mark.parametrize("values,first", [
+        ([1.0, math.nan, math.inf], "nan"),
+        ([math.inf, -math.inf], "inf"),
+        ([1e308, 1e308, -math.inf], "-inf"),
+        ([0.5, np.float64("nan")], "np.float64(nan)"),
+    ], ids=["nan-first", "inf-first", "after-overflow", "numpy-nan"])
+    def test_nonfinite_array_names_the_first(self, values, first):
+        with pytest.raises(DomainError,
+                           match=f"^cannot serialize non-finite number {re.escape(first)}$"):
+            serialize.dumps(values)
+
+    def test_arrays_not_all_float_keep_their_bytes(self):
+        assert serialize.dumps([True, 1.5]) == "[\n  true,\n  1.5\n]\n"
+        assert serialize.dumps([np.float64(0.1), 2.0, 3]) == "[0.10000000000000001, 2, 3]\n"
+        assert serialize.dumps((np.float64(1e17), 2**70, -0.0)) == (
+            "[1e+17, 1180591620717411303424, -0]\n")
+
+    def test_keys_and_strings_quoted_as_json_dumps(self):
+        obj = {'a"b': "λ", "λ": 'a"b'}
+        assert serialize.dumps(obj) == (
+            "{\n  " + json.dumps('a"b') + ": " + json.dumps("λ") + ",\n  "
+            + json.dumps("λ") + ": " + json.dumps('a"b') + "\n}\n")
+        assert serialize.dumps(obj) == '{\n  "a\\"b": "\\u03bb",\n  "\\u03bb": "a\\"b"\n}\n'
 
     def test_poly_round_trip(self):
         p = poly([0.1, -2.5, 3.75], (-1.0, 2.0))

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import count_assemblies
-from eigenforge import sturm_liouville
+from eigenforge import polynomials, sturm_liouville
 from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
 from eigenforge.polynomials import (
     LegendreSeries,
@@ -40,7 +40,7 @@ PI2 = math.pi * math.pi
 def solve_at_degree(prob, degree, num_modes=None):
     """Ritz eigenpairs of the fixed-degree trial space, ascending by eigenvalue:
     a fresh assembly and reduction, apart from solve's escalation and memo."""
-    theta, Y, norms = _reduce(*_assemble(prob, degree))(degree - 1)
+    _, theta, Y, norms = _reduce(*_assemble(prob, degree))(degree - 1)
     available = theta.size
     count = available if num_modes is None else min(num_modes, available)
     return _build_pairs(prob, theta, Y, norms, degree, count)
@@ -366,7 +366,7 @@ class TestReduction:
         A = 0.5 * (M + M.T)
         N = rng.normal(size=(12, 12))
         B = N @ N.T + 12 * np.eye(12)
-        vals, vecs, _ = _reduce(A, B)(12)
+        vals, _, vecs, _ = _reduce(A, B)(12)
         ref = scipy.linalg.eigh(A, B, eigvals_only=True)
         assert np.allclose(vals, ref, rtol=1e-11, atol=1e-11)
         # B-orthonormality of returned vectors
@@ -401,7 +401,7 @@ class TestEigensolveAccuracy:
     def test_low_modes_to_full_relative_accuracy(self, bc, ks, L):
         prob = unit_problem(bc, (0.0, L))
         for degree in range(30, 41, 2):
-            vals, _, _ = _reduce(*_assemble(prob, degree))(degree - 1)
+            vals, _, _, _ = _reduce(*_assemble(prob, degree))(degree - 1)
             for lam, k in zip(vals, ks):
                 exact = (k * math.pi / L) ** 2
                 assert abs(lam - exact) <= 1e-13 * (1.0 + exact), (degree, k)
@@ -456,9 +456,9 @@ class TestPairBuilding:
         prob = variable_problem(CONDITIONS[kind])
         pairs, _ = solve(prob, num_modes=4, k_tol=1e-12)
         degree = pairs[0].degree_used
-        theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
+        _, theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
         S = _recombination(prob.bc, degree)
-        for m, pair in enumerate(pairs):
+        for m, pair in zip(np.argsort(theta, kind="stable")[:len(pairs)], pairs, strict=True):
             u = LegendreSeries(tuple(S @ Y[:, m]), prob.interval)
             u = u * (1.0 / math.sqrt(integrate_product(prob.r, u, u)))
             free = u if prob.bc.at_a == "derivative" else u.derivative()
@@ -470,6 +470,95 @@ class TestPairBuilding:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), m
             assert np.dot(got, ref) > 0
+
+    # leading_eigh keeps theta, Y and norms in LAPACK's order; _build_pairs
+    # orders the modes by a stable argsort of theta, each with its own vector.
+    @pytest.mark.parametrize("theta,modes", [([3.0, 1.0, 2.0], [1, 2, 0]),
+                                             ([2.0, 1.0, 2.0], [1, 0, 2])],
+                             ids=["distinct", "tied"])
+    def test_unsorted_ritz_values_ascend(self, theta, modes):
+        prob = unit_problem(DIRICHLET)
+        Y = np.random.default_rng(5).normal(size=(3, 3))
+        norms = np.array([4.0, 1.0, 9.0])
+        S = _recombination(DIRICHLET, 4)
+        for count in (1, 2, 3):
+            pairs = _build_pairs(prob, np.array(theta), Y, norms, 4, count)
+            assert [pair.lambda_ for pair in pairs] == [theta[j] for j in modes[:count]]
+            for pair, j in zip(pairs, modes[:count], strict=True):
+                ref = S @ Y[:, j] / math.sqrt(norms[j])
+                if leg.legval(-1.0, leg.legder(ref)) < 0:  # u'(a) > 0 under a value condition
+                    ref = -ref
+                got = np.array(pair.u.coeffs)
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), j
+
+
+def reference_recombination(bc, degree):
+    """The basis of one degree by its own 2x2 solves on endpoint rows of that
+    degree, as it was built before the per-pair table."""
+    j = np.arange(degree + 1.0)
+    rows = np.array([sign ** j if kind == "value" else sign ** (j + 1) * j * (j + 1) / 2
+                     for kind, sign in ((bc.at_a, -1.0), (bc.at_b, 1.0))])
+    S = np.zeros((degree + 1, degree - 1))
+    for k in range(degree - 1):
+        S[k, k] = 1.0
+        S[k + 1:k + 3, k] = np.linalg.solve(rows[:, k + 1:k + 3], -rows[:, k])
+    return S
+
+
+def reference_assemble(prob, degree):
+    """_assemble with the basis and its derivative computed afresh from the
+    per-degree reference, with nothing cached."""
+    lo, hi = prob.interval
+    n_nodes = (max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree) // 2 + 1
+    w = 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[1]
+    pv, qv, rv = polynomials.node_values(n_nodes, prob.p, prob.q, prob.r)
+    S = reference_recombination(prob.bc, degree)
+    table = polynomials._legendre_table(n_nodes, degree + 1)
+    phi = (table @ S).T
+    dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T * (2.0 / (hi - lo))
+    A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
+    B = (phi * (w * rv)) @ phi.T
+    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+
+class TestKeptTables:
+    # The recombination is built once per boundary pair at the degree cap and
+    # the basis at the quadrature nodes is kept per (pair, degree, node count);
+    # both must give the bits of a per-degree build.
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_leading_blocks_equal_per_degree_solves(self, kind):
+        bc = CONDITIONS[kind]
+        table = sturm_liouville._shen_recombination(bc)
+        assert table.shape == (polynomials.MAX_DEGREE + 1, polynomials.MAX_DEGREE - 1)
+        for degree in range(2, polynomials.MAX_DEGREE + 1):
+            ref = reference_recombination(bc, degree).tobytes()
+            assert table[:degree + 1, :degree - 1].tobytes() == ref, degree
+            assert _recombination(bc, degree).tobytes() == ref, degree
+
+    def test_degree_above_the_cap_refused(self):
+        with pytest.raises(DomainError, match="exceeds the polynomial degree cap"):
+            _recombination(DIRICHLET, polynomials.MAX_DEGREE + 1)
+
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_assembly_bits_cold_and_warm(self, kind):
+        for prob in (variable_problem(CONDITIONS[kind]), unit_problem(CONDITIONS[kind])):
+            for degree in (2, 17, 40, 64):
+                for cache in (sturm_liouville._basis_at_nodes,
+                              sturm_liouville._shen_recombination, sturm_liouville._endpoint_row):
+                    cache.cache_clear()
+                cold, warm = _assemble(prob, degree), _assemble(prob, degree)
+                for got in (cold, warm):
+                    for M, ref in zip(got, reference_assemble(prob, degree), strict=True):
+                        assert M.tobytes() == ref.tobytes(), degree
+
+    def test_basis_cache_within_its_bound(self):
+        bound = sturm_liouville._BASIS_CACHE
+        sturm_liouville._basis_at_nodes.cache_clear()
+        for n_nodes in range(21, 25 + bound):
+            sturm_liouville._basis_at_nodes(DIRICHLET, 40, n_nodes)
+        info = sturm_liouville._basis_at_nodes.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
 
 
 class TestLeadingBlocks:
@@ -529,9 +618,17 @@ class TestMemo:
                 assert pair.u.coeffs == ref.u.coeffs
 
     def test_kept_arrays_are_read_only(self):
+        # The Ritz values, vectors and norms of each visited degree, the basis
+        # at the nodes (variable_problem reads 42 nodes at degree 40), the
+        # per-pair recombination and the endpoint rows.
         prob = variable_problem(NEUMANN)
         solve(prob, num_modes=2, k_tol=1e-12)
-        for array in _ritz_sequence(prob, 40)(3):
+        kept = [*_ritz_sequence(prob, 40)(3), *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
+                sturm_liouville._shen_recombination(NEUMANN)]
+        kept += [sturm_liouville._endpoint_row(kind, sign)
+                 for kind in ("value", "derivative") for sign in (-1.0, 1.0)]
+        assert len(kept) == 11
+        for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
