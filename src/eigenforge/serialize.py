@@ -4,7 +4,8 @@ Floats are written with 17 significant digits (round-trip exact for binary64),
 dict keys keep insertion order, lines end with LF: identical inputs produce
 byte-identical files. An array whose elements are all exactly ``float`` and
 whose sum is finite is rendered in one pass, ``"%.17g"`` mapped over it, the
-same bytes as ``format_float`` element by element; any other array takes the
+same bytes as ``format_float`` element by element, and so is a pair of an exact
+int and a finite exact float (a Ritz trace entry); any other array takes the
 per-element path, which names the first non-finite value it refuses. Strings
 and keys are quoted as ``json.dumps`` quotes them. Parsing is strict: unknown
 keys are rejected.
@@ -69,6 +70,11 @@ def dumps(obj: Any) -> str:
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
+            # A Ritz trace entry [degree, value]: an exact int and an exact,
+            # finite float take one format call, the per-element bytes.
+            if (len(node) == 2 and type(node[0]) is int and type(node[1]) is float
+                    and math.isfinite(node[1])):
+                return "[%d, %.17g]" % (node[0], node[1])
             # Only exact floats (no bool, int or numpy scalar), and a finite
             # sum means every one is finite: "%.17g" is then format_float's
             # text, with no check per element.

@@ -23,6 +23,15 @@ with the problem, for the latest few problems, so a repeat of a problem (the
 modes of one field model share their frozen problems) reads them instead of
 recomputing them; results are a function of the problem alone, whether kept
 or computed afresh.
+
+A problem whose p, q and r are all constants (the string, the box, the free
+particle) assembles and reduces no pencil of its own. With h = (b - a) / 2 its
+pencil is (p/h K - q h M, r h M), where (K, M) is the pencil of -u'' = mu u
+on (-1, 1) under the same conditions, so each Ritz value is
+p mu / (r h^2) - q / r, the Ritz vectors are the reference's, and each B-norm
+is r h times the reference's. One reference reduction is kept per (boundary
+pair, top degree), built on first use and read-only, and every constant
+problem reads its Ritz pairs off it through that map.
 LAPACK's eigenvalues carry an absolute error of about machine epsilon times
 the largest eigenvalue of the reduced matrix, which at degree 40 is a
 relative error of up to 4e-12 on the low modes; each eigenvalue is therefore
@@ -30,7 +39,8 @@ recomputed as the Rayleigh quotient of its vector on the unreduced pencil,
 which restores full relative accuracy (the error of a Rayleigh quotient is
 quadratic in the vector's error). ``solve`` escalates the degree two at a
 time from 2 and stops once every requested eigenvalue improves by less than
-``k_tol`` between consecutive degrees. An eigenfunction is the recombination
+``k_tol``, or by at most 4 ulps of its previous value, between consecutive
+degrees. An eigenfunction is the recombination
 matrix times its eigenvector, a ``LegendreSeries`` on the problem interval,
 scaled by the square root of its Rayleigh denominator y^T B y (the exact
 r-weighted norm, B being assembled by exact quadrature) and signed by the
@@ -42,6 +52,7 @@ weights that ``require_positive`` has accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,14 +68,18 @@ VANISH_DERIVATIVE = "derivative"
 
 _POSITIVITY_MARGIN = 1e-12  # relative to the largest |f| on the interval
 _BOUNDARY_TOL = 1e-9
-_RESIDUAL_SAMPLES = 101
-# Solves memoize their work by problem (``_ritz_sequence``). The modes of one
-# field model usually take their space factors from the same frozen problem,
-# and a request interleaves few distinct problems: on the field benchmark's
-# block 0 at seeds 101-103, the latest 5 pencils keep all 110 repeats within
-# a request (2 keep 108, 4 keep 109). Each field sweep rebuilds its problems
-# on the same weights; the latest 32 verdicts cut the positivity checks that
-# find roots there from 1 046 to at most 220.
+# A drop of at most this many ulps of the previous eigenvalue is rounding, not
+# progress: converged Ritz values jitter by up to 4 ulps.
+_STOP_ULPS = 4
+# Solves of variable-coefficient problems memoize their work by problem
+# (``_ritz_sequence``): the modes of one field model with a variable
+# coefficient take their space factors from the same frozen problem. The
+# benchmark's repeats are all constant-coefficient problems, which read the
+# reference pencil instead: on the field benchmark's block 0 at seeds
+# 101-103, the 69 variable-coefficient lookups of each block are all
+# distinct, and the latest 5 pencils keep none of them. Each field sweep
+# rebuilds its problems on the same weights; the latest 32 verdicts cut the
+# positivity checks that find roots there from 1 046 to at most 220.
 _PENCIL_CACHE = 5
 _POSITIVITY_CACHE = 32
 # The basis at the quadrature nodes (``_basis_at_nodes``) is keyed by the
@@ -295,6 +310,39 @@ def _ritz_sequence(prob: SLProblem, top: int):
     return _reduce(*_assemble(prob, top))
 
 
+@lru_cache(maxsize=None)
+def _reference_sequence(bc: BoundaryCondition, top: int):
+    """``leading_eigh`` of the reference pencil (K, M) of degree ``top``: that of
+    -u'' = mu u on (-1, 1) under ``bc``, assembled and reduced on the first
+    request and kept, read-only, with every block size it has solved. There is
+    one per (boundary pair, top degree): at most 4 x 31 keys (even degrees 4
+    to 64), and a benchmark block reads 4."""
+    one, zero = Polynomial((1.0,), (-1.0, 1.0)), Polynomial((0.0,), (-1.0, 1.0))
+    return _reduce(*_assemble(SLProblem(one, zero, one, bc), top))
+
+
+def _affine_map(prob: SLProblem):
+    """(scale, shift, weight) that map the reference pencil's Ritz pairs to the
+    problem's, or None unless p, q and r are all constants.
+
+    With h = (b - a) / 2 the pencil of constant p, q, r is
+    (p/h K - q h M, r h M), so each Ritz value is scale * mu - shift, with
+    scale = p / (r h^2) and shift = q / r, the Ritz vectors are the
+    reference's, and each B-norm is weight = r h times the reference's. A
+    weight that underflows to 0 leaves a zero mass matrix, refused as a
+    failed Cholesky factorization would be.
+    """
+    if prob.p.degree or prob.q.degree or prob.r.degree:
+        return None
+    (p,), (q,), (r,) = prob.p.coeffs, prob.q.coeffs, prob.r.coeffs
+    lo, hi = prob.interval
+    h = 0.5 * (hi - lo)
+    weight = r * h
+    if not weight > 0:
+        raise ConditioningError("mass matrix is numerically indefinite")
+    return p / weight / h, q / r, weight
+
+
 def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:
     """The ``count`` lowest Ritz pairs as Legendre series of unit r-weighted
     norm, ascending by eigenvalue.
@@ -329,10 +377,13 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     The degree starts at 2, the least degree with a trial function, and grows
     by 2 until the drop of every requested eigenvalue between consecutive
     visited degrees is below ``k_tol`` (an absolute tolerance playing the
-    reciprocal-k role in the stopping schema), or ``max_degree`` is hit, in
-    which case a ``NonConvergenceError`` carrying the trace is raised. The
-    eigenvalue drop is the only stop test: every trial function meets the end
-    conditions by construction. Degree n holds n - 1 trial functions and the
+    reciprocal-k role in the stopping schema) or at most 4 ulps of the
+    previous value, or ``max_degree`` is hit, in which case a
+    ``NonConvergenceError`` carrying the trace is raised. The ulp floor is
+    the rounding jitter of converged Ritz values: at extreme scales (lambda
+    ~ 1e19 on an interval of length 1e-9) it exceeds any absolute ``k_tol``.
+    The eigenvalue drop is the only stop test: every trial function meets the
+    end conditions by construction. Degree n holds n - 1 trial functions and the
     test compares two visited degrees, each holding ``num_modes`` of them, so
     a request with ``num_modes`` above ``max_modes(max_degree)`` could never
     stop and is refused with ``DomainError``.
@@ -344,9 +395,13 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     reduction and each visited degree's Ritz values, vectors and norms are
     kept for the latest ``_PENCIL_CACHE`` (problem, degree) pairs, so a repeat
     of a problem, with any ``num_modes``, solves only the degrees no earlier
-    request visited.
+    request visited. A problem with constant p, q and r reads the kept
+    reference pencil of its boundary pair and degree instead
+    (``_reference_sequence``), mapped by ``_affine_map``: it assembles,
+    reduces and keeps nothing of its own, and a mapped value that is not
+    finite raises ``ConditioningError``, as an overflowing reduction does.
     The result is a function of the problem, ``num_modes``, ``k_tol`` and
-    ``max_degree`` alone, bit for bit, whether or not the pencil was kept.
+    ``max_degree`` alone, bit for bit, whether or not a pencil was kept.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -365,7 +420,12 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             f"compares two visited degrees, each holding at least {num_modes} trial functions"
         )
     top = max_degree // 2 * 2
-    leading_eigh = _ritz_sequence(prob, top)
+    affine = _affine_map(prob)
+    if affine is None:
+        leading_eigh = _ritz_sequence(prob, top)
+    else:
+        leading_eigh = _reference_sequence(prob.bc, top)
+        scale, shift, weight = affine
     trace_entries: list[tuple[int, float]] = []
     prev_vals: list[float] | None = None
     for degree in range(2, top + 1, 2):
@@ -373,10 +433,21 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
         # Read as Python floats: the same IEEE test as on arrays, without
         # numpy's per-call cost at every degree of a solve that misses the memo.
         cur_vals = ascending[:num_modes].tolist()
+        if affine is not None:
+            cur_vals = [scale * mu - shift for mu in cur_vals]
+            if not all(map(math.isfinite, cur_vals)):
+                raise ConditioningError(
+                    f"reduced eigenproblem of size {degree - 1} is not finite: "
+                    "its scaling overflows")
         trace_entries.append((degree, cur_vals[0]))
         if len(cur_vals) < num_modes:
             continue
-        if prev_vals is not None and all(p - c < k_tol for p, c in zip(prev_vals, cur_vals)):
+        if prev_vals is not None and all(p - c < k_tol or p - c <= _STOP_ULPS * math.ulp(p)
+                                         for p, c in zip(prev_vals, cur_vals)):
+            if affine is not None:
+                with np.errstate(over="ignore"):  # only an unrequested mode can overflow
+                    theta = theta * scale - shift
+                norms = norms * weight
             return (_build_pairs(prob, theta, Y, norms, degree, num_modes),
                     RitzTrace(tuple(trace_entries)))
         prev_vals = cur_vals
@@ -419,17 +490,3 @@ def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
         raise DomainError(f"weighted norm {denom:.3e} is not positive")
     num = integrate_product(prob.p, du, du) - integrate_product(prob.q, u, u)
     return num / denom
-
-
-def residual(prob: SLProblem, pair: EigenPair) -> float:
-    """Strong-form defect max |-(p u')' - q u - lam r u| / (1 + |lam|) at 101
-    evenly spaced points."""
-    lo, hi = prob.interval
-    xs = np.linspace(lo, hi, _RESIDUAL_SAMPLES)
-    u = pair.u
-    du = u.derivative()
-    flux = (prob.p.derivative().values(xs) * du.values(xs)
-            + prob.p.values(xs) * du.derivative().values(xs))
-    defect = flux + (prob.q.values(xs) + pair.lambda_ * prob.r.values(xs)) * u.values(xs)
-    worst = float(np.abs(defect).max())
-    return worst / (1.0 + abs(pair.lambda_))

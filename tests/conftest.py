@@ -34,6 +34,15 @@ def make_string_spec(coupling_g: float = 0.0, num_modes: int = 3) -> SigmaModelS
     return SigmaModelSpec((space,), time, p_field, q_field, modes=modes)
 
 
+def coupled_spec(lengths, bcs, g, origin=0.0):
+    """Coupled space dimensions (origin, origin + L) x ... with unit coefficients."""
+    ivs, time_iv = [(origin, origin + L) for L in lengths], (0.0, math.pi / 2)
+    space = tuple(DimensionSpec(iv, poly([1.0], iv), bc) for iv, bc in zip(ivs, bcs))
+    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+    p_field = CoeffField(terms=(tuple(poly([1.0], iv) for iv in ivs) + (poly([1.0], time_iv),),))
+    return SigmaModelSpec(space, time, p_field, CoeffField(terms=(), coupling_g=g))
+
+
 def count_assemblies(monkeypatch):
     """The degrees of every pencil assembly from now on, with no pencil kept."""
     calls, assemble = [], sturm_liouville._assemble

@@ -122,6 +122,27 @@ class TestSerialize:
                            match=f"^cannot serialize non-finite number {re.escape(first)}$"):
             serialize.dumps(values)
 
+    # A Ritz trace entry [degree, value] takes one format call; it must give
+    # the per-element bytes, str(n) and format(x, ".17g"), list or tuple.
+    @pytest.mark.parametrize("pair", [[2, -0.0], [40, 5e-324], [2**70, 0.1], [-3, 1e17]],
+                             ids=["minus-zero", "subnormal", "big-int", "1e17"])
+    def test_trace_pair_bytes(self, pair):
+        want = f"[{pair[0]}, {format(pair[1], '.17g')}]\n"
+        assert serialize.dumps(pair) == want
+        assert serialize.dumps(tuple(pair)) == want
+        assert serialize.dumps([pair]) == "[\n  " + want[:-1] + "\n]\n"
+
+    def test_trace_pair_look_alikes_keep_their_bytes(self):
+        # A bool is no degree, a float first or a numpy scalar no exact type,
+        # and a non-finite value is refused by name, as on the per-element path.
+        assert serialize.dumps([True, 0.5]) == "[\n  true,\n  0.5\n]\n"
+        assert serialize.dumps([0.5, 2]) == "[0.5, 2]\n"
+        assert serialize.dumps([2, np.float64(0.1)]) == "[2, 0.10000000000000001]\n"
+        for bad, first in (([4, math.inf], "inf"), ([4, math.nan], "nan")):
+            with pytest.raises(DomainError,
+                               match=f"^cannot serialize non-finite number {first}$"):
+                serialize.dumps(bad)
+
     def test_arrays_not_all_float_keep_their_bytes(self):
         assert serialize.dumps([True, 1.5]) == "[\n  true,\n  1.5\n]\n"
         assert serialize.dumps([np.float64(0.1), 2.0, 3]) == "[0.10000000000000001, 2, 3]\n"

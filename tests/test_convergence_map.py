@@ -1,0 +1,94 @@
+"""The convergence map: every model of Grids A and B with its present outcome.
+
+Grid A is the 1-D coupled models on (0, 2.1): Dirichlet targets 1-4 and
+Neumann targets 2-4 (Neumann target 1 is the constant factor, refused as
+zero-frequency). Grid B is the models parity cannot reach: value at a and
+derivative at b on (0, 2.1), targets 1-4, and 2-D Dirichlet x Neumann on
+(0, 2.1) x (0, 1.7), targets (1, 2), (2, 2), (1, 3) and (2, 3). Each runs at
+g in {0.05, 0.5, 1, 2, 5, 10} with unit coefficients and ``solve_state``'s
+defaults: 42 + 48 models.
+
+A model converges, with a null residual of at most 1e-6, unless FAILURES
+lists it; a listed model fails the way it does today. A change that
+converges a listed model moves it out of the table.
+"""
+
+import pytest
+
+from conftest import coupled_spec
+from eigenforge import sigma_model
+from eigenforge.errors import NonConvergenceError
+from eigenforge.sigma_model import null_postulate_residual, solve_state
+from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, BoundaryCondition
+
+COUPLINGS = (0.05, 0.5, 1.0, 2.0, 5.0, 10.0)
+DN = BoundaryCondition("value", "derivative")
+# class -> (lengths, conditions, target tuples)
+GRID_A = {"DD": ((2.1,), (DIRICHLET,), [(t,) for t in (1, 2, 3, 4)]),
+          "NN": ((2.1,), (NEUMANN,), [(t,) for t in (2, 3, 4)])}
+GRID_B = {"DN": ((2.1,), (DN,), [(t,) for t in (1, 2, 3, 4)]),
+          "2-D": ((2.1, 1.7), (DIRICHLET, NEUMANN), [(1, 2), (2, 2), (1, 3), (2, 3)])}
+
+DEGREE_CAP = "eigensolve reaches degree 40"
+SWEEP_CAP = "sweep cap"
+# (model, g) -> how it fails today, with the factor change a capped solve
+# repeats until the cap.
+FAILURES = {
+    ("NN/2", 5.0): (SWEEP_CAP, "a period-2 flip-flop, change 0.976"),
+    ("NN/2", 10.0): (SWEEP_CAP, "a period-2 flip-flop, change 1.31-1.36"),
+    ("NN/3", 10.0): (SWEEP_CAP, "change 0.819 every sweep"),
+    ("DD/3", 10.0): (DEGREE_CAP, ""),
+    ("DD/4", 5.0): (DEGREE_CAP, ""),
+    ("DD/4", 10.0): (DEGREE_CAP, ""),
+    ("NN/4", 10.0): (DEGREE_CAP, ""),
+    ("DN/2", 10.0): (SWEEP_CAP, "change 1.17 every sweep"),
+    ("DN/3", 10.0): (SWEEP_CAP, "change 0.672 every sweep"),
+    ("DN/4", 5.0): (DEGREE_CAP, ""),
+    ("DN/4", 10.0): (DEGREE_CAP, ""),
+    ("2-D (1,2)", 10.0): (SWEEP_CAP, "change 1.33 every sweep"),
+    ("2-D (2,2)", 10.0): (SWEEP_CAP, "change 1.27 every sweep"),
+    ("2-D (1,3)", 10.0): (SWEEP_CAP, "change 0.723 every sweep"),
+}
+
+
+def _models():
+    for grid in (GRID_A, GRID_B):
+        for cls, (lengths, bcs, target_list) in grid.items():
+            for targets in target_list:
+                name = (f"{cls}/{targets[0]}" if len(targets) == 1
+                        else f"{cls} ({targets[0]},{targets[1]})")
+                for g in COUPLINGS:
+                    yield pytest.param(name, lengths, bcs, targets, g, id=f"{name}-g{g:g}")
+
+
+MODELS = list(_models())
+
+
+def test_grids_hold_90_models_and_every_failure_is_one_of_them():
+    assert len(MODELS) == 42 + 48
+    assert set(FAILURES) <= {(p.values[0], p.values[4]) for p in MODELS}
+
+
+@pytest.mark.parametrize("name,lengths,bcs,targets,g", MODELS)
+def test_model_outcome(name, lengths, bcs, targets, g):
+    spec = coupled_spec(lengths, bcs, g)
+    failure = FAILURES.get((name, g))
+    if failure is None:
+        state, report = solve_state(spec, "m", targets)
+        assert report.converged
+        assert null_postulate_residual(spec, state) <= 1e-6
+        return
+    how, _ = failure
+    if how == DEGREE_CAP:
+        with pytest.raises(NonConvergenceError,
+                           match="eigenvalues not converged to 1e-12 within degree 40") as exc:
+            solve_state(spec, "m", targets)
+        assert exc.value.trace.degrees[-1] == sigma_model.SL_MAX_DEGREE
+    else:
+        with pytest.raises(NonConvergenceError,
+                           match=f"not converged in {sigma_model.MAX_SWEEPS} sweeps") as exc:
+            solve_state(spec, "m", targets)
+        report = exc.value.report
+        assert not report.converged and report.iterations == sigma_model.MAX_SWEEPS
+        # A cycle, not a slow approach: the change stays large to the cap.
+        assert min(report.factor_changes[-10:]) > 0.5

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_assemblies, make_string_spec
-from eigenforge import polynomials, sigma_model
+from conftest import count_assemblies, coupled_spec, make_string_spec
+from eigenforge import polynomials, sigma_model, sturm_liouville
 from eigenforge.action import make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
 from eigenforge.polynomials import (
@@ -236,15 +236,6 @@ class TestNonlinearCoupling:
         spec = make_string_spec(coupling_g=0.01)
         state, _ = solve_state(spec, "m1", (1,), tol=1e-10, max_iter=200)
         assert null_postulate_residual(spec, state) <= 1e-6
-
-
-def coupled_spec(lengths, bcs, g, origin=0.0):
-    """Coupled space dimensions (origin, origin + L) x ... with unit coefficients."""
-    ivs, time_iv = [(origin, origin + L) for L in lengths], (0.0, math.pi / 2)
-    space = tuple(DimensionSpec(iv, poly([1.0], iv), bc) for iv, bc in zip(ivs, bcs))
-    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
-    p_field = CoeffField(terms=(tuple(poly([1.0], iv) for iv in ivs) + (poly([1.0], time_iv),),))
-    return SigmaModelSpec(space, time, p_field, CoeffField(terms=(), coupling_g=g))
 
 
 class TestCoupledConvergence:
@@ -547,15 +538,33 @@ class TestUnchangedProblemSkip:
         assert len(calls) == len(spec.space_dims) * (report.iterations + 1)
 
     def test_modes_of_a_linear_model_share_one_assembly(self, monkeypatch):
-        # The string's three modes solve one frozen problem, for 1, 2 and 3
-        # modes: the eigensolve assembles and reduces its pencil once.
+        # A string with p = 1 + x / 4: its three modes solve one frozen
+        # problem, for 1, 2 and 3 modes, and the eigensolve assembles and
+        # reduces that problem's pencil once.
         spec = make_string_spec(num_modes=3)
+        space_iv, time_iv = spec.space_dims[0].interval, spec.time_dim.interval
+        spec = replace(spec, P=CoeffField(terms=((poly([1.0, 0.25], space_iv),
+                                                  poly([1.0], time_iv)),)))
         assemblies = count_assemblies(monkeypatch)
         calls = count_eigensolves(monkeypatch)
         for mode in spec.modes:
             solve_state(spec, mode.label, mode.targets)
         assert len(calls) == 3 and len(set(calls)) == 1
         assert assemblies == [sigma_model.SL_MAX_DEGREE]
+
+    def test_modes_of_a_constant_model_assemble_no_pencil(self, monkeypatch):
+        # The unit string's frozen problem has constant coefficients: its
+        # modes read the kept reference pencil, built here once for the
+        # Dirichlet pair, and no pencil of their own.
+        spec = make_string_spec(num_modes=3)
+        sturm_liouville._reference_sequence.cache_clear()
+        assemblies = count_assemblies(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
+        for mode in spec.modes:
+            solve_state(spec, mode.label, mode.targets)
+        assert len(calls) == 3 and len(set(calls)) == 1
+        assert assemblies == [sigma_model.SL_MAX_DEGREE]  # the reference's
+        assert sturm_liouville._ritz_sequence.cache_info().currsize == 0
 
     def test_kept_factor_matches_a_fresh_solve(self, string_spec):
         # The skip is exact: the eigensolve is a function of its problem, so

@@ -25,11 +25,11 @@ from eigenforge.sturm_liouville import (
     _build_pairs,
     _recombination,
     _reduce,
+    _reference_sequence,
     _ritz_sequence,
     boundary_residuals,
     max_modes,
     rayleigh_quotient,
-    residual,
     solve,
 )
 from eigenforge.sigma_model import _chebyshev_points
@@ -44,6 +44,19 @@ def solve_at_degree(prob, degree, num_modes=None):
     available = theta.size
     count = available if num_modes is None else min(num_modes, available)
     return _build_pairs(prob, theta, Y, norms, degree, count)
+
+
+def residual(prob, pair):
+    """Strong-form defect max |-(p u')' - q u - lam r u| / (1 + |lam|) at 101
+    evenly spaced points: an independent check of a returned pair."""
+    lo, hi = prob.interval
+    xs = np.linspace(lo, hi, 101)
+    u = pair.u
+    du = u.derivative()
+    flux = (prob.p.derivative().values(xs) * du.values(xs)
+            + prob.p.values(xs) * du.derivative().values(xs))
+    defect = flux + (prob.q.values(xs) + pair.lambda_ * prob.r.values(xs)) * u.values(xs)
+    return float(np.abs(defect).max()) / (1.0 + abs(pair.lambda_))
 
 
 def unit_problem(bc=DIRICHLET, interval=(0.0, 1.0)):
@@ -618,24 +631,29 @@ class TestMemo:
                 assert pair.u.coeffs == ref.u.coeffs
 
     def test_kept_arrays_are_read_only(self):
-        # The Ritz values, vectors and norms of each visited degree, the basis
-        # at the nodes (variable_problem reads 42 nodes at degree 40), the
-        # per-pair recombination and the endpoint rows.
+        # The Ritz values, vectors and norms of each visited degree, of a
+        # problem's pencil and of the reference pencil, the basis at the nodes
+        # (variable_problem reads 42 nodes at degree 40), the per-pair
+        # recombination and the endpoint rows.
         prob = variable_problem(NEUMANN)
         solve(prob, num_modes=2, k_tol=1e-12)
-        kept = [*_ritz_sequence(prob, 40)(3), *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
+        solve(unit_problem(NEUMANN), num_modes=2, k_tol=1e-12)
+        kept = [*_ritz_sequence(prob, 40)(3), *_reference_sequence(NEUMANN, 40)(3),
+                *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
                 sturm_liouville._shen_recombination(NEUMANN)]
         kept += [sturm_liouville._endpoint_row(kind, sign)
                  for kind in ("value", "derivative") for sign in (-1.0, 1.0)]
-        assert len(kept) == 11
+        assert len(kept) == 15
         for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_conditioning_error_raised_on_every_repeat(self, monkeypatch):
+        # p = 1 + x: a variable-coefficient problem, whose pencil is its own.
         calls = count_assemblies(monkeypatch)
-        prob = unit_problem(DIRICHLET, (0.0, 1e-300))
+        iv = (0.0, 1e-300)
+        prob = SLProblem(poly([1.0, 1.0], iv), poly([0.0], iv), poly([1.0], iv), DIRICHLET)
         for _ in range(2):
             with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
                 solve(prob)
@@ -654,6 +672,102 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(DomainError, match=r"^p must be positive on \[0.0, 1.0\]$"):
                 SLProblem(bad, bad, r, DIRICHLET)
+
+
+def constant_problem(bc, interval, p, q, r):
+    return SLProblem(poly([p], interval), poly([q], interval), poly([r], interval), bc)
+
+
+class TestReferencePencil:
+    # A problem with constant p, q and r reads the Ritz pairs of one kept
+    # reference pencil per (boundary pair, top degree), mapped affinely; it
+    # never assembles or reduces a pencil of its own.
+    # (interval, p, q, r): q != 0, p != r and intervals off zero.
+    PROBLEMS = [((1.0, 3.1), 0.7, 0.4, 1.9), ((-2.0, -1.8), 2.5, -3.0, 0.5),
+                ((3.82420082752499, 5.6689653938836235), 1.3, 2.0, 0.8)]
+
+    def test_no_per_problem_assembly(self, monkeypatch):
+        _reference_sequence.cache_clear()
+        calls = count_assemblies(monkeypatch)
+        for coeffs in self.PROBLEMS:
+            for num_modes in (1, 4):
+                solve(constant_problem(DIRICHLET, *coeffs), num_modes=num_modes)
+        solve(unit_problem(DIRICHLET, (0.0, 1e3)), num_modes=2)
+        assert calls == [40]  # the reference's, once
+        assert _ritz_sequence.cache_info().currsize == 0
+        assert _reference_sequence.cache_info().currsize == 1
+
+    def test_conditioning_error_raised_on_every_repeat(self, monkeypatch):
+        # On [0, 1e-300] the map's scale 1 / h^2 overflows: the error today's
+        # overflowing reduction raises, on every repeat, with no assembly.
+        _reference_sequence(DIRICHLET, 40)
+        calls = count_assemblies(monkeypatch)
+        prob = unit_problem(DIRICHLET, (0.0, 1e-300))
+        for _ in range(2):
+            with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
+                solve(prob)
+        assert calls == []
+
+    def test_underflowing_mass_matrix_refused(self):
+        # r h = 1e-300 * 5e-31 underflows to 0: a zero mass matrix, refused
+        # as the failed Cholesky factorization of an assembled one is.
+        prob = constant_problem(DIRICHLET, (0.0, 1e-30), 1.0, 0.0, 1e-300)
+        with pytest.raises(ConditioningError, match="mass matrix is numerically indefinite"):
+            solve(prob)
+
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_warm_results_equal_cold(self, kind):
+        probs = [constant_problem(CONDITIONS[kind], *coeffs) for coeffs in self.PROBLEMS]
+        requests = [(prob, num_modes, max_degree) for prob in probs
+                    for num_modes, max_degree in TestMemo.REQUESTS]
+        cold = []
+        for prob, num_modes, max_degree in requests:
+            _reference_sequence.cache_clear()
+            cold.append(solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree))
+        _reference_sequence.cache_clear()
+        for (prob, num_modes, max_degree), (ref_pairs, ref_trace) in zip(requests, cold):
+            pairs, trace = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
+            assert trace == ref_trace
+            for pair, ref in zip(pairs, ref_pairs, strict=True):
+                assert pair.lambda_ == ref.lambda_ and pair.degree_used == ref.degree_used
+                assert pair.u.coeffs == ref.u.coeffs
+
+    @pytest.mark.parametrize("coeffs", PROBLEMS, ids=["right-of-zero", "left-of-zero", "rounded-ends"])
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_matches_a_direct_solve(self, kind, coeffs):
+        # Against the problem's own pencil, assembled and reduced in the test,
+        # at the degree the solve stopped at: eigenvalues to TestEigensolveAccuracy's
+        # bound, eigenfunctions to 1e-12 of their largest value.
+        prob = constant_problem(CONDITIONS[kind], *coeffs)
+        pairs, trace = solve(prob, num_modes=4)
+        degree = pairs[0].degree_used
+        _, theta, Y, norms = _reduce(*_assemble(prob, 40))(degree - 1)
+        xs = np.linspace(*prob.interval, 401)
+        direct = _build_pairs(prob, theta, Y, norms, degree, 4)
+        assert trace.entries[-1] == (degree, pairs[0].lambda_)
+        for pair, ref in zip(pairs, direct, strict=True):
+            assert abs(pair.lambda_ - ref.lambda_) <= 1e-13 * (1.0 + abs(ref.lambda_))
+            exact = ref.u.values(xs)
+            assert np.abs(pair.u.values(xs) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+class TestStopFloor:
+    # A drop of at most 4 ulps of the previous eigenvalue counts as no drop:
+    # at extreme scales an absolute k_tol sits below the rounding jitter of
+    # converged Ritz values. With k_tol = 1e-300 only that floor can stop a
+    # solve, and it stops each problem at one degree whatever its scale; with
+    # the absolute test alone some of these ran to the degree cap.
+    @pytest.mark.parametrize("linear", [False, True], ids=["constant-p", "linear-p"])
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_converges_at_one_degree_on_every_scale(self, kind, linear):
+        degrees = set()
+        for L in (1e-9, 1.0, 1e3):
+            iv = (0.0, L)
+            p = poly([1.0, 1.0 / L] if linear else [1.0], iv)
+            prob = SLProblem(p, poly([0.0], iv), poly([1.0], iv), CONDITIONS[kind])
+            pairs, _ = solve(prob, num_modes=4, k_tol=1e-300)
+            degrees.add(pairs[0].degree_used)
+        assert len(degrees) == 1, degrees
 
 
 class TestErrors:
