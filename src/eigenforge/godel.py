@@ -23,8 +23,8 @@ MAX_PRIME_INDEX = 100_000
 
 # Largest number of states ``enumerate_definable`` lists. The count grows as
 # C(K + n, n) in the number of modes n, so a short command line can ask for
-# 10^15 states; the descent stops with DomainError at the first state past
-# this limit, before memory grows further.
+# 10^15 states; the descent stops with DomainError at the first run of
+# states that would pass this limit, before memory grows further.
 MAX_STATES = 1_000_000
 
 # Largest size, in bits, of a Godel integer: the codec refuses a larger one.
@@ -94,10 +94,10 @@ def encode(occupations: Sequence[int]) -> int:
 def decode(value: int) -> tuple[int, ...]:
     """Exponent vector of the prime factorization, without trailing zeros.
 
-    Trial division continues through successive primes until the cofactor is
-    1, so the last exponent found is at least 1. An integer above
-    2^MAX_GODEL_BITS, or with a prime factor above prime(MAX_PRIME_INDEX),
-    raises DomainError.
+    Trial division walks the table of primes found so far, and calls
+    ``nth_prime`` only past its end, until the cofactor is 1, so the last
+    exponent found is at least 1. An integer above 2^MAX_GODEL_BITS, or with
+    a prime factor above prime(MAX_PRIME_INDEX), raises DomainError.
     """
     if int(value) != value or value < 1:
         raise DomainError("only positive integers decode")
@@ -105,24 +105,25 @@ def decode(value: int) -> tuple[int, ...]:
     if value > 1 << MAX_GODEL_BITS:
         raise DomainError(f"{value.bit_length()}-bit integer exceeds 2^MAX_GODEL_BITS")
     out: list[int] = []
-    m = 1
+    primes = _PRIMES  # nth_prime extends this list in place
     while value > 1:
-        p = nth_prime(m)
+        m = len(out)
+        p = primes[m] if m < len(primes) else nth_prime(m + 1)
         count = 0
         while value % p == 0:
             value //= p
             count += 1
         out.append(count)
-        m += 1
     return tuple(out)
 
 
 class EnumeratedState(tuple):
     """A definable state as the tuple (godel, occupation_text, energy_text),
-    its three CSV fields in column order. The occupation text is
-    ``n1;n2;...`` without trailing zeros, empty for the vacuum; the energy
-    text is the energy in ``%.17g``, which round-trips binary64. The
-    ``occupations`` and ``energy`` properties parse their text on each read."""
+    its three CSV fields in column order, built by calling the class on that
+    tuple. The occupation text is ``n1;n2;...`` without trailing zeros, empty
+    for the vacuum; the energy text is the energy in ``%.17g``, which
+    round-trips binary64. The ``occupations`` and ``energy`` properties parse
+    their text on each read."""
 
     __slots__ = ()
     godel = property(itemgetter(0))
@@ -162,13 +163,16 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     from scratch. Each distinct energy is formatted once, in a call-local
     table from energy to ``%.17g`` text, and the states that share an energy
     share its text; the spectrum of a string or a box, whose frequencies are
-    multiples of one, has few distinct energies. Each state is one
+    multiples of one, has few distinct energies. The text of each count n
+    comes from a table built once per call. Each state is one
     ``EnumeratedState``, stored when its parent's loop reaches it, with every
     later mode empty; a work stack, not recursion, holds the states whose
     budget admits another quantum. Energies are summed in mode order. A
     cutoff that overflows when padded by its slack, more than ``MAX_STATES``
-    states, or a cutoff that admits an integer of more than
-    ``MAX_GODEL_BITS`` bits, raise DomainError.
+    states (tested once per run, the counts n = 1, 2, ... of one mode under
+    one parent, before the run that would pass the limit), or a cutoff that
+    admits an integer of more than ``MAX_GODEL_BITS`` bits, raise
+    DomainError.
     """
     if not (math.isfinite(e_max) and e_max >= 0):
         raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
@@ -195,28 +199,36 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
         modes.append((k, *occupiable[k], lightest))
         lightest = min(occupiable[k][1], lightest)
     modes.reverse()
-    new, state = tuple.__new__, EnumeratedState
-    states = [new(state, (1, "", "0"))]
+    state = EnumeratedState
+    states = [state((1, "", "0"))]
     texts: dict[float, str] = {}
+    # The text of every count a run can reach: no budget exceeds the cutoff,
+    # no step is below the lightest, and MAX_GODEL_BITS bounds the largest.
+    counts = [str(n) for n in range(int(cutoff // lightest) + 1)]
+    room = MAX_STATES - 1  # states that may still be listed after the vacuum
     # Parents to descend into: (first index into modes, modes in text, energy, code, text, budget)
     stack = [(0, 0, 0.0, 1, "", cutoff)] if cutoff >= lightest else []
     while stack:
         first, length, used, value, text, budget = stack.pop()
         base = text + ";" if text else ""
         for k, m, step, prime, lighter in modes[first:]:
+            top = int(budget // step)
+            room -= top
+            if room < 0:
+                raise DomainError(
+                    f"more than MAX_STATES = {MAX_STATES} states below e_max = {e_max!r}")
             head = base + "0;" * (m - length)
             code = value
-            for n in range(1, int(budget // step) + 1):
+            n = 0
+            while n < top:
+                n += 1
                 code *= prime
                 energy = used + n * step
-                if len(states) == MAX_STATES:
-                    raise DomainError(
-                        f"more than MAX_STATES = {MAX_STATES} states below e_max = {e_max!r}")
                 energy_text = texts.get(energy)
                 if energy_text is None:
                     energy_text = texts[energy] = "%.17g" % energy
-                occupation = head + str(n)
-                states.append(new(state, (code, occupation, energy_text)))
+                occupation = head + counts[n]
+                states.append(state((code, occupation, energy_text)))
                 rest = e_max - energy + slack
                 if rest >= lighter:
                     stack.append((k + 1, m + 1, energy, code, occupation, rest))

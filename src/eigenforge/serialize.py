@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from typing import Any, Mapping, Sequence
 
 from .action import ActionSpectrum
@@ -319,11 +320,12 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
 # -- CSV ---------------------------------------------------------------------
 
 def enumeration_csv(states: Sequence[EnumeratedState]) -> str:
-    """Header plus one ``godel,n1;n2;...,energy`` row per state, LF-terminated,
-    written as ``%d,%s,%s`` straight from the state's stored fields: the
-    energy text is the ``%.17g`` the enumeration stored, the bytes of
-    ``format_float``, ``-0`` included. A non-finite energy raises DomainError."""
-    rows = "".join(map("%d,%s,%s\n".__mod__, states))
+    """Header plus one ``godel,n1;n2;...,energy`` row per state, LF-terminated.
+    All rows are written by one ``%`` call, ``%d,%s,%s`` repeated once per
+    state, over the states' stored fields flattened in order: the energy text
+    is the ``%.17g`` the enumeration stored, the bytes of ``format_float``,
+    ``-0`` included. A non-finite energy raises DomainError."""
+    rows = ("%d,%s,%s\n" * len(states)) % tuple(chain.from_iterable(states))
     if "n" in rows:  # no finite row holds an n; "inf" and "nan" do
         nonfinite = [s.energy for s in states if not math.isfinite(s.energy)]
         if nonfinite:

@@ -233,14 +233,20 @@ def _assemble(prob: SLProblem, degree: int):
     """The pencil (A, B) of the given degree, by quadrature exact at the largest
     integrand: the trial basis, its derivative and p, q, r are all read at the
     Gauss-Legendre nodes off the one cached table of P_k there; only the
-    derivative's scale 2 / (b - a) and the coefficients depend on the problem."""
+    derivative's scale 2 / (b - a) and the coefficients depend on the problem.
+
+    On an interval so short that the scale overflows (below about 1e-308),
+    the stiffness matrix holds NaN; it is formed with numpy's warnings off,
+    and ``_reduce`` refuses the pencil (its mass matrix then underflows, and
+    a non-finite reduced matrix is refused in any case)."""
     lo, hi = prob.interval
     n_nodes = (max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree) // 2 + 1
     w = 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[1]
     pv, qv, rv = polynomials.node_values(n_nodes, prob.p, prob.q, prob.r)
     phi, dphi = _basis_at_nodes(prob.bc, degree, n_nodes)
-    dphi = dphi * (2.0 / (hi - lo))
-    A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        dphi = dphi * (2.0 / (hi - lo))
+        A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
     B = (phi * (w * rv)) @ phi.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 

@@ -370,6 +370,19 @@ class TestEigenCommand:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: reduced eigenproblem")
 
+    def test_subnormal_interval_exit_code(self, tmp_path):
+        # On [0, 1e-320] a variable p's stiffness matrix holds NaN and the
+        # mass matrix underflows: exit 3 with the one error line, no warning.
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["p"]["coeffs"] = [1.0, 1.0]
+        for name in ("p", "q", "r"):
+            obj[name]["interval"] = [0.0, 1e-320]
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        assert result.returncode == 3
+        assert result.stderr == "error: mass matrix is numerically indefinite\n"
+
     def test_library_defect_is_not_invalid_input(self, monkeypatch):
         # Only the library's own errors, ValueError and OSError are invalid
         # input; anything else is a defect and propagates with its traceback.

@@ -1,16 +1,19 @@
 """Codec tests: exhaustive round trips, enumeration, box counts."""
 
+import ast
 import gc
+import hashlib
 import math
 import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenforge import godel
+from eigenforge import godel, qstar, serialize
 from eigenforge.action import total_energy
 from eigenforge.errors import DomainError
 from eigenforge.godel import (
@@ -152,6 +155,16 @@ class TestDecode:
         d = decode(2 * 9973)
         assert d[0] == 1 and d[-1] == 1 and sum(d) == 2
 
+    def test_walk_past_the_table_extends_it(self, monkeypatch):
+        # decode reads the table of primes found so far and sieves only past
+        # its end: from the six-prime seed table it must reach prime(500),
+        # and prime(MAX_PRIME_INDEX), as from a warm one.
+        p = nth_prime(500)
+        monkeypatch.setattr(godel, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        assert decode(2 * p) == (1,) + (0,) * 498 + (1,)
+        assert decode(1_299_709) == (0,) * (MAX_PRIME_INDEX - 1) + (1,)
+        assert len(godel._PRIMES) == MAX_PRIME_INDEX
+
 
 class TestRoundTrips:
     def test_exhaustive_distributions(self):
@@ -271,6 +284,42 @@ class TestEnumerate:
         assert states[-1].godel == nth_prime(1200)
 
 
+class TestWorkloadLattice:
+    """Twelve modes of energies 4, 5 and 6 (h = 2 pi), four of each: the shape
+    of the benchmark's largest enumerations, whose runs of one mode's counts
+    mix parents and leaves."""
+
+    OMEGAS = [4.0] * 4 + [5.0] * 4 + [6.0] * 4
+
+    @staticmethod
+    def coin_change_count(weights, budget):
+        """Occupations of the integer mode energies ``weights`` with total <= budget."""
+        ways = [1] + [0] * budget
+        for w in weights:
+            for total in range(w, budget + 1):
+                ways[total] += ways[total - w]
+        return sum(ways)
+
+    def test_descent(self):
+        states = enumerate_definable(self.OMEGAS, TWO_PI, 28.5)
+        assert len(states) == self.coin_change_count([4] * 4 + [5] * 4 + [6] * 4, 28) == 9454
+        csv = serialize.enumeration_csv(states).encode()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "da5b7486aa92d43adb099e5e269c5b8e252012af30b26cf6b56dd8bac4bfbac8")
+        assert all(encode(s.occupations) == s.godel for s in states)
+
+    def test_state_limit_at_a_run_boundary(self, monkeypatch):
+        # The limit is tested once per run of one mode's counts, before the
+        # run: the count reaching it exactly at the end of the last run is
+        # listed, and one fewer raises.
+        monkeypatch.setattr(godel, "MAX_STATES", 1341)
+        assert len(enumerate_definable(self.OMEGAS, TWO_PI, 20.5)) == 1341
+        monkeypatch.setattr(godel, "MAX_STATES", 1340)
+        with pytest.raises(DomainError, match="more than MAX_STATES = 1340 states below "
+                                              "e_max = 20.5"):
+            enumerate_definable(self.OMEGAS, TWO_PI, 20.5)
+
+
 def brute_force_definable(omegas, h, e_max):
     """Every distribution of at most `most` quanta, where `most` quanta of the
     lightest mode fill the cutoff; each is encoded from scratch and its energy
@@ -350,3 +399,33 @@ class TestCountVsBox:
     def test_descending_lengths_rejected(self):
         with pytest.raises(DomainError):
             count_vs_box([2.0, 1.0], 1.0, 2)
+
+
+def _imported_modules(path):
+    """Top-level names of the modules a source file imports, with the
+    package-relative ones (``from .errors import ...``) followed into their files."""
+    found, pending, seen = set(), [path], set()
+    while pending:
+        path = pending.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:  # within the package
+                    names = [node.module] if node.module else [a.name for a in node.names]
+                    pending.extend(path.parent / f"{name}.py" for name in names)
+                else:
+                    found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("module", [godel, qstar])
+def test_exact_path_imports_no_numpy(module):
+    # The codec, the enumeration and Q* are exact integer and string work, so
+    # neither these modules nor the package modules they import use numpy.
+    # This does not keep numpy out of the process: importing any of them runs
+    # the package's __init__, which loads the numeric modules too.
+    assert "numpy" not in _imported_modules(Path(module.__file__))

@@ -1,6 +1,7 @@
 """Eigensolver tests against analytic spectra and an independent reduction."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.polynomial.legendre as leg
@@ -402,6 +403,18 @@ class TestReduction:
         # numpy warning (the suite turns warnings into errors).
         with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
             solve(unit_problem(DIRICHLET, (0.0, 1e-300)))
+
+    def test_subnormal_interval_is_one_conditioning_error(self):
+        # On [0, 1e-320] the derivative's scale 2 / (b - a) overflows, so the
+        # stiffness matrix of a variable p holds NaN: formed with numpy's
+        # warnings off, and the pencil refused by its underflowing mass matrix.
+        iv = (0.0, 1e-320)
+        prob = SLProblem(Polynomial((1.0, 1.0), iv), Polynomial((0.0,), iv),
+                         Polynomial((1.0,), iv), DIRICHLET)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match="mass matrix is numerically indefinite"):
+                solve(prob)
 
 
 class TestEigensolveAccuracy:
