@@ -224,9 +224,11 @@ class IterationReport:
 
 
 # Within a sweep the components share the space factors, and the time factors
-# stay fixed for a whole solve; these caches let each such factor's square,
-# averages and moments be computed once per factor rather than once per
-# component. Polynomials are immutable values, so they key the caches.
+# stay fixed for a whole solve; ``_project_square`` and ``_unit_norm`` keep
+# the latest 32 squares and unit-norm scalings, so each is computed once per
+# factor rather than once per component. Polynomials are immutable values, so
+# they key the caches. The averages and moments are not kept: each is a ratio
+# of two integrals that ``integrate_product`` keeps.
 _FACTOR_CACHE = 32
 
 
@@ -236,13 +238,11 @@ def _project_square(u: Polynomial) -> Polynomial:
     return chebyshev_fit(lambda xs: u.values(xs) ** 2, 2 * u.degree, u.interval)
 
 
-@lru_cache(maxsize=_FACTOR_CACHE)
 def _weighted_average(f: Polynomial, u: Polynomial, r: Polynomial) -> float:
     """int f u^2 r / int u^2 r."""
     return integrate_product(f, u, u, r) / integrate_product(u, u, r)
 
 
-@lru_cache(maxsize=_FACTOR_CACHE)
 def _moment_ratio(u: Polynomial, r: Polynomial) -> float:
     """int u^4 r / int u^2 r."""
     return integrate_product(u, u, u, u, r) / integrate_product(u, u, r)
@@ -375,7 +375,10 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     factors (``_pin_time``). The returned state is the last iterate with its
     frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
     must be at least 1; exceeding it raises NonConvergenceError with the
-    report attached.
+    report attached. An eigensolve that reaches its degree cap raises its
+    NonConvergenceError again, its message prefixed with the state's label,
+    the space dimension and the sweep (0 for the uncounted first), with its
+    Ritz trace and the report of the sweeps counted so far.
     """
     n_space = len(spec.space_dims)
     targets = [int(t) for t in target_modes]
@@ -409,8 +412,13 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             if problem == solved[d]:
                 continue  # solving it again would return the same factor
             old = state.space_factors[d]
-            pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=SL_K_TOL,
-                                max_degree=SL_MAX_DEGREE)
+            try:
+                pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=SL_K_TOL,
+                                    max_degree=SL_MAX_DEGREE)
+            except NonConvergenceError as exc:
+                raise NonConvergenceError(
+                    f"state {label!r}, space dimension {d}, sweep {sweep}: {exc}",
+                    trace=exc.trace, report=report) from exc
             new = pairs[targets[d] - 1]
             factors = state.space_factors
             state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])

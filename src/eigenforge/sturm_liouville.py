@@ -18,11 +18,7 @@ Likewise the stiffness and mass matrices of degree n are the leading
 assembles the pencil once, at the highest degree it may visit, reduces it
 once by a Cholesky factorization of the mass matrix, and diagonalizes the
 leading block of the reduced matrix for each visited degree with LAPACK
-(``numpy.linalg.eigh``). The reduction and every diagonalized block are kept
-with the problem, for the latest few problems, so a repeat of a problem (the
-modes of one field model share their frozen problems) reads them instead of
-recomputing them; results are a function of the problem alone, whether kept
-or computed afresh.
+(``numpy.linalg.eigh``).
 
 A problem whose p, q and r are all constants (the string, the box, the free
 particle) assembles and reduces no pencil of its own. With h = (b - a) / 2 its
@@ -71,16 +67,9 @@ _BOUNDARY_TOL = 1e-9
 # A drop of at most this many ulps of the previous eigenvalue is rounding, not
 # progress: converged Ritz values jitter by up to 4 ulps.
 _STOP_ULPS = 4
-# Solves of variable-coefficient problems memoize their work by problem
-# (``_ritz_sequence``): the modes of one field model with a variable
-# coefficient take their space factors from the same frozen problem. The
-# benchmark's repeats are all constant-coefficient problems, which read the
-# reference pencil instead: on the field benchmark's block 0 at seeds
-# 101-103, the 69 variable-coefficient lookups of each block are all
-# distinct, and the latest 5 pencils keep none of them. Each field sweep
-# rebuilds its problems on the same weights; the latest 32 verdicts cut the
-# positivity checks that find roots there from 1 046 to at most 220.
-_PENCIL_CACHE = 5
+# Each field sweep rebuilds its problems on the same weights; the latest 32
+# verdicts cut the positivity checks that find roots there from 1 046 to at
+# most 220.
 _POSITIVITY_CACHE = 32
 # The basis at the quadrature nodes (``_basis_at_nodes``) is keyed by the
 # conditions, the degree and the node count. On the benchmark's blocks 0-2 at
@@ -301,19 +290,10 @@ def _reduce(A: np.ndarray, B: np.ndarray):
         theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
         ritz = memo[k] = np.sort(theta, kind="stable"), theta, Y, norms
         for array in ritz:
-            array.setflags(write=False)  # shared by every repeat of the problem
+            array.setflags(write=False)  # shared by every reader of a kept pencil
         return ritz
 
     return leading_eigh
-
-
-@lru_cache(maxsize=_PENCIL_CACHE)
-def _ritz_sequence(prob: SLProblem, top: int):
-    """``leading_eigh`` of the problem's pencil of degree ``top``, assembled and
-    reduced on the first request and kept with every block size it has
-    solved. Keys are equal when the problems are (``SLProblem`` equality), so
-    a repeat reads what the first solve computed, bit for bit."""
-    return _reduce(*_assemble(prob, top))
 
 
 @lru_cache(maxsize=None)
@@ -397,17 +377,13 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     The pencil is assembled and reduced once, at ``max_degree`` rounded down
     to even, and each visited degree is its leading block. Each visited degree
     reads its trace entry and stop-test values from one ``tolist`` of its
-    sorted Ritz values; only the degree that returns orders its vectors. The
-    reduction and each visited degree's Ritz values, vectors and norms are
-    kept for the latest ``_PENCIL_CACHE`` (problem, degree) pairs, so a repeat
-    of a problem, with any ``num_modes``, solves only the degrees no earlier
-    request visited. A problem with constant p, q and r reads the kept
-    reference pencil of its boundary pair and degree instead
-    (``_reference_sequence``), mapped by ``_affine_map``: it assembles,
-    reduces and keeps nothing of its own, and a mapped value that is not
-    finite raises ``ConditioningError``, as an overflowing reduction does.
-    The result is a function of the problem, ``num_modes``, ``k_tol`` and
-    ``max_degree`` alone, bit for bit, whether or not a pencil was kept.
+    sorted Ritz values; only the degree that returns orders its vectors. A
+    problem with constant p, q and r reads the kept reference pencil of its
+    boundary pair and degree instead (``_reference_sequence``), mapped by
+    ``_affine_map``: it assembles, reduces and keeps nothing of its own, and a
+    mapped value that is not finite raises ``ConditioningError``, as an
+    overflowing reduction does. The result is a function of the problem,
+    ``num_modes``, ``k_tol`` and ``max_degree`` alone, bit for bit.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -428,7 +404,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     top = max_degree // 2 * 2
     affine = _affine_map(prob)
     if affine is None:
-        leading_eigh = _ritz_sequence(prob, top)
+        leading_eigh = _reduce(*_assemble(prob, top))
     else:
         leading_eigh = _reference_sequence(prob.bc, top)
         scale, shift, weight = affine

@@ -6,13 +6,14 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legder, legval
 
-from conftest import make_string_spec, make_unit_problem
+from conftest import coupled_spec, make_string_spec, make_unit_problem
 from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
 from eigenforge.errors import DomainError
@@ -595,6 +596,21 @@ class TestSigmaCommand:
         for k, mode in enumerate(json.loads(result.stdout)["modes"], start=1):
             exact = k * math.pi / 2.1
             assert abs(mode["omega"] - exact) <= 1e-12 * exact
+
+    def test_capped_eigensolve_names_the_mode(self, tmp_path):
+        # The Dirichlet string on (0, 2.1) at g = 10: the ground mode
+        # converges, mode 3's eigensolve reaches degree 40. The one error
+        # line names that mode, its dimension and sweep.
+        spec = replace(coupled_spec((2.1,), (sl.DIRICHLET,), 10.0),
+                       modes=(sigma_model.ModeSpec("ground", (1,)),
+                              sigma_model.ModeSpec("third", (3,))))
+        model = tmp_path / "model.json"
+        model.write_text(serialize.dumps(serialize.model_to_obj(spec)))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            "error: state 'third', space dimension 0, sweep 2: "
+            "eigenvalues not converged to 1e-12 within degree 40"]
 
     def test_solution_contents(self, solution_file):
         data = json.loads(Path(solution_file).read_text())

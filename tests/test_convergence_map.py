@@ -13,6 +13,8 @@ lists it; a listed model fails the way it does today. A change that
 converges a listed model moves it out of the table.
 """
 
+import re
+
 import pytest
 
 from conftest import coupled_spec
@@ -84,6 +86,11 @@ def test_model_outcome(name, lengths, bcs, targets, g):
                            match="eigenvalues not converged to 1e-12 within degree 40") as exc:
             solve_state(spec, "m", targets)
         assert exc.value.trace.degrees[-1] == sigma_model.SL_MAX_DEGREE
+        # Named by the state, and carrying the sweeps counted before it.
+        sweep = int(re.match(r"state 'm', space dimension \d+, sweep (\d+): ",
+                             str(exc.value)).group(1))
+        report = exc.value.report
+        assert not report.converged and report.iterations == max(sweep - 1, 0)
     else:
         with pytest.raises(NonConvergenceError,
                            match=f"not converged in {sigma_model.MAX_SWEEPS} sweeps") as exc:

@@ -481,26 +481,47 @@ class TestPinTime:
                 np.abs(expected).max())
 
     def test_time_side_work_does_not_grow_with_sweeps(self, monkeypatch):
+        # Counts the quadratures on the time interval, memo hits aside: the
+        # time pair is built first, since its own quadratures are made once.
         spec = coupled_spec((1.3, 2.1), (DIRICHLET, DIRICHLET), 0.05)
         time_iv = spec.time_dim.interval
+        make_time_pair()
         counts = []
+        node_values = polynomials.node_values
 
-        def counted(*factors):
+        def counted(n, *factors):
             if factors[0].interval == time_iv:
                 counts[-1] += 1
-            return integrate_product(*factors)
+            return node_values(n, *factors)
 
-        monkeypatch.setattr(sigma_model, "integrate_product", counted)
+        monkeypatch.setattr(polynomials, "node_values", counted)
         sweeps = []
         for tol in (1e-5, 1e-10):
-            for cache in (sigma_model._weighted_average, sigma_model._moment_ratio,
-                          sigma_model._unit_norm):
-                cache.cache_clear()
+            integrate_product.cache_clear()
+            sigma_model._unit_norm.cache_clear()
             counts.append(0)
             _, report = solve_state(spec, "m", (1, 2), tol=tol, max_iter=200)
             sweeps.append(report.iterations)
         assert sweeps[0] < sweeps[1]
         assert counts[0] == counts[1] > 0
+
+
+class TestFactorMemo:
+    # _project_square and _unit_norm keep squares and unit-norm scalings by
+    # factor; a solve that reads them returns what one that computes them does.
+    def test_warm_results_equal_cold(self):
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        memos = (sigma_model._project_square, sigma_model._unit_norm)
+        for memo in memos:
+            memo.cache_clear()
+        cold, _ = solve_state(spec, "m", (1, 2))
+        hits = [memo.cache_info().hits for memo in memos]
+        warm, _ = solve_state(spec, "m", (1, 2))
+        assert all(memo.cache_info().hits > h for memo, h in zip(memos, hits))
+        assert warm.omega == cold.omega
+        for got, ref in zip(warm.space_factors + warm.time_factors,
+                            cold.space_factors + cold.time_factors, strict=True):
+            assert got.u.coeffs == ref.u.coeffs and got.lambda_ == ref.lambda_
 
 
 def count_eigensolves(monkeypatch):
@@ -537,21 +558,6 @@ class TestUnchangedProblemSkip:
         assert report.converged and report.iterations > 1
         assert len(calls) == len(spec.space_dims) * (report.iterations + 1)
 
-    def test_modes_of_a_linear_model_share_one_assembly(self, monkeypatch):
-        # A string with p = 1 + x / 4: its three modes solve one frozen
-        # problem, for 1, 2 and 3 modes, and the eigensolve assembles and
-        # reduces that problem's pencil once.
-        spec = make_string_spec(num_modes=3)
-        space_iv, time_iv = spec.space_dims[0].interval, spec.time_dim.interval
-        spec = replace(spec, P=CoeffField(terms=((poly([1.0, 0.25], space_iv),
-                                                  poly([1.0], time_iv)),)))
-        assemblies = count_assemblies(monkeypatch)
-        calls = count_eigensolves(monkeypatch)
-        for mode in spec.modes:
-            solve_state(spec, mode.label, mode.targets)
-        assert len(calls) == 3 and len(set(calls)) == 1
-        assert assemblies == [sigma_model.SL_MAX_DEGREE]
-
     def test_modes_of_a_constant_model_assemble_no_pencil(self, monkeypatch):
         # The unit string's frozen problem has constant coefficients: its
         # modes read the kept reference pencil, built here once for the
@@ -564,7 +570,6 @@ class TestUnchangedProblemSkip:
             solve_state(spec, mode.label, mode.targets)
         assert len(calls) == 3 and len(set(calls)) == 1
         assert assemblies == [sigma_model.SL_MAX_DEGREE]  # the reference's
-        assert sturm_liouville._ritz_sequence.cache_info().currsize == 0
 
     def test_kept_factor_matches_a_fresh_solve(self, string_spec):
         # The skip is exact: the eigensolve is a function of its problem, so

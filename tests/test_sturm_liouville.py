@@ -27,7 +27,6 @@ from eigenforge.sturm_liouville import (
     _recombination,
     _reduce,
     _reference_sequence,
-    _ritz_sequence,
     boundary_residuals,
     max_modes,
     rayleigh_quotient,
@@ -604,10 +603,6 @@ class TestLeadingBlocks:
         prob = variable_problem(DIRICHLET)
         _, trace = solve(prob, num_modes=3, k_tol=1e-12)
         assert calls == [40] and len(trace.entries) > 2
-        # A repeat of the problem, with any num_modes, reads the kept pencil.
-        for num_modes in (1, 2, 4):
-            solve(prob, num_modes=num_modes, k_tol=1e-12)
-        assert calls == [40]
 
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_trace_matches_scipy_at_every_degree(self, kind):
@@ -619,22 +614,27 @@ class TestLeadingBlocks:
 
 
 class TestMemo:
-    # solve keeps each problem's reduction and Ritz sequence; what it returns
-    # must not depend on whether they were kept.
-    # (num_modes, max_degree) requests; the degree cap is part of the key, as
-    # the pencil of a lower cap is assembled with fewer quadrature nodes.
+    # What solve keeps across problems (the basis, the reference pencil, the
+    # positivity verdicts) is shared read-only, a failure is never kept, and
+    # what solve returns must not depend on whether it was kept.
+    # (num_modes, max_degree) requests; the degree cap is part of the basis
+    # key, as the pencil of a lower cap is assembled with fewer nodes.
     REQUESTS = ((1, 40), (4, 40), (2, 24))
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["fewer-first", "more-first"])
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_warm_results_equal_cold(self, kind, reverse):
+        # A variable-coefficient problem reads the kept basis at the nodes,
+        # recombination and endpoint rows, and assembles its own pencil.
         prob = variable_problem(CONDITIONS[kind])
         order = self.REQUESTS[::-1] if reverse else self.REQUESTS
+        memos = (sturm_liouville._basis_at_nodes, sturm_liouville._shen_recombination,
+                 sturm_liouville._endpoint_row)
         cold = {}
         for num_modes, max_degree in order:
-            _ritz_sequence.cache_clear()
+            for memo in memos:
+                memo.cache_clear()
             cold[num_modes] = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
-        _ritz_sequence.cache_clear()
         for num_modes, max_degree in order:
             pairs, trace = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
             ref_pairs, ref_trace = cold[num_modes]
@@ -644,33 +644,32 @@ class TestMemo:
                 assert pair.u.coeffs == ref.u.coeffs
 
     def test_kept_arrays_are_read_only(self):
-        # The Ritz values, vectors and norms of each visited degree, of a
-        # problem's pencil and of the reference pencil, the basis at the nodes
-        # (variable_problem reads 42 nodes at degree 40), the per-pair
-        # recombination and the endpoint rows.
-        prob = variable_problem(NEUMANN)
-        solve(prob, num_modes=2, k_tol=1e-12)
+        # The Ritz values, vectors and norms of each visited degree of the
+        # reference pencil, the basis at the nodes (variable_problem reads 42
+        # nodes at degree 40), the per-pair recombination and the endpoint rows.
+        solve(variable_problem(NEUMANN), num_modes=2, k_tol=1e-12)
         solve(unit_problem(NEUMANN), num_modes=2, k_tol=1e-12)
-        kept = [*_ritz_sequence(prob, 40)(3), *_reference_sequence(NEUMANN, 40)(3),
+        kept = [*_reference_sequence(NEUMANN, 40)(3),
                 *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
                 sturm_liouville._shen_recombination(NEUMANN)]
         kept += [sturm_liouville._endpoint_row(kind, sign)
                  for kind in ("value", "derivative") for sign in (-1.0, 1.0)]
-        assert len(kept) == 15
+        assert len(kept) == 11
         for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_conditioning_error_raised_on_every_repeat(self, monkeypatch):
-        # p = 1 + x: a variable-coefficient problem, whose pencil is its own.
+        # p = 1 + x: a variable-coefficient problem, whose pencil is its own
+        # and assembled afresh by each solve.
         calls = count_assemblies(monkeypatch)
         iv = (0.0, 1e-300)
         prob = SLProblem(poly([1.0, 1.0], iv), poly([0.0], iv), poly([1.0], iv), DIRICHLET)
         for _ in range(2):
             with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
                 solve(prob)
-        assert calls == [40]
+        assert calls == [40, 40]
 
     def test_positivity_verdict_kept(self, monkeypatch):
         # Each SLProblem rebuilt on the same weight reuses that weight's
@@ -707,7 +706,6 @@ class TestReferencePencil:
                 solve(constant_problem(DIRICHLET, *coeffs), num_modes=num_modes)
         solve(unit_problem(DIRICHLET, (0.0, 1e3)), num_modes=2)
         assert calls == [40]  # the reference's, once
-        assert _ritz_sequence.cache_info().currsize == 0
         assert _reference_sequence.cache_info().currsize == 1
 
     def test_conditioning_error_raised_on_every_repeat(self, monkeypatch):
