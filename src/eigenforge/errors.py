@@ -16,18 +16,32 @@ class DomainError(EigenforgeError, ValueError):
 
 class ConditioningError(EigenforgeError, RuntimeError):
     """A LAPACK factorization or eigensolve of the assembled pencil failed, or
-    the reduced matrix it needed overflowed."""
+    the reduced matrix it needed overflowed.
+
+    ``cause`` names the failed step: ``"cholesky"`` (the mass matrix has no
+    Cholesky factor), ``"eigh"`` (the reduced eigensolve failed) or
+    ``"overflow"`` (the reduced matrix, or its affine scaling, is not
+    finite).
+    """
+
+    def __init__(self, message, *, cause):
+        super().__init__(message)
+        self.cause = cause
 
 
 class NonConvergenceError(EigenforgeError, RuntimeError):
     """Iteration exhausted its budget without meeting the tolerance.
 
-    Carries whatever partial progress exists: the Ritz trace for the
-    eigensolver, the iteration report for the field solver.
+    ``cause`` names the budget: ``"degree_cap"`` (the eigensolve reached its
+    largest degree, also when a field sweep's eigensolve did) or
+    ``"sweep_cap"`` (the field iteration ran all its sweeps). Carries
+    whatever partial progress exists: the Ritz trace for the eigensolver,
+    the iteration report for the field solver.
     """
 
-    def __init__(self, message, *, trace=None, report=None):
+    def __init__(self, message, *, cause, trace=None, report=None):
         super().__init__(message)
+        self.cause = cause
         self.trace = trace
         self.report = report
 

@@ -9,8 +9,8 @@ set below an energy cutoff is produced by exhaustive bounded enumeration.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
-from typing import Sequence
+from collections.abc import Sequence
+from operator import attrgetter, itemgetter
 
 from .errors import DomainError
 
@@ -119,11 +119,11 @@ def decode(value: int) -> tuple[int, ...]:
 
 class EnumeratedState(tuple):
     """A definable state as the tuple (godel, occupation_text, energy_text),
-    its three CSV fields in column order, built by calling the class on that
-    tuple. The occupation text is ``n1;n2;...`` without trailing zeros, empty
-    for the vacuum; the energy text is the energy in ``%.17g``, which
-    round-trips binary64. The ``occupations`` and ``energy`` properties parse
-    their text on each read."""
+    its three CSV fields in column order. The occupation text is
+    ``n1;n2;...`` without trailing zeros, empty for the vacuum; the energy
+    text is the energy in ``%.17g``, which round-trips binary64. The
+    ``occupations`` and ``energy`` properties parse their text on each
+    read."""
 
     __slots__ = ()
     godel = property(itemgetter(0))
@@ -139,6 +139,35 @@ class EnumeratedState(tuple):
         return float(self[2])
 
 
+class DefinableStates(Sequence):
+    """The states of one enumeration, read-only, sorted by their integers.
+
+    Each state is stored as a plain ``(godel, occupation_text, energy_text)``
+    tuple, which the cycle collector stops tracking at its first collection;
+    an ``EnumeratedState`` instance, a tuple subclass, would stay tracked for
+    its whole life, and every full collection would walk it. Indexing and
+    iteration build an ``EnumeratedState`` over the same fields when a state
+    is read, a slice a list of them. ``rows``, read-only, is the stored
+    tuple of plain triples, which the CSV writer formats directly."""
+
+    __slots__ = ("_rows",)
+    rows = property(attrgetter("_rows"))
+
+    def __init__(self, rows: tuple[tuple[int, str, str], ...]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(EnumeratedState, self._rows[index]))
+        return EnumeratedState(self._rows[index])
+
+    def __iter__(self):
+        return map(EnumeratedState, self._rows)
+
+
 def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
     if not h > 0:
         raise DomainError("h must be positive")
@@ -150,7 +179,7 @@ def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
     return energies
 
 
-def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list[EnumeratedState]:
+def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> DefinableStates:
     """All occupation distributions with total energy <= e_max, sorted by their
     encoded integers.
 
@@ -164,9 +193,11 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
     table from energy to ``%.17g`` text, and the states that share an energy
     share its text; the spectrum of a string or a box, whose frequencies are
     multiples of one, has few distinct energies. The text of each count n
-    comes from a table built once per call. Each state is one
-    ``EnumeratedState``, stored when its parent's loop reaches it, with every
-    later mode empty; a work stack, not recursion, holds the states whose
+    comes from a table built once per call. Each state is one plain
+    ``(godel, occupation_text, energy_text)`` tuple, stored when its
+    parent's loop reaches it, with every later mode empty, and the sorted
+    rows are returned behind a ``DefinableStates`` view, whose items are
+    ``EnumeratedState``s; a work stack, not recursion, holds the states whose
     budget admits another quantum. Energies are summed in mode order. A
     cutoff that overflows when padded by its slack, more than ``MAX_STATES``
     states (tested once per run, the counts n = 1, 2, ... of one mode under
@@ -199,8 +230,7 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
         modes.append((k, *occupiable[k], lightest))
         lightest = min(occupiable[k][1], lightest)
     modes.reverse()
-    state = EnumeratedState
-    states = [state((1, "", "0"))]
+    states = [(1, "", "0")]
     texts: dict[float, str] = {}
     # The text of every count a run can reach: no budget exceeds the cutoff,
     # no step is below the lightest, and MAX_GODEL_BITS bounds the largest.
@@ -228,12 +258,12 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> list
                 if energy_text is None:
                     energy_text = texts[energy] = "%.17g" % energy
                 occupation = head + counts[n]
-                states.append(state((code, occupation, energy_text)))
+                states.append((code, occupation, energy_text))
                 rest = e_max - energy + slack
                 if rest >= lighter:
                     stack.append((k + 1, m + 1, energy, code, occupation, rest))
     states.sort(key=itemgetter(0))
-    return states
+    return DefinableStates(tuple(states))
 
 
 def count_vs_box(box_lengths: Sequence[float], e_max: float, num_modes: int,

@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 
 from .action import ActionSpectrum
 from .errors import DomainError
-from .godel import EnumeratedState
+from .godel import DefinableStates, EnumeratedState
 from .polynomials import MAX_DEGREE, Polynomial
 from .sigma_model import (
     CoeffField,
@@ -322,12 +322,17 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
 def enumeration_csv(states: Sequence[EnumeratedState]) -> str:
     """Header plus one ``godel,n1;n2;...,energy`` row per state, LF-terminated.
     All rows are written by one ``%`` call, ``%d,%s,%s`` repeated once per
-    state, over the states' stored fields flattened in order: the energy text
-    is the ``%.17g`` the enumeration stored, the bytes of ``format_float``,
-    ``-0`` included. A non-finite energy raises DomainError."""
+    state, over the states' stored fields flattened in order: the rows of a
+    ``DefinableStates`` enumeration as stored, with no per-state object
+    built, or the fields of any other sequence of ``EnumeratedState``s, which
+    are tuples of the same three fields. The energy text is the ``%.17g`` the
+    enumeration stored, the bytes of ``format_float``, ``-0`` included. A
+    non-finite energy raises DomainError."""
+    if isinstance(states, DefinableStates):
+        states = states.rows
     rows = ("%d,%s,%s\n" * len(states)) % tuple(chain.from_iterable(states))
     if "n" in rows:  # no finite row holds an n; "inf" and "nan" do
-        nonfinite = [s.energy for s in states if not math.isfinite(s.energy)]
+        nonfinite = [float(e) for _, _, e in states if not math.isfinite(float(e))]
         if nonfinite:
             raise DomainError(f"cannot serialize non-finite number {nonfinite[0]!r}")
     return "godel_integer,occupations,energy\n" + rows

@@ -375,10 +375,11 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     factors (``_pin_time``). The returned state is the last iterate with its
     frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
     must be at least 1; exceeding it raises NonConvergenceError with the
-    report attached. An eigensolve that reaches its degree cap raises its
-    NonConvergenceError again, its message prefixed with the state's label,
-    the space dimension and the sweep (0 for the uncounted first), with its
-    Ritz trace and the report of the sweeps counted so far.
+    report attached and cause ``"sweep_cap"``. An eigensolve that reaches its
+    degree cap raises its NonConvergenceError again, its message prefixed
+    with the state's label, the space dimension and the sweep (0 for the
+    uncounted first), with its cause ``"degree_cap"``, its Ritz trace and the
+    report of the sweeps counted so far.
     """
     n_space = len(spec.space_dims)
     targets = [int(t) for t in target_modes]
@@ -418,7 +419,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"state {label!r}, space dimension {d}, sweep {sweep}: {exc}",
-                    trace=exc.trace, report=report) from exc
+                    cause=exc.cause, trace=exc.trace, report=report) from exc
             new = pairs[targets[d] - 1]
             factors = state.space_factors
             state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])
@@ -433,8 +434,8 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             break
     if not report.converged:
         raise NonConvergenceError(
-            f"state {label!r} not converged in {max_iter} sweeps", report=report
-        )
+            f"state {label!r} not converged in {max_iter} sweeps", cause="sweep_cap",
+            report=report)
 
     state = _pin_time(spec, state)
     norms = tuple(

@@ -254,7 +254,8 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     arrays.
 
     A LAPACK failure in the factorization or an eigensolve raises
-    ``ConditioningError``, and so does a block of C that is not finite: the
+    ``ConditioningError`` of cause ``"cholesky"`` or ``"eigh"``, and a block
+    of C that is not finite one of cause ``"overflow"``: the
     product forming C can overflow, and then carries NaN into the leading
     entries. C is formed with numpy's overflow warnings off, and its largest
     finite leading block is recorded, so a block past it is refused by size
@@ -263,7 +264,8 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
-        raise ConditioningError("mass matrix is numerically indefinite") from exc
+        raise ConditioningError("mass matrix is numerically indefinite",
+                                cause="cholesky") from exc
     L_inv = np.tril(np.linalg.inv(L))
     with np.errstate(over="ignore", invalid="ignore"):
         C = L_inv @ A @ L_inv.T
@@ -279,11 +281,13 @@ def _reduce(A: np.ndarray, B: np.ndarray):
             return ritz
         if k > finite:
             raise ConditioningError(
-                f"reduced eigenproblem of size {k} is not finite: its reduction overflows")
+                f"reduced eigenproblem of size {k} is not finite: its reduction overflows",
+                cause="overflow")
         try:
             vectors = np.linalg.eigh(C[:k, :k])[1]
         except np.linalg.LinAlgError as exc:
-            raise ConditioningError(f"reduced eigenproblem of size {k}: {exc}") from exc
+            raise ConditioningError(f"reduced eigenproblem of size {k}: {exc}",
+                                    cause="eigh") from exc
         Y = L_inv[:k, :k].T @ vectors
         Ak, Bk = A[:k, :k], B[:k, :k]
         norms = np.einsum("ij,ij->j", Y, Bk @ Y)
@@ -325,7 +329,7 @@ def _affine_map(prob: SLProblem):
     h = 0.5 * (hi - lo)
     weight = r * h
     if not weight > 0:
-        raise ConditioningError("mass matrix is numerically indefinite")
+        raise ConditioningError("mass matrix is numerically indefinite", cause="cholesky")
     return p / weight / h, q / r, weight
 
 
@@ -365,7 +369,8 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     visited degrees is below ``k_tol`` (an absolute tolerance playing the
     reciprocal-k role in the stopping schema) or at most 4 ulps of the
     previous value, or ``max_degree`` is hit, in which case a
-    ``NonConvergenceError`` carrying the trace is raised. The ulp floor is
+    ``NonConvergenceError`` of cause ``"degree_cap"`` carrying the trace is
+    raised. The ulp floor is
     the rounding jitter of converged Ritz values: at extreme scales (lambda
     ~ 1e19 on an interval of length 1e-9) it exceeds any absolute ``k_tol``.
     The eigenvalue drop is the only stop test: every trial function meets the
@@ -420,7 +425,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             if not all(map(math.isfinite, cur_vals)):
                 raise ConditioningError(
                     f"reduced eigenproblem of size {degree - 1} is not finite: "
-                    "its scaling overflows")
+                    "its scaling overflows", cause="overflow")
         trace_entries.append((degree, cur_vals[0]))
         if len(cur_vals) < num_modes:
             continue
@@ -435,7 +440,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
         prev_vals = cur_vals
     raise NonConvergenceError(
         f"eigenvalues not converged to {k_tol} within degree {max_degree}",
-        trace=RitzTrace(tuple(trace_entries)),
+        cause="degree_cap", trace=RitzTrace(tuple(trace_entries)),
     )
 
 

@@ -195,8 +195,17 @@ class TestEnumerationCsv:
         assert serialize.enumeration_csv(states) == (
             "godel_integer,occupations,energy\n1,,0\n2,1,1\n3,0;1,2\n4,2,2\n")
 
+    def test_view_and_list_write_one_csv(self):
+        # The enumeration's stored rows and a hand-built list of states go
+        # through the one formatter.
+        states = godel.enumerate_definable([1.0, 2.0], 2.0 * math.pi, 2.0)
+        by_hand = [EnumeratedState((1, "", "0")), EnumeratedState((2, "1", "1")),
+                   EnumeratedState((3, "0;1", "2")), EnumeratedState((4, "2", "2"))]
+        assert (serialize.enumeration_csv(states) == serialize.enumeration_csv(by_hand)
+                == reference_csv(states) == reference_csv(by_hand))
+
     def test_matches_reference_formatter(self):
-        states = godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3)
+        states = list(godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3))
         large = (0, 300, 7)
         states.append(EnumeratedState((godel.encode(large), "0;300;7",
                                        serialize.format_float(300 * math.pi + 7e-3))))

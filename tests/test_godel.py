@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import sys
+from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from pathlib import Path
 from time import perf_counter
@@ -381,6 +382,66 @@ class TestEnumerateOracle:
         weights = [5, 4, 6, 4, 6, 5, 4, 6, 5, 4, 5, 6]
         got = self.check([0.37 * w for w in weights], TWO_PI, 0.37 * 30)
         assert len(got) >= 10_000
+
+
+class TestDefinableStates:
+    """The read-only view an enumeration returns: plain stored rows, each read
+    as an ``EnumeratedState``."""
+
+    OMEGAS, E_MAX = [3.0, 1.0, 2.5, 0.7, 1.9], 6.3
+
+    def expected(self):
+        """The states built from the independent scan, one per row."""
+        return [EnumeratedState((code, ";".join(map(str, occ)), "%.17g" % energy))
+                for occ, code, energy in brute_force_definable(self.OMEGAS, TWO_PI, self.E_MAX)]
+
+    def test_items_are_enumerated_states(self):
+        states = enumerate_definable(self.OMEGAS, TWO_PI, self.E_MAX)
+        expected = self.expected()
+        assert len(states) == len(expected) > 100
+        for i, want in enumerate(expected):
+            got = states[i]
+            assert type(got) is EnumeratedState and got == want
+            assert (got.godel, got.occupation_text, got.energy_text) == tuple(want)
+            assert got.occupations == want.occupations and got.energy == want.energy
+        assert states.rows == tuple(map(tuple, expected))
+        assert all(type(row) is tuple for row in states.rows)
+
+    def test_indexing_and_slices(self):
+        states = enumerate_definable(self.OMEGAS, TWO_PI, self.E_MAX)
+        expected = self.expected()
+        n = len(states)
+        assert states[-1] == expected[-1] and states[-n] == expected[0]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                states[index]
+        for cut in (slice(None, 8), slice(-3, None), slice(1, None, 7), slice(n, None)):
+            got = states[cut]
+            assert got == expected[cut]
+            assert all(type(s) is EnumeratedState for s in got)
+
+    def test_iteration(self):
+        states = enumerate_definable(self.OMEGAS, TWO_PI, self.E_MAX)
+        items = list(states)
+        assert items == self.expected() == list(states)  # iterates again
+        assert all(type(s) is EnumeratedState for s in items)
+        assert list(reversed(states)) == items[::-1]
+        assert isinstance(states, Sequence)
+
+    def test_rows_are_read_only(self):
+        states = enumerate_definable(self.OMEGAS, TWO_PI, self.E_MAX)
+        with pytest.raises(AttributeError):
+            states.rows = ()
+        with pytest.raises(TypeError):
+            states.rows[0] = (1, "", "0")
+
+    def test_rows_not_tracked_by_the_collector(self):
+        # Plain tuples of ints and strings leave the collector's lists at
+        # their first collection; a tuple subclass would stay in them.
+        states = enumerate_definable(TestWorkloadLattice.OMEGAS, TWO_PI, 28.5)
+        gc.collect()
+        assert not any(map(gc.is_tracked, states.rows))
+        assert gc.is_tracked(EnumeratedState(states.rows[0]))
 
 
 class TestCountVsBox:

@@ -695,6 +695,7 @@ class TestValidation:
         pins = count_pins(monkeypatch)
         with pytest.raises(NonConvergenceError) as exc:
             solve_state(spec, "m1", (1,), tol=1e-14, max_iter=2)
+        assert exc.value.cause == "sweep_cap"
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
         assert pins == []  # a solve that gives up pins nothing

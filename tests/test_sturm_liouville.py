@@ -389,19 +389,34 @@ class TestReduction:
     def test_indefinite_mass_matrix_raises(self):
         A = np.eye(3)
         B = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(ConditioningError):
+        with pytest.raises(ConditioningError) as exc:
             _reduce(A, B)
+        assert exc.value.cause == "cholesky"
 
-    def test_failed_eigensolve_raises(self):
-        with pytest.raises(ConditioningError, match="reduced eigenproblem of size 3"):
+    def test_nan_pencil_refused_by_size(self):
+        # Not finite: refused by block size before LAPACK sees it.
+        with pytest.raises(ConditioningError, match="reduced eigenproblem of size 3") as exc:
             _reduce(np.full((3, 3), np.nan), np.eye(3))(3)
+        assert exc.value.cause == "overflow"
+
+    def test_failed_eigensolve_raises(self, monkeypatch):
+        # LAPACK converges on every finite symmetric block this library
+        # builds, so its failure is simulated.
+        def no_convergence(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ConditioningError) as exc:
+            _reduce(np.eye(3), np.eye(3))(3)
+        assert str(exc.value) == "reduced eigenproblem of size 3: Eigenvalues did not converge"
+        assert exc.value.cause == "eigh"
 
     def test_overflowing_pencil_is_conditioning_error(self):
         # On [0, 1e-300] the reduction overflows and C[0, 0] is NaN: a
         # numerical failure, not invalid input, refused by block size with no
         # numpy warning (the suite turns warnings into errors).
-        with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
+        with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1") as exc:
             solve(unit_problem(DIRICHLET, (0.0, 1e-300)))
+        assert exc.value.cause == "overflow"
 
     def test_subnormal_interval_is_one_conditioning_error(self):
         # On [0, 1e-320] the derivative's scale 2 / (b - a) overflows, so the
@@ -667,8 +682,9 @@ class TestMemo:
         iv = (0.0, 1e-300)
         prob = SLProblem(poly([1.0, 1.0], iv), poly([0.0], iv), poly([1.0], iv), DIRICHLET)
         for _ in range(2):
-            with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1"):
+            with pytest.raises(ConditioningError, match="reduced eigenproblem of size 1") as exc:
                 solve(prob)
+            assert exc.value.cause == "overflow"
         assert calls == [40, 40]
 
     def test_positivity_verdict_kept(self, monkeypatch):
@@ -723,8 +739,9 @@ class TestReferencePencil:
         # r h = 1e-300 * 5e-31 underflows to 0: a zero mass matrix, refused
         # as the failed Cholesky factorization of an assembled one is.
         prob = constant_problem(DIRICHLET, (0.0, 1e-30), 1.0, 0.0, 1e-300)
-        with pytest.raises(ConditioningError, match="mass matrix is numerically indefinite"):
+        with pytest.raises(ConditioningError, match="mass matrix is numerically indefinite") as exc:
             solve(prob)
+        assert exc.value.cause == "cholesky"
 
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_warm_results_equal_cold(self, kind):
@@ -800,6 +817,7 @@ class TestErrors:
     def test_nonconvergence_carries_trace(self):
         with pytest.raises(NonConvergenceError, match="eigenvalues not converged") as exc:
             solve(unit_problem(), num_modes=1, k_tol=1e-30, max_degree=10)
+        assert exc.value.cause == "degree_cap"
         assert exc.value.trace is not None
         assert exc.value.trace.degrees[0] == 2
 
