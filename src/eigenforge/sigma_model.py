@@ -40,7 +40,6 @@ from .polynomials import (
     LegendreSeries,
     Polynomial,
     as_series,
-    chebyshev_fit,
     integrate_product,
 )
 from .sturm_liouville import (
@@ -53,7 +52,7 @@ from .sturm_liouville import (
 )
 
 CHANGE_POINTS = 129
-# Default sweep cap of a field solve, shared with ``eigenforge sigma``.
+# Default and largest sweep cap of a field solve, shared with ``eigenforge sigma``.
 MAX_SWEEPS = 200
 # Bound on a model's field components; a solve's work grows linearly with them.
 MAX_COMPONENTS = 256
@@ -223,21 +222,8 @@ class IterationReport:
         return len(self.factor_changes)
 
 
-# Within a sweep the components share the space factors, and the time factors
-# stay fixed for a whole solve; ``_project_square`` and ``_unit_norm`` keep
-# the latest 32 squares and unit-norm scalings, so each is computed once per
-# factor rather than once per component. Polynomials are immutable values, so
-# they key the caches. The averages and moments are not kept: each is a ratio
-# of two integrals that ``integrate_product`` keeps.
-_FACTOR_CACHE = 32
-
-
-@lru_cache(maxsize=_FACTOR_CACHE)
-def _project_square(u: Polynomial) -> Polynomial:
-    """u^2 interpolated from u's values at twice u's degree, so exact up to rounding."""
-    return chebyshev_fit(lambda xs: u.values(xs) ** 2, 2 * u.degree, u.interval)
-
-
+# The averages and moments are not kept: each is a ratio of two integrals
+# that ``integrate_product`` keeps.
 def _weighted_average(f: Polynomial, u: Polynomial, r: Polynomial) -> float:
     """int f u^2 r / int u^2 r."""
     return integrate_product(f, u, u, r) / integrate_product(u, u, r)
@@ -257,12 +243,13 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
     their dimensions' current eigenfunctions (ratios, so unnormalized factors
     are harmless). The quadratic coupling, present only for a nonzero
     constant, contributes coupling_g * amplitude^2 times the other
-    dimensions' fourth-to-second moment ratios times the square of the
-    target factor. Each weight is averaged over ``components``, which must
-    share the target dimension's factor: every component for a space
-    dimension, one component for the time dimension. Both coefficients are
-    Legendre series, whatever the terms: the sum starts from the zero
-    series, and each term factor is added as its ``as_series``.
+    dimensions' fourth-to-second moment ratios times the target factor's
+    fitted square (``Polynomial.square``). Each weight is averaged over
+    ``components``, which must share the target dimension's factor: every
+    component for a space dimension, one component for the time dimension.
+    Both coefficients are Legendre series, whatever the terms: the sum starts
+    from the zero series, and each term factor is added as its
+    ``as_series``.
     """
     dims = spec.dimensions
     others = [d for d in range(len(dims)) if d != dim_index]
@@ -279,7 +266,7 @@ def effective_coeffs(spec: SigmaModelSpec, state: SeparableEigenstate, dim_index
             weight = sum(math.prod((_moment_ratio(state.factor_poly(ell, d), dims[d].r)
                                     for d in others), start=g)
                          for ell in components) / len(components)
-            acc = acc + _project_square(u) * weight
+            acc = acc + u.square * weight
         coeffs.append(acc)
     return coeffs[0], coeffs[1]
 
@@ -340,6 +327,15 @@ def _sup_change(old: Polynomial, new: Polynomial) -> float:
     return float(np.abs((old - new).values(xs)).max())
 
 
+# Bound of ``_unit_norm`` alone, which keeps unit-norm scalings by value: each
+# solve scales the one time pair under its model's time weight, and a new
+# constant series under each space weight, values seen in earlier solves. A
+# kept scaling makes the time factors the same objects in every solve, so the
+# derivatives and squares kept on them are computed once, not once per solve.
+# Polynomials are immutable values, so they key the cache.
+_FACTOR_CACHE = 32
+
+
 @lru_cache(maxsize=_FACTOR_CACHE)
 def _unit_norm(u: Polynomial, r: Polynomial) -> Polynomial:
     """u scaled to unit r-weighted norm, its sign kept."""
@@ -374,8 +370,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     No sweep reads the frequency, so it is pinned once, on the converged
     factors (``_pin_time``). The returned state is the last iterate with its
     frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
-    must be at least 1; exceeding it raises NonConvergenceError with the
-    report attached and cause ``"sweep_cap"``. An eigensolve that reaches its
+    must be at least 1 and at most ``MAX_SWEEPS``; a solve that needs more
+    sweeps raises NonConvergenceError with the report attached and cause
+    ``"sweep_cap"``. An eigensolve that reaches its
     degree cap raises its NonConvergenceError again, its message prefixed
     with the state's label, the space dimension and the sweep (0 for the
     uncounted first), with its cause ``"degree_cap"``, its Ritz trace and the
@@ -386,8 +383,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     _check_targets(targets, n_space, "target_modes")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    if not 1 <= max_iter <= MAX_SWEEPS:
+        raise DomainError(f"max_iter must be at least 1 and at most MAX_SWEEPS = {MAX_SWEEPS}, "
+                          f"got {max_iter}")
 
     pair = action_mod.make_time_pair()
     r_t = spec.time_dim.r

@@ -634,11 +634,11 @@ class TestSigmaCommand:
         assert spectrum["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert spectrum["closure"] is True
 
-    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    @pytest.mark.parametrize("max_iter", ["0", "-3", "201"])
     def test_sweep_cap_must_be_positive(self, model_file, max_iter):
         result = run_cli("sigma", "--model", model_file, "--max-iter", max_iter)
         assert result.returncode == 2
-        assert "max_iter must be at least 1" in result.stderr
+        assert "max_iter must be at least 1 and at most MAX_SWEEPS = 200" in result.stderr
         assert result.stdout == ""
 
     def test_report_keys(self, solution_file):

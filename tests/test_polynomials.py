@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_string_spec
+from eigenforge import polynomials, sigma_model
 from eigenforge.errors import DomainError
 from eigenforge.polynomials import (
-    _DERIVATIVE_CACHE,
     _INTEGRAL_CACHE,
     LegendreSeries,
     Polynomial,
@@ -424,11 +424,11 @@ class TestIntegralMemo:
 
     def test_bounded_by_the_module_constants(self):
         assert integrate_product.cache_info().maxsize == _INTEGRAL_CACHE
-        assert LegendreSeries.derivative.cache_info().maxsize == _DERIVATIVE_CACHE
 
     def test_kept_derivatives_bit_identical(self):
-        # Series with signed zeros among their coefficients share a key; the
-        # same coefficients on another interval are another function.
+        # A series keeps its derivative; a fresh, equal series computes the
+        # same bits. Signed zeros among the coefficients do not change them;
+        # the same coefficients on another interval are another function.
         rng = np.random.default_rng(29)
         series = []
         for n in range(1, 30):
@@ -437,15 +437,16 @@ class TestIntegralMemo:
         series += [LegendreSeries(c, UNIT) for c in
                    [(-0.0,), (0.0,), (1.0, -0.0, 2.0), (1.0, 0.0, 2.0), (-0.0, -0.0, 1.0),
                     (0.0, 0.0, 1.0)]]
-        cold = []
-        for f in series:
-            LegendreSeries.derivative.cache_clear()
-            cold.append([_bits(c) for c in f.derivative().coeffs])
-        warm = [[_bits(c) for c in f.derivative().coeffs] for f in series]
-        assert warm == cold
-        assert cold[-6] == cold[-5] and cold[-4] == cold[-3] and cold[-2] == cold[-1]
+        kept = [[_bits(c) for c in f.derivative().coeffs] for f in series]
+        assert all(f.derivative() is f.derivative() for f in series)
+        fresh = [[_bits(c) for c in LegendreSeries(f.coeffs, f.interval).derivative().coeffs]
+                 for f in series]
+        assert fresh == kept
+        assert kept[-6] == kept[-5] and kept[-4] == kept[-3] and kept[-2] == kept[-1]
 
     def test_coupled_modes_bit_identical_cleared_and_warm(self):
+        # Clearing the unit-norm memo gives new time factor objects, so their
+        # derivatives and squares are computed afresh too.
         spec = make_string_spec(coupling_g=0.05, num_modes=2)
 
         def solve_modes(clear):
@@ -453,7 +454,7 @@ class TestIntegralMemo:
             for mode in spec.modes:
                 if clear:
                     integrate_product.cache_clear()
-                    LegendreSeries.derivative.cache_clear()
+                    sigma_model._unit_norm.cache_clear()
                 state, _ = solve_state(spec, mode.label, mode.targets)
                 out.append(repr((state, null_postulate_residual(spec, state))))
             return out
@@ -462,3 +463,59 @@ class TestIntegralMemo:
         hits = integrate_product.cache_info().hits
         assert solve_modes(clear=False) == cleared
         assert integrate_product.cache_info().hits > hits
+
+
+class TestKeptOnValue:
+    """A monomial's Legendre form, a series' derivative and a function's
+    fitted square are kept on the object they derive from."""
+
+    def test_fresh_equal_object_computes_the_kept_bits(self):
+        # Conversions and squares; derivatives are checked in TestIntegralMemo.
+        rng = np.random.default_rng(31)
+        functions = []
+        for n in range(1, 30):
+            coeffs = tuple(rng.normal(size=n).tolist())
+            functions += [poly(coeffs, (0.5, 3.0)), poly(coeffs, UNIT),
+                          LegendreSeries(coeffs, UNIT)]
+        functions += [poly(c, UNIT) for c in [(-0.0,), (1.0, -0.0, 2.0)]]
+
+        def values(f):
+            return [[_bits(c) for c in v.coeffs] for v in (as_series(f), f.square)]
+
+        kept = [values(f) for f in functions]
+        assert all(as_series(f) is as_series(f) and f.square is f.square for f in functions)
+        fresh = [type(f)(f.coeffs, f.interval) for f in functions]
+        assert [values(g) for g in fresh] == kept
+
+    def test_each_value_computed_once_per_object(self, monkeypatch):
+        calls = {"series": 0, "derivative": 0, "square": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(polynomials, "_legendre_coeffs",
+                            counted("series", polynomials._legendre_coeffs))
+        monkeypatch.setattr(polynomials, "_legendre_derivative",
+                            counted("derivative", polynomials._legendre_derivative))
+        monkeypatch.setattr(polynomials, "chebyshev_fit",
+                            counted("square", polynomials.chebyshev_fit))
+        p = poly([1.0, -2.0, 0.5], (0.0, 2.0))
+        u = LegendreSeries((0.3, 1.0, -0.25), (0.0, 2.0))
+        for copies in (1, 2):
+            for _ in range(3):
+                assert as_series(p) is as_series(p)
+                assert u.derivative() is u.derivative()
+                assert p.square is p.square and u.square is u.square
+            assert calls == {"series": copies, "derivative": copies, "square": 2 * copies}
+            p, u = poly(p.coeffs, p.interval), LegendreSeries(u.coeffs, u.interval)
+
+    def test_monomial_above_the_cap_refused_on_every_call(self):
+        f = poly([0.0] * 65 + [1.0], UNIT)
+        assert f.degree == 65
+        for _ in range(3):
+            with pytest.raises(DomainError, match="degree 65 is above the cap 64"):
+                as_series(f)
+        assert "_series" not in vars(f)

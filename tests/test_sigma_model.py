@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -134,20 +135,24 @@ class TestEffectiveCoeffs:
 
     def test_each_monomial_converted_once(self, monkeypatch):
         # Term factors and weights are read in every sweep and every
-        # quadrature; each distinct one is converted to a series once.
+        # quadrature; each is converted to a series at most once and keeps
+        # it. Equal monomials are distinct objects here, so a value may be
+        # converted once per object holding it. The reference pencils' own
+        # constants, on (-1, 1), are not counted.
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        monomials = [dim.r for dim in spec.dimensions] + list(spec.P.terms[0])
         calls = []
         convert = polynomials._legendre_coeffs
 
         def counted(coeffs, interval):
-            calls.append((coeffs, interval))
+            if interval != (-1.0, 1.0):
+                calls.append((coeffs, interval))
             return convert(coeffs, interval)
 
-        polynomials._converted.cache_clear()
         monkeypatch.setattr(polynomials, "_legendre_coeffs", counted)
-        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
         _, report = solve_state(spec, "m11", (1, 1))
         assert report.iterations > 1
-        assert calls and len(calls) == len(set(calls))
+        assert calls and Counter(calls) <= Counter((f.coeffs, f.interval) for f in monomials)
 
 
 def box_spec():
@@ -475,7 +480,7 @@ class TestPinTime:
                            for term in coeff.terms)
             m4 = integrate_product(u_x, u_x, u_x, u_x, x.r) / norm
             expected = expected + (coeff.coupling_g * state.amplitude ** 2 * m4
-                                   * sigma_model._project_square(factor.u).values(ts))
+                                   * factor.u.square.values(ts))
             got = effective_coeffs(spec, state, spec.time_index, (ell,))[0 if field == "P" else 1]
             assert float(np.abs(got.values(ts) - expected).max()) <= 1e-12 * float(
                 np.abs(expected).max())
@@ -507,21 +512,31 @@ class TestPinTime:
 
 
 class TestFactorMemo:
-    # _project_square and _unit_norm keep squares and unit-norm scalings by
-    # factor; a solve that reads them returns what one that computes them does.
+    # _unit_norm keeps unit-norm scalings by value, so every solve shares the
+    # time factor objects and the squares kept on them; a solve that reads
+    # them returns what one that computes them does.
     def test_warm_results_equal_cold(self):
         spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
-        memos = (sigma_model._project_square, sigma_model._unit_norm)
-        for memo in memos:
-            memo.cache_clear()
+        sigma_model._unit_norm.cache_clear()
         cold, _ = solve_state(spec, "m", (1, 2))
-        hits = [memo.cache_info().hits for memo in memos]
+        hits = sigma_model._unit_norm.cache_info().hits
         warm, _ = solve_state(spec, "m", (1, 2))
-        assert all(memo.cache_info().hits > h for memo, h in zip(memos, hits))
+        assert sigma_model._unit_norm.cache_info().hits > hits
+        assert all(got.u is ref.u for got, ref in zip(warm.time_factors, cold.time_factors))
         assert warm.omega == cold.omega
         for got, ref in zip(warm.space_factors + warm.time_factors,
                             cold.space_factors + cold.time_factors, strict=True):
             assert got.u.coeffs == ref.u.coeffs and got.lambda_ == ref.lambda_
+
+    def test_kept_square_equals_fresh(self):
+        spec = coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.05)
+        state, _ = solve_state(spec, "m", (1, 2))
+        for factor in state.space_factors + state.time_factors:
+            u = factor.u
+            kept = u.square
+            fresh = type(u)(u.coeffs, u.interval).square
+            assert u.square is kept
+            assert [c.hex() for c in fresh.coeffs] == [c.hex() for c in kept.coeffs]
 
 
 def count_eigensolves(monkeypatch):
@@ -700,10 +715,11 @@ class TestValidation:
         assert exc.value.report.iterations == 2
         assert pins == []  # a solve that gives up pins nothing
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("max_iter", [0, -3, 201])
     def test_sweep_cap_must_be_positive(self, string_spec, monkeypatch, max_iter):
         calls = count_eigensolves(monkeypatch)
-        with pytest.raises(DomainError, match="max_iter must be at least 1"):
+        with pytest.raises(DomainError,
+                           match="max_iter must be at least 1 and at most MAX_SWEEPS = 200"):
             solve_state(string_spec, "m1", (1,), max_iter=max_iter)
         assert calls == []
 
