@@ -148,7 +148,9 @@ class DefinableStates(Sequence):
     its whole life, and every full collection would walk it. Indexing and
     iteration build an ``EnumeratedState`` over the same fields when a state
     is read, a slice a list of them. ``rows``, read-only, is the stored
-    tuple of plain triples, which the CSV writer formats directly."""
+    tuple of plain triples, which the CSV writer formats directly. A view is
+    a value: two views over equal rows compare and hash equal, and its repr
+    shows the rows."""
 
     __slots__ = ("_rows",)
     rows = property(attrgetter("_rows"))
@@ -166,6 +168,17 @@ class DefinableStates(Sequence):
 
     def __iter__(self):
         return map(EnumeratedState, self._rows)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._rows!r})"
 
 
 def mode_energies(omegas: Sequence[float], h: float) -> list[float]:

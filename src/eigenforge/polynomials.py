@@ -14,8 +14,8 @@ integrals by their factors, so an integral is a function of its factors alone,
 kept or computed afresh) or fitted from values, never formed. Every value
 carries the finite interval it lives on, and all operations are pure functions
 of immutable values. What derives from one value alone (a monomial's Legendre
-form, a series' derivative, a function's fitted square) is kept on that
-value, computed at most once per object and dropped with it.
+form, a series' derivative, a function's fitted square, its hash) is kept on
+that value, computed at most once per object and dropped with it.
 """
 
 from __future__ import annotations
@@ -90,6 +90,16 @@ class Polynomial:
             raise DomainError(f"need a finite interval with a < b, got ({a}, {b})")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "interval", (a, b))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @_kept
+    def _hash(self) -> int:
+        """The dataclass's hash of the fields, computed once per object: the
+        value-keyed memos and problem lookups hash the same factors again and
+        again, and each would otherwise rehash the coefficient tuple."""
+        return hash((self.coeffs, self.interval))
 
     @property
     def degree(self) -> int:
@@ -190,6 +200,9 @@ class LegendreSeries(Polynomial):
     Sums and differences of series, negation and scalar multiples are
     coefficient-wise, as for ``Polynomial``; a monomial operand is refused.
     """
+
+    # The decorator writes a field hash into each class that defines none.
+    __hash__ = Polynomial.__hash__
 
     def _at(self, xs):
         return leg.legval(_reference(xs, self.interval), np.asarray(self.coeffs))

@@ -53,46 +53,96 @@ _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, byte for b
 
 
 def dumps(obj: Any) -> str:
-    """Render with fixed key order, two-space indents and 17-significant-digit floats."""
+    """Render with fixed key order, two-space indents and 17-significant-digit floats.
+
+    Every piece is appended to one output list, joined once at the end, and
+    each nesting level's separators are built once. A node's exact type is
+    dispatched on first; ``None``, bools and subclasses (``np.float64``, dict
+    and list subclasses) take the ``isinstance`` chain, to the same bytes.
+    """
+    out: list[str] = []
+    append = out.append
+    # Per level: what opens, separates and closes its items.
+    levels: list[tuple[str, str, str]] = []
+
+    def layout(level):
+        while len(levels) <= level:
+            inner = "\n" + " " * (_INDENT * (len(levels) + 1))
+            levels.append((inner, "," + inner, "\n" + " " * (_INDENT * len(levels))))
+        return levels[level]
+
+    def sequence(node, level):
+        if not node:
+            append("[]")
+            return
+        # A Ritz trace entry [degree, value]: an exact int and an exact,
+        # finite float take one format call, the per-element bytes.
+        if (len(node) == 2 and type(node[0]) is int and type(node[1]) is float
+                and math.isfinite(node[1])):
+            append("[%d, %.17g]" % (node[0], node[1]))
+            return
+        # Only exact floats (no bool, int or numpy scalar), and a finite
+        # sum means every one is finite: "%.17g" is then format_float's
+        # text, with no check per element.
+        if _FLOAT_ONLY.issuperset(map(type, node)) and math.isfinite(sum(node)):
+            append("[" + ", ".join(map("%.17g".__mod__, node)) + "]")
+            return
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
+            append("[" + ", ".join([format_float(v) if isinstance(v, float) else str(v)
+                                    for v in node]) + "]")
+            return
+        opening, between, closing = layout(level)
+        append("[")
+        for v in node:
+            append(opening)
+            opening = between
+            render(v, level + 1)
+        append(closing + "]")
+
+    def mapping(node, level):
+        if not node:
+            append("{}")
+            return
+        opening, between, closing = layout(level)
+        append("{")
+        for k, v in node.items():
+            append(opening + _quote(str(k)) + ": ")
+            opening = between
+            render(v, level + 1)
+        append(closing + "}")
 
     def render(node, level):
-        pad = " " * (_INDENT * level)
-        inner = " " * (_INDENT * (level + 1))
-        if node is None:
-            return "null"
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if isinstance(node, int):
-            return str(node)
-        if isinstance(node, float):
-            return format_float(node)
-        if isinstance(node, str):
-            return _quote(node)
-        if isinstance(node, (list, tuple)):
-            if not node:
-                return "[]"
-            # A Ritz trace entry [degree, value]: an exact int and an exact,
-            # finite float take one format call, the per-element bytes.
-            if (len(node) == 2 and type(node[0]) is int and type(node[1]) is float
-                    and math.isfinite(node[1])):
-                return "[%d, %.17g]" % (node[0], node[1])
-            # Only exact floats (no bool, int or numpy scalar), and a finite
-            # sum means every one is finite: "%.17g" is then format_float's
-            # text, with no check per element.
-            if _FLOAT_ONLY.issuperset(map(type, node)) and math.isfinite(sum(node)):
-                return "[" + ", ".join(map("%.17g".__mod__, node)) + "]"
-            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
-                return "[" + ", ".join([format_float(v) if isinstance(v, float) else str(v)
-                                        for v in node]) + "]"
-            return "[\n" + ",\n".join(inner + render(v, level + 1) for v in node) + f"\n{pad}]"
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            items = [f"{_quote(str(k))}: {render(v, level + 1)}" for k, v in node.items()]
-            return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
-        raise DomainError(f"cannot serialize {type(node).__name__}")
+        kind = type(node)
+        if kind is float:
+            append(format_float(node))
+        elif kind is str:
+            append(_quote(node))
+        elif kind is dict:
+            mapping(node, level)
+        elif kind is list or kind is tuple:
+            sequence(node, level)
+        elif kind is int:
+            append(str(node))
+        elif node is None:
+            append("null")
+        elif isinstance(node, bool):
+            append("true" if node else "false")
+        elif isinstance(node, int):
+            append(str(node))
+        elif isinstance(node, float):
+            append(format_float(node))
+        elif isinstance(node, str):
+            append(_quote(node))
+        elif isinstance(node, (list, tuple)):
+            sequence(node, level)
+        elif isinstance(node, dict):
+            mapping(node, level)
+        else:
+            raise DomainError(f"cannot serialize {type(node).__name__}")
 
-    return render(obj, 0) + "\n"
+    render(obj, 0)
+    append("\n")
+    return "".join(out)
 
 
 def check_keys(mapping: Mapping, required: Sequence[str], optional: Sequence[str] = (),

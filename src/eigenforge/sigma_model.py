@@ -22,7 +22,11 @@ Legendre series, and a factor's change is the sup norm of old minus new at
 129 Chebyshev points of its interval: a measure of the function, not of the
 coefficients that represent it. An eigensolve is a function of its problem
 alone, so a sweep whose problem in a dimension is unchanged does not solve it
-again: the eigensolve would return the same factor.
+again: the eigensolve would return the same factor. A dimension's frozen
+problem is in turn a function of its inputs alone: the other space factors,
+and its own factor when the model is coupled (the time pair and the amplitude
+are fixed for the solve). A sweep in which none of them changed since the
+problem was last derived does not derive it again.
 """
 
 from __future__ import annotations
@@ -364,7 +368,15 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     therefore keeps that factor, with a change of 0, and is not solved
     again: the eigensolve would return it bit for bit. So a linear model
     whose frozen problems no sweep moves (one space dimension, or unit
-    coefficient terms) makes one eigensolve per space dimension. Sweep 0
+    coefficient terms) makes one eigensolve per space dimension. The
+    problem itself is derived again only when one of its inputs changed
+    since it was last derived: another space dimension's factor, or its own
+    factor when ``P`` or ``Q`` has a nonzero ``coupling_g`` (the factor's
+    square enters the coupling term); the time pair and the amplitude are
+    fixed for the solve. An input that changed without moving the problem
+    (a 2-D model with unit coefficient terms) still meets the equality
+    test. So a linear model in one space dimension derives its problem once,
+    and a coupled model derives every space problem in every sweep. Sweep 0
     replaces the constant starting factors and is not counted, so its
     change is not computed.
     No sweep reads the frequency, so it is pinned once, on the converged
@@ -400,11 +412,17 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         omega=1.0, amplitude=float(amplitude), space_norms=())
 
     report = IterationReport()
-    # The problem each dimension's current factor was solved from.
+    # The problem each dimension's current factor was solved from, and whether
+    # an input of that problem has changed since it was last derived.
     solved: list[SLProblem | None] = [None] * n_space
+    moved = [True] * n_space
+    coupled = spec.P.coupling_g != 0.0 or spec.Q.coupling_g != 0.0
     for sweep in range(max_iter + 1):
         worst = 0.0
         for d in range(n_space):
+            if not moved[d]:
+                continue  # deriving it again would return the same problem
+            moved[d] = False
             dim = spec.space_dims[d]
             problem = SLProblem(*effective_coeffs(spec, state, d, range(spec.components)),
                                 dim.r, dim.bc)
@@ -422,6 +440,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             factors = state.space_factors
             state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])
             solved[d] = problem
+            moved = [coupled or e != d for e in range(n_space)]
             if sweep > 0:
                 worst = max(worst, _sup_change(old.u, new.u))
         if sweep == 0:

@@ -4,6 +4,8 @@ import ast
 import gc
 import hashlib
 import math
+import os
+import subprocess
 import sys
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
@@ -442,6 +444,40 @@ class TestDefinableStates:
         gc.collect()
         assert not any(map(gc.is_tracked, states.rows))
         assert gc.is_tracked(EnumeratedState(states.rows[0]))
+
+
+    def test_views_over_equal_rows_are_equal_values(self):
+        states = enumerate_definable(self.OMEGAS, TWO_PI, self.E_MAX)
+        again = enumerate_definable(self.OMEGAS, TWO_PI, self.E_MAX)
+        assert again is not states and again.rows is not states.rows
+        assert again == states and hash(again) == hash(states)
+        assert len({states, again}) == 1
+        assert states != enumerate_definable(self.OMEGAS, TWO_PI, 5.0)
+        assert states != list(states) and states != states.rows
+        assert repr(states) == f"DefinableStates({states.rows!r})"
+
+    def test_field_result_repr_is_the_same_in_two_cold_runs(self):
+        # A field pipeline's result (states, reports, spectrum, enumeration)
+        # reprs without an object address, so two fresh processes print it alike.
+        script = (
+            "import math\n"
+            "from eigenforge import action, godel, sigma_model\n"
+            "from conftest import make_string_spec\n"
+            "spec = make_string_spec()\n"
+            "solved = [sigma_model.solve_state(spec, m.label, m.targets) for m in spec.modes]\n"
+            "states = [s for s, _ in solved]\n"
+            "alphas = [action.action_for_state(s) for s in states]\n"
+            "spectrum = action.fit_spectrum([m.label for m in spec.modes], alphas)\n"
+            "omegas = [s.omega for s in states]\n"
+            "e_max = 2.0 * spectrum.h * max(omegas) / (2.0 * math.pi)\n"
+            "print(repr((solved, spectrum, godel.enumerate_definable(omegas, spectrum.h, e_max))))\n"
+        )
+        path = [str(Path(godel.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, check=True).stdout for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert "DefinableStates(((1, '', '0'), " in runs[0] and " at 0x" not in runs[0]
 
 
 class TestCountVsBox:

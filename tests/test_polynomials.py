@@ -519,3 +519,42 @@ class TestKeptOnValue:
             with pytest.raises(DomainError, match="degree 65 is above the cap 64"):
                 as_series(f)
         assert "_series" not in vars(f)
+
+
+class TestKeptHash:
+    """A polynomial's hash is the dataclass's hash of its fields, computed
+    once per object and kept on it."""
+
+    VALUES = [poly([1.0, -2.0, 0.5], (0.0, 2.0)), poly([0.0], UNIT),
+              LegendreSeries((0.3, 1.0, -0.25), (0.0, 2.0)), LegendreSeries((2.0,), UNIT)]
+    IDS = ["monomial", "zero", "series", "constant-series"]
+
+    @pytest.mark.parametrize("f", VALUES, ids=IDS)
+    def test_hash_of_the_fields(self, f):
+        assert hash(f) == hash((f.coeffs, f.interval))
+
+    @pytest.mark.parametrize("f", VALUES, ids=IDS)
+    def test_equal_values_hash_equal(self, f):
+        other = type(f)(f.coeffs, f.interval)
+        assert other is not f and other == f and hash(other) == hash(f)
+        assert len({f, other}) == 1
+
+    def test_computed_once_per_object(self, monkeypatch):
+        calls = []
+        kept = vars(Polynomial)["_hash"]
+        compute = kept.func
+
+        def counted(f):
+            calls.append(f)
+            return compute(f)
+
+        monkeypatch.setattr(kept, "func", counted)
+        values = [type(f)(f.coeffs, f.interval) for f in self.VALUES]
+        for _ in range(3):
+            for f in values:
+                hash(f)
+            integrate_product(values[0], values[2])
+        assert [id(f) for f in calls] == [id(f) for f in values]
+
+    def test_series_shares_the_kept_hash(self):
+        assert LegendreSeries.__hash__ is Polynomial.__hash__

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import count_assemblies, coupled_spec, make_string_spec
 from eigenforge import polynomials, sigma_model, sturm_liouville
-from eigenforge.action import make_time_pair
+from eigenforge.action import TIME_PAIR_DEGREE, make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
 from eigenforge.polynomials import (
     LegendreSeries,
@@ -550,6 +550,86 @@ def count_eigensolves(monkeypatch):
     return calls
 
 
+def varying_box_spec():
+    """Linear box (0, 1) x (0, 2) with P = (1 + 0.4 x) + (1 + 0.3 y): each
+    dimension's frozen p is its own term plus the other term's average over
+    the other factor, so it moves with that factor."""
+    iv1, iv2 = (0.0, 1.0), (0.0, 2.0)
+    time_iv = (0.0, math.pi / 2)
+    d1 = DimensionSpec(iv1, poly([1.0], iv1), DIRICHLET)
+    d2 = DimensionSpec(iv2, poly([1.0], iv2), NEUMANN)
+    time = DimensionSpec(time_iv, poly([1.0], time_iv), DIRICHLET)
+    p_field = CoeffField(terms=((poly([1.0, 0.4], iv1), poly([1.0], iv2), poly([1.0], time_iv)),
+                                (poly([1.0], iv1), poly([1.0, 0.3], iv2), poly([1.0], time_iv))))
+    return SigmaModelSpec((d1, d2), time, p_field, CoeffField(terms=()))
+
+
+def rederiving_solve(spec, targets, tol=1e-10):
+    """``solve_state`` with every space dimension's problem derived in every
+    sweep: the loop before the input rule, kept as the reference."""
+    pair = make_time_pair()
+    r_t = spec.time_dim.r
+    time_polys = (sigma_model._unit_norm(pair.u1, r_t), sigma_model._unit_norm(pair.u2, r_t))
+    state = SeparableEigenstate(
+        label="m",
+        space_factors=tuple(
+            EigenPair(0.0, sigma_model._unit_norm(LegendreSeries((1.0,), dim.interval), dim.r), 0)
+            for dim in spec.space_dims),
+        time_factors=tuple(EigenPair(0.0, time_polys[ell % 2], TIME_PAIR_DEGREE)
+                           for ell in range(spec.components)),
+        omega=1.0, amplitude=1.0, space_norms=())
+    report = IterationReport()
+    solved = [None] * len(spec.space_dims)
+    for sweep in range(sigma_model.MAX_SWEEPS + 1):
+        worst = 0.0
+        for d, dim in enumerate(spec.space_dims):
+            problem = SLProblem(*effective_coeffs(spec, state, d, range(spec.components)),
+                                dim.r, dim.bc)
+            if problem == solved[d]:
+                continue
+            old = state.space_factors[d]
+            pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=sigma_model.SL_K_TOL,
+                                max_degree=sigma_model.SL_MAX_DEGREE)
+            new = pairs[targets[d] - 1]
+            factors = state.space_factors
+            state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])
+            solved[d] = problem
+            if sweep > 0:
+                worst = max(worst, sigma_model._sup_change(old.u, new.u))
+        if sweep == 0:
+            continue
+        report.factor_changes.append(worst)
+        if worst < tol:
+            report.converged = True
+            break
+    return sigma_model._pin_time(spec, state), report
+
+
+def count_space_derivations(monkeypatch):
+    """The dimension of every space-problem derivation from now on; the
+    time pin's derivations are left out."""
+    calls, derive = [], sigma_model.effective_coeffs
+
+    def counted(spec, state, dim_index, components):
+        if dim_index < spec.time_index:
+            calls.append(dim_index)
+        return derive(spec, state, dim_index, components)
+
+    monkeypatch.setattr(sigma_model, "effective_coeffs", counted)
+    return calls
+
+
+SKIP_MODELS = {
+    "string-1": (lambda: make_string_spec(), (1,)),
+    "string-2": (lambda: make_string_spec(), (2,)),
+    "string-3": (lambda: make_string_spec(), (3,)),
+    "box": (box_spec, (1, 2)),
+    "varying-box": (varying_box_spec, (1, 2)),
+    "1d-coupled": (lambda: coupled_spec((2.1,), (DIRICHLET,), 0.5), (1,)),
+    "2d-coupled": (lambda: coupled_spec((1.3, 2.1), (DIRICHLET, NEUMANN), 0.5), (1, 2)),
+}
+
+
 class TestUnchangedProblemSkip:
     # These linear models' frozen problems do not move once sweep 0 has
     # solved them, so sweep 1 finds every problem unchanged and solves none.
@@ -597,6 +677,50 @@ class TestUnchangedProblemSkip:
         pairs, _ = sl_solve(problem, num_modes=2,
                             k_tol=sigma_model.SL_K_TOL, max_degree=sigma_model.SL_MAX_DEGREE)
         assert pairs[1] == kept
+
+    # A space problem is derived again only when one of its inputs changed:
+    # another space factor, or its own factor in a coupled model.
+    @pytest.mark.parametrize("model", SKIP_MODELS)
+    def test_same_bits_as_rederiving_every_sweep(self, model):
+        build, targets = SKIP_MODELS[model]
+        spec = build()
+        got, got_report = solve_state(spec, "m", targets)
+        ref, ref_report = rederiving_solve(spec, targets)
+        assert got_report.converged and ref_report.converged
+        assert got_report.factor_changes == ref_report.factor_changes
+        assert got.omega == ref.omega
+        for a, b in zip(got.space_factors + got.time_factors,
+                        ref.space_factors + ref.time_factors, strict=True):
+            assert (a.u.coeffs, a.lambda_, a.degree_used) == (b.u.coeffs, b.lambda_, b.degree_used)
+
+    def test_varying_model_moves_its_problems(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        _, report = solve_state(varying_box_spec(), "m", (1, 2))
+        assert report.iterations > 1 and len(calls) > 2
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_uncoupled_string_derives_once(self, monkeypatch, mode):
+        derivations = count_space_derivations(monkeypatch)
+        solve_state(make_string_spec(), "m", (mode,))
+        assert derivations == [0]
+
+    def test_unit_box_tests_the_moved_input(self, monkeypatch):
+        # Sweep 1 derives dimension 0 again, since dimension 1's factor moved
+        # in sweep 0; its problem is unchanged, so dimension 1's inputs are not.
+        derivations = count_space_derivations(monkeypatch)
+        calls = count_eigensolves(monkeypatch)
+        solve_state(box_spec(), "m", (1, 2))
+        assert derivations == [0, 1, 0] and len(calls) == 2
+
+    @pytest.mark.parametrize("model", ["1d-coupled", "2d-coupled"])
+    def test_coupled_model_derives_every_sweep(self, monkeypatch, model):
+        build, targets = SKIP_MODELS[model]
+        spec = build()
+        derivations = count_space_derivations(monkeypatch)
+        _, report = solve_state(spec, "m", targets)
+        assert report.iterations > 1
+        n_space = len(spec.space_dims)
+        assert derivations == list(range(n_space)) * (report.iterations + 1)
 
 
 class TestDerivedFields:
