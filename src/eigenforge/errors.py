@@ -15,13 +15,13 @@ class DomainError(EigenforgeError, ValueError):
 
 
 class ConditioningError(EigenforgeError, RuntimeError):
-    """A LAPACK factorization or eigensolve of the assembled pencil failed, or
-    the reduced matrix it needed overflowed.
+    """A LAPACK factorization or eigensolve of the pencil failed, or a matrix
+    or value it needed overflowed.
 
     ``cause`` names the failed step: ``"cholesky"`` (the mass matrix has no
     Cholesky factor), ``"eigh"`` (the reduced eigensolve failed) or
-    ``"overflow"`` (the reduced matrix, or its affine scaling, is not
-    finite).
+    ``"overflow"`` (the assembled mass matrix, the reduced matrix, or the
+    Ritz values scaled off the pencil's reduction, is not finite).
     """
 
     def __init__(self, message, *, cause):

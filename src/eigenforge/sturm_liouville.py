@@ -15,19 +15,13 @@ and its derivative at the nodes depend on the boundary pair, the degree and
 the node count alone and are kept for the latest ``_BASIS_CACHE`` of them.
 Likewise the stiffness and mass matrices of degree n are the leading
 (n - 1) x (n - 1) blocks of those of any higher degree. ``solve`` therefore
-assembles the pencil once, at the highest degree it may visit, reduces it
-once by a Cholesky factorization of the mass matrix, and diagonalizes the
-leading block of the reduced matrix for each visited degree with LAPACK
-(``numpy.linalg.eigh``).
-
-A problem whose p, q and r are all constants (the string, the box, the free
-particle) assembles and reduces no pencil of its own. With h = (b - a) / 2 its
-pencil is (p/h K - q h M, r h M), where (K, M) is the pencil of -u'' = mu u
-on (-1, 1) under the same conditions, so each Ritz value is
-p mu / (r h^2) - q / r, the Ritz vectors are the reference's, and each B-norm
-is r h times the reference's. One reference reduction is kept per (boundary
-pair, top degree), built on first use and read-only, and every constant
-problem reads its Ritz pairs off it through that map.
+reads one reduced pencil (``_pencil``), built once at the highest degree it
+may visit by a Cholesky factorization of the mass matrix, and diagonalizes
+its leading block for each visited degree with LAPACK
+(``numpy.linalg.eigh``). A problem with a variable coefficient assembles its
+own; one whose p, q and r are all constants reads the kept reference pencil
+of -u'' = mu u on (-1, 1), one per (boundary pair, top degree), through an
+affine map of its Ritz values and B-norms.
 LAPACK's eigenvalues carry an absolute error of about machine epsilon times
 the largest eigenvalue of the reduced matrix, which at degree 40 is a
 relative error of up to 4e-12 on the low modes; each eigenvalue is therefore
@@ -99,22 +93,30 @@ NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 
 def require_positive(f: Polynomial, name: str) -> None:
     """Refuse f, by name, unless it exceeds 1e-12 times its largest absolute
-    value on the closed interval: a rule free of f's scale (``_is_positive``)."""
-    if not _is_positive(f):
+    value on the closed interval: a rule free of f's scale (``_is_positive``).
+    An f whose values there overflow is refused as not finite."""
+    positive = _is_positive(f)
+    if not positive:
         lo, hi = f.interval
-        raise DomainError(f"{name} must be positive on [{lo}, {hi}]")
+        rule = "is not finite" if positive is None else "must be positive"
+        raise DomainError(f"{name} {rule} on [{lo}, {hi}]")
 
 
 @lru_cache(maxsize=_POSITIVITY_CACHE)
-def _is_positive(f: Polynomial) -> bool:
-    """Whether f exceeds 1e-12 times its largest |f| on the closed interval.
+def _is_positive(f: Polynomial) -> bool | None:
+    """Whether f exceeds 1e-12 times its largest |f| on the closed interval,
+    or None where a value of f read there is not finite (read with numpy's
+    overflow warning off).
     f's extremes lie at the ends or where f' vanishes, so f is read, as its
     Legendre series in the reference variable t, at t = -1 and 1 and at the
     real part of every root of f' with -1 <= t <= 1 (the real part, so that a
     double root that rounding splits into a complex pair is still read)."""
     coeffs = np.asarray(polynomials.as_series(f).coeffs)
     roots = leg.legroots(polynomials._legendre_derivative(coeffs.size) @ coeffs).real.tolist()
-    vals = leg.legval([-1.0, 1.0] + [t for t in roots if abs(t) <= 1.0], coeffs).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = leg.legval([-1.0, 1.0] + [t for t in roots if abs(t) <= 1.0], coeffs).tolist()
+    if not all(map(math.isfinite, vals)):
+        return None
     return min(vals) > _POSITIVITY_MARGIN * max(map(abs, vals))
 
 
@@ -225,9 +227,10 @@ def _assemble(prob: SLProblem, degree: int):
     derivative's scale 2 / (b - a) and the coefficients depend on the problem.
 
     On an interval so short that the scale overflows (below about 1e-308),
-    the stiffness matrix holds NaN; it is formed with numpy's warnings off,
-    and ``_reduce`` refuses the pencil (its mass matrix then underflows, and
-    a non-finite reduced matrix is refused in any case)."""
+    or with coefficients near the float range, an entry can overflow; the
+    pencil is formed with numpy's warnings off, and ``_reduce`` refuses it
+    (a mass matrix that is not finite or underflows, a reduced matrix that
+    is not finite)."""
     lo, hi = prob.interval
     n_nodes = (max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree) // 2 + 1
     w = 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[1]
@@ -236,8 +239,8 @@ def _assemble(prob: SLProblem, degree: int):
     with np.errstate(over="ignore", invalid="ignore"):
         dphi = dphi * (2.0 / (hi - lo))
         A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T
-    B = (phi * (w * rv)) @ phi.T
-    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+        B = (phi * (w * rv)) @ phi.T
+        return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
 def _reduce(A: np.ndarray, B: np.ndarray):
@@ -254,13 +257,17 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     arrays.
 
     A LAPACK failure in the factorization or an eigensolve raises
-    ``ConditioningError`` of cause ``"cholesky"`` or ``"eigh"``, and a block
-    of C that is not finite one of cause ``"overflow"``: the
-    product forming C can overflow, and then carries NaN into the leading
-    entries. C is formed with numpy's overflow warnings off, and its largest
-    finite leading block is recorded, so a block past it is refused by size
-    with no warning. Failures are raised again on every request, never kept.
+    ``ConditioningError`` of cause ``"cholesky"`` or ``"eigh"``, and a mass
+    matrix or a block of C that is not finite one of cause ``"overflow"``:
+    the product forming C can overflow, and then carries NaN into the
+    leading entries. C is formed with numpy's overflow warnings off, and its
+    largest finite leading block is recorded, so a block past it is refused
+    by size with no warning. Failures are raised again on every request,
+    never kept.
     """
+    if not np.isfinite(B).all():
+        raise ConditioningError("mass matrix is not finite: its assembly overflows",
+                                cause="overflow")
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
@@ -311,26 +318,26 @@ def _reference_sequence(bc: BoundaryCondition, top: int):
     return _reduce(*_assemble(SLProblem(one, zero, one, bc), top))
 
 
-def _affine_map(prob: SLProblem):
-    """(scale, shift, weight) that map the reference pencil's Ritz pairs to the
-    problem's, or None unless p, q and r are all constants.
+def _pencil(prob: SLProblem, top: int):
+    """The one source of a solve's Ritz pairs, reduced at degree ``top``:
+    (leading_eigh, scale, shift, weight), read as the Ritz values
+    scale * theta - shift, the source's vectors and weight times its B-norms.
 
-    With h = (b - a) / 2 the pencil of constant p, q, r is
-    (p/h K - q h M, r h M), so each Ritz value is scale * mu - shift, with
-    scale = p / (r h^2) and shift = q / r, the Ritz vectors are the
-    reference's, and each B-norm is weight = r h times the reference's. A
-    weight that underflows to 0 leaves a zero mass matrix, refused as a
-    failed Cholesky factorization would be.
+    A variable coefficient gives the problem's own pencil and the identity
+    map, which keeps every bit. With constant p, q, r and h = (b - a) / 2 the
+    pencil is (p/h K - q h M, r h M): the kept reference (K, M), read with
+    scale p / (r h^2), shift q / r and weight r h. A weight that underflows
+    to 0 leaves a zero mass matrix, refused as a failed Cholesky would be.
     """
     if prob.p.degree or prob.q.degree or prob.r.degree:
-        return None
+        return _reduce(*_assemble(prob, top)), 1.0, 0.0, 1.0
     (p,), (q,), (r,) = prob.p.coeffs, prob.q.coeffs, prob.r.coeffs
     lo, hi = prob.interval
     h = 0.5 * (hi - lo)
     weight = r * h
     if not weight > 0:
         raise ConditioningError("mass matrix is numerically indefinite", cause="cholesky")
-    return p / weight / h, q / r, weight
+    return _reference_sequence(prob.bc, top), p / weight / h, q / r, weight
 
 
 def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:
@@ -379,16 +386,14 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     a request with ``num_modes`` above ``max_modes(max_degree)`` could never
     stop and is refused with ``DomainError``.
 
-    The pencil is assembled and reduced once, at ``max_degree`` rounded down
-    to even, and each visited degree is its leading block. Each visited degree
-    reads its trace entry and stop-test values from one ``tolist`` of its
-    sorted Ritz values; only the degree that returns orders its vectors. A
-    problem with constant p, q and r reads the kept reference pencil of its
-    boundary pair and degree instead (``_reference_sequence``), mapped by
-    ``_affine_map``: it assembles, reduces and keeps nothing of its own, and a
-    mapped value that is not finite raises ``ConditioningError``, as an
-    overflowing reduction does. The result is a function of the problem,
-    ``num_modes``, ``k_tol`` and ``max_degree`` alone, bit for bit.
+    ``_pencil`` gives the one reduced pencil, at ``max_degree`` rounded down
+    to even, and the affine map its Ritz pairs are read through; each visited
+    degree is its leading block and reads its trace entry and stop-test
+    values, mapped, from one ``tolist`` of its sorted Ritz values. A mapped
+    value that is not finite raises ``ConditioningError`` of cause
+    ``"overflow"``. Only the degree that returns orders its vectors. The
+    result is a function of the problem, ``num_modes``, ``k_tol`` and
+    ``max_degree`` alone, bit for bit.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
@@ -407,35 +412,26 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             f"compares two visited degrees, each holding at least {num_modes} trial functions"
         )
     top = max_degree // 2 * 2
-    affine = _affine_map(prob)
-    if affine is None:
-        leading_eigh = _reduce(*_assemble(prob, top))
-    else:
-        leading_eigh = _reference_sequence(prob.bc, top)
-        scale, shift, weight = affine
+    leading_eigh, scale, shift, weight = _pencil(prob, top)
     trace_entries: list[tuple[int, float]] = []
     prev_vals: list[float] | None = None
     for degree in range(2, top + 1, 2):
         ascending, theta, Y, norms = leading_eigh(degree - 1)
         # Read as Python floats: the same IEEE test as on arrays, without
         # numpy's per-call cost at every degree of a solve that misses the memo.
-        cur_vals = ascending[:num_modes].tolist()
-        if affine is not None:
-            cur_vals = [scale * mu - shift for mu in cur_vals]
-            if not all(map(math.isfinite, cur_vals)):
-                raise ConditioningError(
-                    f"reduced eigenproblem of size {degree - 1} is not finite: "
-                    "its scaling overflows", cause="overflow")
+        cur_vals = [scale * mu - shift for mu in ascending[:num_modes].tolist()]
+        if not all(map(math.isfinite, cur_vals)):
+            raise ConditioningError(
+                f"reduced eigenproblem of size {degree - 1} is not finite: "
+                "its Ritz values overflow", cause="overflow")
         trace_entries.append((degree, cur_vals[0]))
         if len(cur_vals) < num_modes:
             continue
         if prev_vals is not None and all(p - c < k_tol or p - c <= _STOP_ULPS * math.ulp(p)
                                          for p, c in zip(prev_vals, cur_vals)):
-            if affine is not None:
-                with np.errstate(over="ignore"):  # only an unrequested mode can overflow
-                    theta = theta * scale - shift
-                norms = norms * weight
-            return (_build_pairs(prob, theta, Y, norms, degree, num_modes),
+            with np.errstate(over="ignore"):  # only an unrequested mode can overflow
+                theta = theta * scale - shift
+            return (_build_pairs(prob, theta, Y, norms * weight, degree, num_modes),
                     RitzTrace(tuple(trace_entries)))
         prev_vals = cur_vals
     raise NonConvergenceError(

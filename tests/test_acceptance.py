@@ -218,7 +218,7 @@ def test_criterion_9_determinism(tmp_path):
     solution_path = tmp_path / "solution.json"
 
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "eigenforge", *args],
+        return subprocess.run([sys.executable, "-W", "error", "-m", "eigenforge", *args],
                               capture_output=True)
 
     first = run("sigma", "--model", str(model_path), "--out", str(solution_path))

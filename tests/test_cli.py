@@ -22,8 +22,9 @@ from eigenforge.polynomials import Polynomial, poly
 
 
 def run_cli(*args, cwd=None, timeout=None):
+    # -W error: a numpy warning in a CLI run fails its test, as in process.
     return subprocess.run(
-        [sys.executable, "-m", "eigenforge", *args],
+        [sys.executable, "-W", "error", "-m", "eigenforge", *args],
         capture_output=True, text=True, cwd=cwd, timeout=timeout,
     )
 
@@ -392,6 +393,26 @@ class TestEigenCommand:
         result = run_cli("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 3
         assert result.stderr == "error: mass matrix is numerically indefinite\n"
+
+    @pytest.mark.parametrize("coeffs,code,message", [
+        ({"r": [1e308]}, 3, "error: mass matrix is not finite: its assembly overflows"),
+        ({"q": [1e308], "r": [1e-10]}, 3,
+         "error: reduced eigenproblem of size 1 is not finite: its reduction overflows"),
+        ({"p": [1e308, 1e308]}, 2, "error: p is not finite on [0.0, 1.0]"),
+    ], ids=["r-high", "q-high", "p-high"])
+    def test_overflowing_coefficients_one_error_line(self, tmp_path, coeffs, code, message):
+        # p = 1 + x (or 1e308 (1 + x)) on [0, 1] with coefficients near the
+        # float range: one error line naming the overflow, and no numpy
+        # warning (the run turns warnings into errors).
+        obj = serialize.problem_to_obj(make_unit_problem())
+        obj["p"]["coeffs"] = [1.0, 1.0]
+        for name, values in coeffs.items():
+            obj[name]["coeffs"] = values
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        assert result.returncode == code
+        assert result.stderr.splitlines() == [message]
 
     def test_library_defect_is_not_invalid_input(self, monkeypatch):
         # Only the library's own errors, ValueError and OSError are invalid
@@ -783,9 +804,7 @@ class TestCodecCommands:
 
     @pytest.mark.parametrize("occupation", ["0,0,100000000", "1000000", "4097"])
     def test_encode_past_the_integer_bound_invalid(self, occupation):
-        result = subprocess.run([sys.executable, "-m", "eigenforge", "encode",
-                                 "--occupation", occupation],
-                                capture_output=True, text=True, timeout=10)
+        result = run_cli("encode", "--occupation", occupation, timeout=10)
         assert result.returncode == 2
         assert result.stderr.startswith("error: occupation ")
         assert "MAX_GODEL_BITS = 4096" in result.stderr
@@ -830,7 +849,7 @@ class TestEnumerateCommand:
     def test_two_mode_example_csv(self):
         # The README example prints exactly its five lines.
         result = subprocess.run(
-            [sys.executable, "-m", "eigenforge", "enumerate", "--omegas", "1,2",
+            [sys.executable, "-W", "error", "-m", "eigenforge", "enumerate", "--omegas", "1,2",
              "--quantum-I", "1.5707963267948966", "--emax", "2"], capture_output=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout == (
@@ -844,8 +863,9 @@ class TestEnumerateCommand:
         # Interior zeros and two-digit occupations (557 states) keep a
         # pinned sha256 of the CSV bytes.
         result = subprocess.run(
-            [sys.executable, "-m", "eigenforge", "enumerate", "--omegas", "0.3,1.1,0.7,2.9,1.7",
-             "--quantum-I", "1.5707963267948966", "--emax", "6.3"], capture_output=True)
+            [sys.executable, "-W", "error", "-m", "eigenforge", "enumerate",
+             "--omegas", "0.3,1.1,0.7,2.9,1.7", "--quantum-I", "1.5707963267948966",
+             "--emax", "6.3"], capture_output=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.count(b"\n") == 558
         assert hashlib.sha256(result.stdout).hexdigest() == (
@@ -880,7 +900,7 @@ class TestEnumerateCommand:
         program = ("import sys; from eigenforge import cli, godel; "
                    f"godel.MAX_STATES = {limit}; sys.exit(cli.main(sys.argv[1:]))")
         result = subprocess.run(
-            [sys.executable, "-c", program, "enumerate", "--omegas", "1,1,1",
+            [sys.executable, "-W", "error", "-c", program, "enumerate", "--omegas", "1,1,1",
              "--quantum-I", "1", "--emax", "20"], capture_output=True, text=True)
         assert result.returncode == code
         if code:
@@ -892,10 +912,8 @@ class TestEnumerateCommand:
     def test_integer_size_limit(self):
         # One mode with 999 999 quanta below the cutoff: few enough states,
         # but the last Godel integer is 2^999999.
-        result = subprocess.run(
-            [sys.executable, "-m", "eigenforge", "enumerate", "--omegas", "1",
-             "--quantum-I", repr(math.pi / 2), "--emax", "999999"],
-            capture_output=True, text=True, timeout=30)
+        result = run_cli("enumerate", "--omegas", "1", "--quantum-I", repr(math.pi / 2),
+                         "--emax", "999999", timeout=30)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert "MAX_GODEL_BITS = 4096" in result.stderr
@@ -915,8 +933,9 @@ class TestQstarCommand:
         # Any whitespace, a tab included, separates tokens: both spellings
         # print the same bytes.
         for expr in ("(W+1)/W", "( W\t+ 1 )/W"):
-            result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
-                                    capture_output=True)
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "eigenforge", "qstar", "--expr", expr],
+                capture_output=True)
             assert result.returncode == 0, result.stderr
             assert result.stdout == b"(W+1)/W\nfinite; equal to 1; not identical to 1\n"
 
@@ -946,8 +965,7 @@ class TestQstarCommand:
     ], ids=["huge-exponent", "deep-nesting", "nested-power", "long-product",
             "nested-integer-power", "long-literal"])
     def test_unbounded_input_invalid(self, expr, bound):
-        result = subprocess.run([sys.executable, "-m", "eigenforge", "qstar", "--expr", expr],
-                                capture_output=True, text=True, timeout=10)
+        result = run_cli("qstar", "--expr", expr, timeout=10)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert bound in result.stderr

@@ -34,7 +34,7 @@ def test_string_pipeline_matches_the_cli(tmp_path, capsys, flags):
     # The CLI in a fresh process writes the same solution bytes.
     model, cli_solution = tmp_path / "string_model.json", tmp_path / "cli_solution.json"
     result = subprocess.run(
-        [sys.executable, "-m", "eigenforge", "sigma", "--model", str(model),
+        [sys.executable, "-W", "error", "-m", "eigenforge", "sigma", "--model", str(model),
          "--out", str(cli_solution)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert cli_solution.read_bytes() == (tmp_path / "string_solution.json").read_bytes()

@@ -125,6 +125,16 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             BoundaryCondition("value", "robin")
 
+    @pytest.mark.parametrize("name", ["p", "r"])
+    def test_overflowing_values_refused_as_not_finite(self, name):
+        # 1e308 (1 + x) overflows at x = 1: refused by name as not finite,
+        # with no numpy warning (the suite turns warnings into errors).
+        iv = (0.0, 1.0)
+        coeffs = {"p": [1.0], "q": [0.0], "r": [1.0], name: [1e308, 1e308]}
+        for _ in range(2):  # the verdict is kept; the refusal is the same
+            with pytest.raises(DomainError, match=rf"^{name} is not finite on \[0.0, 1.0\]$"):
+                SLProblem(*(poly(coeffs[k], iv) for k in "pqr"), DIRICHLET)
+
 
 class TestRayleighQuotient:
     def test_bubble_is_exactly_ten(self):
@@ -399,6 +409,15 @@ class TestReduction:
             _reduce(np.full((3, 3), np.nan), np.eye(3))(3)
         assert exc.value.cause == "overflow"
 
+    def test_non_finite_mass_matrix_refused(self):
+        # Refused before its Cholesky factorization is tried.
+        for bad in (np.inf, np.nan):
+            B = np.eye(3)
+            B[2, 2] = bad
+            with pytest.raises(ConditioningError, match="mass matrix is not finite") as exc:
+                _reduce(np.eye(3), B)
+            assert exc.value.cause == "overflow"
+
     def test_failed_eigensolve_raises(self, monkeypatch):
         # LAPACK converges on every finite symmetric block this library
         # builds, so its failure is simulated.
@@ -429,6 +448,24 @@ class TestReduction:
             warnings.simplefilter("error")
             with pytest.raises(ConditioningError, match="mass matrix is numerically indefinite"):
                 solve(prob)
+
+
+class TestOverflowingAssembly:
+    # Coefficients near the float range overflow the assembled pencil of
+    # p = 1 + x: one ConditioningError of cause "overflow", with no numpy
+    # warning, whichever matrix overflows.
+    @pytest.mark.parametrize("q,r,message", [
+        (1e308, 1.0, "reduced eigenproblem of size 1 is not finite"),
+        (1e308, 1e-10, "reduced eigenproblem of size 1 is not finite"),
+        (-1e308, 1.0, "reduced eigenproblem of size 1 is not finite"),
+        (0.0, 1e308, "mass matrix is not finite"),
+    ], ids=["q-high", "q-high-r-low", "q-low", "r-high"])
+    def test_one_overflow_error(self, q, r, message):
+        iv = (0.0, 1.0)
+        prob = SLProblem(poly([1.0, 1.0], iv), poly([q], iv), poly([r], iv), DIRICHLET)
+        with pytest.raises(ConditioningError, match=message) as exc:
+            solve(prob)
+        assert exc.value.cause == "overflow"
 
 
 class TestEigensolveAccuracy:
@@ -777,6 +814,35 @@ class TestReferencePencil:
             assert abs(pair.lambda_ - ref.lambda_) <= 1e-13 * (1.0 + abs(ref.lambda_))
             exact = ref.u.values(xs)
             assert np.abs(pair.u.values(xs) - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestIdentityMap:
+    # A variable-coefficient problem reads its own pencil through the identity
+    # map (scale 1, shift 0, weight 1), which must keep every bit of a direct
+    # read: the pairs of a fresh reduction at the degree the solve returned,
+    # and at each visited degree the lowest of its Ritz values.
+    @pytest.mark.parametrize("max_degree", [24, 40])
+    @pytest.mark.parametrize("num_modes", [1, 4])
+    @pytest.mark.parametrize("kind", list(CONDITIONS))
+    def test_pairs_and_trace_keep_their_bits(self, kind, num_modes, max_degree):
+        prob = variable_problem(CONDITIONS[kind])
+        pairs, trace = solve(prob, num_modes=num_modes, max_degree=max_degree)
+        degree = pairs[0].degree_used
+        leading_eigh = _reduce(*_assemble(prob, max_degree))
+        _, theta, Y, norms = leading_eigh(degree - 1)
+        direct = _build_pairs(prob, theta, Y, norms, degree, num_modes)
+        assert len(pairs) == len(direct) == num_modes
+        for pair, ref in zip(pairs, direct):
+            assert pair.degree_used == ref.degree_used
+            assert bits(pair.lambda_) == bits(ref.lambda_)
+            assert bits(pair.u.coeffs) == bits(ref.u.coeffs)
+        assert trace.degrees == tuple(range(2, degree + 1, 2))
+        for n, lam in trace.entries:
+            assert bits(lam) == bits(leading_eigh(n - 1)[0][0]), n
 
 
 class TestStopFloor:
