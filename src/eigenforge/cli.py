@@ -197,14 +197,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigen", help="solve a Sturm-Liouville problem from JSON")
     p.add_argument("--problem", required=True, help="problem JSON path")
     p.add_argument("--modes", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="absolute bound on each requested eigenvalue's drop per degree step")
     p.add_argument("--max-degree", type=int, default=40)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("sigma", help="solve all declared modes of a field model")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="bound on each space factor's change per sweep (r-weighted L2 norm)")
     p.add_argument("--max-iter", type=int, default=sigma_model.MAX_SWEEPS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sigma)

@@ -18,15 +18,16 @@ component at a time).
 
 Each sweep installs the eigenpairs as solved, undamped, and sweeps repeat
 until the largest space-factor change drops below tolerance. Factors are
-Legendre series, and a factor's change is the sup norm of old minus new at
-129 Chebyshev points of its interval: a measure of the function, not of the
-coefficients that represent it. An eigensolve is a function of its problem
-alone, so a sweep whose problem in a dimension is unchanged does not solve it
-again: the eigensolve would return the same factor. A dimension's frozen
-problem is in turn a function of its inputs alone: the other space factors,
-and its own factor when the model is coupled (the time pair and the amplitude
-are fixed for the solve). A sweep in which none of them changed since the
-problem was last derived does not derive it again.
+Legendre series of unit r-weighted norm, and a factor's change is the
+r-weighted L2 norm of old minus new, the norm each is normalized in: a
+measure of the function, not of the coefficients that represent it. An
+eigensolve is a function of its problem alone, so a sweep whose problem in a
+dimension is unchanged does not solve it again: the eigensolve would return
+the same factor. A dimension's frozen problem is in turn a function of its
+inputs alone: the other space factors, and its own factor when the model is
+coupled (the time pair and the amplitude are fixed for the solve). A sweep in
+which none of them changed since the problem was last derived does not derive
+it again.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .sturm_liouville import (
     solve as sl_solve,
 )
 
-CHANGE_POINTS = 129
 # Default and largest sweep cap of a field solve, shared with ``eigenforge sigma``.
 MAX_SWEEPS = 200
 # Bound on a model's field components; a solve's work grows linearly with them.
@@ -316,19 +316,11 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
     return replace(state, omega=math.sqrt(omega_sq), time_factors=time_factors)
 
 
-def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
-    """n Chebyshev points of [lo, hi], from hi down to lo. The affine map can
-    round an endpoint an ulp off, even outside the interval, so both ends are
-    set exactly."""
-    k = np.arange(n)
-    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(k * math.pi / (n - 1))
-    xs[0], xs[-1] = hi, lo
-    return xs
-
-
-def _sup_change(old: Polynomial, new: Polynomial) -> float:
-    xs = _chebyshev_points(*old.interval, CHANGE_POINTS)
-    return float(np.abs((old - new).values(xs)).max())
+def _change(old: Polynomial, new: Polynomial, r: Polynomial) -> float:
+    """The r-weighted norm of old minus new: the exact difference of the two
+    series, integrated, so no cancellation as in 2 - 2 <old, new>."""
+    d = old - new
+    return math.sqrt(integrate_product(r, d, d))
 
 
 # Bound of ``_unit_norm`` alone, which keeps unit-norm scalings by value: each
@@ -361,9 +353,10 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     signs already meet the eigensolve's, the library's one sign rule. Each
     sweep installs every space dimension's frozen-coefficient eigenpair as
     solved. Sweeps repeat until the largest space-factor change is below
-    ``tol``; a factor's change is the sup norm of old minus new at 129
-    Chebyshev points of its interval. Every eigensolve escalates from
-    degree 2, so its factor depends on its frozen problem alone. A
+    ``tol``; a factor's change is the r-weighted L2 norm of old minus new
+    (``_change``), both of unit norm under the dimension's r, so it is at
+    most 2. Every eigensolve escalates from degree 2, so its factor depends
+    on its frozen problem alone. A
     dimension whose space problem equals the one its factor was solved from
     therefore keeps that factor, with a change of 0, and is not solved
     again: the eigensolve would return it bit for bit. So a linear model
@@ -442,7 +435,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
             solved[d] = problem
             moved = [coupled or e != d for e in range(n_space)]
             if sweep > 0:
-                worst = max(worst, _sup_change(old.u, new.u))
+                worst = max(worst, _change(old.u, new.u, dim.r))
         if sweep == 0:
             continue
         report.factor_changes.append(worst)

@@ -110,9 +110,12 @@ def _is_positive(f: Polynomial) -> bool | None:
     f's extremes lie at the ends or where f' vanishes, so f is read, as its
     Legendre series in the reference variable t, at t = -1 and 1 and at the
     real part of every root of f' with -1 <= t <= 1 (the real part, so that a
-    double root that rounding splits into a complex pair is still read)."""
+    double root that rounding splits into a complex pair is still read).
+    The roots are those of f scaled by a power of two to coefficients below 1,
+    exactly, so they keep their bits and f' does not overflow."""
     coeffs = np.asarray(polynomials.as_series(f).coeffs)
-    roots = leg.legroots(polynomials._legendre_derivative(coeffs.size) @ coeffs).real.tolist()
+    unit = coeffs * math.ldexp(1.0, -math.frexp(float(np.abs(coeffs).max()))[1])
+    roots = leg.legroots(polynomials._legendre_derivative(unit.size) @ unit).real.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         vals = leg.legval([-1.0, 1.0] + [t for t in roots if abs(t) <= 1.0], coeffs).tolist()
     if not all(map(math.isfinite, vals)):

@@ -399,11 +399,13 @@ class TestEigenCommand:
         ({"q": [1e308], "r": [1e-10]}, 3,
          "error: reduced eigenproblem of size 1 is not finite: its reduction overflows"),
         ({"p": [1e308, 1e308]}, 2, "error: p is not finite on [0.0, 1.0]"),
-    ], ids=["r-high", "q-high", "p-high"])
+        ({"p": [1.0] + [0.0] * 63 + [1e308]}, 2, "error: p is not finite on [0.0, 1.0]"),
+    ], ids=["r-high", "q-high", "p-high", "p-steep"])
     def test_overflowing_coefficients_one_error_line(self, tmp_path, coeffs, code, message):
-        # p = 1 + x (or 1e308 (1 + x)) on [0, 1] with coefficients near the
-        # float range: one error line naming the overflow, and no numpy
-        # warning (the run turns warnings into errors).
+        # p = 1 + x (or 1e308 (1 + x), or 1 + 1e308 x^64, whose derivative's
+        # coefficients overflow) on [0, 1] with coefficients near the float
+        # range: one error line naming the overflow, and no numpy warning
+        # (the run turns warnings into errors).
         obj = serialize.problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"] = [1.0, 1.0]
         for name, values in coeffs.items():

@@ -35,23 +35,25 @@ GRID_B = {"DN": ((2.1,), (DN,), [(t,) for t in (1, 2, 3, 4)]),
 # or the field iteration reaches its sweep cap.
 DEGREE_CAP = "degree_cap"
 SWEEP_CAP = "sweep_cap"
-# (model, g) -> how it fails today, with the factor change a capped solve
-# repeats until the cap.
+# (model, g) -> how it fails today, with the factor change (the r-weighted
+# norm of old minus new) a capped solve repeats until the cap. 2-D (1,3) at
+# g = 10 is not listed, but only by the measure: at sweep 26 its change reads
+# 9.7e-11, below tol, just before the undamped iteration is repelled from its
+# unstable fixed point at 1.375x per sweep.
 FAILURES = {
-    ("NN/2", 5.0): (SWEEP_CAP, "a period-2 flip-flop, change 0.976"),
-    ("NN/2", 10.0): (SWEEP_CAP, "a period-2 flip-flop, change 1.31-1.36"),
-    ("NN/3", 10.0): (SWEEP_CAP, "change 0.819 every sweep"),
+    ("NN/2", 5.0): (SWEEP_CAP, "a period-2 flip-flop, change 1.18"),
+    ("NN/2", 10.0): (SWEEP_CAP, "a period-2 flip-flop, change 1.34-1.39"),
+    ("NN/3", 10.0): (SWEEP_CAP, "change 0.936 every sweep"),
     ("DD/3", 10.0): (DEGREE_CAP, ""),
     ("DD/4", 5.0): (DEGREE_CAP, ""),
     ("DD/4", 10.0): (DEGREE_CAP, ""),
     ("NN/4", 10.0): (DEGREE_CAP, ""),
-    ("DN/2", 10.0): (SWEEP_CAP, "change 1.17 every sweep"),
-    ("DN/3", 10.0): (SWEEP_CAP, "change 0.672 every sweep"),
+    ("DN/2", 10.0): (SWEEP_CAP, "change 1.12 every sweep"),
+    ("DN/3", 10.0): (SWEEP_CAP, "change 0.643 every sweep"),
     ("DN/4", 5.0): (DEGREE_CAP, ""),
     ("DN/4", 10.0): (DEGREE_CAP, ""),
-    ("2-D (1,2)", 10.0): (SWEEP_CAP, "change 1.33 every sweep"),
-    ("2-D (2,2)", 10.0): (SWEEP_CAP, "change 1.27 every sweep"),
-    ("2-D (1,3)", 10.0): (SWEEP_CAP, "change 0.723 every sweep"),
+    ("2-D (1,2)", 10.0): (SWEEP_CAP, "change 1.31 every sweep"),
+    ("2-D (2,2)", 10.0): (SWEEP_CAP, "change 1.29 every sweep"),
 }
 
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_assemblies, coupled_spec, make_string_spec
+from conftest import count_assemblies, coupled_spec, make_string_spec, make_unit_problem
 from eigenforge import polynomials, sigma_model, sturm_liouville
 from eigenforge.action import TIME_PAIR_DEGREE, make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
@@ -539,6 +539,37 @@ class TestFactorMemo:
             assert [c.hex() for c in fresh.coeffs] == [c.hex() for c in kept.coeffs]
 
 
+class TestFactorChange:
+    # A factor's change is the r-weighted L2 norm of old minus new.
+    @pytest.mark.parametrize("length", [1.0, math.pi, 3.7])
+    def test_orthonormal_modes_differ_by_root_two(self, length):
+        # The Dirichlet modes 1 and 2 on (0, L) with r = 1 are orthonormal,
+        # so |u1 - u2|^2 = |u1|^2 + |u2|^2 = 2.
+        prob = make_unit_problem((0.0, length), DIRICHLET)
+        pairs, _ = sl_solve(prob, num_modes=2, k_tol=1e-12)
+        change = sigma_model._change(pairs[0].u, pairs[1].u, prob.r)
+        assert change == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+    def test_matches_dense_gauss_legendre(self):
+        # r = 1 + x and factors of degrees 5 and 12, against 120 nodes of
+        # numpy's Gauss-Legendre rule on numpy's own series evaluation.
+        iv = (0.5, 2.3)
+        rng = np.random.default_rng(7)
+        old = LegendreSeries(tuple(rng.standard_normal(6)), iv)
+        new = LegendreSeries(tuple(rng.standard_normal(13)), iv)
+        r = poly([1.0, 1.0], iv)
+        t, w = np.polynomial.legendre.leggauss(120)
+        x = 0.5 * (iv[0] + iv[1]) + 0.5 * (iv[1] - iv[0]) * t
+        d = (np.polynomial.Legendre(old.coeffs, domain=iv)(x)
+             - np.polynomial.Legendre(new.coeffs, domain=iv)(x))
+        expected = math.sqrt(0.5 * (iv[1] - iv[0]) * np.sum(w * (1.0 + x) * d * d))
+        assert sigma_model._change(old, new, r) == pytest.approx(expected, rel=1e-13)
+
+    def test_unchanged_factor_reads_zero(self):
+        u = LegendreSeries((0.3, -1.2, 0.7), (0.0, 2.0))
+        assert sigma_model._change(u, u, poly([1.0, 1.0], (0.0, 2.0))) == 0.0
+
+
 def count_eigensolves(monkeypatch):
     calls = []
 
@@ -595,7 +626,7 @@ def rederiving_solve(spec, targets, tol=1e-10):
             state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])
             solved[d] = problem
             if sweep > 0:
-                worst = max(worst, sigma_model._sup_change(old.u, new.u))
+                worst = max(worst, sigma_model._change(old.u, new.u, dim.r))
         if sweep == 0:
             continue
         report.factor_changes.append(worst)

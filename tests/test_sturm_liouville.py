@@ -32,7 +32,6 @@ from eigenforge.sturm_liouville import (
     rayleigh_quotient,
     solve,
 )
-from eigenforge.sigma_model import _chebyshev_points
 
 PI2 = math.pi * math.pi
 
@@ -240,17 +239,9 @@ class TestDirichletBenchmark:
 
 
 class TestIntervalsOffZero:
-    # The affine map of the Chebyshev points rounds one end of each of these
+    # The affine map of t = -1 and 1 rounds one end of each of these
     # intervals to a point just outside it.
     INTERVALS = [(-2.0, -1.8), (1.0, 3.1), (3.82420082752499, 5.6689653938836235)]
-
-    @pytest.mark.parametrize("interval", INTERVALS)
-    def test_chebyshev_points_end_on_the_interval(self, interval):
-        lo, hi = interval
-        for n in (2, 129, 257):
-            xs = _chebyshev_points(lo, hi, n)
-            assert xs[0] == hi and xs[-1] == lo
-            assert lo <= xs.min() and xs.max() <= hi
 
     @pytest.mark.parametrize("interval", INTERVALS)
     def test_dirichlet_ground_mode(self, interval):
