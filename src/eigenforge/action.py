@@ -4,7 +4,8 @@ The irreducible building block is one quarter period of the harmonic pair
 (cos, sin) in the scaled time variable tau = omega * t: the largest stretch on
 which both components are simultaneously monotone. The action carried by one
 piece is amplitude^2 * pi/2; fitting a set of per-mode actions to a common
-quantum I is an approximate real gcd, and h is the alias 4*I.
+quantum I is an approximate real gcd, and h is the alias 4*I. For I >= 10 tol, three
+rounds of sums and differences stay within tol of n*I iff 8 max |exact residual| <= tol.
 """
 
 from __future__ import annotations
@@ -65,17 +66,18 @@ def make_time_pair() -> TimePair:
 
 
 def action_for_state(state) -> float:
-    """Action carried by one irreducible time piece of a separable state.
+    """``action_of_amplitude`` of a separable state."""
+    return action_of_amplitude(state.amplitude, state.space_norms)
 
-    Requires the state's space factors to be unit-normalized so the spatial
-    integral contributes exactly 1; the result is amplitude^2 times the time
-    pair's stored ``action``, i.e. A^2 * pi/2 for the exact harmonic pair. No
-    integral is computed here.
-    """
-    for norm in state.space_norms:
+
+def action_of_amplitude(amplitude: float, space_norms: Sequence[float] = ()) -> float:
+    """Action of one irreducible time piece at amplitude A: A^2 times the time
+    pair's stored ``action`` (A^2 pi/2 for the exact pair), no integral computed.
+    Each space factor's norm must be 1, so the spatial integral contributes 1."""
+    for norm in space_norms:
         if abs(norm - 1.0) > NORM_TOL:
             raise DomainError(f"space factor norm {norm} is not 1 within {NORM_TOL}")
-    amp = float(state.amplitude)
+    amp = float(amplitude)
     return amp * amp * make_time_pair().action
 
 
@@ -84,35 +86,37 @@ def h_from_quantum(quantum_I: float) -> float:
     return 4.0 * quantum_I
 
 
-def _real_gcd(x: float, y: float, tol: float) -> float:
-    a, b = max(x, y), min(x, y)
+def _real_gcd(a: float, b: float, tol: float) -> float:
     while b > tol:
         a, b = b, math.fmod(a, b)
     return a
 
 
-def closure_check(alphas: Sequence[float], quantum: float, tol: float = LATTICE_TOL) -> bool:
-    """Closure of the set under sums and absolute differences, three levels deep.
+def _finite_actions(alphas: Sequence[float]) -> tuple[float, ...]:
+    alphas = tuple(float(a) for a in alphas)
+    for a in alphas:
+        if not math.isfinite(a):
+            raise DomainError(f"action value {a} is not finite")
+    return alphas
 
-    Every generated value (zeros excluded) must sit within tol of an integer
-    multiple of the quantum.
+
+def closure_check(alphas: Sequence[float], quantum: float, tol: float = LATTICE_TOL) -> bool:
+    """Whether three levels of sums and absolute differences of the values above
+    tol stay within tol of the quantum's lattice, decided in closed form.
+
+    Each is some +-sum c_i alpha_i with sum |c_i| <= 8, within 8 max |r_i| of the
+    lattice, r_i = alpha_i minus its nearest multiple, taken exactly. If that
+    exceeds tol, the least k <= 8 with k |r_worst| > tol puts k alpha_worst more
+    than tol off it: k = 1, or k |r_worst| <= 2 tol < quantum / 2 (quantum >= 10 tol).
     """
-    if not quantum > 0:
-        raise DomainError("quantum must be positive")
-    current = {round(float(a), 12) for a in alphas if abs(a) > tol}
-    for _ in range(_CLOSURE_DEPTH):
-        generated = set(current)
-        items = sorted(current)
-        for i, x in enumerate(items):
-            for y in items[i:]:
-                s = round(x + y, 12)
-                d = round(abs(x - y), 12)
-                generated.add(s)
-                if d > tol:
-                    generated.add(d)
-        current = generated
-    for value in current:
-        if abs(value - round(value / quantum) * quantum) > tol:
+    alphas = _finite_actions(alphas)
+    if not (tol > 0 and math.isfinite(quantum) and quantum >= _LATTICE_FLOOR_FACTOR * tol):
+        raise DomainError(f"the closure needs tol > 0 and a finite quantum of at least "
+                          f"{_LATTICE_FLOOR_FACTOR:g} tol; got quantum {quantum}, tol {tol}")
+    (qn, qd), (tn, td) = quantum.as_integer_ratio(), tol.as_integer_ratio()
+    for an, ad in (a.as_integer_ratio() for a in alphas if abs(a) > tol):
+        r = an * qd % (qn * ad)  # (a mod quantum) * ad * qd, an exact integer
+        if 2 ** _CLOSURE_DEPTH * min(r, qn * ad - r) * td > tn * ad * qd:
             return False
     return True
 
@@ -143,7 +147,7 @@ def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _finite_actions(alphas)
     if not alphas:
         raise DomainError("need at least one action value")
     if any(a <= tol for a in alphas):

@@ -110,7 +110,6 @@ def _cmd_sigma(args) -> int:
 def _cmd_action(args) -> int:
     data = _load_json(args.solution)
     serialize.check_keys(data, ["modes"], optional=["action_spectrum"], context="solution")
-    pair = action_mod.make_time_pair()
     labels = []
     alphas = []
     for i, mode in enumerate(serialize._array(data["modes"], "solution.modes")):
@@ -123,17 +122,13 @@ def _cmd_action(args) -> int:
             context=context,
         )
         factors = serialize._array(mode.get("space_factors", []), f"{context}.space_factors")
+        norms = []
         for j, factor in enumerate(factors):
             factor_context = f"{context}.space_factors[{j}]"
             serialize.check_keys(factor, [], optional=["lambda", "legendre", "interval",
                                                        "degree", "norm"], context=factor_context)
-            if "norm" not in factor:
-                continue
-            norm = serialize._number(factor["norm"], f"{factor_context}.norm")
-            if abs(norm - 1.0) > action_mod.NORM_TOL:
-                raise DomainError(
-                    f"solution.modes[{i}] has an unnormalized space factor (norm {norm})"
-                )
+            if "norm" in factor:
+                norms.append(serialize._number(factor["norm"], f"{factor_context}.norm"))
         if not isinstance(mode["label"], str):
             raise DomainError(f"{context}.label must be a string")
         omega = serialize._number(mode["omega"], f"{context}.omega")
@@ -141,7 +136,7 @@ def _cmd_action(args) -> int:
             raise DomainError(f"{context}.omega must be positive, got {omega}")
         amplitude = serialize._number(mode["amplitude"], f"{context}.amplitude")
         labels.append(mode["label"])
-        alphas.append(amplitude * amplitude * pair.action)
+        alphas.append(action_mod.action_of_amplitude(amplitude, norms))
     spectrum = action_mod.fit_spectrum(labels, alphas, tol=args.lattice_tol)
     closure = action_mod.closure_check(alphas, spectrum.quantum, tol=args.lattice_tol)
     _write(serialize.dumps(serialize.spectrum_to_obj(spectrum, closure)), args.out)

@@ -1,6 +1,7 @@
 """Action-per-piece, lattice fitting, and occupied-mode energy tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from eigenforge.action import (
     TimePair,
     action_for_state,
+    action_of_amplitude,
     closure_check,
     fit_spectrum,
     h_from_quantum,
@@ -102,6 +104,13 @@ class TestActionIntegral:
         with pytest.raises(DomainError):
             action_for_state(_FakeState(1.0, norms=(0.5,)))
 
+    @pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.0 ** 0.25, 7.5])
+    def test_one_rule_for_state_and_amplitude(self, amplitude):
+        # A solved state and a stored solution's amplitude read one rule.
+        expected = amplitude * amplitude * make_time_pair().action
+        assert action_for_state(_FakeState(amplitude)) == expected
+        assert action_of_amplitude(amplitude, (1.0,)) == expected
+
 
 def _labels(alphas):
     return [f"m{i}" for i in range(len(alphas))]
@@ -126,6 +135,11 @@ class TestFitLattice:
         with pytest.raises(DomainError):
             fit_spectrum(["a"], [1e-12], tol=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(DomainError, match=f"action value {bad} is not finite"):
+            fit_spectrum(["a", "b"], [1.0, bad], tol=1e-9)
+
     @given(
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
         st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
@@ -140,6 +154,54 @@ class TestFitLattice:
         assert closure_check(alphas, spec.quantum, tol=1e-9)
 
 
+def _exact_closure(alphas, quantum, tol):
+    """The definition, in exact arithmetic: close the values above tol under
+    sums and absolute differences above tol, three levels deep, and ask that
+    every value lie within tol of a multiple of the quantum."""
+    tol, quantum = Fraction(tol), Fraction(quantum)
+    current = {Fraction(a) for a in alphas if abs(Fraction(a)) > tol}
+    for _ in range(3):
+        generated = set(current)
+        items = sorted(current)
+        for i, x in enumerate(items):
+            for y in items[i:]:
+                generated.add(x + y)
+                if abs(x - y) > tol:
+                    generated.add(abs(x - y))
+        current = generated
+    return all(abs(v - round(v / quantum) * quantum) <= tol for v in current)
+
+
+_TOL = 2.0 ** -30  # a power of two, so tol / 8 and the values below are exact
+_ONE_UP = 1.0 + 2.0 ** -33  # 1 plus tol / 8
+_ULP = 2.0 ** -52
+_TEN_TOL = 10 * _TOL
+CLOSURE_TABLE = [
+    # Multiplier 163 389: the rounding of a float closure's sums reaches tol
+    # there, and the closure in floats (sums rounded to 12 decimals) said False.
+    pytest.param([1598811.812651334, 9.785308757941685], 9.785308757941685, 1e-9, True,
+                 id="float-rounding"),
+    # The float product 400151 * quantum is this value, 2.3e-10 off the exact
+    # product: a residual taken in floats reads 0, the exact one 8 * 2.3e-10 > tol.
+    pytest.param([3915601.084799123], 9.785308757941685, 1e-9, False, id="float-product"),
+    pytest.param([_ONE_UP], 1.0, _TOL, True, id="tol/8-at-bound"),
+    pytest.param([_ONE_UP - _ULP], 1.0, _TOL, True, id="tol/8-just-below"),
+    pytest.param([_ONE_UP + _ULP], 1.0, _TOL, False, id="tol/8-just-above"),
+    pytest.param([-3.0, 6.0, -9.0], 3.0, 1e-9, True, id="negative-on-lattice"),
+    pytest.param([-(_ONE_UP - _ULP), -2.0], 1.0, _TOL, True, id="negative-below"),
+    pytest.param([-(_ONE_UP + _ULP), 2.0], 1.0, _TOL, False, id="negative-above"),
+    # 5e-10 alone would fail (8 * 5e-10 > tol), but it is skipped, like -1e-9.
+    pytest.param([1.0, 5e-10, -1e-9, 1e-9], 1.0, 1e-9, True, id="at-or-below-tol-skipped"),
+    pytest.param([5e-10], 1.0, 1e-9, True, id="only-below-tol"),
+    pytest.param([3 * _TEN_TOL + 2.0 ** -34, _TEN_TOL], _TEN_TOL, _TOL, True,
+                 id="ten-tol-8r-below"),
+    pytest.param([3 * _TEN_TOL + 2.0 ** -33 + 2.0 ** -40], _TEN_TOL, _TOL, False,
+                 id="ten-tol-8r-above"),
+    pytest.param([3 * _TEN_TOL + 0.9 * _TOL], _TEN_TOL, _TOL, False, id="ten-tol-2r-above"),
+    pytest.param([3 * _TEN_TOL + 1.5 * _TOL], _TEN_TOL, _TOL, False, id="ten-tol-r-above"),
+]
+
+
 class TestClosureCheck:
     def test_lattice_pair(self):
         assert closure_check([1.0, 2.0], 1.0)
@@ -149,6 +211,23 @@ class TestClosureCheck:
 
     def test_incommensurable_fails(self):
         assert not closure_check([1.0, math.sqrt(2.0)], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        # Before, nan was skipped (closure True) and inf overflowed round().
+        with pytest.raises(DomainError, match=f"action value {bad} is not finite"):
+            closure_check([1.0, bad], 1.0)
+
+    @pytest.mark.parametrize("alphas,quantum,tol,expected", CLOSURE_TABLE)
+    def test_table_against_exact_closure(self, alphas, quantum, tol, expected):
+        assert _exact_closure(alphas, quantum, tol) is expected
+        assert closure_check(alphas, quantum, tol) is expected
+
+    @pytest.mark.parametrize("quantum,tol", [
+        (9.999e-9, 1e-9), (1.0, 0.2), (1.0, 0.0), (math.inf, 1e-9), (math.nan, 1e-9)])
+    def test_quantum_below_ten_tol_refused(self, quantum, tol):
+        with pytest.raises(DomainError, match="finite quantum of at least 10 tol"):
+            closure_check([1.0], quantum, tol)
 
 
 class TestSchrodingerDensity:

@@ -14,6 +14,7 @@ import pytest
 from numpy.polynomial.legendre import legder, legval
 
 from conftest import coupled_spec, make_string_spec, make_unit_problem
+from eigenforge import action as action_mod
 from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
 from eigenforge.errors import DomainError
@@ -725,6 +726,37 @@ class TestActionCommand:
         path.write_text(serialize.dumps(obj))
         result = run_cli("action", "--solution", str(path))
         assert result.returncode == 4
+
+    @pytest.mark.parametrize("amplitudes", [[1.0, 1e200], [1e200]], ids=["pair", "alone"])
+    def test_overflowing_action_one_error_line(self, tmp_path, amplitudes):
+        # A^2 pi/2 overflows to inf. Before, the fit raised the interpreter's
+        # "math domain error" or "cannot convert float NaN to integer".
+        obj = {"modes": [{"label": f"m{i}", "omega": 1.0, "amplitude": a}
+                         for i, a in enumerate(amplitudes)]}
+        path = tmp_path / "overflow.json"
+        path.write_text(serialize.dumps(obj))
+        result = run_cli("action", "--solution", str(path))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["error: action value inf is not finite"]
+        assert result.stdout == ""
+
+    def test_sixteen_modes_off_the_lattice_finish(self, tmp_path):
+        # Sixteen actions n_i pi/2 + delta_i, Fibonacci n_i and distinct
+        # delta_i of 1.1e-11 to 2.6e-11: a closure built as a set of sums and
+        # differences three levels deep grows as about n^8 on such values.
+        piece = action_mod.make_time_pair().action
+        multipliers = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
+        modes = [{"label": f"m{i}", "omega": float(i),
+                  "amplitude": math.sqrt((n * piece + (10 + 7 * i % 17) * 1e-12) / piece)}
+                 for i, n in enumerate(multipliers, 1)]
+        path = tmp_path / "sixteen.json"
+        path.write_text(serialize.dumps({"modes": modes}))
+        result = run_cli("action", "--solution", str(path), timeout=60)
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        assert data["multipliers"] == multipliers
+        assert 1.1e-11 < max(data["residuals"]) < 2.7e-11
+        assert data["closure"] is True
 
     def test_nonpositive_omega_invalid(self, tmp_path):
         obj = {"modes": [{"label": "a", "omega": 0.0, "amplitude": 1.0}]}
