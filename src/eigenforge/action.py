@@ -1,4 +1,4 @@
-"""Per-piece action integrals, the discrete action lattice, and energy sums.
+"""Per-piece action integrals and the discrete action lattice.
 
 The irreducible building block is one quarter period of the harmonic pair
 (cos, sin) in the scaled time variable tau = omega * t: the largest stretch on
@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import godel
 from .errors import DomainError, NoLatticeError
 from .polynomials import Polynomial, chebyshev_fit, integrate_product
 
@@ -165,39 +164,3 @@ def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
     if worst > tol:
         raise NoLatticeError(f"worst lattice residual {worst:.3e} exceeds {tol:.1e}")
     return ActionSpectrum(tuple(labels), alphas, quantum, multipliers, residuals)
-
-
-def schrodinger_time_density(pair: TimePair, amplitude: float, h: float,
-                             samples: int = 11) -> tuple[list[float], list[float]]:
-    """Pointwise comparison of the two time-density forms on the piece.
-
-    Form (a) is A^2 (u1'^2 + u2'^2); form (b) is the h-prefactored current
-    (h/4pi) * 2 A^2 (u1 u2' - u2 u1') reduced back to tau units, where the h
-    factor cancels. Both are the constant A^2 for the exact pair; reversing
-    time (negating u2) flips the sign of (b).
-    """
-    if not h > 0:
-        raise DomainError("h must be positive")
-    if samples < 2:
-        raise DomainError("need at least two sample points")
-    amp2 = float(amplitude) ** 2
-    xs = np.linspace(0.0, QUARTER_PERIOD, samples)
-    d1 = pair.u1.derivative().values(xs)
-    d2 = pair.u2.derivative().values(xs)
-    v1 = pair.u1.values(xs)
-    v2 = pair.u2.values(xs)
-    form_a = amp2 * (d1 * d1 + d2 * d2)
-    current = (h / (4.0 * math.pi)) * 2.0 * amp2 * (v1 * d2 - v2 * d1)
-    form_b = current / (h / (2.0 * math.pi))
-    return [float(v) for v in form_a], [float(v) for v in form_b]
-
-
-def total_energy(quantum_I: float, omegas: Sequence[float], occupations: Sequence[int]) -> float:
-    """Occupied-mode energy E_t = sum n_m h omega_m / 2pi, with h = 4 I: the
-    codec's occupation and mode-energy rules (``godel.occupation_counts``,
-    ``godel.mode_energies``), summed in mode order."""
-    occ = godel.occupation_counts(occupations)
-    energies = godel.mode_energies(omegas, h_from_quantum(quantum_I))
-    if len(occ) != len(energies):
-        raise DomainError("occupations and frequencies must align")
-    return sum((n * e for n, e in zip(occ, energies)), 0.0)

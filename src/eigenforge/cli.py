@@ -108,35 +108,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_action(args) -> int:
-    data = _load_json(args.solution)
-    serialize.check_keys(data, ["modes"], optional=["action_spectrum"], context="solution")
-    labels = []
-    alphas = []
-    for i, mode in enumerate(serialize._array(data["modes"], "solution.modes")):
-        context = f"solution.modes[{i}]"
-        serialize.check_keys(
-            mode,
-            ["label", "omega", "amplitude"],
-            optional=["targets", "components", "space_factors", "time_factors",
-                      "indicial_residual", "null_residual", "action_alpha", "report"],
-            context=context,
-        )
-        factors = serialize._array(mode.get("space_factors", []), f"{context}.space_factors")
-        norms = []
-        for j, factor in enumerate(factors):
-            factor_context = f"{context}.space_factors[{j}]"
-            serialize.check_keys(factor, [], optional=["lambda", "legendre", "interval",
-                                                       "degree", "norm"], context=factor_context)
-            if "norm" in factor:
-                norms.append(serialize._number(factor["norm"], f"{factor_context}.norm"))
-        if not isinstance(mode["label"], str):
-            raise DomainError(f"{context}.label must be a string")
-        omega = serialize._number(mode["omega"], f"{context}.omega")
-        if not omega > 0:
-            raise DomainError(f"{context}.omega must be positive, got {omega}")
-        amplitude = serialize._number(mode["amplitude"], f"{context}.amplitude")
-        labels.append(mode["label"])
-        alphas.append(action_mod.action_of_amplitude(amplitude, norms))
+    labels, alphas = serialize.solution_actions_from_obj(_load_json(args.solution))
     spectrum = action_mod.fit_spectrum(labels, alphas, tol=args.lattice_tol)
     closure = action_mod.closure_check(alphas, spectrum.quantum, tol=args.lattice_tol)
     _write(serialize.dumps(serialize.spectrum_to_obj(spectrum, closure)), args.out)

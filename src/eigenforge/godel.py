@@ -182,13 +182,20 @@ class DefinableStates(Sequence):
 
 
 def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
+    """The quantum h omega / 2pi of each mode; h and every frequency must be
+    positive and finite, and so must each quantum."""
     if not h > 0:
         raise DomainError("h must be positive")
+    if not math.isfinite(h):
+        raise DomainError(f"h = {h!r} is not finite")
     energies = []
     for w in omegas:
         if not float(w) > 0:
             raise DomainError(f"frequency {w!r} must be positive")
-        energies.append(h * float(w) / (2.0 * math.pi))
+        energy = h * float(w) / (2.0 * math.pi)
+        if not math.isfinite(energy):
+            raise DomainError(f"the quantum of frequency {w!r} at h = {h!r} is not finite")
+        energies.append(energy)
     return energies
 
 

@@ -19,9 +19,9 @@ import sys
 from itertools import chain
 from typing import Any, Mapping, Sequence
 
-from .action import ActionSpectrum
+from .action import ActionSpectrum, action_of_amplitude
 from .errors import DomainError
-from .godel import DefinableStates, EnumeratedState
+from .godel import DefinableStates
 from .polynomials import MAX_DEGREE, Polynomial
 from .sigma_model import (
     CoeffField,
@@ -230,15 +230,6 @@ def problem_from_obj(obj) -> SLProblem:
     )
 
 
-def problem_to_obj(prob: SLProblem) -> dict:
-    return {
-        "p": poly_to_obj(prob.p),
-        "q": poly_to_obj(prob.q),
-        "r": poly_to_obj(prob.r),
-        "bc": bc_to_obj(prob.bc),
-    }
-
-
 def solution_to_obj(pairs: Sequence[EigenPair], trace: RitzTrace) -> dict:
     return {
         "modes": [
@@ -353,6 +344,38 @@ def state_to_obj(state: SeparableEigenstate, report: IterationReport,
     }
 
 
+def solution_actions_from_obj(obj) -> tuple[list[str], list[float]]:
+    """The labels and actions of a stored solution's modes, as ``sigma`` wrote
+    them with ``state_to_obj``. A mode's action is ``action_of_amplitude`` of
+    its amplitude and its space factors' norms, taken as the mode is read, so
+    the first fault in file order is the one refused."""
+    check_keys(obj, ["modes"], optional=["action_spectrum"], context="solution")
+    labels, alphas = [], []
+    for i, mode in enumerate(_array(obj["modes"], "solution.modes")):
+        context = f"solution.modes[{i}]"
+        check_keys(mode, ["label", "omega", "amplitude"],
+                   optional=["targets", "components", "space_factors", "time_factors",
+                             "indicial_residual", "null_residual", "action_alpha", "report"],
+                   context=context)
+        norms = []
+        factors = _array(mode.get("space_factors", []), f"{context}.space_factors")
+        for j, factor in enumerate(factors):
+            factor_context = f"{context}.space_factors[{j}]"
+            check_keys(factor, [], optional=["lambda", "legendre", "interval", "degree", "norm"],
+                       context=factor_context)
+            if "norm" in factor:
+                norms.append(_number(factor["norm"], f"{factor_context}.norm"))
+        if not isinstance(mode["label"], str):
+            raise DomainError(f"{context}.label must be a string")
+        omega = _number(mode["omega"], f"{context}.omega")
+        if not omega > 0:
+            raise DomainError(f"{context}.omega must be positive, got {omega}")
+        amplitude = _number(mode["amplitude"], f"{context}.amplitude")
+        labels.append(mode["label"])
+        alphas.append(action_of_amplitude(amplitude, norms))
+    return labels, alphas
+
+
 def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
     return {
         "alphas": [
@@ -369,20 +392,17 @@ def spectrum_to_obj(spectrum: ActionSpectrum, closure_ok: bool) -> dict:
 
 # -- CSV ---------------------------------------------------------------------
 
-def enumeration_csv(states: Sequence[EnumeratedState]) -> str:
+def enumeration_csv(states: DefinableStates) -> str:
     """Header plus one ``godel,n1;n2;...,energy`` row per state, LF-terminated.
     All rows are written by one ``%`` call, ``%d,%s,%s`` repeated once per
-    state, over the states' stored fields flattened in order: the rows of a
-    ``DefinableStates`` enumeration as stored, with no per-state object
-    built, or the fields of any other sequence of ``EnumeratedState``s, which
-    are tuples of the same three fields. The energy text is the ``%.17g`` the
-    enumeration stored, the bytes of ``format_float``, ``-0`` included. A
-    non-finite energy raises DomainError."""
-    if isinstance(states, DefinableStates):
-        states = states.rows
-    rows = ("%d,%s,%s\n" * len(states)) % tuple(chain.from_iterable(states))
-    if "n" in rows:  # no finite row holds an n; "inf" and "nan" do
-        nonfinite = [float(e) for _, _, e in states if not math.isfinite(float(e))]
+    state, over the enumeration's stored rows flattened in order, with no
+    per-state object built. The energy text is the ``%.17g`` the enumeration
+    stored, the bytes of ``format_float``, ``-0`` included. A non-finite
+    energy raises DomainError."""
+    rows = states.rows
+    text = ("%d,%s,%s\n" * len(rows)) % tuple(chain.from_iterable(rows))
+    if "n" in text:  # no finite row holds an n; "inf" and "nan" do
+        nonfinite = [float(e) for _, _, e in rows if not math.isfinite(float(e))]
         if nonfinite:
             raise DomainError(f"cannot serialize non-finite number {nonfinite[0]!r}")
-    return "godel_integer,occupations,energy\n" + rows
+    return "godel_integer,occupations,energy\n" + text

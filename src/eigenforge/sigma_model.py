@@ -318,9 +318,11 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
 
 def _change(old: Polynomial, new: Polynomial, r: Polynomial) -> float:
     """The r-weighted norm of old minus new: the exact difference of the two
-    series, integrated, so no cancellation as in 2 - 2 <old, new>."""
+    series, integrated, so no cancellation as in 2 - 2 <old, new>. The
+    difference is new every sweep, so its integral skips the memo
+    (``__wrapped__``) rather than displace a kept one."""
     d = old - new
-    return math.sqrt(integrate_product(r, d, d))
+    return math.sqrt(integrate_product.__wrapped__(r, d, d))
 
 
 # Bound of ``_unit_norm`` alone, which keeps unit-norm scalings by value: each

@@ -51,13 +51,12 @@ import numpy.polynomial.legendre as leg
 
 from . import polynomials
 from .errors import ConditioningError, DomainError, NonConvergenceError
-from .polynomials import LegendreSeries, Polynomial, integrate_product
+from .polynomials import LegendreSeries, Polynomial
 
 VANISH_VALUE = "value"
 VANISH_DERIVATIVE = "derivative"
 
 _POSITIVITY_MARGIN = 1e-12  # relative to the largest |f| on the interval
-_BOUNDARY_TOL = 1e-9
 # A drop of at most this many ulps of the previous eigenvalue is rounding, not
 # progress: converged Ritz values jitter by up to 4 ulps.
 _STOP_ULPS = 4
@@ -441,38 +440,3 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
         f"eigenvalues not converged to {k_tol} within degree {max_degree}",
         cause="degree_cap", trace=RitzTrace(tuple(trace_entries)),
     )
-
-
-def boundary_residuals(prob: SLProblem, u: Polynomial) -> tuple[float, float]:
-    """|u| or |du/dx| at each endpoint, whichever the condition constrains."""
-    lo, hi = prob.interval
-    du = u.derivative()
-    res_a = abs(float((u if prob.bc.at_a == VANISH_VALUE else du).values(lo)))
-    res_b = abs(float((u if prob.bc.at_b == VANISH_VALUE else du).values(hi)))
-    return res_a, res_b
-
-
-def rayleigh_quotient(prob: SLProblem, u: Polynomial) -> float:
-    """(int p u'^2 - q u^2) / (int r u^2), all integrals exact.
-
-    The trial function must be nonzero and satisfy each boundary condition to
-    1e-9 times the sum of |Legendre coefficients| of the function it
-    constrains (u or u'), a bound on that function's sup; a weighted norm that
-    is not positive is rejected as degenerate. Both rules, like the quotient,
-    are free of the scale of u and of the interval.
-    """
-    if u.is_zero:
-        raise DomainError("trial function is identically zero")
-    du = u.derivative()
-    constrained = [u if kind == VANISH_VALUE else du for kind in (prob.bc.at_a, prob.bc.at_b)]
-    sup_a, sup_b = (float(np.abs(polynomials.as_series(f).coeffs).sum()) for f in constrained)
-    res_a, res_b = boundary_residuals(prob, u)
-    if res_a > _BOUNDARY_TOL * sup_a or res_b > _BOUNDARY_TOL * sup_b:
-        raise DomainError(
-            f"trial violates boundary conditions: residuals ({res_a:.3e}, {res_b:.3e})"
-        )
-    denom = integrate_product(prob.r, u, u)
-    if not denom > 0:
-        raise DomainError(f"weighted norm {denom:.3e} is not positive")
-    num = integrate_product(prob.p, du, du) - integrate_product(prob.q, u, u)
-    return num / denom

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_string_spec, make_unit_problem
+from conftest import make_string_spec, make_unit_problem, problem_to_obj, rayleigh_quotient
 from eigenforge import serialize
 from eigenforge.action import action_for_state, closure_check, fit_spectrum
 from eigenforge.errors import NoLatticeError
@@ -32,7 +32,7 @@ from eigenforge.qstar import (
     identical,
 )
 from eigenforge.sigma_model import null_postulate_residual, solve_state
-from eigenforge.sturm_liouville import DIRICHLET, SLProblem, rayleigh_quotient, solve
+from eigenforge.sturm_liouville import DIRICHLET, SLProblem, solve
 from eigenforge.sturm_liouville import solve as sl_solve
 from test_godel import canonical_distributions
 from test_qstar import random_element
@@ -212,7 +212,7 @@ def test_criterion_8_qstar_suite():
 @criterion(9, "determinism")
 def test_criterion_9_determinism(tmp_path):
     problem_path = tmp_path / "problem.json"
-    problem_path.write_text(serialize.dumps(serialize.problem_to_obj(make_unit_problem())))
+    problem_path.write_text(serialize.dumps(problem_to_obj(make_unit_problem())))
     model_path = tmp_path / "model.json"
     model_path.write_text(serialize.dumps(serialize.model_to_obj(make_string_spec(num_modes=2))))
     solution_path = tmp_path / "solution.json"

@@ -1,4 +1,4 @@
-"""Action-per-piece, lattice fitting, and occupied-mode energy tests."""
+"""Action-per-piece, lattice fitting, and time-density tests."""
 
 import math
 from fractions import Fraction
@@ -16,10 +16,8 @@ from eigenforge.action import (
     fit_spectrum,
     h_from_quantum,
     make_time_pair,
-    schrodinger_time_density,
-    total_energy,
 )
-from eigenforge import action, godel, polynomials
+from eigenforge import action, polynomials
 from eigenforge.errors import DomainError, NoLatticeError
 from eigenforge.polynomials import integrate_product
 
@@ -230,6 +228,26 @@ class TestClosureCheck:
             closure_check([1.0], quantum, tol)
 
 
+def schrodinger_time_density(pair, amplitude, h, samples):
+    """The two time-density forms at evenly spaced points of the piece.
+
+    Form (a) is A^2 (u1'^2 + u2'^2); form (b) is the h-prefactored current
+    (h/4pi) * 2 A^2 (u1 u2' - u2 u1') reduced back to tau units, where the h
+    factor cancels. Both are the constant A^2 for the exact pair; reversing
+    time (negating u2) flips the sign of (b).
+    """
+    amp2 = float(amplitude) ** 2
+    xs = np.linspace(0.0, action.QUARTER_PERIOD, samples)
+    d1 = pair.u1.derivative().values(xs)
+    d2 = pair.u2.derivative().values(xs)
+    v1 = pair.u1.values(xs)
+    v2 = pair.u2.values(xs)
+    form_a = amp2 * (d1 * d1 + d2 * d2)
+    current = (h / (4.0 * math.pi)) * 2.0 * amp2 * (v1 * d2 - v2 * d1)
+    form_b = current / (h / (2.0 * math.pi))
+    return [float(v) for v in form_a], [float(v) for v in form_b]
+
+
 class TestSchrodingerDensity:
     def test_exact_pair_both_forms_unity(self):
         pair = make_time_pair()
@@ -259,46 +277,6 @@ class TestSchrodingerDensity:
         assert b1 == pytest.approx(b2, rel=1e-12)
 
 
-class TestTotalEnergy:
-    def test_single_quantum(self):
-        assert h_from_quantum(HALF_PI) == pytest.approx(2 * math.pi)
-        assert total_energy(HALF_PI, [1.0, 2.0], [1, 0]) == pytest.approx(1.0, rel=1e-14)
-
-    def test_vacuum(self):
-        assert total_energy(HALF_PI, [1.0, 2.0], [0, 0]) == 0.0
-
-    def test_two_and_one(self):
-        assert total_energy(HALF_PI, [1.0, 2.0], [2, 1]) == pytest.approx(4.0, rel=1e-14)
-
-    def test_negative_occupation_rejected(self):
-        with pytest.raises(DomainError):
-            total_energy(HALF_PI, [1.0], [-1])
-
-    @pytest.mark.parametrize("quantum,omegas,occupations,message", [
-        (HALF_PI, [1.0], [-1], "occupation -1 must be a nonnegative integer"),
-        (HALF_PI, [1.0], [1.5], "occupation 1.5 must be a nonnegative integer"),
-        (0.0, [1.0], [1], "h must be positive"),
-        (HALF_PI, [1.0, 0.0], [1, 1], "frequency 0.0 must be positive"),
-    ])
-    def test_refusals_are_the_codecs(self, quantum, omegas, occupations, message):
-        # The occupation and mode-energy rules have one home, in godel.
-        with pytest.raises(DomainError, match=message) as exc:
-            total_energy(quantum, omegas, occupations)
-        assert exc.traceback[-1].path.name == "godel.py"
-
-    def test_same_energy_as_the_enumeration(self):
-        omegas = [1.0, 2.3, 3.7]
-        for state in godel.enumerate_definable(omegas, h_from_quantum(0.7), 9.0):
-            occ = state.occupations + (0,) * (len(omegas) - len(state.occupations))
-            assert total_energy(0.7, omegas, occ) == state.energy
-
-    def test_additive_under_merge(self):
-        a = total_energy(0.7, [1.0, 3.0], [2, 5])
-        b = total_energy(0.7, [1.0, 3.0], [1, 4])
-        merged = total_energy(0.7, [1.0, 3.0], [3, 9])
-        assert merged == pytest.approx(a + b, rel=1e-14)
-
-
 class TestSpectrum:
     def test_fit_spectrum_residuals(self):
         alphas = [1.5, 3.0, 4.5]
@@ -311,9 +289,7 @@ class TestSpectrum:
         assert spec.h == pytest.approx(6.0)
 
     def test_one_rule_for_h(self):
-        # The spectrum, the occupied-mode energy and `eigenforge enumerate`
-        # take h from the one rule h = 4 I.
+        # The spectrum and `eigenforge enumerate` take h from the one rule h = 4 I.
         spec = fit_spectrum(["m1"], [0.7])
         assert h_from_quantum(0.7) == 2.8
         assert spec.h == h_from_quantum(0.7)
-        assert total_energy(0.7, [1.0], [1]) == h_from_quantum(0.7) / (2.0 * math.pi)

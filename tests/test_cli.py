@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legder, legval
 
-from conftest import coupled_spec, make_string_spec, make_unit_problem
+from conftest import coupled_spec, make_string_spec, make_unit_problem, problem_to_obj
 from eigenforge import action as action_mod
 from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
 from eigenforge.errors import DomainError
-from eigenforge.godel import EnumeratedState
+from eigenforge.godel import DefinableStates
 from eigenforge.polynomials import Polynomial, poly
 
 
@@ -33,7 +33,7 @@ def run_cli(*args, cwd=None, timeout=None):
 @pytest.fixture(scope="module")
 def problem_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "dirichlet.json"
-    obj = serialize.problem_to_obj(make_unit_problem())
+    obj = problem_to_obj(make_unit_problem())
     path.write_text(serialize.dumps(obj))
     return str(path)
 
@@ -198,20 +198,19 @@ class TestEnumerationCsv:
             "godel_integer,occupations,energy\n1,,0\n2,1,1\n3,0;1,2\n4,2,2\n")
 
     def test_view_and_list_write_one_csv(self):
-        # The enumeration's stored rows and a hand-built list of states go
+        # The enumeration's view and one built by hand over the same rows go
         # through the one formatter.
         states = godel.enumerate_definable([1.0, 2.0], 2.0 * math.pi, 2.0)
-        by_hand = [EnumeratedState((1, "", "0")), EnumeratedState((2, "1", "1")),
-                   EnumeratedState((3, "0;1", "2")), EnumeratedState((4, "2", "2"))]
+        by_hand = DefinableStates(((1, "", "0"), (2, "1", "1"), (3, "0;1", "2"), (4, "2", "2")))
         assert (serialize.enumeration_csv(states) == serialize.enumeration_csv(by_hand)
                 == reference_csv(states) == reference_csv(by_hand))
 
     def test_matches_reference_formatter(self):
-        states = list(godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3))
+        rows = godel.enumerate_definable([0.3, 1.1, 0.7, 2.9], 2.0 * math.pi, 3.3).rows
         large = (0, 300, 7)
-        states.append(EnumeratedState((godel.encode(large), "0;300;7",
-                                       serialize.format_float(300 * math.pi + 7e-3))))
-        states.append(EnumeratedState((2, "1000000", serialize.format_float(-0.0))))
+        states = DefinableStates(rows + (
+            (godel.encode(large), "0;300;7", serialize.format_float(300 * math.pi + 7e-3)),
+            (2, "1000000", serialize.format_float(-0.0))))
         text = serialize.enumeration_csv(states)
         assert text == reference_csv(states)
         assert f"{godel.encode(large)},0;300;7," in text
@@ -257,11 +256,12 @@ class TestEnumerationCsv:
             assert s.energy_text == serialize.format_float(energy)
 
     def test_empty(self):
-        assert serialize.enumeration_csv([]) == "godel_integer,occupations,energy\n"
+        assert serialize.enumeration_csv(DefinableStates(())) == (
+            "godel_integer,occupations,energy\n")
 
     @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
     def test_nonfinite_energy_rejected(self, energy):
-        states = [EnumeratedState((1, "", "0")), EnumeratedState((2, "1", "%.17g" % energy))]
+        states = DefinableStates(((1, "", "0"), (2, "1", "%.17g" % energy)))
         with pytest.raises(DomainError, match="non-finite"):
             serialize.enumeration_csv(states)
 
@@ -295,7 +295,7 @@ class TestEigenCommand:
         # under DN; the stored series must meet both end conditions itself.
         L = 2.0
         path = tmp_path / "problem.json"
-        path.write_text(serialize.dumps(serialize.problem_to_obj(make_unit_problem((0.0, L), bc))))
+        path.write_text(serialize.dumps(problem_to_obj(make_unit_problem((0.0, L), bc))))
         result = run_cli("eigen", "--problem", str(path), "--modes", "3")
         assert result.returncode == 0, result.stderr
         for k, mode in enumerate(json.loads(result.stdout)["modes"]):
@@ -308,7 +308,7 @@ class TestEigenCommand:
                 assert abs(legval(t, coeffs)) <= 1e-12
 
     def test_unknown_key_rejected(self, tmp_path):
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["surprise"] = 1
         path = tmp_path / "bad.json"
         path.write_text(serialize.dumps(obj))
@@ -319,7 +319,7 @@ class TestEigenCommand:
     @pytest.mark.parametrize("value", [True, "1", None, 10**400],
                              ids=["bool", "string", "null", "400-digit-integer"])
     def test_wrong_coefficient_type_invalid(self, tmp_path, value):
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"][0] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -329,7 +329,7 @@ class TestEigenCommand:
 
     def test_empty_coefficients_invalid(self, tmp_path):
         # An empty array is no polynomial; it must not read as zero.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["q"]["coeffs"] = []
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -341,7 +341,7 @@ class TestEigenCommand:
     def test_degree_above_the_cap_invalid(self, tmp_path):
         # p = 1 + x^1000 used to reach the positivity check, whose root-finding
         # overflowed with numpy warnings and no field named.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"] = [1.0] + [0.0] * 999 + [1.0]
         path = tmp_path / "high.json"
         path.write_text(json.dumps(obj))
@@ -361,7 +361,7 @@ class TestEigenCommand:
 
     def test_weight_dipping_between_samples_invalid(self, tmp_path):
         # r = (x - 0.3001)^2 - 1e-8 is negative only near x = 0.3001.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["r"]["coeffs"] = [0.3001 ** 2 - 1e-8, -0.6002, 1.0]
         path = tmp_path / "dip.json"
         path.write_text(json.dumps(obj))
@@ -372,7 +372,7 @@ class TestEigenCommand:
     def test_failed_eigensolve_exit_code(self, tmp_path):
         # On [0, 1e-300] the reduced pencil overflows: a numerical failure
         # (exit 3), not invalid input, named in one line with no numpy warning.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         for name in ("p", "q", "r"):
             obj[name]["interval"] = [0.0, 1e-300]
         path = tmp_path / "tiny.json"
@@ -385,7 +385,7 @@ class TestEigenCommand:
     def test_subnormal_interval_exit_code(self, tmp_path):
         # On [0, 1e-320] a variable p's stiffness matrix holds NaN and the
         # mass matrix underflows: exit 3 with the one error line, no warning.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"] = [1.0, 1.0]
         for name in ("p", "q", "r"):
             obj[name]["interval"] = [0.0, 1e-320]
@@ -407,7 +407,7 @@ class TestEigenCommand:
         # coefficients overflow) on [0, 1] with coefficients near the float
         # range: one error line naming the overflow, and no numpy warning
         # (the run turns warnings into errors).
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"] = [1.0, 1.0]
         for name, values in coeffs.items():
             obj[name]["coeffs"] = values
@@ -436,7 +436,7 @@ class TestEigenCommand:
     def test_interval_off_zero(self, tmp_path):
         # The affine map of the Chebyshev points rounds an end of the
         # positivity samples an ulp outside this interval.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         for name in ("p", "q", "r"):
             obj[name]["interval"] = [-2.0, -1.8]
         path = tmp_path / "problem.json"
@@ -451,7 +451,7 @@ class TestEigenCommand:
     def test_positivity_is_free_of_scale(self, tmp_path, capsys):
         # p = r = 1e-13 on [0, 1] has lambda_1 = pi^2, as at unit scale: the
         # positivity margin is relative to the largest |f|.
-        obj = serialize.problem_to_obj(make_unit_problem())
+        obj = problem_to_obj(make_unit_problem())
         obj["p"]["coeffs"] = obj["r"]["coeffs"] = [1e-13]
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(obj))
@@ -892,6 +892,18 @@ class TestEnumerateCommand:
     def test_bad_omega_rejected(self):
         result = run_cli("enumerate", "--omegas", "0", "--quantum-I", "1.0", "--emax", "1")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("omegas,quantum,message", [
+        ("1,2", "inf", "h = inf is not finite"),
+        ("1,2", "1e308", "h = inf is not finite"),  # h = 4 I overflows
+        ("inf,1", "1", "the quantum of frequency inf at h = 4.0 is not finite"),
+        ("1e308,1", "1e10",
+         "the quantum of frequency 1e+308 at h = 40000000000.0 is not finite"),
+    ], ids=["h-inf", "h-overflows", "omega-inf", "quantum-overflows"])
+    def test_non_finite_quantum_one_error_line(self, omegas, quantum, message):
+        # A non-finite quantum would list only the vacuum, or drop its mode.
+        result = run_cli("enumerate", "--omegas", omegas, "--quantum-I", quantum, "--emax", "1")
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
     def test_five_mode_digest(self):
         # Interior zeros and two-digit occupations (557 states) keep a

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenforge import godel, qstar, serialize
-from eigenforge.action import total_energy
 from eigenforge.errors import DomainError
 from eigenforge.godel import (
     MAX_GODEL_BITS,
@@ -216,15 +215,6 @@ class TestEnumerate:
         e_max = 3.5
         for s in enumerate_definable([1.0, 2.0, 3.0], TWO_PI, e_max):
             assert s.energy <= e_max + 1e-9
-
-    def test_cross_checks_with_ledger_energy(self):
-        # same arithmetic as the occupied-mode energy, cross-module
-        omegas = [1.0, 2.0]
-        for s in enumerate_definable(omegas, TWO_PI, 4.0):
-            occ = list(s.occupations) + [0] * (len(omegas) - len(s.occupations))
-            energy = total_energy(TWO_PI / 4.0, omegas, occ)
-            assert energy == pytest.approx(s.energy, abs=1e-12)
-            assert energy <= 4.0 + 1e-9
 
     def test_bad_frequency_rejected(self):
         with pytest.raises(DomainError):
