@@ -3,7 +3,9 @@
 
 For Dirichlet box modes (omega_m = m pi / L, m <= --modes) the number of
 occupation distributions with total energy below --emax never shrinks as the
-box grows. Prints the counts and optionally writes them as CSV.
+box grows. Prints the counts and optionally writes them as CSV. The states
+are counted, not listed (``godel.count_vs_box``). Invalid input ends with one
+``error:`` line on stderr and exit status 2, as in the ``eigenforge`` CLI.
 """
 
 import argparse
@@ -12,6 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from eigenforge import cli
+from eigenforge.errors import EigenforgeError
 from eigenforge.godel import count_vs_box
 from eigenforge.serialize import format_float
 
@@ -25,8 +29,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args(argv)
 
-    lengths = [float(v) for v in args.lengths.split(",")]
-    counts = count_vs_box(lengths, args.emax, args.modes)
+    try:
+        lengths = [float(v) for v in args.lengths.split(",")]
+        counts = count_vs_box(lengths, args.emax, args.modes)
+    except (EigenforgeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_INVALID
     print(f"{'L':>10} {'count':>8}")
     for L, count in counts:
         print(f"{L:>10.4f} {count:>8d}")

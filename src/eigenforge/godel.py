@@ -3,7 +3,8 @@
 A distribution (n_1, n_2, ...) maps to prod_m prime(m)^n_m, with mode 1
 paired to the prime 2. The map is a bijection onto the positive integers by
 unique factorization; Python ints keep it exact at any size. The definable
-set below an energy cutoff is produced by exhaustive bounded enumeration.
+set below an energy cutoff is produced by exhaustive bounded enumeration; for
+box modes, whose energies are multiples of one step, it is only counted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ MAX_PRIME_INDEX = 100_000
 # Largest number of states ``enumerate_definable`` lists. The count grows as
 # C(K + n, n) in the number of modes n, so a short command line can ask for
 # 10^15 states; the descent stops with DomainError at the first run of
-# states that would pass this limit, before memory grows further.
+# states that would pass this limit, before memory grows further. It bounds
+# ``count_vs_box``'s additions too, which lists no state.
 MAX_STATES = 1_000_000
 
 # Largest size, in bits, of a Godel integer: the codec refuses a larger one.
@@ -199,6 +201,20 @@ def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
     return energies
 
 
+def _cutoff(e_max: float) -> tuple[float, float]:
+    """The relative slack of e_max and the cutoff e_max + slack that state
+    energies are held to; e_max must be finite and nonnegative, and the
+    cutoff finite."""
+    if not (math.isfinite(e_max) and e_max >= 0):
+        raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
+    slack = _ENERGY_SLACK * (1.0 + abs(e_max))
+    cutoff = e_max + slack
+    if not math.isfinite(cutoff):
+        raise DomainError(f"e_max = {e_max!r} overflows when padded by its relative "
+                          f"slack {_ENERGY_SLACK!r}")
+    return slack, cutoff
+
+
 def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> DefinableStates:
     """All occupation distributions with total energy <= e_max, sorted by their
     encoded integers.
@@ -225,14 +241,8 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> Defi
     admits an integer of more than ``MAX_GODEL_BITS`` bits, raise
     DomainError.
     """
-    if not (math.isfinite(e_max) and e_max >= 0):
-        raise DomainError(f"e_max must be finite and nonnegative, got {e_max!r}")
+    slack, cutoff = _cutoff(e_max)
     energies = mode_energies(omegas, h)
-    slack = _ENERGY_SLACK * (1.0 + abs(e_max))
-    cutoff = e_max + slack
-    if not math.isfinite(cutoff):
-        raise DomainError(f"e_max = {e_max!r} overflows when padded by its relative "
-                          f"slack {_ENERGY_SLACK!r}")
     # Modes that hold a quantum at zero energy used; no other mode is ever
     # occupied, so only these need a prime.
     occupiable = [(m, step, nth_prime(m + 1)) for m, step in enumerate(energies)
@@ -291,7 +301,13 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float, num_modes: int,
     """Definable-state counts for a family of box sizes.
 
     Box modes have frequencies m pi / L for m = 1..num_modes, so larger boxes
-    lower every mode energy and the count is non-decreasing in L.
+    lower every mode energy and the count is non-decreasing in L. Mode m
+    holds m steps of mode 1's energy, so the states below
+    ``enumerate_definable``'s cutoff are the partitions of k <= K =
+    floor(cutoff / step) steps into parts of at most num_modes: counted by
+    coin change, not listed, in min(num_modes, K) * K additions, and more
+    than ``MAX_STATES`` of them raise DomainError. The count is the
+    enumeration's length unless the cutoff lies within rounding of a level.
     """
     lengths = [float(L) for L in box_lengths]
     if any(not L > 0 for L in lengths):
@@ -300,8 +316,19 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float, num_modes: int,
         raise DomainError("box lengths must be ascending")
     if num_modes < 1:
         raise DomainError("need at least one mode")
+    _, cutoff = _cutoff(e_max)
     out = []
     for L in lengths:
-        omegas = [m * math.pi / L for m in range(1, num_modes + 1)]
-        out.append((L, len(enumerate_definable(omegas, h, e_max))))
+        step = mode_energies([m * math.pi / L for m in range(1, num_modes + 1)], h)[0]
+        levels = int(cutoff // step)
+        parts = min(num_modes, levels)
+        if parts * levels > MAX_STATES:
+            raise DomainError(f"counting the states below e_max = {e_max!r} takes "
+                              f"{parts * levels} additions, more than MAX_STATES = "
+                              f"{MAX_STATES}")
+        ways = [1] + [0] * levels
+        for m in range(1, parts + 1):
+            for k in range(m, levels + 1):
+                ways[k] += ways[k - m]
+        out.append((L, sum(ways)))
     return out

@@ -63,6 +63,10 @@ MAX_COMPONENTS = 256
 # Eigenvalue stopping tolerance and degree cap of each space-factor eigensolve.
 SL_K_TOL = 1e-12
 SL_MAX_DEGREE = 40
+# The quadrature under ``integrate_product``'s memo, bound at import so that
+# no later swap of the module's ``integrate_product`` sends ``_change`` through
+# the memo.
+_integrate_afresh = integrate_product.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -320,9 +324,9 @@ def _change(old: Polynomial, new: Polynomial, r: Polynomial) -> float:
     """The r-weighted norm of old minus new: the exact difference of the two
     series, integrated, so no cancellation as in 2 - 2 <old, new>. The
     difference is new every sweep, so its integral skips the memo
-    (``__wrapped__``) rather than displace a kept one."""
+    (``_integrate_afresh``) rather than displace a kept one."""
     d = old - new
-    return math.sqrt(integrate_product.__wrapped__(r, d, d))
+    return math.sqrt(_integrate_afresh(r, d, d))
 
 
 # Bound of ``_unit_norm`` alone, which keeps unit-norm scalings by value: each

@@ -487,6 +487,75 @@ class TestCountVsBox:
         with pytest.raises(DomainError):
             count_vs_box([2.0, 1.0], 1.0, 2)
 
+    # Lengths 0.5 to 8.3 by 0.71, cutoffs 0 to 12 by 1.2 and 3 pi, M in {1, 3, 6, 10}.
+    GRID_LENGTHS = [0.5 + 7.8 * i / 11 for i in range(12)]
+    GRID_EMAX = [1.2 * i for i in range(11)] + [3.0 * math.pi]
+
+    @pytest.mark.parametrize("num_modes", [1, 3, 6, 10])
+    def test_count_is_the_enumeration_length(self, num_modes):
+        # The counts, never listed, against the listed states on a 12 x 12 grid.
+        for e_max in self.GRID_EMAX:
+            got = count_vs_box(self.GRID_LENGTHS, e_max, num_modes)
+            want = [(L, len(enumerate_definable(
+                [m * math.pi / L for m in range(1, num_modes + 1)], TWO_PI, e_max)))
+                for L in self.GRID_LENGTHS]
+            assert got == want, e_max
+
+    def test_every_mode_gives_the_partition_sum(self):
+        # With at least K modes every partition of k <= K steps is a state:
+        # sum p(k), with p from Euler's pentagonal-number recurrence.
+        p = [1]
+        for n in range(1, 26):
+            total, j = 0, 1
+            while j * (3 * j - 1) // 2 <= n:
+                sign = 1 if j % 2 else -1
+                total += sign * p[n - j * (3 * j - 1) // 2]
+                if j * (3 * j + 1) // 2 <= n:
+                    total += sign * p[n - j * (3 * j + 1) // 2]
+                j += 1
+            p.append(total)
+        assert sum(p) == 9296
+        assert count_vs_box([1.0], 25 * math.pi, 25) == [(1.0, 9296)]
+        assert count_vs_box([1.0], 25 * math.pi, 40) == [(1.0, 9296)]
+
+    def test_cutoff_on_a_level(self):
+        # Level 3 of step pi / 2 holds the three partitions of 3; just below
+        # it, only the levels 0-2 count.
+        level = 3 * math.pi / 2
+        assert count_vs_box([2.0], level, 3) == [(2.0, 7)]
+        assert count_vs_box([2.0], level * (1 - 1e-9), 3) == [(2.0, 4)]
+        for e_max in (level, level * (1 - 1e-9)):
+            assert count_vs_box([2.0], e_max, 3)[0][1] == len(
+                enumerate_definable([m * math.pi / 2.0 for m in (1, 2, 3)], TWO_PI, e_max))
+
+    def test_counts_past_the_listing_limit(self):
+        # 3 705 839 states, more than MAX_STATES lists, in 8 * 76 additions.
+        assert count_vs_box([8.0], 30.0, 8) == [(8.0, 3705839)]
+        with pytest.raises(DomainError, match="MAX_STATES"):
+            enumerate_definable([m * math.pi / 8.0 for m in range(1, 9)], TWO_PI, 30.0)
+
+    def test_additions_bounded_by_max_states(self, monkeypatch):
+        # min(M, K) * K additions: 3 * 10 = 30 at L = 1, e_max = 10 pi.
+        monkeypatch.setattr(godel, "MAX_STATES", 30)
+        assert count_vs_box([1.0], 10 * math.pi, 3) == [(1.0, 67)]
+        monkeypatch.setattr(godel, "MAX_STATES", 29)
+        with pytest.raises(DomainError, match="takes 30 additions, more than MAX_STATES = 29"):
+            count_vs_box([1.0], 10 * math.pi, 3)
+
+    @pytest.mark.parametrize("lengths, e_max, num_modes, h, match", [
+        ([0.0, 1.0], 1.0, 2, TWO_PI, "box lengths must be positive"),
+        ([1.0], 1.0, 0, TWO_PI, "need at least one mode"),
+        ([1.0], -1.0, 2, TWO_PI, "e_max must be finite and nonnegative"),
+        ([1.0], math.inf, 2, TWO_PI, "e_max must be finite and nonnegative"),
+        ([1.0], sys.float_info.max, 2, TWO_PI, "overflows when padded"),
+        ([1.0], 1.0, 2, 0.0, "h must be positive"),
+        ([1.0], 1.0, 2, math.inf, "is not finite"),
+    ], ids=["length", "modes", "negative-emax", "infinite-emax", "overflowing-emax",
+            "zero-h", "infinite-h"])
+    def test_refusals(self, lengths, e_max, num_modes, h, match):
+        with pytest.raises(DomainError, match=match):
+            count_vs_box(lengths, e_max, num_modes, h)
+
 
 def _imported_modules(path):
     """Top-level names of the modules a source file imports, with the

@@ -88,15 +88,21 @@ class TestArith:
 
 
 class TestDifferentiate:
+    # A monomial's derivative is that of its Legendre form: its values are
+    # checked against the hand derivative's, evaluated in the power basis.
+    XS = np.linspace(0.0, 1.0, 11)
+
     def test_constant(self):
         assert poly([5.0], UNIT).derivative().is_zero
 
     def test_square(self):
-        assert poly([0.0, 0.0, 1.0], UNIT).derivative().coeffs == (0.0, 2.0)
+        got = poly([0.0, 0.0, 1.0], UNIT).derivative().values(self.XS)
+        assert np.allclose(got, npoly.polyval(self.XS, [0.0, 2.0]), rtol=0, atol=1e-14)
 
     def test_hand_derivative(self):
         # d/dx [x - x^2] = 1 - 2x
-        assert poly([0.0, 1.0, -1.0], UNIT).derivative().coeffs == (1.0, -2.0)
+        got = poly([0.0, 1.0, -1.0], UNIT).derivative().values(self.XS)
+        assert np.allclose(got, npoly.polyval(self.XS, [1.0, -2.0]), rtol=0, atol=1e-14)
 
 
 def antiderivative(a: Polynomial) -> Polynomial:
@@ -518,6 +524,15 @@ class TestKeptOnValue:
         for _ in range(3):
             with pytest.raises(DomainError, match="degree 65 is above the cap 64"):
                 as_series(f)
+        assert "_series" not in vars(f)
+
+    def test_values_and_derivative_above_the_cap_refused_as_the_series(self):
+        # A monomial is read only through its Legendre form, so evaluating or
+        # differentiating one above the cap raises the conversion's refusal.
+        f = poly([0.0] * 65 + [1.0], UNIT)
+        for read in (lambda: f.values(0.5), f.derivative):
+            with pytest.raises(DomainError, match="degree 65 is above the cap 64"):
+                read()
         assert "_series" not in vars(f)
 
 

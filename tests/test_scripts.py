@@ -56,3 +56,22 @@ def test_definability_scan_counts_never_decrease(tmp_path, capsys):
     assert counts == sorted(counts) and counts[0] >= 1
     assert out.read_text() == "box_length,count\n" + "".join(
         f"{serialize.format_float(length)},{count}\n" for length, count in printed)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lengths", "2,1"], "box lengths must be ascending"),
+    (["--lengths", "1,x"], "could not convert string to float: 'x'"),
+    (["--emax", "inf"], "e_max must be finite and nonnegative, got inf"),
+], ids=["descending", "not-a-number", "infinite-emax"])
+def test_definability_scan_invalid_input_one_error_line(capsys, flags, message):
+    scan = load_script("definability_scan")
+    assert scan.main(flags) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_definability_scan_counts_past_the_listing_limit(capsys):
+    # More states than godel.MAX_STATES lists: they are counted, not listed.
+    scan = load_script("definability_scan")
+    assert scan.main(["--lengths", "8", "--emax", "30", "--modes", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["8.0000", "3705839"]

@@ -1,5 +1,6 @@
 """Separable field solver tests: string benchmark, coupling, balance residual."""
 
+import functools
 import math
 import re
 from collections import Counter
@@ -568,6 +569,30 @@ class TestFactorChange:
     def test_unchanged_factor_reads_zero(self):
         u = LegendreSeries((0.3, -1.2, 0.7), (0.0, 2.0))
         assert sigma_model._change(u, u, poly([1.0, 1.0], (0.0, 2.0))) == 0.0
+
+    def test_skips_the_memo_under_a_wrapped_integrate_product(self, monkeypatch):
+        # A benchmark tracer swaps the module's integrate_product for a
+        # functools.wraps wrapper, whose __wrapped__ is the memo itself. The
+        # factor changes skip the memo all the same, so a field solve leaves
+        # it with the same traffic, wrapped or not.
+        spec = coupled_spec((1.0,), (NEUMANN,), 0.5)
+
+        def memo_traffic():
+            integrate_product.cache_clear()
+            sigma_model._unit_norm.cache_clear()
+            state, report = solve_state(spec, "m", (2,))
+            assert report.iterations > 1
+            return integrate_product.cache_info()
+
+        memo_traffic()  # builds the time pair, which the memo then never sees again
+        plain = memo_traffic()
+
+        @functools.wraps(integrate_product)
+        def traced(*factors):
+            return integrate_product(*factors)
+
+        monkeypatch.setattr(sigma_model, "integrate_product", traced)
+        assert memo_traffic() == plain
 
 
 def count_eigensolves(monkeypatch):
