@@ -197,6 +197,8 @@ def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
         energy = h * float(w) / (2.0 * math.pi)
         if not math.isfinite(energy):
             raise DomainError(f"the quantum of frequency {w!r} at h = {h!r} is not finite")
+        if not energy > 0:
+            raise DomainError(f"the quantum of frequency {w!r} at h = {h!r} underflows to 0")
         energies.append(energy)
     return energies
 
@@ -320,12 +322,15 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float, num_modes: int,
     out = []
     for L in lengths:
         step = mode_energies([m * math.pi / L for m in range(1, num_modes + 1)], h)[0]
-        levels = int(cutoff // step)
-        parts = min(num_modes, levels)
-        if parts * levels > MAX_STATES:
+        levels = cutoff // step  # a float, which may pass the int range or be infinite
+        additions = min(num_modes, levels) * levels
+        if additions > MAX_STATES:
+            size = (f"{additions:.6g} additions, more" if math.isfinite(additions)
+                    else "more additions")
             raise DomainError(f"counting the states below e_max = {e_max!r} takes "
-                              f"{parts * levels} additions, more than MAX_STATES = "
-                              f"{MAX_STATES}")
+                              f"{size} than MAX_STATES = {MAX_STATES}")
+        levels = int(levels)
+        parts = min(num_modes, levels)
         ways = [1] + [0] * levels
         for m in range(1, parts + 1):
             for k in range(m, levels + 1):

@@ -28,11 +28,6 @@ INFINITE = "infinite"
 
 IntPoly = tuple[int, ...]
 
-# Largest exponent ``parse`` accepts after ``^``. Powers are built by repeated
-# multiplication, so an unbounded exponent is unbounded work; at this limit
-# (W+1)^64/(W-1)^64 parses in well under a second.
-MAX_EXPONENT = 64
-
 # Largest degree of a power, product, quotient, sum or difference ``parse``
 # builds, counted as numerator degree plus denominator degree: the base's
 # times the exponent for a power, the sum of the two operands' for the other
@@ -45,8 +40,10 @@ MAX_POWER_DEGREE = 128
 
 # Largest size, in bits, of an integer ``parse`` reads or builds, judged
 # before it is built: d log2(10) for a literal of d digits; for base^e,
-# e log2(s), s the larger sum of |coefficient| of the base's numerator and
-# denominator, which bounds every coefficient of the power; and for + - * /,
+# e log2(max(2, s)), s the larger sum of |coefficient| of the base's numerator
+# and denominator, which bounds every coefficient of the power, with at least
+# one bit per factor, so that 1^e, (-1)^e and 0^e, whose degree is 0, are
+# bounded too and no exponent builds more than this many factors; for + - * /,
 # a bound on the coefficients of the unreduced result (see ``_Parser._apply``).
 # (2^64)^64 is inside, (2^64)^64*(2^64)^64 is not.
 MAX_COEFF_BITS = 8192
@@ -437,15 +434,18 @@ class _Parser:
             if not exp_tok.isdigit():
                 raise DomainError("exponent must be a nonnegative integer")
             exponent = self._literal(exp_tok)
-            if exponent > MAX_EXPONENT:
-                raise DomainError(f"exponent {exponent} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
             degree = (len(base.num) + len(base.den) - 2) * exponent
             if degree > MAX_POWER_DEGREE:
                 raise DomainError(
                     f"power of degree {degree} exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
-            bits = exponent * math.log2(max(sum(map(abs, base.num)), sum(map(abs, base.den))))
+            # At least one bit per factor, so an exponent past MAX_COEFF_BITS
+            # is refused without being converted to a float.
+            bits = min(exponent, MAX_COEFF_BITS + 1) * math.log2(
+                max(2, sum(map(abs, base.num)), sum(map(abs, base.den))))
             if bits > MAX_COEFF_BITS:
-                raise DomainError(f"power of {bits:.0f} bits exceeds MAX_COEFF_BITS")
+                size = (f"{bits:.0f}" if exponent <= MAX_COEFF_BITS
+                        else f"more than {MAX_COEFF_BITS}")
+                raise DomainError(f"power of {size} bits exceeds MAX_COEFF_BITS")
             # The base is canonical, so num^e and den^e need one reduction, not e.
             num, den = (1,), (1,)
             for _ in range(exponent):
@@ -474,11 +474,11 @@ class _Parser:
 
 
 def parse(text: str) -> QStarElement:
-    """Parse an expression; exponents above ``MAX_EXPONENT``, powers and
-    operations of degree above ``MAX_POWER_DEGREE``, literals, powers, sums,
-    differences, products and quotients that could hold a coefficient of
-    more than ``MAX_COEFF_BITS`` bits and nesting deeper than the
-    interpreter's recursion limit raise DomainError."""
+    """Parse an expression; powers and operations of degree above
+    ``MAX_POWER_DEGREE``, literals, powers, sums, differences, products and
+    quotients that could hold a coefficient of more than ``MAX_COEFF_BITS``
+    bits and nesting deeper than the interpreter's recursion limit raise
+    DomainError."""
     try:
         return _Parser(text).parse()
     except RecursionError:

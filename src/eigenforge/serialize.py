@@ -2,13 +2,16 @@
 
 Floats are written with 17 significant digits (round-trip exact for binary64),
 dict keys keep insertion order, lines end with LF: identical inputs produce
-byte-identical files. An array whose elements are all exactly ``float`` and
-whose sum is finite is rendered in one pass, ``"%.17g"`` mapped over it, the
-same bytes as ``format_float`` element by element, and so is a pair of an exact
-int and a finite exact float (a Ritz trace entry); any other array takes the
-per-element path, which names the first non-finite value it refuses. Strings
-and keys are quoted as ``json.dumps`` quotes them. Parsing is strict: unknown
-keys are rejected.
+byte-identical files. ``dumps`` renders exactly the types the library's
+documents hold, each recognised by its exact type: ``float``, ``int``,
+``bool``, ``str``, ``dict``, ``list`` and ``tuple``; ``None``, numpy scalars
+and subclasses are refused. An array whose elements are all exactly ``float``
+and whose sum is finite is rendered in one pass, ``"%.17g"`` mapped over it,
+the same bytes as ``format_float`` element by element, and so is a pair of an
+exact int and a finite exact float (a Ritz trace entry); any other array takes
+the per-element path, which names the first non-finite value it refuses.
+Strings and keys are quoted as ``json.dumps`` quotes them. Parsing is strict:
+unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -49,27 +52,27 @@ def format_float(x: float) -> str:
 
 _INDENT = 2
 _FLOAT_ONLY = frozenset((float,))
+_NUMBERS = frozenset((int, float))
 _quote = json.encoder.encode_basestring_ascii  # json.dumps of a str, byte for byte
+
+
+def _layout(level: int) -> tuple[str, str, str]:
+    """What opens, separates and closes the items of a container at ``level``."""
+    inner = "\n" + " " * (_INDENT * (level + 1))
+    return inner, "," + inner, "\n" + " " * (_INDENT * level)
 
 
 def dumps(obj: Any) -> str:
     """Render with fixed key order, two-space indents and 17-significant-digit floats.
 
-    Every piece is appended to one output list, joined once at the end, and
-    each nesting level's separators are built once. A node's exact type is
-    dispatched on first; ``None``, bools and subclasses (``np.float64``, dict
-    and list subclasses) take the ``isinstance`` chain, to the same bytes.
+    Every piece is appended to one output list, joined once at the end. Each
+    node is dispatched once, on its exact type: ``float``, ``int``, ``bool``,
+    ``str``, ``dict``, ``list`` and ``tuple`` are rendered, and any other
+    value, ``None``, a numpy scalar or a subclass, raises
+    ``DomainError("cannot serialize <type name>")``.
     """
     out: list[str] = []
     append = out.append
-    # Per level: what opens, separates and closes its items.
-    levels: list[tuple[str, str, str]] = []
-
-    def layout(level):
-        while len(levels) <= level:
-            inner = "\n" + " " * (_INDENT * (len(levels) + 1))
-            levels.append((inner, "," + inner, "\n" + " " * (_INDENT * len(levels))))
-        return levels[level]
 
     def sequence(node, level):
         if not node:
@@ -81,17 +84,17 @@ def dumps(obj: Any) -> str:
                 and math.isfinite(node[1])):
             append("[%d, %.17g]" % (node[0], node[1]))
             return
-        # Only exact floats (no bool, int or numpy scalar), and a finite
-        # sum means every one is finite: "%.17g" is then format_float's
-        # text, with no check per element.
-        if _FLOAT_ONLY.issuperset(map(type, node)) and math.isfinite(sum(node)):
+        kinds = set(map(type, node))
+        # Only exact floats, and a finite sum means every one is finite:
+        # "%.17g" is then format_float's text, with no check per element.
+        if kinds == _FLOAT_ONLY and math.isfinite(sum(node)):
             append("[" + ", ".join(map("%.17g".__mod__, node)) + "]")
             return
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
-            append("[" + ", ".join([format_float(v) if isinstance(v, float) else str(v)
+        if kinds <= _NUMBERS:
+            append("[" + ", ".join([format_float(v) if type(v) is float else str(v)
                                     for v in node]) + "]")
             return
-        opening, between, closing = layout(level)
+        opening, between, closing = _layout(level)
         append("[")
         for v in node:
             append(opening)
@@ -103,7 +106,7 @@ def dumps(obj: Any) -> str:
         if not node:
             append("{}")
             return
-        opening, between, closing = layout(level)
+        opening, between, closing = _layout(level)
         append("{")
         for k, v in node.items():
             append(opening + _quote(str(k)) + ": ")
@@ -123,22 +126,10 @@ def dumps(obj: Any) -> str:
             sequence(node, level)
         elif kind is int:
             append(str(node))
-        elif node is None:
-            append("null")
-        elif isinstance(node, bool):
+        elif kind is bool:
             append("true" if node else "false")
-        elif isinstance(node, int):
-            append(str(node))
-        elif isinstance(node, float):
-            append(format_float(node))
-        elif isinstance(node, str):
-            append(_quote(node))
-        elif isinstance(node, (list, tuple)):
-            sequence(node, level)
-        elif isinstance(node, dict):
-            mapping(node, level)
         else:
-            raise DomainError(f"cannot serialize {type(node).__name__}")
+            raise DomainError(f"cannot serialize {kind.__name__}")
 
     render(obj, 0)
     append("\n")

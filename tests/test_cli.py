@@ -1,5 +1,6 @@
 """CLI contract tests: outputs, exit codes, strict parsing, byte determinism."""
 
+import collections
 import hashlib
 import json
 import math
@@ -67,19 +68,35 @@ def coupled_solution_file(tmp_path_factory):
     return str(path)
 
 
+def foreign_nodes(node, path="$"):
+    """(path, type name) of every node that is neither an exact float, int,
+    bool or str leaf nor an exact dict or list."""
+    kind = type(node)
+    if kind is dict:
+        children = [(f"{path}.{k}", v) for k, v in node.items()]
+    elif kind is list:
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return [] if kind in (float, int, bool, str) else [(path, kind.__name__)]
+    return [bad for child_path, v in children for bad in foreign_nodes(v, child_path)]
+
+
 class TestSerialize:
     def test_float_formatting_round_trips(self):
         for x in [math.pi, 1.0 / 3.0, 1e-300, 12345.678901234567, -0.5]:
             assert float(serialize.format_float(x)) == x
 
     def test_dumps_is_valid_json(self):
-        obj = {"a": [1.5, 2, True], "b": {"c": None, "d": "x"}, "e": []}
+        obj = {"a": [1.5, 2, True], "b": {"c": False, "d": "x"}, "e": []}
         assert json.loads(serialize.dumps(obj)) == obj
+        # No library document holds a None: it is refused, not written as null.
+        with pytest.raises(DomainError, match="^cannot serialize NoneType$"):
+            serialize.dumps({"b": {"c": None, "d": "x"}})
 
     def test_dumps_exact_text(self):
         # Number lists go on one line; a bool among numbers forces one item
         # per line; empty containers stay inline.
-        obj = {"inline": [2**70, -3, 0.1, 1e-300], "mixed": [1.5, True, None],
+        obj = {"inline": [2**70, -3, 0.1, 1e-300], "mixed": [1.5, True, False],
                "empty_list": [], "empty_dict": {}, "nested": [[1, 2.5], {"k": "v"}]}
         assert serialize.dumps(obj) == (
             '{\n'
@@ -87,7 +104,7 @@ class TestSerialize:
             '  "mixed": [\n'
             '    1.5,\n'
             '    true,\n'
-            '    null\n'
+            '    false\n'
             '  ],\n'
             '  "empty_list": [],\n'
             '  "empty_dict": {},\n'
@@ -102,6 +119,8 @@ class TestSerialize:
         for bad in ([1.0, math.inf], [math.nan], {"a": [True, -math.inf]}):
             with pytest.raises(DomainError, match="non-finite"):
                 serialize.dumps(bad)
+        with pytest.raises(DomainError, match="^cannot serialize NoneType$"):
+            serialize.dumps({"mixed": [1.5, True, None]})
 
     # An array of exact floats whose sum is finite is rendered in one pass;
     # [1e308, 1e308] overflows the sum and takes the per-element path. Both
@@ -114,15 +133,16 @@ class TestSerialize:
         assert serialize.dumps(values) == want
         assert serialize.dumps(tuple(values)) == want
 
-    @pytest.mark.parametrize("values,first", [
-        ([1.0, math.nan, math.inf], "nan"),
-        ([math.inf, -math.inf], "inf"),
-        ([1e308, 1e308, -math.inf], "-inf"),
-        ([0.5, np.float64("nan")], "np.float64(nan)"),
+    # A numpy scalar is no exact float: it is refused by its type name,
+    # finite or not.
+    @pytest.mark.parametrize("values,message", [
+        ([1.0, math.nan, math.inf], "non-finite number nan"),
+        ([math.inf, -math.inf], "non-finite number inf"),
+        ([1e308, 1e308, -math.inf], "non-finite number -inf"),
+        ([0.5, np.float64("nan")], "float64"),
     ], ids=["nan-first", "inf-first", "after-overflow", "numpy-nan"])
-    def test_nonfinite_array_names_the_first(self, values, first):
-        with pytest.raises(DomainError,
-                           match=f"^cannot serialize non-finite number {re.escape(first)}$"):
+    def test_nonfinite_array_names_the_first(self, values, message):
+        with pytest.raises(DomainError, match=f"^cannot serialize {re.escape(message)}$"):
             serialize.dumps(values)
 
     # A Ritz trace entry [degree, value] takes one format call; it must give
@@ -136,11 +156,13 @@ class TestSerialize:
         assert serialize.dumps([pair]) == "[\n  " + want[:-1] + "\n]\n"
 
     def test_trace_pair_look_alikes_keep_their_bytes(self):
-        # A bool is no degree, a float first or a numpy scalar no exact type,
-        # and a non-finite value is refused by name, as on the per-element path.
+        # A bool is no degree and a float first no trace entry; a numpy
+        # scalar is refused, and a non-finite value is refused by name, as on
+        # the per-element path.
         assert serialize.dumps([True, 0.5]) == "[\n  true,\n  0.5\n]\n"
         assert serialize.dumps([0.5, 2]) == "[0.5, 2]\n"
-        assert serialize.dumps([2, np.float64(0.1)]) == "[2, 0.10000000000000001]\n"
+        with pytest.raises(DomainError, match="^cannot serialize float64$"):
+            serialize.dumps([2, np.float64(0.1)])
         for bad, first in (([4, math.inf], "inf"), ([4, math.nan], "nan")):
             with pytest.raises(DomainError,
                                match=f"^cannot serialize non-finite number {first}$"):
@@ -148,9 +170,52 @@ class TestSerialize:
 
     def test_arrays_not_all_float_keep_their_bytes(self):
         assert serialize.dumps([True, 1.5]) == "[\n  true,\n  1.5\n]\n"
-        assert serialize.dumps([np.float64(0.1), 2.0, 3]) == "[0.10000000000000001, 2, 3]\n"
-        assert serialize.dumps((np.float64(1e17), 2**70, -0.0)) == (
-            "[1e+17, 1180591620717411303424, -0]\n")
+        assert serialize.dumps([0.1, 2.0, 3]) == "[0.10000000000000001, 2, 3]\n"
+        assert serialize.dumps((1e17, 2**70, -0.0)) == "[1e+17, 1180591620717411303424, -0]\n"
+        # Arrays accept the types scalars do: a numpy scalar is refused in
+        # either place.
+        for bad in ([np.float64(0.1), 2.0, 3], (np.float64(1e17), 2**70, -0.0), np.float64(1.0),
+                    [np.int64(2), 0.5]):
+            with pytest.raises(DomainError, match=r"^cannot serialize (float|int)64$"):
+                serialize.dumps(bad)
+
+    @pytest.mark.parametrize("value", [
+        None, np.float64(0.5), np.int64(2), np.bool_(True), {1, 2}, b"x",
+        collections.OrderedDict(a=1.0), type("Floats", (list,), {})([0.5]),
+    ], ids=["none", "np-float", "np-int", "np-bool", "set", "bytes", "dict-subclass",
+            "list-subclass"])
+    def test_other_types_refused_by_name(self, value):
+        message = f"^cannot serialize {type(value).__name__}$"
+        for obj in (value, {"x": [1.0, value]}):
+            with pytest.raises(DomainError, match=message):
+                serialize.dumps(obj)
+
+    def test_documents_hold_only_rendered_types(self):
+        # dumps renders exact types only: every document the library builds
+        # must hold nothing else, for a variable-coefficient eigenproblem, the
+        # string model linear and coupled, and a coupled 2-D box.
+        pairs, trace = sl.solve(serialize.problem_from_obj(json.loads(MIXED_PROBLEM)),
+                                num_modes=3)
+        documents = [serialize.solution_to_obj(pairs, trace)]
+        specs = [make_string_spec(0.0), make_string_spec(0.05),
+                 serialize.model_from_obj(json.loads(BOX_MODEL))]
+        for spec in specs:
+            labels, alphas = [], []
+            for mode in spec.modes:
+                state, report = sigma_model.solve_state(spec, mode.label, mode.targets)
+                alpha = action_mod.action_for_state(state)
+                documents.append(serialize.state_to_obj(
+                    state, report, sigma_model.null_postulate_residual(spec, state), alpha,
+                    mode.targets))
+                labels.append(mode.label)
+                alphas.append(alpha)
+            spectrum = action_mod.fit_spectrum(labels, alphas)
+            documents.append(serialize.spectrum_to_obj(
+                spectrum, action_mod.closure_check(alphas, spectrum.quantum)))
+            documents.append(serialize.model_to_obj(spec))
+        for document in documents:
+            assert foreign_nodes(document) == []
+            assert json.loads(serialize.dumps(document)) == document
 
     def test_keys_and_strings_quoted_as_json_dumps(self):
         obj = {'a"b': "λ", "λ": 'a"b'}
@@ -893,6 +958,13 @@ class TestEnumerateCommand:
         result = run_cli("enumerate", "--omegas", "0", "--quantum-I", "1.0", "--emax", "1")
         assert result.returncode == 2
 
+    def test_quantum_underflowing_to_zero_one_error_line(self):
+        # h omega / 2pi of 1e-300 and 4e-300 is 0.0: refused by name, not a
+        # division by zero in the Godel-size bound.
+        result = run_cli("enumerate", "--omegas", "1e-300", "--quantum-I", "1e-300", "--emax", "1")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: the quantum of frequency 1e-300 at h = 4e-300 underflows to 0\n")
+
     @pytest.mark.parametrize("omegas,quantum,message", [
         ("1,2", "inf", "h = inf is not finite"),
         ("1,2", "1e308", "h = inf is not finite"),  # h = 4 I overflows
@@ -1002,14 +1074,15 @@ class TestQstarCommand:
         assert result.stdout.splitlines()[0] == str(2**4096)
 
     @pytest.mark.parametrize("expr,bound", [
-        ("W^100000", "MAX_EXPONENT"),
+        ("1^" + "9" * 2400, "MAX_COEFF_BITS"),
+        ("W^100000", "MAX_POWER_DEGREE"),
         ("(" * 5000 + "W" + ")" * 5000, "nests too deeply"),
         ("((W+1)^64)^64", "MAX_POWER_DEGREE"),
         ("*".join(["(W^3+3*W+1)/(W^2-7)"] * 50), "MAX_POWER_DEGREE"),
         ("((((2^64)^64)^64)^64)^64", "MAX_COEFF_BITS"),
         ("1" * 3000, "MAX_COEFF_BITS"),
-    ], ids=["huge-exponent", "deep-nesting", "nested-power", "long-product",
-            "nested-integer-power", "long-literal"])
+    ], ids=["huge-exponent", "exponent-past-degree", "deep-nesting", "nested-power",
+            "long-product", "nested-integer-power", "long-literal"])
     def test_unbounded_input_invalid(self, expr, bound):
         result = run_cli("qstar", "--expr", expr, timeout=10)
         assert result.returncode == 2

@@ -550,8 +550,14 @@ class TestCountVsBox:
         ([1.0], sys.float_info.max, 2, TWO_PI, "overflows when padded"),
         ([1.0], 1.0, 2, 0.0, "h must be positive"),
         ([1.0], 1.0, 2, math.inf, "is not finite"),
+        ([1e10], 1.0, 2, 1e-320,
+         r"^the quantum of frequency 3\.14159\d*e-10 at h = 1e-320 underflows to 0$"),
+        ([1.0], 1e300, 2, 1e-300, "takes more additions than MAX_STATES"),
+        ([1.0], 1e300, 2, TWO_PI, r"^counting the states below e_max = 1e\+300 takes 6\.3662e\+299 "
+                                  r"additions, more than MAX_STATES = 1000000$"),
     ], ids=["length", "modes", "negative-emax", "infinite-emax", "overflowing-emax",
-            "zero-h", "infinite-h"])
+            "zero-h", "infinite-h", "underflowing-quantum", "levels-past-float-range",
+            "levels-past-int-range"])
     def test_refusals(self, lengths, e_max, num_modes, h, match):
         with pytest.raises(DomainError, match=match):
             count_vs_box(lengths, e_max, num_modes, h)

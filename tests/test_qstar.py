@@ -16,7 +16,6 @@ from eigenforge.qstar import (
     ZERO,
     ZERO_CLASS,
     MAX_COEFF_BITS,
-    MAX_EXPONENT,
     MAX_POWER_DEGREE,
     QStarElement,
     classify,
@@ -264,12 +263,22 @@ class TestParseAndDescribe:
             parse("x+1")
 
     def test_exponent_limit(self):
-        assert identical(parse(f"W^{MAX_EXPONENT}"), element((0,) * MAX_EXPONENT + (1,)))
-        assert classify(parse(f"(W+1)^{MAX_EXPONENT}/(W-1)^{MAX_EXPONENT}")) == FINITE
-        with pytest.raises(DomainError, match="MAX_EXPONENT"):
-            parse(f"W^{MAX_EXPONENT + 1}")
-        with pytest.raises(DomainError, match="MAX_EXPONENT"):
-            parse("W^100000")
+        # No limit of its own: the degree and integer-size limits bound every
+        # power, and each factor counts at least one bit, so 1^e, (-1)^e and
+        # 0^e stop at MAX_COEFF_BITS factors.
+        assert identical(parse(f"W^{MAX_POWER_DEGREE}"), element((0,) * MAX_POWER_DEGREE + (1,)))
+        assert classify(parse("(W+1)^64/(W-1)^64")) == FINITE
+        for text in (f"W^{MAX_POWER_DEGREE + 1}", "W^100000"):
+            with pytest.raises(DomainError, match="MAX_POWER_DEGREE"):
+                parse(text)
+        assert identical(parse(f"2^{MAX_COEFF_BITS}"), element(2 ** MAX_COEFF_BITS))
+        for base, value in (("1", 1), ("(-1)", 1), ("0", 0)):
+            assert identical(parse(f"{base}^{MAX_COEFF_BITS}"), element(value))
+        # A 2 400-digit exponent is compared exactly, never converted to a float.
+        for text in (f"2^{MAX_COEFF_BITS + 1}", f"1^{MAX_COEFF_BITS + 1}", "(-1)^" + "9" * 2400,
+                     "0^" + "9" * 2400, "1^" + "9" * 2400):
+            with pytest.raises(DomainError, match="^power of .* bits exceeds MAX_COEFF_BITS$"):
+                parse(text)
 
     def test_power_degree_limit(self):
         # Nested powers: each exponent is allowed, the result's degree is not.

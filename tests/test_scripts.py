@@ -62,7 +62,14 @@ def test_definability_scan_counts_never_decrease(tmp_path, capsys):
     (["--lengths", "2,1"], "box lengths must be ascending"),
     (["--lengths", "1,x"], "could not convert string to float: 'x'"),
     (["--emax", "inf"], "e_max must be finite and nonnegative, got inf"),
-], ids=["descending", "not-a-number", "infinite-emax"])
+    (["--lengths", "1e300", "--emax", "1e10", "--modes", "2"],
+     "counting the states below e_max = 10000000000.0 takes more additions than "
+     "MAX_STATES = 1000000"),
+    (["--lengths", "1", "--emax", "1e300"],
+     "counting the states below e_max = 1e+300 takes 1.90986e+300 additions, more than "
+     "MAX_STATES = 1000000"),
+], ids=["descending", "not-a-number", "infinite-emax", "levels-past-float-range",
+        "levels-past-int-range"])
 def test_definability_scan_invalid_input_one_error_line(capsys, flags, message):
     scan = load_script("definability_scan")
     assert scan.main(flags) == cli.EXIT_INVALID
