@@ -3,8 +3,9 @@
 A distribution (n_1, n_2, ...) maps to prod_m prime(m)^n_m, with mode 1
 paired to the prime 2. The map is a bijection onto the positive integers by
 unique factorization; Python ints keep it exact at any size. The definable
-set below an energy cutoff is produced by exhaustive bounded enumeration; for
-box modes, whose energies are multiples of one step, it is only counted.
+set below an energy cutoff is produced by exhaustive bounded enumeration, as
+a read-only sequence of its CSV rows; for box modes, whose energies are
+multiples of one step, it is only counted.
 """
 
 from __future__ import annotations
@@ -120,39 +121,31 @@ def decode(value: int) -> tuple[int, ...]:
 
 
 class EnumeratedState(tuple):
-    """A definable state as the tuple (godel, occupation_text, energy_text),
-    its three CSV fields in column order. The occupation text is
-    ``n1;n2;...`` without trailing zeros, empty for the vacuum; the energy
-    text is the energy in ``%.17g``, which round-trips binary64. The
-    ``occupations`` and ``energy`` properties parse their text on each
-    read."""
+    """A definable state as the tuple of its three CSV fields in column
+    order: the Godel integer, the occupation text ``n1;n2;...`` without
+    trailing zeros (empty for the vacuum) and the energy in ``%.17g``, which
+    round-trips binary64. ``godel`` names the first field; ``occupations``
+    parses the second on each read."""
 
     __slots__ = ()
     godel = property(itemgetter(0))
-    occupation_text = property(itemgetter(1))
-    energy_text = property(itemgetter(2))
 
     @property
     def occupations(self) -> tuple[int, ...]:
         return tuple(map(int, self[1].split(";"))) if self[1] else ()
 
-    @property
-    def energy(self) -> float:
-        return float(self[2])
-
 
 class DefinableStates(Sequence):
     """The states of one enumeration, read-only, sorted by their integers.
 
-    Each state is stored as a plain ``(godel, occupation_text, energy_text)``
-    tuple, which the cycle collector stops tracking at its first collection;
-    an ``EnumeratedState`` instance, a tuple subclass, would stay tracked for
-    its whole life, and every full collection would walk it. Indexing and
-    iteration build an ``EnumeratedState`` over the same fields when a state
-    is read, a slice a list of them. ``rows``, read-only, is the stored
-    tuple of plain triples, which the CSV writer formats directly. A view is
-    a value: two views over equal rows compare and hash equal, and its repr
-    shows the rows."""
+    Each state is stored as a plain tuple of its three CSV fields (integer,
+    occupation text, energy text), which the cycle collector stops tracking
+    at its first collection; an ``EnumeratedState`` instance, a tuple
+    subclass, would stay tracked for its whole life, and every full
+    collection would walk it. Indexing builds an ``EnumeratedState`` over the
+    same fields when a state is read, a slice a list of them, and iteration
+    indexes in turn. ``rows``, read-only, is the stored tuple of plain
+    triples, which the CSV writer formats directly."""
 
     __slots__ = ("_rows",)
     rows = property(attrgetter("_rows"))
@@ -167,20 +160,6 @@ class DefinableStates(Sequence):
         if isinstance(index, slice):
             return list(map(EnumeratedState, self._rows[index]))
         return EnumeratedState(self._rows[index])
-
-    def __iter__(self):
-        return map(EnumeratedState, self._rows)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._rows!r})"
 
 
 def mode_energies(omegas: Sequence[float], h: float) -> list[float]:
@@ -231,12 +210,12 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> Defi
     table from energy to ``%.17g`` text, and the states that share an energy
     share its text; the spectrum of a string or a box, whose frequencies are
     multiples of one, has few distinct energies. The text of each count n
-    comes from a table built once per call. Each state is one plain
-    ``(godel, occupation_text, energy_text)`` tuple, stored when its
-    parent's loop reaches it, with every later mode empty, and the sorted
-    rows are returned behind a ``DefinableStates`` view, whose items are
-    ``EnumeratedState``s; a work stack, not recursion, holds the states whose
-    budget admits another quantum. Energies are summed in mode order. A
+    comes from a table built once per call. Each state is one plain tuple
+    of its three CSV fields, stored when its parent's loop reaches it, with
+    every later mode empty, and the sorted rows are returned behind a
+    ``DefinableStates`` view, which reads each as an ``EnumeratedState``; a
+    work stack, not recursion, holds the states whose budget admits another
+    quantum. Energies are summed in mode order. A
     cutoff that overflows when padded by its slack, more than ``MAX_STATES``
     states (tested once per run, the counts n = 1, 2, ... of one mode under
     one parent, before the run that would pass the limit), or a cutoff that
@@ -298,9 +277,9 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> Defi
     return DefinableStates(tuple(states))
 
 
-def count_vs_box(box_lengths: Sequence[float], e_max: float, num_modes: int,
-                 h: float = 2.0 * math.pi) -> list[tuple[float, int]]:
-    """Definable-state counts for a family of box sizes.
+def count_vs_box(box_lengths: Sequence[float], e_max: float,
+                 num_modes: int) -> list[tuple[float, int]]:
+    """Definable-state counts for a family of box sizes, at h = 2 pi.
 
     Box modes have frequencies m pi / L for m = 1..num_modes, so larger boxes
     lower every mode energy and the count is non-decreasing in L. Mode m
@@ -321,7 +300,8 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float, num_modes: int,
     _, cutoff = _cutoff(e_max)
     out = []
     for L in lengths:
-        step = mode_energies([m * math.pi / L for m in range(1, num_modes + 1)], h)[0]
+        omegas = [m * math.pi / L for m in range(1, num_modes + 1)]
+        step = mode_energies(omegas, 2.0 * math.pi)[0]
         levels = cutoff // step  # a float, which may pass the int range or be infinite
         additions = min(num_modes, levels) * levels
         if additions > MAX_STATES:

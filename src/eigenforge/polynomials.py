@@ -105,10 +105,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
     def values(self, xs) -> np.ndarray:
         """Values at a point or an array of points, all inside the interval:
         the one evaluation, of the Legendre form (``as_series``)."""

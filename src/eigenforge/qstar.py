@@ -134,21 +134,13 @@ def _div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-def _dominance(test):
-    """The order comparison ``test`` in the dominance order. a - b has the sign
-    of its unreduced numerator's leading coefficient, since both denominators,
-    and so their product, have positive leading coefficients."""
-    def compare(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return test(_difference_numerator(self, other)[-1], 0)
-    return compare
-
-
 @dataclass(frozen=True)
 class QStarElement:
-    """Canonical ratio num/den of integer polynomials in W."""
+    """Canonical ratio num/den of integer polynomials in W.
+
+    Negation and + - * / take and give elements only (``element`` builds one
+    from ints). There is no order: ``classify``, ``equal`` and ``identical``
+    compare by degree and by canonical form."""
 
     num: IntPoly
     den: IntPoly
@@ -175,67 +167,25 @@ class QStarElement:
     def is_zero(self) -> bool:
         return _is_zero(self.num)
 
-    def _coerce(self, other):
-        if isinstance(other, QStarElement):
-            return other
-        if isinstance(other, int):
-            return QStarElement((other,), (1,))
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return QStarElement(
             _add(_mul(self.num, other.den), _mul(other.num, self.den)),
             _mul(self.den, other.den),
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QStarElement(_neg(self.num), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return QStarElement(_mul(self.num, other.num), _mul(self.den, other.den))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if other.is_zero:
             raise DomainError("division by the zero element")
         return QStarElement(_mul(self.num, other.den), _mul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced.__truediv__(self)
-
-    def reciprocal(self) -> "QStarElement":
-        if self.is_zero:
-            raise DomainError("the zero element has no reciprocal")
-        return QStarElement(self.den, self.num)
-
-    __lt__ = _dominance(operator.lt)
-    __le__ = _dominance(operator.le)
-    __gt__ = _dominance(operator.gt)
-    __ge__ = _dominance(operator.ge)
 
     def __str__(self):
         num = _format_poly(self.num)
@@ -436,8 +386,11 @@ class _Parser:
             exponent = self._literal(exp_tok)
             degree = (len(base.num) + len(base.den) - 2) * exponent
             if degree > MAX_POWER_DEGREE:
+                # Exact up to the exponent the bits refusal below prints exactly, so
+                # the line stays short.
+                size = degree if exponent <= MAX_COEFF_BITS else f"more than {MAX_POWER_DEGREE}"
                 raise DomainError(
-                    f"power of degree {degree} exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+                    f"power of degree {size} exceeds MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
             # At least one bit per factor, so an exponent past MAX_COEFF_BITS
             # is refused without being converted to a float.
             bits = min(exponent, MAX_COEFF_BITS + 1) * math.log2(

@@ -47,7 +47,7 @@ def rayleigh_quotient(prob, u):
     norm must be positive. Both rules, like the quotient, are free of the
     scale of u and of the interval.
     """
-    assert not u.is_zero, "trial function is identically zero"
+    assert u.coeffs != (0.0,), "trial function is identically zero"
     du = u.derivative()
     constrained = [u if kind == VANISH_VALUE else du for kind in (prob.bc.at_a, prob.bc.at_b)]
     sups = [float(np.abs(as_series(f).coeffs).sum()) for f in constrained]

@@ -1,10 +1,15 @@
 """Repository checks: the pytest configuration reports a failing property
-test, and every public function and class of the library has a use."""
+test, every public function, class and class member of the library has a
+use, and every name the benchmark's tracer looks up exists."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from eigenforge.polynomials import Polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,3 +78,52 @@ def unused_public_names():
 
 def test_every_public_function_and_class_has_a_use():
     assert unused_public_names() == []
+
+
+def _attribute_reads(node):
+    """How often each attribute name is read (``x.name`` in a load) in a node."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _defined_names(stmt):
+    """The names a statement of a class body defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def unused_public_members():
+    """``module.Class.name`` of each public non-dunder method, property and
+    class attribute of a public library class that is read as an attribute
+    nowhere outside its own definition: not in the library, nor in a file
+    under ``scripts/`` or ``perfbench/``. Reads are matched by name alone, so
+    a name shared by two classes counts as a use of both, and a name looked
+    up by string (``getattr``) counts as no use."""
+    library = sorted((ROOT / "src" / "eigenforge").glob("*.py"))
+    readers = [path for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in library + readers}
+    reads = sum(map(_attribute_reads, trees.values()), Counter())
+    return sorted(f"{path.stem}.{cls.name}.{name}"
+                  for path in library for cls in trees[path].body
+                  if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                  for stmt in cls.body for name in _defined_names(stmt)
+                  if not name.startswith("_") and reads[name] == _attribute_reads(stmt)[name])
+
+
+def test_every_public_member_has_a_use():
+    assert unused_public_members() == []
+
+
+def test_every_name_the_tracer_looks_up_exists():
+    # ``--trace 1`` wraps these by name; a deleted one breaks only the
+    # traced run, which no other tier-1 test starts.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, *_ in tracing.LAYER_FUNCTIONS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+    assert [op for op in tracing.ARITH_OPERATORS if op not in Polynomial.__dict__] == []

@@ -106,7 +106,7 @@ class TestEffectiveCoeffs:
         # Computed coefficients are Legendre series, in a linear model too.
         assert type(p_eff) is type(q_eff) is LegendreSeries
         assert p_eff.coeffs == pytest.approx((1.0,), abs=1e-14)
-        assert q_eff.is_zero or max(abs(c) for c in q_eff.coeffs) < 1e-14
+        assert q_eff.coeffs == (0.0,) or max(abs(c) for c in q_eff.coeffs) < 1e-14
 
     def test_separable_term_collapses_to_average(self):
         # P = 1 * f(tau) with f = 1 + tau: the space-side effective coefficient
