@@ -63,10 +63,6 @@ MAX_COMPONENTS = 256
 # Eigenvalue stopping tolerance and degree cap of each space-factor eigensolve.
 SL_K_TOL = 1e-12
 SL_MAX_DEGREE = 40
-# The quadrature under ``integrate_product``'s memo, bound at import so that
-# no later swap of the module's ``integrate_product`` sends ``_change`` through
-# the memo.
-_integrate_afresh = integrate_product.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -103,13 +99,19 @@ class ModeSpec:
     targets: tuple[int, ...]
 
 
-def _check_targets(targets: Sequence[int], n_space: int, where: str) -> None:
-    """Refuse targets unless there is one per space dimension, each between 1
-    and the most modes a space factor's capped eigensolve can stop on."""
+def _check_mode(label: str, targets: Sequence[int], n_space: int, label_where: str,
+                where: str) -> None:
+    """Refuse a label that is not a ``str``, and targets unless there is one
+    per space dimension, each an ``int`` between 1 and the most modes a space
+    factor's capped eigensolve can stop on. Each refusal names its field."""
+    if type(label) is not str:
+        raise DomainError(f"{label_where} must be a string, got {type(label).__name__}")
     if len(targets) != n_space:
         raise DomainError(f"{where}: need one target mode per space dimension ({n_space})")
     most = max_modes(SL_MAX_DEGREE)
     for j, target in enumerate(targets):
+        if type(target) is not int:
+            raise DomainError(f"{where}[{j}] is {target!r}; target modes must be integers")
         if target < 1:
             raise DomainError(
                 f"{where}[{j}] is {target}; target modes are 1-based and must be >= 1"
@@ -148,7 +150,8 @@ class SigmaModelSpec:
         for dim, where in zip(dims, wheres):
             require_positive(dim.r, f"{where}.r")
         for i, mode in enumerate(self.modes):
-            _check_targets(mode.targets, len(self.space_dims), f"modes[{i}].targets")
+            _check_mode(mode.label, mode.targets, len(self.space_dims), f"modes[{i}].label",
+                        f"modes[{i}].targets")
         for name, coeff in (("P", self.P), ("Q", self.Q)):
             for i, term in enumerate(coeff.terms):
                 if len(term) != len(dims):
@@ -322,11 +325,9 @@ def _pin_time(spec: SigmaModelSpec, state: SeparableEigenstate) -> SeparableEige
 
 def _change(old: Polynomial, new: Polynomial, r: Polynomial) -> float:
     """The r-weighted norm of old minus new: the exact difference of the two
-    series, integrated, so no cancellation as in 2 - 2 <old, new>. The
-    difference is new every sweep, so its integral skips the memo
-    (``_integrate_afresh``) rather than displace a kept one."""
+    series, integrated, so no cancellation as in 2 - 2 <old, new>."""
     d = old - new
-    return math.sqrt(_integrate_afresh(r, d, d))
+    return math.sqrt(integrate_product(r, d, d))
 
 
 # Bound of ``_unit_norm`` alone, which keeps unit-norm scalings by value: each
@@ -350,9 +351,11 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     """Alternating solve of one separable eigenstate.
 
     ``target_modes`` selects the 1-based eigenvalue branch tracked in each
-    space dimension. One immutable ``SeparableEigenstate`` is iterated, each
-    update a ``dataclasses.replace``. Its time factors are the harmonic pair
-    of degree ``action.TIME_PAIR_DEGREE``, fixed for the whole solve;
+    space dimension; a target that is not an ``int``, or a ``label`` that is
+    not a ``str``, is refused by name (``_check_mode``). One immutable
+    ``SeparableEigenstate`` is iterated, each update a ``dataclasses.replace``.
+    Its time factors are the harmonic pair of degree
+    ``action.TIME_PAIR_DEGREE``, fixed for the whole solve;
     ``action.action_for_state`` reads the quantum off the same pair. They and
     the constant Legendre series the space factors start from are only scaled
     to unit weighted norm, once per (factor, weight) for every solve: their
@@ -390,8 +393,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     report of the sweeps counted so far.
     """
     n_space = len(spec.space_dims)
-    targets = [int(t) for t in target_modes]
-    _check_targets(targets, n_space, "target_modes")
+    _check_mode(label, target_modes, n_space, "label", "target_modes")
     if not tol > 0:
         raise DomainError("tol must be positive")
     if not 1 <= max_iter <= MAX_SWEEPS:
@@ -429,13 +431,13 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
                 continue  # solving it again would return the same factor
             old = state.space_factors[d]
             try:
-                pairs, _ = sl_solve(problem, num_modes=targets[d], k_tol=SL_K_TOL,
+                pairs, _ = sl_solve(problem, num_modes=target_modes[d], k_tol=SL_K_TOL,
                                     max_degree=SL_MAX_DEGREE)
             except NonConvergenceError as exc:
                 raise NonConvergenceError(
                     f"state {label!r}, space dimension {d}, sweep {sweep}: {exc}",
                     cause=exc.cause, trace=exc.trace, report=report) from exc
-            new = pairs[targets[d] - 1]
+            new = pairs[target_modes[d] - 1]
             factors = state.space_factors
             state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])
             solved[d] = problem

@@ -10,7 +10,8 @@ p, q, r are read at Gauss-Legendre nodes off the table that quadrature uses.
 
 The basis is hierarchical (column k does not depend on the degree), so the
 recombination is built once per boundary pair, at ``polynomials.MAX_DEGREE``,
-and the basis of degree n is its leading (n + 1) x (n - 1) block. The basis
+and kept with the endpoint row the sign rule reads (``_shen_recombination``);
+the basis of degree n is its leading (n + 1) x (n - 1) block. The basis
 and its derivative at the nodes depend on the boundary pair, the degree and
 the node count alone and are kept for the latest ``_BASIS_CACHE`` of them.
 Likewise the stiffness and mass matrices of degree n are the leading
@@ -34,10 +35,10 @@ degrees. An eigenfunction is the recombination
 matrix times its eigenvector, a ``LegendreSeries`` on the problem interval,
 scaled by the square root of its Rayleigh denominator y^T B y (the exact
 r-weighted norm, B being assembled by exact quadrature) and signed by the
-endpoint rows at a: u(a) > 0, or u'(a) > 0 where u(a) vanishes: the library's
-one sign rule. The field solve's time pair and starting factors, which no
-eigensolve returns, are only scaled to unit norm, u / sqrt(int r u^2), under
-weights that ``require_positive`` has accepted.
+endpoint row at a kept with the basis: u(a) > 0, or u'(a) > 0 where u(a)
+vanishes: the library's one sign rule. The field solve's time pair and
+starting factors, which no eigensolve returns, are only scaled to unit norm,
+u / sqrt(int r u^2), under weights that ``require_positive`` has accepted.
 """
 
 from __future__ import annotations
@@ -165,48 +166,34 @@ class RitzTrace:
 
 
 @lru_cache(maxsize=None)
-def _endpoint_row(kind: str, sign: float) -> np.ndarray:
-    """P_j(sign) = sign^j for a value row, P_j'(sign) = sign^(j+1) j (j+1) / 2
-    (a derivative in t) for a derivative row, j = 0..MAX_DEGREE; the row of a
-    lower degree is its leading entries."""
-    j = np.arange(polynomials.MAX_DEGREE + 1.0)
-    row = sign ** j if kind == VANISH_VALUE else sign ** (j + 1) * j * (j + 1) / 2
-    row.flags.writeable = False  # shared by every caller through the cache
-    return row
-
-
-@lru_cache(maxsize=None)
-def _shen_recombination(bc: BoundaryCondition) -> np.ndarray:
-    """Legendre coefficients of the trial basis of degree <= MAX_DEGREE: a
-    (MAX_DEGREE + 1) x (MAX_DEGREE - 1) matrix, built once per boundary pair.
+def _shen_recombination(bc: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
+    """The trial basis of degree <= MAX_DEGREE as Legendre coefficients, a
+    (MAX_DEGREE + 1) x (MAX_DEGREE - 1) matrix, and the row the sign rule reads
+    (``_build_pairs``), both built once per boundary pair and kept read-only.
 
     Column k is P_k + alpha_k P_{k+1} + beta_k P_{k+2}; the 2x2 solve makes it
     vanish on both endpoint rows, P_j(+-1) = (+-1)^j for a value condition and
-    P_j'(+-1) = (+-1)^(j+1) j (j+1) / 2 for a derivative condition. Column k
-    reads only rows k..k+2, so the basis of degree n is the leading
-    (n + 1) x (n - 1) block, entry for entry.
+    P_j'(+-1) = (+-1)^(j+1) j (j+1) / 2 (a derivative in t) for a derivative
+    condition. Column k reads only rows k..k+2, so the basis of degree n is the
+    leading (n + 1) x (n - 1) block, entry for entry. The sign row is the
+    endpoint row at a of what the condition there leaves free: P_j'(-1) under a
+    value condition, P_j(-1) under a derivative condition; that of degree n is
+    its leading n + 1 entries.
     """
     degree = polynomials.MAX_DEGREE
-    rows = np.array([_endpoint_row(kind, sign)
-                     for kind, sign in ((bc.at_a, -1.0), (bc.at_b, 1.0))])
+    j = np.arange(degree + 1.0)
+
+    def row(kind: str, sign: float) -> np.ndarray:
+        return sign ** j if kind == VANISH_VALUE else sign ** (j + 1) * j * (j + 1) / 2
+
+    rows = np.array([row(bc.at_a, -1.0), row(bc.at_b, 1.0)])
     S = np.zeros((degree + 1, degree - 1))
     for k in range(degree - 1):
         S[k, k] = 1.0
         S[k + 1:k + 3, k] = np.linalg.solve(rows[:, k + 1:k + 3], -rows[:, k])
-    S.flags.writeable = False  # shared by every caller through the cache
-    return S
-
-
-def _recombination(bc: BoundaryCondition, degree: int) -> np.ndarray:
-    """The trial basis of degree <= ``degree`` as Legendre coefficients: the
-    leading (degree + 1) x (degree - 1) block of ``_shen_recombination``,
-    copied to the C-contiguous layout that every product with the basis reads."""
-    if degree < 2:
-        raise DomainError(f"no trial functions of degree <= {degree}: the least degree is 2")
-    if degree > polynomials.MAX_DEGREE:
-        raise DomainError(
-            f"degree {degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}")
-    return _shen_recombination(bc)[:degree + 1, :degree - 1].copy()
+    sign_row = row(VANISH_DERIVATIVE if bc.at_a == VANISH_VALUE else VANISH_VALUE, -1.0)
+    S.flags.writeable = sign_row.flags.writeable = False  # shared through the cache
+    return S, sign_row
 
 
 @lru_cache(maxsize=_BASIS_CACHE)
@@ -214,7 +201,7 @@ def _basis_at_nodes(bc: BoundaryCondition, degree: int, n_nodes: int):
     """The trial basis of the given degree and its derivative in t at the
     ``n_nodes`` Gauss-Legendre nodes, one row per basis function: all that
     ``_assemble`` reads of the basis, a function of these three alone."""
-    S = _recombination(bc, degree)
+    S = _shen_recombination(bc)[0][:degree + 1, :degree - 1]
     table = polynomials._legendre_table(n_nodes, degree + 1)
     phi = (table @ S).T
     dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T
@@ -353,13 +340,15 @@ def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> l
     condition at a leaves free is negative: the derivative at a under a value
     condition, the value at a under a derivative condition, where it cannot
     vanish since u(a) = u'(a) = 0 would make u vanish (a derivative in t has
-    the sign of the one in x). The vectors come B-orthonormal from the
-    reduction, so every norm is 1 to rounding and none can collapse.
+    the sign of the one in x). The basis and that endpoint row are both read
+    off the boundary pair's kept table (``_shen_recombination``). The vectors
+    come B-orthonormal from the reduction, so every norm is 1 to rounding and
+    none can collapse.
     """
     modes = np.argsort(theta, kind="stable")[:count]
-    C = _recombination(prob.bc, degree) @ (Y[:, modes] / np.sqrt(norms[modes]))
-    free = VANISH_DERIVATIVE if prob.bc.at_a == VANISH_VALUE else VANISH_VALUE
-    C[:, _endpoint_row(free, -1.0)[:degree + 1] @ C < 0] *= -1.0
+    S, sign_row = _shen_recombination(prob.bc)
+    C = S[:degree + 1, :degree - 1] @ (Y[:, modes] / np.sqrt(norms[modes]))
+    C[:, sign_row[:degree + 1] @ C < 0] *= -1.0
     return [EigenPair(lam, LegendreSeries(tuple(c), prob.interval), degree)
             for lam, c in zip(theta[modes].tolist(), C.T.tolist())]
 

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -79,6 +80,23 @@ def foreign_nodes(node, path="$"):
     else:
         return [] if kind in (float, int, bool, str) else [(path, kind.__name__)]
     return [bad for child_path, v in children for bad in foreign_nodes(v, child_path)]
+
+
+def test_defaults_equal_the_library_defaults():
+    # eigen and sigma restate the solvers' defaults as their own literals;
+    # the parser's defaults must stay those of the signatures.
+    parser = cli._build_parser()
+    eigen = parser.parse_args(["eigen", "--problem", "problem.json"])
+    sigma = parser.parse_args(["sigma", "--model", "model.json"])
+    solve = inspect.signature(sl.solve).parameters
+    solve_state = inspect.signature(sigma_model.solve_state).parameters
+    pairs = {"eigen --modes": (eigen.modes, solve["num_modes"]),
+             "eigen --tol": (eigen.tol, solve["k_tol"]),
+             "eigen --max-degree": (eigen.max_degree, solve["max_degree"]),
+             "sigma --tol": (sigma.tol, solve_state["tol"]),
+             "sigma --max-iter": (sigma.max_iter, solve_state["max_iter"])}
+    for option, (default, param) in pairs.items():
+        assert (type(default), default) == (type(param.default), param.default), option
 
 
 class TestSerialize:
@@ -414,6 +432,11 @@ class TestEigenCommand:
         assert result.returncode == 2
         assert "problem.p.coeffs has degree 1000" in result.stderr
         assert "Warning" not in result.stderr
+
+    def test_max_degree_above_the_cap_invalid(self, problem_file):
+        result = run_cli("eigen", "--problem", problem_file, "--max-degree", "65")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: max_degree 65 exceeds the polynomial degree cap 64\n")
 
     def test_nonconvergence_exit_code(self, problem_file):
         result = run_cli("eigen", "--problem", problem_file, "--tol", "1e-30",

@@ -570,11 +570,11 @@ class TestFactorChange:
         u = LegendreSeries((0.3, -1.2, 0.7), (0.0, 2.0))
         assert sigma_model._change(u, u, poly([1.0, 1.0], (0.0, 2.0))) == 0.0
 
-    def test_skips_the_memo_under_a_wrapped_integrate_product(self, monkeypatch):
+    def test_traced_and_untraced_solves_leave_the_same_memo_traffic(self, monkeypatch):
         # A benchmark tracer swaps the module's integrate_product for a
-        # functools.wraps wrapper, whose __wrapped__ is the memo itself. The
-        # factor changes skip the memo all the same, so a field solve leaves
-        # it with the same traffic, wrapped or not.
+        # functools.wraps wrapper. The factor changes reach the quadrature
+        # through the module's integrate_product like every other integral,
+        # so a field solve leaves the memo with the same traffic, wrapped or not.
         spec = coupled_spec((1.0,), (NEUMANN,), 0.5)
 
         def memo_traffic():
@@ -809,6 +809,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             solve_state(string_spec, "m1", (0,))
 
+    @pytest.mark.parametrize("label,targets,where", [
+        ("m1", (2.7,), "target_modes[0] is 2.7; target modes must be integers"),
+        ("m1", (True,), "target_modes[0] is True; target modes must be integers"),
+        (5, (1,), "label must be a string, got int"),
+    ], ids=["float", "bool", "label"])
+    def test_mode_types_checked(self, string_spec, monkeypatch, label, targets, where):
+        # A target is not converted: 2.7 is not mode 2, and True is not mode 1.
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(DomainError, match=re.escape(where)):
+            solve_state(string_spec, label, targets)
+        assert calls == []
+
     def test_term_arity_checked(self):
         iv = (0.0, 1.0)
         time_iv = (0.0, math.pi / 2)
@@ -849,18 +861,21 @@ class TestValidation:
         with pytest.raises(DomainError, match=re.escape(where)):
             replace(spec, modes=(ModeSpec("m", targets),))
 
-    @pytest.mark.parametrize("targets,where", [
-        ((1, 2), "modes[1].targets: need one target mode per space dimension (1)"),
-        ((0,), "modes[1].targets[0] is 0; target modes are 1-based"),
-        ((-3,), "modes[1].targets[0] is -3; target modes are 1-based"),
-    ], ids=["count", "zero", "negative"])
+    @pytest.mark.parametrize("label,targets,where", [
+        ("bad", (1, 2), "modes[1].targets: need one target mode per space dimension (1)"),
+        ("bad", (0,), "modes[1].targets[0] is 0; target modes are 1-based"),
+        ("bad", (-3,), "modes[1].targets[0] is -3; target modes are 1-based"),
+        ("bad", (2.7,), "modes[1].targets[0] is 2.7; target modes must be integers"),
+        ("bad", (True,), "modes[1].targets[0] is True; target modes must be integers"),
+        (5, (1,), "modes[1].label must be a string, got int"),
+    ], ids=["count", "zero", "negative", "float", "bool", "label"])
     def test_bad_later_mode_refused_before_any_solve(self, string_spec, monkeypatch,
-                                                     targets, where):
+                                                     label, targets, where):
         # Solving a model's modes in turn, as ``eigenforge sigma`` does: a bad
         # second mode is refused when the model is built, before mode 0 is solved.
         calls = count_eigensolves(monkeypatch)
         with pytest.raises(DomainError, match=re.escape(where)):
-            spec = replace(string_spec, modes=(ModeSpec("m1", (1,)), ModeSpec("bad", targets)))
+            spec = replace(string_spec, modes=(ModeSpec("m1", (1,)), ModeSpec(label, targets)))
             for mode in spec.modes:
                 solve_state(spec, mode.label, mode.targets)
         assert calls == []

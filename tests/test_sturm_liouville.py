@@ -1,6 +1,7 @@
 """Eigensolver tests against analytic spectra and an independent reduction."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,6 @@ from eigenforge.sturm_liouville import (
     SLProblem,
     _assemble,
     _build_pairs,
-    _recombination,
     _reduce,
     _reference_sequence,
     max_modes,
@@ -71,6 +71,12 @@ def variable_problem(bc):
 CONDITIONS = {"DD": DIRICHLET, "NN": NEUMANN,
               "DN": BoundaryCondition("value", "derivative"),
               "ND": BoundaryCondition("derivative", "value")}
+
+
+def basis(bc, degree):
+    """The trial basis of degree <= ``degree``: the leading block of the kept
+    table that solve reads."""
+    return sturm_liouville._shen_recombination(bc)[0][:degree + 1, :degree - 1]
 
 
 class TestProblemValidation:
@@ -349,7 +355,7 @@ class TestAssembly:
         q = LegendreSeries(tuple(rng.normal(size=31)), iv)
         A, B = _assemble(SLProblem(p, q, r, DIRICHLET), degree)
         A0, _ = _assemble(SLProblem(p, LegendreSeries((0.0,), iv), r, DIRICHLET), degree)
-        S = _recombination(DIRICHLET, degree)
+        S = basis(DIRICHLET, degree)
         phi = [LegendreSeries(tuple(S[:, i]), iv) for i in range(degree - 1)]
         for got, f in ((B, r), (A0 - A, q)):
             want = np.array([[integrate_product(f, a, b) for b in phi] for a in phi])
@@ -483,7 +489,7 @@ class TestTrialBasis:
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_columns_meet_both_conditions(self, kind, degree):
         bc = CONDITIONS[kind]
-        S = _recombination(bc, degree)
+        S = basis(bc, degree)
         assert S.shape == (degree + 1, degree - 1)
         assert np.linalg.matrix_rank(S) == degree - 1
         for t, condition in ((-1.0, bc.at_a), (1.0, bc.at_b)):
@@ -492,8 +498,14 @@ class TestTrialBasis:
             assert np.abs(leg.legval(t, coeffs)).max() <= 1e-13 * scale
 
     def test_no_trial_function_below_degree_two(self):
-        with pytest.raises(DomainError):
-            solve_at_degree(unit_problem(NEUMANN), 1)
+        # Degree n holds n - 1 trial functions: the escalation starts at 2, and
+        # a degree cap below 2 is refused like every cap too low to stop on.
+        prob = unit_problem(NEUMANN)
+        for max_degree in (0, 1):
+            with pytest.raises(DomainError, match="1 modes need max_degree >= 4"):
+                solve(prob, max_degree=max_degree)
+        assert basis(NEUMANN, 2).shape == (3, 1)
+        assert solve(prob, k_tol=1e300, max_degree=4)[1].degrees == (2, 4)
 
 
 class TestPairBuilding:
@@ -508,7 +520,7 @@ class TestPairBuilding:
         pairs, _ = solve(prob, num_modes=4, k_tol=1e-12)
         degree = pairs[0].degree_used
         _, theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
-        S = _recombination(prob.bc, degree)
+        S = basis(prob.bc, degree)
         for m, pair in zip(np.argsort(theta, kind="stable")[:len(pairs)], pairs, strict=True):
             u = LegendreSeries(tuple(S @ Y[:, m]), prob.interval)
             u = u * (1.0 / math.sqrt(integrate_product(prob.r, u, u)))
@@ -531,7 +543,7 @@ class TestPairBuilding:
         prob = unit_problem(DIRICHLET)
         Y = np.random.default_rng(5).normal(size=(3, 3))
         norms = np.array([4.0, 1.0, 9.0])
-        S = _recombination(DIRICHLET, 4)
+        S = basis(DIRICHLET, 4)
         for count in (1, 2, 3):
             pairs = _build_pairs(prob, np.array(theta), Y, norms, 4, count)
             assert [pair.lambda_ for pair in pairs] == [theta[j] for j in modes[:count]]
@@ -574,29 +586,29 @@ def reference_assemble(prob, degree):
 
 
 class TestKeptTables:
-    # The recombination is built once per boundary pair at the degree cap and
-    # the basis at the quadrature nodes is kept per (pair, degree, node count);
-    # both must give the bits of a per-degree build.
+    # The recombination is built once per boundary pair at the degree cap, with
+    # the endpoint row the sign rule reads, and the basis at the quadrature
+    # nodes is kept per (pair, degree, node count); both must give the bits of
+    # a per-degree build.
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_leading_blocks_equal_per_degree_solves(self, kind):
         bc = CONDITIONS[kind]
-        table = sturm_liouville._shen_recombination(bc)
+        table, sign_row = sturm_liouville._shen_recombination(bc)
         assert table.shape == (polynomials.MAX_DEGREE + 1, polynomials.MAX_DEGREE - 1)
         for degree in range(2, polynomials.MAX_DEGREE + 1):
             ref = reference_recombination(bc, degree).tobytes()
-            assert table[:degree + 1, :degree - 1].tobytes() == ref, degree
-            assert _recombination(bc, degree).tobytes() == ref, degree
-
-    def test_degree_above_the_cap_refused(self):
-        with pytest.raises(DomainError, match="exceeds the polynomial degree cap"):
-            _recombination(DIRICHLET, polynomials.MAX_DEGREE + 1)
+            assert basis(bc, degree).tobytes() == ref, degree
+        # P_j'(-1) under a value condition at a, P_j(-1) under a derivative one.
+        j = np.arange(polynomials.MAX_DEGREE + 1.0)
+        free = (-1.0) ** (j + 1) * j * (j + 1) / 2 if bc.at_a == "value" else (-1.0) ** j
+        assert sign_row.tobytes() == free.tobytes()
 
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_assembly_bits_cold_and_warm(self, kind):
         for prob in (variable_problem(CONDITIONS[kind]), unit_problem(CONDITIONS[kind])):
             for degree in (2, 17, 40, 64):
                 for cache in (sturm_liouville._basis_at_nodes,
-                              sturm_liouville._shen_recombination, sturm_liouville._endpoint_row):
+                              sturm_liouville._shen_recombination):
                     cache.cache_clear()
                 cold, warm = _assemble(prob, degree), _assemble(prob, degree)
                 for got in (cold, warm):
@@ -651,11 +663,10 @@ class TestMemo:
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_warm_results_equal_cold(self, kind, reverse):
         # A variable-coefficient problem reads the kept basis at the nodes,
-        # recombination and endpoint rows, and assembles its own pencil.
+        # recombination with its sign row, and assembles its own pencil.
         prob = variable_problem(CONDITIONS[kind])
         order = self.REQUESTS[::-1] if reverse else self.REQUESTS
-        memos = (sturm_liouville._basis_at_nodes, sturm_liouville._shen_recombination,
-                 sturm_liouville._endpoint_row)
+        memos = (sturm_liouville._basis_at_nodes, sturm_liouville._shen_recombination)
         cold = {}
         for num_modes, max_degree in order:
             for memo in memos:
@@ -672,15 +683,13 @@ class TestMemo:
     def test_kept_arrays_are_read_only(self):
         # The Ritz values, vectors and norms of each visited degree of the
         # reference pencil, the basis at the nodes (variable_problem reads 42
-        # nodes at degree 40), the per-pair recombination and the endpoint rows.
+        # nodes at degree 40), and the per-pair recombination with its sign row.
         solve(variable_problem(NEUMANN), num_modes=2, k_tol=1e-12)
         solve(unit_problem(NEUMANN), num_modes=2, k_tol=1e-12)
         kept = [*_reference_sequence(NEUMANN, 40)(3),
                 *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
-                sturm_liouville._shen_recombination(NEUMANN)]
-        kept += [sturm_liouville._endpoint_row(kind, sign)
-                 for kind in ("value", "derivative") for sign in (-1.0, 1.0)]
-        assert len(kept) == 11
+                *sturm_liouville._shen_recombination(NEUMANN)]
+        assert len(kept) == 8
         for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -868,6 +877,14 @@ class TestErrors:
     def test_bad_num_modes(self):
         with pytest.raises(DomainError):
             solve(unit_problem(), num_modes=0)
+
+    def test_max_degree_above_the_cap_refused(self):
+        # The one rule on the cap: the kept basis ends at MAX_DEGREE.
+        top = polynomials.MAX_DEGREE
+        solve(unit_problem(), k_tol=1e300, max_degree=top)  # the cap is accepted
+        with pytest.raises(DomainError, match=re.escape(
+                f"max_degree {top + 1} exceeds the polynomial degree cap {top}")):
+            solve(unit_problem(), max_degree=top + 1)
 
     # The stop test compares two visited degrees, each holding num_modes of
     # the n - 1 trial functions of degree n: max_modes(max_degree) =
