@@ -143,10 +143,15 @@ def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
     (NoLatticeError) when any value misses the lattice by more than tol, or
     when the surviving candidate sits within a decade of tol itself, which is
     the signature of incommensurable inputs being ground down to noise.
+    There must be one label per action value.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     alphas = _finite_actions(alphas)
+    labels = tuple(labels)
+    if len(labels) != len(alphas):
+        raise DomainError(f"labels and action values differ in number: "
+                          f"{len(labels)} and {len(alphas)}")
     if not alphas:
         raise DomainError("need at least one action value")
     if any(a <= tol for a in alphas):
@@ -163,4 +168,4 @@ def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
     worst = max(residuals)
     if worst > tol:
         raise NoLatticeError(f"worst lattice residual {worst:.3e} exceeds {tol:.1e}")
-    return ActionSpectrum(tuple(labels), alphas, quantum, multipliers, residuals)
+    return ActionSpectrum(labels, alphas, quantum, multipliers, residuals)

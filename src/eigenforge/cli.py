@@ -165,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help="problem JSON path")
     p.add_argument("--modes", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="absolute bound on each requested eigenvalue's drop per degree step")
+                   help="absolute bound on each requested eigenvalue's drop per degree step; "
+                        "a drop of at most 4 ulps of the previous value also stops the solve")
     p.add_argument("--max-degree", type=int, default=40)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eigen)

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one check of a count.
 
 The CLI maps these onto exit codes: invalid input -> 2, non-convergence and
 conditioning failures -> 3, missing lattice -> 4.
@@ -12,6 +12,14 @@ class EigenforgeError(Exception):
 class DomainError(EigenforgeError, ValueError):
     """Input outside an operation's documented domain: the one class of invalid
     input, whichever rule refused it."""
+
+
+def require_int(value, name: str) -> int:
+    """``value`` if its type is exactly ``int``; any other value, a ``bool``
+    or an integral float included, is refused by name."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer")
+    return value
 
 
 class ConditioningError(EigenforgeError, RuntimeError):

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from operator import attrgetter, itemgetter
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 _ENERGY_SLACK = 1e-12
 
@@ -221,6 +221,12 @@ def enumerate_definable(omegas: Sequence[float], h: float, e_max: float) -> Defi
     one parent, before the run that would pass the limit), or a cutoff that
     admits an integer of more than ``MAX_GODEL_BITS`` bits, raise
     DomainError.
+
+    A cutoff within rounding of a level can list some states of that exact
+    energy and drop others, since each mode energy and each running sum round
+    on their own: with L = 1, six box modes and e_max = 25.13274122869221
+    (8 pi less its slack), 11 of the 20 states of 8 steps are listed, 55 in
+    all, where ``count_vs_box`` counts 64.
     """
     slack, cutoff = _cutoff(e_max)
     energies = mode_energies(omegas, h)
@@ -295,7 +301,7 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float,
         raise DomainError("box lengths must be positive")
     if sorted(lengths) != lengths:
         raise DomainError("box lengths must be ascending")
-    if num_modes < 1:
+    if require_int(num_modes, "num_modes") < 1:
         raise DomainError("need at least one mode")
     _, cutoff = _cutoff(e_max)
     out = []

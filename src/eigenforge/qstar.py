@@ -228,8 +228,6 @@ def element(num, den=1) -> QStarElement:
     return QStarElement(num_t, den_t)
 
 
-ZERO = element(0)
-ONE = element(1)
 OMEGA = element((0, 1))
 
 

@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Any, Mapping, Sequence
 
 from .action import ActionSpectrum, action_of_amplitude
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .godel import DefinableStates
 from .polynomials import MAX_DEGREE, Polynomial
 from .sigma_model import (
@@ -170,12 +170,6 @@ def _number(value, context: str) -> float:
     return float(value)
 
 
-def _integer(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{context} must be an integer")
-    return value
-
-
 def _interval_from_obj(value, context: str) -> tuple[float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise DomainError(f"{context} must be a two-element array")
@@ -277,14 +271,14 @@ def model_from_obj(obj) -> SigmaModelSpec:
         if not isinstance(m["label"], str):
             raise DomainError(f"{context}.label must be a string")
         targets = _array(m["targets"], f"{context}.targets")
-        modes.append(ModeSpec(m["label"], tuple(_integer(t, f"{context}.targets[{j}]")
+        modes.append(ModeSpec(m["label"], tuple(require_int(t, f"{context}.targets[{j}]")
                                                 for j, t in enumerate(targets))))
     return SigmaModelSpec(
         space_dims=space,
         time_dim=time,
         P=_coeff_field_from_obj(obj["P"], "model.P"),
         Q=_coeff_field_from_obj(obj["Q"], "model.Q"),
-        components=_integer(obj.get("components", 2), "model.components"),
+        components=require_int(obj.get("components", 2), "model.components"),
         modes=tuple(modes),
     )
 

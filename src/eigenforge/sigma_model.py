@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import action as action_mod
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, require_int
 from .polynomials import (
     LegendreSeries,
     Polynomial,
@@ -135,7 +135,7 @@ class SigmaModelSpec:
     def __post_init__(self):
         if not self.space_dims:
             raise DomainError("need at least one space dimension")
-        if not 1 <= self.components <= MAX_COMPONENTS:
+        if not 1 <= require_int(self.components, "components") <= MAX_COMPONENTS:
             raise DomainError(
                 f"components must be between 1 and {MAX_COMPONENTS}, got {self.components}"
             )
@@ -384,9 +384,9 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     No sweep reads the frequency, so it is pinned once, on the converged
     factors (``_pin_time``). The returned state is the last iterate with its
     frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
-    must be at least 1 and at most ``MAX_SWEEPS``; a solve that needs more
-    sweeps raises NonConvergenceError with the report attached and cause
-    ``"sweep_cap"``. An eigensolve that reaches its
+    must be an ``int`` from 1 to ``MAX_SWEEPS``, and ``amplitude`` finite; a
+    solve that needs more sweeps raises NonConvergenceError with the report
+    attached and cause ``"sweep_cap"``. An eigensolve that reaches its
     degree cap raises its NonConvergenceError again, its message prefixed
     with the state's label, the space dimension and the sweep (0 for the
     uncounted first), with its cause ``"degree_cap"``, its Ritz trace and the
@@ -396,9 +396,11 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     _check_mode(label, target_modes, n_space, "label", "target_modes")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if not 1 <= max_iter <= MAX_SWEEPS:
+    if not 1 <= require_int(max_iter, "max_iter") <= MAX_SWEEPS:
         raise DomainError(f"max_iter must be at least 1 and at most MAX_SWEEPS = {MAX_SWEEPS}, "
                           f"got {max_iter}")
+    if not math.isfinite(amplitude):
+        raise DomainError(f"amplitude must be finite, got {amplitude!r}")
 
     pair = action_mod.make_time_pair()
     r_t = spec.time_dim.r

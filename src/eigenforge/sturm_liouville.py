@@ -51,7 +51,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 
 from . import polynomials
-from .errors import ConditioningError, DomainError, NonConvergenceError
+from .errors import ConditioningError, DomainError, NonConvergenceError, require_int
 from .polynomials import LegendreSeries, Polynomial
 
 VANISH_VALUE = "value"
@@ -88,7 +88,6 @@ class BoundaryCondition:
 
 
 DIRICHLET = BoundaryCondition(VANISH_VALUE, VANISH_VALUE)
-NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 
 
 def require_positive(f: Polynomial, name: str) -> None:
@@ -237,13 +236,12 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     C = L^-1 A L^-T. Returns ``leading_eigh(k)``, the Ritz pairs of the leading
     k x k block pencil, whose Cholesky factor is the leading block of L, so its
     reduced matrix is the leading block of C. ``leading_eigh(k)`` is a tuple
-    (ascending, theta, Y, norms): Y holds B-orthonormal vectors in LAPACK's
-    order, norms their B-norms y^T B y, theta their Rayleigh quotients on the
-    unreduced block pencil (whose denominator is the norm), and ascending is
-    theta sorted (stable), the one ordered array a visited degree needs; the
-    caller that builds pairs orders the vectors it returns
-    (``_build_pairs``). Each block size is solved once and kept, as read-only
-    arrays.
+    (theta, Y, norms) in one ascending order of theta, set by one stable
+    argsort (tied values keep LAPACK's order): Y holds B-orthonormal vectors,
+    norms their B-norms y^T B y, theta their Rayleigh quotients on the
+    unreduced block pencil (whose denominator is the norm). The lowest m
+    pairs are the leading m entries. Each block size is solved once and
+    kept, as read-only arrays.
 
     A LAPACK failure in the factorization or an eigensolve raises
     ``ConditioningError`` of cause ``"cholesky"`` or ``"eigh"``, and a mass
@@ -288,7 +286,8 @@ def _reduce(A: np.ndarray, B: np.ndarray):
         Ak, Bk = A[:k, :k], B[:k, :k]
         norms = np.einsum("ij,ij->j", Y, Bk @ Y)
         theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
-        ritz = memo[k] = np.sort(theta, kind="stable"), theta, Y, norms
+        order = np.argsort(theta, kind="stable")
+        ritz = memo[k] = theta[order], Y[:, order], norms[order]
         for array in ritz:
             array.setflags(write=False)  # shared by every reader of a kept pencil
         return ritz
@@ -329,12 +328,10 @@ def _pencil(prob: SLProblem, top: int):
     return _reference_sequence(prob.bc, top), p / weight / h, q / r, weight
 
 
-def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> list[EigenPair]:
-    """The ``count`` lowest Ritz pairs as Legendre series of unit r-weighted
-    norm, ascending by eigenvalue.
+def _build_pairs(prob: SLProblem, lams: list[float], Y, norms, degree: int) -> list[EigenPair]:
+    """The pairs of the eigenvalues ``lams`` and the columns of Y, in that
+    order, as Legendre series of unit r-weighted norm.
 
-    theta, Y and norms come unsorted from ``leading_eigh``; the modes are the
-    first ``count`` of a stable argsort of theta, each with its own vector.
     Each vector is scaled by its B-norm, which is the exact r-weighted norm of
     its function, and its Legendre column is negated where the quantity the
     condition at a leaves free is negative: the derivative at a under a value
@@ -345,12 +342,11 @@ def _build_pairs(prob: SLProblem, theta, Y, norms, degree: int, count: int) -> l
     come B-orthonormal from the reduction, so every norm is 1 to rounding and
     none can collapse.
     """
-    modes = np.argsort(theta, kind="stable")[:count]
     S, sign_row = _shen_recombination(prob.bc)
-    C = S[:degree + 1, :degree - 1] @ (Y[:, modes] / np.sqrt(norms[modes]))
+    C = S[:degree + 1, :degree - 1] @ (Y / np.sqrt(norms))
     C[:, sign_row[:degree + 1] @ C < 0] *= -1.0
     return [EigenPair(lam, LegendreSeries(tuple(c), prob.interval), degree)
-            for lam, c in zip(theta[modes].tolist(), C.T.tolist())]
+            for lam, c in zip(lams, C.T.tolist())]
 
 
 def max_modes(max_degree: int) -> int:
@@ -375,25 +371,26 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     end conditions by construction. Degree n holds n - 1 trial functions and the
     test compares two visited degrees, each holding ``num_modes`` of them, so
     a request with ``num_modes`` above ``max_modes(max_degree)`` could never
-    stop and is refused with ``DomainError``.
+    stop and is refused with ``DomainError``, as is a ``num_modes`` or
+    ``max_degree`` whose type is not exactly ``int``.
 
     ``_pencil`` gives the one reduced pencil, at ``max_degree`` rounded down
     to even, and the affine map its Ritz pairs are read through; each visited
-    degree is its leading block and reads its trace entry and stop-test
-    values, mapped, from one ``tolist`` of its sorted Ritz values. A mapped
-    value that is not finite raises ``ConditioningError`` of cause
-    ``"overflow"``. Only the degree that returns orders its vectors. The
-    result is a function of the problem, ``num_modes``, ``k_tol`` and
-    ``max_degree`` alone, bit for bit.
+    degree is its leading block and maps its lowest ``num_modes`` Ritz values
+    for the trace and the stop test. A mapped value that is not finite raises
+    ``ConditioningError`` of cause ``"overflow"``. The degree that stops
+    returns those values with its leading vectors and B-norms. The result is
+    a function of the problem, ``num_modes``, ``k_tol`` and ``max_degree``
+    alone, bit for bit.
 
     Returns the eigenpairs of the final degree, orthonormal under the
     r-weighted inner product, and the ground-mode trace.
     """
-    if num_modes < 1:
+    if require_int(num_modes, "num_modes") < 1:
         raise DomainError("num_modes must be >= 1")
     if not k_tol > 0:
         raise DomainError("k_tol must be positive")
-    if max_degree > polynomials.MAX_DEGREE:
+    if require_int(max_degree, "max_degree") > polynomials.MAX_DEGREE:
         raise DomainError(
             f"max_degree {max_degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}"
         )
@@ -407,10 +404,10 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     trace_entries: list[tuple[int, float]] = []
     prev_vals: list[float] | None = None
     for degree in range(2, top + 1, 2):
-        ascending, theta, Y, norms = leading_eigh(degree - 1)
+        theta, Y, norms = leading_eigh(degree - 1)
         # Read as Python floats: the same IEEE test as on arrays, without
         # numpy's per-call cost at every degree of a solve that misses the memo.
-        cur_vals = [scale * mu - shift for mu in ascending[:num_modes].tolist()]
+        cur_vals = [scale * mu - shift for mu in theta[:num_modes].tolist()]
         if not all(map(math.isfinite, cur_vals)):
             raise ConditioningError(
                 f"reduced eigenproblem of size {degree - 1} is not finite: "
@@ -420,10 +417,9 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
             continue
         if prev_vals is not None and all(p - c < k_tol or p - c <= _STOP_ULPS * math.ulp(p)
                                          for p, c in zip(prev_vals, cur_vals)):
-            with np.errstate(over="ignore"):  # only an unrequested mode can overflow
-                theta = theta * scale - shift
-            return (_build_pairs(prob, theta, Y, norms * weight, degree, num_modes),
-                    RitzTrace(tuple(trace_entries)))
+            pairs = _build_pairs(prob, cur_vals, Y[:, :num_modes],
+                                 norms[:num_modes] * weight, degree)
+            return pairs, RitzTrace(tuple(trace_entries))
         prev_vals = cur_vals
     raise NonConvergenceError(
         f"eigenvalues not converged to {k_tol} within degree {max_degree}",

@@ -9,7 +9,16 @@ from hypothesis import settings
 from eigenforge import serialize, sturm_liouville
 from eigenforge.polynomials import as_series, integrate_product, poly
 from eigenforge.sigma_model import CoeffField, DimensionSpec, ModeSpec, SigmaModelSpec
-from eigenforge.sturm_liouville import DIRICHLET, VANISH_VALUE, SLProblem
+from eigenforge.sturm_liouville import (
+    DIRICHLET,
+    VANISH_DERIVATIVE,
+    VANISH_VALUE,
+    BoundaryCondition,
+    SLProblem,
+)
+
+# The Neumann pair: the derivative vanishes at both ends.
+NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 
 # Every run draws the same examples: no test passes or fails with the draw.
 settings.register_profile("deterministic", derandomize=True, database=None)

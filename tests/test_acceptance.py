@@ -25,7 +25,6 @@ from eigenforge.qstar import (
     INFINITE,
     INFINITESIMAL,
     OMEGA,
-    ONE,
     QStarElement,
     classify,
     element,
@@ -190,7 +189,7 @@ def test_criterion_8_qstar_suite():
         copy = element(e.num, e.den)
         assert identical(e, copy) and equal(e, copy)
     witness = (OMEGA + element(1)) / OMEGA
-    assert equal(witness, ONE) and not identical(witness, ONE)
+    assert equal(witness, element(1)) and not identical(witness, element(1))
     subset = sample[:100]
     reps, labels = [], []
     for e in subset:

@@ -133,6 +133,20 @@ class TestFitLattice:
         with pytest.raises(DomainError):
             fit_spectrum(["a"], [1e-12], tol=1e-9)
 
+    @pytest.mark.parametrize("labels,alphas,match", [
+        (["a"], [1.0, 2.0], "labels and action values differ in number: 1 and 2"),
+        (["a", "b", "c"], [1.0, 2.0], "labels and action values differ in number: 3 and 2"),
+        ([], [], "need at least one action value"),
+    ], ids=["fewer-labels", "more-labels", "empty"])
+    def test_one_label_per_value(self, labels, alphas, match):
+        with pytest.raises(DomainError, match=f"^{match}$"):
+            fit_spectrum(labels, alphas, tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(DomainError, match="^tol must be positive$"):
+            fit_spectrum(["a"], [1.0], tol=tol)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(DomainError, match=f"action value {bad} is not finite"):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import legder, legval
 
-from conftest import coupled_spec, make_string_spec, make_unit_problem, problem_to_obj
+from conftest import NEUMANN, coupled_spec, make_string_spec, make_unit_problem, problem_to_obj
 from eigenforge import action as action_mod
 from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
@@ -370,7 +370,7 @@ class TestEigenCommand:
             assert np.abs(legval(2.0 * xs - 1.0, mode["legendre"])
                           - pair.u.values(xs)).max() <= 1e-12
 
-    @pytest.mark.parametrize("bc,shift", [(sl.NEUMANN, 0.0),
+    @pytest.mark.parametrize("bc,shift", [(NEUMANN, 0.0),
                                           (sl.BoundaryCondition("value", "derivative"), 0.5)],
                              ids=["NN", "DN"])
     def test_derivative_conditions(self, tmp_path, bc, shift):
@@ -845,6 +845,14 @@ class TestActionCommand:
         assert data["multipliers"] == multipliers
         assert 1.1e-11 < max(data["residuals"]) < 2.7e-11
         assert data["closure"] is True
+
+    def test_no_modes_invalid(self, tmp_path):
+        path = tmp_path / "no_modes.json"
+        path.write_text(serialize.dumps({"modes": []}))
+        result = run_cli("action", "--solution", str(path))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == ["error: need at least one action value"]
+        assert result.stdout == ""
 
     def test_nonpositive_omega_invalid(self, tmp_path):
         obj = {"modes": [{"label": "a", "omega": 0.0, "amplitude": 1.0}]}

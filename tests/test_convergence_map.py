@@ -17,11 +17,11 @@ import re
 
 import pytest
 
-from conftest import coupled_spec
+from conftest import NEUMANN, coupled_spec
 from eigenforge import sigma_model
 from eigenforge.errors import NonConvergenceError
 from eigenforge.sigma_model import null_postulate_residual, solve_state
-from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, BoundaryCondition
+from eigenforge.sturm_liouville import DIRICHLET, BoundaryCondition
 
 COUPLINGS = (0.05, 0.5, 1.0, 2.0, 5.0, 10.0)
 DN = BoundaryCondition("value", "derivative")

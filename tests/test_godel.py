@@ -59,6 +59,11 @@ class TestPrimes:
         with pytest.raises(DomainError):
             nth_prime(MAX_PRIME_INDEX + 1)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_index_is_one_based(self, m):
+        with pytest.raises(DomainError, match="^prime index is 1-based$"):
+            nth_prime(m)
+
 
 class TestEncode:
     def test_single_quantum(self):
@@ -225,7 +230,8 @@ class TestEnumerate:
         (1.0, math.inf, "is not finite"),
         (math.pi / 1e10, 1e-320,
          r"^the quantum of frequency 3\.14159\d*e-10 at h = 1e-320 underflows to 0$"),
-    ], ids=["zero-h", "infinite-h", "underflowing-quantum"])
+        (1e308, 4e10, r"^the quantum of frequency 1e\+308 at h = 40000000000\.0 is not finite$"),
+    ], ids=["zero-h", "infinite-h", "underflowing-quantum", "overflowing-quantum"])
     def test_quantum_refusals(self, omega, h, match):
         with pytest.raises(DomainError, match=match):
             enumerate_definable([omega], h, 1.0)
@@ -545,13 +551,15 @@ class TestCountVsBox:
     @pytest.mark.parametrize("lengths, e_max, num_modes, match", [
         ([0.0, 1.0], 1.0, 2, "box lengths must be positive"),
         ([1.0], 1.0, 0, "need at least one mode"),
+        ([1.0], 3.0, 2.5, "^num_modes must be an integer$"),
+        ([1.0], 3.0, True, "^num_modes must be an integer$"),
         ([1.0], -1.0, 2, "e_max must be finite and nonnegative"),
         ([1.0], math.inf, 2, "e_max must be finite and nonnegative"),
         ([1.0], sys.float_info.max, 2, "overflows when padded"),
         ([1e10], 1e300, 2, "takes more additions than MAX_STATES"),
         ([1.0], 1e300, 2, r"^counting the states below e_max = 1e\+300 takes 6\.3662e\+299 "
                           r"additions, more than MAX_STATES = 1000000$"),
-    ], ids=["length", "modes", "negative-emax", "infinite-emax", "overflowing-emax",
+    ], ids=["length", "modes", "float-modes", "bool-modes", "negative-emax", "infinite-emax", "overflowing-emax",
             "levels-past-float-range", "levels-past-int-range"])
     def test_refusals(self, lengths, e_max, num_modes, match):
         with pytest.raises(DomainError, match=match):

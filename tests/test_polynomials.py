@@ -85,6 +85,11 @@ class TestArith:
         assert (a / 2).coeffs == (0.5, 1.0)
         assert (a + 1).coeffs == (2.0, 2.0)
 
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+    def test_division_by_zero_refused(self, zero):
+        with pytest.raises(DomainError, match="^division by zero scalar$"):
+            poly([1.0], UNIT) / zero
+
 
 class TestDifferentiate:
     # A monomial's derivative is that of its Legendre form: its values are

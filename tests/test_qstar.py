@@ -12,8 +12,6 @@ from eigenforge.qstar import (
     INFINITE,
     INFINITESIMAL,
     OMEGA,
-    ONE,
-    ZERO,
     ZERO_CLASS,
     MAX_COEFF_BITS,
     MAX_POWER_DEGREE,
@@ -27,6 +25,8 @@ from eigenforge.qstar import (
     parse,
     standard_part,
 )
+
+ZERO, ONE = element(0), element(1)
 
 
 def random_element(rng, max_degree=4, max_coeff=9):
@@ -239,6 +239,14 @@ class TestParseAndDescribe:
             parse("(W")
         with pytest.raises(DomainError):
             parse("x+1")
+
+    @pytest.mark.parametrize("text,match", [
+        ("W^W", "exponent must be a nonnegative integer"),
+        ("(W+1 W", "missing closing parenthesis"),
+    ], ids=["element-exponent", "unclosed"])
+    def test_parse_refusal_is_named(self, text, match):
+        with pytest.raises(DomainError, match=f"^{match}$"):
+            parse(text)
 
     def test_exponent_limit(self):
         # No limit of its own: the degree and integer-size limits bound every

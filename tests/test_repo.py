@@ -1,6 +1,7 @@
 """Repository checks: the pytest configuration reports a failing property
-test, every public function, class and class member of the library has a
-use, and every name the benchmark's tracer looks up exists."""
+test, every public function, class, assigned module-level name and class
+member of the library has a use, and every name the benchmark's tracer looks
+up exists."""
 
 import ast
 import importlib.util
@@ -52,27 +53,37 @@ def _names(node):
             yield sub.name.rpartition(".")[2]
 
 
+def _defined_names(stmt):
+    """The names a statement of a module or class body defines: a function,
+    a class, or a plain name bound by assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
 def unused_public_names():
-    """``module.name`` of each public module-level function and class of the
-    library that nothing names outside its own definition: not another
-    statement of the library, nor a file under ``scripts/`` or ``perfbench/``.
-    A definition with no use does not count as a use of the names it reads."""
+    """``module.name`` of each public module-level function, class and name
+    bound by assignment of the library that nothing names outside its own
+    definition: not another statement of the library, nor a file under
+    ``scripts/`` or ``perfbench/``. A definition with no use does not count
+    as a use of the names it reads."""
     library = [(path.stem, stmt) for path in sorted((ROOT / "src" / "eigenforge").glob("*.py"))
                for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     readers = {name for folder in ("scripts", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))
                for name in _names(ast.parse(path.read_text(encoding="utf-8")))}
-    public = [(module, stmt) for module, stmt in library
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")]
+    public = [(module, name, stmt) for module, stmt in library
+              for name in _defined_names(stmt) if not name.startswith("_")]
     named = [(stmt, set(_names(stmt))) for _, stmt in library]
     unused = set()
     while True:
-        found = {stmt for _, stmt in public
-                 if stmt not in unused and stmt.name not in readers
-                 and not any(stmt.name in names for other, names in named
+        found = {stmt for _, name, stmt in public
+                 if stmt not in unused and name not in readers
+                 and not any(name in names for other, names in named
                              if other is not stmt and other not in unused)}
         if not found:
-            return sorted(f"{module}.{stmt.name}" for module, stmt in public if stmt in unused)
+            return sorted(f"{module}.{name}" for module, name, stmt in public if stmt in unused)
         unused |= found
 
 
@@ -84,14 +95,6 @@ def _attribute_reads(node):
     """How often each attribute name is read (``x.name`` in a load) in a node."""
     return Counter(sub.attr for sub in ast.walk(node)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
-
-
-def _defined_names(stmt):
-    """The names a statement of a class body defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return [stmt.name]
-    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
-    return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
 def unused_public_members():

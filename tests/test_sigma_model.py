@@ -9,7 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_assemblies, coupled_spec, make_string_spec, make_unit_problem
+from conftest import (
+    NEUMANN,
+    count_assemblies,
+    coupled_spec,
+    make_string_spec,
+    make_unit_problem,
+)
 from eigenforge import polynomials, sigma_model, sturm_liouville
 from eigenforge.action import TIME_PAIR_DEGREE, make_time_pair
 from eigenforge.errors import DomainError, NonConvergenceError
@@ -30,7 +36,7 @@ from eigenforge.sigma_model import (
     null_postulate_residual,
     solve_state,
 )
-from eigenforge.sturm_liouville import DIRICHLET, NEUMANN, EigenPair, SLProblem
+from eigenforge.sturm_liouville import DIRICHLET, EigenPair, SLProblem
 from eigenforge.sturm_liouville import solve as sl_solve
 
 
@@ -821,6 +827,15 @@ class TestValidation:
             solve_state(string_spec, label, targets)
         assert calls == []
 
+    def test_weight_lives_on_the_interval(self):
+        with pytest.raises(DomainError,
+                           match="^weight polynomial must live on the dimension's interval$"):
+            DimensionSpec((0.0, 1.0), poly([1.0], (0.0, 2.0)), DIRICHLET)
+
+    def test_space_dimension_required(self, string_spec):
+        with pytest.raises(DomainError, match="^need at least one space dimension$"):
+            replace(string_spec, space_dims=())
+
     def test_term_arity_checked(self):
         iv = (0.0, 1.0)
         time_iv = (0.0, math.pi / 2)
@@ -845,10 +860,16 @@ class TestValidation:
         with pytest.raises(DomainError, match="time_dim interval must be"):
             replace(spec, time_dim=time, P=p_field)
 
-    @pytest.mark.parametrize("components", [0, sigma_model.MAX_COMPONENTS + 1, 10**9])
-    def test_component_count_bounded(self, string_spec, components):
+    @pytest.mark.parametrize("components,match", [
+        (0, "components must be between 1 and"),
+        (sigma_model.MAX_COMPONENTS + 1, "components must be between 1 and"),
+        (10**9, "components must be between 1 and"),
+        (2.0, "^components must be an integer$"),
+        (True, "^components must be an integer$"),
+    ], ids=["0", str(sigma_model.MAX_COMPONENTS + 1), str(10**9), "float", "bool"])
+    def test_component_count_bounded(self, string_spec, components, match):
         replace(string_spec, components=sigma_model.MAX_COMPONENTS)  # the bound is accepted
-        with pytest.raises(DomainError, match="components must be between 1 and"):
+        with pytest.raises(DomainError, match=match):
             replace(string_spec, components=components)
 
     @pytest.mark.parametrize("targets,where", [((1, 38), "modes[0].targets[1] is 38"),
@@ -910,12 +931,29 @@ class TestValidation:
         assert exc.value.report.iterations == 2
         assert pins == []  # a solve that gives up pins nothing
 
-    @pytest.mark.parametrize("max_iter", [0, -3, 201])
-    def test_sweep_cap_must_be_positive(self, string_spec, monkeypatch, max_iter):
+    @pytest.mark.parametrize("max_iter,match", [
+        (0, "max_iter must be at least 1 and at most MAX_SWEEPS = 200"),
+        (-3, "max_iter must be at least 1 and at most MAX_SWEEPS = 200"),
+        (201, "max_iter must be at least 1 and at most MAX_SWEEPS = 200"),
+        (5.0, "^max_iter must be an integer$"),
+        (True, "^max_iter must be an integer$"),
+    ], ids=["0", "-3", "201", "float", "bool"])
+    def test_sweep_cap_must_be_positive(self, string_spec, monkeypatch, max_iter, match):
         calls = count_eigensolves(monkeypatch)
-        with pytest.raises(DomainError,
-                           match="max_iter must be at least 1 and at most MAX_SWEEPS = 200"):
+        with pytest.raises(DomainError, match=match):
             solve_state(string_spec, "m1", (1,), max_iter=max_iter)
+        assert calls == []
+
+    @pytest.mark.parametrize("g", [0.0, 0.05], ids=["linear", "coupled"])
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"tol": 0.0}, "^tol must be positive$"),
+        ({"amplitude": math.nan}, "^amplitude must be finite, got nan$"),
+        ({"amplitude": -math.inf}, "^amplitude must be finite, got -inf$"),
+    ], ids=["zero-tol", "nan-amplitude", "infinite-amplitude"])
+    def test_solve_arguments_refused_by_name(self, monkeypatch, g, kwargs, match):
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(DomainError, match=match):
+            solve_state(make_string_spec(coupling_g=g), "m1", (1,), **kwargs)
         assert calls == []
 
 

@@ -9,7 +9,7 @@ import numpy.polynomial.legendre as leg
 import pytest
 import scipy.linalg
 
-from conftest import boundary_residuals, count_assemblies, rayleigh_quotient
+from conftest import NEUMANN, boundary_residuals, count_assemblies, rayleigh_quotient
 from eigenforge import polynomials, sturm_liouville
 from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
 from eigenforge.polynomials import (
@@ -20,7 +20,6 @@ from eigenforge.polynomials import (
 )
 from eigenforge.sturm_liouville import (
     DIRICHLET,
-    NEUMANN,
     BoundaryCondition,
     SLProblem,
     _assemble,
@@ -34,13 +33,17 @@ from eigenforge.sturm_liouville import (
 PI2 = math.pi * math.pi
 
 
+def lowest_pairs(prob, ritz, degree, count=None):
+    """The ``count`` lowest of the Ritz pairs ``ritz`` that ``leading_eigh``
+    returns for the given degree, as ``solve`` builds them (all by default)."""
+    theta, Y, norms = ritz
+    return _build_pairs(prob, theta[:count].tolist(), Y[:, :count], norms[:count], degree)
+
+
 def solve_at_degree(prob, degree, num_modes=None):
     """Ritz eigenpairs of the fixed-degree trial space, ascending by eigenvalue:
     a fresh assembly and reduction, apart from solve's escalation and memo."""
-    _, theta, Y, norms = _reduce(*_assemble(prob, degree))(degree - 1)
-    available = theta.size
-    count = available if num_modes is None else min(num_modes, available)
-    return _build_pairs(prob, theta, Y, norms, degree, count)
+    return lowest_pairs(prob, _reduce(*_assemble(prob, degree))(degree - 1), degree, num_modes)
 
 
 def residual(prob, pair):
@@ -369,7 +372,7 @@ class TestReduction:
         A = 0.5 * (M + M.T)
         N = rng.normal(size=(12, 12))
         B = N @ N.T + 12 * np.eye(12)
-        vals, _, vecs, _ = _reduce(A, B)(12)
+        vals, vecs, _ = _reduce(A, B)(12)
         ref = scipy.linalg.eigh(A, B, eigvals_only=True)
         assert np.allclose(vals, ref, rtol=1e-11, atol=1e-11)
         # B-orthonormality of returned vectors
@@ -408,6 +411,22 @@ class TestReduction:
             _reduce(np.eye(3), np.eye(3))(3)
         assert str(exc.value) == "reduced eigenproblem of size 3: Eigenvalues did not converge"
         assert exc.value.cause == "eigh"
+
+    # leading_eigh is the one owner of the order: LAPACK's vectors, patched
+    # here to the identity so that its order is not ascending, come back with
+    # theta ascending, each column of Y the vector of its own value, and tied
+    # values in LAPACK's order.
+    @pytest.mark.parametrize("diagonal,modes", [([3.0, 1.0, 2.0], [1, 2, 0]),
+                                                ([2.0, 1.0, 2.0], [1, 0, 2])],
+                             ids=["distinct", "tied"])
+    def test_unsorted_ritz_values_ascend(self, monkeypatch, diagonal, modes):
+        monkeypatch.setattr(np.linalg, "eigh", lambda C: (np.diag(C), np.eye(len(C))))
+        theta, Y, norms = _reduce(np.diag(diagonal), np.eye(3))(3)
+        assert theta.tolist() == [diagonal[j] for j in modes]
+        assert Y.tolist() == np.eye(3)[:, modes].tolist()
+        assert norms.tolist() == [1.0, 1.0, 1.0]
+        for value, vector in zip(theta, Y.T, strict=True):
+            assert (np.diag(diagonal) @ vector).tolist() == (value * vector).tolist()
 
     def test_overflowing_pencil_is_conditioning_error(self):
         # On [0, 1e-300] the reduction overflows and C[0, 0] is NaN: a
@@ -458,7 +477,7 @@ class TestEigensolveAccuracy:
     def test_low_modes_to_full_relative_accuracy(self, bc, ks, L):
         prob = unit_problem(bc, (0.0, L))
         for degree in range(30, 41, 2):
-            vals, _, _, _ = _reduce(*_assemble(prob, degree))(degree - 1)
+            vals, _, _ = _reduce(*_assemble(prob, degree))(degree - 1)
             for lam, k in zip(vals, ks):
                 exact = (k * math.pi / L) ** 2
                 assert abs(lam - exact) <= 1e-13 * (1.0 + exact), (degree, k)
@@ -519,9 +538,9 @@ class TestPairBuilding:
         prob = variable_problem(CONDITIONS[kind])
         pairs, _ = solve(prob, num_modes=4, k_tol=1e-12)
         degree = pairs[0].degree_used
-        _, theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
+        theta, Y, _ = _reduce(*_assemble(prob, 40))(degree - 1)
         S = basis(prob.bc, degree)
-        for m, pair in zip(np.argsort(theta, kind="stable")[:len(pairs)], pairs, strict=True):
+        for m, pair in enumerate(pairs):
             u = LegendreSeries(tuple(S @ Y[:, m]), prob.interval)
             u = u * (1.0 / math.sqrt(integrate_product(prob.r, u, u)))
             free = u if prob.bc.at_a == "derivative" else u.derivative()
@@ -534,20 +553,18 @@ class TestPairBuilding:
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), m
             assert np.dot(got, ref) > 0
 
-    # leading_eigh keeps theta, Y and norms in LAPACK's order; _build_pairs
-    # orders the modes by a stable argsort of theta, each with its own vector.
-    @pytest.mark.parametrize("theta,modes", [([3.0, 1.0, 2.0], [1, 2, 0]),
-                                             ([2.0, 1.0, 2.0], [1, 0, 2])],
-                             ids=["distinct", "tied"])
-    def test_unsorted_ritz_values_ascend(self, theta, modes):
+    # _build_pairs pairs each given eigenvalue with its own column, in the
+    # order given, scaled by its B-norm and signed by the rule.
+    def test_scales_and_signs_each_column(self):
         prob = unit_problem(DIRICHLET)
+        lams = [1.0, 2.0, 3.0]
         Y = np.random.default_rng(5).normal(size=(3, 3))
         norms = np.array([4.0, 1.0, 9.0])
         S = basis(DIRICHLET, 4)
         for count in (1, 2, 3):
-            pairs = _build_pairs(prob, np.array(theta), Y, norms, 4, count)
-            assert [pair.lambda_ for pair in pairs] == [theta[j] for j in modes[:count]]
-            for pair, j in zip(pairs, modes[:count], strict=True):
+            pairs = _build_pairs(prob, lams[:count], Y[:, :count], norms[:count], 4)
+            assert [pair.lambda_ for pair in pairs] == lams[:count]
+            for j, pair in enumerate(pairs):
                 ref = S @ Y[:, j] / math.sqrt(norms[j])
                 if leg.legval(-1.0, leg.legder(ref)) < 0:  # u'(a) > 0 under a value condition
                     ref = -ref
@@ -689,7 +706,7 @@ class TestMemo:
         kept = [*_reference_sequence(NEUMANN, 40)(3),
                 *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
                 *sturm_liouville._shen_recombination(NEUMANN)]
-        assert len(kept) == 8
+        assert len(kept) == 7
         for array in kept:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -789,9 +806,8 @@ class TestReferencePencil:
         prob = constant_problem(CONDITIONS[kind], *coeffs)
         pairs, trace = solve(prob, num_modes=4)
         degree = pairs[0].degree_used
-        _, theta, Y, norms = _reduce(*_assemble(prob, 40))(degree - 1)
+        direct = lowest_pairs(prob, _reduce(*_assemble(prob, 40))(degree - 1), degree, 4)
         xs = np.linspace(*prob.interval, 401)
-        direct = _build_pairs(prob, theta, Y, norms, degree, 4)
         assert trace.entries[-1] == (degree, pairs[0].lambda_)
         for pair, ref in zip(pairs, direct, strict=True):
             assert abs(pair.lambda_ - ref.lambda_) <= 1e-13 * (1.0 + abs(ref.lambda_))
@@ -816,8 +832,7 @@ class TestIdentityMap:
         pairs, trace = solve(prob, num_modes=num_modes, max_degree=max_degree)
         degree = pairs[0].degree_used
         leading_eigh = _reduce(*_assemble(prob, max_degree))
-        _, theta, Y, norms = leading_eigh(degree - 1)
-        direct = _build_pairs(prob, theta, Y, norms, degree, num_modes)
+        direct = lowest_pairs(prob, leading_eigh(degree - 1), degree, num_modes)
         assert len(pairs) == len(direct) == num_modes
         for pair, ref in zip(pairs, direct):
             assert pair.degree_used == ref.degree_used
@@ -877,6 +892,19 @@ class TestErrors:
     def test_bad_num_modes(self):
         with pytest.raises(DomainError):
             solve(unit_problem(), num_modes=0)
+
+    # A count is not converted: 2.0 is not two modes, and True is not one.
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"num_modes": 2.0}, "num_modes must be an integer"),
+        ({"num_modes": True}, "num_modes must be an integer"),
+        ({"max_degree": 40.0}, "max_degree must be an integer"),
+        ({"max_degree": True}, "max_degree must be an integer"),
+        ({"k_tol": 0.0}, "k_tol must be positive"),
+        ({"k_tol": math.nan}, "k_tol must be positive"),
+    ], ids=["float-modes", "bool-modes", "float-degree", "bool-degree", "zero-tol", "nan-tol"])
+    def test_argument_refused_by_name(self, kwargs, match):
+        with pytest.raises(DomainError, match=f"^{match}$"):
+            solve(unit_problem(), **kwargs)
 
     def test_max_degree_above_the_cap_refused(self):
         # The one rule on the cap: the kept basis ends at MAX_DEGREE.
