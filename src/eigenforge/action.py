@@ -143,7 +143,7 @@ def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
     (NoLatticeError) when any value misses the lattice by more than tol, or
     when the surviving candidate sits within a decade of tol itself, which is
     the signature of incommensurable inputs being ground down to noise.
-    There must be one label per action value.
+    There must be one label per action value, each a ``str``.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -152,6 +152,9 @@ def fit_spectrum(labels: Sequence[str], alphas: Sequence[float],
     if len(labels) != len(alphas):
         raise DomainError(f"labels and action values differ in number: "
                           f"{len(labels)} and {len(alphas)}")
+    for i, label in enumerate(labels):
+        if type(label) is not str:
+            raise DomainError(f"labels[{i}] must be a string, got {type(label).__name__}")
     if not alphas:
         raise DomainError("need at least one action value")
     if any(a <= tol for a in alphas):

@@ -44,8 +44,9 @@ _PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def nth_prime(m: int) -> int:
-    """1-based: nth_prime(1) == 2."""
-    if m < 1:
+    """1-based: nth_prime(1) == 2. An index whose type is not exactly ``int``
+    is refused by name."""
+    if require_int(m, "prime index") < 1:
         raise DomainError("prime index is 1-based")
     if m > MAX_PRIME_INDEX:
         raise DomainError(f"prime index {m} exceeds MAX_PRIME_INDEX = {MAX_PRIME_INDEX}")
@@ -61,17 +62,13 @@ def nth_prime(m: int) -> int:
 
 
 def occupation_counts(occupations: Sequence[int]) -> tuple[int, ...]:
-    """The occupations as ints; each must be a nonnegative integer."""
-    out = []
-    for n in occupations:
-        try:
-            count = int(n)
-        except (OverflowError, ValueError):  # infinity, NaN
-            count = None
-        if count != n or n < 0:
+    """The occupations as a tuple; each must be a nonnegative integer whose
+    type is exactly ``int`` (a float or a bool is refused)."""
+    out = tuple(occupations)
+    for n in out:
+        if type(n) is not int or n < 0:
             raise DomainError(f"occupation {n!r} must be a nonnegative integer")
-        out.append(count)
-    return tuple(out)
+    return out
 
 
 def encode(occupations: Sequence[int]) -> int:
@@ -102,9 +99,8 @@ def decode(value: int) -> tuple[int, ...]:
     exponent found is at least 1. An integer above 2^MAX_GODEL_BITS, or with
     a prime factor above prime(MAX_PRIME_INDEX), raises DomainError.
     """
-    if int(value) != value or value < 1:
+    if type(value) is not int or value < 1:
         raise DomainError("only positive integers decode")
-    value = int(value)
     if value > 1 << MAX_GODEL_BITS:
         raise DomainError(f"{value.bit_length()}-bit integer exceeds 2^MAX_GODEL_BITS")
     out: list[int] = []

@@ -233,9 +233,11 @@ def as_series(f: Polynomial) -> LegendreSeries:
 
 @lru_cache(maxsize=None)
 def _legendre_derivative(size: int) -> np.ndarray:
-    """Square matrix taking size Legendre coefficients to those of d/dt."""
+    """Square matrix taking size Legendre coefficients to those of d/dt,
+    read-only."""
     out = np.zeros((size, size))
     out[: size - 1] = leg.legder(np.eye(size))[: size - 1]
+    out.setflags(write=False)
     return out
 
 
@@ -246,14 +248,20 @@ def poly(coeffs, interval=(0.0, 1.0)) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
+    """The n Gauss-Legendre nodes and weights on [-1, 1], both read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
 @lru_cache(maxsize=None)
 def _legendre_table(n: int, size: int) -> np.ndarray:
-    """P_k at the n Gauss-Legendre nodes, k < size: an (n, size) array."""
-    return leg.legvander(_gauss_legendre(n)[0], size - 1)
+    """P_k at the n Gauss-Legendre nodes, k < size: an (n, size) array,
+    read-only."""
+    table = leg.legvander(_gauss_legendre(n)[0], size - 1)
+    table.setflags(write=False)
+    return table
 
 
 def node_values(n: int, *factors: Polynomial) -> np.ndarray:

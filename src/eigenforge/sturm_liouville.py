@@ -11,9 +11,9 @@ p, q, r are read at Gauss-Legendre nodes off the table that quadrature uses.
 The basis is hierarchical (column k does not depend on the degree), so the
 recombination is built once per boundary pair, at ``polynomials.MAX_DEGREE``,
 and kept with the endpoint row the sign rule reads (``_shen_recombination``);
-the basis of degree n is its leading (n + 1) x (n - 1) block. The basis
-and its derivative at the nodes depend on the boundary pair, the degree and
-the node count alone and are kept for the latest ``_BASIS_CACHE`` of them.
+the basis of degree n is its leading (n + 1) x (n - 1) block. ``_assemble``
+reads the basis and its derivative at the nodes off that kept recombination
+and the kept table of P_k at the nodes.
 Likewise the stiffness and mass matrices of degree n are the leading
 (n - 1) x (n - 1) blocks of those of any higher degree. ``solve`` therefore
 reads one reduced pencil (``_pencil``), built once at the highest degree it
@@ -65,11 +65,6 @@ _STOP_ULPS = 4
 # requests of field block 0 at seed 101 the latest 32 verdicts cut the
 # positivity checks that find roots from 656 to 147 (an unbounded memo: 64).
 _POSITIVITY_CACHE = 32
-# The basis at the quadrature nodes (``_basis_at_nodes``) is keyed by the
-# conditions, the degree and the node count. On the benchmark's blocks 0-2 at
-# seed 101 and block 0 at seeds 102-103, an eigen block reads 8 keys (4
-# boundary pairs x 2 node counts at degree 40) and a field block 9.
-_BASIS_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -195,19 +190,6 @@ def _shen_recombination(bc: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
     return S, sign_row
 
 
-@lru_cache(maxsize=_BASIS_CACHE)
-def _basis_at_nodes(bc: BoundaryCondition, degree: int, n_nodes: int):
-    """The trial basis of the given degree and its derivative in t at the
-    ``n_nodes`` Gauss-Legendre nodes, one row per basis function: all that
-    ``_assemble`` reads of the basis, a function of these three alone."""
-    S = _shen_recombination(bc)[0][:degree + 1, :degree - 1]
-    table = polynomials._legendre_table(n_nodes, degree + 1)
-    phi = (table @ S).T
-    dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T
-    phi.flags.writeable = dphi.flags.writeable = False  # shared through the cache
-    return phi, dphi
-
-
 def _assemble(prob: SLProblem, degree: int):
     """The pencil (A, B) of the given degree, by quadrature exact at the largest
     integrand: the trial basis, its derivative and p, q, r are all read at the
@@ -223,7 +205,10 @@ def _assemble(prob: SLProblem, degree: int):
     n_nodes = (max(prob.p.degree, prob.q.degree, prob.r.degree) + 2 * degree) // 2 + 1
     w = 0.5 * (hi - lo) * polynomials._gauss_legendre(n_nodes)[1]
     pv, qv, rv = polynomials.node_values(n_nodes, prob.p, prob.q, prob.r)
-    phi, dphi = _basis_at_nodes(prob.bc, degree, n_nodes)
+    S = _shen_recombination(prob.bc)[0][:degree + 1, :degree - 1]
+    table = polynomials._legendre_table(n_nodes, degree + 1)
+    phi = (table @ S).T
+    dphi = (table @ polynomials._legendre_derivative(degree + 1) @ S).T
     with np.errstate(over="ignore", invalid="ignore"):
         dphi = dphi * (2.0 / (hi - lo))
         A = (dphi * (w * pv)) @ dphi.T - (phi * (w * qv)) @ phi.T

@@ -137,7 +137,9 @@ class TestFitLattice:
         (["a"], [1.0, 2.0], "labels and action values differ in number: 1 and 2"),
         (["a", "b", "c"], [1.0, 2.0], "labels and action values differ in number: 3 and 2"),
         ([], [], "need at least one action value"),
-    ], ids=["fewer-labels", "more-labels", "empty"])
+        ([1, None], [1.0, 2.0], r"labels\[0\] must be a string, got int"),
+        (["a", None], [1.0, 2.0], r"labels\[1\] must be a string, got NoneType"),
+    ], ids=["fewer-labels", "more-labels", "empty", "int-label", "none-label"])
     def test_one_label_per_value(self, labels, alphas, match):
         with pytest.raises(DomainError, match=f"^{match}$"):
             fit_spectrum(labels, alphas, tol=1e-9)

@@ -390,6 +390,15 @@ class TestEigenCommand:
                     coeffs = legder(coeffs) * (2.0 / L)
                 assert abs(legval(t, coeffs)) <= 1e-12
 
+    def test_missing_key_invalid(self, tmp_path):
+        obj = problem_to_obj(make_unit_problem())
+        del obj["r"]
+        path = tmp_path / "bad.json"
+        path.write_text(serialize.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: problem is missing keys ['r']\n")
+
     def test_unknown_key_rejected(self, tmp_path):
         obj = problem_to_obj(make_unit_problem())
         obj["surprise"] = 1
@@ -627,7 +636,10 @@ class TestSigmaCommand:
         ({("time_dim", "interval"): [0.0, 1.5], ("time_dim", "r", "interval"): [0.0, 1.5],
           ("P", "terms", 0, 1, "interval"): [0.0, 1.5]}, "time_dim interval must be"),
         ({("components",): 10**9}, "components must be between 1 and 256"),
-    ], ids=["term-interval", "time-interval", "components"])
+        ({("modes",): []}, "error: model declares no modes to solve"),
+        ({("P", "terms", 0): [{"coeffs": [1.0], "interval": [0.0, math.pi]}]},
+         "error: every P term needs one factor per dimension (2)"),
+    ], ids=["term-interval", "time-interval", "components", "no-modes", "p-term-one-factor"])
     def test_model_checked_when_built(self, tmp_path, edits, message):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))
         for path, value in edits.items():
@@ -1007,6 +1019,11 @@ class TestEnumerateCommand:
         # A non-finite quantum would list only the vacuum, or drop its mode.
         result = run_cli("enumerate", "--omegas", omegas, "--quantum-I", quantum, "--emax", "1")
         assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+    def test_no_frequency_invalid(self):
+        result = run_cli("enumerate", "--omegas", ",", "--quantum-I", "1", "--emax", "1")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: --omegas must list at least one frequency\n")
 
     def test_five_mode_digest(self):
         # Interior zeros and two-digit occupations (557 states) keep a

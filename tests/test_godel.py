@@ -64,6 +64,11 @@ class TestPrimes:
         with pytest.raises(DomainError, match="^prime index is 1-based$"):
             nth_prime(m)
 
+    @pytest.mark.parametrize("m", [2.0, True], ids=["float", "bool"])
+    def test_index_must_be_an_int(self, m):
+        with pytest.raises(DomainError, match="^prime index must be an integer$"):
+            nth_prime(m)
+
 
 class TestEncode:
     def test_single_quantum(self):
@@ -86,7 +91,8 @@ class TestEncode:
         with pytest.raises(DomainError):
             encode((-1,))
 
-    @pytest.mark.parametrize("occupation", [math.inf, math.nan])
+    # Neither a float, integral or not, nor a bool is an occupation.
+    @pytest.mark.parametrize("occupation", [math.inf, math.nan, 2.0, True])
     def test_non_finite_rejected(self, occupation):
         with pytest.raises(DomainError, match="nonnegative integer"):
             encode((occupation,))
@@ -140,6 +146,11 @@ class TestDecode:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             decode(0)
+
+    @pytest.mark.parametrize("value", [12.0, True], ids=["float", "bool"])
+    def test_value_must_be_an_int(self, value):
+        with pytest.raises(DomainError, match="^only positive integers decode$"):
+            decode(value)
 
     def test_prime_factor_beyond_limit_rejected(self):
         # 1_000_000_007 is prime, far beyond prime(MAX_PRIME_INDEX); the sieve

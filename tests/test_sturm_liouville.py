@@ -130,6 +130,13 @@ class TestProblemValidation:
     def test_bad_bc_label(self):
         with pytest.raises(DomainError):
             BoundaryCondition("value", "robin")
+        with pytest.raises(DomainError, match=re.escape(
+                "bc at b must be 'value' or 'derivative', got 'neumann'")):
+            BoundaryCondition("value", "neumann")
+
+    def test_coefficients_on_different_intervals_refused(self):
+        with pytest.raises(DomainError, match="^p, q, r must share one interval$"):
+            SLProblem(poly([1.0]), poly([0.0], (0.0, 2.0)), poly([1.0]), DIRICHLET)
 
     @pytest.mark.parametrize("name", ["p", "r"])
     def test_overflowing_values_refused_as_not_finite(self, name):
@@ -605,7 +612,7 @@ def reference_assemble(prob, degree):
 class TestKeptTables:
     # The recombination is built once per boundary pair at the degree cap, with
     # the endpoint row the sign rule reads, and the basis at the quadrature
-    # nodes is kept per (pair, degree, node count); both must give the bits of
+    # nodes is read off it and the kept node table; both must give the bits of
     # a per-degree build.
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_leading_blocks_equal_per_degree_solves(self, kind):
@@ -624,21 +631,13 @@ class TestKeptTables:
     def test_assembly_bits_cold_and_warm(self, kind):
         for prob in (variable_problem(CONDITIONS[kind]), unit_problem(CONDITIONS[kind])):
             for degree in (2, 17, 40, 64):
-                for cache in (sturm_liouville._basis_at_nodes,
-                              sturm_liouville._shen_recombination):
+                for cache in (sturm_liouville._shen_recombination,
+                              polynomials._legendre_table):
                     cache.cache_clear()
                 cold, warm = _assemble(prob, degree), _assemble(prob, degree)
                 for got in (cold, warm):
                     for M, ref in zip(got, reference_assemble(prob, degree), strict=True):
                         assert M.tobytes() == ref.tobytes(), degree
-
-    def test_basis_cache_within_its_bound(self):
-        bound = sturm_liouville._BASIS_CACHE
-        sturm_liouville._basis_at_nodes.cache_clear()
-        for n_nodes in range(21, 25 + bound):
-            sturm_liouville._basis_at_nodes(DIRICHLET, 40, n_nodes)
-        info = sturm_liouville._basis_at_nodes.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
 
 
 class TestLeadingBlocks:
@@ -669,25 +668,24 @@ class TestLeadingBlocks:
 
 
 class TestMemo:
-    # What solve keeps across problems (the basis, the reference pencil, the
-    # positivity verdicts) is shared read-only, a failure is never kept, and
-    # what solve returns must not depend on whether it was kept.
-    # (num_modes, max_degree) requests; the degree cap is part of the basis
-    # key, as the pencil of a lower cap is assembled with fewer nodes.
+    # What solve keeps across problems (the recombination, the reference
+    # pencil, the positivity verdicts) is shared read-only
+    # (tests/test_memo_table.py), a failure is never kept, and what solve
+    # returns must not depend on whether it was kept.
+    # (num_modes, max_degree) requests; the pencil of a lower degree cap is
+    # assembled with fewer nodes, so it reads another table of P_k at the nodes.
     REQUESTS = ((1, 40), (4, 40), (2, 24))
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["fewer-first", "more-first"])
     @pytest.mark.parametrize("kind", list(CONDITIONS))
     def test_warm_results_equal_cold(self, kind, reverse):
-        # A variable-coefficient problem reads the kept basis at the nodes,
-        # recombination with its sign row, and assembles its own pencil.
+        # A variable-coefficient problem reads the kept recombination with its
+        # sign row, and assembles its own pencil.
         prob = variable_problem(CONDITIONS[kind])
         order = self.REQUESTS[::-1] if reverse else self.REQUESTS
-        memos = (sturm_liouville._basis_at_nodes, sturm_liouville._shen_recombination)
         cold = {}
         for num_modes, max_degree in order:
-            for memo in memos:
-                memo.cache_clear()
+            sturm_liouville._shen_recombination.cache_clear()
             cold[num_modes] = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
         for num_modes, max_degree in order:
             pairs, trace = solve(prob, num_modes=num_modes, k_tol=1e-12, max_degree=max_degree)
@@ -696,21 +694,6 @@ class TestMemo:
             for pair, ref in zip(pairs, ref_pairs, strict=True):
                 assert pair.lambda_ == ref.lambda_ and pair.degree_used == ref.degree_used
                 assert pair.u.coeffs == ref.u.coeffs
-
-    def test_kept_arrays_are_read_only(self):
-        # The Ritz values, vectors and norms of each visited degree of the
-        # reference pencil, the basis at the nodes (variable_problem reads 42
-        # nodes at degree 40), and the per-pair recombination with its sign row.
-        solve(variable_problem(NEUMANN), num_modes=2, k_tol=1e-12)
-        solve(unit_problem(NEUMANN), num_modes=2, k_tol=1e-12)
-        kept = [*_reference_sequence(NEUMANN, 40)(3),
-                *sturm_liouville._basis_at_nodes(NEUMANN, 40, 42),
-                *sturm_liouville._shen_recombination(NEUMANN)]
-        assert len(kept) == 7
-        for array in kept:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
 
     def test_conditioning_error_raised_on_every_repeat(self, monkeypatch):
         # p = 1 + x: a variable-coefficient problem, whose pencil is its own
