@@ -285,11 +285,11 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float,
 
     Box modes have frequencies m pi / L for m = 1..num_modes, so larger boxes
     lower every mode energy and the count is non-decreasing in L. Mode m
-    holds m steps of mode 1's energy, so the states below
-    ``enumerate_definable``'s cutoff are the partitions of k <= K =
-    floor(cutoff / step) steps into parts of at most num_modes: counted by
-    coin change, not listed, in min(num_modes, K) * K additions, and more
-    than ``MAX_STATES`` of them raise DomainError. The count is the
+    holds m steps of mode 1's energy, the only energy computed per length, so
+    the states below ``enumerate_definable``'s cutoff are the partitions of
+    k <= K = floor(cutoff / step) steps into parts of at most num_modes:
+    counted by coin change, not listed, in min(num_modes, K) * K additions,
+    and more than ``MAX_STATES`` of them raise DomainError. The count is the
     enumeration's length unless the cutoff lies within rounding of a level.
     """
     lengths = [float(L) for L in box_lengths]
@@ -302,8 +302,7 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float,
     _, cutoff = _cutoff(e_max)
     out = []
     for L in lengths:
-        omegas = [m * math.pi / L for m in range(1, num_modes + 1)]
-        step = mode_energies(omegas, 2.0 * math.pi)[0]
+        step = mode_energies([math.pi / L], 2.0 * math.pi)[0]
         levels = cutoff // step  # a float, which may pass the int range or be infinite
         additions = min(num_modes, levels) * levels
         if additions > MAX_STATES:

@@ -106,11 +106,12 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def values(self, xs) -> np.ndarray:
-        """Values at a point or an array of points, all inside the interval:
-        the one evaluation, of the Legendre form (``as_series``)."""
+        """Values at a point or an array of points, all inside the interval
+        (a NaN point is not): the one evaluation, of the Legendre form
+        (``as_series``)."""
         xs = np.asarray(xs, dtype=float)
         a, b = self.interval
-        if xs.size and (float(xs.min()) < a or float(xs.max()) > b):
+        if xs.size and not (a <= float(xs.min()) and float(xs.max()) <= b):
             raise DomainError("sample points outside the interval")
         return leg.legval(_reference(xs, self.interval), as_series(self).coeffs)
 

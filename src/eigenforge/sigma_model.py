@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import action as action_mod
-from .errors import DomainError, NonConvergenceError, require_int
+from .errors import ConditioningError, DomainError, NonConvergenceError, require_int
 from .polynomials import (
     LegendreSeries,
     Polynomial,
@@ -386,11 +386,12 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
     frequency, time eigenvalues and ``space_norms`` filled in. ``max_iter``
     must be an ``int`` from 1 to ``MAX_SWEEPS``, and ``amplitude`` finite; a
     solve that needs more sweeps raises NonConvergenceError with the report
-    attached and cause ``"sweep_cap"``. An eigensolve that reaches its
-    degree cap raises its NonConvergenceError again, its message prefixed
-    with the state's label, the space dimension and the sweep (0 for the
-    uncounted first), with its cause ``"degree_cap"``, its Ritz trace and the
-    report of the sweeps counted so far.
+    attached and cause ``"sweep_cap"``. A space problem's DomainError or
+    ConditioningError, or its eigensolve's NonConvergenceError of cause
+    ``"degree_cap"``, is raised again with its type and cause, its message
+    prefixed with the state's label, the space dimension and the sweep (0 for
+    the uncounted first); the last also carries its Ritz trace and the report
+    of the sweeps counted so far.
     """
     n_space = len(spec.space_dims)
     _check_mode(label, target_modes, n_space, "label", "target_modes")
@@ -427,18 +428,22 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
                 continue  # deriving it again would return the same problem
             moved[d] = False
             dim = spec.space_dims[d]
-            problem = SLProblem(*effective_coeffs(spec, state, d, range(spec.components)),
-                                dim.r, dim.bc)
-            if problem == solved[d]:
-                continue  # solving it again would return the same factor
-            old = state.space_factors[d]
+            where = f"state {label!r}, space dimension {d}, sweep {sweep}"
             try:
+                problem = SLProblem(*effective_coeffs(spec, state, d, range(spec.components)),
+                                    dim.r, dim.bc)
+                if problem == solved[d]:
+                    continue  # solving it again would return the same factor
                 pairs, _ = sl_solve(problem, num_modes=target_modes[d], k_tol=SL_K_TOL,
                                     max_degree=SL_MAX_DEGREE)
             except NonConvergenceError as exc:
-                raise NonConvergenceError(
-                    f"state {label!r}, space dimension {d}, sweep {sweep}: {exc}",
-                    cause=exc.cause, trace=exc.trace, report=report) from exc
+                raise NonConvergenceError(f"{where}: {exc}", cause=exc.cause, trace=exc.trace,
+                                          report=report) from exc
+            except DomainError as exc:
+                raise DomainError(f"{where}: {exc}") from exc
+            except ConditioningError as exc:
+                raise ConditioningError(f"{where}: {exc}", cause=exc.cause) from exc
+            old = state.space_factors[d]
             new = pairs[target_modes[d] - 1]
             factors = state.space_factors
             state = replace(state, space_factors=factors[:d] + (new,) + factors[d + 1:])

@@ -225,8 +225,8 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     argsort (tied values keep LAPACK's order): Y holds B-orthonormal vectors,
     norms their B-norms y^T B y, theta their Rayleigh quotients on the
     unreduced block pencil (whose denominator is the norm). The lowest m
-    pairs are the leading m entries. Each block size is solved once and
-    kept, as read-only arrays.
+    pairs are the leading m entries, as read-only arrays. Each call solves
+    its block; only the reader ``_reference_sequence`` returns keeps blocks.
 
     A LAPACK failure in the factorization or an eigensolve raises
     ``ConditioningError`` of cause ``"cholesky"`` or ``"eigh"``, and a mass
@@ -234,8 +234,7 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     the product forming C can overflow, and then carries NaN into the
     leading entries. C is formed with numpy's overflow warnings off, and its
     largest finite leading block is recorded, so a block past it is refused
-    by size with no warning. Failures are raised again on every request,
-    never kept.
+    by size with no warning.
     """
     if not np.isfinite(B).all():
         raise ConditioningError("mass matrix is not finite: its assembly overflows",
@@ -252,12 +251,8 @@ def _reduce(A: np.ndarray, B: np.ndarray):
     entries_finite = np.isfinite(C)
     finite = (C.shape[0] if entries_finite.all()
               else int(np.maximum(*np.nonzero(~entries_finite)).min()))
-    memo: list[tuple[np.ndarray, ...] | None] = [None] * (C.shape[0] + 1)
 
     def leading_eigh(k: int):
-        ritz = memo[k]
-        if ritz is not None:
-            return ritz
         if k > finite:
             raise ConditioningError(
                 f"reduced eigenproblem of size {k} is not finite: its reduction overflows",
@@ -272,7 +267,7 @@ def _reduce(A: np.ndarray, B: np.ndarray):
         norms = np.einsum("ij,ij->j", Y, Bk @ Y)
         theta = np.einsum("ij,ij->j", Y, Ak @ Y) / norms
         order = np.argsort(theta, kind="stable")
-        ritz = memo[k] = theta[order], Y[:, order], norms[order]
+        ritz = theta[order], Y[:, order], norms[order]
         for array in ritz:
             array.setflags(write=False)  # shared by every reader of a kept pencil
         return ritz
@@ -284,11 +279,11 @@ def _reduce(A: np.ndarray, B: np.ndarray):
 def _reference_sequence(bc: BoundaryCondition, top: int):
     """``leading_eigh`` of the reference pencil (K, M) of degree ``top``: that of
     -u'' = mu u on (-1, 1) under ``bc``, assembled and reduced on the first
-    request and kept, read-only, with every block size it has solved. There is
-    one per (boundary pair, top degree): at most 4 x 31 keys (even degrees 4
-    to 64), and a benchmark block reads 4."""
+    request and kept. Its reader, an ``lru_cache``, keeps every block it has
+    solved and never a failure. There is one per (boundary pair, top degree):
+    at most 4 x 31 keys (even degrees 4 to 64), and a benchmark block reads 4."""
     one, zero = Polynomial((1.0,), (-1.0, 1.0)), Polynomial((0.0,), (-1.0, 1.0))
-    return _reduce(*_assemble(SLProblem(one, zero, one, bc), top))
+    return lru_cache(maxsize=None)(_reduce(*_assemble(SLProblem(one, zero, one, bc), top)))
 
 
 def _pencil(prob: SLProblem, top: int):
@@ -391,7 +386,7 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     for degree in range(2, top + 1, 2):
         theta, Y, norms = leading_eigh(degree - 1)
         # Read as Python floats: the same IEEE test as on arrays, without
-        # numpy's per-call cost at every degree of a solve that misses the memo.
+        # numpy's per-call cost at every degree of a solve of its own pencil.
         cur_vals = [scale * mu - shift for mu in theta[:num_modes].tolist()]
         if not all(map(math.isfinite, cur_vals)):
             raise ConditioningError(

@@ -126,7 +126,8 @@ class TestFitLattice:
         assert spec.multipliers == (1,)
 
     def test_incommensurable_pair_rejected(self):
-        with pytest.raises(NoLatticeError):
+        with pytest.raises(NoLatticeError, match=r"^candidate quantum 2\.450e-09 is "
+                           r"indistinguishable from the threshold 1\.0e-09$"):
             fit_spectrum(["a", "b"], [1.0, math.sqrt(2.0)], tol=1e-9)
 
     def test_values_below_tolerance_rejected(self):

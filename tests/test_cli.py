@@ -342,12 +342,6 @@ class TestEnumerationCsv:
         assert serialize.enumeration_csv(DefinableStates(())) == (
             "godel_integer,occupations,energy\n")
 
-    @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
-    def test_nonfinite_energy_rejected(self, energy):
-        states = DefinableStates(((1, "", "0"), (2, "1", "%.17g" % energy)))
-        with pytest.raises(DomainError, match="non-finite"):
-            serialize.enumeration_csv(states)
-
 
 class TestEigenCommand:
     def test_benchmark_output(self, problem_file):
@@ -745,6 +739,19 @@ class TestSigmaCommand:
             "error: state 'third', space dimension 0, sweep 2: "
             "eigenvalues not converged to 1e-12 within degree 40"]
 
+    def test_refused_problem_names_the_mode(self, tmp_path):
+        # P's coupling of -2 takes p below zero in sweep 1: invalid input,
+        # in one error line that names the mode, its dimension and sweep.
+        spec = make_string_spec(num_modes=1)
+        spec = replace(spec, P=replace(spec.P, coupling_g=-2.0))
+        model = tmp_path / "model.json"
+        model.write_text(serialize.dumps(serialize.model_to_obj(spec)))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: state 'm1', space dimension 0, sweep 1: "
+            "p must be positive on [0.0, 3.141592653589793]"]
+
     def test_solution_contents(self, solution_file):
         data = json.loads(Path(solution_file).read_text())
         modes = {m["label"]: m for m in data["modes"]}
@@ -943,6 +950,8 @@ class TestCodecCommands:
     def test_encode_non_canonical_invalid(self):
         result = run_cli("encode", "--occupation", "1,0")
         assert result.returncode == 2
+        assert result.stderr == (
+            "error: occupation sequence must be canonical (no trailing zeros)\n")
 
     @pytest.mark.parametrize("occupation", ["0,0,100000000", "1000000", "4097"])
     def test_encode_past_the_integer_bound_invalid(self, occupation):
@@ -966,8 +975,9 @@ class TestCodecCommands:
     @pytest.mark.parametrize("command,flag,text,fragment", [
         ("encode", "--occupation", "1,x", "comma-separated integers"),
         ("decode", "--integer", "12x", "an integer"),
+        ("decode", "--integer", "abc", "an integer"),
         ("enumerate", "--omegas", "1,x", "comma-separated numbers"),
-    ], ids=["encode", "decode", "enumerate"])
+    ], ids=["encode", "decode", "decode-letters", "enumerate"])
     def test_malformed_input_echo(self, capsys, command, flag, text, fragment):
         # A short input is echoed whole; a long one by a prefix and its
         # length, so 3 000 entries give one short line.

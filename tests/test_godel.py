@@ -551,6 +551,19 @@ class TestCountVsBox:
         with pytest.raises(DomainError, match="MAX_STATES"):
             enumerate_definable([m * math.pi / 8.0 for m in range(1, 9)], TWO_PI, 30.0)
 
+    def test_one_energy_per_length(self, monkeypatch):
+        # Only mode 1's energy is read, so --modes costs no frequency list.
+        sizes = []
+        energies = godel.mode_energies
+
+        def recording(omegas, h):
+            sizes.append(len(omegas))
+            return energies(omegas, h)
+
+        monkeypatch.setattr(godel, "mode_energies", recording)
+        assert count_vs_box([1.0, 2.0], 3.0, 50) == [(1.0, 1), (2.0, 2)]
+        assert sizes == [1, 1]
+
     def test_additions_bounded_by_max_states(self, monkeypatch):
         # min(M, K) * K additions: 3 * 10 = 30 at L = 1, e_max = 10 pi.
         monkeypatch.setattr(godel, "MAX_STATES", 30)

@@ -76,8 +76,11 @@ class TestArith:
     def test_interval_mismatch_rejected(self):
         a = poly([1.0], (0.0, 1.0))
         b = poly([1.0], (0.0, 2.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^operands on different intervals: "
+                                              r"\(0\.0, 1\.0\) vs \(0\.0, 2\.0\)$"):
             a + b
+        with pytest.raises(DomainError, match="^factors live on different intervals$"):
+            integrate_product(a, b)
 
     def test_scalar_operations(self):
         a = poly([1.0, 2.0], UNIT)
@@ -180,8 +183,8 @@ class TestEvaluate:
 
     def test_outside_interval_rejected(self):
         for p in (poly([1.0, 1.0], UNIT), LegendreSeries((1.0, 1.0), UNIT)):
-            for x in (1.5, -0.1):
-                with pytest.raises(DomainError):
+            for x in (1.5, -0.1, math.nan, [0.5, math.nan]):
+                with pytest.raises(DomainError, match="^sample points outside the interval$"):
                     p.values(x)
 
     def test_values_vectorized_matches_pointwise(self):

@@ -59,7 +59,7 @@ class TestCanonicalForm:
         assert e.num == (0,) and e.den == (1,)
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^denominator must not be the zero polynomial$"):
             element(1, 0)
 
 
@@ -243,7 +243,9 @@ class TestParseAndDescribe:
     @pytest.mark.parametrize("text,match", [
         ("W^W", "exponent must be a nonnegative integer"),
         ("(W+1 W", "missing closing parenthesis"),
-    ], ids=["element-exponent", "unclosed"])
+        ("W/0", "division by the zero element"),
+        ("1+", "unexpected end of expression"),
+    ], ids=["element-exponent", "unclosed", "zero-divisor", "cut-short"])
     def test_parse_refusal_is_named(self, text, match):
         with pytest.raises(DomainError, match=f"^{match}$"):
             parse(text)

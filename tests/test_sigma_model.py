@@ -18,7 +18,7 @@ from conftest import (
 )
 from eigenforge import polynomials, sigma_model, sturm_liouville
 from eigenforge.action import TIME_PAIR_DEGREE, make_time_pair
-from eigenforge.errors import DomainError, NonConvergenceError
+from eigenforge.errors import ConditioningError, DomainError, NonConvergenceError
 from eigenforge.polynomials import (
     LegendreSeries,
     chebyshev_fit,
@@ -819,7 +819,9 @@ class TestValidation:
         ("m1", (2.7,), "target_modes[0] is 2.7; target modes must be integers"),
         ("m1", (True,), "target_modes[0] is True; target modes must be integers"),
         (5, (1,), "label must be a string, got int"),
-    ], ids=["float", "bool", "label"])
+        ("m", (38,), "target_modes[0] is 38; a space factor's eigensolve (degree cap 40) "
+                     "can track at most mode 37"),
+    ], ids=["float", "bool", "label", "above-the-degree-cap"])
     def test_mode_types_checked(self, string_spec, monkeypatch, label, targets, where):
         # A target is not converted: 2.7 is not mode 2, and True is not mode 1.
         calls = count_eigensolves(monkeypatch)
@@ -924,12 +926,33 @@ class TestValidation:
     def test_max_iter_exhaustion_carries_report(self, string_spec, monkeypatch):
         spec = make_string_spec(coupling_g=0.05)
         pins = count_pins(monkeypatch)
-        with pytest.raises(NonConvergenceError) as exc:
+        with pytest.raises(NonConvergenceError,
+                           match="^state 'm1' not converged in 2 sweeps$") as exc:
             solve_state(spec, "m1", (1,), tol=1e-14, max_iter=2)
         assert exc.value.cause == "sweep_cap"
         assert exc.value.report is not None
         assert exc.value.report.iterations == 2
         assert pins == []  # a solve that gives up pins nothing
+
+    def test_refused_problem_names_the_state(self):
+        # P's coupling of -2 takes p below zero on the factor sweep 0 solved,
+        # so sweep 1's frozen problem is refused.
+        spec = make_string_spec()
+        spec = replace(spec, P=replace(spec.P, coupling_g=-2.0))
+        with pytest.raises(DomainError) as exc:
+            solve_state(spec, "m1", (1,))
+        assert str(exc.value) == ("state 'm1', space dimension 0, sweep 1: "
+                                  "p must be positive on [0.0, 3.141592653589793]")
+        assert type(exc.value.__cause__) is DomainError
+
+    def test_conditioning_error_names_the_state(self):
+        # On (0, 1e-300) the reference pencil's scale 1 / h^2 overflows.
+        with pytest.raises(ConditioningError) as exc:
+            solve_state(coupled_spec((1e-300,), (DIRICHLET,), 0.0), "m1", (1,))
+        assert str(exc.value) == ("state 'm1', space dimension 0, sweep 0: reduced eigenproblem "
+                                  "of size 1 is not finite: its Ritz values overflow")
+        assert exc.value.cause == "overflow"
+        assert type(exc.value.__cause__) is ConditioningError
 
     @pytest.mark.parametrize("max_iter,match", [
         (0, "max_iter must be at least 1 and at most MAX_SWEEPS = 200"),

@@ -755,6 +755,16 @@ class TestReferencePencil:
                 solve(prob)
         assert calls == []
 
+    def test_blocks_kept_only_on_the_reference(self):
+        # The reference's reader keeps each block it has solved: a second read
+        # is the same tuple. A problem's own pencil solves its block again on
+        # every read, to the same values.
+        kept = _reference_sequence(NEUMANN, 40)(3)
+        assert _reference_sequence(NEUMANN, 40)(3) is kept
+        leading_eigh = _reduce(*_assemble(variable_problem(NEUMANN), 40))
+        for first, second in zip(leading_eigh(3), leading_eigh(3), strict=True):
+            assert first is not second and np.array_equal(first, second)
+
     def test_underflowing_mass_matrix_refused(self):
         # r h = 1e-300 * 5e-31 underflows to 0: a zero mass matrix, refused
         # as the failed Cholesky factorization of an assembled one is.
