@@ -4,7 +4,8 @@
 For Dirichlet box modes (omega_m = m pi / L, m <= --modes) the number of
 occupation distributions with total energy below --emax never shrinks as the
 box grows. Prints the counts and optionally writes them as CSV. The states
-are counted, not listed (``godel.count_vs_box``). Invalid input ends with one
+are counted, not listed (``godel.count_vs_box``). --lengths is read by the
+CLI's list reader (``cli.parse_list``). Invalid input ends with one
 ``error:`` line on stderr and exit status 2, as in the ``eigenforge`` CLI.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eigenforge import cli
-from eigenforge.errors import EigenforgeError
+from eigenforge.errors import DomainError, EigenforgeError
 from eigenforge.godel import count_vs_box
 from eigenforge.serialize import format_float
 
@@ -30,9 +31,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        lengths = [float(v) for v in args.lengths.split(",")]
+        lengths = cli.parse_list(args.lengths, "--lengths", float)
+        if not lengths:
+            raise DomainError("--lengths must list at least one length")
         counts = count_vs_box(lengths, args.emax, args.modes)
-    except (EigenforgeError, ValueError) as exc:
+    except EigenforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_INVALID
     print(f"{'L':>10} {'count':>8}")

@@ -6,6 +6,9 @@ action (lattice fit of a stored solution), encode/decode (prime-power codec),
 enumerate (definable states below an energy cutoff, CSV), qstar (ratio-field
 expression classification). Outputs are byte-stable across runs.
 
+Every list flag is read by ``parse_list``, and a refused list or integer is
+shown by ``errors.echo``.
+
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a failed
 numerical step (``ConditioningError``), 4 no lattice.
 """
@@ -25,6 +28,7 @@ from .errors import (
     EigenforgeError,
     NoLatticeError,
     NonConvergenceError,
+    echo,
 )
 
 EXIT_OK = 0
@@ -46,34 +50,15 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-# Longest command-line value an error message echoes whole.
-_ECHO_CHARS = 40
-
-
-def _echo(text: str) -> str:
-    """The value's repr; a longer value than ``_ECHO_CHARS`` is cut to that
-    prefix and followed by its length, so a malformed list of thousands of
-    entries gives one short line of stderr."""
-    if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
-
-
-def _parse_floats(text: str, flag: str) -> list[float]:
+def parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated entries of a list flag, each read by ``kind``
+    (``int`` or ``float``): a blank text is the empty list, and an empty or
+    malformed entry refuses the whole text."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",")] if text.strip() else []
     except ValueError as exc:
-        raise DomainError(f"{flag} expects comma-separated numbers, got {_echo(text)}") from exc
-
-
-def _parse_occupation(text: str) -> tuple[int, ...]:
-    if text.strip() == "":
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(
-            f"--occupation expects comma-separated integers, got {_echo(text)}") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise DomainError(f"{flag} expects comma-separated {noun}, got {echo(text)}") from exc
 
 
 def _cmd_eigen(args) -> int:
@@ -116,7 +101,7 @@ def _cmd_action(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    value = godel.encode(_parse_occupation(args.occupation))
+    value = godel.encode(parse_list(args.occupation, "--occupation", int))
     _write(f"{value}\n", None)
     return EXIT_OK
 
@@ -131,14 +116,14 @@ def _cmd_decode(args) -> int:
     try:
         value = int(args.integer)
     except ValueError as exc:
-        raise DomainError(f"--integer expects an integer, got {_echo(args.integer)}") from exc
+        raise DomainError(f"--integer expects an integer, got {echo(args.integer)}") from exc
     occ = godel.decode(value)
     _write(",".join(str(n) for n in occ) + "\n", None)
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
-    omegas = _parse_floats(args.omegas, "--omegas")
+    omegas = parse_list(args.omegas, "--omegas", float)
     if not omegas:
         raise DomainError("--omegas must list at least one frequency")
     h = action_mod.h_from_quantum(args.quantum_I)

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and its one check of a count.
+"""Exception types shared across the library, its one check of a count, and
+its one rule for showing a refused value in a message (``echo``).
 
 The CLI maps these onto exit codes: invalid input -> 2, non-convergence and
 conditioning failures -> 3, missing lattice -> 4.
@@ -20,6 +21,21 @@ def require_int(value, name: str) -> int:
     if type(value) is not int:
         raise DomainError(f"{name} must be an integer")
     return value
+
+
+# Longest text of a refused value a message shows whole.
+_ECHO_CHARS = 40
+
+
+def echo(value) -> str:
+    """The refused value's repr for a message. A value whose text (a string
+    itself, any other value its repr) is longer than ``_ECHO_CHARS`` is shown
+    by that prefix and its length, so a list of thousands of entries or an
+    integer of thousands of digits gives one short line."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
 class ConditioningError(EigenforgeError, RuntimeError):

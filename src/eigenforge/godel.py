@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from operator import attrgetter, itemgetter
 
-from .errors import DomainError, require_int
+from .errors import DomainError, echo, require_int
 
 _ENERGY_SLACK = 1e-12
 
@@ -67,7 +67,7 @@ def occupation_counts(occupations: Sequence[int]) -> tuple[int, ...]:
     out = tuple(occupations)
     for n in out:
         if type(n) is not int or n < 0:
-            raise DomainError(f"occupation {n!r} must be a nonnegative integer")
+            raise DomainError(f"occupation {echo(n)} must be a nonnegative integer")
     return out
 
 
@@ -84,7 +84,7 @@ def encode(occupations: Sequence[int]) -> int:
         if n:
             prime = nth_prime(m)
             if n > (MAX_GODEL_BITS - bits) / math.log2(prime):  # n may exceed every float
-                raise DomainError(f"occupation {n} of mode {m} takes the integer past "
+                raise DomainError(f"occupation {echo(n)} of mode {m} takes the integer past "
                                   f"MAX_GODEL_BITS = {MAX_GODEL_BITS} bits")
             bits += n * math.log2(prime)
             value *= prime ** n
@@ -291,10 +291,19 @@ def count_vs_box(box_lengths: Sequence[float], e_max: float,
     counted by coin change, not listed, in min(num_modes, K) * K additions,
     and more than ``MAX_STATES`` of them raise DomainError. The count is the
     enumeration's length unless the cutoff lies within rounding of a level.
+    A length that is not positive and finite, or so short that mode 1's
+    energy overflows, is refused by that length.
     """
     lengths = [float(L) for L in box_lengths]
-    if any(not L > 0 for L in lengths):
-        raise DomainError("box lengths must be positive")
+    for L in lengths:
+        if not L > 0:
+            raise DomainError("box lengths must be positive")
+        if not math.isfinite(L):
+            raise DomainError(f"box length {L!r} is not finite")
+        # h omega_1 as mode_energies forms it, whose refusal would name a
+        # frequency pi / L the caller never gave.
+        if not math.isfinite(2.0 * math.pi * (math.pi / L)):
+            raise DomainError(f"box length {L!r} is so short that mode 1's energy overflows")
     if sorted(lengths) != lengths:
         raise DomainError("box lengths must be ascending")
     if require_int(num_modes, "num_modes") < 1:

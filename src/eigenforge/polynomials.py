@@ -72,7 +72,8 @@ def _reference(xs, interval):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real-coefficient polynomial on a fixed interval, ascending powers.
+    """Real-coefficient polynomial on a fixed interval, ascending powers. The
+    interval's ends and its length b - a must be finite.
 
     The zero polynomial is represented by the single coefficient ``(0.0,)``;
     otherwise trailing zero coefficients are trimmed at construction.
@@ -88,6 +89,8 @@ class Polynomial:
         a, b = float(self.interval[0]), float(self.interval[1])
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise DomainError(f"need a finite interval with a < b, got ({a}, {b})")
+        if not math.isfinite(b - a):
+            raise DomainError(f"the length of the interval ({a}, {b}) overflows")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "interval", (a, b))
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, echo
 
 ZERO_CLASS = "zero"
 INFINITESIMAL = "infinitesimal"
@@ -296,11 +296,15 @@ def _coeff_bits(c: IntPoly) -> int:
     return max(map(abs, c)).bit_length()
 
 
-_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# Binding strength and operation of each binary operator; ``_Parser._expr``
+# applies operators of one strength left to right.
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
+           "/": (2, operator.truediv)}
 
 
 class _Parser:
-    """Recursive-descent parser for integers, W, + - * / ^ and parentheses."""
+    """Recursive-descent parser for ASCII integers, W, + - * / ^ and
+    parentheses; one loop reads every binary operator off ``_BINARY``."""
 
     def __init__(self, text: str):
         self.tokens = self._lex(text)
@@ -308,10 +312,11 @@ class _Parser:
 
     @staticmethod
     def _lex(text: str) -> list[str]:
-        """Runs of decimal digits and single non-space characters, w read as W."""
-        tokens = re.findall(r"\d+|\S", text.replace("w", "W"))
+        """Runs of ASCII digits and single non-space characters, w read as W;
+        any other digit is a character outside the grammar."""
+        tokens = re.findall(r"[0-9]+|\S", text.replace("w", "W"))
         for tok in tokens:
-            if not (tok.isdecimal() or tok in "W+-*/()^"):
+            if not ((tok.isascii() and tok.isdigit()) or tok in "W+-*/()^"):
                 raise DomainError(f"unexpected character {tok!r} in expression")
         return tokens
 
@@ -328,7 +333,7 @@ class _Parser:
     def parse(self) -> QStarElement:
         value = self._expr()
         if self._peek() is not None:
-            raise DomainError(f"trailing input at {self._peek()!r}")
+            raise DomainError(f"trailing input at {echo(self._peek())}")
         return value
 
     @staticmethod
@@ -352,20 +357,13 @@ class _Parser:
                    for a, b in products) + (op in "+-")
         if bits > MAX_COEFF_BITS:
             raise DomainError(f"{op!r} result of {bits:.0f} bits exceeds MAX_COEFF_BITS")
-        return _OPERATIONS[op](lhs, rhs)
+        return _BINARY[op][1](lhs, rhs)
 
-    def _expr(self) -> QStarElement:
-        value = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._take()
-            value = self._apply(value, op, self._term())
-        return value
-
-    def _term(self) -> QStarElement:
+    def _expr(self, floor: int = 1) -> QStarElement:
         value = self._unary()
-        while self._peek() in ("*", "/"):
-            op = self._take()
-            value = self._apply(value, op, self._unary())
+        while (op := self._peek()) in _BINARY and _BINARY[op][0] >= floor:
+            self._take()
+            value = self._apply(value, op, self._expr(_BINARY[op][0] + 1))
         return value
 
     def _unary(self) -> QStarElement:

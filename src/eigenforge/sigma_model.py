@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import action as action_mod
-from .errors import ConditioningError, DomainError, NonConvergenceError, require_int
+from .errors import ConditioningError, DomainError, NonConvergenceError, echo, require_int
 from .polynomials import (
     LegendreSeries,
     Polynomial,
@@ -114,11 +114,11 @@ def _check_mode(label: str, targets: Sequence[int], n_space: int, label_where: s
             raise DomainError(f"{where}[{j}] is {target!r}; target modes must be integers")
         if target < 1:
             raise DomainError(
-                f"{where}[{j}] is {target}; target modes are 1-based and must be >= 1"
+                f"{where}[{j}] is {echo(target)}; target modes are 1-based and must be >= 1"
             )
         if target > most:
             raise DomainError(
-                f"{where}[{j}] is {target}; a space factor's eigensolve "
+                f"{where}[{j}] is {echo(target)}; a space factor's eigensolve "
                 f"(degree cap {SL_MAX_DEGREE}) can track at most mode {most}"
             )
 
@@ -137,7 +137,7 @@ class SigmaModelSpec:
             raise DomainError("need at least one space dimension")
         if not 1 <= require_int(self.components, "components") <= MAX_COMPONENTS:
             raise DomainError(
-                f"components must be between 1 and {MAX_COMPONENTS}, got {self.components}"
+                f"components must be between 1 and {MAX_COMPONENTS}, got {echo(self.components)}"
             )
         quarter = (0.0, action_mod.QUARTER_PERIOD)
         if self.time_dim.interval != quarter:

@@ -473,6 +473,18 @@ class TestEigenCommand:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: reduced eigenproblem")
 
+    def test_interval_of_overflowing_length_invalid(self, tmp_path):
+        # b - a of [-1e308, 1e308] is inf: the problem is refused when read,
+        # where a solve would scale its norms by inf and print a zero function.
+        obj = problem_to_obj(make_unit_problem())
+        for name in ("p", "q", "r"):
+            obj[name]["interval"] = [-1e308, 1e308]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        result = run_cli("eigen", "--problem", str(path))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: the length of the interval (-1e+308, 1e+308) overflows\n")
+
     def test_subnormal_interval_exit_code(self, tmp_path):
         # On [0, 1e-320] a variable p's stiffness matrix holds NaN and the
         # mass matrix underflows: exit 3 with the one error line, no warning.
@@ -765,6 +777,20 @@ class TestSigmaCommand:
         assert spectrum["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert spectrum["closure"] is True
 
+    @pytest.mark.parametrize("edits,fragment", [
+        ({"modes": [{"label": "m", "targets": [10**3000]}]}, "can track at most mode 37"),
+        ({"components": 10**3000}, "components must be between 1 and 256"),
+    ], ids=["target", "components"])
+    def test_huge_integer_shown_by_its_digits(self, tmp_path, edits, fragment):
+        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+        obj.update(edits)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        result = run_cli("sigma", "--model", str(model))
+        assert result.returncode == 2
+        assert fragment in result.stderr and "... (3001 characters)" in result.stderr
+        assert len(result.stderr) < 200
+
     @pytest.mark.parametrize("max_iter", ["0", "-3", "201"])
     def test_sweep_cap_must_be_positive(self, model_file, max_iter):
         result = run_cli("sigma", "--model", model_file, "--max-iter", max_iter)
@@ -972,12 +998,24 @@ class TestCodecCommands:
         assert "MAX_GODEL_BITS" in result.stderr
         assert len(result.stderr) < 200
 
+    @pytest.mark.parametrize("occupation,fragment", [
+        ("-1" + "0" * 3000, "must be a nonnegative integer"),
+        ("1" + "0" * 3000, "MAX_GODEL_BITS = 4096"),
+    ], ids=["negative", "past-the-integer-bound"])
+    def test_encode_refuses_a_huge_occupation_by_its_digits(self, occupation, fragment):
+        result = run_cli("encode", "--occupation", occupation)
+        assert result.returncode == 2
+        assert fragment in result.stderr
+        assert f"... ({len(occupation)} characters)" in result.stderr
+        assert len(result.stderr) < 200
+
     @pytest.mark.parametrize("command,flag,text,fragment", [
         ("encode", "--occupation", "1,x", "comma-separated integers"),
         ("decode", "--integer", "12x", "an integer"),
         ("decode", "--integer", "abc", "an integer"),
         ("enumerate", "--omegas", "1,x", "comma-separated numbers"),
-    ], ids=["encode", "decode", "decode-letters", "enumerate"])
+        ("enumerate", "--omegas", ",", "comma-separated numbers"),
+    ], ids=["encode", "decode", "decode-letters", "enumerate", "enumerate-empty-entries"])
     def test_malformed_input_echo(self, capsys, command, flag, text, fragment):
         # A short input is echoed whole; a long one by a prefix and its
         # length, so 3 000 entries give one short line.
@@ -1031,7 +1069,9 @@ class TestEnumerateCommand:
         assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
     def test_no_frequency_invalid(self):
-        result = run_cli("enumerate", "--omegas", ",", "--quantum-I", "1", "--emax", "1")
+        # A blank list is empty; "," holds two empty entries and is refused
+        # as malformed (``TestCodecCommands::test_malformed_input_echo``).
+        result = run_cli("enumerate", "--omegas", " ", "--quantum-I", "1", "--emax", "1")
         assert (result.returncode, result.stdout, result.stderr) == (
             2, "", "error: --omegas must list at least one frequency\n")
 
@@ -1141,9 +1181,10 @@ class TestQstarCommand:
         ("*".join(["(W^3+3*W+1)/(W^2-7)"] * 50), "MAX_POWER_DEGREE"),
         ("((((2^64)^64)^64)^64)^64", "MAX_COEFF_BITS"),
         ("1" * 3000, "MAX_COEFF_BITS"),
+        ("1 " + "2" * 3000, "trailing input at '2222"),
     ], ids=["huge-exponent", "exponent-past-degree", "huge-exponent-past-degree",
             "huge-exponent-of-a-sum", "deep-nesting", "nested-power", "long-product",
-            "nested-integer-power", "long-literal"])
+            "nested-integer-power", "long-literal", "long-trailing-literal"])
     def test_unbounded_input_invalid(self, expr, bound):
         result = run_cli("qstar", "--expr", expr, timeout=10)
         assert result.returncode == 2

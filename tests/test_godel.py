@@ -574,6 +574,9 @@ class TestCountVsBox:
 
     @pytest.mark.parametrize("lengths, e_max, num_modes, match", [
         ([0.0, 1.0], 1.0, 2, "box lengths must be positive"),
+        ([1.0, math.inf], 1.0, 2, "^box length inf is not finite$"),
+        ([1e-320, 1.0], 1.0, 2, "^box length 1e-320 is so short that mode 1's energy overflows$"),
+        ([1e-307], 1.0, 2, "^box length 1e-307 is so short that mode 1's energy overflows$"),
         ([1.0], 1.0, 0, "need at least one mode"),
         ([1.0], 3.0, 2.5, "^num_modes must be an integer$"),
         ([1.0], 3.0, True, "^num_modes must be an integer$"),
@@ -583,7 +586,8 @@ class TestCountVsBox:
         ([1e10], 1e300, 2, "takes more additions than MAX_STATES"),
         ([1.0], 1e300, 2, r"^counting the states below e_max = 1e\+300 takes 6\.3662e\+299 "
                           r"additions, more than MAX_STATES = 1000000$"),
-    ], ids=["length", "modes", "float-modes", "bool-modes", "negative-emax", "infinite-emax", "overflowing-emax",
+    ], ids=["length", "infinite-length", "overflowing-frequency", "overflowing-energy", "modes",
+            "float-modes", "bool-modes", "negative-emax", "infinite-emax", "overflowing-emax",
             "levels-past-float-range", "levels-past-int-range"])
     def test_refusals(self, lengths, e_max, num_modes, match):
         with pytest.raises(DomainError, match=match):

@@ -45,6 +45,10 @@ class TestConstruction:
             poly([1.0], (1.0, 1.0))
         with pytest.raises(DomainError):
             poly([1.0], (2.0, 1.0))
+        # Finite ends whose length b - a overflows.
+        with pytest.raises(DomainError,
+                           match=r"^the length of the interval \(-1e\+308, 1e\+308\) overflows$"):
+            poly([1.0], (-1e308, 1e308))
 
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(DomainError):

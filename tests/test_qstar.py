@@ -209,7 +209,9 @@ class TestLexer:
 
     @pytest.mark.parametrize("text,bad", [("xW+1", "x"), ("W+x+1", "x"), ("W+1x", "x"),
                                           ("W\u00b72", "\u00b7"), ("W+\u00b2", "\u00b2"),
-                                          ("W+1.5", "."), ("W\u00a0+\u00a0=", "=")])
+                                          ("W+1.5", "."), ("W\u00a0+\u00a0=", "="),
+                                          ("W+\uff11", "\uff11"), ("\u0661\u0662", "\u0661"),
+                                          ("W^\u0661\u0662", "\u0661")])
     def test_bad_character_is_named(self, text, bad):
         with pytest.raises(DomainError, match=re.escape(f"unexpected character {bad!r}")):
             parse(text)
@@ -231,6 +233,13 @@ class TestParseAndDescribe:
     def test_parse_precedence(self):
         assert identical(parse("1+2*W"), element((1, 2)))
         assert identical(parse("-W/2"), element((0, -1), 2))
+
+    # Operators of one strength apply left to right, * and / before + and -.
+    @pytest.mark.parametrize("text,printed", [
+        ("8-4-2", "2"), ("8/4/2", "1"), ("2+3*4", "14"), ("2*3+4", "10"),
+        ("2-3*4-5", "-15"), ("W-1/W*W", "W-1")])
+    def test_precedence_and_associativity(self, text, printed):
+        assert str(parse(text)) == printed
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):

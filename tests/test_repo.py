@@ -1,7 +1,7 @@
 """Repository checks: the pytest configuration reports a failing property
-test, every public function, class, assigned module-level name and class
-member of the library has a use, and every name the benchmark's tracer looks
-up exists."""
+test, every function, class, assigned module-level name and class member of
+the library, public or private, has a use, and every name the benchmark's
+tracer looks up exists."""
 
 import ast
 import importlib.util
@@ -62,9 +62,14 @@ def _defined_names(stmt):
     return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def unused_public_names():
-    """``module.name`` of each public module-level function, class and name
-    bound by assignment of the library that nothing names outside its own
+    """``module.name`` of each module-level function, class and name bound by
+    assignment of the library, public or private but not a dunder, that
+    nothing names outside its own
     definition: not another statement of the library, nor a file under
     ``scripts/`` or ``perfbench/``. A definition with no use does not count
     as a use of the names it reads."""
@@ -74,7 +79,7 @@ def unused_public_names():
                for path in sorted((ROOT / folder).rglob("*.py"))
                for name in _names(ast.parse(path.read_text(encoding="utf-8")))}
     public = [(module, name, stmt) for module, stmt in library
-              for name in _defined_names(stmt) if not name.startswith("_")]
+              for name in _defined_names(stmt) if not _is_dunder(name)]
     named = [(stmt, set(_names(stmt))) for _, stmt in library]
     unused = set()
     while True:
@@ -98,8 +103,8 @@ def _attribute_reads(node):
 
 
 def unused_public_members():
-    """``module.Class.name`` of each public non-dunder method, property and
-    class attribute of a public library class that is read as an attribute
+    """``module.Class.name`` of each non-dunder method, property and class
+    attribute of a library class, public or private, that is read as an attribute
     nowhere outside its own definition: not in the library, nor in a file
     under ``scripts/`` or ``perfbench/``. Reads are matched by name alone, so
     a name shared by two classes counts as a use of both, and a name looked
@@ -111,9 +116,9 @@ def unused_public_members():
     reads = sum(map(_attribute_reads, trees.values()), Counter())
     return sorted(f"{path.stem}.{cls.name}.{name}"
                   for path in library for cls in trees[path].body
-                  if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                  if isinstance(cls, ast.ClassDef)
                   for stmt in cls.body for name in _defined_names(stmt)
-                  if not name.startswith("_") and reads[name] == _attribute_reads(stmt)[name])
+                  if not _is_dunder(name) and reads[name] == _attribute_reads(stmt)[name])
 
 
 def test_every_public_member_has_a_use():

@@ -60,7 +60,10 @@ def test_definability_scan_counts_never_decrease(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--lengths", "2,1"], "box lengths must be ascending"),
-    (["--lengths", "1,x"], "could not convert string to float: 'x'"),
+    (["--lengths", "1,x"], "--lengths expects comma-separated numbers, got '1,x'"),
+    (["--lengths", ""], "--lengths must list at least one length"),
+    (["--lengths", "inf"], "box length inf is not finite"),
+    (["--lengths", "1e-320"], "box length 1e-320 is so short that mode 1's energy overflows"),
     (["--emax", "inf"], "e_max must be finite and nonnegative, got inf"),
     (["--lengths", "1e300", "--emax", "1e10", "--modes", "2"],
      "counting the states below e_max = 10000000000.0 takes more additions than "
@@ -68,7 +71,8 @@ def test_definability_scan_counts_never_decrease(tmp_path, capsys):
     (["--lengths", "1", "--emax", "1e300"],
      "counting the states below e_max = 1e+300 takes 1.90986e+300 additions, more than "
      "MAX_STATES = 1000000"),
-], ids=["descending", "not-a-number", "infinite-emax", "levels-past-float-range",
+], ids=["descending", "not-a-number", "no-length", "infinite-length", "overflowing-length",
+        "infinite-emax", "levels-past-float-range",
         "levels-past-int-range"])
 def test_definability_scan_invalid_input_one_error_line(capsys, flags, message):
     scan = load_script("definability_scan")
@@ -82,3 +86,25 @@ def test_definability_scan_counts_past_the_listing_limit(capsys):
     scan = load_script("definability_scan")
     assert scan.main(["--lengths", "8", "--emax", "30", "--modes", "8"]) == 0
     assert capsys.readouterr().out.splitlines()[1].split() == ["8.0000", "3705839"]
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,", ","])
+@pytest.mark.parametrize("argv, noun", [
+    (["enumerate", "--quantum-I", "1", "--emax", "1", "--omegas"], "numbers"),
+    (["encode", "--occupation"], "integers"),
+    (["--lengths"], "numbers"),
+], ids=["omegas", "occupation", "lengths"])
+def test_every_list_flag_is_read_by_one_rule(capsys, argv, noun, text):
+    # The CLI's list flags and the scan's --lengths refuse an empty entry
+    # with one message, which echoes a short text whole and a long one by a
+    # prefix and its length.
+    main = load_script("definability_scan").main if argv == ["--lengths"] else cli.main
+    flag = argv[-1]
+    assert main([*argv, text]) == cli.EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {flag} expects comma-separated {noun}, "
+                                       f"got {text!r}\n")
+    long_text = ",".join(["1"] * 3000) + text
+    assert main([*argv, long_text]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} expects comma-separated {noun}, got '1,1")
+    assert err.endswith(f"... ({len(long_text)} characters)\n") and len(err) < 200
