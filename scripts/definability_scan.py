@@ -4,9 +4,12 @@
 For Dirichlet box modes (omega_m = m pi / L, m <= --modes) the number of
 occupation distributions with total energy below --emax never shrinks as the
 box grows. Prints the counts and optionally writes them as CSV. The states
-are counted, not listed (``godel.count_vs_box``). --lengths is read by the
-CLI's list reader (``cli.parse_list``). Invalid input ends with one
-``error:`` line on stderr and exit status 2, as in the ``eigenforge`` CLI.
+are counted, not listed (``godel.count_vs_box``). Every number is read in
+the CLI's one ASCII notation: --lengths by its list reader
+(``cli.parse_list``), --emax by ``cli.number`` and --modes by
+``cli.integer``. A value argparse refuses exits 2 with its usage; any other
+invalid input ends with one ``error:`` line on stderr and exit status 2, as
+in the ``eigenforge`` CLI.
 """
 
 import argparse
@@ -25,13 +28,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lengths", default="0.5,1,2,4,8",
                         help="comma-separated ascending box lengths")
-    parser.add_argument("--emax", type=float, default=3.0)
-    parser.add_argument("--modes", type=int, default=6)
+    parser.add_argument("--emax", type=cli.number, default=3.0)
+    parser.add_argument("--modes", type=cli.integer, default=6)
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args(argv)
 
     try:
-        lengths = cli.parse_list(args.lengths, "--lengths", float)
+        lengths = cli.parse_list(args.lengths, "--lengths", cli.number)
         if not lengths:
             raise DomainError("--lengths must list at least one length")
         counts = count_vs_box(lengths, args.emax, args.modes)

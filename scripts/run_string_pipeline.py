@@ -5,7 +5,11 @@ Writes the model of the first few modes of the unit-coefficient string on
 (0, pi), solves it with ``eigenforge sigma`` (field solve, space/time balance,
 action lattice), and enumerates the definable occupation states below an
 energy cutoff from the stored solution. Writes the model, the solution, and
-the enumeration CSV into --out-dir.
+the enumeration CSV into --out-dir. --modes is read by ``cli.integer``,
+--coupling and --emax by ``cli.number``, the CLI's one ASCII notation. A
+value argparse refuses exits 2 with its usage; a model, coupling or cutoff
+the library refuses ends with one ``error:`` line on stderr and exit status
+2, and the field solve exits as ``eigenforge sigma`` does.
 """
 
 import argparse
@@ -17,8 +21,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eigenforge import cli, godel, serialize, sigma_model
+from eigenforge.errors import DomainError
 from eigenforge.polynomials import poly
-from eigenforge.sturm_liouville import DIRICHLET
+from eigenforge.sturm_liouville import DIRICHLET, max_modes
 
 
 def build_model(num_modes: int, coupling_g: float) -> sigma_model.SigmaModelSpec:
@@ -29,18 +34,14 @@ def build_model(num_modes: int, coupling_g: float) -> sigma_model.SigmaModelSpec
     p_field = sigma_model.CoeffField(
         terms=((poly([1.0], space_iv), poly([1.0], time_iv)),))
     q_field = sigma_model.CoeffField(terms=(), coupling_g=coupling_g)
-    modes = tuple(sigma_model.ModeSpec(f"m{m}", (m,)) for m in range(1, num_modes + 1))
+    # The model refuses its first mode past the most a space factor's capped
+    # eigensolve tracks, so no longer list is built.
+    last = min(num_modes, max_modes(sigma_model.SL_MAX_DEGREE) + 1)
+    modes = tuple(sigma_model.ModeSpec(f"m{m}", (m,)) for m in range(1, last + 1))
     return sigma_model.SigmaModelSpec((space,), time, p_field, q_field, modes=modes)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--modes", type=int, default=3)
-    parser.add_argument("--coupling", type=float, default=0.0)
-    parser.add_argument("--emax", type=float, default=4.0)
-    parser.add_argument("--out-dir", default="out")
-    args = parser.parse_args(argv)
-
+def run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "string_model.json"
@@ -67,6 +68,20 @@ def main(argv=None) -> int:
           f"(integers {[s.godel for s in states[:8]]}{'...' if len(states) > 8 else ''})")
     print(f"artifacts in {out.resolve()}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--modes", type=cli.integer, default=3)
+    parser.add_argument("--coupling", type=cli.number, default=0.0)
+    parser.add_argument("--emax", type=cli.number, default=4.0)
+    parser.add_argument("--out-dir", default="out")
+    args = parser.parse_args(argv)
+    try:
+        return run(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ action (lattice fit of a stored solution), encode/decode (prime-power codec),
 enumerate (definable states below an energy cutoff, CSV), qstar (ratio-field
 expression classification). Outputs are byte-stable across runs.
 
-Every list flag is read by ``parse_list``, and a refused list or integer is
-shown by ``errors.echo``.
+Every number the CLI and the experiment scripts read has one ASCII notation,
+read by ``integer`` or ``number``: a scalar flag through argparse, each entry
+of a list flag through ``parse_list``, and ``decode --integer``. A refused
+value is shown by ``errors.echo``.
 
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a failed
 numerical step (``ConditioningError``), 4 no lattice.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import action as action_mod
@@ -50,14 +53,48 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def parse_list(text: str, flag: str, kind: type) -> list:
-    """The comma-separated entries of a list flag, each read by ``kind``
-    (``int`` or ``float``): a blank text is the empty list, and an empty or
-    malformed entry refuses the whole text."""
+# The one number notation: ASCII whitespace around an optional sign and the
+# digits 0-9; a number may add a decimal point and an exponent, or be one of
+# the words inf, infinity and nan in any case. No other digit, no underscore.
+_SPACE = r"[ \t\n\r\f\v]*"
+_INTEGER = re.compile(f"{_SPACE}[+-]?([0-9]+){_SPACE}")
+_NUMBER = re.compile(rf"{_SPACE}[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                     rf"|infinity|inf|nan){_SPACE}", re.ASCII | re.IGNORECASE)
+
+
+def _read(text: str, grammar: re.Pattern, kind: type):
+    if grammar.fullmatch(text):
+        try:
+            return kind(text)
+        except ValueError:  # an integer past int()'s limit of 4 300 digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {echo(text)}")
+
+
+def integer(text: str) -> int:
+    """``text`` as an int if it is an integer of the one notation; else
+    ``argparse.ArgumentTypeError`` saying ``invalid int value:`` and its echo,
+    the words argparse uses for ``type=int``."""
+    return _read(text, _INTEGER, int)
+
+
+def number(text: str) -> float:
+    """``text`` as a float if it is a number of the one notation; else
+    ``argparse.ArgumentTypeError`` saying ``invalid float value:`` and its
+    echo. ``inf`` and ``nan`` are read, for the library to refuse by name."""
+    return _read(text, _NUMBER, float)
+
+
+def parse_list(text: str, flag: str, read) -> list:
+    """The comma-separated entries of a list flag, each read by ``read``
+    (``integer`` or ``number``): a text of ASCII whitespace alone is the
+    empty list, and an empty or malformed entry refuses the whole text."""
+    if re.fullmatch(_SPACE, text):
+        return []
     try:
-        return [kind(part) for part in text.split(",")] if text.strip() else []
-    except ValueError as exc:
-        noun = "integers" if kind is int else "numbers"
+        return [read(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        noun = "integers" if read is integer else "numbers"
         raise DomainError(f"{flag} expects comma-separated {noun}, got {echo(text)}") from exc
 
 
@@ -101,21 +138,22 @@ def _cmd_action(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    value = godel.encode(parse_list(args.occupation, "--occupation", int))
+    value = godel.encode(parse_list(args.occupation, "--occupation", integer))
     _write(f"{value}\n", None)
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
-    # Past 4 300 digits int() refuses with its own message; any integer of
-    # more digits than 2^MAX_GODEL_BITS is refused by its digit count.
-    digits = args.integer.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if digits.isdecimal() and len(digits) > len(str(1 << godel.MAX_GODEL_BITS)):
+    # An integer of more digits than 2^MAX_GODEL_BITS is refused by its digit
+    # count before int() reads it, which past 4 300 digits refuses by its own.
+    match = _INTEGER.fullmatch(args.integer)
+    digits = match[1].lstrip("0") if match else ""
+    if len(digits) > len(str(1 << godel.MAX_GODEL_BITS)):
         raise DomainError(f"--integer of {len(digits)} digits exceeds 2^MAX_GODEL_BITS "
                           f"(MAX_GODEL_BITS = {godel.MAX_GODEL_BITS})")
     try:
-        value = int(args.integer)
-    except ValueError as exc:
+        value = integer(args.integer)
+    except argparse.ArgumentTypeError as exc:
         raise DomainError(f"--integer expects an integer, got {echo(args.integer)}") from exc
     occ = godel.decode(value)
     _write(",".join(str(n) for n in occ) + "\n", None)
@@ -123,7 +161,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    omegas = parse_list(args.omegas, "--omegas", float)
+    omegas = parse_list(args.omegas, "--omegas", number)
     if not omegas:
         raise DomainError("--omegas must list at least one frequency")
     h = action_mod.h_from_quantum(args.quantum_I)
@@ -148,25 +186,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="solve a Sturm-Liouville problem from JSON")
     p.add_argument("--problem", required=True, help="problem JSON path")
-    p.add_argument("--modes", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--modes", type=integer, default=1)
+    p.add_argument("--tol", type=number, default=1e-10,
                    help="absolute bound on each requested eigenvalue's drop per degree step; "
                         "a drop of at most 4 ulps of the previous value also stops the solve")
-    p.add_argument("--max-degree", type=int, default=40)
+    p.add_argument("--max-degree", type=integer, default=40)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("sigma", help="solve all declared modes of a field model")
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=number, default=1e-10,
                    help="bound on each space factor's change per sweep (r-weighted L2 norm)")
-    p.add_argument("--max-iter", type=int, default=sigma_model.MAX_SWEEPS)
+    p.add_argument("--max-iter", type=integer, default=sigma_model.MAX_SWEEPS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("action", help="fit the action lattice of a stored solution")
     p.add_argument("--solution", required=True, help="sigma solution JSON path")
-    p.add_argument("--lattice-tol", type=float, default=action_mod.LATTICE_TOL)
+    p.add_argument("--lattice-tol", type=number, default=action_mod.LATTICE_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_action)
 
@@ -181,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list definable states below an energy cutoff")
     p.add_argument("--omegas", required=True, help="comma-separated mode frequencies")
-    p.add_argument("--quantum-I", type=float, required=True, help="action quantum (h = 4I)")
-    p.add_argument("--emax", type=float, required=True)
+    p.add_argument("--quantum-I", type=number, required=True, help="action quantum (h = 4I)")
+    p.add_argument("--emax", type=number, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
 

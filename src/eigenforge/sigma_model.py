@@ -399,7 +399,7 @@ def solve_state(spec: SigmaModelSpec, label: str, target_modes: Sequence[int],
         raise DomainError("tol must be positive")
     if not 1 <= require_int(max_iter, "max_iter") <= MAX_SWEEPS:
         raise DomainError(f"max_iter must be at least 1 and at most MAX_SWEEPS = {MAX_SWEEPS}, "
-                          f"got {max_iter}")
+                          f"got {echo(max_iter)}")
     if not math.isfinite(amplitude):
         raise DomainError(f"amplitude must be finite, got {amplitude!r}")
 

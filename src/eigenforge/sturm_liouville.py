@@ -51,7 +51,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 
 from . import polynomials
-from .errors import ConditioningError, DomainError, NonConvergenceError, require_int
+from .errors import ConditioningError, DomainError, NonConvergenceError, echo, require_int
 from .polynomials import LegendreSeries, Polynomial
 
 VANISH_VALUE = "value"
@@ -351,8 +351,10 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     end conditions by construction. Degree n holds n - 1 trial functions and the
     test compares two visited degrees, each holding ``num_modes`` of them, so
     a request with ``num_modes`` above ``max_modes(max_degree)`` could never
-    stop and is refused with ``DomainError``, as is a ``num_modes`` or
-    ``max_degree`` whose type is not exactly ``int``.
+    stop and is refused with ``DomainError`` (naming the least ``max_degree``
+    that serves it, or above ``max_modes(MAX_DEGREE)`` the cap itself), as is
+    a ``num_modes`` or ``max_degree`` whose type is not exactly ``int``. A
+    refused count is shown by ``errors.echo``.
 
     ``_pencil`` gives the one reduced pencil, at ``max_degree`` rounded down
     to even, and the affine map its Ritz pairs are read through; each visited
@@ -371,10 +373,14 @@ def solve(prob: SLProblem, num_modes: int = 1, k_tol: float = 1e-10,
     if not k_tol > 0:
         raise DomainError("k_tol must be positive")
     if require_int(max_degree, "max_degree") > polynomials.MAX_DEGREE:
-        raise DomainError(
-            f"max_degree {max_degree} exceeds the polynomial degree cap {polynomials.MAX_DEGREE}"
-        )
+        raise DomainError(f"max_degree {echo(max_degree)} exceeds the polynomial degree cap "
+                          f"{polynomials.MAX_DEGREE}")
     if num_modes > max_modes(max_degree):
+        most = max_modes(polynomials.MAX_DEGREE)
+        if num_modes > most:  # no max_degree the cap allows serves it
+            raise DomainError(f"num_modes must be at most {most}, the most modes a solve below "
+                              f"the degree cap {polynomials.MAX_DEGREE} can stop on, "
+                              f"got {echo(num_modes)}")
         raise DomainError(
             f"{num_modes} modes need max_degree >= {(num_modes + 4) // 2 * 2}: the stop test "
             f"compares two visited degrees, each holding at least {num_modes} trial functions"

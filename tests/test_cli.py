@@ -1,15 +1,28 @@
-"""CLI contract tests: outputs, exit codes, strict parsing, byte determinism."""
+"""CLI contract tests: outputs, exit codes, strict parsing, byte determinism.
 
+``run_cli`` runs a command in this process, so a run reads the memos, the
+values kept on objects and the prime table that earlier tests warmed. A warm
+memo must not change a byte: ``test_in_process_run_matches_a_fresh_process``
+compares both runners on every subcommand, ``TestDeterminism`` compares cold
+and warm runs, and CI runs the suite a second time in reverse file order.
+"""
+
+import argparse
 import collections
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,17 +32,39 @@ from conftest import NEUMANN, coupled_spec, make_string_spec, make_unit_problem,
 from eigenforge import action as action_mod
 from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
-from eigenforge.errors import DomainError
+from eigenforge.errors import DomainError, echo
 from eigenforge.godel import DefinableStates
 from eigenforge.polynomials import Polynomial, poly
 
 
-def run_cli(*args, cwd=None, timeout=None):
-    # -W error: a numpy warning in a CLI run fails its test, as in process.
+def run_cli_process(*args, timeout=None):
+    """``eigenforge <args>`` in a fresh process. -W error: a numpy warning
+    fails its test, as in process."""
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "eigenforge", *args],
-        capture_output=True, text=True, cwd=cwd, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout,
     )
+
+
+def run_cli(*args, timeout=None):
+    """``eigenforge <args>`` as a finished process: ``cli.main`` run in this
+    one, with stdout and stderr captured, every warning an error and
+    argparse's exit caught. A call with a timeout runs in a fresh process,
+    which the timeout ends, so a hang fails its test."""
+    if timeout is not None:
+        return run_cli_process(*args, timeout=timeout)
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage at COLUMNS, else at the terminal's width; the
+    # piped output of a fresh process has no terminal, so 80 columns.
+    columns = {"COLUMNS": os.environ.get("COLUMNS", "80")}
+    with mock.patch.dict(os.environ, columns), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +132,48 @@ def test_defaults_equal_the_library_defaults():
              "sigma --max-iter": (sigma.max_iter, solve_state["max_iter"])}
     for option, (default, param) in pairs.items():
         assert (type(default), default) == (type(param.default), param.default), option
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigen", "--problem", "{problem}", "--modes", "2"),
+    ("sigma", "--model", "{model}"),
+    ("action", "--solution", "{solution}"),
+    ("encode", "--occupation", "\u0661"),
+    ("decode", "--integer", "360"),
+    ("enumerate", "--omegas", "1,2", "--quantum-I", "1", "--emax", "\u0661"),
+    ("qstar", "--expr", "(W+1)/W"),
+], ids=["eigen", "sigma", "action", "encode", "decode", "enumerate", "qstar"])
+def test_in_process_run_matches_a_fresh_process(argv, problem_file, model_file, solution_file):
+    # Output, a library refusal (encode) and argparse's usage and refusal
+    # (enumerate) read the same in process as from a fresh process.
+    files = {"problem": problem_file, "model": model_file, "solution": solution_file}
+    argv = [arg.format(**files) for arg in argv]
+    fresh, here = run_cli_process(*argv), run_cli(*argv)
+    assert (here.returncode, here.stdout, here.stderr) == (
+        fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("text", [
+    "+3", " 2 ", "\t-7\n", "007", "1e-10", "1E+2", "3.", ".5", "1.5", "inf", "-Infinity",
+    "+nan", "NaN", "x", "", " ", ".", "1e", "e5", "--3", "0x10", "1 2", "1_0", "_1",
+    "\u0661", "\uff11", "1\u0662", "\u0663.\u0665", "\u20032", "\uff49nf", "1" * 3000,
+], ids=lambda text: repr(text)[:12])
+def test_one_ascii_number_notation(text):
+    # An ASCII text without an underscore reads as Python's int() and float()
+    # read it, and is refused with argparse's words for type=int and
+    # type=float where they refuse it; any other digit, an underscore and
+    # non-ASCII whitespace are refused. A refusal echoes the text.
+    for reader, kind in ((cli.integer, int), (cli.number, float)):
+        try:
+            expected = kind(text) if text.isascii() and "_" not in text else None
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(argparse.ArgumentTypeError) as refusal:
+                reader(text)
+            assert str(refusal.value) == f"invalid {kind.__name__} value: {echo(text)}"
+        else:
+            assert repr(reader(text)) == repr(expected)
 
 
 class TestSerialize:
@@ -777,16 +854,24 @@ class TestSigmaCommand:
         assert spectrum["I"] == pytest.approx(math.pi / 2, abs=1e-7)
         assert spectrum["closure"] is True
 
-    @pytest.mark.parametrize("edits,fragment", [
-        ({"modes": [{"label": "m", "targets": [10**3000]}]}, "can track at most mode 37"),
-        ({"components": 10**3000}, "components must be between 1 and 256"),
-    ], ids=["target", "components"])
-    def test_huge_integer_shown_by_its_digits(self, tmp_path, edits, fragment):
-        obj = serialize.model_to_obj(make_string_spec(num_modes=1))
-        obj.update(edits)
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(obj))
-        result = run_cli("sigma", "--model", str(model))
+    @pytest.mark.parametrize("edits,argv,fragment", [
+        ({"modes": [{"label": "m", "targets": [10**3000]}]}, [], "can track at most mode 37"),
+        ({"components": 10**3000}, [], "components must be between 1 and 256"),
+        ({}, ["--max-iter", "1" * 3001], "max_iter must be at least 1 and at most MAX_SWEEPS"),
+        (None, ["--modes", "1" * 3001], "num_modes must be at most 61, the most modes"),
+        (None, ["--max-degree", "1" * 3001], "exceeds the polynomial degree cap 64"),
+    ], ids=["target", "components", "max-iter", "eigen-modes", "eigen-max-degree"])
+    def test_huge_integer_shown_by_its_digits(self, tmp_path, problem_file, edits, argv,
+                                              fragment):
+        # A model edited by ``edits`` for sigma, else the unit problem for eigen.
+        if edits is None:
+            result = run_cli("eigen", "--problem", problem_file, *argv)
+        else:
+            obj = serialize.model_to_obj(make_string_spec(num_modes=1))
+            obj.update(edits)
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(obj))
+            result = run_cli("sigma", "--model", str(model), *argv)
         assert result.returncode == 2
         assert fragment in result.stderr and "... (3001 characters)" in result.stderr
         assert len(result.stderr) < 200
@@ -1252,7 +1337,7 @@ def same_bytes_cold_and_warm(tmp_path, argv):
     first output's path."""
     paths = [tmp_path / f"out_{i}.json" for i in range(4)]
     for path in paths[:2]:
-        result = run_cli(*argv, "--out", str(path))
+        result = run_cli_process(*argv, "--out", str(path))
         assert result.returncode == 0, result.stderr
     for path in paths[2:]:
         assert cli.main([*argv, "--out", str(path)]) == 0
@@ -1309,7 +1394,7 @@ class TestDeterminism:
         assert all(m["null_residual"] <= 1e-6 for m in stored["modes"]), stored["modes"]
         # The refit of a stored solution reads the same time pair's action as
         # the solve, so it must reproduce the stored action spectrum.
-        result = run_cli("action", "--solution", str(out))
+        result = run_cli_process("action", "--solution", str(out))
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == stored["action_spectrum"]
 
@@ -1320,7 +1405,7 @@ class TestDeterminism:
         obj["modes"].append({"label": "bad", "targets": [1]})
         model = tmp_path / "box_bad.json"
         model.write_text(json.dumps(obj))
-        result = run_cli("sigma", "--model", str(model))
+        result = run_cli_process("sigma", "--model", str(model))
         assert result.returncode == 2
         assert "modes[1]" in result.stderr
 
@@ -1337,8 +1422,8 @@ class TestDeterminism:
             ("qstar", "--expr", "(W+1)/W"),
         ]
         for argv in invocations:
-            first = run_cli(*argv)
-            second = run_cli(*argv)
+            first = run_cli_process(*argv)
+            second = run_cli_process(*argv)
             assert first.returncode == 0, (argv, first.stderr)
             assert first.returncode == second.returncode
             assert first.stdout.encode() == second.stdout.encode(), argv

@@ -1,7 +1,9 @@
 """The experiment scripts, run in process: their files, the solution each
 string pipeline writes against the CLI's own run on the model it wrote, and
-that solution's action refit."""
+that solution's action refit; and every numeric flag of the CLI and the
+scripts, read in the one ASCII number notation."""
 
+import functools
 import importlib.util
 import json
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_string_spec, make_unit_problem, problem_to_obj
 from eigenforge import cli, serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -108,3 +111,78 @@ def test_every_list_flag_is_read_by_one_rule(capsys, argv, noun, text):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} expects comma-separated {noun}, got '1,1")
     assert err.endswith(f"... ({len(long_text)} characters)\n") and len(err) < 200
+
+
+# Every numeric flag: the program that reads it, the arguments it runs with,
+# and the kind Python's int() or float() read it as before the one notation.
+NUMERIC_FLAGS = [
+    ("cli", ["eigen", "--problem", "{problem}"], "--modes", int),
+    ("cli", ["eigen", "--problem", "{problem}"], "--tol", float),
+    ("cli", ["eigen", "--problem", "{problem}"], "--max-degree", int),
+    ("cli", ["sigma", "--model", "{model}"], "--tol", float),
+    ("cli", ["sigma", "--model", "{model}"], "--max-iter", int),
+    ("cli", ["action", "--solution", "{solution}"], "--lattice-tol", float),
+    ("cli", ["encode"], "--occupation", int),
+    ("cli", ["decode"], "--integer", int),
+    ("cli", ["enumerate", "--quantum-I", "1", "--emax", "1"], "--omegas", float),
+    ("cli", ["enumerate", "--omegas", "1,2", "--emax", "2"], "--quantum-I", float),
+    ("cli", ["enumerate", "--omegas", "1,2", "--quantum-I", "1"], "--emax", float),
+    ("definability_scan", [], "--lengths", float),
+    ("definability_scan", [], "--emax", float),
+    ("definability_scan", [], "--modes", int),
+    ("run_string_pipeline", ["--out-dir", "{out}"], "--modes", int),
+    ("run_string_pipeline", ["--out-dir", "{out}", "--modes", "1"], "--coupling", float),
+    ("run_string_pipeline", ["--out-dir", "{out}", "--modes", "1"], "--emax", float),
+]
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """The files and the output directory the numeric flags run with."""
+    directory = tmp_path_factory.mktemp("flags")
+    inputs = {name: str(directory / f"{name}.json") for name in ("problem", "model", "solution")}
+    Path(inputs["problem"]).write_text(serialize.dumps(problem_to_obj(make_unit_problem())))
+    Path(inputs["model"]).write_text(
+        serialize.dumps(serialize.model_to_obj(make_string_spec(num_modes=1))))
+    assert cli.main(["sigma", "--model", inputs["model"], "--out", inputs["solution"]]) == 0
+    return {**inputs, "out": str(directory / "out")}
+
+
+def run_flag(capsys, program, argv, flag, text, inputs):
+    """(exit status, stdout, stderr) of the program run in process with
+    ``flag`` set to ``text``, argparse's exit included."""
+    main = cli.main if program == "cli" else load_script(program).main
+    try:
+        code = main([arg.format(**inputs) for arg in argv] + [flag, text])
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("program, argv, flag, kind", NUMERIC_FLAGS,
+                         ids=[f"{program if program != 'cli' else argv[0]} {flag}"
+                              for program, argv, flag, _ in NUMERIC_FLAGS])
+def test_every_numeric_flag_reads_one_ascii_notation(capsys, flag_inputs, program, argv, flag,
+                                                      kind):
+    run = functools.partial(run_flag, capsys, program, argv, flag, inputs=flag_inputs)
+    # Another script's digit and an underscore are refused: exit 2, nothing
+    # on stdout, and one stderr line, the last, which echoes the text.
+    for text in ("\u0661", "\uff11", "1_0"):
+        code, out, err = run(text)
+        assert (code, out) == (2, ""), text
+        assert [line for line in err.splitlines() if repr(text) in line] == [
+            err.splitlines()[-1]], err
+    # A value of 3 000 digits, which the notation reads, is refused (or run)
+    # in a short message.
+    assert len(run("1" * 3000)[2].encode()) < 200
+    # ASCII texts read as Python's int() or float() read them: the same
+    # result as the value's own spelling, or a refusal that echoes the text.
+    for text in ("+3", " 2 ", "1e-10", "inf"):
+        try:
+            spelled = repr(kind(text))
+        except ValueError:
+            code, out, err = run(text)
+            assert (code, out) == (2, "") and err.endswith(f"{text!r}\n"), text
+        else:
+            if spelled != text:
+                assert run(text) == run(spelled), text

@@ -923,3 +923,16 @@ class TestErrors:
     def test_infeasible_request_refused(self, num_modes, max_degree, least):
         with pytest.raises(DomainError, match=f"{num_modes} modes need max_degree >= {least}"):
             solve(unit_problem(), num_modes=num_modes, k_tol=1e300, max_degree=max_degree)
+
+    @pytest.mark.parametrize("num_modes,max_degree", [(62, 64), (62, 10), (10**3000, 40)],
+                             ids=["at-the-cap", "below-the-cap", "3001-digits"])
+    def test_request_no_allowed_degree_serves_names_the_cap(self, num_modes, max_degree):
+        # Past max_modes(MAX_DEGREE) modes no max_degree the cap allows
+        # serves the request: the refusal names the cap, not a degree it
+        # refuses, and shows the count by errors.echo.
+        top = polynomials.MAX_DEGREE
+        with pytest.raises(DomainError, match=re.escape(
+                f"num_modes must be at most {max_modes(top)}, the most modes a solve below the "
+                f"degree cap {top} can stop on, got ")) as refusal:
+            solve(unit_problem(), num_modes=num_modes, k_tol=1e300, max_degree=max_degree)
+        assert len(str(refusal.value)) < 200
