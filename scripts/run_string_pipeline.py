@@ -9,7 +9,9 @@ the enumeration CSV into --out-dir. --modes is read by ``cli.integer``,
 --coupling and --emax by ``cli.number``, the CLI's one ASCII notation. A
 value argparse refuses exits 2 with its usage; a model, coupling or cutoff
 the library refuses ends with one ``error:`` line on stderr and exit status
-2, and the field solve exits as ``eigenforge sigma`` does.
+2, and the field solve exits as ``eigenforge sigma`` does. A cutoff that the
+library refuses for any spectrum is refused before a file is written, and
+one that only the solved spectrum refuses before anything is printed.
 """
 
 import argparse
@@ -42,6 +44,10 @@ def build_model(num_modes: int, coupling_g: float) -> sigma_model.SigmaModelSpec
 
 
 def run(args) -> int:
+    # A cutoff godel refuses for any spectrum (not finite, negative, or
+    # overflowing when padded), here the empty one, is refused before the
+    # field solve writes a file.
+    godel.enumerate_definable((), 1.0, args.emax)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "string_model.json"
@@ -52,17 +58,16 @@ def run(args) -> int:
     if code != cli.EXIT_OK:
         return code
     solution = json.loads(solution_path.read_text())
+    spectrum = solution["action_spectrum"]
+    omegas = [mode["omega"] for mode in solution["modes"]]
+    states = godel.enumerate_definable(omegas, spectrum["h"], args.emax)
 
     print(f"{'mode':>6} {'omega':>18} {'indicial':>12} {'balance':>12} {'sweeps':>7}")
     for mode in solution["modes"]:
         print(f"{mode['label']:>6} {mode['omega']:>18.12f} {mode['indicial_residual']:>12.2e} "
               f"{mode['null_residual']:>12.2e} {mode['report']['iterations']:>7d}")
-    spectrum = solution["action_spectrum"]
     print(f"\naction quantum I = {spectrum['I']:.12f} (pi/2 = {math.pi/2:.12f}), "
           f"h = {spectrum['h']:.12f}, closure: {spectrum['closure']}")
-
-    omegas = [mode["omega"] for mode in solution["modes"]]
-    states = godel.enumerate_definable(omegas, spectrum["h"], args.emax)
     (out / "definable_states.csv").write_text(serialize.enumeration_csv(states))
     print(f"definable states with E_t <= {args.emax}: {len(states)} "
           f"(integers {[s.godel for s in states[:8]]}{'...' if len(states) > 8 else ''})")

@@ -246,6 +246,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

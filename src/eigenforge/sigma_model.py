@@ -111,7 +111,7 @@ def _check_mode(label: str, targets: Sequence[int], n_space: int, label_where: s
     most = max_modes(SL_MAX_DEGREE)
     for j, target in enumerate(targets):
         if type(target) is not int:
-            raise DomainError(f"{where}[{j}] is {target!r}; target modes must be integers")
+            raise DomainError(f"{where}[{j}] is {echo(target)}; target modes must be integers")
         if target < 1:
             raise DomainError(
                 f"{where}[{j}] is {echo(target)}; target modes are 1-based and must be >= 1"

@@ -78,7 +78,7 @@ class BoundaryCondition:
         for side, val in (("a", self.at_a), ("b", self.at_b)):
             if val not in (VANISH_VALUE, VANISH_DERIVATIVE):
                 raise DomainError(
-                    f"bc at {side} must be {VANISH_VALUE!r} or {VANISH_DERIVATIVE!r}, got {val!r}"
+                    f"bc at {side} must be {VANISH_VALUE!r} or {VANISH_DERIVATIVE!r}, got {echo(val)}"
                 )
 
 

@@ -1,12 +1,31 @@
-"""Shared builders for the benchmark problems used across the suite."""
+"""Shared builders for the benchmark problems used across the suite, and
+the two ways a test runs the CLI.
 
+``run_cli`` runs a command in this process and is the default: it reads the
+memos, the values kept on objects and the prime table that earlier tests
+warmed, and costs no interpreter start. ``run_fresh`` starts a fresh
+interpreter, and a test calls it by name for one of three needs: a hang
+guard (its timeout ends the process, so a hang fails the test), a cold run
+(no memo warmed, compared with a warm one), or criterion 9's determinism
+check (``test_acceptance.py``), the one check that a fresh and an in-process
+run print the same bytes. ``run_python`` is the one place a test starts a
+process; no other test file imports ``subprocess`` (``test_repo.py``).
+"""
+
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from eigenforge import serialize, sturm_liouville
+from eigenforge import cli, serialize, sturm_liouville
 from eigenforge.polynomials import as_series, integrate_product, poly
 from eigenforge.sigma_model import CoeffField, DimensionSpec, ModeSpec, SigmaModelSpec
 from eigenforge.sturm_liouville import (
@@ -23,6 +42,41 @@ NEUMANN = BoundaryCondition(VANISH_DERIVATIVE, VANISH_DERIVATIVE)
 # Every run draws the same examples: no test passes or fails with the draw.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def run_python(*args, timeout=None, cwd=None, env=None):
+    """``python <args>`` in a fresh interpreter, as a finished process whose
+    stdout and stderr are read as UTF-8 with no newline translation, so two
+    runs' texts are equal exactly when their bytes are. A timeout ends the
+    process and fails the test."""
+    done = subprocess.run([sys.executable, *args], capture_output=True, timeout=timeout,
+                          cwd=cwd, env=env)
+    return subprocess.CompletedProcess(done.args, done.returncode, done.stdout.decode(),
+                                       done.stderr.decode())
+
+
+def run_fresh(*args, timeout=None):
+    """``eigenforge <args>`` in a fresh interpreter. -W error: a numpy warning
+    fails its test, as in process."""
+    return run_python("-W", "error", "-m", "eigenforge", *args, timeout=timeout)
+
+
+def run_cli(*args):
+    """``eigenforge <args>`` as a finished process: ``cli.main`` run in this
+    one, with stdout and stderr captured, every warning an error and
+    argparse's exit caught."""
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage at COLUMNS, else at the terminal's width; the
+    # piped output of a fresh process has no terminal, so 80 columns.
+    columns = {"COLUMNS": os.environ.get("COLUMNS", "80")}
+    with mock.patch.dict(os.environ, columns), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def make_unit_problem(interval=(0.0, 1.0), bc=DIRICHLET):

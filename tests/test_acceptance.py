@@ -7,14 +7,19 @@ lines; every tolerance is pinned here.
 import functools
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from conftest import make_string_spec, make_unit_problem, problem_to_obj, rayleigh_quotient
+from conftest import (
+    make_string_spec,
+    make_unit_problem,
+    problem_to_obj,
+    rayleigh_quotient,
+    run_cli,
+    run_fresh,
+)
 from eigenforge import serialize
 from eigenforge.action import action_for_state, closure_check, fit_spectrum
 from eigenforge.errors import NoLatticeError
@@ -211,18 +216,23 @@ def test_criterion_8_qstar_suite():
 
 @criterion(9, "determinism")
 def test_criterion_9_determinism(tmp_path):
+    # The suite's one determinism check. Each command runs twice in a fresh
+    # interpreter (run_fresh), so a cold run does not vary from process to
+    # process, and once in this one (run_cli), whose memos earlier tests may
+    # have warmed, so a warm memo changes no byte: the exit code, stdout and
+    # stderr of all three runs agree byte for byte. Two refusals, one by the
+    # library and one by argparse with its usage, run once each way.
     problem_path = tmp_path / "problem.json"
     problem_path.write_text(serialize.dumps(problem_to_obj(make_unit_problem())))
     model_path = tmp_path / "model.json"
     model_path.write_text(serialize.dumps(serialize.model_to_obj(make_string_spec(num_modes=2))))
     solution_path = tmp_path / "solution.json"
-
-    def run(*args):
-        return subprocess.run([sys.executable, "-W", "error", "-m", "eigenforge", *args],
-                              capture_output=True)
-
-    first = run("sigma", "--model", str(model_path), "--out", str(solution_path))
+    first = run_cli("sigma", "--model", str(model_path), "--out", str(solution_path))
     assert first.returncode == 0, first.stderr
+
+    def outcome(result):
+        return result.returncode, result.stdout.encode(), result.stderr.encode()
+
     invocations = [
         ("eigen", "--problem", str(problem_path), "--modes", "2"),
         ("sigma", "--model", str(model_path)),
@@ -233,8 +243,15 @@ def test_criterion_9_determinism(tmp_path):
         ("qstar", "--expr", "(W+1)/W"),
     ]
     for argv in invocations:
-        a = run(*argv)
-        b = run(*argv)
-        assert a.returncode == 0, (argv, a.stderr)
-        assert a.returncode == b.returncode
-        assert a.stdout == b.stdout, argv
+        fresh = outcome(run_fresh(*argv))
+        assert fresh[0] == 0, (argv, fresh[2])
+        assert outcome(run_fresh(*argv)) == fresh, argv
+        assert outcome(run_cli(*argv)) == fresh, argv
+    refusals = [
+        ("encode", "--occupation", "\u0661"),
+        ("enumerate", "--omegas", "1,2", "--quantum-I", "1", "--emax", "\u0661"),
+    ]
+    for argv in refusals:
+        fresh = outcome(run_fresh(*argv))
+        assert fresh[0] == 2, (argv, fresh[2])
+        assert outcome(run_cli(*argv)) == fresh, argv

@@ -1,70 +1,45 @@
 """CLI contract tests: outputs, exit codes, strict parsing, byte determinism.
 
-``run_cli`` runs a command in this process, so a run reads the memos, the
-values kept on objects and the prime table that earlier tests warmed. A warm
-memo must not change a byte: ``test_in_process_run_matches_a_fresh_process``
-compares both runners on every subcommand, ``TestDeterminism`` compares cold
-and warm runs, and CI runs the suite a second time in reverse file order.
+A test runs its command with ``run_cli``, in this process, so a run reads the
+memos, the values kept on objects and the prime table that earlier tests
+warmed. It calls ``run_fresh`` by name for one of two needs: a hang guard,
+whose timeout ends the fresh process so a hang fails the test, or the cold
+runs of ``TestDeterminism``, whose files must hold the bytes of warm runs in
+this process. A warm memo must not change a byte: ``TestDeterminism``
+compares cold and warm runs, criterion 9 of ``test_acceptance.py`` compares
+fresh and in-process runs of every subcommand, and CI runs the suite a
+second time in reverse file order.
 """
 
 import argparse
 import collections
-import contextlib
 import hashlib
 import inspect
-import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legder, legval
 
-from conftest import NEUMANN, coupled_spec, make_string_spec, make_unit_problem, problem_to_obj
+from conftest import (
+    NEUMANN,
+    coupled_spec,
+    make_string_spec,
+    make_unit_problem,
+    problem_to_obj,
+    run_cli,
+    run_fresh,
+)
 from eigenforge import action as action_mod
 from eigenforge import cli, godel, serialize, sigma_model
 from eigenforge import sturm_liouville as sl
 from eigenforge.errors import DomainError, echo
 from eigenforge.godel import DefinableStates
 from eigenforge.polynomials import Polynomial, poly
-
-
-def run_cli_process(*args, timeout=None):
-    """``eigenforge <args>`` in a fresh process. -W error: a numpy warning
-    fails its test, as in process."""
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "eigenforge", *args],
-        capture_output=True, text=True, timeout=timeout,
-    )
-
-
-def run_cli(*args, timeout=None):
-    """``eigenforge <args>`` as a finished process: ``cli.main`` run in this
-    one, with stdout and stderr captured, every warning an error and
-    argparse's exit caught. A call with a timeout runs in a fresh process,
-    which the timeout ends, so a hang fails its test."""
-    if timeout is not None:
-        return run_cli_process(*args, timeout=timeout)
-    out, err = io.StringIO(), io.StringIO()
-    # argparse wraps its usage at COLUMNS, else at the terminal's width; the
-    # piped output of a fresh process has no terminal, so 80 columns.
-    columns = {"COLUMNS": os.environ.get("COLUMNS", "80")}
-    with mock.patch.dict(os.environ, columns), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:
-            code = exc.code
-    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +79,13 @@ def coupled_solution_file(tmp_path_factory):
     return str(path)
 
 
+def set_at(obj, path, value):
+    """Set the node of a JSON document that a path of keys and indices leads to."""
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
 def foreign_nodes(node, path="$"):
     """(path, type name) of every node that is neither an exact float, int,
     bool or str leaf nor an exact dict or list."""
@@ -132,25 +114,6 @@ def test_defaults_equal_the_library_defaults():
              "sigma --max-iter": (sigma.max_iter, solve_state["max_iter"])}
     for option, (default, param) in pairs.items():
         assert (type(default), default) == (type(param.default), param.default), option
-
-
-@pytest.mark.parametrize("argv", [
-    ("eigen", "--problem", "{problem}", "--modes", "2"),
-    ("sigma", "--model", "{model}"),
-    ("action", "--solution", "{solution}"),
-    ("encode", "--occupation", "\u0661"),
-    ("decode", "--integer", "360"),
-    ("enumerate", "--omegas", "1,2", "--quantum-I", "1", "--emax", "\u0661"),
-    ("qstar", "--expr", "(W+1)/W"),
-], ids=["eigen", "sigma", "action", "encode", "decode", "enumerate", "qstar"])
-def test_in_process_run_matches_a_fresh_process(argv, problem_file, model_file, solution_file):
-    # Output, a library refusal (encode) and argparse's usage and refusal
-    # (enumerate) read the same in process as from a fresh process.
-    files = {"problem": problem_file, "model": model_file, "solution": solution_file}
-    argv = [arg.format(**files) for arg in argv]
-    fresh, here = run_cli_process(*argv), run_cli(*argv)
-    assert (here.returncode, here.stdout, here.stderr) == (
-        fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 @pytest.mark.parametrize("text", [
@@ -486,7 +449,7 @@ class TestEigenCommand:
         obj["p"]["coeffs"][0] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        result = run_fresh("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 2
         assert "problem.p.coeffs[0] must be a finite number" in result.stderr
 
@@ -533,7 +496,7 @@ class TestEigenCommand:
         obj["r"]["coeffs"] = [0.3001 ** 2 - 1e-8, -0.6002, 1.0]
         path = tmp_path / "dip.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        result = run_fresh("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 2
         assert "r must be positive on [0.0, 1.0]" in result.stderr
 
@@ -545,7 +508,7 @@ class TestEigenCommand:
             obj[name]["interval"] = [0.0, 1e-300]
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        result = run_fresh("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 3
         [line] = result.stderr.splitlines()
         assert line.startswith("error: reduced eigenproblem")
@@ -571,7 +534,7 @@ class TestEigenCommand:
             obj[name]["interval"] = [0.0, 1e-320]
         path = tmp_path / "subnormal.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        result = run_fresh("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == 3
         assert result.stderr == "error: mass matrix is numerically indefinite\n"
 
@@ -593,7 +556,7 @@ class TestEigenCommand:
             obj[name]["coeffs"] = values
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(obj))
-        result = run_cli("eigen", "--problem", str(path), timeout=10)
+        result = run_fresh("eigen", "--problem", str(path), timeout=10)
         assert result.returncode == code
         assert result.stderr.splitlines() == [message]
 
@@ -702,10 +665,7 @@ class TestSigmaCommand:
             "bc-array", "coeffs-empty"])
     def test_wrong_json_type_invalid(self, tmp_path, path, value, message):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))
-        node = obj
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        set_at(obj, path, value)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(obj))
         result = run_cli("sigma", "--model", str(model))
@@ -726,10 +686,7 @@ class TestSigmaCommand:
     def test_model_checked_when_built(self, tmp_path, edits, message):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))
         for path, value in edits.items():
-            node = obj
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
+            set_at(obj, path, value)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(obj))
         result = run_cli("sigma", "--model", str(model))
@@ -744,10 +701,7 @@ class TestSigmaCommand:
                                            (("time_dim",), "time_dim.r")], ids=["space", "time"])
     def test_weight_not_positive_invalid(self, tmp_path, dim, where, weight):
         obj = serialize.model_to_obj(make_string_spec(num_modes=1))
-        node = obj
-        for key in dim:
-            node = node[key]
-        node["r"]["coeffs"] = weight
+        set_at(obj, (*dim, "r", "coeffs"), weight)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(obj))
         result = run_cli("sigma", "--model", str(model), "--out", str(tmp_path / "out.json"))
@@ -969,7 +923,7 @@ class TestActionCommand:
                  for i, n in enumerate(multipliers, 1)]
         path = tmp_path / "sixteen.json"
         path.write_text(serialize.dumps({"modes": modes}))
-        result = run_cli("action", "--solution", str(path), timeout=60)
+        result = run_fresh("action", "--solution", str(path), timeout=60)
         assert result.returncode == 0, result.stderr
         data = json.loads(result.stdout)
         assert data["multipliers"] == multipliers
@@ -1024,10 +978,7 @@ class TestActionCommand:
             "amplitude-null", "label-number", "factors-object", "factor-number", "norm-string"])
     def test_wrong_json_type_invalid(self, tmp_path, solution_file, path, value, message):
         obj = json.loads(Path(solution_file).read_text())
-        node = obj
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        set_at(obj, path, value)
         solution = tmp_path / "solution.json"
         solution.write_text(json.dumps(obj))
         result = run_cli("action", "--solution", str(solution))
@@ -1066,7 +1017,7 @@ class TestCodecCommands:
 
     @pytest.mark.parametrize("occupation", ["0,0,100000000", "1000000", "4097"])
     def test_encode_past_the_integer_bound_invalid(self, occupation):
-        result = run_cli("encode", "--occupation", occupation, timeout=10)
+        result = run_fresh("encode", "--occupation", occupation, timeout=10)
         assert result.returncode == 2
         assert result.stderr.startswith("error: occupation ")
         assert "MAX_GODEL_BITS = 4096" in result.stderr
@@ -1123,12 +1074,10 @@ class TestCodecCommands:
 class TestEnumerateCommand:
     def test_two_mode_example_csv(self):
         # The README example prints exactly its five lines.
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "eigenforge", "enumerate", "--omegas", "1,2",
-             "--quantum-I", "1.5707963267948966", "--emax", "2"], capture_output=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == (
-            b"godel_integer,occupations,energy\n1,,0\n2,1,1\n3,0;1,2\n4,2,2\n")
+        result = run_cli("enumerate", "--omegas", "1,2", "--quantum-I", "1.5707963267948966",
+                         "--emax", "2")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "godel_integer,occupations,energy\n1,,0\n2,1,1\n3,0;1,2\n4,2,2\n", "")
 
     def test_bad_omega_rejected(self):
         result = run_cli("enumerate", "--omegas", "0", "--quantum-I", "1.0", "--emax", "1")
@@ -1163,13 +1112,11 @@ class TestEnumerateCommand:
     def test_five_mode_digest(self):
         # Interior zeros and two-digit occupations (557 states) keep a
         # pinned sha256 of the CSV bytes.
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "eigenforge", "enumerate",
-             "--omegas", "0.3,1.1,0.7,2.9,1.7", "--quantum-I", "1.5707963267948966",
-             "--emax", "6.3"], capture_output=True)
+        result = run_cli("enumerate", "--omegas", "0.3,1.1,0.7,2.9,1.7",
+                         "--quantum-I", "1.5707963267948966", "--emax", "6.3")
         assert result.returncode == 0, result.stderr
-        assert result.stdout.count(b"\n") == 558
-        assert hashlib.sha256(result.stdout).hexdigest() == (
+        assert result.stdout.count("\n") == 558
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "35a105a56a6275cf83bbe33f777f00c4ca52a961c28dab40796de30621e6ceb6")
 
     @pytest.mark.parametrize("emax", ["inf", "nan", "1.7976931348623157e308"])
@@ -1195,14 +1142,11 @@ class TestEnumerateCommand:
         assert len(result.stderr) < 150
 
     @pytest.mark.parametrize("limit,code", [(5984, 0), (5983, 2)], ids=["at-limit", "past-limit"])
-    def test_state_limit(self, limit, code):
+    def test_state_limit(self, monkeypatch, limit, code):
         # Three modes of energy 4 / 2pi below 20 have C(31 + 3, 3) = 5 984
         # states; the command runs with godel.MAX_STATES lowered to the limit.
-        program = ("import sys; from eigenforge import cli, godel; "
-                   f"godel.MAX_STATES = {limit}; sys.exit(cli.main(sys.argv[1:]))")
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-c", program, "enumerate", "--omegas", "1,1,1",
-             "--quantum-I", "1", "--emax", "20"], capture_output=True, text=True)
+        monkeypatch.setattr(godel, "MAX_STATES", limit)
+        result = run_cli("enumerate", "--omegas", "1,1,1", "--quantum-I", "1", "--emax", "20")
         assert result.returncode == code
         if code:
             assert result.stderr == (
@@ -1213,7 +1157,7 @@ class TestEnumerateCommand:
     def test_integer_size_limit(self):
         # One mode with 999 999 quanta below the cutoff: few enough states,
         # but the last Godel integer is 2^999999.
-        result = run_cli("enumerate", "--omegas", "1", "--quantum-I", repr(math.pi / 2),
+        result = run_fresh("enumerate", "--omegas", "1", "--quantum-I", repr(math.pi / 2),
                          "--emax", "999999", timeout=30)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
@@ -1234,11 +1178,9 @@ class TestQstarCommand:
         # Any whitespace, a tab included, separates tokens: both spellings
         # print the same bytes.
         for expr in ("(W+1)/W", "( W\t+ 1 )/W"):
-            result = subprocess.run(
-                [sys.executable, "-W", "error", "-m", "eigenforge", "qstar", "--expr", expr],
-                capture_output=True)
+            result = run_cli("qstar", "--expr", expr)
             assert result.returncode == 0, result.stderr
-            assert result.stdout == b"(W+1)/W\nfinite; equal to 1; not identical to 1\n"
+            assert result.stdout == "(W+1)/W\nfinite; equal to 1; not identical to 1\n"
 
     def test_reduction_shown(self):
         result = run_cli("qstar", "--expr", "(W*W-1)/(W-1)")
@@ -1271,7 +1213,7 @@ class TestQstarCommand:
             "huge-exponent-of-a-sum", "deep-nesting", "nested-power", "long-product",
             "nested-integer-power", "long-literal", "long-trailing-literal"])
     def test_unbounded_input_invalid(self, expr, bound):
-        result = run_cli("qstar", "--expr", expr, timeout=10)
+        result = run_fresh("qstar", "--expr", expr, timeout=10)
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert bound in result.stderr
@@ -1337,7 +1279,7 @@ def same_bytes_cold_and_warm(tmp_path, argv):
     first output's path."""
     paths = [tmp_path / f"out_{i}.json" for i in range(4)]
     for path in paths[:2]:
-        result = run_cli_process(*argv, "--out", str(path))
+        result = run_fresh(*argv, "--out", str(path))
         assert result.returncode == 0, result.stderr
     for path in paths[2:]:
         assert cli.main([*argv, "--out", str(path)]) == 0
@@ -1394,7 +1336,7 @@ class TestDeterminism:
         assert all(m["null_residual"] <= 1e-6 for m in stored["modes"]), stored["modes"]
         # The refit of a stored solution reads the same time pair's action as
         # the solve, so it must reproduce the stored action spectrum.
-        result = run_cli_process("action", "--solution", str(out))
+        result = run_cli("action", "--solution", str(out))
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == stored["action_spectrum"]
 
@@ -1405,25 +1347,6 @@ class TestDeterminism:
         obj["modes"].append({"label": "bad", "targets": [1]})
         model = tmp_path / "box_bad.json"
         model.write_text(json.dumps(obj))
-        result = run_cli_process("sigma", "--model", str(model))
+        result = run_cli("sigma", "--model", str(model))
         assert result.returncode == 2
         assert "modes[1]" in result.stderr
-
-    def test_every_command_byte_identical_across_runs(self, problem_file, model_file,
-                                                      solution_file):
-        invocations = [
-            ("eigen", "--problem", problem_file, "--modes", "2"),
-            ("sigma", "--model", model_file),
-            ("action", "--solution", solution_file),
-            ("encode", "--occupation", "2,1"),
-            ("decode", "--integer", "360"),
-            ("enumerate", "--omegas", "1,2", "--quantum-I", repr(math.pi / 2),
-             "--emax", "2"),
-            ("qstar", "--expr", "(W+1)/W"),
-        ]
-        for argv in invocations:
-            first = run_cli_process(*argv)
-            second = run_cli_process(*argv)
-            assert first.returncode == 0, (argv, first.stderr)
-            assert first.returncode == second.returncode
-            assert first.stdout.encode() == second.stdout.encode(), argv

@@ -5,7 +5,6 @@ import gc
 import hashlib
 import math
 import os
-import subprocess
 import sys
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from eigenforge import godel, qstar, serialize
 from eigenforge.errors import DomainError
 from eigenforge.godel import (
@@ -481,10 +481,10 @@ class TestDefinableStates:
         )
         path = [str(Path(godel.__file__).resolve().parents[1]), str(Path(__file__).parent)]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                               env=env, check=True).stdout for _ in range(2)]
-        assert runs[0] == runs[1]
-        assert "((1, '', '0'), " in runs[0] and " at 0x" not in runs[0]
+        first, second = (run_python("-c", script, env=env) for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert (second.returncode, second.stdout) == (0, first.stdout)
+        assert "((1, '', '0'), " in first.stdout and " at 0x" not in first.stdout
 
 
 class TestCountVsBox:

@@ -1,15 +1,15 @@
 """Repository checks: the pytest configuration reports a failing property
-test, every function, class, assigned module-level name and class member of
-the library, public or private, has a use, and every name the benchmark's
-tracer looks up exists."""
+test, no test file but conftest imports ``subprocess``, every function,
+class, assigned module-level name and class member of the library, public
+or private, has a use, and every name the benchmark's tracer looks up
+exists."""
 
 import ast
 import importlib.util
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
+from conftest import run_python
 from eigenforge.polynomials import Polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,13 +33,31 @@ def test_failing_hypothesis_example_is_reported(tmp_path):
     # Under the suite's own settings, warnings as errors included, reporting
     # the failing example must not end the run.
     (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
-        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    result = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                        "test_probe.py", cwd=tmp_path, timeout=120)
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
     assert result.returncode == 1
+
+
+def _imports(path):
+    """The top-level package of every module a file imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module.partition(".")[0]
+
+
+def test_only_conftest_starts_processes():
+    # A test takes conftest's in-process run_cli unless it calls run_fresh or
+    # run_python by name; a bare subprocess call elsewhere would start an
+    # interpreter no test states a need for.
+    starters = [path.relative_to(ROOT).as_posix()
+                for path in sorted((ROOT / "tests").rglob("*.py"))
+                if path.name != "conftest.py" and "subprocess" in _imports(path)]
+    assert starters == []
 
 
 def _names(node):

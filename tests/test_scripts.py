@@ -1,18 +1,17 @@
 """The experiment scripts, run in process: their files, the solution each
-string pipeline writes against the CLI's own run on the model it wrote, and
-that solution's action refit; and every numeric flag of the CLI and the
-scripts, read in the one ASCII number notation."""
+string pipeline writes against the CLI's own cold run (``run_fresh``) on the
+model it wrote, and that solution's action refit; the pipeline's refusal of
+a cutoff; and every numeric flag of the CLI and the scripts, read in the one
+ASCII number notation."""
 
 import functools
 import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import make_string_spec, make_unit_problem, problem_to_obj
+from conftest import make_string_spec, make_unit_problem, problem_to_obj, run_fresh
 from eigenforge import cli, serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -36,15 +35,30 @@ def test_string_pipeline_matches_the_cli(tmp_path, capsys, flags):
         "godel_integer,occupations,energy\n1,,0\n")
     # The CLI in a fresh process writes the same solution bytes.
     model, cli_solution = tmp_path / "string_model.json", tmp_path / "cli_solution.json"
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "eigenforge", "sigma", "--model", str(model),
-         "--out", str(cli_solution)], capture_output=True, text=True)
+    result = run_fresh("sigma", "--model", str(model), "--out", str(cli_solution))
     assert result.returncode == 0, result.stderr
     assert cli_solution.read_bytes() == (tmp_path / "string_solution.json").read_bytes()
     # The refit of the stored solution reproduces its action spectrum.
     assert cli.main(["action", "--solution", str(cli_solution)]) == 0
     stored = json.loads(cli_solution.read_text())
     assert capsys.readouterr().out == serialize.dumps(stored["action_spectrum"])
+
+
+@pytest.mark.parametrize("emax, written, message", [
+    ("inf", [], "e_max must be finite and nonnegative, got inf"),
+    ("-1", [], "e_max must be finite and nonnegative, got -1.0"),
+    ("1e5", ["string_model.json", "string_solution.json"],
+     "e_max = 100000.0 admits Godel integers of up to 100000 bits, more than "
+     "MAX_GODEL_BITS = 4096 bits"),
+], ids=["infinite", "negative", "past-the-integer-bound"])
+def test_string_pipeline_refuses_a_cutoff_before_it_prints(tmp_path, capsys, emax, written,
+                                                           message):
+    # A cutoff refused for any spectrum writes no file; one that only the
+    # solved spectrum refuses prints no mode table.
+    pipeline = load_script("run_string_pipeline")
+    assert pipeline.main(["--emax", emax, "--out-dir", str(tmp_path)]) == cli.EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == written
 
 
 def test_definability_scan_counts_never_decrease(tmp_path, capsys):

@@ -821,12 +821,17 @@ class TestValidation:
         (5, (1,), "label must be a string, got int"),
         ("m", (38,), "target_modes[0] is 38; a space factor's eigensolve (degree cap 40) "
                      "can track at most mode 37"),
-    ], ids=["float", "bool", "label", "above-the-degree-cap"])
+        ("m", ("x" * 5000,),
+         "target_modes[0] is 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters); "
+         "target modes must be integers"),
+    ], ids=["float", "bool", "label", "above-the-degree-cap", "long-string"])
     def test_mode_types_checked(self, string_spec, monkeypatch, label, targets, where):
         # A target is not converted: 2.7 is not mode 2, and True is not mode 1.
+        # A refused value is shown by errors.echo, so the message stays short.
         calls = count_eigensolves(monkeypatch)
-        with pytest.raises(DomainError, match=re.escape(where)):
+        with pytest.raises(DomainError, match=re.escape(where)) as refusal:
             solve_state(string_spec, label, targets)
+        assert len(str(refusal.value)) < 200
         assert calls == []
 
     def test_weight_lives_on_the_interval(self):

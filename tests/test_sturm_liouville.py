@@ -133,6 +133,12 @@ class TestProblemValidation:
         with pytest.raises(DomainError, match=re.escape(
                 "bc at b must be 'value' or 'derivative', got 'neumann'")):
             BoundaryCondition("value", "neumann")
+        # A refused label is shown by errors.echo, so the message stays short.
+        with pytest.raises(DomainError, match=re.escape(
+                "bc at a must be 'value' or 'derivative', got "
+                "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)")) as refusal:
+            BoundaryCondition("x" * 5000, "value")
+        assert len(str(refusal.value)) < 200
 
     def test_coefficients_on_different_intervals_refused(self):
         with pytest.raises(DomainError, match="^p, q, r must share one interval$"):
